@@ -8,11 +8,14 @@ configured tolerances.  Everything is deterministic: re-running a config
 reproduces the artifacts byte for byte.  A failed sub-solver aborts only its
 row, which keeps an error marker instead of fabricated numbers.
 
-Oracle extrapolation per coupling: bindings are computed on the configured
-step plan at each truncation length (Richardson in the steps, directionally
-when ``h_trans`` is refined separately), then Aitken-extrapolated across the
-lengths.  Wall features snap the step so the feature edge is exact on every
-grid, keeping the step error a clean second-order term.
+Oracle extrapolation per coupling: bindings are computed on the two finest
+steps of the configured plan at each truncation length (Richardson in the
+step), then Aitken-extrapolated across the lengths.  For a wall feature each
+step is first snapped so the feature edge falls midway between boundary
+nodes; ``TruncatedGuide`` then rounds ``L/h`` to whole cells, which moves the
+step again, so the edge stays exact only where ``L`` is a whole number of
+snapped steps.  At ``eps = 0.4``, ``h = 0.04`` the effective half-width is
+0.400424, 0.399859 and 0.400000 at ``L`` = 18, 27 and 36.
 """
 
 from __future__ import annotations
@@ -55,6 +58,9 @@ REGULAR_POTENTIAL = "RegularPotential"
 DIRICHLET_WINDOW = "DirichletWindow"
 NEUMANN_PATCH = "NeumannPatch"
 SCENARIOS = (REGULAR_POTENTIAL, DIRICHLET_WINDOW, NEUMANN_PATCH)
+
+# the only keys of the ``oracle`` block; anything else is a config error
+ORACLE_KEYS = ("h", "L", "order")
 
 CSV_HEADER = "epsilon,k_re,k_im,lambda_pred,lambda_pole,b_oracle,rel_err,classification"
 
@@ -101,8 +107,10 @@ def parse_config(source) -> ExperimentConfig:
 
     ``epsilons`` must be strictly descending positive with at least four
     entries.  ``oracle.L`` is either one list of lengths shared by every
-    coupling or one list per coupling; ``oracle.h`` lists longitudinal steps
-    in decreasing order, with optional ``h_trans`` refined separately.
+    coupling or one list per coupling; ``oracle.h`` lists steps in
+    decreasing order, and the optional ``oracle.order`` (default 2) is the
+    order of the step error that Richardson eliminates.  Any other
+    ``oracle`` key is rejected.
     """
     if isinstance(source, dict):
         raw = source
@@ -148,19 +156,17 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"epsilons must be strictly descending positive: {eps}")
 
     oracle = dict(raw["oracle"])
+    unknown = sorted(set(oracle) - set(ORACLE_KEYS))
+    if unknown:
+        raise ConfigError(
+            f"unknown oracle keys {unknown}; allowed: {list(ORACLE_KEYS)}"
+        )
     hs = [float(h) for h in oracle.get("h", [])]
     if not hs or any(h <= 0 for h in hs):
         raise ConfigError(f"oracle.h must list positive steps, got {oracle.get('h')}")
     if any(a <= b for a, b in zip(hs, hs[1:])):
         raise ConfigError(f"oracle.h must be strictly decreasing: {hs}")
     oracle["h"] = hs
-    if "h_trans" in oracle:
-        gts = [float(g) for g in oracle["h_trans"]]
-        if not gts or any(g <= 0 for g in gts) or any(
-            a <= b for a, b in zip(gts, gts[1:])
-        ):
-            raise ConfigError(f"oracle.h_trans must be strictly decreasing positive: {gts}")
-        oracle["h_trans"] = gts
     L = oracle.get("L")
     if not L:
         raise ConfigError("oracle.L must list truncation lengths")
@@ -174,17 +180,9 @@ def parse_config(source) -> ExperimentConfig:
                 raise ConfigError(f"bad length list {sub!r}")
     elif any(float(v) <= 0 for v in L):
         raise ConfigError(f"lengths must be positive, got {L}")
-    ends = oracle.get("ends", "dirichlet-ends")
-    if ends not in ("dirichlet-ends", "neumann-ends"):
-        raise ConfigError(f"oracle.ends must be dirichlet-ends or neumann-ends, got {ends!r}")
     order = oracle.get("order", 2)
     if not (float(order) > 0):
         raise ConfigError(f"oracle.order must be positive, got {order!r}")
-    extrap = oracle.get("extrapolation", "richardson")
-    if extrap not in ("richardson", "aitken"):
-        raise ConfigError(
-            f"oracle.extrapolation must be richardson or aitken, got {extrap!r}"
-        )
 
     perturbation = dict(raw.get("perturbation", {}))
     if scenario == REGULAR_POTENTIAL:
@@ -286,19 +284,18 @@ def _box_sampler(depth: float, a: float, step: float):
     return q
 
 
-def truncated_binding(
-    cfg: ExperimentConfig, eps: float, L: float, h: float, ht: float | None = None
-) -> float:
-    """Binding from one truncated-guide eigensolve; no extrapolation."""
+def truncated_binding(cfg: ExperimentConfig, eps: float, L: float, h: float) -> float:
+    """Binding from one truncated-guide eigensolve; no extrapolation.
+
+    The guide has Dirichlet ends and is solved on its even half.
+    """
     scenario = cfg.scenario
     common = dict(
         cross_section=cfg.cross_section,
         half_length=L,
         h=h,
-        h_trans=h if ht is None else ht,
-        ends=cfg.oracle.get("ends", "dirichlet-ends"),
         mode_index=cfg.m,
-        symmetric_half=bool(cfg.oracle.get("symmetric_half", True)),
+        symmetric_half=True,
     )
     if scenario == DIRICHLET_WINDOW:
         common["window_half_width"] = eps * float(cfg.perturbation["half_width"])
@@ -318,37 +315,19 @@ def truncated_binding(
 def oracle_binding(cfg: ExperimentConfig, eps: float, L: float) -> float:
     """Step-extrapolated binding at one coupling and truncation length.
 
-    Richardson across the step plan: isotropic when only ``h`` is listed,
-    directional (independent longitudinal and transverse elimination from
-    three solves) when ``h_trans`` refines separately.
+    Richardson of order ``oracle.order`` on the two finest steps of the plan;
+    a one-step plan, or two steps that snapping collapses onto one grid,
+    gives the finest binding as it is.
     """
-    hs = list(cfg.oracle["h"])
+    hs = list(cfg.oracle["h"])[-2:]
     if cfg.scenario in (DIRICHLET_WINDOW, NEUMANN_PATCH):
         W = eps * float(cfg.perturbation["half_width"])
         hs = [_snap_to_feature(h, W) for h in hs]
-    gts = cfg.oracle.get("h_trans")
-    if gts is None:
-        bs = [truncated_binding(cfg, eps, L, h, h) for h in hs]
-        if len(bs) == 1 or hs[-2] <= hs[-1]:
-            # snapping can collapse two steps onto the same grid
-            return bs[-1]
-        if cfg.oracle.get("extrapolation", "richardson") == "aitken" and len(bs) >= 3:
-            return aitken_limit(bs)
-        order = float(cfg.oracle.get("order", 2))
-        return richardson(bs[-2], bs[-1], hs[-2] / hs[-1], order=order)
-    b00 = truncated_binding(cfg, eps, L, hs[0], gts[0])
-    if len(hs) < 2 and len(gts) < 2:
-        return b00
-    out = b00
-    if len(hs) >= 2 and hs[0] > hs[1]:
-        b10 = truncated_binding(cfg, eps, L, hs[1], gts[0])
-        r1 = hs[0] / hs[1]
-        out -= (b00 - b10) * r1 * r1 / (r1 * r1 - 1.0)
-    if len(gts) >= 2:
-        b01 = truncated_binding(cfg, eps, L, hs[0], gts[1])
-        r2 = gts[0] / gts[1]
-        out -= (b00 - b01) * r2 * r2 / (r2 * r2 - 1.0)
-    return out
+    bs = [truncated_binding(cfg, eps, L, h) for h in hs]
+    if len(bs) == 1 or hs[0] <= hs[1]:
+        return bs[-1]
+    order = float(cfg.oracle.get("order", 2))
+    return richardson(bs[0], bs[1], hs[0] / hs[1], order=order)
 
 
 def _extrapolated_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
@@ -416,45 +395,22 @@ def predict_row(cfg: ExperimentConfig, eps: float, basis: TransverseBasis) -> Sw
     )
 
 
-def _regular_row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
+def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
+    """Prediction, secular pole (regular scenario only), and oracle binding."""
     eps = cfg.epsilons[index]
     row = predict_row(cfg, eps, basis)
-    kernel, V = regular_inputs(cfg, basis)
-    pole = solve_secular(V, eps, kernel)
-    b, oracle_extras = _extrapolated_binding(cfg, index)
-    row.extras.update(oracle_extras)
-    row.k_re, row.k_im = pole.k.real, pole.k.imag
-    row.lam_pole = pole.lam.real
-    row.classification = pole.classification
-    row.b_oracle = b
-    row.rel_err = abs(row.lam_pred + b) / abs(b) if b > 0 else None
-    return row
-
-
-def _window_row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
-    eps = cfg.epsilons[index]
-    row = predict_row(cfg, eps, basis)
+    if cfg.scenario == REGULAR_POTENTIAL:
+        kernel, V = regular_inputs(cfg, basis)
+        pole = solve_secular(V, eps, kernel)
+        row.k_re, row.k_im = pole.k.real, pole.k.imag
+        row.lam_pole = pole.lam.real
+        row.classification = pole.classification
     b, oracle_extras = _extrapolated_binding(cfg, index)
     row.extras.update(oracle_extras)
     row.b_oracle = b
-    row.rel_err = abs(row.lam_pred + b) / abs(b) if b > 0 else None
+    if cfg.scenario != NEUMANN_PATCH and b > 0:
+        row.rel_err = abs(row.lam_pred + b) / abs(b)
     return row
-
-
-def _patch_row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
-    eps = cfg.epsilons[index]
-    row = predict_row(cfg, eps, basis)
-    b, oracle_extras = _extrapolated_binding(cfg, index)
-    row.extras.update(oracle_extras)
-    row.b_oracle = b
-    return row
-
-
-_ROW_RUNNERS = {
-    REGULAR_POTENTIAL: _regular_row,
-    DIRICHLET_WINDOW: _window_row,
-    NEUMANN_PATCH: _patch_row,
-}
 
 
 def run_sweep(
@@ -468,11 +424,10 @@ def run_sweep(
     """
     basis_count = max(cfg.m + 8, int(cfg.perturbation.get("modes", 0)))
     basis = build_basis(cfg.cross_section, basis_count)
-    runner = _ROW_RUNNERS[cfg.scenario]
 
     def one(index: int) -> SweepRow:
         try:
-            row = runner(cfg, index, basis)
+            row = _row(cfg, index, basis)
         except Exception as exc:
             logger.warning("row eps=%g failed: %s", cfg.epsilons[index], exc)
             return SweepRow(

@@ -77,13 +77,6 @@ def longitudinal_exponents(
     return K
 
 
-def longitudinal_exponent(j: int, m: int, k: complex, basis: TransverseBasis) -> complex:
-    """Single branch-resolved exponent ``K_j(k)``; see ``longitudinal_exponents``."""
-    if not 1 <= j <= basis.count:
-        raise ValueError(f"mode index {j} outside basis range 1..{basis.count}")
-    return complex(longitudinal_exponents(basis, m, k, max(j, m))[j - 1])
-
-
 def regularized_kernel(s, k: complex):
     """Threshold-mode kernel ``(exp(-k s) - 1)/(2k)`` with its ``k = 0`` limit.
 

@@ -319,7 +319,7 @@ def discrete_threshold(g: TruncatedGuide, m: int | None = None) -> float:
 
 
 def lowest_eigenpairs(
-    op: FdOperator, count: int = 1, shift: float | None = None, ncv: int | None = None
+    op: FdOperator, count: int = 1, shift: float | None = None
 ) -> OracleSolution:
     """Lowest ``count`` eigenpairs by banded shift-invert Lanczos.
 
@@ -372,7 +372,6 @@ def lowest_eigenpairs(
             which="LM",
             v0=np.ones(n),
             OPinv=opinv,
-            ncv=ncv,
         )
     except ArpackNoConvergence as exc:
         raise SolverError(
@@ -414,11 +413,6 @@ def lowest_eigenpairs(
         threshold=threshold,
         binding=float(threshold - vals[0]),
     )
-
-
-def discrete_binding(sol: OracleSolution, g: TruncatedGuide) -> float:
-    """Binding ``mu_m^h - E_1`` against the closed-form discrete threshold."""
-    return discrete_threshold(g) - float(sol.values[0])
 
 
 def extract_tail_coefficients(

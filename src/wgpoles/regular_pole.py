@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 import numpy.linalg as nla
@@ -58,21 +58,6 @@ class AmbiguousClassificationError(ValueError):
     """Pole parameters fall on a boundary the classification rules do not cover."""
 
 
-class LocalizedOperator(Protocol):
-    """Perturbation acting on fields sampled over the source box.
-
-    ``apply`` maps grid samples to grid samples (shape preserved); ``bound``
-    is an eps-independent operator bound used in the contraction heuristic.
-    Multiplication by a potential is the packaged implementation; anything
-    satisfying this protocol can be passed to the solver.
-    """
-
-    def apply(self, samples: np.ndarray) -> np.ndarray: ...
-
-    @property
-    def bound(self) -> float: ...
-
-
 @dataclass
 class PerturbationField:
     """Multiplicative perturbation: sampled potential ``V`` on a box grid."""
@@ -102,24 +87,6 @@ class PerturbationField:
         return float(np.max(np.abs(self.values)))
 
 
-def operator_matrix(op: LocalizedOperator, region: BoxRegion) -> np.ndarray:
-    """Dense matrix of a localized operator on flattened grid samples.
-
-    Built column-by-column from unit samples; meant for non-multiplicative
-    operators, which have no cheaper representation.  O(N) applications.
-    """
-    n = region.size
-    probe = np.zeros((region.n_long, region.n_trans))
-    cols = np.empty((n, n), dtype=complex)
-    for p in range(n):
-        probe.flat[p] = 1.0
-        cols[:, p] = np.asarray(op.apply(probe)).ravel()
-        probe.flat[p] = 0.0
-    if not np.any(cols.imag):
-        return np.ascontiguousarray(cols.real)
-    return cols
-
-
 def operator_norm(matrix: np.ndarray, iterations: int = 20) -> float:
     """Spectral-norm estimate by power iteration on ``M* M``; deterministic."""
     v = np.ones(matrix.shape[1], dtype=matrix.dtype) / np.sqrt(matrix.shape[1])
@@ -133,7 +100,7 @@ def operator_norm(matrix: np.ndarray, iterations: int = 20) -> float:
 
 
 def assemble_birman_schwinger(
-    V: LocalizedOperator, k: complex, eps: float, kernel: ModeSumKernel
+    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel
 ) -> np.ndarray:
     """Matrix of ``I - eps T(k)`` with ``T g = V (A~ g)`` on the box grid.
 
@@ -145,11 +112,7 @@ def assemble_birman_schwinger(
     if eps < 0:
         raise ValueError(f"coupling must be nonnegative, got {eps}")
     M = kernel.assemble(k, regularize_m=True)
-    if isinstance(V, PerturbationField):
-        vflat = V.values.ravel()
-        T = vflat[:, None] * M
-    else:
-        T = operator_matrix(V, kernel.region) @ M
+    T = V.values.ravel()[:, None] * M
     if eps > 0:
         # cheap infinity-norm screen first; sharpen by power iteration only
         # when the screen trips, since the sharp estimate costs real matvecs
@@ -197,7 +160,7 @@ def _weighted_mode_row(kernel: ModeSumKernel) -> np.ndarray:
 
 
 def _secular_value(
-    V: LocalizedOperator, k: complex, eps: float, kernel: ModeSumKernel, rhs: np.ndarray, row: np.ndarray
+    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel, rhs: np.ndarray, row: np.ndarray
 ) -> tuple[complex, np.ndarray]:
     """One evaluation of the secular map: returns ``((eps/2)<phi_m, g>, g)``."""
     kp = k.real if k.imag == 0.0 else k
@@ -207,24 +170,19 @@ def _secular_value(
 
 
 def solve_secular(
-    V: LocalizedOperator,
+    V: PerturbationField,
     eps: float,
     kernel: ModeSumKernel,
     k0: complex = 0.0,
-    method: str = "fixed-point",
 ) -> PoleResult:
     """Solve the secular equation for the pole ``k`` near threshold ``m``.
 
     Fixed-point iteration of ``k -> (eps/2)<phi_m, S(k)(V phi_m)>`` from
     ``k0`` (default the threshold itself), stopping when the update falls
-    below ``1e-12 * max(eps^2, |k|)`` or plateaus at roundoff.  ``method =
-    "newton"`` switches to Newton steps on the same map with a
-    finite-difference derivative, useful when the contraction is slow.
+    below ``1e-12 * max(eps^2, |k|)`` or plateaus at roundoff.
     ``V phi_m = 0`` short-circuits to a ``PoleAtZero`` result: the threshold
     pole does not detach.
     """
-    if method not in ("fixed-point", "newton"):
-        raise ValueError(f"unknown method {method!r}")
     reg = kernel.region
     phim_grid = np.broadcast_to(
         kernel.basis.phi(kernel.m, reg.x2)[None, :], (reg.n_long, reg.n_trans)
@@ -249,14 +207,7 @@ def solve_secular(
     stalled = 0
     for _ in range(MAX_SECULAR_ITERATIONS):
         try:
-            value, g = _secular_value(V, k, eps, kernel, rhs, row)
-            if method == "newton":
-                h = 1e-6 * max(eps, abs(k))
-                value_h, _ = _secular_value(V, k + h, eps, kernel, rhs, row)
-                fprime = (value_h - value) / h - 1.0
-                knew = k - (value - k) / fprime
-            else:
-                knew = value
+            knew, g = _secular_value(V, k, eps, kernel, rhs, row)
         except ValueError as exc:
             # iterate escaped the kernel's analyticity domain; that is a
             # divergence, not a usage error

@@ -32,7 +32,7 @@ from .modesum import (
     ModeSumKernel,
     boundary_dipole_sum,
     boundary_source_sum,
-    longitudinal_exponent,
+    longitudinal_exponents,
 )
 from .regular_pole import classify_pole
 from .transverse import BC_DIRICHLET, BC_NEUMANN, TransverseBasis
@@ -184,7 +184,7 @@ def dirichlet_window_width(
     )
     im_k = -spec.eps ** (2 * n) * factor * factor * channels
     k_lead = spec.eps**n * factor * traces[m - 1]
-    K1 = longitudinal_exponent(1, m, k_lead, basis)
+    K1 = longitudinal_exponents(basis, m, k_lead, m)[0]
     a1 = k_lead * traces[0] / (K1 * traces[m - 1])
     return float(im_k), complex(a1)
 

@@ -148,10 +148,3 @@ def build_basis(cs: CrossSection, count: int) -> TransverseBasis:
         wall_value=wall_value,
     )
 
-
-def boundary_traces(basis: TransverseBasis) -> list[tuple[float, float]]:
-    """Wall traces ``(Phi_j, phi_j(0))`` for each mode, in order."""
-    return [
-        (float(s), float(v))
-        for s, v in zip(basis.wall_slope, basis.wall_value)
-    ]

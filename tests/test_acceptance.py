@@ -16,6 +16,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.optimize import brentq
 
 import wgpoles as wg
@@ -65,6 +66,7 @@ def _regular_oracle_failures(eps: float, b: float) -> list[str]:
     return [f"{'; '.join(gates)} at eps={eps}: {numbers}"] if gates else []
 
 
+@pytest.mark.slow
 def test_regular_potential_pole_and_oracle_asymptotics() -> None:
     """Box well at the first threshold: k = eps + O(eps^2), end to end.
 
@@ -136,6 +138,7 @@ def test_regular_potential_pole_and_oracle_asymptotics() -> None:
     assert not failures, "; ".join(failures)
 
 
+@pytest.mark.slow
 def test_window_binding_follows_fourth_power_law() -> None:
     """Wall window in a Dirichlet guide: oracle binding fits tau^2 eps^4.
 

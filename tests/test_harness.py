@@ -87,6 +87,10 @@ def test_parse_config_rejects_bad_input() -> None:
         parse_config(_regular_dict(oracle={"h": [0.1], "L": []}))
     with pytest.raises(ConfigError):
         parse_config(_regular_dict(oracle={"h": [0.1], "L": [8.0], "ends": "open"}))
+    with pytest.raises(ConfigError, match="extrapolaton"):
+        parse_config(
+            _regular_dict(oracle={"h": [0.1], "L": [8.0], "extrapolaton": "aitken"})
+        )
     with pytest.raises(ConfigError):
         parse_config("this is not json")
     with pytest.raises(ConfigError):

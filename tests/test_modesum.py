@@ -10,7 +10,6 @@ from wgpoles.modesum import (
     BoxRegion,
     ModeSumKernel,
     apply_mode_sum,
-    longitudinal_exponent,
     longitudinal_exponents,
     regularized_kernel,
 )
@@ -25,25 +24,24 @@ def _dirichlet_basis(count: int = 16):
 
 def test_exponent_threshold_mode_is_k_exactly() -> None:
     basis = _dirichlet_basis()
-    assert longitudinal_exponent(1, 1, 0.03, basis) == 0.03 + 0j
+    assert longitudinal_exponents(basis, 1, 0.03, 1)[0] == 0.03 + 0j
     k = 0.01 - 1e-4j
-    assert longitudinal_exponent(2, 2, k, basis) == k
+    assert longitudinal_exponents(basis, 2, k, 2)[1] == k
 
 
 def test_exponent_branches() -> None:
     basis = _dirichlet_basis()
     # above threshold: real positive
-    K2 = longitudinal_exponent(2, 1, 0.0, basis)
+    K2 = longitudinal_exponents(basis, 1, 0.0, 2)[1]
     assert abs(K2 - math.sqrt(3.0)) < 1e-12
     assert K2.imag == 0.0
     # below threshold: purely imaginary, positive imaginary part
-    K1 = longitudinal_exponent(1, 2, 0.0, basis)
+    K1 = longitudinal_exponents(basis, 2, 0.0, 2)[0]
     assert abs(K1 - 1j * math.sqrt(3.0)) < 1e-12
     k = 0.03
-    K1 = longitudinal_exponent(1, 2, k, basis)
+    K1, _, K3 = longitudinal_exponents(basis, 2, k, 3)
     assert K1.real == 0.0
     assert abs(K1.imag - math.sqrt(3.0 - k * k)) < 1e-12
-    K3 = longitudinal_exponent(3, 2, k, basis)
     assert abs(K3 - math.sqrt(5.0 + k * k)) < 1e-12
 
 

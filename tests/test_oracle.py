@@ -15,7 +15,6 @@ from wgpoles import (
     aitken_limit,
     build_basis,
     build_fd_operator,
-    discrete_binding,
     discrete_threshold,
     extract_tail_coefficients,
     lowest_eigenpairs,
@@ -80,7 +79,6 @@ def test_separable_eigenvalue_identity() -> None:
     assert abs(sol.values[0] - expected) < 1e-12 * expected
     assert sol.binding < 0
     assert abs(sol.binding + nu1) < 1e-12
-    assert discrete_binding(sol, g) == sol.binding
 
 
 def test_discrete_threshold_values() -> None:

@@ -26,7 +26,6 @@ from wgpoles import (
     assemble_residue,
     build_basis,
     classify_pole,
-    operator_matrix,
     operator_norm,
     regular_leading_asymptotic,
     solve_secular,
@@ -135,20 +134,14 @@ def test_real_data_stays_real() -> None:
     assert not np.iscomplexobj(p.residue)
 
 
-def test_operator_matrix_of_potential_is_diagonal() -> None:
-    basis, reg, kern = _setup(n_long=9, n_trans=5)
-    V = PerturbationField.from_function(
-        reg, lambda x1, x2: np.exp(-(x1**2)) * np.sin(x2)
-    )
-    M = operator_matrix(V, reg)
-    assert np.allclose(M, np.diag(V.values.ravel()), atol=1e-15)
-    assert abs(V.bound - np.max(np.abs(V.values))) == 0.0
-
-
 def test_potential_shape_validation() -> None:
     basis, reg, kern = _setup(n_long=9, n_trans=5)
     with pytest.raises(ValueError):
         PerturbationField(region=reg, values=np.ones((3, 3)))
+    V = PerturbationField.from_function(
+        reg, lambda x1, x2: np.exp(-(x1**2)) * np.sin(x2)
+    )
+    assert abs(V.bound - np.max(np.abs(V.values))) == 0.0
 
 
 def test_operator_norm_agrees_with_dense_norm() -> None:
@@ -158,16 +151,12 @@ def test_operator_norm_agrees_with_dense_norm() -> None:
     assert abs(operator_norm(M) / np.linalg.norm(M, 2) - 1.0) < 1e-3
 
 
-def test_newton_and_restart_agree_with_fixed_point() -> None:
+def test_restart_agrees_with_fixed_point() -> None:
     basis, reg, kern = _setup()
     V = _well(reg)
     k_fp = solve_secular(V, 0.04, kern).k
-    k_nt = solve_secular(V, 0.04, kern, method="newton").k
     k_rs = solve_secular(V, 0.04, kern, k0=0.05).k
-    assert abs(k_fp - k_nt) < 1e-10
     assert abs(k_fp - k_rs) < 1e-10
-    with pytest.raises(ValueError):
-        solve_secular(V, 0.04, kern, method="bisect")
 
 
 def test_strong_coupling_diverges_loudly(caplog) -> None:

@@ -9,7 +9,6 @@ from wgpoles.transverse import (
     BC_DIRICHLET,
     BC_NEUMANN,
     CrossSection,
-    boundary_traces,
     build_basis,
 )
 
@@ -67,13 +66,11 @@ def test_wall_traces_match_numeric_derivative() -> None:
         assert abs(fd) < 1e-6
 
 
-def test_boundary_traces_pairs() -> None:
+def test_wall_trace_arrays_per_mode() -> None:
     basis = build_basis(CrossSection(width=PI, bc=BC_DIRICHLET), 3)
-    traces = boundary_traces(basis)
-    assert len(traces) == 3
-    slope, value = traces[1]
-    assert abs(slope - 2.0 * math.sqrt(2.0 / PI)) < 1e-14
-    assert value == 0.0
+    assert basis.wall_slope.shape == basis.wall_value.shape == (3,)
+    assert abs(basis.wall_slope[1] - 2.0 * math.sqrt(2.0 / PI)) < 1e-14
+    assert basis.wall_value[1] == 0.0
 
 
 def test_gap_helpers() -> None:
