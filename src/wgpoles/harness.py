@@ -284,10 +284,14 @@ def _box_sampler(depth: float, a: float, step: float):
     return q
 
 
-def truncated_binding(cfg: ExperimentConfig, eps: float, L: float, h: float) -> float:
+def truncated_binding(
+    cfg: ExperimentConfig, eps: float, L: float, h: float, hint: float | None = None
+) -> float:
     """Binding from one truncated-guide eigensolve; no extrapolation.
 
-    The guide has Dirichlet ends and is solved on its even half.
+    The guide has Dirichlet ends and is solved on its even half.  ``hint``
+    is an estimate of the binding that places the eigensolver's shift (see
+    :func:`lowest_eigenpairs`); it changes the work, not the result.
     """
     scenario = cfg.scenario
     common = dict(
@@ -308,22 +312,30 @@ def truncated_binding(cfg: ExperimentConfig, eps: float, L: float, h: float) -> 
         g = TruncatedGuide(
             **common, potential=_box_sampler(depth, a, g.step_long)
         )
-    sol = lowest_eigenpairs(build_fd_operator(g))
+    sol = lowest_eigenpairs(build_fd_operator(g), binding_hint=hint)
     return sol.binding
 
 
-def oracle_binding(cfg: ExperimentConfig, eps: float, L: float) -> float:
+def oracle_binding(
+    cfg: ExperimentConfig, eps: float, L: float, hint: float | None = None
+) -> float:
     """Step-extrapolated binding at one coupling and truncation length.
 
     Richardson of order ``oracle.order`` on the two finest steps of the plan;
     a one-step plan, or two steps that snapping collapses onto one grid,
-    gives the finest binding as it is.
+    gives the finest binding as it is.  The steps are solved coarse to fine;
+    ``hint`` places the shift of the coarse solve, and each raw binding is
+    the hint of the next, finer solve.  Hints change the eigensolver's work,
+    never its result.
     """
     hs = list(cfg.oracle["h"])[-2:]
     if cfg.scenario in (DIRICHLET_WINDOW, NEUMANN_PATCH):
         W = eps * float(cfg.perturbation["half_width"])
         hs = [_snap_to_feature(h, W) for h in hs]
-    bs = [truncated_binding(cfg, eps, L, h) for h in hs]
+    bs = []
+    for h in hs:
+        hint = truncated_binding(cfg, eps, L, h, hint)
+        bs.append(hint)
     if len(bs) == 1 or hs[0] <= hs[1]:
         return bs[-1]
     order = float(cfg.oracle.get("order", 2))
@@ -331,9 +343,22 @@ def oracle_binding(cfg: ExperimentConfig, eps: float, L: float) -> float:
 
 
 def _extrapolated_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
+    """Oracle binding of one row: step-extrapolated per length, then Aitken.
+
+    The lengths are solved in config order (increasing in every shipped
+    config), each with the previous length's binding as its hint; the first
+    solve of the row, on its first guide and coarsest step, has none.  Hints
+    come only from this row's own oracle solves: never from the predictor or
+    secular lanes, which share no code with the oracle, and never from
+    another row, so rows stay independent under ``--threads``.
+    """
     eps = cfg.epsilons[index]
     Ls = cfg.lengths_for(index)
-    by_L = [oracle_binding(cfg, eps, L) for L in Ls]
+    by_L = []
+    hint = None
+    for L in Ls:
+        hint = oracle_binding(cfg, eps, L, hint)
+        by_L.append(hint)
     extras = {"L": list(Ls), "b_by_L": by_L}
     if cfg.scenario == NEUMANN_PATCH or len(by_L) < 3:
         # no positive limit exists for the patch; report the best (largest-L)

@@ -72,13 +72,17 @@ def test_matrix_is_exactly_symmetric() -> None:
 def test_separable_eigenvalue_identity() -> None:
     # no potential: E_1 is the sum of 1-D discrete eigenvalues, exactly
     g = TruncatedGuide(cross_section=_CS, half_length=3.0, h=0.1)
-    sol = lowest_eigenpairs(build_fd_operator(g))
+    op = build_fd_operator(g)
     h1 = g.step_long
     nu1 = 4.0 / h1**2 * math.sin(math.pi * h1 / (2.0 * 6.0)) ** 2
     expected = nu1 + discrete_threshold(g, 1)
-    assert abs(sol.values[0] - expected) < 1e-12 * expected
-    assert sol.binding < 0
-    assert abs(sol.binding + nu1) < 1e-12
+    # a negative hint (no bound state) still shifts 2|hint| below the
+    # threshold, here 3 nu1 below E_1, and must change nothing
+    for hint in (None, -0.5 * nu1):
+        sol = lowest_eigenpairs(op, binding_hint=hint)
+        assert abs(sol.values[0] - expected) < 1e-12 * expected
+        assert sol.binding < 0
+        assert abs(sol.binding + nu1) < 1e-12
 
 
 def test_discrete_threshold_values() -> None:
@@ -259,6 +263,62 @@ def test_eigensolver_contract_errors() -> None:
         lowest_eigenpairs(op, count=op.size)
     with pytest.raises(SolverError):
         lowest_eigenpairs(op, shift=discrete_threshold(g) + 10.0)
+
+
+@pytest.fixture(scope="module")
+def window_solves():
+    """Mid-size window guide: its unhinted solve, a hint, the hinted solve.
+
+    The hint is the binding on the step the harness would snap 0.06 to for
+    this window, i.e. what a sweep row passes from its coarse solve.
+    """
+
+    def operator(h: float):
+        g = TruncatedGuide(
+            cross_section=_CS,
+            half_length=32.0,
+            h=h,
+            window_half_width=0.3,
+            symmetric_half=True,
+        )
+        return build_fd_operator(g)
+
+    hint = lowest_eigenpairs(operator(0.3 / 4.5)).binding
+    op = operator(0.04)
+    return op, lowest_eigenpairs(op), hint, lowest_eigenpairs(op, binding_hint=hint)
+
+
+def test_binding_hint_keeps_the_eigenpair(window_solves) -> None:
+    _, ref, hint, sol = window_solves
+    assert ref.factor_attempts == 1
+    assert ref.shift == ref.threshold - 1.0
+    assert sol.factor_attempts == 1
+    assert sol.shift == ref.threshold - 2.0 * hint
+    assert abs(sol.values[0] / ref.values[0] - 1.0) < 1e-11
+    assert abs(sol.binding / ref.binding - 1.0) < 1e-8
+    assert np.all(sol.residuals <= 1e-8)
+
+
+def test_shift_above_the_eigenvalue_steps_down(window_solves) -> None:
+    # a hint of b/4 aims the first shift at threshold - b/2, above E_1; the
+    # failed factorization moves it to threshold - 4b, below
+    op, ref, _, _ = window_solves
+    sol = lowest_eigenpairs(op, binding_hint=ref.binding / 4.0)
+    assert sol.factor_attempts == 2
+    assert sol.shift == ref.threshold - 4.0 * ref.binding
+    assert abs(sol.values[0] / ref.values[0] - 1.0) < 1e-11
+    assert np.all(sol.residuals <= 1e-8)
+
+
+# inner solves of the hinted window solve: 11 measured, plus a margin of 5
+HINTED_INNER_SOLVES_MAX = 16
+
+
+def test_binding_hint_cuts_inner_solves(window_solves) -> None:
+    # counts, not times: the start vector is fixed, so they repeat exactly
+    _, ref, _, sol = window_solves
+    assert 2 * sol.inner_solves <= ref.inner_solves
+    assert sol.inner_solves <= HINTED_INNER_SOLVES_MAX
 
 
 def test_band_memory_guard() -> None:
