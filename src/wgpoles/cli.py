@@ -21,6 +21,7 @@ from .cell import explicit_window_solution_2d, fit_farfield_coefficient
 from .harness import (
     REGULAR_POTENTIAL,
     ConfigError,
+    oracle_steps,
     parse_config,
     predict_row,
     regular_inputs,
@@ -138,10 +139,10 @@ def _cmd_cell(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    h = cfg.oracle["h"][0]
     print(f"{'epsilon':>10} {'L':>8} {'h':>10} {'binding':>18}")
     for i, eps in enumerate(cfg.epsilons):
         L = cfg.lengths_for(i)[-1]
+        h = oracle_steps(cfg, eps)[0]
         b = truncated_binding(cfg, eps, L, h)
         print(f"{eps:>10.6g} {L:>8g} {h:>10.5g} {b:>18.12g}")
     return EXIT_OK

@@ -263,15 +263,19 @@ def render_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _snap_to_feature(h: float, width: float) -> float:
-    """Step with the feature edge exactly midway between boundary nodes.
+def oracle_steps(cfg: ExperimentConfig, eps: float) -> list[float]:
+    """Steps the oracle solves at one coupling: the plan's two finest, coarse first.
 
-    Clamped so the feature keeps at least the minimum node count; a step too
-    coarse for a small window is refined rather than rejected, since a sweep
-    shares one step plan across shrinking features.
+    For a wall feature each step is snapped so the feature edge falls midway
+    between boundary nodes, clamped so the feature keeps at least four
+    nodes; a step too coarse for a small window is refined rather than
+    rejected, since a sweep shares one step plan across shrinking features.
     """
-    n = max(4, round(width / h - 0.5))
-    return width / (n + 0.5)
+    hs = list(cfg.oracle["h"])[-2:]
+    if cfg.scenario == REGULAR_POTENTIAL:
+        return hs
+    W = eps * float(cfg.perturbation["half_width"])
+    return [W / (max(4, round(W / h - 0.5)) + 0.5) for h in hs]
 
 
 def _box_sampler(depth: float, a: float, step: float):
@@ -328,10 +332,7 @@ def oracle_binding(
     the hint of the next, finer solve.  Hints change the eigensolver's work,
     never its result.
     """
-    hs = list(cfg.oracle["h"])[-2:]
-    if cfg.scenario in (DIRICHLET_WINDOW, NEUMANN_PATCH):
-        W = eps * float(cfg.perturbation["half_width"])
-        hs = [_snap_to_feature(h, W) for h in hs]
+    hs = oracle_steps(cfg, eps)
     bs = []
     for h in hs:
         hint = truncated_binding(cfg, eps, L, h, hint)

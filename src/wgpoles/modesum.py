@@ -15,6 +15,11 @@ threshold kernel degenerates like ``1/(2k)`` as ``k -> 0``; subtracting its
 constant part leaves the regularized kernel ``(exp(-k s) - 1)/(2k)`` which is
 finite at ``k = 0`` and is what the pole solver iterates with.
 
+On the grid ``A~ = sum_j (E_j W1) (x) (phi_j phi_j^T W2)``, so
+:meth:`ModeSumKernel.assemble` returns only the ``count`` longitudinal blocks
+``E_j W1``; solvers work on per-mode amplitudes ordered mode-major (see
+:mod:`wgpoles.regular_pole`), never on the ``(n_long n_trans)^2`` matrix.
+
 Sums are truncated at ``J`` modes; the discarded tail decays like
 ``exp(-sqrt(mu_J - mu_m) * dist)`` away from the source box, so small ``J``
 suffices off the support.  Quadrature is trapezoid on a uniform tensor grid
@@ -188,18 +193,21 @@ class ModeSumKernel:
             )
         if self.region.cross_section != self.basis.cross_section:
             raise ValueError("region and basis disagree on the cross-section")
-        # cached transverse samples (count, n_trans)
-        self._phi = self.basis.phi_matrix(self.region.x2)[: self.count]
+        # transverse samples phi_j(x2), shape (count, n_trans)
+        self.phi = self.basis.phi_matrix(self.region.x2)[: self.count]
 
     def exponents(self, k: complex) -> np.ndarray:
         return longitudinal_exponents(self.basis, self.m, k, self.count)
 
-    def _longitudinal_kernels(self, k: complex) -> np.ndarray:
-        """Per-mode longitudinal kernels on the grid: shape (count, N1, N1).
+    def assemble(self, k: complex) -> np.ndarray:
+        """Weighted per-mode longitudinal kernels, shape ``(count, n_long, n_long)``.
 
-        Entry ``[j, i, l]`` is the kernel value between ``x1[i]`` and
-        ``x1[l]``; the threshold mode carries the regularized kernel (the raw
-        one's rank-one constant part is handled separately by callers).
+        Entry ``[j, i, l]`` is the mode-``j`` kernel between ``x1[i]`` and
+        ``x1[l]`` times the quadrature weight ``w1[l]``; the threshold mode
+        carries the regularized kernel.  On grid samples the operator is
+        ``A~ = sum_j assemble(k)[j] (x) phi_j phi_j^T W2``, so the blocks are
+        all a solver needs.  An exactly zero imaginary part (real ``k`` with
+        no mode below the threshold) is dropped, so real data stays real.
         """
         K = self.exponents(k)
         x1 = self.region.x1
@@ -210,35 +218,10 @@ class ModeSumKernel:
                 E[j] = regularized_kernel(dx, k)
             else:
                 E[j] = np.exp(-K[j] * dx) / (2.0 * K[j])
+        E *= self.region.w1
+        if not np.any(E.imag):
+            return np.ascontiguousarray(E.real)
         return E
-
-    def assemble(self, k: complex, regularize_m: bool = True) -> np.ndarray:
-        """Dense matrix of the weighted operator on flattened grid samples.
-
-        The matrix includes the quadrature weights, so ``M @ g.ravel()``
-        approximates ``A(k) g`` at the grid nodes.  Flat ordering is
-        ``p = i1 * n_trans + i2``.  With ``regularize_m`` the threshold mode
-        uses the regularized kernel (the operator inside the pole iteration);
-        without it the raw ``1/(2k)`` part is added as a rank-one term, which
-        requires ``|k| >= 1e-12``.
-        """
-        reg = self.region
-        E = self._longitudinal_kernels(k)
-        E = E * reg.w1[None, None, :]
-        phi = self._phi
-        T = phi[:, :, None] * (phi * reg.w2)[:, None, :]
-        M4 = np.tensordot(_maybe_real(E), T, axes=([0], [0]))
-        M = np.ascontiguousarray(M4.transpose(0, 2, 1, 3)).reshape(reg.size, reg.size)
-        if not regularize_m:
-            if abs(k) < K_ZERO_TOL:
-                raise ValueError(
-                    "raw threshold kernel is singular at k = 0; "
-                    "use regularize_m=True or the field evaluator"
-                )
-            col = np.tile(phi[self.m - 1], reg.n_long)
-            row = np.repeat(reg.w1, reg.n_trans) * np.tile(reg.w2 * phi[self.m - 1], reg.n_long)
-            M = M + np.outer(col, row) / (2.0 * complex(k))
-        return M
 
     def project_sources(self, g: np.ndarray) -> np.ndarray:
         """Weighted per-mode longitudinal sources ``ghat[j, l1]``.
@@ -247,20 +230,13 @@ class ModeSumKernel:
         """
         reg = self.region
         g2 = np.asarray(g).reshape(reg.n_long, reg.n_trans)
-        ghat = (self._phi * reg.w2) @ g2.T
+        ghat = (self.phi * reg.w2) @ g2.T
         return ghat * reg.w1[None, :]
 
 
 def default_mode_count(m: int) -> int:
     """Default truncation: eight evanescent modes beyond the threshold."""
     return m + 8
-
-
-def _maybe_real(arr: np.ndarray) -> np.ndarray:
-    """Drop an exactly-zero imaginary part (halves the cost of the big GEMM)."""
-    if np.iscomplexobj(arr) and not np.any(arr.imag):
-        return np.ascontiguousarray(arr.real)
-    return arr
 
 
 @dataclass

@@ -14,6 +14,16 @@ the resolvent at the pole is ``psi = A(k) g`` with ``g = S(k)(V phi_m)``; its
 transverse mode amplitudes and decay identify it as a genuine eigenfunction
 (``m = 1``, or ``m >= 2`` with ``Im k > 0``) or a resonance state.
 
+The linear solves run in mode space.  On the box grid ``A~`` is
+``sum_j (E_j W1) (x) phi_j phi_j^T W2``, so ``g`` enters only through its
+transverse projections ``ghat_j[l] = sum_b phi_j(x2_b) w2_b g[l, b]``.
+These ``count * n_long`` unknowns, ordered mode-major (``j * n_long + l``),
+solve ``(I - eps C E) ghat = C e_m`` with the per-row mode coupling
+``C[l] = Phi^T W2 diag(V[l]) Phi``; the secular value is
+``(eps/2) w1 . ghat_m`` and the grid samples are rebuilt as
+``g = V (phi_m + eps sum_j phi_j E_j W1 ghat_j)``.  This is the grid system
+``(I - eps V A~) g = V phi_m`` exactly, at ``count / n_trans`` of its size.
+
 Pairings are bilinear (no conjugation): the secular function continues
 analytically in ``k`` and ``V`` may be complex.
 """
@@ -21,6 +31,7 @@ analytically in ``k`` and ``V`` may be complex.
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -78,56 +89,57 @@ class PerturbationField:
         """Sample ``fn(x1, x2)`` on the region grid."""
         return cls(region=region, values=region.sample(fn))
 
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        return self.values * samples.reshape(self.values.shape)
-
     @property
     def bound(self) -> float:
         """Uniform operator bound ``C(L) = max |V|``."""
         return float(np.max(np.abs(self.values)))
 
 
-def operator_norm(matrix: np.ndarray, iterations: int = 20) -> float:
-    """Spectral-norm estimate by power iteration on ``M* M``; deterministic."""
-    v = np.ones(matrix.shape[1], dtype=matrix.dtype) / np.sqrt(matrix.shape[1])
-    for _ in range(iterations):
-        u = matrix.conj().T @ (matrix @ v)
-        nrm = nla.norm(u)
-        if nrm == 0.0:
-            return 0.0
-        v = u / nrm
-    return float(nla.norm(matrix @ v))
+def _mode_coupling(V: PerturbationField, kernel: ModeSumKernel) -> np.ndarray:
+    """Per-row mode coupling ``C[l, i, j] = sum_b phi_i(x2_b) w2_b V[l, b] phi_j(x2_b)``."""
+    phi = kernel.phi
+    return np.einsum("ib,lb,jb->lij", phi * kernel.region.w2, V.values, phi)
 
 
-def assemble_birman_schwinger(
-    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel
+def _birman_schwinger(
+    C: np.ndarray, E: np.ndarray, eps: float, bound: float
 ) -> np.ndarray:
-    """Matrix of ``I - eps T(k)`` with ``T g = V (A~ g)`` on the box grid.
+    """``I - eps C E`` from the mode coupling and the blocks ``E = kernel.assemble(k)``.
 
-    Quadrature weights are folded in (through the mode-sum matrix), so this
-    is the operator the secular linear solves invert.  When the heuristic
-    contraction bound ``eps * C(L) * ||A~|| >= 1`` fails a warning is logged;
-    the assembly itself proceeds.
+    When the contraction heuristic ``eps * C(L) * max_j ||E_j W1||_2 >= 1``
+    fails a warning is logged; the assembly itself proceeds.
     """
     if eps < 0:
         raise ValueError(f"coupling must be nonnegative, got {eps}")
-    M = kernel.assemble(k, regularize_m=True)
-    T = V.values.ravel()[:, None] * M
     if eps > 0:
-        # cheap infinity-norm screen first; sharpen by power iteration only
-        # when the screen trips, since the sharp estimate costs real matvecs
-        rough = float(np.max(np.abs(M).sum(axis=1)))
-        if eps * V.bound * rough >= 1.0:
-            sharp = eps * V.bound * operator_norm(M)
+        # cheap screen first: sqrt(||E_j||_1 ||E_j||_inf) bounds the 2-norm
+        # from above, so it never misses; the exact norms cost about as much
+        # as the solve itself
+        absE = np.abs(E)
+        rough = np.sqrt(absE.sum(axis=1).max(axis=1) * absE.sum(axis=2).max(axis=1))
+        if eps * bound * float(rough.max()) >= 1.0:
+            sharp = eps * bound * max(nla.norm(Ej, 2) for Ej in E)
             if sharp >= 1.0:
                 logger.warning(
                     "contraction heuristic violated: eps*C(L)*||A|| = %.3g >= 1; "
                     "secular iteration may not converge",
                     sharp,
                 )
-    B = -eps * T
+    count, n = E.shape[:2]
+    B = -eps * np.einsum("lij,jlq->iljq", C, E).reshape(count * n, count * n)
     B[np.diag_indices_from(B)] += 1.0
     return B
+
+
+def assemble_birman_schwinger(
+    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel
+) -> np.ndarray:
+    """Matrix of ``I - eps T(k)`` with ``T g = V (A~ g)``, in mode space.
+
+    ``count * n_long`` rows on the unknowns ``ghat_j[l]``, ordered
+    mode-major; see the module docstring for the reduction.
+    """
+    return _birman_schwinger(_mode_coupling(V, kernel), kernel.assemble(k), eps, V.bound)
 
 
 @dataclass
@@ -152,21 +164,23 @@ class PoleResult:
         return len(self.iterates) - 1
 
 
-def _weighted_mode_row(kernel: ModeSumKernel) -> np.ndarray:
-    """Flattened quadrature functional ``f -> <phi_m, f>`` over the box."""
-    reg = kernel.region
-    phim = kernel.basis.phi(kernel.m, reg.x2)
-    return np.repeat(reg.w1, reg.n_trans) * np.tile(reg.w2 * phim, reg.n_long)
-
-
 def _secular_value(
-    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel, rhs: np.ndarray, row: np.ndarray
+    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel, C: np.ndarray
 ) -> tuple[complex, np.ndarray]:
-    """One evaluation of the secular map: returns ``((eps/2)<phi_m, g>, g)``."""
-    kp = k.real if k.imag == 0.0 else k
-    B = assemble_birman_schwinger(V, kp, eps, kernel)
-    g = nla.solve(B, rhs)
-    return 0.5 * eps * complex(row @ g), g
+    """One evaluation of the secular map: returns ``((eps/2)<phi_m, g>, g)``.
+
+    Solves the mode-space system for ``ghat`` and rebuilds the grid samples
+    ``g = V (phi_m + eps sum_j phi_j E_j ghat_j)``.
+    """
+    reg = kernel.region
+    mi = kernel.m - 1
+    E = kernel.assemble(k.real if k.imag == 0.0 else k)
+    rhs = C[:, :, mi].T.ravel()
+    ghat = nla.solve(_birman_schwinger(C, E, eps, V.bound), rhs)
+    ghat = ghat.reshape(kernel.count, reg.n_long)
+    u = np.einsum("jlq,jq->lj", E, ghat)
+    g = V.values * (kernel.phi[mi] + eps * (u @ kernel.phi))
+    return 0.5 * eps * complex(reg.w1 @ ghat[mi]), g
 
 
 def solve_secular(
@@ -183,13 +197,9 @@ def solve_secular(
     ``V phi_m = 0`` short-circuits to a ``PoleAtZero`` result: the threshold
     pole does not detach.
     """
+    start = time.perf_counter()
     reg = kernel.region
-    phim_grid = np.broadcast_to(
-        kernel.basis.phi(kernel.m, reg.x2)[None, :], (reg.n_long, reg.n_trans)
-    )
-    rhs = np.asarray(V.apply(np.array(phim_grid))).ravel()
-    row = _weighted_mode_row(kernel)
-    if not np.any(rhs):
+    if not np.any(V.values * kernel.phi[kernel.m - 1]):
         return PoleResult(
             k=0.0 + 0.0j,
             classification=POLE_AT_ZERO,
@@ -200,14 +210,14 @@ def solve_secular(
             m=kernel.m,
         )
 
+    C = _mode_coupling(V, kernel)
     k = complex(k0)
     trace = [k]
-    g = None
     prev_step = np.inf
     stalled = 0
     for _ in range(MAX_SECULAR_ITERATIONS):
         try:
-            knew, g = _secular_value(V, k, eps, kernel, rhs, row)
+            knew, _ = _secular_value(V, k, eps, kernel, C)
         except ValueError as exc:
             # iterate escaped the kernel's analyticity domain; that is a
             # divergence, not a usage error
@@ -236,7 +246,15 @@ def solve_secular(
             trace,
         )
     # final residue at the converged k
-    _, g = _secular_value(V, k, eps, kernel, rhs, row)
+    _, g = _secular_value(V, k, eps, kernel, C)
+    logger.info(
+        "secular solve: %d iterations, %d mode-space unknowns, last update %.3e, "
+        "%.2f s",
+        len(trace) - 1,
+        kernel.count * reg.n_long,
+        step,
+        time.perf_counter() - start,
+    )
     if k.imag == 0.0 and np.iscomplexobj(g) and not np.any(g.imag):
         g = g.real
     a1 = None
@@ -245,7 +263,7 @@ def solve_secular(
     return PoleResult(
         k=k,
         classification=classify_pole(k, kernel.m, a1),
-        residue=np.asarray(g).reshape(reg.n_long, reg.n_trans),
+        residue=g,
         iterates=trace,
         converged=True,
         eps=eps,
@@ -381,12 +399,16 @@ def assemble_residue(p: PoleResult, kernel: ModeSumKernel) -> EigenfunctionField
         decay = float("nan")
     else:
         decay = -float(np.polyfit(xs, np.log(prof), 1)[0])
-    if p.classification != BOUND_STATE:
+    scaled = amps * prefactor
+    if p.classification == BOUND_STATE:
+        # exactly one: the product with the reciprocal can round to 1 - 1e-16
+        scaled[p.m - 1] = 1.0
+    else:
         logger.info(
             "residue field for %s pole is not square integrable", p.classification
         )
     return EigenfunctionField(
-        amplitudes=amps * prefactor,
+        amplitudes=scaled,
         raw_threshold_amplitude=complex(raw_m),
         decay_rate=decay,
         square_integrable=p.classification == BOUND_STATE,

@@ -21,7 +21,9 @@ from wgpoles import (
     render_csv,
     run_experiment,
     run_sweep,
+    truncated_binding,
 )
+from wgpoles import harness
 from wgpoles.cli import main
 
 
@@ -402,3 +404,34 @@ def test_cli_grid_and_modes_overrides_change_the_secular_lane(tmp_path) -> None:
     assert main(
         ["pole", "--config", str(path), "--grid", "33", "5", "--modes", "4"]
     ) == 0
+
+
+def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys, monkeypatch) -> None:
+    # the CLI must solve the window the sweep solves: the snapped step, not
+    # the raw one (at eps = 0.55, h = 0.08 the raw step gives half-width
+    # 0.52 in place of 0.5508)
+    raw = _window_dict(epsilons=[0.55, 0.5, 0.45, 0.4], oracle={"h": [0.08], "L": [10.0]})
+    cfg = parse_config(raw)
+    solved = []
+
+    def recording(cfg, eps, L, h, hint=None):
+        b = truncated_binding(cfg, eps, L, h, hint)
+        solved.append((h, b))
+        return b
+
+    monkeypatch.setattr(harness, "truncated_binding", recording)
+    coarse = {}
+    for eps in cfg.epsilons:
+        solved.clear()
+        harness.oracle_binding(cfg, eps, 10.0)
+        coarse[eps] = solved[0]
+    path = tmp_path / "win.json"
+    path.write_text(json.dumps(raw))
+    assert main(["oracle", "--config", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert len(lines) == 4
+    for line in lines:
+        eps, L, h, b = line.split()
+        want_h, want_b = coarse[float(eps)]
+        assert b == f"{want_b:.12g}"
+        assert h == f"{want_h:.5g}"

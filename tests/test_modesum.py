@@ -108,13 +108,15 @@ def test_bilinear_symmetry() -> None:
     basis = _dirichlet_basis()
     reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=21, n_trans=13)
     kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
-    M = kern.assemble(0.05)
+    X1, X2 = np.meshgrid(reg.x1, reg.x2, indexing="ij")
+    w = np.outer(reg.w1, reg.w2)
     rng = np.random.default_rng(7)
-    f = rng.standard_normal(reg.size)
-    g = rng.standard_normal(reg.size)
-    w = np.repeat(reg.w1, reg.n_trans) * np.tile(reg.w2, reg.n_long)
-    left = float(f @ (w * (M @ g)))
-    right = float(g @ (w * (M @ f)))
+    f = rng.standard_normal((reg.n_long, reg.n_trans))
+    g = rng.standard_normal((reg.n_long, reg.n_trans))
+    Af = apply_mode_sum(f, 0.05, kern, regularize_m=True)(X1, X2)
+    Ag = apply_mode_sum(g, 0.05, kern, regularize_m=True)(X1, X2)
+    left = complex(np.sum(f * w * Ag))
+    right = complex(np.sum(g * w * Af))
     assert abs(left - right) < 1e-12 * max(abs(left), 1.0)
 
 
