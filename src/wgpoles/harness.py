@@ -8,14 +8,15 @@ configured tolerances.  Everything is deterministic: re-running a config
 reproduces the artifacts byte for byte.  A failed sub-solver aborts only its
 row, which keeps an error marker instead of fabricated numbers.
 
-Oracle extrapolation per coupling: bindings are computed on the two finest
-steps of the configured plan at each truncation length (Richardson in the
-step), then Aitken-extrapolated across the lengths.  For a wall feature each
-step is first snapped so the feature edge falls midway between boundary
-nodes; ``TruncatedGuide`` then rounds ``L/h`` to whole cells, which moves the
-step again, so the edge stays exact only where ``L`` is a whole number of
-snapped steps.  At ``eps = 0.4``, ``h = 0.04`` the effective half-width is
-0.400424, 0.399859 and 0.400000 at ``L`` = 18, 27 and 36.
+Oracle extrapolation per coupling (:func:`row_binding`): the even
+half-guide is solved on the two finest steps of the configured plan at each
+truncation length (Richardson in the step), then the lengths are
+Aitken-extrapolated.  For a wall feature each step is first snapped so the
+feature edge falls midway between boundary nodes; ``TruncatedGuide`` then
+rounds ``L/h`` to whole cells, which moves the step again, so the edge stays
+exact only where ``L`` is a whole number of snapped steps.  At
+``eps = 0.4``, ``h = 0.04`` the effective half-width is 0.400424, 0.399859
+and 0.400000 at ``L`` = 18, 27 and 36.
 """
 
 from __future__ import annotations
@@ -291,74 +292,61 @@ def _box_sampler(depth: float, a: float, step: float):
 def truncated_binding(
     cfg: ExperimentConfig, eps: float, L: float, h: float, hint: float | None = None
 ) -> float:
-    """Binding from one truncated-guide eigensolve; no extrapolation.
+    """Binding from one eigensolve of the even half-guide; no extrapolation.
 
-    The guide has Dirichlet ends and is solved on its even half.  ``hint``
-    is an estimate of the binding that places the eigensolver's shift (see
-    :func:`lowest_eigenpairs`); it changes the work, not the result.
+    The guide has Dirichlet ends.  ``hint`` is an estimate of the binding
+    that places the eigensolver's shift (see :func:`lowest_eigenpairs`); it
+    changes the work, not the result.
     """
-    scenario = cfg.scenario
-    common = dict(
+    half_width = eps * float(cfg.perturbation["half_width"])
+    g = TruncatedGuide(
         cross_section=cfg.cross_section,
         half_length=L,
         h=h,
         mode_index=cfg.m,
-        symmetric_half=True,
+        window_half_width=half_width if cfg.scenario == DIRICHLET_WINDOW else None,
+        patch_half_width=half_width if cfg.scenario == NEUMANN_PATCH else None,
     )
-    if scenario == DIRICHLET_WINDOW:
-        common["window_half_width"] = eps * float(cfg.perturbation["half_width"])
-    elif scenario == NEUMANN_PATCH:
-        common["patch_half_width"] = eps * float(cfg.perturbation["half_width"])
-    g = TruncatedGuide(**common)
-    if scenario == REGULAR_POTENTIAL:
+    if cfg.scenario == REGULAR_POTENTIAL:
         depth = eps * float(cfg.perturbation["amplitude"])
         a = float(cfg.perturbation["half_width"])
-        g = TruncatedGuide(
-            **common, potential=_box_sampler(depth, a, g.step_long)
-        )
+        g.potential = _box_sampler(depth, a, g.step_long)
     sol = lowest_eigenpairs(build_fd_operator(g), binding_hint=hint)
     return sol.binding
 
 
-def oracle_binding(
-    cfg: ExperimentConfig, eps: float, L: float, hint: float | None = None
-) -> float:
-    """Step-extrapolated binding at one coupling and truncation length.
-
-    Richardson of order ``oracle.order`` on the two finest steps of the plan;
-    a one-step plan, or two steps that snapping collapses onto one grid,
-    gives the finest binding as it is.  The steps are solved coarse to fine;
-    ``hint`` places the shift of the coarse solve, and each raw binding is
-    the hint of the next, finer solve.  Hints change the eigensolver's work,
-    never its result.
-    """
-    hs = oracle_steps(cfg, eps)
-    bs = []
-    for h in hs:
-        hint = truncated_binding(cfg, eps, L, h, hint)
-        bs.append(hint)
-    if len(bs) == 1 or hs[0] <= hs[1]:
-        return bs[-1]
-    order = float(cfg.oracle.get("order", 2))
-    return richardson(bs[0], bs[1], hs[0] / hs[1], order=order)
-
-
-def _extrapolated_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
+def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     """Oracle binding of one row: step-extrapolated per length, then Aitken.
 
-    The lengths are solved in config order (increasing in every shipped
-    config), each with the previous length's binding as its hint; the first
-    solve of the row, on its first guide and coarsest step, has none.  Hints
-    come only from this row's own oracle solves: never from the predictor or
-    secular lanes, which share no code with the oracle, and never from
-    another row, so rows stay independent under ``--threads``.
+    At each length, Richardson of order ``oracle.order`` on the two finest
+    steps of the plan; a one-step plan, or two steps that snapping collapses
+    onto one grid, keeps the finest binding as it is.  The lengths are then
+    Aitken-extrapolated; a patch row, or one with fewer than three lengths,
+    reports its longest-guide value instead.
+
+    The solves run along one ladder: lengths in config order (increasing in
+    every shipped config), coarse step to fine within each.  Each raw
+    binding is the hint of the next, finer solve, and each length's
+    step-extrapolated binding the hint of the next length's coarse solve;
+    the row's first solve has none.  Hints come only from this row's own
+    oracle solves: never from the predictor or secular lanes, which share no
+    code with the oracle, and never from another row, so rows stay
+    independent under ``--threads``.  They change the eigensolver's work,
+    never its result.
     """
     eps = cfg.epsilons[index]
     Ls = cfg.lengths_for(index)
+    hs = oracle_steps(cfg, eps)
+    order = float(cfg.oracle.get("order", 2))
     by_L = []
     hint = None
     for L in Ls:
-        hint = oracle_binding(cfg, eps, L, hint)
+        bs = []
+        for h in hs:
+            hint = truncated_binding(cfg, eps, L, h, hint)
+            bs.append(hint)
+        if len(hs) == 2 and hs[0] > hs[1]:
+            hint = richardson(bs[0], bs[1], hs[0] / hs[1], order=order)
         by_L.append(hint)
     extras = {"L": list(Ls), "b_by_L": by_L}
     if cfg.scenario == NEUMANN_PATCH or len(by_L) < 3:
@@ -431,7 +419,7 @@ def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
         row.k_re, row.k_im = pole.k.real, pole.k.imag
         row.lam_pole = pole.lam.real
         row.classification = pole.classification
-    b, oracle_extras = _extrapolated_binding(cfg, index)
+    b, oracle_extras = row_binding(cfg, index)
     row.extras.update(oracle_extras)
     row.b_oracle = b
     if cfg.scenario != NEUMANN_PATCH and b > 0:

@@ -175,11 +175,9 @@ class ModeSumKernel:
     basis: TransverseBasis
     m: int
     region: BoxRegion
-    count: int = 0
+    count: int
 
     def __post_init__(self) -> None:
-        if self.count == 0:
-            self.count = default_mode_count(self.m)
         if self.m < 1:
             raise ValueError(f"threshold index must be >= 1, got {self.m}")
         if self.count < self.m + 3:
@@ -232,11 +230,6 @@ class ModeSumKernel:
         g2 = np.asarray(g).reshape(reg.n_long, reg.n_trans)
         ghat = (self.phi * reg.w2) @ g2.T
         return ghat * reg.w1[None, :]
-
-
-def default_mode_count(m: int) -> int:
-    """Default truncation: eight evanescent modes beyond the threshold."""
-    return m + 8
 
 
 @dataclass
@@ -333,33 +326,22 @@ def apply_mode_sum(
     return fieldv
 
 
-def boundary_dipole_sum(
-    basis: TransverseBasis, m: int, k: complex, x1, x2, count: int
+def wall_source_sum(
+    basis: TransverseBasis, m: int, k: complex, x1, x2, trace: np.ndarray
 ) -> np.ndarray:
-    """Mode sum ``sum_j phi_j(x2) Phi_j exp(-K_j |x1|) / (2 K_j)``.
+    """Mode sum ``sum_j phi_j(x2) trace_j exp(-K_j |x1|) / (2 K_j)``.
 
-    This is the normal derivative (in the source point) of the guide Green
-    function at the wall point ``(0, 0)`` on a Dirichlet guide: the building
-    block of the window near-field checks.  Large ``count`` resolves small
-    ``|x|``; convergence is exponential off the wall point.
+    Guide Green function with its source on the wall point ``(0, 0)``, summed
+    over the ``len(trace)`` lowest modes.  With the wall slopes ``Phi_j`` as
+    ``trace`` it is the normal-derivative (dipole) source of a Dirichlet
+    guide, the building block of the window near-field checks; with the wall
+    values ``phi_j(0)`` it is the point source of a Neumann guide,
+    log-singular as ``|x| -> 0``.  Many modes resolve small ``|x|``;
+    convergence is exponential off the wall point.
     """
+    count = len(trace)
     K = longitudinal_exponents(basis, m, k, count)
     phi = basis.phi_matrix(np.atleast_1d(np.asarray(x2, float)))[:count]
-    coef = basis.wall_slope[:count, None] / (2.0 * K[:, None])
-    damp = np.exp(-np.outer(K, np.abs(np.atleast_1d(np.asarray(x1, float)))))
-    return np.sum(coef * damp * phi, axis=0)
-
-
-def boundary_source_sum(
-    basis: TransverseBasis, m: int, k: complex, x1, x2, count: int
-) -> np.ndarray:
-    """Mode sum ``sum_j phi_j(x2) phi_j(0) exp(-K_j |x1|) / (2 K_j)``.
-
-    Guide Green function with the source on the wall point ``(0, 0)`` of a
-    Neumann guide; log-singular as ``|x| -> 0``.
-    """
-    K = longitudinal_exponents(basis, m, k, count)
-    phi = basis.phi_matrix(np.atleast_1d(np.asarray(x2, float)))[:count]
-    coef = basis.wall_value[:count, None] / (2.0 * K[:, None])
+    coef = trace[:, None] / (2.0 * K[:, None])
     damp = np.exp(-np.outer(K, np.abs(np.atleast_1d(np.asarray(x1, float)))))
     return np.sum(coef * damp * phi, axis=0)

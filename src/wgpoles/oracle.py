@@ -2,13 +2,14 @@
 
 Everything else in the package reasons through mode sums and asymptotic
 formulas; this module knows none of that.  It discretizes ``-Delta + q`` on
-the rectangle ``(-L, L) x (0, d)`` with the requested wall conditions (a
-Neumann window or Dirichlet patch carved into the ``x2 = 0`` wall), solves
-for the lowest eigenpairs by banded shift-invert Lanczos, and reports the
-binding ``b = mu_m^h - E_1`` against the closed-form *discrete* transverse
-threshold.  Measuring against ``mu_m^h`` rather than ``mu_m`` cancels the
-leading ``O(h^2)`` discretization bias, which matters because the bindings
-of interest sit orders of magnitude below that bias.
+the even half ``(0, L) x (0, d)`` of a guide symmetric in ``x1``, with a
+natural condition on the symmetry plane ``x1 = 0`` and the requested wall
+conditions (a Neumann window or Dirichlet patch carved into the ``x2 = 0``
+wall), solves for the lowest eigenpair by banded shift-invert Lanczos, and
+reports the binding ``b = mu_m^h - E_1`` against the closed-form *discrete*
+transverse threshold.  Measuring against ``mu_m^h`` rather than ``mu_m``
+cancels the leading ``O(h^2)`` discretization bias, which matters because
+the bindings of interest sit orders of magnitude below that bias.
 
 Discretization is by the quadratic form (energy) on a tensor grid with
 trapezoid mass: interior rows reproduce the 5-point stencil, Neumann
@@ -62,7 +63,7 @@ MAX_BAND_BYTES = 3 * 1024**3
 
 
 class SolverError(RuntimeError):
-    """Eigensolve failed its contract; carries residuals when available."""
+    """Eigensolve failed its contract; carries the residual when one exists."""
 
     def __init__(self, message: str, residuals=None):
         super().__init__(message)
@@ -75,34 +76,30 @@ class TailFitError(RuntimeError):
 
 @dataclass
 class TruncatedGuide:
-    """Discretized truncated guide: geometry, wall plan, and potential.
+    """Even half ``x1 in [0, L]`` of a discretized truncated guide.
 
-    ``h`` is the longitudinal step and ``h_trans`` the transverse one
-    (defaults to ``h``); both are snapped so an integer number of cells fits,
-    and the snapped values are what the solver uses.  A window or patch of
-    the given half-width is centered at ``x1 = 0`` on the ``x2 = 0`` wall;
-    its edge is snapped to the midpoint between boundary nodes and the snap
-    distance recorded.  ``potential`` is the full operator term ``q`` in
-    ``-Delta + q`` (so an attractive well of depth ``eps`` is ``q = -eps``
-    on its support), sampled at the grid nodes.
-
-    ``symmetric_half`` restricts to ``x1 in [0, L]`` with a natural
-    (Neumann) condition at the symmetry plane, which reproduces the even
-    eigenstates of the full problem, the ground state among them, at half
-    the cost.  Callers are responsible for choosing ``L`` several decay
-    lengths beyond the perturbation.
+    The symmetry plane ``x1 = 0`` keeps the natural (Neumann) condition, so
+    the half carries exactly the even eigenstates of the guide on
+    ``(-L, L)``, the ground state among them; ``ends`` sets the condition at
+    ``x1 = L``.  ``h`` is snapped in each direction so an integer number of
+    cells fits, and the snapped steps are what the solver uses.  A window or
+    patch of the given half-width is centered at ``x1 = 0`` on the ``x2 = 0``
+    wall; its edge is snapped to the midpoint between boundary nodes and the
+    snap distance recorded.  ``potential(x1, x2)`` is the full operator term
+    ``q`` in ``-Delta + q`` (so an attractive well of depth ``eps`` is
+    ``q = -eps`` on its support), sampled at the grid nodes.  Callers are
+    responsible for choosing ``L`` several decay lengths beyond the
+    perturbation.
     """
 
     cross_section: CrossSection
     half_length: float
     h: float
-    h_trans: float | None = None
     ends: str = DIRICHLET_ENDS
     window_half_width: float | None = None
     patch_half_width: float | None = None
-    potential: Callable | np.ndarray | None = None
+    potential: Callable | None = None
     mode_index: int = 1
-    symmetric_half: bool = False
 
     def __post_init__(self) -> None:
         if not (self.half_length > 0):
@@ -117,22 +114,12 @@ class TruncatedGuide:
             raise ValueError("a Dirichlet patch requires a Neumann guide")
         if self.mode_index < 1:
             raise ValueError(f"mode index must be >= 1, got {self.mode_index}")
-        if self.h_trans is None:
-            self.h_trans = self.h
 
-        span = self.half_length if self.symmetric_half else 2.0 * self.half_length
-        n1 = max(4, round(span / self.h))
-        if not self.symmetric_half and n1 % 2:
-            n1 += 1  # keep a node at x1 = 0 so centered features align
-        self.n_long = int(n1)
-        self.step_long = span / self.n_long
-        n2 = max(4, round(self.cross_section.width / self.h_trans))
-        self.n_trans = int(n2)
+        self.n_long = int(max(4, round(self.half_length / self.h)))
+        self.step_long = self.half_length / self.n_long
+        self.n_trans = int(max(4, round(self.cross_section.width / self.h)))
         self.step_trans = self.cross_section.width / self.n_trans
-        if self.symmetric_half:
-            self.x1 = np.linspace(0.0, self.half_length, self.n_long + 1)
-        else:
-            self.x1 = np.linspace(-self.half_length, self.half_length, self.n_long + 1)
+        self.x1 = np.linspace(0.0, self.half_length, self.n_long + 1)
         self.x2 = np.linspace(0.0, self.cross_section.width, self.n_trans + 1)
 
         width = self.window_half_width or self.patch_half_width
@@ -167,17 +154,9 @@ class TruncatedGuide:
         """Potential ``q`` on the node grid, shape ``(n_long+1, n_trans+1)``."""
         if self.potential is None:
             return None
-        if callable(self.potential):
-            q = np.asarray(self.potential(self.x1[:, None], self.x2[None, :]))
-            q = np.broadcast_to(q, (self.n_long + 1, self.n_trans + 1))
-            return np.ascontiguousarray(q, dtype=float)
-        q = np.asarray(self.potential, dtype=float)
-        if q.shape != (self.n_long + 1, self.n_trans + 1):
-            raise ValueError(
-                f"potential samples {q.shape} do not match node grid "
-                f"({self.n_long + 1}, {self.n_trans + 1})"
-            )
-        return q
+        q = np.asarray(self.potential(self.x1[:, None], self.x2[None, :]))
+        q = np.broadcast_to(q, (self.n_long + 1, self.n_trans + 1))
+        return np.ascontiguousarray(q, dtype=float)
 
     def perturbation_extent(self) -> float:
         """Longitudinal reach of the perturbation (for tail-window checks)."""
@@ -186,7 +165,7 @@ class TruncatedGuide:
         if q is not None:
             hit = np.any(q != 0, axis=1)
             if np.any(hit):
-                extent = max(extent, float(np.max(np.abs(self.x1[hit]))))
+                extent = max(extent, float(np.max(self.x1[hit])))
         return extent
 
 
@@ -198,7 +177,6 @@ class FdOperator:
     matrix: sp.csc_matrix = field(repr=False)
     mass: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)
-    index: np.ndarray = field(repr=False)
     columns: int
     rows: int
 
@@ -213,17 +191,16 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     The quadratic form ``sum (du)^2 * w / h`` over grid edges plus the
     trapezoid-weighted potential gives a symmetric matrix pencil whose
     interior rows are the standard 5-point stencil and whose Neumann
-    boundary rows carry the ghost-point form automatically; Dirichlet nodes
-    are eliminated.  Active-grid column and row counts are recorded on the
-    result.
+    boundary rows, the symmetry plane among them, carry the ghost-point form
+    automatically; Dirichlet nodes are eliminated.  Active-grid column and
+    row counts are recorded on the result.
     """
     n1, n2 = g.n_long, g.n_trans
     h1, h2 = g.step_long, g.step_trans
     cs = g.cross_section
 
     mask = np.ones((n1 + 1, n2 + 1), dtype=bool)
-    center = 0 if g.symmetric_half else n1 // 2
-    feature_cols = np.abs(np.arange(n1 + 1) - center) <= g.feature_nodes
+    feature_cols = np.arange(n1 + 1) <= g.feature_nodes
     if cs.bc == BC_DIRICHLET:
         mask[:, 0] = False
         mask[:, -1] = False
@@ -234,9 +211,6 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
             mask[feature_cols, 0] = False
     if g.ends == DIRICHLET_ENDS:
         mask[-1, :] = False
-        if not g.symmetric_half:
-            mask[0, :] = False
-    # symmetric half: x1 = 0 plane keeps the natural (Neumann) condition
 
     w1 = np.full(n1 + 1, h1)
     w1[0] = w1[-1] = h1 / 2.0
@@ -292,7 +266,6 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
         matrix=A,
         mass=weight[mask],
         mask=mask,
-        index=index,
         columns=int(np.count_nonzero(col_counts)),
         rows=int(col_counts[col_counts > 0].min()),
     )
@@ -300,10 +273,11 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
 
 @dataclass
 class OracleSolution:
-    """Lowest eigenpairs of a truncated guide, with threshold bookkeeping.
+    """Lowest eigenpair of a truncated guide, with threshold bookkeeping.
 
-    ``fields`` are the eigenvectors scattered back onto the full node grid
-    (zeros at eliminated nodes), mass-normalized with a deterministic sign.
+    ``value`` is ``E_1`` and ``residual`` its relative eigen-residual.
+    ``field`` is the eigenvector scattered back onto the node grid (zeros at
+    eliminated nodes), mass-normalized with a deterministic sign.
     ``binding`` is ``mu_m^h - E_1``: positive exactly when a state sits
     below the discrete threshold.  ``shift`` is the shift whose factorization
     succeeded, after ``factor_attempts`` tries, and ``inner_solves`` counts
@@ -311,9 +285,9 @@ class OracleSolution:
     """
 
     guide: TruncatedGuide
-    values: np.ndarray
-    fields: np.ndarray = field(repr=False)
-    residuals: np.ndarray
+    value: float
+    field: np.ndarray = field(repr=False)
+    residual: float
     threshold: float
     binding: float
     shift: float
@@ -355,34 +329,27 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator,
-    count: int = 1,
-    shift: float | None = None,
-    binding_hint: float | None = None,
+    op: FdOperator, binding_hint: float | None = None
 ) -> OracleSolution:
-    """Lowest ``count`` eigenpairs by banded shift-invert Lanczos.
+    """Lowest eigenpair by banded shift-invert Lanczos.
 
-    An explicit ``shift`` must sit strictly below the lowest eigenvalue; it
-    is tried once, and a failed factorization raises :class:`SolverError`.
-    Otherwise the shifts of the plan are tried in turn: with a
-    ``binding_hint`` (an estimate of ``mu_m^h - E_1``, of either sign) the
-    first sits ``2|hint|`` below the threshold, each failed banded Cholesky
-    of ``A - shift M`` (which means the shift lies above ``E_1``) moves it
-    eight times farther, and the last try is the default ``threshold - 1``,
-    whose failure raises.  The eigenpairs do not depend on the shift; only
+    The shifts of the plan are tried in turn: with a ``binding_hint`` (an
+    estimate of ``mu_m^h - E_1``, of either sign) the first sits ``2|hint|``
+    below the threshold, each failed banded Cholesky of ``A - shift M``
+    (which means the shift lies above ``E_1``) moves it eight times farther,
+    and the last try is the default ``threshold - 1``, whose failure raises
+    :class:`SolverError`.  The eigenpair does not depend on the shift; only
     the number of inner solves does.  ARPACK gets ``LANCZOS_VECTORS``
-    Lanczos vectors (at least ``2 count + 1``), which for a shift next to
-    ``E_1`` needs fewer inner solves than its default of 20.  Each returned
-    pair is checked against the ``1e-8`` relative-residual contract.
+    Lanczos vectors, which for a shift next to ``E_1`` needs fewer inner
+    solves than its default of 20.  The pair is checked against the ``1e-8``
+    relative-residual contract.
     """
     start = time.perf_counter()
     g = op.guide
     threshold = discrete_threshold(g)
-    shifts = [shift] if shift is not None else _shift_plan(threshold, binding_hint)
+    shifts = _shift_plan(threshold, binding_hint)
     A = op.matrix
     n = op.size
-    if count >= n:
-        raise ValueError(f"cannot extract {count} pairs from {n} unknowns")
     coo = A.tocoo()
     lower = coo.row >= coo.col
     offsets = coo.row[lower] - coo.col[lower]
@@ -427,44 +394,38 @@ def lowest_eigenpairs(
     try:
         vals, vecs = eigsh(
             A,
-            k=count,
+            k=1,
             M=M,
             sigma=sigma,
             which="LM",
             v0=np.ones(n),
-            ncv=min(n, max(2 * count + 1, LANCZOS_VECTORS)),
+            ncv=min(n, LANCZOS_VECTORS),
             OPinv=opinv,
         )
     except ArpackNoConvergence as exc:
+        partial = getattr(exc, "eigenvalues", None)
         raise SolverError(
-            f"Lanczos did not converge: {exc}", residuals=getattr(exc, "eigenvalues", None)
+            f"Lanczos did not converge: {exc}; partial eigenvalues {partial}"
         ) from exc
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order]
-
-    residuals = np.empty(count)
-    for p in range(count):
-        v = vecs[:, p]
-        av = A @ v
-        mv = op.mass * v
-        residuals[p] = np.linalg.norm(av - vals[p] * mv) / (
-            np.linalg.norm(av) + abs(vals[p]) * np.linalg.norm(mv)
-        )
-    if np.any(residuals > EIGEN_RESIDUAL_TOL):
+    value = float(vals[0])
+    v = vecs[:, 0]
+    av = A @ v
+    mv = op.mass * v
+    residual = float(
+        np.linalg.norm(av - value * mv)
+        / (np.linalg.norm(av) + abs(value) * np.linalg.norm(mv))
+    )
+    if residual > EIGEN_RESIDUAL_TOL:
         raise SolverError(
-            f"eigen-residuals {residuals} exceed {EIGEN_RESIDUAL_TOL}",
-            residuals=residuals,
+            f"eigen-residual {residual} exceeds {EIGEN_RESIDUAL_TOL}",
+            residuals=residual,
         )
 
-    fields = np.zeros((count, g.n_long + 1, g.n_trans + 1))
-    for p in range(count):
-        v = vecs[:, p]
-        v = v / math.sqrt(float(v @ (op.mass * v)))
-        peak = int(np.argmax(np.abs(v)))
-        if v[peak] < 0:
-            v = -v
-        fields[p][op.mask] = v
+    v = v / math.sqrt(float(v @ mv))
+    if v[int(np.argmax(np.abs(v)))] < 0:
+        v = -v
+    u = np.zeros((g.n_long + 1, g.n_trans + 1))
+    u[op.mask] = v
 
     logger.info(
         "eigensolve: %d unknowns, shift %.3e below threshold, %d factorization(s), "
@@ -477,11 +438,11 @@ def lowest_eigenpairs(
     )
     return OracleSolution(
         guide=g,
-        values=vals,
-        fields=fields,
-        residuals=residuals,
+        value=value,
+        field=u,
+        residual=residual,
         threshold=threshold,
-        binding=float(threshold - vals[0]),
+        binding=float(threshold - value),
         shift=float(sigma),
         factor_attempts=attempt,
         inner_solves=inner_solves,
@@ -520,7 +481,7 @@ def extract_tail_coefficients(
     w2 = np.full(g.n_trans + 1, g.step_trans)
     w2[0] = w2[-1] = g.step_trans / 2.0
     phi = basis.phi_matrix(g.x2)
-    u = sol.fields[0]
+    u = sol.field
     coefs = (phi * w2[None, :]) @ u[cols].T
     xs = g.x1[cols]
 

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 import numpy.linalg as nla
 
-from .modesum import BoxRegion, ModeSumKernel, apply_mode_sum
+from .modesum import BoxRegion, ModeSumField, ModeSumKernel, apply_mode_sum
 from .transverse import TransverseBasis
 
 logger = logging.getLogger(__name__)
@@ -259,7 +259,8 @@ def solve_secular(
         g = g.real
     a1 = None
     if kernel.m >= 2 and k.real > 0 and k.imag < 0:
-        a1 = _mode_amplitude(g, k, kernel, 1)
+        fld = apply_mode_sum(g, k, kernel, regularize_m=False)
+        a1 = _outside_amplitude(fld, 1, kernel.region.half_length + 1.0)
     return PoleResult(
         k=k,
         classification=classify_pole(k, kernel.m, a1),
@@ -327,12 +328,12 @@ def classify_pole(k: complex, m: int, a1: complex | None = None) -> str:
     return RESONANCE
 
 
-def _mode_amplitude(
-    g: np.ndarray, k: complex, kernel: ModeSumKernel, j: int
-) -> complex:
-    """Amplitude ``a_j`` of ``exp(-K_j |x1|)`` in ``A(k) g`` just outside the box."""
-    fld = apply_mode_sum(g, k, kernel, regularize_m=False)
-    r = kernel.region.half_length + 1.0
+def _outside_amplitude(fld: ModeSumField, j: int, r: float) -> complex:
+    """Amplitude ``a_j`` of ``exp(-K_j |x1|)`` in the field at ``x1 = r``.
+
+    Exact at any ``r`` beyond the source box, where mode ``j`` of the field
+    is the pure exponential ``a_j exp(-K_j |x1|)``.
+    """
     Kj = fld.exponents[j - 1]
     return complex(fld.mode_profile(j, np.array([r]))[0] * np.exp(Kj * r))
 
@@ -379,12 +380,8 @@ def assemble_residue(p: PoleResult, kernel: ModeSumKernel) -> EigenfunctionField
     fld = apply_mode_sum(p.residue, p.k, kernel, regularize_m=False)
     R = kernel.region.half_length
     r0 = R + 1.0
-    K = fld.exponents
     amps = np.array(
-        [
-            fld.mode_profile(j, np.array([r0]))[0] * np.exp(K[j - 1] * r0)
-            for j in range(1, kernel.count + 1)
-        ]
+        [_outside_amplitude(fld, j, r0) for j in range(1, kernel.count + 1)]
     )
     raw_m = p.eps * amps[p.m - 1]
     if p.classification == BOUND_STATE:

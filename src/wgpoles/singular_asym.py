@@ -30,9 +30,8 @@ import numpy as np
 
 from .modesum import (
     ModeSumKernel,
-    boundary_dipole_sum,
-    boundary_source_sum,
     longitudinal_exponents,
+    wall_source_sum,
 )
 from .regular_pole import classify_pole
 from .transverse import BC_DIRICHLET, BC_NEUMANN, TransverseBasis
@@ -251,24 +250,16 @@ def near_field(kind: str, m: int, k: float, kernel: ModeSumKernel):
     if kind not in _VALID_KINDS:
         raise ValueError(f"kind must be one of {_VALID_KINDS}, got {kind!r}")
     basis = kernel.basis
-    count = kernel.count
-    if kind == NEUMANN_WINDOW:
-        trace = basis.wall_slope[m - 1]
-        if trace == 0:
-            raise ValueError("threshold mode has zero wall trace")
+    # window: dipole source weighted by the wall slopes; patch: point source
+    # weighted by the wall values
+    traces = basis.wall_slope if kind == NEUMANN_WINDOW else basis.wall_value
+    trace = traces[m - 1]
+    if trace == 0:
+        raise ValueError("threshold mode has zero wall trace")
 
-        def psi(x1, x2):
-            out = 2.0 * k / trace * boundary_dipole_sum(basis, m, k, x1, x2, count)
-            return _drop_spurious_imag(out)
-
-    else:
-        value = basis.wall_value[m - 1]
-        if value == 0:
-            raise ValueError("threshold mode vanishes at the wall point")
-
-        def psi(x1, x2):
-            out = 2.0 * k / value * boundary_source_sum(basis, m, k, x1, x2, count)
-            return _drop_spurious_imag(out)
+    def psi(x1, x2):
+        out = wall_source_sum(basis, m, k, x1, x2, traces[: kernel.count])
+        return _drop_spurious_imag(2.0 * k / trace * out)
 
     return psi
 

@@ -421,9 +421,9 @@ def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys, monkeypatch) 
 
     monkeypatch.setattr(harness, "truncated_binding", recording)
     coarse = {}
-    for eps in cfg.epsilons:
+    for i, eps in enumerate(cfg.epsilons):
         solved.clear()
-        harness.oracle_binding(cfg, eps, 10.0)
+        harness.row_binding(cfg, i)
         coarse[eps] = solved[0]
     path = tmp_path / "win.json"
     path.write_text(json.dumps(raw))

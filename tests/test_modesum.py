@@ -100,8 +100,7 @@ def test_kernel_count_validation() -> None:
     reg = BoxRegion(cross_section=cs, half_length=1.0, n_long=17, n_trans=9)
     with pytest.raises(ValueError):
         ModeSumKernel(basis=basis, m=2, region=reg, count=4)  # < m + 3
-    kern = ModeSumKernel(basis=basis, m=2, region=reg)
-    assert kern.count == 10
+    assert ModeSumKernel(basis=basis, m=2, region=reg, count=5).count == 5
 
 
 def test_bilinear_symmetry() -> None:

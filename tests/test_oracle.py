@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from wgpoles import (
     NEUMANN_ENDS,
@@ -20,6 +22,7 @@ from wgpoles import (
     lowest_eigenpairs,
     richardson,
 )
+from wgpoles import oracle
 
 _CS = CrossSection(width=np.pi, bc="dirichlet")
 
@@ -53,8 +56,9 @@ def test_grid_counts_and_active_dimensions() -> None:
     op = build_fd_operator(g)
     # 100 transverse cells minus two Dirichlet walls
     assert op.rows == 99
-    assert op.columns == g.n_long + 1 - 2
-    assert g.n_long % 2 == 0  # grid node at x1 = 0
+    # the x1 = 0 symmetry plane stays active, the Dirichlet end does not
+    assert g.x1[0] == 0.0 and g.x1[-1] == 20.0
+    assert op.columns == g.n_long
 
 
 def test_matrix_is_exactly_symmetric() -> None:
@@ -70,17 +74,21 @@ def test_matrix_is_exactly_symmetric() -> None:
 
 
 def test_separable_eigenvalue_identity() -> None:
-    # no potential: E_1 is the sum of 1-D discrete eigenvalues, exactly
-    g = TruncatedGuide(cross_section=_CS, half_length=3.0, h=0.1)
+    # no potential: E_1 is the sum of 1-D discrete eigenvalues, exactly.  The
+    # half guide on [0, L] with a natural x1 = 0 plane carries the even
+    # states of the lattice on [-L, L], whose lowest longitudinal eigenvalue
+    # is 4/h^2 sin^2(pi h / 4L)
+    L = 3.0
+    g = TruncatedGuide(cross_section=_CS, half_length=L, h=0.1)
     op = build_fd_operator(g)
     h1 = g.step_long
-    nu1 = 4.0 / h1**2 * math.sin(math.pi * h1 / (2.0 * 6.0)) ** 2
+    nu1 = 4.0 / h1**2 * math.sin(math.pi * h1 / (4.0 * L)) ** 2
     expected = nu1 + discrete_threshold(g, 1)
     # a negative hint (no bound state) still shifts 2|hint| below the
     # threshold, here 3 nu1 below E_1, and must change nothing
     for hint in (None, -0.5 * nu1):
         sol = lowest_eigenpairs(op, binding_hint=hint)
-        assert abs(sol.values[0] - expected) < 1e-12 * expected
+        assert abs(sol.value - expected) < 1e-12 * expected
         assert sol.binding < 0
         assert abs(sol.binding + nu1) < 1e-12
 
@@ -103,9 +111,8 @@ def test_deep_well_matches_transcendental_root() -> None:
     g = TruncatedGuide(
         cross_section=_CS, half_length=12.0, h=0.05, potential=_well(0.5)
     )
-    sol = lowest_eigenpairs(build_fd_operator(g), count=2)
-    assert np.all(sol.residuals <= 1e-8)
-    assert sol.values[0] < sol.values[1]
+    sol = lowest_eigenpairs(build_fd_operator(g))
+    assert sol.residual <= 1e-8
     assert abs(sol.binding / WELL_K_05**2 - 1.0) < 2e-3
 
 
@@ -131,8 +138,8 @@ def test_solver_is_deterministic() -> None:
     op = build_fd_operator(g)
     a = lowest_eigenpairs(op)
     b = lowest_eigenpairs(op)
-    assert a.values[0] == b.values[0]
-    assert np.array_equal(a.fields, b.fields)
+    assert a.value == b.value
+    assert np.array_equal(a.field, b.field)
 
 
 def test_tail_coefficients_of_tilted_well() -> None:
@@ -149,7 +156,7 @@ def test_tail_coefficients_of_tilted_well() -> None:
     assert abs(tails[0][1] / math.sqrt(sol.binding) - 1.0) < 0.02
     # the tilt couples the second mode in with a definite sign
     assert tails[1][0] < 0
-    rate2 = math.sqrt(discrete_threshold(g, 2) - sol.values[0])
+    rate2 = math.sqrt(discrete_threshold(g, 2) - sol.value)
     assert abs(tails[1][1] / rate2 - 1.0) < 0.02
     # deep modes drown in eigenvector noise and report cleanly as absent
     assert tails[5][0] == 0.0
@@ -219,12 +226,18 @@ def test_feature_snapping() -> None:
 
 
 def test_symmetric_half_reproduces_even_ground_state() -> None:
-    kwargs = dict(cross_section=_CS, half_length=8.0, h=0.1, potential=_well(0.5))
-    full = lowest_eigenpairs(build_fd_operator(TruncatedGuide(**kwargs)))
-    half = lowest_eigenpairs(
-        build_fd_operator(TruncatedGuide(symmetric_half=True, **kwargs))
-    )
-    assert abs(half.values[0] - full.values[0]) < 1e-10 * abs(full.values[0])
+    # the well is constant in x2, so the even ground state of the full
+    # lattice on [-L, L] is the lowest eigenvalue of the 1-D 3-point operator
+    # with the well on the diagonal, plus the transverse threshold
+    g = TruncatedGuide(cross_section=_CS, half_length=8.0, h=0.1, potential=_well(0.5))
+    half = lowest_eigenpairs(build_fd_operator(g))
+    h1 = g.step_long
+    x = np.linspace(-g.half_length, g.half_length, 2 * g.n_long + 1)[1:-1]
+    diag = 2.0 / h1**2 + _well(0.5)(x, np.zeros(1))
+    off = np.full(x.size - 1, -1.0 / h1**2)
+    lam = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0][0]
+    full = lam + discrete_threshold(g, 1)
+    assert abs(half.value - full) < 1e-10 * abs(full)
 
 
 def test_guide_validation() -> None:
@@ -249,20 +262,32 @@ def test_guide_validation() -> None:
         TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, patch_half_width=0.5)
     with pytest.raises(ValueError):
         TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, window_half_width=6.0)
-    g = TruncatedGuide(
-        cross_section=_CS, half_length=2.0, h=0.5, potential=np.ones((3, 3))
-    )
-    with pytest.raises(ValueError):
-        build_fd_operator(g)
 
 
 def test_eigensolver_contract_errors() -> None:
-    g = TruncatedGuide(cross_section=_CS, half_length=2.0, h=0.5)
+    # a well this deep binds by more than one: E_1 lies below the last shift
+    # of the plan, threshold - 1, so its factorization fails and raises
+    g = TruncatedGuide(cross_section=_CS, half_length=2.0, h=0.5, potential=_well(5.0))
     op = build_fd_operator(g)
-    with pytest.raises(ValueError):
-        lowest_eigenpairs(op, count=op.size)
-    with pytest.raises(SolverError):
-        lowest_eigenpairs(op, shift=discrete_threshold(g) + 10.0)
+    with pytest.raises(SolverError) as info:
+        lowest_eigenpairs(op)
+    assert info.value.residuals is None
+
+
+def test_lanczos_failure_reports_no_residuals(monkeypatch) -> None:
+    g = TruncatedGuide(cross_section=_CS, half_length=2.0, h=0.5)
+
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence(
+            "ARPACK error -1: No convergence", np.array([1.25]), np.ones((1, 1))
+        )
+
+    monkeypatch.setattr(oracle, "eigsh", no_convergence)
+    with pytest.raises(SolverError) as info:
+        lowest_eigenpairs(build_fd_operator(g))
+    # the partial eigenvalues go into the message, never into the residuals
+    assert info.value.residuals is None
+    assert "1.25" in str(info.value)
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +304,6 @@ def window_solves():
             half_length=32.0,
             h=h,
             window_half_width=0.3,
-            symmetric_half=True,
         )
         return build_fd_operator(g)
 
@@ -294,9 +318,9 @@ def test_binding_hint_keeps_the_eigenpair(window_solves) -> None:
     assert ref.shift == ref.threshold - 1.0
     assert sol.factor_attempts == 1
     assert sol.shift == ref.threshold - 2.0 * hint
-    assert abs(sol.values[0] / ref.values[0] - 1.0) < 1e-11
+    assert abs(sol.value / ref.value - 1.0) < 1e-11
     assert abs(sol.binding / ref.binding - 1.0) < 1e-8
-    assert np.all(sol.residuals <= 1e-8)
+    assert sol.residual <= 1e-8
 
 
 def test_shift_above_the_eigenvalue_steps_down(window_solves) -> None:
@@ -306,8 +330,8 @@ def test_shift_above_the_eigenvalue_steps_down(window_solves) -> None:
     sol = lowest_eigenpairs(op, binding_hint=ref.binding / 4.0)
     assert sol.factor_attempts == 2
     assert sol.shift == ref.threshold - 4.0 * ref.binding
-    assert abs(sol.values[0] / ref.values[0] - 1.0) < 1e-11
-    assert np.all(sol.residuals <= 1e-8)
+    assert abs(sol.value / ref.value - 1.0) < 1e-11
+    assert sol.residual <= 1e-8
 
 
 # inner solves of the hinted window solve: 11 measured, plus a margin of 5
@@ -321,9 +345,11 @@ def test_binding_hint_cuts_inner_solves(window_solves) -> None:
     assert sol.inner_solves <= HINTED_INNER_SOLVES_MAX
 
 
-def test_band_memory_guard() -> None:
-    g = TruncatedGuide(cross_section=_CS, half_length=2.0, h=0.2, h_trans=0.0005)
+def test_band_memory_guard(monkeypatch) -> None:
+    g = TruncatedGuide(cross_section=_CS, half_length=2.0, h=0.2)
     op = build_fd_operator(g)
+    # band storage of 16 rows by 150 unknowns: 19,200 bytes
+    monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 19_199)
     with pytest.raises(MemoryError):
         lowest_eigenpairs(op)
 
