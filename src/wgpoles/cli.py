@@ -139,12 +139,17 @@ def _cmd_cell(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    print(f"{'epsilon':>10} {'L':>8} {'h':>10} {'binding':>18}")
+    print(f"{'epsilon':>10} {'L':>8} {'h_long':>10} {'h_trans':>10} "
+          f"{'half-width':>10} {'binding':>18}")
     for i, eps in enumerate(cfg.epsilons):
         L = cfg.lengths_for(i)[-1]
-        h = oracle_steps(cfg, eps)[0]
-        b = truncated_binding(cfg, eps, L, h)
-        print(f"{eps:>10.6g} {L:>8g} {h:>10.5g} {b:>18.12g}")
+        solved: list[dict] = []
+        b = truncated_binding(cfg, eps, L, oracle_steps(cfg, eps)[0], solves=solved)
+        s = solved[0]
+        width = s["feature_half_width"]
+        width = "-" if width is None else f"{width:.6g}"
+        print(f"{eps:>10.6g} {L:>8g} {s['h_long']:>10.6g} {s['h_trans']:>10.6g} "
+              f"{width:>10} {b:>18.12g}")
     return EXIT_OK
 
 

@@ -16,7 +16,8 @@ feature edge falls midway between boundary nodes; ``TruncatedGuide`` then
 rounds ``L/h`` to whole cells, which moves the step again, so the edge stays
 exact only where ``L`` is a whole number of snapped steps.  At
 ``eps = 0.4``, ``h = 0.04`` the effective half-width is 0.400424, 0.399859
-and 0.400000 at ``L`` = 18, 27 and 36.
+and 0.400000 at ``L`` = 18, 27 and 36.  Each row's ``solves`` extras
+record the steps and half-width every solve actually used.
 """
 
 from __future__ import annotations
@@ -290,13 +291,22 @@ def _box_sampler(depth: float, a: float, step: float):
 
 
 def truncated_binding(
-    cfg: ExperimentConfig, eps: float, L: float, h: float, hint: float | None = None
+    cfg: ExperimentConfig,
+    eps: float,
+    L: float,
+    h: float,
+    hint: float | None = None,
+    solves: list | None = None,
 ) -> float:
     """Binding from one eigensolve of the even half-guide; no extrapolation.
 
     The guide has Dirichlet ends.  ``hint`` is an estimate of the binding
-    that places the eigensolver's shift (see :func:`lowest_eigenpairs`); it
-    changes the work, not the result.
+    that places the eigensolver's first shift (see :func:`lowest_eigenpairs`);
+    it changes the work, not the result.  When ``solves`` is a list, one
+    record of the grid actually solved and the solver's work is appended to
+    it: ``L``, the steps ``h_long`` and ``h_trans`` after snapping, the
+    effective ``feature_half_width`` (``None`` for a potential), and the
+    ``box_columns``, ``unknowns`` and ``factorizations`` of the solve.
     """
     half_width = eps * float(cfg.perturbation["half_width"])
     g = TruncatedGuide(
@@ -311,7 +321,22 @@ def truncated_binding(
         depth = eps * float(cfg.perturbation["amplitude"])
         a = float(cfg.perturbation["half_width"])
         g.potential = _box_sampler(depth, a, g.step_long)
-    sol = lowest_eigenpairs(build_fd_operator(g), binding_hint=hint)
+    op = build_fd_operator(g)
+    sol = lowest_eigenpairs(op, binding_hint=hint)
+    if solves is not None:
+        solves.append(
+            {
+                "L": L,
+                "h_long": g.step_long,
+                "h_trans": g.step_trans,
+                "feature_half_width": None
+                if cfg.scenario == REGULAR_POTENTIAL
+                else g.feature_half_width,
+                "box_columns": op.columns,
+                "unknowns": op.size,
+                "factorizations": sol.factorizations,
+            }
+        )
     return sol.binding
 
 
@@ -322,7 +347,9 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     steps of the plan; a one-step plan, or two steps that snapping collapses
     onto one grid, keeps the finest binding as it is.  The lengths are then
     Aitken-extrapolated; a patch row, or one with fewer than three lengths,
-    reports its longest-guide value instead.
+    reports its longest-guide value instead.  The extras carry the lengths,
+    the per-length bindings ``b_by_L`` and one record per solve (see
+    :func:`truncated_binding`).
 
     The solves run along one ladder: lengths in config order (increasing in
     every shipped config), coarse step to fine within each.  Each raw
@@ -339,16 +366,17 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     hs = oracle_steps(cfg, eps)
     order = float(cfg.oracle.get("order", 2))
     by_L = []
+    solves: list[dict] = []
     hint = None
     for L in Ls:
         bs = []
         for h in hs:
-            hint = truncated_binding(cfg, eps, L, h, hint)
+            hint = truncated_binding(cfg, eps, L, h, hint, solves)
             bs.append(hint)
         if len(hs) == 2 and hs[0] > hs[1]:
             hint = richardson(bs[0], bs[1], hs[0] / hs[1], order=order)
         by_L.append(hint)
-    extras = {"L": list(Ls), "b_by_L": by_L}
+    extras = {"L": list(Ls), "b_by_L": by_L, "solves": solves}
     if cfg.scenario == NEUMANN_PATCH or len(by_L) < 3:
         # no positive limit exists for the patch; report the best (largest-L)
         # truncated value instead of extrapolating toward one

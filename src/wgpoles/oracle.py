@@ -5,26 +5,35 @@ formulas; this module knows none of that.  It discretizes ``-Delta + q`` on
 the even half ``(0, L) x (0, d)`` of a guide symmetric in ``x1``, with a
 natural condition on the symmetry plane ``x1 = 0`` and the requested wall
 conditions (a Neumann window or Dirichlet patch carved into the ``x2 = 0``
-wall), solves for the lowest eigenpair by banded shift-invert Lanczos, and
-reports the binding ``b = mu_m^h - E_1`` against the closed-form *discrete*
-transverse threshold.  Measuring against ``mu_m^h`` rather than ``mu_m``
-cancels the leading ``O(h^2)`` discretization bias, which matters because
-the bindings of interest sit orders of magnitude below that bias.
+wall), solves for the lowest eigenpair, and reports the binding
+``b = mu_m^h - E_1`` against the closed-form *discrete* transverse
+threshold.  Measuring against ``mu_m^h`` rather than ``mu_m`` cancels the
+leading ``O(h^2)`` discretization bias, which matters because the bindings
+of interest sit orders of magnitude below that bias.
 
 Discretization is by the quadratic form (energy) on a tensor grid with
 trapezoid mass: interior rows reproduce the 5-point stencil, Neumann
 boundary rows the ghost-point reflection, and sampled transverse eigenmodes
 are lattice-exact, so the transverse factor of the error cancels in ``b``
-identically.  Everything is deterministic: fixed all-ones start vector,
-direct banded factorization for the inner solves.
+identically.
 
-Shift-invert Lanczos converges at the rate ``(E_1 - s)/(E_2 - s)``, and the
-bindings of interest sit only 1e-4 to 1e-2 below the threshold, so the shift
-``s`` is placed next to the eigenvalue when a binding estimate is at hand:
-``s = mu_m^h - 2|hint|``.  A shift above ``E_1`` makes ``A - s M`` indefinite,
-which the banded Cholesky detects; the shift then steps down eightfold in
-distance until it reaches the default ``mu_m^h - 1``.  The eigenpairs do
-not depend on the shift, only the number of inner solves does.
+Only a box of columns around the feature is assembled.  Past it the guide
+is a uniform lattice whose transverse sines (or cosines) are exact
+eigenvectors of the stencil, so the rest of the guide, out to its end at
+``L``, is eliminated exactly, one mode at a time, in closed form: a
+discrete transparent boundary condition for the finite guide.  The
+eigenvalue is then the root of a small nonlinear symmetric problem
+``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
+bracketed from below by banded Cholesky factorizations, which succeed
+exactly when the shift lies below ``E_1`` (as long as it stays below the
+exterior's own lowest eigenvalue, the cap where ``T`` has its first pole),
+and from above by the smallest eigenvalue of the linearized pencil, found
+by inverse iteration, tightened to the Rayleigh functional of its
+eigenvector.  A binding estimate places the first shift next to the
+eigenvalue; the
+eigenpair does not depend on it, only the number of factorizations does.
+Everything is deterministic: fixed all-ones start vector, direct banded
+factorizations.
 """
 
 from __future__ import annotations
@@ -33,12 +42,12 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .transverse import BC_DIRICHLET, BC_NEUMANN, CrossSection, TransverseBasis
 
@@ -53,10 +62,28 @@ MIN_FEATURE_NODES = 8
 
 EIGEN_RESIDUAL_TOL = 1e-8
 
-# ARPACK Krylov basis size; with a shift next to E_1 fewer vectors restart
-# less wastefully (on the window-ladder benchmark 20 vectors cost 574 inner
-# solves, 12 cost 420, 10 cost 409, 8 cost 448 and 6 cost 528)
-LANCZOS_VECTORS = 10
+# box columns kept past the last column the feature or potential touches
+BOX_PADDING = 4
+
+# the solve stops once the bracket around E_1 is this narrow
+BRACKET_TOL = 1e-10
+
+# cap on the banded factorizations of one solve
+MAX_FACTORIZATIONS = 60
+
+# each shift after the first sits this share of the bracket below its upper bound
+SHIFT_GAP = 1e-4
+
+# Newton steps on the Rayleigh functional, which converge quadratically
+NEWTON_STEPS = 30
+
+# inverse iteration stops when the Rayleigh quotient falls by less than this
+# relative amount, or after this many back-solves
+INVERSE_TOL = 1e-8
+INVERSE_ITERATIONS = 50
+
+# below this M * theta the exterior coupling uses its Taylor series
+SERIES_BELOW = 1e-3
 
 # refuse factorizations whose band storage would not fit in memory
 MAX_BAND_BYTES = 3 * 1024**3
@@ -170,8 +197,150 @@ class TruncatedGuide:
 
 
 @dataclass
+class LatticeExterior:
+    """The uniform guide beyond the box, eliminated exactly one mode at a time.
+
+    Past the box's last column ``c`` the guide has no perturbation, so the
+    lattice sines (Dirichlet walls) or cosines (Neumann walls) ``phi_j`` of
+    the transverse stencil, with eigenvalues ``mu_j``, decouple it into
+    ``M = n_long - c`` column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``,
+    ``t_j = 2 + h1^2 (mu_j - E)``, closed by the guide's end condition.
+    Eliminating the exterior half of column ``c`` and every column beyond
+    it adds ``sigma_j(E) a_j^2`` to the energy, with ``a_j`` the projection
+    of column ``c`` on ``phi_j`` and, writing ``cosh(theta) = t_j / 2``,
+    ``sigma_j = sinh(theta) coth(M theta) / h1`` for a Dirichlet end or
+    ``sinh(theta) tanh(M theta) / h1`` for a natural one (the ``sin`` forms
+    when ``t_j < 2``).  ``projector`` is ``W2 Phi`` on the column's active
+    nodes ``nodes``, whose columns are w2-orthonormal, so the Schur
+    complement is ``projector diag(sigma) projector^T``.
+    """
+
+    phi: np.ndarray = field(repr=False)
+    projector: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    nodes: np.ndarray = field(repr=False)
+    columns: int
+    h1: float
+    natural_end: bool
+
+    @property
+    def cap(self) -> float:
+        """Lowest eigenvalue of the exterior with column ``c`` held at zero.
+
+        Below it the exterior block is positive definite, so ``T(E)`` has as
+        many negative eigenvalues as the whole guide's pencil at ``E``.
+        """
+        s = math.sin(math.pi / ((4 if self.natural_end else 2) * self.columns))
+        return float(self.mu.min()) + 4.0 / self.h1**2 * s * s
+
+    def _angles(self, E: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # theta (decaying, t >= 2) or phi (oscillating), from delta = t/2 - 1
+        # directly so that modes next to E keep their digits
+        delta = 0.5 * self.h1**2 * (self.mu - E)
+        half = np.sqrt(0.5 * np.abs(delta))
+        decay = delta >= 0
+        angle = 2.0 * np.where(decay, np.arcsinh(half), np.arcsin(np.minimum(half, 1.0)))
+        return angle, np.sqrt(np.abs(delta * (delta + 2.0))), decay
+
+    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
+        """``sigma_j(E)`` and ``d sigma_j / dE`` of every mode, for ``E`` below the cap.
+
+        ``d sigma_j / dE`` is minus the mass of the mode's exterior extension,
+        so it is negative and ``sigma_j`` concave.
+        """
+        M = self.columns
+        angle, sh, decay = self._angles(E)
+        x = M * angle
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.natural_end:
+                sigma = np.where(decay, sh * np.tanh(x), -sh * np.tan(x))
+                slope = np.where(
+                    decay,
+                    np.tanh(x) / np.tanh(angle) + M / np.cosh(x) ** 2,
+                    np.tan(x) / np.tan(angle) + M / np.cos(x) ** 2,
+                )
+                slope = np.where(x < SERIES_BELOW, 2.0 * M, slope)
+            else:
+                sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
+                slope = np.where(
+                    decay,
+                    1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
+                    M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
+                )
+                # both forms cancel to 2M/3 + 1/(3M) as x -> 0
+                small = x < SERIES_BELOW
+                sq = np.where(decay, angle, -angle) * angle
+                sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
+                slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
+        return sigma / self.h1, -0.5 * self.h1 * slope
+
+    def extend(self, E: float, edge: np.ndarray) -> np.ndarray:
+        """Exterior columns ``c+1 .. n_long`` of the eigenvector whose column ``c`` is ``edge``."""
+        M = self.columns
+        angle, _, decay = self._angles(E)
+        k = np.arange(1, M + 1)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if self.natural_end:
+                decaying = np.exp(-k * angle) * (1.0 + np.exp(-2.0 * (M - k) * angle)) / (
+                    1.0 + np.exp(-2.0 * M * angle)
+                )
+                waving = np.cos((M - k) * angle) / np.cos(M * angle)
+            else:
+                decaying = np.where(
+                    angle > 0,
+                    np.exp(-k * angle) * np.expm1(-2.0 * (M - k) * angle)
+                    / np.expm1(-2.0 * M * angle),
+                    (M - k) / M,
+                )
+                waving = np.sin((M - k) * angle) / np.sin(M * angle)
+        profile = np.where(decay, decaying, waving)
+        return (profile * (self.projector.T @ edge)) @ self.phi.T
+
+
+def _lattice_exterior(g: TruncatedGuide, c: int) -> LatticeExterior:
+    """Closed-form transverse modes of column ``c`` and the exterior beyond it."""
+    n2, h2 = g.n_trans, g.step_trans
+    d = g.cross_section.width
+    k = np.arange(n2 + 1)
+    if g.cross_section.bc == BC_DIRICHLET:
+        nodes = (k > 0) & (k < n2)
+        j = k[1:-1]
+        scale = np.full(j.size, math.sqrt(2.0 / d))
+        w2 = np.full(j.size, h2)
+        wave = np.sin
+    else:
+        nodes = np.ones(n2 + 1, dtype=bool)
+        j = k
+        scale = np.full(j.size, math.sqrt(2.0 / d))
+        scale[[0, -1]] = math.sqrt(1.0 / d)
+        w2 = np.full(j.size, h2)
+        w2[[0, -1]] = h2 / 2.0
+        wave = np.cos
+    # reduce k j modulo the period before scaling, so the phase stays exact
+    phase = np.outer(k[nodes], j) % (2 * n2)
+    phi = wave(np.pi * phase / n2) * scale
+    # the same expression as discrete_threshold, so mu_m is the threshold bit for bit
+    s = np.sin(j * math.pi * h2 / (2.0 * d))
+    return LatticeExterior(
+        phi=phi,
+        projector=w2[:, None] * phi,
+        mu=4.0 / (h2 * h2) * s * s,
+        nodes=nodes,
+        columns=g.n_long - c,
+        h1=g.step_long,
+        natural_end=g.ends == NEUMANN_ENDS,
+    )
+
+
+@dataclass
 class FdOperator:
-    """Assembled generalized eigenproblem ``A u = E M u`` on the active nodes."""
+    """Box part ``A u = E M u`` of the guide on its active nodes, and the exterior.
+
+    ``matrix`` and ``mass`` cover columns ``0 .. columns - 1`` of the guide;
+    when ``exterior`` is set, the last of them is the box's natural edge
+    column, whose active nodes are the last ``rows`` unknowns, and the
+    uniform guide beyond it is ``exterior``.
+    """
 
     guide: TruncatedGuide
     matrix: sp.csc_matrix = field(repr=False)
@@ -179,6 +348,7 @@ class FdOperator:
     mask: np.ndarray = field(repr=False)
     columns: int
     rows: int
+    exterior: LatticeExterior | None = None
 
     @property
     def size(self) -> int:
@@ -186,21 +356,32 @@ class FdOperator:
 
 
 def build_fd_operator(g: TruncatedGuide) -> FdOperator:
-    """Assemble the energy-form discretization of ``-Delta + q`` on the guide.
+    """Assemble the energy-form discretization of ``-Delta + q`` on the feature box.
 
-    The quadratic form ``sum (du)^2 * w / h`` over grid edges plus the
-    trapezoid-weighted potential gives a symmetric matrix pencil whose
-    interior rows are the standard 5-point stencil and whose Neumann
-    boundary rows, the symmetry plane among them, carry the ghost-point form
-    automatically; Dirichlet nodes are eliminated.  Active-grid column and
-    row counts are recorded on the result.
+    The box runs from the symmetry plane to column ``edge``, ``BOX_PADDING``
+    columns past the last column the feature or the potential touches (or
+    to the guide's end, if that comes first).  The quadratic form
+    ``sum (du)^2 * w / h`` over grid edges plus the trapezoid-weighted
+    potential gives a symmetric matrix pencil whose interior rows are the
+    standard 5-point stencil and whose Neumann boundary rows, the symmetry
+    plane and the box's edge column among them, carry the ghost-point form
+    automatically; Dirichlet nodes are eliminated.  The guide beyond ``edge``
+    becomes the operator's :class:`LatticeExterior`.
     """
     n1, n2 = g.n_long, g.n_trans
     h1, h2 = g.step_long, g.step_trans
     cs = g.cross_section
 
-    mask = np.ones((n1 + 1, n2 + 1), dtype=bool)
-    feature_cols = np.arange(n1 + 1) <= g.feature_nodes
+    q = g.potential_samples()
+    last = g.feature_nodes
+    if q is not None:
+        hit = np.nonzero(np.any(q != 0, axis=1))[0]
+        if hit.size:
+            last = max(last, int(hit[-1]))
+    edge = min(last + BOX_PADDING, n1)
+
+    mask = np.ones((edge + 1, n2 + 1), dtype=bool)
+    feature_cols = np.arange(edge + 1) <= g.feature_nodes
     if cs.bc == BC_DIRICHLET:
         mask[:, 0] = False
         mask[:, -1] = False
@@ -209,15 +390,15 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     else:
         if g.patch_half_width is not None:
             mask[feature_cols, 0] = False
-    if g.ends == DIRICHLET_ENDS:
+    if edge == n1 and g.ends == DIRICHLET_ENDS:
         mask[-1, :] = False
 
-    w1 = np.full(n1 + 1, h1)
+    w1 = np.full(edge + 1, h1)
     w1[0] = w1[-1] = h1 / 2.0
     w2 = np.full(n2 + 1, h2)
     w2[0] = w2[-1] = h2 / 2.0
 
-    index = -np.ones((n1 + 1, n2 + 1), dtype=np.int64)
+    index = -np.ones((edge + 1, n2 + 1), dtype=np.int64)
     index[mask] = np.arange(int(mask.sum()))
 
     rows: list[np.ndarray] = []
@@ -239,21 +420,20 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     add_edges(
         index[:-1, :].ravel(),
         index[1:, :].ravel(),
-        np.broadcast_to(w2[None, :] / h1, (n1, n2 + 1)).ravel(),
+        np.broadcast_to(w2[None, :] / h1, (edge, n2 + 1)).ravel(),
     )
     add_edges(
         index[:, :-1].ravel(),
         index[:, 1:].ravel(),
-        np.broadcast_to(w1[:, None] / h2, (n1 + 1, n2)).ravel(),
+        np.broadcast_to(w1[:, None] / h2, (edge + 1, n2)).ravel(),
     )
 
     weight = w1[:, None] * w2[None, :]
-    q = g.potential_samples()
     if q is not None:
         diag = index[mask]
         rows.append(diag)
         cols.append(diag)
-        vals.append((q * weight)[mask])
+        vals.append((q[: edge + 1] * weight)[mask])
 
     n = int(mask.sum())
     A = sp.coo_matrix(
@@ -268,6 +448,7 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
         mask=mask,
         columns=int(np.count_nonzero(col_counts)),
         rows=int(col_counts[col_counts > 0].min()),
+        exterior=_lattice_exterior(g, edge) if edge < n1 else None,
     )
 
 
@@ -275,24 +456,40 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
 class OracleSolution:
     """Lowest eigenpair of a truncated guide, with threshold bookkeeping.
 
-    ``value`` is ``E_1`` and ``residual`` its relative eigen-residual.
-    ``field`` is the eigenvector scattered back onto the node grid (zeros at
-    eliminated nodes), mass-normalized with a deterministic sign.
-    ``binding`` is ``mu_m^h - E_1``: positive exactly when a state sits
-    below the discrete threshold.  ``shift`` is the shift whose factorization
-    succeeded, after ``factor_attempts`` tries, and ``inner_solves`` counts
-    the banded back-solves ARPACK asked for.
+    ``value`` is ``E_1`` and ``residual`` the relative residual of
+    ``T(E_1) v`` on the box.  ``box_field`` is the eigenvector on the box's
+    node grid (zeros at eliminated nodes), and ``field`` the same on the
+    whole guide, its exterior columns rebuilt from the closed-form modes on
+    first access; both are mass-normalized over the whole guide with a
+    deterministic sign.  ``binding`` is ``mu_m^h - E_1``: positive exactly
+    when a state sits below the discrete threshold.  ``shift`` is the first
+    shift of the plan whose factorization succeeded; ``factorizations`` and
+    ``inner_solves`` count the banded Cholesky factorizations and
+    back-solves of the whole solve.
     """
 
     guide: TruncatedGuide
     value: float
-    field: np.ndarray = field(repr=False)
     residual: float
     threshold: float
     binding: float
     shift: float
-    factor_attempts: int
+    factorizations: int
     inner_solves: int
+    box_field: np.ndarray = field(repr=False)
+    exterior: LatticeExterior | None = field(default=None, repr=False)
+
+    @cached_property
+    def field(self) -> np.ndarray:
+        """Eigenvector on the whole node grid, shape ``(n_long+1, n_trans+1)``."""
+        g = self.guide
+        u = np.zeros((g.n_long + 1, g.n_trans + 1))
+        c = self.box_field.shape[0] - 1
+        u[: c + 1] = self.box_field
+        ext = self.exterior
+        if ext is not None:
+            u[c + 1 :, ext.nodes] = ext.extend(self.value, u[c, ext.nodes])
+        return u
 
 
 def discrete_threshold(g: TruncatedGuide, m: int | None = None) -> float:
@@ -328,92 +525,169 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
     return [threshold - d for d in distances]
 
 
-def lowest_eigenpairs(
-    op: FdOperator, binding_hint: float | None = None
-) -> OracleSolution:
-    """Lowest eigenpair by banded shift-invert Lanczos.
-
-    The shifts of the plan are tried in turn: with a ``binding_hint`` (an
-    estimate of ``mu_m^h - E_1``, of either sign) the first sits ``2|hint|``
-    below the threshold, each failed banded Cholesky of ``A - shift M``
-    (which means the shift lies above ``E_1``) moves it eight times farther,
-    and the last try is the default ``threshold - 1``, whose failure raises
-    :class:`SolverError`.  The eigenpair does not depend on the shift; only
-    the number of inner solves does.  ARPACK gets ``LANCZOS_VECTORS``
-    Lanczos vectors, which for a shift next to ``E_1`` needs fewer inner
-    solves than its default of 20.  The pair is checked against the ``1e-8``
-    relative-residual contract.
-    """
-    start = time.perf_counter()
-    g = op.guide
-    threshold = discrete_threshold(g)
-    shifts = _shift_plan(threshold, binding_hint)
-    A = op.matrix
-    n = op.size
-    coo = A.tocoo()
+def _lower_band(op: FdOperator) -> np.ndarray:
+    """``op.matrix`` in LAPACK lower band storage, after the memory guard."""
+    coo = op.matrix.tocoo()
     lower = coo.row >= coo.col
     offsets = coo.row[lower] - coo.col[lower]
-    cols = coo.col[lower]
-    data = coo.data[lower]
-    del coo, lower
     bw = int(offsets.max())
-    band_bytes = (bw + 1) * n * 8
+    band_bytes = (bw + 1) * op.size * 8
     if band_bytes > MAX_BAND_BYTES:
         raise MemoryError(
             f"band factorization needs {band_bytes / 1e9:.1f} GB "
-            f"(bandwidth {bw + 1}, {n} unknowns); coarsen the grid"
+            f"(bandwidth {bw + 1}, {op.size} unknowns); coarsen the grid"
         )
-    for attempt, sigma in enumerate(shifts, start=1):
-        # Fortran order lets the factorization overwrite the band in place,
-        # so only one band is alive at a time
-        ab = np.zeros((bw + 1, n), order="F")
-        ab[offsets, cols] = data
-        ab[0, :] -= sigma * op.mass
-        try:
-            cb = sla.cholesky_banded(
-                ab, overwrite_ab=True, lower=True, check_finite=False
+    band = np.zeros((bw + 1, op.size), order="F")
+    band[offsets, coo.col[lower]] = coo.data[lower]
+    return band
+
+
+def lowest_eigenpairs(
+    op: FdOperator, binding_hint: float | None = None
+) -> OracleSolution:
+    """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0`` on the box.
+
+    ``T(E) = A - E M + projector diag(sigma(E)) projector^T`` is the exact
+    Schur complement of the exterior (see :class:`LatticeExterior`); a
+    guide with no exterior has ``T(E) = A - E M``.  ``E_1`` is kept in a
+    bracket ``[s, p]``:
+
+    - below the exterior's cap, a banded Cholesky of ``T(s)`` succeeds
+      exactly when ``s < E_1``, so each shift that factors is a lower bound;
+    - ``T`` is concave in ``E``, so the smallest eigenvalue ``theta`` of the
+      linearized pencil ``T(s) x = theta (-T'(s)) x``, found by inverse
+      iteration, bounds ``E_1 <= s + theta``; Newton steps from there on
+      ``v^T T(E) v = 0`` with that eigenvector ``v`` fall monotonically to
+      its root ``p``, the Rayleigh functional, a tighter upper bound.
+
+    The first shift comes from the plan: with a ``binding_hint`` (an
+    estimate of ``mu_m^h - E_1``, of either sign) ``2|hint|`` below the
+    threshold, each failed factorization moving eight times farther, down to
+    ``threshold - 1``, whose failure raises :class:`SolverError`.  Each next
+    shift sits ``SHIFT_GAP`` of the bracket (at least half of
+    ``BRACKET_TOL``) below ``p``; a shift that does not factor becomes the
+    new upper bound, and the gap widens sixteenfold, up to half the bracket.  The solve stops when ``p - s <=
+    BRACKET_TOL`` and reports ``E_1 = p``; more than ``MAX_FACTORIZATIONS``
+    factorizations raise :class:`SolverError`.  The eigenpair does not
+    depend on the hint; only the number of factorizations does.  The pair
+    is checked against the ``1e-8`` relative-residual contract.
+    """
+    start = time.perf_counter()
+    g = op.guide
+    ext = op.exterior
+    threshold = discrete_threshold(g)
+    n = op.size
+    band = _lower_band(op)
+    if ext is None:
+        P = np.zeros((0, 0))
+        cap = math.inf
+
+        def coupling(E: float) -> tuple[np.ndarray, np.ndarray]:
+            return np.zeros(0), np.zeros(0)
+
+    else:
+        P = ext.projector
+        cap = ext.cap
+        coupling = ext.coupling
+    tail = n - P.shape[0]
+    low_i, low_j = np.tril_indices(P.shape[0])
+    factorizations = inner_solves = 0
+
+    def closure(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # projector diag(weights) projector^T on the edge column, zero elsewhere
+        y = np.zeros_like(x)
+        y[tail:] = P @ (weights * (P.T @ x[tail:]))
+        return y
+
+    def factor(E: float):
+        nonlocal factorizations
+        if factorizations >= MAX_FACTORIZATIONS:
+            raise SolverError(
+                f"no eigenvalue bracket within {MAX_FACTORIZATIONS} factorizations"
             )
-            break
-        except np.linalg.LinAlgError as exc:
-            if attempt == len(shifts):
-                raise SolverError(
-                    f"factorization of A - {sigma} M failed; shift not below "
-                    f"the spectrum or operator indefinite ({exc})"
-                ) from exc
-            del ab
-    del ab, offsets, cols, data
-    inner_solves = 0
+        factorizations += 1
+        sigma, slope = coupling(E)
+        ab = band.copy(order="F")
+        ab[0, :] -= E * op.mass
+        ab[low_i - low_j, tail + low_j] += ((P * sigma) @ P.T)[low_i, low_j]
+        try:
+            cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            return None
+        return cb, slope
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def pencil_vector(cb: np.ndarray, slope: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+        # inverse iteration on (T(s), B), B = -T'(s) positive definite; its
+        # Rayleigh quotient falls monotonically to the smallest eigenvalue
         nonlocal inner_solves
-        inner_solves += 1
-        return sla.cho_solve_banded((cb, True), b, check_finite=False)
+        theta = math.inf
+        for _ in range(INVERSE_ITERATIONS):
+            y = op.mass * v - closure(v, slope)
+            z = sla.cho_solve_banded((cb, True), y, check_finite=False)
+            inner_solves += 1
+            bz = op.mass * z - closure(z, slope)
+            zbz = float(z @ bz)
+            new = float(z @ y) / zbz
+            v = z / math.sqrt(zbz)
+            done = new <= 0.0 or theta - new <= INVERSE_TOL * new
+            theta = new
+            if done:
+                break
+        return theta, v
 
-    opinv = LinearOperator((n, n), matvec=solve, dtype=float)
-    M = sp.dia_matrix((op.mass[None, :], [0]), shape=(n, n))
-    try:
-        vals, vecs = eigsh(
-            A,
-            k=1,
-            M=M,
-            sigma=sigma,
-            which="LM",
-            v0=np.ones(n),
-            ncv=min(n, LANCZOS_VECTORS),
-            OPinv=opinv,
-        )
-    except ArpackNoConvergence as exc:
-        partial = getattr(exc, "eigenvalues", None)
+    def rayleigh_functional(v: np.ndarray, E: float) -> float:
+        # Newton on the concave, decreasing f(E) = v^T T(E) v from a point
+        # with f(E) <= 0: every step stays at or above the root
+        stiff = float(v @ (op.matrix @ v))
+        mass = float(v @ (op.mass * v))
+        a2 = (P.T @ v[tail:]) ** 2
+        for _ in range(NEWTON_STEPS):
+            sigma, slope = coupling(E)
+            step = (stiff - E * mass + sigma @ a2) / (mass - slope @ a2)
+            if not step < 0.0:
+                break
+            E += step
+        return E
+
+    shifts = [s for s in _shift_plan(threshold, binding_hint) if s < cap]
+    upper = cap
+    for s in shifts:
+        got = factor(s)
+        if got is not None:
+            break
+        upper = min(upper, s)
+    else:
         raise SolverError(
-            f"Lanczos did not converge: {exc}; partial eigenvalues {partial}"
-        ) from exc
-    value = float(vals[0])
-    v = vecs[:, 0]
-    av = A @ v
+            f"factorization of T(E) failed at every shift down to "
+            f"{threshold - 1.0}; shift not below the spectrum or operator indefinite"
+        )
+    first_shift = s
+    v = np.ones(n)
+    while True:
+        theta, v = pencil_vector(*got, v)
+        upper = min(s + theta, upper)
+        if upper < cap:
+            upper = rayleigh_functional(v, upper)
+        if upper - s <= BRACKET_TOL:
+            break
+        gap = SHIFT_GAP
+        while True:
+            trial = upper - max(gap * (upper - s), 0.5 * BRACKET_TOL)
+            got = factor(trial)
+            if got is not None:
+                break
+            upper = trial
+            gap = min(16.0 * gap, 0.5)
+        s = trial
+
+    value = upper
+    sigma, slope = coupling(value)
+    av = op.matrix @ v
     mv = op.mass * v
+    cv = closure(v, sigma)
     residual = float(
-        np.linalg.norm(av - value * mv)
-        / (np.linalg.norm(av) + abs(value) * np.linalg.norm(mv))
+        np.linalg.norm(av - value * mv + cv)
+        / (np.linalg.norm(av) + abs(value) * np.linalg.norm(mv) + np.linalg.norm(cv))
     )
     if residual > EIGEN_RESIDUAL_TOL:
         raise SolverError(
@@ -421,31 +695,33 @@ def lowest_eigenpairs(
             residuals=residual,
         )
 
-    v = v / math.sqrt(float(v @ mv))
+    # -T'(E) is the mass of the whole guide, the exterior extension included
+    v = v / math.sqrt(float(v @ (mv - closure(v, slope))))
     if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
-    u = np.zeros((g.n_long + 1, g.n_trans + 1))
+    u = np.zeros(op.mask.shape)
     u[op.mask] = v
 
     logger.info(
-        "eigensolve: %d unknowns, shift %.3e below threshold, %d factorization(s), "
-        "%d inner solves, %.2f s",
+        "eigensolve: %d box columns, %d unknowns, %d factorizations, "
+        "%d back-solves, %.3f s",
+        op.columns,
         n,
-        threshold - sigma,
-        attempt,
+        factorizations,
         inner_solves,
         time.perf_counter() - start,
     )
     return OracleSolution(
         guide=g,
         value=value,
-        field=u,
         residual=residual,
         threshold=threshold,
         binding=float(threshold - value),
-        shift=float(sigma),
-        factor_attempts=attempt,
+        shift=float(first_shift),
+        factorizations=factorizations,
         inner_solves=inner_solves,
+        box_field=u,
+        exterior=ext,
     )
 
 

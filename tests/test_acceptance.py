@@ -3,8 +3,8 @@
 Ordered from the regular-potential pole law to the tail diagnostics, these
 exercise the package the way a study would: closed-form predictions on one
 side, truncated-guide solves on the other, and the sweep driver tying the
-two together.  Budget is minutes, dominated by the window power-law sweep;
-``pytest -v`` gives one verdict line per gate.
+two together.  Budget is seconds, the window power-law sweep taking the
+most; ``pytest -v`` gives one verdict line per gate.
 
 Every expected number here is either exact by construction or was frozen
 from an independent rehearsal at tighter settings; none is tuned to make a
@@ -16,7 +16,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 from scipy.optimize import brentq
 
 import wgpoles as wg
@@ -66,7 +65,6 @@ def _regular_oracle_failures(eps: float, b: float) -> list[str]:
     return [f"{'; '.join(gates)} at eps={eps}: {numbers}"] if gates else []
 
 
-@pytest.mark.slow
 def test_regular_potential_pole_and_oracle_asymptotics() -> None:
     """Box well at the first threshold: k = eps + O(eps^2), end to end.
 
@@ -139,7 +137,6 @@ def test_regular_potential_pole_and_oracle_asymptotics() -> None:
     assert not failures, "; ".join(failures)
 
 
-@pytest.mark.slow
 def test_window_binding_follows_fourth_power_law() -> None:
     """Wall window in a Dirichlet guide: oracle binding fits tau^2 eps^4.
 

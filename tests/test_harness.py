@@ -21,9 +21,7 @@ from wgpoles import (
     render_csv,
     run_experiment,
     run_sweep,
-    truncated_binding,
 )
-from wgpoles import harness
 from wgpoles.cli import main
 
 
@@ -406,32 +404,49 @@ def test_cli_grid_and_modes_overrides_change_the_secular_lane(tmp_path) -> None:
     ) == 0
 
 
-def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys, monkeypatch) -> None:
-    # the CLI must solve the window the sweep solves: the snapped step, not
-    # the raw one (at eps = 0.55, h = 0.08 the raw step gives half-width
-    # 0.52 in place of 0.5508)
-    raw = _window_dict(epsilons=[0.55, 0.5, 0.45, 0.4], oracle={"h": [0.08], "L": [10.0]})
-    cfg = parse_config(raw)
-    solved = []
+def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys) -> None:
+    # the CLI must solve the window the sweep solves, on the snapped step
+    # (at eps = 0.55, h = 0.08 the raw step gives half-width 0.52 in place
+    # of 0.5508), and print the steps and half-width the guide actually
+    # used after rounding L/h: at eps = 0.4, h = 0.04, L = 18 the snapped
+    # step 0.0380952 becomes 0.0381356 and the half-width 0.400424
+    plans = (([0.55, 0.5, 0.45, 0.4], 0.08, 10.0), ([0.4, 0.35, 0.3, 0.25], 0.04, 18.0))
+    for epsilons, h, L in plans:
+        raw = _window_dict(epsilons=epsilons, oracle={"h": [h], "L": [L]})
+        rows = run_sweep(parse_config(raw))
+        path = tmp_path / "win.json"
+        path.write_text(json.dumps(raw))
+        assert main(["oracle", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert len(lines) == 4
+        for line, row in zip(lines, rows):
+            eps, _, h_long, h_trans, width, b = line.split()
+            solve = row.extras["solves"][0]
+            assert float(eps) == row.epsilon
+            assert b == f"{row.extras['b_by_L'][0]:.12g}"
+            assert h_long == f"{solve['h_long']:.6g}"
+            assert h_trans == f"{solve['h_trans']:.6g}"
+            assert width == f"{solve['feature_half_width']:.6g}"
+    first = lines[0].split()
+    assert (first[2], first[4]) == ("0.0381356", "0.400424")
 
-    def recording(cfg, eps, L, h, hint=None):
-        b = truncated_binding(cfg, eps, L, h, hint)
-        solved.append((h, b))
-        return b
 
-    monkeypatch.setattr(harness, "truncated_binding", recording)
-    coarse = {}
-    for i, eps in enumerate(cfg.epsilons):
-        solved.clear()
-        harness.row_binding(cfg, i)
-        coarse[eps] = solved[0]
-    path = tmp_path / "win.json"
-    path.write_text(json.dumps(raw))
-    assert main(["oracle", "--config", str(path)]) == 0
-    lines = capsys.readouterr().out.splitlines()[1:]
-    assert len(lines) == 4
-    for line in lines:
-        eps, L, h, b = line.split()
-        want_h, want_b = coarse[float(eps)]
-        assert b == f"{want_b:.12g}"
-        assert h == f"{want_h:.5g}"
+def test_report_records_each_solve() -> None:
+    # one record per solve: coarse step then fine at each length, with the
+    # grid actually solved and the solver's work; a potential has no
+    # feature half-width
+    cfg = parse_config(_regular_dict(oracle={"h": [0.2, 0.1], "L": [8.0, 12.0]}))
+    rows = run_sweep(cfg)
+    solves = rows[0].extras["solves"]
+    assert [s["L"] for s in solves] == [8.0, 8.0, 12.0, 12.0]
+    assert solves[0]["h_long"] > solves[1]["h_long"]
+    for s in solves:
+        assert s["feature_half_width"] is None
+        assert s["unknowns"] > 0 and s["factorizations"] >= 1
+        assert 1 <= s["box_columns"] <= round(s["L"] / s["h_long"])
+    win = run_sweep(parse_config(_window_dict()))
+    for row in win:
+        for s in row.extras["solves"]:
+            # the edge sits midway between boundary nodes of the solved step
+            nodes = s["feature_half_width"] / s["h_long"] - 0.5
+            assert abs(nodes - round(nodes)) < 1e-9
