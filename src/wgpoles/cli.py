@@ -28,7 +28,7 @@ from .harness import (
     run_experiment,
     truncated_binding,
 )
-from .oracle import SolverError, TailFitError
+from .oracle import SolverError
 from .regular_pole import IterationDivergedError, solve_secular
 from .transverse import build_basis
 
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IterationDivergedError, SolverError, TailFitError) as exc:
+    except (IterationDivergedError, SolverError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except _CheckFailed as exc:

@@ -53,10 +53,6 @@ from .transverse import BC_DIRICHLET, BC_NEUMANN, CrossSection, TransverseBasis
 
 logger = logging.getLogger(__name__)
 
-DIRICHLET_ENDS = "dirichlet-ends"
-NEUMANN_ENDS = "neumann-ends"
-_VALID_ENDS = (DIRICHLET_ENDS, NEUMANN_ENDS)
-
 # a window or patch narrower than this many boundary nodes is unresolved
 MIN_FEATURE_NODES = 8
 
@@ -97,32 +93,28 @@ class SolverError(RuntimeError):
         self.residuals = residuals
 
 
-class TailFitError(RuntimeError):
-    """Eigenvector tail is not a clean exponential over the fit window."""
-
-
 @dataclass
 class TruncatedGuide:
     """Even half ``x1 in [0, L]`` of a discretized truncated guide.
 
     The symmetry plane ``x1 = 0`` keeps the natural (Neumann) condition, so
     the half carries exactly the even eigenstates of the guide on
-    ``(-L, L)``, the ground state among them; ``ends`` sets the condition at
-    ``x1 = L``.  ``h`` is snapped in each direction so an integer number of
-    cells fits, and the snapped steps are what the solver uses.  A window or
-    patch of the given half-width is centered at ``x1 = 0`` on the ``x2 = 0``
-    wall; its edge is snapped to the midpoint between boundary nodes and the
-    snap distance recorded.  ``potential(x1, x2)`` is the full operator term
-    ``q`` in ``-Delta + q`` (so an attractive well of depth ``eps`` is
-    ``q = -eps`` on its support), sampled at the grid nodes.  Callers are
-    responsible for choosing ``L`` several decay lengths beyond the
-    perturbation.
+    ``(-L, L)``, the ground state among them; the column ``x1 = L`` is a
+    Dirichlet end.  ``h`` is snapped in each direction so an integer number
+    of cells fits, and the snapped steps are what the solver uses.  A window
+    or patch of the given half-width is centered at ``x1 = 0`` on the
+    ``x2 = 0`` wall; its edge is snapped to the midpoint between boundary
+    nodes and the snap distance recorded.  ``potential(x1, x2)`` is the full
+    operator term ``q`` in ``-Delta + q`` (so an attractive well of depth
+    ``eps`` is ``q = -eps`` on its support), sampled at the grid nodes.
+    Callers are responsible for choosing ``L`` several decay lengths beyond
+    the perturbation; :func:`build_fd_operator` refuses a guide whose
+    perturbation comes within ``BOX_PADDING`` columns of its end.
     """
 
     cross_section: CrossSection
     half_length: float
     h: float
-    ends: str = DIRICHLET_ENDS
     window_half_width: float | None = None
     patch_half_width: float | None = None
     potential: Callable | None = None
@@ -131,8 +123,6 @@ class TruncatedGuide:
     def __post_init__(self) -> None:
         if not (self.half_length > 0):
             raise ValueError(f"half-length must be positive, got {self.half_length}")
-        if self.ends not in _VALID_ENDS:
-            raise ValueError(f"ends must be one of {_VALID_ENDS}, got {self.ends!r}")
         if self.window_half_width is not None and self.patch_half_width is not None:
             raise ValueError("cannot carve both a window and a patch")
         if self.window_half_width is not None and self.cross_section.bc != BC_DIRICHLET:
@@ -185,15 +175,17 @@ class TruncatedGuide:
         q = np.broadcast_to(q, (self.n_long + 1, self.n_trans + 1))
         return np.ascontiguousarray(q, dtype=float)
 
-    def perturbation_extent(self) -> float:
-        """Longitudinal reach of the perturbation (for tail-window checks)."""
-        extent = self.feature_half_width
-        q = self.potential_samples()
-        if q is not None:
-            hit = np.any(q != 0, axis=1)
-            if np.any(hit):
-                extent = max(extent, float(np.max(self.x1[hit])))
-        return extent
+
+def _lattice_eigenvalues(g: TruncatedGuide, j):
+    """``(4/h^2) sin^2(j pi h / (2d))``: eigenvalues of the transverse stencil.
+
+    ``j`` counts the lattice sines of a Dirichlet strip from one and the
+    cosines of a Neumann strip from zero, so index ``j`` is the eigenvalue of
+    mode ``j`` or ``j + 1``.
+    """
+    h = g.step_trans
+    s = np.sin(j * math.pi * h / (2.0 * g.cross_section.width))
+    return 4.0 / (h * h) * s * s
 
 
 @dataclass
@@ -204,15 +196,14 @@ class LatticeExterior:
     lattice sines (Dirichlet walls) or cosines (Neumann walls) ``phi_j`` of
     the transverse stencil, with eigenvalues ``mu_j``, decouple it into
     ``M = n_long - c`` column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``,
-    ``t_j = 2 + h1^2 (mu_j - E)``, closed by the guide's end condition.
-    Eliminating the exterior half of column ``c`` and every column beyond
-    it adds ``sigma_j(E) a_j^2`` to the energy, with ``a_j`` the projection
-    of column ``c`` on ``phi_j`` and, writing ``cosh(theta) = t_j / 2``,
-    ``sigma_j = sinh(theta) coth(M theta) / h1`` for a Dirichlet end or
-    ``sinh(theta) tanh(M theta) / h1`` for a natural one (the ``sin`` forms
-    when ``t_j < 2``).  ``projector`` is ``W2 Phi`` on the column's active
-    nodes ``nodes``, whose columns are w2-orthonormal, so the Schur
-    complement is ``projector diag(sigma) projector^T``.
+    ``t_j = 2 + h1^2 (mu_j - E)``, closed by the Dirichlet end at column
+    ``n_long``.  Eliminating the exterior half of column ``c`` and every
+    column beyond it adds ``sigma_j(E) a_j^2`` to the energy, with ``a_j``
+    the projection of column ``c`` on ``phi_j`` and, writing
+    ``cosh(theta) = t_j / 2``, ``sigma_j = sinh(theta) coth(M theta) / h1``
+    (the ``sin`` form when ``t_j < 2``).  ``projector`` is ``W2 Phi`` on the
+    column's active nodes ``nodes``, whose columns are w2-orthonormal, so
+    the Schur complement is ``projector diag(sigma) projector^T``.
     """
 
     phi: np.ndarray = field(repr=False)
@@ -221,7 +212,6 @@ class LatticeExterior:
     nodes: np.ndarray = field(repr=False)
     columns: int
     h1: float
-    natural_end: bool
 
     @property
     def cap(self) -> float:
@@ -230,7 +220,7 @@ class LatticeExterior:
         Below it the exterior block is positive definite, so ``T(E)`` has as
         many negative eigenvalues as the whole guide's pencil at ``E``.
         """
-        s = math.sin(math.pi / ((4 if self.natural_end else 2) * self.columns))
+        s = math.sin(math.pi / (2 * self.columns))
         return float(self.mu.min()) + 4.0 / self.h1**2 * s * s
 
     def _angles(self, E: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -252,26 +242,17 @@ class LatticeExterior:
         angle, sh, decay = self._angles(E)
         x = M * angle
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.natural_end:
-                sigma = np.where(decay, sh * np.tanh(x), -sh * np.tan(x))
-                slope = np.where(
-                    decay,
-                    np.tanh(x) / np.tanh(angle) + M / np.cosh(x) ** 2,
-                    np.tan(x) / np.tan(angle) + M / np.cos(x) ** 2,
-                )
-                slope = np.where(x < SERIES_BELOW, 2.0 * M, slope)
-            else:
-                sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
-                slope = np.where(
-                    decay,
-                    1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
-                    M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
-                )
-                # both forms cancel to 2M/3 + 1/(3M) as x -> 0
-                small = x < SERIES_BELOW
-                sq = np.where(decay, angle, -angle) * angle
-                sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
-                slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
+            sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
+            slope = np.where(
+                decay,
+                1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
+                M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
+            )
+        # both forms cancel to 2M/3 + 1/(3M) as x -> 0
+        small = x < SERIES_BELOW
+        sq = np.where(decay, angle, -angle) * angle
+        sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
+        slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
         return sigma / self.h1, -0.5 * self.h1 * slope
 
     def extend(self, E: float, edge: np.ndarray) -> np.ndarray:
@@ -280,19 +261,13 @@ class LatticeExterior:
         angle, _, decay = self._angles(E)
         k = np.arange(1, M + 1)[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if self.natural_end:
-                decaying = np.exp(-k * angle) * (1.0 + np.exp(-2.0 * (M - k) * angle)) / (
-                    1.0 + np.exp(-2.0 * M * angle)
-                )
-                waving = np.cos((M - k) * angle) / np.cos(M * angle)
-            else:
-                decaying = np.where(
-                    angle > 0,
-                    np.exp(-k * angle) * np.expm1(-2.0 * (M - k) * angle)
-                    / np.expm1(-2.0 * M * angle),
-                    (M - k) / M,
-                )
-                waving = np.sin((M - k) * angle) / np.sin(M * angle)
+            decaying = np.where(
+                angle > 0,
+                np.exp(-k * angle) * np.expm1(-2.0 * (M - k) * angle)
+                / np.expm1(-2.0 * M * angle),
+                (M - k) / M,
+            )
+            waving = np.sin((M - k) * angle) / np.sin(M * angle)
         profile = np.where(decay, decaying, waving)
         return (profile * (self.projector.T @ edge)) @ self.phi.T
 
@@ -319,16 +294,13 @@ def _lattice_exterior(g: TruncatedGuide, c: int) -> LatticeExterior:
     # reduce k j modulo the period before scaling, so the phase stays exact
     phase = np.outer(k[nodes], j) % (2 * n2)
     phi = wave(np.pi * phase / n2) * scale
-    # the same expression as discrete_threshold, so mu_m is the threshold bit for bit
-    s = np.sin(j * math.pi * h2 / (2.0 * d))
     return LatticeExterior(
         phi=phi,
         projector=w2[:, None] * phi,
-        mu=4.0 / (h2 * h2) * s * s,
+        mu=_lattice_eigenvalues(g, j),
         nodes=nodes,
         columns=g.n_long - c,
         h1=g.step_long,
-        natural_end=g.ends == NEUMANN_ENDS,
     )
 
 
@@ -337,9 +309,9 @@ class FdOperator:
     """Box part ``A u = E M u`` of the guide on its active nodes, and the exterior.
 
     ``matrix`` and ``mass`` cover columns ``0 .. columns - 1`` of the guide;
-    when ``exterior`` is set, the last of them is the box's natural edge
-    column, whose active nodes are the last ``rows`` unknowns, and the
-    uniform guide beyond it is ``exterior``.
+    the last of them is the box's natural edge column, whose active nodes
+    are the last ``rows`` unknowns, and the uniform guide beyond it is
+    ``exterior``.
     """
 
     guide: TruncatedGuide
@@ -348,7 +320,7 @@ class FdOperator:
     mask: np.ndarray = field(repr=False)
     columns: int
     rows: int
-    exterior: LatticeExterior | None = None
+    exterior: LatticeExterior
 
     @property
     def size(self) -> int:
@@ -359,8 +331,9 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     """Assemble the energy-form discretization of ``-Delta + q`` on the feature box.
 
     The box runs from the symmetry plane to column ``edge``, ``BOX_PADDING``
-    columns past the last column the feature or the potential touches (or
-    to the guide's end, if that comes first).  The quadratic form
+    columns past the last column the feature or the potential touches; a
+    guide too short to leave a column past ``edge`` raises ``ValueError``.
+    The quadratic form
     ``sum (du)^2 * w / h`` over grid edges plus the trapezoid-weighted
     potential gives a symmetric matrix pencil whose interior rows are the
     standard 5-point stencil and whose Neumann boundary rows, the symmetry
@@ -378,7 +351,13 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
         hit = np.nonzero(np.any(q != 0, axis=1))[0]
         if hit.size:
             last = max(last, int(hit[-1]))
-    edge = min(last + BOX_PADDING, n1)
+    edge = last + BOX_PADDING
+    if edge >= n1:
+        raise ValueError(
+            f"the perturbation reaches column {last} of a guide with {n1} "
+            f"columns; it must end more than {BOX_PADDING} columns before "
+            f"x1 = L = {g.half_length} (lengthen the guide)"
+        )
 
     mask = np.ones((edge + 1, n2 + 1), dtype=bool)
     feature_cols = np.arange(edge + 1) <= g.feature_nodes
@@ -390,8 +369,6 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     else:
         if g.patch_half_width is not None:
             mask[feature_cols, 0] = False
-    if edge == n1 and g.ends == DIRICHLET_ENDS:
-        mask[-1, :] = False
 
     w1 = np.full(edge + 1, h1)
     w1[0] = w1[-1] = h1 / 2.0
@@ -448,7 +425,7 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
         mask=mask,
         columns=int(np.count_nonzero(col_counts)),
         rows=int(col_counts[col_counts > 0].min()),
-        exterior=_lattice_exterior(g, edge) if edge < n1 else None,
+        exterior=_lattice_exterior(g, edge),
     )
 
 
@@ -477,7 +454,7 @@ class OracleSolution:
     factorizations: int
     inner_solves: int
     box_field: np.ndarray = field(repr=False)
-    exterior: LatticeExterior | None = field(default=None, repr=False)
+    exterior: LatticeExterior = field(repr=False)
 
     @cached_property
     def field(self) -> np.ndarray:
@@ -487,8 +464,7 @@ class OracleSolution:
         c = self.box_field.shape[0] - 1
         u[: c + 1] = self.box_field
         ext = self.exterior
-        if ext is not None:
-            u[c + 1 :, ext.nodes] = ext.extend(self.value, u[c, ext.nodes])
+        u[c + 1 :, ext.nodes] = ext.extend(self.value, u[c, ext.nodes])
         return u
 
 
@@ -501,11 +477,7 @@ def discrete_threshold(g: TruncatedGuide, m: int | None = None) -> float:
     """
     if m is None:
         m = g.mode_index
-    h = g.step_trans
-    d = g.cross_section.width
-    m_eff = m if g.cross_section.bc == BC_DIRICHLET else m - 1
-    s = math.sin(m_eff * math.pi * h / (2.0 * d))
-    return 4.0 / (h * h) * s * s
+    return float(_lattice_eigenvalues(g, m if g.cross_section.bc == BC_DIRICHLET else m - 1))
 
 
 def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
@@ -548,9 +520,8 @@ def lowest_eigenpairs(
     """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0`` on the box.
 
     ``T(E) = A - E M + projector diag(sigma(E)) projector^T`` is the exact
-    Schur complement of the exterior (see :class:`LatticeExterior`); a
-    guide with no exterior has ``T(E) = A - E M``.  ``E_1`` is kept in a
-    bracket ``[s, p]``:
+    Schur complement of the exterior (see :class:`LatticeExterior`).
+    ``E_1`` is kept in a bracket ``[s, p]``:
 
     - below the exterior's cap, a banded Cholesky of ``T(s)`` succeeds
       exactly when ``s < E_1``, so each shift that factors is a lower bound;
@@ -578,17 +549,9 @@ def lowest_eigenpairs(
     threshold = discrete_threshold(g)
     n = op.size
     band = _lower_band(op)
-    if ext is None:
-        P = np.zeros((0, 0))
-        cap = math.inf
-
-        def coupling(E: float) -> tuple[np.ndarray, np.ndarray]:
-            return np.zeros(0), np.zeros(0)
-
-    else:
-        P = ext.projector
-        cap = ext.cap
-        coupling = ext.coupling
+    P = ext.projector
+    cap = ext.cap
+    coupling = ext.coupling
     tail = n - P.shape[0]
     low_i, low_j = np.tril_indices(P.shape[0])
     factorizations = inner_solves = 0
@@ -726,70 +689,44 @@ def lowest_eigenpairs(
 
 
 def extract_tail_coefficients(
-    sol: OracleSolution, basis: TransverseBasis, x1_window: tuple[float, float]
+    sol: OracleSolution, basis: TransverseBasis
 ) -> list[tuple[float, float]]:
-    """Mode amplitudes and decay rates of the ground state's tail.
+    """Mode amplitudes and decay rates of the ground state's tail, in closed form.
 
-    Projects the eigenvector onto each transverse mode at the ``x1`` slices
-    inside the window, fits ``log |coefficient|`` linearly, and returns one
-    ``(a_j, rate_j)`` per mode, normalized so the threshold-mode amplitude
-    is exactly one.  The window must sit beyond the perturbation (one unit
-    of clearance) and at least two units short of the truncation end.
-    Modes drowned below relative level 1e-10 report ``(0, nan)``; a genuine
-    tail that is not exponential (R^2 < 0.99) raises.
+    Past the box the eigenvector is, mode by mode, the exterior's exact
+    solution (see :class:`LatticeExterior`): with ``c`` the box's edge
+    column, ``p_j`` the projection of that column on lattice mode ``j`` and
+    ``cosh(theta_j) = 1 + h1^2 (mu_j^h - E_1) / 2``, its column ``i`` carries
+    ``A_j (exp(-theta_j i) - exp(-theta_j (2 n_long - i)))``, the decaying
+    tail and its image in the Dirichlet end, where
+    ``A_j = p_j exp(theta_j c) / (1 - exp(-2 M theta_j))``.  Returns one
+    ``(a_j, rate_j) = (A_j, theta_j / h1)`` for each of the ``basis``'s
+    modes, amplitudes normalized so the threshold mode's is exactly one.
+    Raises ``ValueError`` when nothing binds, or when a mode lies below
+    ``E_1`` and so has no decaying tail.
     """
     g = sol.guide
     if sol.binding <= 0:
         raise ValueError(
             f"no bound state: binding {sol.binding:.3e} <= 0; tails undefined"
         )
-    lo, hi = x1_window
-    if hi > g.half_length - 2.0 + 1e-9:
-        raise ValueError(f"window end {hi} must stay 2 below L = {g.half_length}")
-    clearance = g.perturbation_extent() + 1.0
-    if lo < clearance - 1e-9:
+    ext = sol.exterior
+    count = basis.count
+    if count > ext.mu.size:
+        raise ValueError(f"{count} modes requested; the lattice has {ext.mu.size}")
+    theta, _, decay = ext._angles(sol.value)
+    theta = theta[:count]
+    if not np.all(decay[:count]):
         raise ValueError(
-            f"window start {lo} inside the perturbed zone; need >= {clearance}"
+            f"mode {int(np.argmin(decay)) + 1} lies below E_1 = {sol.value}; "
+            "it does not decay"
         )
-    cols = np.nonzero((g.x1 >= lo - 1e-12) & (g.x1 <= hi + 1e-12))[0]
-    if cols.size < 4:
-        raise ValueError(f"only {cols.size} slices in window [{lo}, {hi}]; need >= 4")
-    w2 = np.full(g.n_trans + 1, g.step_trans)
-    w2[0] = w2[-1] = g.step_trans / 2.0
-    phi = basis.phi_matrix(g.x2)
-    u = sol.field
-    coefs = (phi * w2[None, :]) @ u[cols].T
-    xs = g.x1[cols]
-
-    floor = 1e-10 * float(np.max(np.abs(coefs)))
-    out: list[tuple[float, float]] = []
-    for j in range(basis.count):
-        c = coefs[j]
-        # a mode must clear the eigenvector noise floor over the whole
-        # window; one that decays into the floor mid-window has no
-        # trustworthy rate either
-        if float(np.min(np.abs(c))) < floor:
-            out.append((0.0, float("nan")))
-            continue
-        y = np.log(np.abs(c))
-        slope, intercept = np.polyfit(xs, y, 1)
-        fitted = slope * xs + intercept
-        ss_res = float(np.sum((y - fitted) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0
-        if r2 < 0.99:
-            raise TailFitError(
-                f"mode {j + 1} tail is not exponential over [{lo}, {hi}]: "
-                f"R^2 = {r2:.4f}"
-            )
-        sign = 1.0 if c[0] > 0 else -1.0
-        out.append((sign * math.exp(float(intercept)), -float(slope)))
-
-    m = g.mode_index
-    am = out[m - 1][0]
-    if am == 0:
-        raise TailFitError("threshold-mode amplitude vanished; cannot normalize")
-    return [(a / am, rate) for a, rate in out]
+    c = g.n_long - ext.columns
+    p = ext.projector.T[:count] @ sol.box_field[c, ext.nodes]
+    a = p * np.exp(theta * c) / -np.expm1(-2.0 * ext.columns * theta)
+    a /= a[g.mode_index - 1]
+    rate = theta / ext.h1
+    return [(float(aj), float(rj)) for aj, rj in zip(a, rate)]
 
 
 def richardson(coarse: float, fine: float, ratio: float, order: int = 2) -> float:

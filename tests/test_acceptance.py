@@ -357,7 +357,7 @@ def test_bound_state_tail_mode_structure() -> None:
         potential=well,
     )
     sol = wg.lowest_eigenpairs(wg.build_fd_operator(guide))
-    tails = wg.extract_tail_coefficients(sol, basis, (2.0, 8.0))
+    tails = wg.extract_tail_coefficients(sol, basis)
     a1, rate1 = tails[0]
     a2, rate2 = tails[1]
 

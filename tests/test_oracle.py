@@ -10,10 +10,8 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
 from wgpoles import (
-    NEUMANN_ENDS,
     CrossSection,
     SolverError,
-    TailFitError,
     TruncatedGuide,
     aitken_limit,
     build_basis,
@@ -77,7 +75,7 @@ def test_matrix_is_exactly_symmetric() -> None:
         half_length=4.0,
         h=0.1,
         window_half_width=0.5,
-        potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2),
+        potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2) * (x1 <= 2.0),
     )
     A = build_fd_operator(g).matrix
     assert (A - A.T).nnz == 0
@@ -126,21 +124,6 @@ def test_deep_well_matches_transcendental_root() -> None:
     assert abs(sol.binding / WELL_K_05**2 - 1.0) < 2e-3
 
 
-def test_shallow_well_binds_from_above_with_neumann_ends() -> None:
-    # Dirichlet truncation at this L would drown the 2.3e-3 binding in
-    # confinement energy; Neumann ends approach it from above instead
-    g = TruncatedGuide(
-        cross_section=_CS,
-        half_length=10.0,
-        h=0.05,
-        ends=NEUMANN_ENDS,
-        potential=_well(0.05),
-    )
-    sol = lowest_eigenpairs(build_fd_operator(g))
-    assert sol.binding > WELL_K_005**2
-    assert sol.binding < 5.0 * WELL_K_005**2
-
-
 def test_solver_is_deterministic() -> None:
     g = TruncatedGuide(
         cross_section=_CS, half_length=4.0, h=0.1, potential=_well(0.5)
@@ -152,54 +135,61 @@ def test_solver_is_deterministic() -> None:
     assert np.array_equal(a.field, b.field)
 
 
+def _lattice_rate(g: TruncatedGuide, j: int, E: float) -> float:
+    # theta / h1 with cosh(theta) = 1 + h1^2 (mu_j^h - E) / 2; arccosh(1 + x)
+    # is written log1p(x + sqrt(x (x + 2))) so small x keeps its digits
+    h1 = g.step_long
+    x = 0.5 * h1 * h1 * (discrete_threshold(g, j) - E)
+    return math.log1p(x + math.sqrt(x * (x + 2.0))) / h1
+
+
+def _assert_tails_rebuild_exterior(sol, tails) -> None:
+    # past the box every mode is its decaying tail minus the image of that
+    # tail in the Dirichlet end at L; one overall scale, since a_m = 1
+    g = sol.guide
+    c = g.n_long - sol.exterior.columns
+    x = g.x1[c:, None]
+    a = np.array([t[0] for t in tails])
+    rate = np.array([t[1] for t in tails])
+    profile = a * (np.exp(-rate * x) - np.exp(-rate * (2.0 * g.x1[-1] - x)))
+    rebuilt = profile @ build_basis(g.cross_section, len(tails)).phi_matrix(g.x2)
+    u = sol.field[c:]
+    scale = float(np.sum(rebuilt * u) / np.sum(rebuilt * rebuilt))
+    assert np.max(np.abs(scale * rebuilt - u)) <= 1e-9 * np.max(np.abs(u))
+
+
 def test_tail_coefficients_of_tilted_well() -> None:
-    g = TruncatedGuide(
-        cross_section=_CS,
-        half_length=12.0,
-        h=0.05,
-        potential=lambda x1, x2: -0.5 * (1.0 + x2 / np.pi) * (np.abs(x1) <= 1.0),
-    )
+    cs, kw = FULL_GRID_CASES["tilted well"]
+    g = TruncatedGuide(cross_section=cs, **kw)
     sol = lowest_eigenpairs(build_fd_operator(g))
-    basis = build_basis(_CS, 8)
-    tails = extract_tail_coefficients(sol, basis, (2.5, 7.0))
+    tails = extract_tail_coefficients(sol, build_basis(cs, g.n_trans - 1))
+    assert len(tails) == g.n_trans - 1
     assert tails[0][0] == 1.0
     assert abs(tails[0][1] / math.sqrt(sol.binding) - 1.0) < 0.02
-    # the tilt couples the second mode in with a definite sign
+    # the tilt couples the second mode in with a definite sign; a log-linear
+    # fit of the projections over x1 in [2.5, 7] read -0.0675
     assert tails[1][0] < 0
+    assert abs(tails[1][0] / -0.0675 - 1.0) < 0.01
     rate2 = math.sqrt(discrete_threshold(g, 2) - sol.value)
     assert abs(tails[1][1] / rate2 - 1.0) < 0.02
-    # deep modes drown in eigenvector noise and report cleanly as absent
-    assert tails[5][0] == 0.0
-    assert math.isnan(tails[5][1])
+    for j, (_, rate) in enumerate(tails, start=1):
+        assert abs(rate / _lattice_rate(g, j, sol.value) - 1.0) < 1e-12
+    _assert_tails_rebuild_exterior(sol, tails)
 
 
-def test_tail_window_validation() -> None:
-    g = TruncatedGuide(
-        cross_section=_CS, half_length=8.0, h=0.1, potential=_well(0.5)
-    )
+# flat wells whose tail the Dirichlet end bends: a log-linear fit of the
+# first-mode projections over x1 in [2, 4], [2, 2.5] and [2, 6] passed
+# R^2 > 0.99 and read rates 0.347, 0.461 and 0.339
+@pytest.mark.parametrize("eps, L", [(0.2, 6.0), (0.3, 4.5), (0.3, 8.0)])
+def test_tail_rate_of_a_dirichlet_bent_well(eps, L) -> None:
+    g = TruncatedGuide(cross_section=_CS, half_length=L, h=0.05, potential=_well(eps))
     sol = lowest_eigenpairs(build_fd_operator(g))
-    basis = build_basis(_CS, 6)
-    with pytest.raises(ValueError):
-        extract_tail_coefficients(sol, basis, (2.5, 7.0))  # within 2 of the end
-    with pytest.raises(ValueError):
-        extract_tail_coefficients(sol, basis, (1.2, 5.0))  # inside perturbed zone
-    with pytest.raises(ValueError):
-        extract_tail_coefficients(sol, basis, (3.0, 3.2))  # too few slices
-
-
-def test_shallow_truncated_tail_is_rejected() -> None:
-    # at k L ~ 0.5 the end condition bends the tail; the fit must notice
-    g = TruncatedGuide(
-        cross_section=_CS,
-        half_length=10.0,
-        h=0.05,
-        ends=NEUMANN_ENDS,
-        potential=_well(0.05),
-    )
-    sol = lowest_eigenpairs(build_fd_operator(g))
-    basis = build_basis(_CS, 6)
-    with pytest.raises(TailFitError):
-        extract_tail_coefficients(sol, basis, (2.5, 8.0))
+    tails = extract_tail_coefficients(sol, build_basis(_CS, g.n_trans - 1))
+    rate = tails[0][1]
+    assert abs(rate / _lattice_rate(g, 1, sol.value) - 1.0) < 1e-12
+    # cosh(h1 k) = 1 + h1^2 b / 2: the rate is sqrt(b) up to O(h1^2 b)
+    assert abs(rate / math.sqrt(sol.binding) - 1.0) < 1e-4
+    _assert_tails_rebuild_exterior(sol, tails)
 
 
 def test_no_bound_state_has_no_tails() -> None:
@@ -207,7 +197,7 @@ def test_no_bound_state_has_no_tails() -> None:
     sol = lowest_eigenpairs(build_fd_operator(g))
     basis = build_basis(_CS, 6)
     with pytest.raises(ValueError):
-        extract_tail_coefficients(sol, basis, (1.5, 3.0))
+        extract_tail_coefficients(sol, basis)
 
 
 def test_window_carving_creates_binding() -> None:
@@ -250,7 +240,7 @@ def test_symmetric_half_reproduces_even_ground_state() -> None:
     assert abs(half.value - full) < 1e-10 * abs(full)
 
 
-def _full_grid_binding(bc, L, h, ends="dirichlet", window=None, patch=None, potential=None):
+def _full_grid_binding(bc, L, h, window=None, patch=None, potential=None):
     """Binding of the whole half guide, assembled and solved apart from ``wgpoles``.
 
     The energy form on the full node grid of ``[0, L] x [0, pi]`` is built
@@ -293,8 +283,7 @@ def _full_grid_binding(bc, L, h, ends="dirichlet", window=None, patch=None, pote
         if patch:
             active[carved, 0] = False
         mu1 = 0.0
-    if ends == "dirichlet":
-        active[-1, :] = False
+    active[-1, :] = False
     keep = np.flatnonzero(active.ravel())
     A = A.tocsr()[keep][:, keep].tocsc()
     M = sp.diags(mass.ravel()[keep])
@@ -308,43 +297,24 @@ def _tilted_well(x1, x2):
 
 _NCS = CrossSection(width=np.pi, bc="neumann")
 
-# (cross section, guide keywords, expect an exterior)
+# (cross section, guide keywords)
 FULL_GRID_CASES = {
-    "window": (_CS, dict(half_length=16.0, h=0.06, window_half_width=0.3), True),
-    "patch": (_NCS, dict(half_length=10.0, h=0.05, patch_half_width=0.4), True),
-    "tilted well": (_CS, dict(half_length=12.0, h=0.05, potential=_tilted_well), True),
-    "natural ends": (
-        _CS,
-        dict(half_length=10.0, h=0.05, ends=NEUMANN_ENDS, potential=_well(0.05)),
-        True,
-    ),
-    # the potential reaches the guide's end: the box is the whole guide
-    "no exterior": (
-        _CS,
-        dict(
-            half_length=4.0,
-            h=0.1,
-            window_half_width=0.5,
-            potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2),
-        ),
-        False,
-    ),
+    "window": (_CS, dict(half_length=16.0, h=0.06, window_half_width=0.3)),
+    "patch": (_NCS, dict(half_length=10.0, h=0.05, patch_half_width=0.4)),
+    "tilted well": (_CS, dict(half_length=12.0, h=0.05, potential=_tilted_well)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FULL_GRID_CASES))
 def test_box_solve_matches_full_grid(case) -> None:
-    cs, kw, exterior = FULL_GRID_CASES[case]
+    cs, kw = FULL_GRID_CASES[case]
     g = TruncatedGuide(cross_section=cs, **kw)
-    op = build_fd_operator(g)
-    assert (op.exterior is not None) == exterior
-    sol = lowest_eigenpairs(op)
+    sol = lowest_eigenpairs(build_fd_operator(g))
     assert sol.residual <= 1e-8
     want = _full_grid_binding(
         cs.bc,
         kw["half_length"],
         kw["h"],
-        ends="natural" if kw.get("ends") == NEUMANN_ENDS else "dirichlet",
         window=kw.get("window_half_width"),
         patch=kw.get("patch_half_width"),
         potential=kw.get("potential"),
@@ -352,9 +322,36 @@ def test_box_solve_matches_full_grid(case) -> None:
     assert abs(sol.binding / want - 1.0) < 1e-9
 
 
+def test_perturbation_at_the_guide_end_is_rejected() -> None:
+    # the potential reaches x1 = L: no uniform exterior is left to eliminate
+    g = TruncatedGuide(
+        cross_section=_CS,
+        half_length=4.0,
+        h=0.1,
+        window_half_width=0.5,
+        potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2),
+    )
+    with pytest.raises(ValueError, match="lengthen the guide"):
+        build_fd_operator(g)
+    # a window whose last carved column sits BOX_PADDING columns before the
+    # end is refused; one column more of guide gives a one-column exterior
+    h = 0.1
+    n_feat = 5
+    for cells, ok in ((n_feat + oracle.BOX_PADDING, False), (n_feat + oracle.BOX_PADDING + 1, True)):
+        g = TruncatedGuide(
+            cross_section=_CS, half_length=cells * h, h=h, window_half_width=(n_feat + 0.5) * h
+        )
+        assert g.feature_nodes == n_feat
+        if ok:
+            assert build_fd_operator(g).exterior.columns == 1
+        else:
+            with pytest.raises(ValueError):
+                build_fd_operator(g)
+
+
 @pytest.mark.parametrize("case", ["window", "patch", "tilted well"])
 def test_box_padding_does_not_move_the_binding(case, monkeypatch) -> None:
-    cs, kw, _ = FULL_GRID_CASES[case]
+    cs, kw = FULL_GRID_CASES[case]
     g = TruncatedGuide(cross_section=cs, **kw)
     bindings = []
     for padding in (2, 12):
@@ -368,7 +365,7 @@ def test_box_padding_does_not_move_the_binding(case, monkeypatch) -> None:
 def test_field_extends_the_box_in_closed_form() -> None:
     # the exterior columns rebuilt from the lattice modes satisfy the
     # 5-point equation of the whole guide at E_1, the box's edge column too
-    cs, kw, _ = FULL_GRID_CASES["tilted well"]
+    cs, kw = FULL_GRID_CASES["tilted well"]
     g = TruncatedGuide(cross_section=cs, **kw)
     op = build_fd_operator(g)
     sol = lowest_eigenpairs(op)
@@ -393,8 +390,6 @@ def test_guide_validation() -> None:
     with pytest.raises(ValueError):
         TruncatedGuide(cross_section=_CS, half_length=-1.0, h=0.1)
     with pytest.raises(ValueError):
-        TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, ends="open")
-    with pytest.raises(ValueError):
         TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, mode_index=0)
     with pytest.raises(ValueError):
         TruncatedGuide(
@@ -416,8 +411,9 @@ def test_guide_validation() -> None:
 def test_eigensolver_contract_errors() -> None:
     # a well this deep binds by more than one: E_1 lies below the last shift
     # of the plan, threshold - 1, so its factorization fails and raises
-    g = TruncatedGuide(cross_section=_CS, half_length=2.0, h=0.5, potential=_well(5.0))
+    g = TruncatedGuide(cross_section=_CS, half_length=6.0, h=0.5, potential=_well(5.0))
     op = build_fd_operator(g)
+    assert op.exterior.cap > discrete_threshold(g) - 1.0
     with pytest.raises(SolverError) as info:
         lowest_eigenpairs(op)
     assert info.value.residuals is None
