@@ -144,7 +144,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for i, eps in enumerate(cfg.epsilons):
         L = cfg.lengths_for(i)[-1]
         solved: list[dict] = []
-        b = truncated_binding(cfg, eps, L, oracle_steps(cfg, eps)[0], solves=solved)
+        try:
+            b = truncated_binding(cfg, eps, L, oracle_steps(cfg, eps)[0], solves=solved)
+        except ValueError as exc:  # the config describes an invalid guide
+            raise ConfigError(f"epsilon {eps:g}, L {L:g}: {exc}") from exc
         s = solved[0]
         width = s["feature_half_width"]
         width = "-" if width is None else f"{width:.6g}"

@@ -483,14 +483,19 @@ def discrete_threshold(g: TruncatedGuide, m: int | None = None) -> float:
 def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
     """Shifts to try, nearest the threshold first, ending at ``threshold - 1``.
 
-    A hint ``b`` gives distances ``2|b|, 16|b|, 128|b|, ...`` below the
-    threshold while they stay under one; a zero or missing hint gives only
-    the default.
+    A positive hint ``b`` estimates the eigenvalue at ``threshold - b`` and
+    gives shifts ``b, 15b, 127b, ...`` below that estimate, i.e. ``2b, 16b,
+    128b, ...`` below the threshold, while they stay under one.  A negative
+    hint puts the estimate above the threshold, where the eigenvalue sits
+    just under the exterior's cap and the bracket closes in the fewest
+    factorizations from the default shift: on patch guides a first shift
+    anywhere from the threshold to ``8|b|`` below it cost as many or more.
+    So a negative, zero or missing hint gives only the default.
     """
     distances = []
-    if binding_hint is not None:
-        d = 2.0 * abs(binding_hint)
-        while 0.0 < d < 1.0:
+    if binding_hint is not None and binding_hint > 0:
+        d = 2.0 * binding_hint
+        while d < 1.0:
             distances.append(d)
             d *= 8.0
     distances.append(1.0)
@@ -531,10 +536,13 @@ def lowest_eigenpairs(
       ``v^T T(E) v = 0`` with that eigenvector ``v`` fall monotonically to
       its root ``p``, the Rayleigh functional, a tighter upper bound.
 
-    The first shift comes from the plan: with a ``binding_hint`` (an
-    estimate of ``mu_m^h - E_1``, of either sign) ``2|hint|`` below the
-    threshold, each failed factorization moving eight times farther, down to
-    ``threshold - 1``, whose failure raises :class:`SolverError`.  Each next
+    The first shift comes from the plan (see :func:`_shift_plan`): with a
+    positive ``binding_hint`` (an estimate of ``mu_m^h - E_1``) ``2 hint``
+    below the threshold, each failed factorization moving eight times
+    farther, down to ``threshold - 1``, whose failure raises
+    :class:`SolverError`.  Only
+    shifts below the exterior's cap are tried; a plan with none raises
+    :class:`SolverError` without a factorization.  Each next
     shift sits ``SHIFT_GAP`` of the bracket (at least half of
     ``BRACKET_TOL``) below ``p``; a shift that does not factor becomes the
     new upper bound, and the gap widens sixteenfold, up to half the bracket.  The solve stops when ``p - s <=
@@ -613,6 +621,13 @@ def lowest_eigenpairs(
         return E
 
     shifts = [s for s in _shift_plan(threshold, binding_hint) if s < cap]
+    if not shifts:
+        raise SolverError(
+            f"no shift of the plan (threshold {threshold:.6g} down to "
+            f"{threshold - 1.0:.6g}) lies below the exterior's cap {cap:.6g}, "
+            f"the lowest eigenvalue of the guide beyond the box; "
+            f"no factorization was tried"
+        )
     upper = cap
     for s in shifts:
         got = factor(s)

@@ -369,6 +369,16 @@ def test_cli_exit_codes(tmp_path) -> None:
     assert main(["sweep", "--config", str(bad)]) == 2
 
 
+def test_cli_oracle_rejects_an_invalid_guide_as_a_config_error(tmp_path, capsys) -> None:
+    # the last coupling's window half-width 0.35 equals its guide length
+    raw = _window_dict(oracle={"h": [0.05], "L": [[10.0], [10.0], [10.0], [0.35]]})
+    path = tmp_path / "win.json"
+    path.write_text(json.dumps(raw))
+    assert main(["oracle", "--config", str(path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: epsilon 0.35")
+
+
 def test_cli_sweep_check_flags_tolerance_failure(tmp_path) -> None:
     cfg = _regular_dict(tolerances={"rel_err": {"max": 1e-9}})
     path = tmp_path / "cfg.json"

@@ -92,8 +92,8 @@ def test_separable_eigenvalue_identity() -> None:
     h1 = g.step_long
     nu1 = 4.0 / h1**2 * math.sin(math.pi * h1 / (4.0 * L)) ** 2
     expected = nu1 + discrete_threshold(g, 1)
-    # a negative hint (no bound state) still shifts 2|hint| below the
-    # threshold, here 3 nu1 below E_1, and must change nothing
+    # a negative hint (no bound state) gives the default plan and must
+    # change nothing
     for hint in (None, -0.5 * nu1):
         sol = lowest_eigenpairs(op, binding_hint=hint)
         assert abs(sol.value - expected) < 1e-12 * expected
@@ -419,6 +419,20 @@ def test_eigensolver_contract_errors() -> None:
     assert info.value.residuals is None
 
 
+def test_plan_above_the_exterior_cap_raises_before_factoring(monkeypatch) -> None:
+    # the second threshold lies far above the first: every shift of the plan,
+    # down to threshold - 1, is above the exterior's cap next to mu_1
+    g = TruncatedGuide(
+        cross_section=_CS, half_length=20.0, h=0.05, window_half_width=0.3, mode_index=2
+    )
+    op = build_fd_operator(g)
+    assert op.exterior.cap < discrete_threshold(g) - 1.0
+    monkeypatch.setattr(oracle, "MAX_FACTORIZATIONS", 0)
+    with pytest.raises(SolverError, match="below the exterior's cap") as info:
+        lowest_eigenpairs(op)
+    assert info.value.residuals is None
+
+
 def test_factorization_cap_reports_no_residuals(monkeypatch) -> None:
     # the window solve below needs 9 factorizations; a cap of 2 stops the
     # bracket before it closes, which is a solver failure with no residual
@@ -481,6 +495,24 @@ def test_binding_hint_cuts_factorizations(window_solves) -> None:
     _, ref, _, sol = window_solves
     assert 2 * sol.factorizations <= ref.factorizations
     assert sol.factorizations <= HINTED_FACTORIZATIONS_MAX
+
+
+@pytest.mark.parametrize("short, long", [(10.0, 20.0), (20.0, 40.0)])
+def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
+    # nothing binds under a patch; the shorter guide's binding, the hint a
+    # sweep row passes along its length ladder, is about four times the
+    # longer one's and must not cost the longer solve factorizations
+    def operator(L: float):
+        g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, patch_half_width=0.4)
+        return build_fd_operator(g)
+
+    hint = lowest_eigenpairs(operator(short)).binding
+    assert hint < 0
+    op = operator(long)
+    ref = lowest_eigenpairs(op)
+    sol = lowest_eigenpairs(op, binding_hint=hint)
+    assert sol.factorizations <= ref.factorizations
+    assert abs(sol.value / ref.value - 1.0) < 1e-11
 
 
 def test_band_memory_guard(monkeypatch) -> None:
