@@ -300,13 +300,16 @@ def truncated_binding(
 ) -> float:
     """Binding from one eigensolve of the even half-guide; no extrapolation.
 
-    The guide has Dirichlet ends.  ``hint`` is an estimate of the binding
-    that places the eigensolver's first shift (see :func:`lowest_eigenpairs`);
-    it changes the work, not the result.  When ``solves`` is a list, one
-    record of the grid actually solved and the solver's work is appended to
-    it: ``L``, the steps ``h_long`` and ``h_trans`` after snapping, the
-    effective ``feature_half_width`` (``None`` for a potential), and the
-    ``box_columns``, ``unknowns`` and ``factorizations`` of the solve.
+    The guide ends in a Dirichlet column at ``L``; a guide the config makes
+    invalid (a feature as wide as the guide, or a perturbation within
+    ``BOX_PADDING`` columns of its end) raises ``ValueError``.  ``hint`` is
+    an estimate of the binding that places the eigensolver's first shift
+    (see :func:`lowest_eigenpairs`); it changes the work, not the result.
+    When ``solves`` is a list, one record of the grid actually solved and
+    the solver's work is appended to it: ``L``, the steps ``h_long`` and
+    ``h_trans`` after snapping, the effective ``feature_half_width``
+    (``None`` for a potential), and the ``box_columns``, ``unknowns`` and
+    ``factorizations`` of the solve.
     """
     half_width = eps * float(cfg.perturbation["half_width"])
     g = TruncatedGuide(

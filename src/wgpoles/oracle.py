@@ -30,8 +30,10 @@ exterior's own lowest eigenvalue, the cap where ``T`` has its first pole),
 and from above by the smallest eigenvalue of the linearized pencil, found
 by inverse iteration, tightened to the Rayleigh functional of its
 eigenvector.  A binding estimate places the first shift next to the
-eigenvalue; the
-eigenpair does not depend on it, only the number of factorizations does.
+eigenvalue; the eigenpair does not depend on it, only the number of
+factorizations does.  The same exterior gives the bound state's tails in
+closed form: past the box each lattice mode decays at the exact lattice
+rate of its threshold, with an amplitude read from the box's edge column.
 Everything is deterministic: fixed all-ones start vector, direct banded
 factorizations.
 """
@@ -333,13 +335,13 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     The box runs from the symmetry plane to column ``edge``, ``BOX_PADDING``
     columns past the last column the feature or the potential touches; a
     guide too short to leave a column past ``edge`` raises ``ValueError``.
-    The quadratic form
-    ``sum (du)^2 * w / h`` over grid edges plus the trapezoid-weighted
-    potential gives a symmetric matrix pencil whose interior rows are the
-    standard 5-point stencil and whose Neumann boundary rows, the symmetry
-    plane and the box's edge column among them, carry the ghost-point form
-    automatically; Dirichlet nodes are eliminated.  The guide beyond ``edge``
-    becomes the operator's :class:`LatticeExterior`.
+    The quadratic form ``sum (du)^2 * w / h`` over grid edges plus the
+    trapezoid-weighted potential gives a symmetric matrix pencil whose
+    interior rows are the standard 5-point stencil and whose Neumann
+    boundary rows, the symmetry plane and the box's edge column among them,
+    carry the ghost-point form automatically; Dirichlet nodes are
+    eliminated.  The guide beyond ``edge`` becomes the operator's
+    :class:`LatticeExterior`.
     """
     n1, n2 = g.n_long, g.n_trans
     h1, h2 = g.step_long, g.step_trans
@@ -483,14 +485,12 @@ def discrete_threshold(g: TruncatedGuide, m: int | None = None) -> float:
 def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
     """Shifts to try, nearest the threshold first, ending at ``threshold - 1``.
 
-    A positive hint ``b`` estimates the eigenvalue at ``threshold - b`` and
-    gives shifts ``b, 15b, 127b, ...`` below that estimate, i.e. ``2b, 16b,
-    128b, ...`` below the threshold, while they stay under one.  A negative
-    hint puts the estimate above the threshold, where the eigenvalue sits
-    just under the exterior's cap and the bracket closes in the fewest
-    factorizations from the default shift: on patch guides a first shift
-    anywhere from the threshold to ``8|b|`` below it cost as many or more.
-    So a negative, zero or missing hint gives only the default.
+    A positive hint ``b`` gives distances ``2b, 16b, 128b, ...`` below the
+    threshold while they stay under one.  A negative hint (nothing binds)
+    gives only the default, as a zero or missing one does: the eigenvalue
+    then sits above the threshold, just under the exterior's cap, and on
+    patch guides no first shift from the threshold down to ``8|b|`` below
+    it closed the bracket in fewer factorizations than the default.
     """
     distances = []
     if binding_hint is not None and binding_hint > 0:
@@ -540,9 +540,9 @@ def lowest_eigenpairs(
     positive ``binding_hint`` (an estimate of ``mu_m^h - E_1``) ``2 hint``
     below the threshold, each failed factorization moving eight times
     farther, down to ``threshold - 1``, whose failure raises
-    :class:`SolverError`.  Only
-    shifts below the exterior's cap are tried; a plan with none raises
-    :class:`SolverError` without a factorization.  Each next
+    :class:`SolverError`.  Only shifts below the exterior's cap are tried;
+    a plan with none raises :class:`SolverError` without a factorization.
+    Each next
     shift sits ``SHIFT_GAP`` of the bracket (at least half of
     ``BRACKET_TOL``) below ``p``; a shift that does not factor becomes the
     new upper bound, and the gap widens sixteenfold, up to half the bracket.  The solve stops when ``p - s <=

@@ -164,6 +164,8 @@ def test_tail_coefficients_of_tilted_well() -> None:
     sol = lowest_eigenpairs(build_fd_operator(g))
     tails = extract_tail_coefficients(sol, build_basis(cs, g.n_trans - 1))
     assert len(tails) == g.n_trans - 1
+    with pytest.raises(ValueError):
+        extract_tail_coefficients(sol, build_basis(cs, g.n_trans))  # more modes than the lattice
     assert tails[0][0] == 1.0
     assert abs(tails[0][1] / math.sqrt(sol.binding) - 1.0) < 0.02
     # the tilt couples the second mode in with a definite sign; a log-linear
@@ -198,6 +200,15 @@ def test_no_bound_state_has_no_tails() -> None:
     basis = build_basis(_CS, 6)
     with pytest.raises(ValueError):
         extract_tail_coefficients(sol, basis)
+    # on a strip of width 2 pi the second threshold is 3/4 above the first:
+    # the guide's lowest state sits below mu_2 but above mu_1, so mode 1
+    # carries no decaying tail
+    wide = CrossSection(width=2.0 * np.pi, bc="dirichlet")
+    g = TruncatedGuide(cross_section=wide, half_length=5.0, h=0.1, mode_index=2)
+    sol = lowest_eigenpairs(build_fd_operator(g))
+    assert sol.binding > 0 and sol.value > discrete_threshold(g, 1)
+    with pytest.raises(ValueError, match="mode 1 "):
+        extract_tail_coefficients(sol, build_basis(wide, 6))
 
 
 def test_window_carving_creates_binding() -> None:
