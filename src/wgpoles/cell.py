@@ -20,10 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Radii within this multiple of a of the segment endpoints have square-root
-# behavior; residual checks must stay outside.
-ENDPOINT_EXCLUSION = 0.05
-
 _FIT_SAMPLES = 48
 
 

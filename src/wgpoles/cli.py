@@ -21,6 +21,7 @@ from .cell import explicit_window_solution_2d, fit_farfield_coefficient
 from .harness import (
     REGULAR_POTENTIAL,
     ConfigError,
+    basis_size,
     oracle_steps,
     parse_config,
     predict_row,
@@ -47,45 +48,21 @@ class _CheckFailed(RuntimeError):
 def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
     p.add_argument("--config", type=str, required=config_required,
                    help="Path to the experiment JSON config.")
-    p.add_argument("--out", type=str, default=None,
-                   help="Directory for artifacts (overrides the config).")
-    p.add_argument("--modes", type=int, default=None,
-                   help="Transverse modes kept in the resolvent sum.")
-    p.add_argument("--grid", type=int, nargs=2, metavar=("NX", "NY"), default=None,
-                   help="Secular quadrature grid override.")
-    p.add_argument("--tol", type=float, default=None,
-                   help="Tolerance override where the subcommand uses one.")
-    p.add_argument("--threads", type=int, default=1,
-                   help="Worker threads for sweep rows (default 1).")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="Log solver progress.")
 
 
-def _load(args: argparse.Namespace):
-    cfg = parse_config(args.config)
-    raw = dict(cfg.raw)
-    pert = dict(raw.get("perturbation", {}))
-    if args.modes is not None:
-        pert["modes"] = args.modes
-    if args.grid is not None:
-        pert["n_long"], pert["n_trans"] = args.grid
-    raw["perturbation"] = pert
-    if getattr(args, "check", False) and args.tol is not None:
-        tols = dict(raw.get("tolerances", {}))
-        rel = dict(tols.get("rel_err", {}))
-        rel["max"] = args.tol
-        tols["rel_err"] = rel
-        raw["tolerances"] = tols
-    return parse_config(raw)
+def _add_threads(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--threads", type=int, default=1,
+                   help="Worker threads for sweep rows (default 1).")
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    count = args.modes or cfg.m + 8
-    basis = build_basis(cfg.cross_section, count)
+    cfg = parse_config(args.config)
+    basis = build_basis(cfg.cross_section, basis_size(cfg))
     print(f"cross section: width {cfg.cross_section.width:g}, {cfg.cross_section.bc}")
     print(f"{'j':>4} {'mu_j':>18} {'wall value':>14} {'wall slope':>14}")
-    for j in range(count):
+    for j in range(basis.count):
         print(
             f"{j + 1:>4} {basis.mu[j]:>18.12f} "
             f"{basis.wall_value[j]:>14.8f} {basis.wall_slope[j]:>14.8f}"
@@ -94,10 +71,10 @@ def _cmd_basis(args: argparse.Namespace) -> int:
 
 
 def _cmd_pole(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     if cfg.scenario != REGULAR_POTENTIAL:
         raise ConfigError(f"pole subcommand needs a {REGULAR_POTENTIAL} config")
-    basis = build_basis(cfg.cross_section, max(cfg.m + 8, args.modes or 0))
+    basis = build_basis(cfg.cross_section, basis_size(cfg))
     kernel, V = regular_inputs(cfg, basis)
     print(f"{'epsilon':>10} {'Re k':>16} {'Im k':>12} {'lambda':>16} "
           f"{'class':>14} {'iters':>6}")
@@ -111,8 +88,8 @@ def _cmd_pole(args: argparse.Namespace) -> int:
 
 
 def _cmd_asym(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    basis = build_basis(cfg.cross_section, max(cfg.m + 8, args.modes or 0))
+    cfg = parse_config(args.config)
+    basis = build_basis(cfg.cross_section, basis_size(cfg))
     print(f"{'epsilon':>10} {'k lead':>16} {'Im k lead':>14} {'lambda pred':>16} "
           f"{'class':>14}")
     for eps in cfg.epsilons:
@@ -125,20 +102,19 @@ def _cmd_asym(args: argparse.Namespace) -> int:
 
 
 def _cmd_cell(args: argparse.Namespace) -> int:
-    cfg = _load(args) if args.config else None
-    a = float(cfg.perturbation.get("half_width", 1.0)) if cfg else 1.0
+    a = parse_config(args.config).perturbation["half_width"] if args.config else 1.0
     sol = explicit_window_solution_2d(a)
     fitted = fit_farfield_coefficient(sol, 10.0 * a, 40.0 * a)
     dev = abs(fitted - sol.farfield_constant) / sol.farfield_constant
     print(f"window half-width     {a:g}")
     print(f"far-field constant    {sol.farfield_constant:.12g} (a^2/2)")
     print(f"fitted from far field {fitted:.12g}")
-    print(f"relative deviation    {dev:.3e}  (reference tol {args.tol or 1e-3:g})")
+    print(f"relative deviation    {dev:.3e}  (reference tol 1e-3)")
     return EXIT_OK
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    cfg = parse_config(args.config)
     print(f"{'epsilon':>10} {'L':>8} {'h_long':>10} {'h_trans':>10} "
           f"{'half-width':>10} {'binding':>18}")
     for i, eps in enumerate(cfg.epsilons):
@@ -157,10 +133,8 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _run_pipeline(args: argparse.Namespace, write: bool) -> int:
-    cfg = _load(args)
-    out = args.out if args.out is not None else cfg.raw.get("out_dir")
-    if write and out is None:
-        out = "out"
+    cfg = parse_config(args.config)
+    out = args.out if write else None
     rows, fits, report = run_experiment(cfg, out_dir=out, threads=args.threads)
     if rows and all(r.error is not None for r in rows):
         print("every sweep row failed; see the report for details", file=sys.stderr)
@@ -222,12 +196,16 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="Full sweep; writes sweep.csv and report.json.")
     _add_common(sp)
+    _add_threads(sp)
+    sp.add_argument("--out", type=str, default="out",
+                    help="Directory for sweep.csv and report.json (default out).")
     sp.add_argument("--check", action="store_true",
                     help="Exit 4 when a declared tolerance fails.")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("report", help="Full sweep; prints the JSON report.")
     _add_common(sp)
+    _add_threads(sp)
     sp.set_defaults(func=_cmd_report)
 
     return p

@@ -45,13 +45,7 @@ from .regular_pole import (
     regular_leading_asymptotic,
     solve_secular,
 )
-from .singular_asym import (
-    DIRICHLET_PATCH,
-    NEUMANN_WINDOW,
-    WindowSpec,
-    dirichlet_window_pole,
-    neumann_patch_pole,
-)
+from .singular_asym import dirichlet_window_pole, neumann_patch_pole
 from .transverse import CrossSection, TransverseBasis, build_basis
 
 logger = logging.getLogger(__name__)
@@ -61,8 +55,25 @@ DIRICHLET_WINDOW = "DirichletWindow"
 NEUMANN_PATCH = "NeumannPatch"
 SCENARIOS = (REGULAR_POTENTIAL, DIRICHLET_WINDOW, NEUMANN_PATCH)
 
-# the only keys of the ``oracle`` block; anything else is a config error
+# the keys each config block takes; anything else is a config error
+CONFIG_KEYS = (
+    "scenario", "cross_section", "m", "epsilons", "perturbation", "oracle", "tolerances",
+)
+CROSS_SECTION_KEYS = ("width", "bc")
 ORACLE_KEYS = ("h", "L", "order")
+# a wall feature takes only its half-width; the potential also its secular grid
+FEATURE_KEYS = ("half_width",)
+POTENTIAL_KEYS = ("half_width", "n_long", "n_trans", "modes")
+
+# tolerance gates: required and optional fields; ``gap_slope_min`` is a number
+GATES = {
+    "rel_err": (("max",), ("epsilon",)),
+    "slope": (("min", "max"), ()),
+    "prefactor": (("exponent", "predicted"), ("rel_tol",)),
+    "classification": (("expect",), ()),
+    "truncation_bound": (("factor",), ()),
+    "first_order": (("margin_eps2",), ()),
+}
 
 CSV_HEADER = "epsilon,k_re,k_im,lambda_pred,lambda_pole,b_oracle,rel_err,classification"
 
@@ -99,20 +110,66 @@ class ExperimentConfig:
         return tuple(float(v) for v in L)
 
 
+def _check_keys(where: str, block, allowed) -> dict:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} keys {unknown}; allowed: {list(allowed)}")
+    return dict(block)
+
+
+def _number(where: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+
+
+def _tolerances(raw) -> dict:
+    """Validated gates with numeric fields as floats and defaults filled in."""
+    tol = _check_keys("tolerances", raw, (*GATES, "gap_slope_min"))
+    for name, spec in tol.items():
+        where = f"tolerances.{name}"
+        if name == "gap_slope_min":
+            tol[name] = _number(where, spec)
+            continue
+        required, optional = GATES[name]
+        spec = _check_keys(where, spec, required + optional)
+        missing = [k for k in required if k not in spec]
+        if missing:
+            raise ConfigError(f"{where} needs {list(required)}, missing {missing}")
+        tol[name] = {
+            k: str(v) if k == "expect" else _number(f"{where}.{k}", v)
+            for k, v in spec.items()
+        }
+    if "prefactor" in tol:
+        tol["prefactor"].setdefault("rel_tol", 0.15)
+        if tol["prefactor"]["predicted"] == 0:
+            raise ConfigError("tolerances.prefactor.predicted must be nonzero")
+    return tol
+
+
 def parse_config(source) -> ExperimentConfig:
     """Build a validated config from a dict, JSON text, or JSON file path.
 
     Schema::
 
         {scenario, cross_section: {width, bc}, m, epsilons: [],
-         perturbation: {...}, oracle: {h: [], L: []}, tolerances: {...}}
+         perturbation: {...}, oracle: {h: [], L: [], order}, tolerances: {...}}
 
     ``epsilons`` must be strictly descending positive with at least four
     entries.  ``oracle.L`` is either one list of lengths shared by every
     coupling or one list per coupling; ``oracle.h`` lists steps in
-    decreasing order, and the optional ``oracle.order`` (default 2) is the
-    order of the step error that Richardson eliminates.  Any other
-    ``oracle`` key is rejected.
+    decreasing order, and ``oracle.order`` (default 2) is the order of the
+    step error that Richardson eliminates.  ``perturbation`` holds the
+    feature's ``half_width`` (required for a window or patch); the
+    regular scenario's defaults are ``half_width`` 1, the secular grid
+    ``n_long`` 129 by ``n_trans`` 17 and ``modes`` ``m + 3`` resolvent
+    modes.  ``tolerances`` maps gate names of :data:`GATES` to their
+    fields, plus the number ``gap_slope_min``.  A key no block takes, or a
+    gate missing a required field, is rejected.  Defaults are filled in
+    here, in the parsed blocks; ``raw`` keeps the source as given.
     """
     if isinstance(source, dict):
         raw = source
@@ -129,6 +186,7 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    _check_keys("config", raw, CONFIG_KEYS)
 
     missing = {"scenario", "cross_section", "m", "epsilons", "oracle"} - raw.keys()
     if missing:
@@ -137,7 +195,7 @@ def parse_config(source) -> ExperimentConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
 
-    cs_raw = raw["cross_section"]
+    cs_raw = _check_keys("cross_section", raw["cross_section"], CROSS_SECTION_KEYS)
     try:
         cross_section = CrossSection(
             width=float(cs_raw["width"]), bc=str(cs_raw["bc"])
@@ -157,12 +215,7 @@ def parse_config(source) -> ExperimentConfig:
     if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError(f"epsilons must be strictly descending positive: {eps}")
 
-    oracle = dict(raw["oracle"])
-    unknown = sorted(set(oracle) - set(ORACLE_KEYS))
-    if unknown:
-        raise ConfigError(
-            f"unknown oracle keys {unknown}; allowed: {list(ORACLE_KEYS)}"
-        )
+    oracle = _check_keys("oracle", raw["oracle"], ORACLE_KEYS)
     hs = [float(h) for h in oracle.get("h", [])]
     if not hs or any(h <= 0 for h in hs):
         raise ConfigError(f"oracle.h must list positive steps, got {oracle.get('h')}")
@@ -182,23 +235,32 @@ def parse_config(source) -> ExperimentConfig:
                 raise ConfigError(f"bad length list {sub!r}")
     elif any(float(v) <= 0 for v in L):
         raise ConfigError(f"lengths must be positive, got {L}")
-    order = oracle.get("order", 2)
+    order = oracle.setdefault("order", 2)
     if not (float(order) > 0):
         raise ConfigError(f"oracle.order must be positive, got {order!r}")
 
-    perturbation = dict(raw.get("perturbation", {}))
     if scenario == REGULAR_POTENTIAL:
-        kind = perturbation.setdefault("kind", "box")
-        if kind != "box":
-            raise ConfigError(f"only the box potential is packaged, got kind {kind!r}")
-        perturbation.setdefault("amplitude", 1.0)
-        perturbation.setdefault("half_width", 1.0)
+        allowed = POTENTIAL_KEYS
+        defaults = {"half_width": 1.0, "n_long": 129, "n_trans": 17, "modes": m + 3}
     else:
-        a = perturbation.get("half_width")
-        if a is None or float(a) <= 0:
+        allowed, defaults = FEATURE_KEYS, {}
+    perturbation = {
+        **defaults,
+        **_check_keys("perturbation", raw.get("perturbation", {}), allowed),
+    }
+    for key in allowed:
+        value = perturbation.get(key)
+        try:
+            number = float(value)
+            valid = number > 0 and (key == "half_width" or number.is_integer())
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            kind = "number" if key == "half_width" else "integer"
             raise ConfigError(
-                f"{scenario} needs a positive perturbation.half_width, got {a!r}"
+                f"{scenario} needs a positive {kind} perturbation.{key}, got {value!r}"
             )
+        perturbation[key] = number if key == "half_width" else int(number)
     expected_bc = "neumann" if scenario == NEUMANN_PATCH else "dirichlet"
     if scenario != REGULAR_POTENTIAL and cross_section.bc != expected_bc:
         raise ConfigError(
@@ -212,9 +274,14 @@ def parse_config(source) -> ExperimentConfig:
         epsilons=tuple(eps),
         perturbation=perturbation,
         oracle=oracle,
-        tolerances=dict(raw.get("tolerances", {})),
+        tolerances=_tolerances(raw.get("tolerances", {})),
         raw=raw,
     )
+
+
+def basis_size(cfg: ExperimentConfig) -> int:
+    """Transverse modes to build: ``m + 8``, or the secular lane's ``modes`` if more."""
+    return max(cfg.m + 8, cfg.perturbation.get("modes", 0))
 
 
 @dataclass
@@ -276,7 +343,7 @@ def oracle_steps(cfg: ExperimentConfig, eps: float) -> list[float]:
     hs = list(cfg.oracle["h"])[-2:]
     if cfg.scenario == REGULAR_POTENTIAL:
         return hs
-    W = eps * float(cfg.perturbation["half_width"])
+    W = eps * cfg.perturbation["half_width"]
     return [W / (max(4, round(W / h - 0.5)) + 0.5) for h in hs]
 
 
@@ -311,7 +378,7 @@ def truncated_binding(
     (``None`` for a potential), and the ``box_columns``, ``unknowns`` and
     ``factorizations`` of the solve.
     """
-    half_width = eps * float(cfg.perturbation["half_width"])
+    half_width = eps * cfg.perturbation["half_width"]
     g = TruncatedGuide(
         cross_section=cfg.cross_section,
         half_length=L,
@@ -321,9 +388,7 @@ def truncated_binding(
         patch_half_width=half_width if cfg.scenario == NEUMANN_PATCH else None,
     )
     if cfg.scenario == REGULAR_POTENTIAL:
-        depth = eps * float(cfg.perturbation["amplitude"])
-        a = float(cfg.perturbation["half_width"])
-        g.potential = _box_sampler(depth, a, g.step_long)
+        g.potential = _box_sampler(eps, cfg.perturbation["half_width"], g.step_long)
     op = build_fd_operator(g)
     sol = lowest_eigenpairs(op, binding_hint=hint)
     if solves is not None:
@@ -367,7 +432,7 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     eps = cfg.epsilons[index]
     Ls = cfg.lengths_for(index)
     hs = oracle_steps(cfg, eps)
-    order = float(cfg.oracle.get("order", 2))
+    order = float(cfg.oracle["order"])
     by_L = []
     solves: list[dict] = []
     hint = None
@@ -394,15 +459,13 @@ def regular_inputs(
     p = cfg.perturbation
     region = BoxRegion(
         cross_section=cfg.cross_section,
-        half_length=float(p["half_width"]),
-        n_long=int(p.get("n_long", 129)),
-        n_trans=int(p.get("n_trans", 17)),
+        half_length=p["half_width"],
+        n_long=p["n_long"],
+        n_trans=p["n_trans"],
     )
-    count = int(p.get("modes", cfg.m + 3))
-    kernel = ModeSumKernel(basis=basis, m=cfg.m, region=region, count=count)
-    amp = float(p["amplitude"])
+    kernel = ModeSumKernel(basis=basis, m=cfg.m, region=region, count=p["modes"])
     V = PerturbationField.from_function(
-        region, lambda x1, x2: amp * np.ones_like(x1) * np.ones_like(x2)
+        region, lambda x1, x2: np.ones_like(x1) * np.ones_like(x2)
     )
     return kernel, V
 
@@ -420,16 +483,11 @@ def predict_row(cfg: ExperimentConfig, eps: float, basis: TransverseBasis) -> Sw
             lam_pred=lam,
             extras={"first_order_coefficient": lead},
         )
-    a = float(cfg.perturbation["half_width"])
     if cfg.scenario == DIRICHLET_WINDOW:
-        spec = WindowSpec(dimension=2, half_width=a, eps=eps, kind=NEUMANN_WINDOW)
-        c2 = explicit_window_solution_2d(a).farfield_constant
-        pole = dirichlet_window_pole(
-            spec, c2, basis.wall_slope[cfg.m - 1], cfg.m, basis=basis
-        )
+        c2 = explicit_window_solution_2d(cfg.perturbation["half_width"]).farfield_constant
+        pole = dirichlet_window_pole(eps, c2, basis, cfg.m)
     else:
-        spec = WindowSpec(dimension=2, half_width=a, eps=eps, kind=DIRICHLET_PATCH)
-        pole = neumann_patch_pole(spec, basis, cfg.m)
+        pole = neumann_patch_pole(eps, basis, cfg.m)
     return SweepRow(
         epsilon=eps,
         k_re=pole.k_lead,
@@ -467,8 +525,7 @@ def run_sweep(
     and assembled in config order.  A sub-solver failure marks its row with
     the error instead of aborting the sweep.
     """
-    basis_count = max(cfg.m + 8, int(cfg.perturbation.get("modes", 0)))
-    basis = build_basis(cfg.cross_section, basis_count)
+    basis = build_basis(cfg.cross_section, basis_size(cfg))
 
     def one(index: int) -> SweepRow:
         try:
@@ -546,7 +603,7 @@ def compute_fits(cfg: ExperimentConfig, rows: list[SweepRow]) -> dict:
 
     pf = cfg.tolerances.get("prefactor")
     if pf is not None and bind:
-        p = float(pf["exponent"])
+        p = pf["exponent"]
         vals = [b / e**p for e, b in bind if b > 0]
         if vals:
             fits["prefactor"] = {
@@ -554,7 +611,7 @@ def compute_fits(cfg: ExperimentConfig, rows: list[SweepRow]) -> dict:
                 "geometric_mean": math.exp(
                     sum(math.log(v) for v in vals) / len(vals)
                 ),
-                "predicted": float(pf.get("predicted", 0.0)),
+                "predicted": pf["predicted"],
             }
     return fits
 
@@ -585,9 +642,9 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
     spec = tol.get("rel_err")
     if spec is not None:
         target = spec.get("epsilon")
-        limit = float(spec["max"])
+        limit = spec["max"]
         for i, r in enumerate(rows):
-            if target is not None and r.epsilon != float(target):
+            if target is not None and r.epsilon != target:
                 continue
             if r.error is not None:
                 continue
@@ -607,7 +664,7 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
         if got is None:
             add("slope", False, "binding slope unavailable")
         else:
-            lo, hi = float(spec["min"]), float(spec["max"])
+            lo, hi = spec["min"], spec["max"]
             add("slope", lo <= got <= hi, f"slope {got:.4f} vs [{lo:g}, {hi:g}]")
 
     if "gap_slope_min" in tol:
@@ -615,7 +672,7 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
         if got is None:
             add("gap_slope", False, "gap slope unavailable")
         else:
-            lo = float(tol["gap_slope_min"])
+            lo = tol["gap_slope_min"]
             add("gap_slope", got >= lo, f"slope {got:.4f} vs minimum {lo:g}")
 
     spec = tol.get("prefactor")
@@ -625,7 +682,7 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
             add("prefactor", False, "prefactor fit unavailable")
         else:
             rel = abs(fit["geometric_mean"] - fit["predicted"]) / abs(fit["predicted"])
-            limit = float(spec.get("rel_tol", 0.15))
+            limit = spec["rel_tol"]
             add(
                 "prefactor",
                 rel <= limit,
@@ -635,7 +692,7 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
 
     spec = tol.get("classification")
     if spec is not None:
-        want = str(spec["expect"]) if isinstance(spec, dict) else str(spec)
+        want = spec["expect"]
         for i, r in enumerate(rows):
             if r.error is not None:
                 continue
@@ -648,7 +705,7 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
 
     spec = tol.get("truncation_bound")
     if spec is not None:
-        factor = float(spec["factor"]) if isinstance(spec, dict) else float(spec)
+        factor = spec["factor"]
         for i, r in enumerate(rows):
             if r.error is not None or "b_by_L" not in r.extras:
                 continue
@@ -663,7 +720,7 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
 
     spec = tol.get("first_order")
     if spec is not None:
-        margin = float(spec["margin_eps2"]) if isinstance(spec, dict) else float(spec)
+        margin = spec["margin_eps2"]
         for i, r in enumerate(rows):
             if r.error is not None or r.k_re is None:
                 continue

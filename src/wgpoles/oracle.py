@@ -539,14 +539,15 @@ def lowest_eigenpairs(
     The first shift comes from the plan (see :func:`_shift_plan`): with a
     positive ``binding_hint`` (an estimate of ``mu_m^h - E_1``) ``2 hint``
     below the threshold, each failed factorization moving eight times
-    farther, down to ``threshold - 1``, whose failure raises
-    :class:`SolverError`.  Only shifts below the exterior's cap are tried;
-    a plan with none raises :class:`SolverError` without a factorization.
-    Each next
-    shift sits ``SHIFT_GAP`` of the bracket (at least half of
-    ``BRACKET_TOL``) below ``p``; a shift that does not factor becomes the
-    new upper bound, and the gap widens sixteenfold, up to half the bracket.  The solve stops when ``p - s <=
-    BRACKET_TOL`` and reports ``E_1 = p``; more than ``MAX_FACTORIZATIONS``
+    farther, down to ``threshold - 1``.  If that fails too, one last shift
+    sits one below both zero and the potential's minimum, where ``T(s)`` is
+    positive definite by construction.  Only shifts of the plan below the
+    exterior's cap are tried; a plan with none raises :class:`SolverError`
+    without a factorization.  Each next shift sits ``SHIFT_GAP`` of the
+    bracket (at least half of ``BRACKET_TOL``) below ``p``; a shift that
+    does not factor becomes the new upper bound, and the gap widens
+    sixteenfold, up to half the bracket.  The solve stops when
+    ``p - s <= BRACKET_TOL`` and reports ``E_1 = p``; more than ``MAX_FACTORIZATIONS``
     factorizations raise :class:`SolverError`.  The eigenpair does not
     depend on the hint; only the number of factorizations does.  The pair
     is checked against the ``1e-8`` relative-residual contract.
@@ -635,10 +636,16 @@ def lowest_eigenpairs(
             break
         upper = min(upper, s)
     else:
-        raise SolverError(
-            f"factorization of T(E) failed at every shift down to "
-            f"{threshold - 1.0}; shift not below the spectrum or operator indefinite"
-        )
+        # a binding above one: below zero and the potential's minimum, T(s)
+        # is the stiffness plus a positive diagonal, so it factors
+        q = g.potential_samples()
+        s = min(0.0, 0.0 if q is None else float(q.min())) - 1.0
+        got = factor(s)
+        if got is None:
+            raise SolverError(
+                f"factorization of T(E) failed at every shift down to {s}; "
+                "operator indefinite"
+            )
     first_shift = s
     v = np.ones(n)
     while True:

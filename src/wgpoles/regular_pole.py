@@ -150,7 +150,6 @@ class PoleResult:
     classification: str
     residue: np.ndarray = field(repr=False)
     iterates: list = field(repr=False)
-    converged: bool
     eps: float
     m: int
 
@@ -205,7 +204,6 @@ def solve_secular(
             classification=POLE_AT_ZERO,
             residue=np.zeros((reg.n_long, reg.n_trans)),
             iterates=[complex(k0)],
-            converged=True,
             eps=eps,
             m=kernel.m,
         )
@@ -266,7 +264,6 @@ def solve_secular(
         classification=classify_pole(k, kernel.m, a1),
         residue=g,
         iterates=trace,
-        converged=True,
         eps=eps,
         m=kernel.m,
     )

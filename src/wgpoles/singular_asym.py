@@ -1,23 +1,22 @@
-"""Leading pole asymptotics for singular wall perturbations of a guide.
+"""Leading pole asymptotics for singular wall perturbations of a planar guide.
 
 Two geometries: a small Neumann window of scaled half-width ``eps * a`` in
 the Dirichlet wall of a quantum guide, and a small Dirichlet patch in the
 Neumann wall of an acoustic guide.  In both, matched expansions near the
 perturbation reduce the leading pole displacement from the threshold
-``mu_m`` to closed form in the wall trace of the threshold mode and one
-geometric constant of the rescaled perturbation (the window's far-field
-constant ``c_n``, or the patch capacity ``C_n``):
+``mu_m`` to closed form in the wall trace of the threshold mode and, for
+the window, the far-field constant ``c_2`` of the rescaled window:
 
-    window:  k = eps^n * c_n |S_n| Phi_m^2 / 4 + ...        (pole detaches,
+    window:  k = eps^2 c_2 (2 pi) Phi_m^2 / 4 + ...   (pole detaches,
              bound state for m = 1; for m >= 2 a lower-order negative
              imaginary part makes it a resonance),
-    patch:   k = pi phi_m(0)^2 / (2 ln eps) + ...  (n = 2)   or
-             k = -eps^{n-2} C_n |S_n| phi_m(0)^2 / 4  (n >= 3),
-             negative either way: no eigenvalue detaches.
+    patch:   k = pi phi_m(0)^2 / (2 ln eps) + ...    (negative: no
+             eigenvalue detaches).
 
-``|S_n|`` is the unit-sphere area.  Only leading terms are computed, and the
-near-field routines verify the expansion structure that the matching rests
-on, using the mode-sum Green function of the unperturbed guide.
+``2 pi`` is the length of the unit circle.  Only leading terms are
+computed, and the near-field routines verify the expansion structure that
+the matching rests on, using the mode-sum Green function of the
+unperturbed guide.
 """
 
 from __future__ import annotations
@@ -51,31 +50,9 @@ class ExpansionMismatchError(RuntimeError):
     """Near-field samples do not match the assumed expansion structure."""
 
 
-def sphere_area(n: int) -> float:
-    """Area of the unit sphere in R^n: 2 pi for n = 2, 4 pi for n = 3."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Scaled wall perturbation: shape half-width ``a``, scale ``eps``, kind."""
-
-    dimension: int
-    half_width: float
-    eps: float
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.dimension < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.dimension}")
-        if not (self.half_width > 0):
-            raise ValueError(f"half-width must be positive, got {self.half_width}")
-        if not (0 < self.eps < 1):
-            raise ValueError(f"scale must lie in (0, 1), got {self.eps}")
-        if self.kind not in _VALID_KINDS:
-            raise ValueError(f"kind must be one of {_VALID_KINDS}, got {self.kind!r}")
+def _check_scale(eps: float) -> None:
+    if not (0 < eps < 1):
+        raise ValueError(f"scale must lie in (0, 1), got {eps}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +62,7 @@ class AsymptoticPole:
     ``k_lead = tau * eps^order`` in the power case, ``-tau / ln(eps)`` in the
     logarithmic one; ``im_k_lead`` is the lower-order resonance width (zero
     when not applicable), ``a1_pred`` the predicted first-mode amplitude of
-    the resonance state, and ``classification`` the verdict the rules give
-    (``None`` when the real-axis data alone cannot classify).
+    the resonance state, and ``classification`` the verdict the rules give.
     """
 
     k_lead: float
@@ -96,7 +72,7 @@ class AsymptoticPole:
     tau: float
     order: float
     logarithmic: bool
-    classification: str | None
+    classification: str
 
     def __post_init__(self) -> None:
         if self.im_k_lead > 0:
@@ -104,136 +80,87 @@ class AsymptoticPole:
 
 
 def dirichlet_window_pole(
-    spec: WindowSpec,
-    c_n: float,
-    trace: float,
-    m: int,
-    basis: TransverseBasis | None = None,
+    eps: float, c_2: float, basis: TransverseBasis, m: int
 ) -> AsymptoticPole:
-    """Leading pole for a Neumann window in a Dirichlet guide wall.
+    """Leading pole for a Neumann window of scale ``eps`` in a Dirichlet guide wall.
 
-    ``trace`` is the wall trace ``Phi_m`` of the threshold mode (its normal
-    derivative at the window center); ``c_n`` the far-field constant of the
-    rescaled window.  ``k_lead = eps^n c_n |S_n| Phi_m^2 / 4 > 0``: the pole
-    detaches toward a bound state for ``m = 1``.  For ``m >= 2`` pass the
-    ``basis`` to resolve the resonance width and classification; without it
-    they are left open.
+    ``c_2`` is the far-field constant of the rescaled window and ``Phi_m``,
+    the threshold mode's normal derivative at the window center, is read
+    from ``basis.wall_slope``.  ``k_lead = eps^2 c_2 (2 pi) Phi_m^2 / 4 > 0``:
+    the pole detaches toward a bound state for ``m = 1``; for ``m >= 2`` the
+    width and first-mode amplitude of :func:`dirichlet_window_width` decide
+    the classification.
     """
-    if spec.kind != NEUMANN_WINDOW:
-        raise ValueError(f"expected a {NEUMANN_WINDOW} spec, got {spec.kind}")
-    if not (c_n > 0):
-        raise ValueError(f"far-field constant must be positive, got {c_n}")
-    if trace == 0:
-        raise ValueError(
-            "threshold mode has zero wall trace; the leading term is void"
-        )
-    n = spec.dimension
-    tau = 0.25 * c_n * sphere_area(n) * trace * trace
-    k_lead = spec.eps**n * tau
-    im_k = 0.0
-    a1 = 0.0 + 0.0j
-    classification: str | None
-    if m == 1:
-        classification = classify_pole(k_lead, 1)
-    elif basis is not None:
-        im_k, a1 = dirichlet_window_width(spec, c_n, basis, m)
-        classification = classify_pole(complex(k_lead, im_k), m, a1)
-    else:
-        classification = None
+    if not (c_2 > 0):
+        raise ValueError(f"far-field constant must be positive, got {c_2}")
+    im_k, a1 = dirichlet_window_width(eps, c_2, basis, m)
+    trace = basis.wall_slope[m - 1]
+    tau = 0.5 * math.pi * c_2 * trace * trace
+    k_lead = eps**2 * tau
     return AsymptoticPole(
         k_lead=k_lead,
         im_k_lead=im_k,
         lam_lead=-k_lead * k_lead,
         a1_pred=a1,
         tau=tau,
-        order=float(n),
+        order=2.0,
         logarithmic=False,
-        classification=classification,
+        classification=classify_pole(complex(k_lead, im_k), m, a1),
     )
 
 
 def dirichlet_window_width(
-    spec: WindowSpec, c_n: float, basis: TransverseBasis, m: int
+    eps: float, c_2: float, basis: TransverseBasis, m: int
 ) -> tuple[float, complex]:
     """Resonance width and first-mode amplitude for an ``m >= 2`` window pole.
 
     Below-threshold modes open radiation channels; their wall traces give
 
-        Im k = -eps^{2n} (c_n |S_n| Phi_m / 4)^2 sum_{j<m} Phi_j^2 / sqrt(mu_m - mu_j),
+        Im k = -eps^4 (c_2 (2 pi) Phi_m / 4)^2 sum_{j<m} Phi_j^2 / sqrt(mu_m - mu_j),
 
     one order beyond the real displacement.  Returns ``(0, 0)`` for ``m = 1``
     (no open channel, empty sum).  The amplitude prediction is
     ``a1 = k_lead Phi_1 / (K_1(k_lead) Phi_m)``.
     """
-    if spec.kind != NEUMANN_WINDOW:
-        raise ValueError(f"expected a {NEUMANN_WINDOW} spec, got {spec.kind}")
+    _check_scale(eps)
     if basis.cross_section.bc != BC_DIRICHLET:
-        raise ValueError("window width formula applies to Dirichlet guides")
+        raise ValueError("window formula applies to Dirichlet guides")
     if m == 1:
         return 0.0, 0.0 + 0.0j
     traces = basis.wall_slope
-    if traces[m - 1] == 0:
-        raise ValueError("threshold mode has zero wall trace; formula void")
-    n = spec.dimension
-    area = sphere_area(n)
-    factor = 0.25 * c_n * area * traces[m - 1]
+    factor = 0.5 * math.pi * c_2 * traces[m - 1]
     mu = basis.mu
     channels = sum(
         traces[j] ** 2 / math.sqrt(mu[m - 1] - mu[j]) for j in range(m - 1)
     )
-    im_k = -spec.eps ** (2 * n) * factor * factor * channels
-    k_lead = spec.eps**n * factor * traces[m - 1]
+    im_k = -(eps**4) * factor * factor * channels
+    k_lead = eps**2 * factor * traces[m - 1]
     K1 = longitudinal_exponents(basis, m, k_lead, m)[0]
     a1 = k_lead * traces[0] / (K1 * traces[m - 1])
     return float(im_k), complex(a1)
 
 
-def neumann_patch_pole(
-    spec: WindowSpec,
-    basis: TransverseBasis,
-    m: int,
-    capacity: float | None = None,
-) -> AsymptoticPole:
-    """Leading pole for a Dirichlet patch in a Neumann guide wall.
+def neumann_patch_pole(eps: float, basis: TransverseBasis, m: int) -> AsymptoticPole:
+    """Leading pole for a Dirichlet patch of scale ``eps`` in a Neumann guide wall.
 
-    The patch pushes the pole to negative ``k``: logarithmically slowly for
-    ``n = 2``, like ``eps^{n-2}`` times the patch capacity for ``n >= 3``
-    (the capacity has no closed form here and must be supplied).  Negative
-    ``k_lead`` means no eigenvalue detaches from the threshold.
+    The patch pushes the pole to negative ``k``, logarithmically slowly:
+    ``k_lead = pi phi_m(0)^2 / (2 ln eps)``.  Negative ``k_lead`` means no
+    eigenvalue detaches from the threshold.
     """
-    if spec.kind != DIRICHLET_PATCH:
-        raise ValueError(f"expected a {DIRICHLET_PATCH} spec, got {spec.kind}")
+    _check_scale(eps)
     if basis.cross_section.bc != BC_NEUMANN:
         raise ValueError("patch formula applies to Neumann guides")
     value = basis.wall_value[m - 1]
-    if value == 0:
-        raise ValueError("threshold mode vanishes at the patch; formula void")
-    n = spec.dimension
-    if n == 2:
-        tau = -0.5 * math.pi * value * value
-        k_lead = -tau / math.log(spec.eps)
-        order = 0.0
-        logarithmic = True
-    else:
-        if capacity is None:
-            raise ValueError(
-                f"patch capacity C_{n} is required for dimension {n} and has "
-                "no built-in value"
-            )
-        if not (capacity > 0):
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        tau = -0.25 * capacity * sphere_area(n) * value * value
-        k_lead = spec.eps ** (n - 2) * tau
-        order = float(n - 2)
-        logarithmic = False
+    tau = -0.5 * math.pi * value * value
+    k_lead = -tau / math.log(eps)
     return AsymptoticPole(
         k_lead=k_lead,
         im_k_lead=0.0,
         lam_lead=-k_lead * k_lead,
         a1_pred=0.0 + 0.0j,
         tau=tau,
-        order=order,
-        logarithmic=logarithmic,
+        order=0.0,
+        logarithmic=True,
         classification=classify_pole(k_lead, m),
     )
 
@@ -324,11 +251,11 @@ def near_field_check(
     basis = kernel.basis
     if kind == NEUMANN_WINDOW:
         design = np.column_stack([1.0 / r, r, r * r])
-        predicted = 4.0 * k / (basis.wall_slope[m - 1] * sphere_area(2))
+        predicted = 4.0 * k / (basis.wall_slope[m - 1] * 2.0 * math.pi)
         scale = s  # singular term C x2/r^2 contributes C sin(45deg)/r
     else:
         design = np.column_stack([-np.log(r), np.ones_like(r), r])
-        predicted = 4.0 * k / (basis.wall_value[m - 1] * sphere_area(2))
+        predicted = 4.0 * k / (basis.wall_value[m - 1] * 2.0 * math.pi)
         scale = 1.0
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = y - design @ coef

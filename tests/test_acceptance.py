@@ -263,17 +263,14 @@ def test_resonance_width_for_second_threshold() -> None:
     """
     basis = wg.build_basis(STRIP, 6)
     eps = 0.1
-    window = wg.WindowSpec(
-        dimension=2, half_width=1.0, eps=eps, kind=wg.NEUMANN_WINDOW
-    )
     c2 = wg.explicit_window_solution_2d(1.0).farfield_constant
-    im_k, a1 = wg.dirichlet_window_width(window, c2, basis, 2)
+    im_k, a1 = wg.dirichlet_window_width(eps, c2, basis, 2)
     want = -(eps**4) / math.sqrt(3.0)
     assert im_k < 0.0
     assert abs(im_k - want) <= 1e-12 * abs(want), f"width {im_k} != {want}"
     assert a1 != 0
 
-    pole = wg.dirichlet_window_pole(window, c2, basis.wall_slope[1], 2, basis=basis)
+    pole = wg.dirichlet_window_pole(eps, c2, basis, 2)
     assert pole.classification == wg.RESONANCE
     assert pole.im_k_lead == im_k
     assert pole.a1_pred == a1

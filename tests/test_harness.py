@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,8 @@ from wgpoles import (
     run_experiment,
     run_sweep,
 )
-from wgpoles.cli import main
+from wgpoles.cli import _parser, main
+from wgpoles.harness import basis_size
 
 
 def _regular_dict(**over) -> dict:
@@ -95,6 +98,58 @@ def test_parse_config_rejects_bad_input() -> None:
         parse_config("this is not json")
     with pytest.raises(ConfigError):
         parse_config("[1, 2, 3]")
+
+
+def test_parse_config_fills_defaults_in_one_place() -> None:
+    reg = parse_config(
+        _regular_dict(perturbation={}, oracle={"h": [0.1], "L": [8.0]}, m=2)
+    )
+    assert reg.oracle["order"] == 2
+    assert reg.perturbation == {
+        "half_width": 1.0, "n_long": 129, "n_trans": 17, "modes": 5,
+    }
+    assert basis_size(reg) == 10
+    assert basis_size(
+        parse_config(_regular_dict(perturbation={"modes": 40}))
+    ) == 40
+    win = parse_config(_window_dict())
+    assert win.perturbation == {"half_width": 1.0}
+    assert basis_size(win) == 9
+    # the report echoes the config as given, without the filled-in defaults
+    assert "order" not in reg.raw["oracle"] and reg.raw["perturbation"] == {}
+
+
+def test_parse_config_rejects_unknown_keys_and_malformed_gates() -> None:
+    unknown = [
+        _regular_dict(out_dir="elsewhere"),
+        _regular_dict(cross_section={"width": math.pi, "bc": "dirichlet", "h": 1}),
+        _regular_dict(perturbation={"half_width": 1.0, "amplitude": 2.0}),
+        _regular_dict(perturbation={"kind": "box"}),
+        _window_dict(perturbation={"half_width": 1.0, "modes": 20}),
+        _regular_dict(tolerances={"truncation_bounds": {"factor": 0}}),
+        _regular_dict(tolerances={"slope": {"min": 1.0, "max": 3.0, "mx": 2.0}}),
+    ]
+    for raw in unknown:
+        with pytest.raises(ConfigError, match="unknown"):
+            parse_config(raw)
+    malformed = [
+        {"slope": {"min": 3.7}},
+        {"rel_err": {"epsilon": 0.4}},
+        {"prefactor": {"exponent": 4.0}},
+        {"prefactor": {"exponent": 4.0, "predicted": 0.0}},
+        {"first_order": {"margin_eps2": "wide"}},
+        {"gap_slope_min": {"min": 2.7}},
+        # the bare-number spellings of the dict gates
+        {"classification": "BoundState"},
+        {"truncation_bound": 3.0},
+        {"first_order": 5.0},
+    ]
+    for tolerances in malformed:
+        with pytest.raises(ConfigError, match="tolerances"):
+            parse_config(_regular_dict(tolerances=tolerances))
+    for pert in ({"n_long": 0}, {"modes": "many"}, {"modes": 4.5}, {"half_width": -1.0}):
+        with pytest.raises(ConfigError, match="perturbation"):
+            parse_config(_regular_dict(perturbation=pert))
 
 
 def test_parse_config_checks_scenario_consistency() -> None:
@@ -325,6 +380,37 @@ def test_prefactor_geometric_mean() -> None:
     assert evaluate_checks(cfg, rows, fits)["pass"]
 
 
+def test_failed_fits_become_notes_and_unavailable_verdicts() -> None:
+    cfg = parse_config(
+        _window_dict(
+            tolerances={
+                "slope": {"min": 3.7, "max": 4.3},
+                "gap_slope_min": 2.7,
+                "prefactor": {"exponent": 4.0, "predicted": 0.25},
+            }
+        )
+    )
+    # bindings and pole-minus-prediction gaps change sign, and no binding is
+    # positive, so neither slope nor the prefactor can be fitted
+    rows = [
+        SweepRow(epsilon=e, b_oracle=b, lam_pred=-e * e, lam_pole=-e * e + g)
+        for e, b, g in ((0.4, -1e-3, 1e-4), (0.3, 0.0, -1e-5), (0.2, -1e-5, 1e-6))
+    ]
+    fits = compute_fits(cfg, rows)
+    for name in ("b_slope", "gap_slope"):
+        assert fits[name]["slope"] is None and fits[name]["stderr"] is None
+        assert "change sign" in fits[name]["note"]
+    assert "prefactor" not in fits
+    verdict = evaluate_checks(cfg, rows, fits)
+    assert not verdict["pass"]
+    details = {c["name"]: c["detail"] for c in verdict["checks"]}
+    assert details == {
+        "slope": "binding slope unavailable",
+        "gap_slope": "gap slope unavailable",
+        "prefactor": "prefactor fit unavailable",
+    }
+
+
 def test_predictor_rows_match_closed_forms() -> None:
     reg = parse_config(_regular_dict())
     basis = build_basis(reg.cross_section, 9)
@@ -355,7 +441,8 @@ def test_predictor_rows_match_closed_forms() -> None:
 def test_cli_exit_codes(tmp_path) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_regular_dict()))
-    assert main(["basis", "--config", str(path), "--modes", "3"]) == 0
+    assert main(["basis", "--config", str(path)]) == 0
+    assert main(["pole", "--config", str(path)]) == 0
     assert main(["asym", "--config", str(path)]) == 0
     assert main(["cell"]) == 0
     assert main(["oracle", "--config", str(path)]) == 0
@@ -367,6 +454,55 @@ def test_cli_exit_codes(tmp_path) -> None:
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["sweep", "--config", str(bad)]) == 2
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"slope": {"min": 3.7}}, {"truncation_bounds": {"factor": 0}}],
+    ids=["slope-without-max", "misspelled-gate"],
+)
+def test_cli_rejects_a_bad_gate_before_any_solve(tmp_path, capsys, tolerances) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_window_dict(tolerances=tolerances)))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out), "--check"]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_cli_exits_3_when_the_secular_iterate_diverges(tmp_path, capsys) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_regular_dict(epsilons=[5.0, 4.0, 3.0, 2.0])))
+    assert main(["pole", "--config", str(path)]) == 3
+    assert "solver error: " in capsys.readouterr().err
+
+
+def test_cli_sweep_exits_3_when_every_row_fails(tmp_path, capsys) -> None:
+    # every coupling's guide is shorter than its window half-width
+    raw = _window_dict(oracle={"h": [0.05], "L": [[0.4], [0.4], [0.3], [0.3]]})
+    path = tmp_path / "win.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
+    assert "every sweep row failed" in capsys.readouterr().err
+    doc = json.loads((out / "report.json").read_text())
+    assert all(row["error"] is not None for row in doc["rows"])
+
+
+def test_readme_cli_section_names_every_long_option() -> None:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = _parser()
+    (commands,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    defined = {
+        opt
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    assert documented == defined
 
 
 def test_cli_oracle_rejects_an_invalid_guide_as_a_config_error(tmp_path, capsys) -> None:
@@ -404,14 +540,6 @@ def test_cli_report_reruns_byte_identical(tmp_path, capsys) -> None:
     assert first == second
     doc = json.loads(first)
     assert doc["pass"] is True and len(doc["rows"]) == 4
-
-
-def test_cli_grid_and_modes_overrides_change_the_secular_lane(tmp_path) -> None:
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_regular_dict()))
-    assert main(
-        ["pole", "--config", str(path), "--grid", "33", "5", "--modes", "4"]
-    ) == 0
 
 
 def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys) -> None:

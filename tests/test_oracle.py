@@ -419,15 +419,39 @@ def test_guide_validation() -> None:
         TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, window_half_width=6.0)
 
 
-def test_eigensolver_contract_errors() -> None:
-    # a well this deep binds by more than one: E_1 lies below the last shift
-    # of the plan, threshold - 1, so its factorization fails and raises
+def test_eigensolver_contract_errors(monkeypatch) -> None:
+    # when no shift factors, not even the last one below the well's floor,
+    # the solve fails without an eigenpair and so without a residual
     g = TruncatedGuide(cross_section=_CS, half_length=6.0, h=0.5, potential=_well(5.0))
     op = build_fd_operator(g)
-    assert op.exterior.cap > discrete_threshold(g) - 1.0
-    with pytest.raises(SolverError) as info:
+
+    def no_factor(*args, **kwargs):
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(oracle.sla, "cholesky_banded", no_factor)
+    with pytest.raises(SolverError, match="every shift down to -6.0") as info:
         lowest_eigenpairs(op)
     assert info.value.residuals is None
+
+
+def test_binding_above_one_takes_the_floor_shift() -> None:
+    # depth 2.5 binds by 1.62 > 1: E_1 lies below the last shift of the plan,
+    # threshold - 1, so the solve falls back to one shift below zero and the
+    # well's floor, where T(s) factors; depth 1.5 binds by 0.81 and never
+    # needs it.  Both must match the root of q tan q = k, q^2 = depth - b
+    for depth, floor_shift in ((1.5, False), (2.5, True)):
+        q = brentq(
+            lambda q: q * math.tan(q) - math.sqrt(depth - q * q),
+            1e-12, min(math.sqrt(depth), 0.5 * math.pi) - 1e-12, xtol=1e-15,
+        )
+        exact = depth - q * q
+        g = TruncatedGuide(
+            cross_section=_CS, half_length=8.0, h=0.05, potential=_well(depth)
+        )
+        sol = lowest_eigenpairs(build_fd_operator(g))
+        assert sol.residual <= 1e-8
+        assert abs(sol.binding / exact - 1.0) < 1e-3, (depth, sol.binding, exact)
+        assert (sol.shift == -depth - 1.0) == floor_shift
 
 
 def test_plan_above_the_exterior_cap_raises_before_factoring(monkeypatch) -> None:

@@ -12,7 +12,6 @@ from wgpoles import (
     BoxRegion,
     CrossSection,
     ModeSumKernel,
-    WindowSpec,
     build_basis,
     dirichlet_window_pole,
     dirichlet_window_width,
@@ -21,7 +20,6 @@ from wgpoles import (
     near_field,
     near_field_check,
     neumann_patch_pole,
-    sphere_area,
 )
 from wgpoles.singular_asym import NEAR_FIELD_RADII, AsymptoticPole, ExpansionMismatchError
 
@@ -34,19 +32,10 @@ def _neumann_basis(count: int = 24):
     return build_basis(CrossSection(width=np.pi, bc="neumann"), count)
 
 
-def test_sphere_areas() -> None:
-    assert abs(sphere_area(2) - 2.0 * math.pi) < 1e-15
-    assert abs(sphere_area(3) - 4.0 * math.pi) < 1e-14
-    assert abs(sphere_area(4) - 2.0 * math.pi**2) < 1e-14
-    with pytest.raises(ValueError):
-        sphere_area(1)
-
-
 def test_window_pole_first_threshold() -> None:
     # d = pi, m = 1: Phi_1^2 = 2/pi, c_2 = 1/2, |S_2| = 2 pi, so tau = 1/2
     basis = _dirichlet_basis()
-    spec = WindowSpec(dimension=2, half_width=1.0, eps=0.1, kind="neumann-window")
-    pole = dirichlet_window_pole(spec, 0.5, basis.wall_slope[0], 1)
+    pole = dirichlet_window_pole(0.1, 0.5, basis, 1)
     assert abs(pole.tau - 0.5) < 1e-14
     assert abs(pole.k_lead - 0.5 * 0.1**2) < 1e-15
     assert abs(pole.lam_lead + 0.25 * 0.1**4) < 1e-18
@@ -59,13 +48,8 @@ def test_window_pole_first_threshold() -> None:
 
 def test_window_pole_shrinks_with_scale() -> None:
     basis = _dirichlet_basis()
-    trace = basis.wall_slope[0]
-    small = dirichlet_window_pole(
-        WindowSpec(2, 1.0, 1e-3, "neumann-window"), 0.5, trace, 1
-    )
-    large = dirichlet_window_pole(
-        WindowSpec(2, 1.0, 0.1, "neumann-window"), 0.5, trace, 1
-    )
+    small = dirichlet_window_pole(1e-3, 0.5, basis, 1)
+    large = dirichlet_window_pole(0.1, 0.5, basis, 1)
     assert 0 < small.k_lead < large.k_lead
     assert abs(small.k_lead / large.k_lead - 1e-4) < 1e-12
 
@@ -74,8 +58,7 @@ def test_window_resonance_width_and_amplitude() -> None:
     # m = 2, d = pi, a = 1: Im k = -eps^4 / sqrt(3), checked symbolically
     basis = _dirichlet_basis()
     eps = 0.1
-    spec = WindowSpec(dimension=2, half_width=1.0, eps=eps, kind="neumann-window")
-    pole = dirichlet_window_pole(spec, 0.5, basis.wall_slope[1], 2, basis=basis)
+    pole = dirichlet_window_pole(eps, 0.5, basis, 2)
     assert abs(pole.k_lead - 2.0 * eps**2) < 1e-14
     expected_im = -(eps**4) / math.sqrt(3.0)
     assert abs(pole.im_k_lead - expected_im) < 1e-12 * abs(expected_im)
@@ -85,44 +68,35 @@ def test_window_resonance_width_and_amplitude() -> None:
         1j * math.sqrt(3.0 - k * k) * basis.wall_slope[1]
     )
     assert abs(pole.a1_pred - a1_expected) < 1e-12 * abs(a1_expected)
-    # without the basis the real-axis data cannot classify
-    open_pole = dirichlet_window_pole(spec, 0.5, basis.wall_slope[1], 2)
-    assert open_pole.classification is None
-    assert open_pole.im_k_lead == 0.0
 
 
 def test_window_width_edge_cases() -> None:
     basis = _dirichlet_basis()
-    spec = WindowSpec(dimension=2, half_width=1.0, eps=0.05, kind="neumann-window")
-    assert dirichlet_window_width(spec, 0.5, basis, 1) == (0.0, 0.0)
-    im3, a13 = dirichlet_window_width(spec, 0.5, basis, 3)
+    assert dirichlet_window_width(0.05, 0.5, basis, 1) == (0.0, 0.0)
+    im3, a13 = dirichlet_window_width(0.05, 0.5, basis, 3)
     assert im3 < 0.0
     assert a13 != 0
     with pytest.raises(ValueError):
-        dirichlet_window_width(spec, 0.5, _neumann_basis(), 2)
+        dirichlet_window_width(0.05, 0.5, _neumann_basis(), 2)
 
 
 def test_window_pole_validation() -> None:
     basis = _dirichlet_basis()
-    patch_spec = WindowSpec(dimension=2, half_width=1.0, eps=0.05, kind="dirichlet-patch")
-    window_spec = WindowSpec(dimension=2, half_width=1.0, eps=0.05, kind="neumann-window")
     with pytest.raises(ValueError):
-        dirichlet_window_pole(patch_spec, 0.5, basis.wall_slope[0], 1)
+        dirichlet_window_pole(0.05, -0.5, basis, 1)
+    # a Neumann wall has no normal-derivative trace for the window to couple to
     with pytest.raises(ValueError):
-        dirichlet_window_pole(window_spec, -0.5, basis.wall_slope[0], 1)
-    with pytest.raises(ValueError):
-        dirichlet_window_pole(window_spec, 0.5, 0.0, 1)
+        dirichlet_window_pole(0.05, 0.5, _neumann_basis(), 1)
 
 
-def test_window_spec_validation() -> None:
-    with pytest.raises(ValueError):
-        WindowSpec(dimension=1, half_width=1.0, eps=0.1, kind="neumann-window")
-    with pytest.raises(ValueError):
-        WindowSpec(dimension=2, half_width=0.0, eps=0.1, kind="neumann-window")
-    with pytest.raises(ValueError):
-        WindowSpec(dimension=2, half_width=1.0, eps=1.5, kind="neumann-window")
-    with pytest.raises(ValueError):
-        WindowSpec(dimension=2, half_width=1.0, eps=0.1, kind="absorbing")
+def test_scale_and_width_validation() -> None:
+    for eps in (0.0, 1.5):
+        with pytest.raises(ValueError, match="scale"):
+            dirichlet_window_pole(eps, 0.5, _dirichlet_basis(), 1)
+        with pytest.raises(ValueError, match="scale"):
+            dirichlet_window_width(eps, 0.5, _dirichlet_basis(), 2)
+        with pytest.raises(ValueError, match="scale"):
+            neumann_patch_pole(eps, _neumann_basis(), 1)
     with pytest.raises(ValueError):
         AsymptoticPole(
             k_lead=0.1, im_k_lead=0.1, lam_lead=-0.01, a1_pred=0j,
@@ -133,8 +107,7 @@ def test_window_spec_validation() -> None:
 def test_patch_pole_is_logarithmic_in_two_dimensions() -> None:
     # d = pi Neumann, m = 1: phi_1(0)^2 = 1/pi, so tau = -pi phi^2 / 2 = -1/2
     basis = _neumann_basis()
-    spec = WindowSpec(dimension=2, half_width=1.0, eps=0.01, kind="dirichlet-patch")
-    pole = neumann_patch_pole(spec, basis, 1)
+    pole = neumann_patch_pole(0.01, basis, 1)
     assert abs(pole.tau + 0.5) < 1e-14
     assert abs(pole.k_lead - 0.5 / math.log(0.01)) < 1e-15
     assert pole.k_lead < 0
@@ -142,36 +115,14 @@ def test_patch_pole_is_logarithmic_in_two_dimensions() -> None:
     assert pole.order == 0.0
     assert pole.classification == NO_EIGENVALUE
     # the displacement decays, but only logarithmically
-    tiny = neumann_patch_pole(
-        WindowSpec(2, 1.0, 1e-6, "dirichlet-patch"), basis, 1
-    )
+    tiny = neumann_patch_pole(1e-6, basis, 1)
     assert abs(tiny.k_lead) < abs(pole.k_lead)
     assert abs(tiny.k_lead) > abs(pole.k_lead) / 4.0
 
 
-def test_patch_pole_higher_dimension_needs_capacity() -> None:
-    basis = _neumann_basis()
-    spec = WindowSpec(dimension=3, half_width=1.0, eps=0.05, kind="dirichlet-patch")
-    with pytest.raises(ValueError):
-        neumann_patch_pole(spec, basis, 1)
-    with pytest.raises(ValueError):
-        neumann_patch_pole(spec, basis, 1, capacity=-2.0)
-    pole = neumann_patch_pole(spec, basis, 1, capacity=1.5)
-    # tau = -C_3 |S_3| phi^2 / 4 = -1.5 * 4 pi / (4 pi) = -1.5
-    assert abs(pole.tau + 1.5) < 1e-14
-    assert abs(pole.k_lead + 1.5 * 0.05) < 1e-15
-    assert pole.order == 1.0
-    assert not pole.logarithmic
-    assert pole.classification == NO_EIGENVALUE
-
-
 def test_patch_pole_validation() -> None:
-    spec = WindowSpec(dimension=2, half_width=1.0, eps=0.01, kind="neumann-window")
     with pytest.raises(ValueError):
-        neumann_patch_pole(spec, _neumann_basis(), 1)
-    good = WindowSpec(dimension=2, half_width=1.0, eps=0.01, kind="dirichlet-patch")
-    with pytest.raises(ValueError):
-        neumann_patch_pole(good, _dirichlet_basis(), 1)
+        neumann_patch_pole(0.01, _dirichlet_basis(), 1)
 
 
 def _near_kernel(bc: str, count: int) -> ModeSumKernel:
@@ -229,10 +180,8 @@ def test_near_field_validation() -> None:
 def test_window_pole_consistent_with_cell_farfield() -> None:
     # doubling the cell half-width quadruples c_2 and hence k_lead
     basis = _dirichlet_basis()
-    trace = basis.wall_slope[0]
     c1 = fit_farfield_coefficient(explicit_window_solution_2d(1.0), 10.0, 100.0)
     c2 = fit_farfield_coefficient(explicit_window_solution_2d(2.0), 20.0, 200.0)
-    spec = WindowSpec(dimension=2, half_width=1.0, eps=0.05, kind="neumann-window")
-    k1 = dirichlet_window_pole(spec, c1, trace, 1).k_lead
-    k2 = dirichlet_window_pole(spec, c2, trace, 1).k_lead
+    k1 = dirichlet_window_pole(0.05, c1, basis, 1).k_lead
+    k2 = dirichlet_window_pole(0.05, c2, basis, 1).k_lead
     assert abs(k2 / k1 - 4.0) < 0.04
