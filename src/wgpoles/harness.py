@@ -126,6 +126,12 @@ def _number(where: str, value) -> float:
         raise ConfigError(f"{where} must be a number, got {value!r}") from exc
 
 
+def _numbers(where: str, values) -> list[float]:
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{where} must be a list of numbers, got {values!r}")
+    return [_number(f"{where}[{i}]", v) for i, v in enumerate(values)]
+
+
 def _tolerances(raw) -> dict:
     """Validated gates with numeric fields as floats and defaults filled in."""
     tol = _check_keys("tolerances", raw, (*GATES, "gap_slope_min"))
@@ -207,7 +213,7 @@ def parse_config(source) -> ExperimentConfig:
     if not isinstance(m, int) or m < 1:
         raise ConfigError(f"m must be a positive integer, got {m!r}")
 
-    eps = [float(e) for e in raw["epsilons"]]
+    eps = _numbers("epsilons", raw["epsilons"])
     if len(eps) < MIN_EPSILONS:
         raise ConfigError(
             f"need at least {MIN_EPSILONS} couplings for slope fits, got {len(eps)}"
@@ -216,27 +222,27 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"epsilons must be strictly descending positive: {eps}")
 
     oracle = _check_keys("oracle", raw["oracle"], ORACLE_KEYS)
-    hs = [float(h) for h in oracle.get("h", [])]
+    hs = _numbers("oracle.h", oracle.get("h", []))
     if not hs or any(h <= 0 for h in hs):
         raise ConfigError(f"oracle.h must list positive steps, got {oracle.get('h')}")
     if any(a <= b for a, b in zip(hs, hs[1:])):
         raise ConfigError(f"oracle.h must be strictly decreasing: {hs}")
     oracle["h"] = hs
     L = oracle.get("L")
-    if not L:
-        raise ConfigError("oracle.L must list truncation lengths")
+    if not L or not isinstance(L, (list, tuple)):
+        raise ConfigError(f"oracle.L must list truncation lengths, got {L!r}")
     if isinstance(L[0], (list, tuple)):
         if len(L) != len(eps):
             raise ConfigError(
                 f"per-coupling oracle.L needs {len(eps)} lists, got {len(L)}"
             )
-        for sub in L:
-            if not sub or any(float(v) <= 0 for v in sub):
+        for i, sub in enumerate(L):
+            if not sub or any(v <= 0 for v in _numbers(f"oracle.L[{i}]", sub)):
                 raise ConfigError(f"bad length list {sub!r}")
-    elif any(float(v) <= 0 for v in L):
+    elif any(v <= 0 for v in _numbers("oracle.L", L)):
         raise ConfigError(f"lengths must be positive, got {L}")
     order = oracle.setdefault("order", 2)
-    if not (float(order) > 0):
+    if not (_number("oracle.order", order) > 0):
         raise ConfigError(f"oracle.order must be positive, got {order!r}")
 
     if scenario == REGULAR_POTENTIAL:
@@ -508,6 +514,8 @@ def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
         row.k_re, row.k_im = pole.k.real, pole.k.imag
         row.lam_pole = pole.lam.real
         row.classification = pole.classification
+        row.extras["secular_evaluations"] = pole.evaluations
+        row.extras["secular_residual"] = pole.residual
     b, oracle_extras = row_binding(cfg, index)
     row.extras.update(oracle_extras)
     row.b_oracle = b

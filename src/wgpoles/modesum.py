@@ -204,21 +204,23 @@ class ModeSumKernel:
         ``x1[l]`` times the quadrature weight ``w1[l]``; the threshold mode
         carries the regularized kernel.  On grid samples the operator is
         ``A~ = sum_j assemble(k)[j] (x) phi_j phi_j^T W2``, so the blocks are
-        all a solver needs.  An exactly zero imaginary part (real ``k`` with
-        no mode below the threshold) is dropped, so real data stays real.
+        all a solver needs.  When every exponent is real (real ``k`` with no
+        mode below the threshold) the blocks are built in real arithmetic,
+        so real data stays real.
         """
         K = self.exponents(k)
+        if not np.any(K.imag):
+            K = K.real
+            k = float(K[self.m - 1])
         x1 = self.region.x1
         dx = np.abs(x1[:, None] - x1[None, :])
-        E = np.empty((self.count, x1.size, x1.size), dtype=complex)
+        E = np.empty((self.count, x1.size, x1.size), dtype=K.dtype)
         for j in range(self.count):
             if j == self.m - 1:
                 E[j] = regularized_kernel(dx, k)
             else:
                 E[j] = np.exp(-K[j] * dx) / (2.0 * K[j])
         E *= self.region.w1
-        if not np.any(E.imag):
-            return np.ascontiguousarray(E.real)
         return E
 
     def project_sources(self, g: np.ndarray) -> np.ndarray:

@@ -72,8 +72,11 @@ MAX_FACTORIZATIONS = 60
 # each shift after the first sits this share of the bracket below its upper bound
 SHIFT_GAP = 1e-4
 
-# Newton steps on the Rayleigh functional, which converge quadratically
+# Newton steps on the Rayleigh functional, which converge quadratically; they
+# stop after a step shorter than this share of BRACKET_TOL, below which
+# further steps only move the iterate by roundoff
 NEWTON_STEPS = 30
+NEWTON_STOP = 1e-3
 
 # inverse iteration stops when the Rayleigh quotient falls by less than this
 # relative amount, or after this many back-solves
@@ -619,6 +622,8 @@ def lowest_eigenpairs(
             if not step < 0.0:
                 break
             E += step
+            if -step < NEWTON_STOP * BRACKET_TOL:
+                break
         return E
 
     shifts = [s for s in _shift_plan(threshold, binding_hint) if s < cap]

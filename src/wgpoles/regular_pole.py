@@ -7,10 +7,13 @@ degeneracy off the mode-sum resolvent leaves the regularized operator
 ``T g = V (A~ g)``; with ``S(k) = (I - eps T(k))^{-1}`` the pole is the fixed
 point of
 
-    k = (eps / 2) <phi_m, S(k) (V phi_m)>,
+    k = F(k) = (eps / 2) <phi_m, S(k) (V phi_m)>,
 
-a contraction with rate ``O(eps)`` starting from ``k = 0``.  The residue of
-the resolvent at the pole is ``psi = A(k) g`` with ``g = S(k)(V phi_m)``; its
+a contraction with rate ``O(eps)`` starting from ``k = 0``.  The solver
+finds the root of ``F(k) - k`` by safeguarded secant steps, with the plain
+update ``k <- F(k)`` as the fallback, at one linear solve per iterate.  The
+residue of the resolvent at the pole is ``psi = A(k) g`` with
+``g = S(k)(V phi_m)``, taken from the solve at the reported ``k``; its
 transverse mode amplitudes and decay identify it as a genuine eigenfunction
 (``m = 1``, or ``m >= 2`` with ``Im k > 0``) or a resonance state.
 
@@ -126,7 +129,12 @@ def _birman_schwinger(
                     sharp,
                 )
     count, n = E.shape[:2]
-    B = -eps * np.einsum("lij,jlq->iljq", C, E).reshape(count * n, count * n)
+    # B[i, l, j, q] = C[l, i, j] E[j, l, q], then scaled by -eps; written
+    # into a C-ordered array so that the reshape below copies nothing
+    B = np.empty((count, n, count, n), dtype=np.result_type(C, E))
+    np.multiply(C.transpose(1, 0, 2)[:, :, :, None], E.transpose(1, 0, 2)[None], out=B)
+    B *= -eps
+    B = B.reshape(count * n, count * n)
     B[np.diag_indices_from(B)] += 1.0
     return B
 
@@ -144,7 +152,11 @@ def assemble_birman_schwinger(
 
 @dataclass
 class PoleResult:
-    """Pole location, residue samples, and classification for one solve."""
+    """Pole location, residue samples, and classification for one solve.
+
+    ``evaluations`` counts the Birman-Schwinger solves, one per iterate;
+    ``residual`` is ``|F(k) - k|`` at the reported ``k``.
+    """
 
     k: complex
     classification: str
@@ -152,6 +164,8 @@ class PoleResult:
     iterates: list = field(repr=False)
     eps: float
     m: int
+    evaluations: int = 0
+    residual: float = 0.0
 
     @property
     def lam(self) -> complex:
@@ -190,9 +204,15 @@ def solve_secular(
 ) -> PoleResult:
     """Solve the secular equation for the pole ``k`` near threshold ``m``.
 
-    Fixed-point iteration of ``k -> (eps/2)<phi_m, S(k)(V phi_m)>`` from
-    ``k0`` (default the threshold itself), stopping when the update falls
-    below ``1e-12 * max(eps^2, |k|)`` or plateaus at roundoff.
+    Safeguarded secant iteration on ``G(k) = F(k) - k`` with
+    ``F(k) = (eps/2)<phi_m, S(k)(V phi_m)>``, from ``k0`` (default the
+    threshold itself).  The second iterate is ``F(k0)``; each later one is
+    the secant point through the last two ``(k, G)`` pairs, or the plain
+    update ``F(k)`` when the secant's denominator vanishes or its point lies
+    farther from ``F(k)`` than ``|G(k)|``.  The solve stops at the first
+    evaluation point with ``|G(k)| < 1e-12 * max(eps^2, |F(k)|)``, or when
+    ``|G|`` plateaus at roundoff, and reports that ``k`` with the residue
+    ``g`` from its own Birman-Schwinger solve: one solve per iterate.
     ``V phi_m = 0`` short-circuits to a ``PoleAtZero`` result: the threshold
     pole does not detach.
     """
@@ -211,11 +231,11 @@ def solve_secular(
     C = _mode_coupling(V, kernel)
     k = complex(k0)
     trace = [k]
-    prev_step = np.inf
+    prev = None  # the previous (k, G(k)) pair
     stalled = 0
     for _ in range(MAX_SECULAR_ITERATIONS):
         try:
-            knew, _ = _secular_value(V, k, eps, kernel, C)
+            f, g = _secular_value(V, k, eps, kernel, C)
         except ValueError as exc:
             # iterate escaped the kernel's analyticity domain; that is a
             # divergence, not a usage error
@@ -223,34 +243,39 @@ def solve_secular(
                 f"secular iterate k = {k} left the resolvent domain: {exc}",
                 trace,
             ) from exc
-        step = abs(knew - k)
-        trace.append(knew)
-        scale = max(eps * eps, abs(knew))
-        k = knew
-        if step < SECULAR_RTOL * scale:
+        gk = f - k
+        residual = abs(gk)
+        scale = max(eps * eps, abs(f))
+        if residual < SECULAR_RTOL * scale:
             break
-        if step >= prev_step:
+        if prev is not None and residual >= abs(prev[1]):
             stalled += 1
-            if stalled >= 3 and step < _PLATEAU_FACTOR * SECULAR_RTOL * scale:
-                logger.debug("secular iteration plateaued at step %.3e", step)
+            if stalled >= 3 and residual < _PLATEAU_FACTOR * SECULAR_RTOL * scale:
+                logger.debug("secular iteration plateaued at |F(k) - k| = %.3e", residual)
                 break
         else:
             stalled = 0
-        prev_step = step
+        knext = f
+        if prev is not None and gk != prev[1]:
+            secant = k - gk * (k - prev[0]) / (gk - prev[1])
+            if abs(secant - f) <= residual:
+                knext = secant
+        prev = (k, gk)
+        k = knext
+        trace.append(k)
     else:
         raise IterationDivergedError(
             f"secular iteration did not converge in {MAX_SECULAR_ITERATIONS} "
-            f"steps (last update {prev_step:.3e})",
+            f"steps (last |F(k) - k| = {residual:.3e})",
             trace,
         )
-    # final residue at the converged k
-    _, g = _secular_value(V, k, eps, kernel, C)
     logger.info(
-        "secular solve: %d iterations, %d mode-space unknowns, last update %.3e, "
-        "%.2f s",
+        "secular solve: %d iterations, %d evaluations, %d mode-space unknowns, "
+        "|F(k) - k| = %.3e, %.2f s",
         len(trace) - 1,
+        len(trace),
         kernel.count * reg.n_long,
-        step,
+        residual,
         time.perf_counter() - start,
     )
     if k.imag == 0.0 and np.iscomplexobj(g) and not np.any(g.imag):
@@ -266,6 +291,8 @@ def solve_secular(
         iterates=trace,
         eps=eps,
         m=kernel.m,
+        evaluations=len(trace),
+        residual=residual,
     )
 
 

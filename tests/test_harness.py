@@ -293,6 +293,14 @@ def test_report_document_structure() -> None:
     failing = [c for c in doc["checks"] if not c["pass"]]
     assert failing and all("row" in c for c in failing)
     assert doc["fits"]["pred_slope"]["slope"] == pytest.approx(2.0, abs=1e-9)
+    # the secular lane's work and its final |F(k) - k|, within the
+    # roundoff-plateau stop of the solver
+    for row in doc["rows"]:
+        extras = row["extras"]
+        assert isinstance(extras["secular_evaluations"], int)
+        assert extras["secular_evaluations"] >= 2
+        scale = max(row["epsilon"] ** 2, row["k_re"])
+        assert 0.0 <= extras["secular_residual"] < 1e-9 * scale
 
 
 def test_checks_target_one_coupling() -> None:
@@ -467,6 +475,30 @@ def test_cli_rejects_a_bad_gate_before_any_solve(tmp_path, capsys, tolerances) -
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out), "--check"]) == 2
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"epsilons": [0.8, "x", 0.5, 0.4]},
+        {"oracle": {"h": ["fine"], "L": [8.0]}},
+        {"oracle": {"h": [0.1], "L": [8.0, "long"]}},
+        {"oracle": {"h": [0.1], "L": [8.0], "order": "two"}},
+        {"epsilons": 0.4},
+        {"oracle": {"h": [0.1], "L": [[8.0], [8.0], 9.0, [8.0]]}},
+    ],
+    ids=["epsilons", "oracle.h", "oracle.L", "oracle.order", "epsilons-not-a-list",
+         "oracle.L-entry-not-a-list"],
+)
+def test_cli_rejects_a_non_numeric_entry_before_any_solve(tmp_path, capsys, over) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_regular_dict(**over)))
+    assert main(["oracle", "--config", str(path)]) == 2
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
     assert not out.exists()
 
 

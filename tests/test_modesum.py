@@ -103,6 +103,34 @@ def test_kernel_count_validation() -> None:
     assert ModeSumKernel(basis=basis, m=2, region=reg, count=5).count == 5
 
 
+def _complex_reference_blocks(kern: ModeSumKernel, k: complex) -> np.ndarray:
+    # every block in complex arithmetic, straight from the kernel formulas
+    x1 = kern.region.x1
+    dx = np.abs(x1[:, None] - x1[None, :])
+    K = longitudinal_exponents(kern.basis, kern.m, k, kern.count)
+    blocks = [
+        regularized_kernel(dx, complex(k)) if j == kern.m - 1
+        else np.exp(-K[j] * dx) / (2.0 * K[j])
+        for j in range(kern.count)
+    ]
+    return np.array(blocks) * kern.region.w1
+
+
+@pytest.mark.parametrize(
+    "m, k, real",
+    [(1, 0.0, True), (1, 0.07, True), (2, 0.07, False), (1, 0.05 - 0.01j, False)],
+)
+def test_assembled_blocks_match_complex_reference(m, k, real) -> None:
+    # real arithmetic exactly when every exponent is real: m = 1 and real k
+    basis = _dirichlet_basis()
+    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=33, n_trans=9)
+    kern = ModeSumKernel(basis=basis, m=m, region=reg, count=m + 4)
+    E = kern.assemble(k)
+    ref = _complex_reference_blocks(kern, k)
+    assert np.iscomplexobj(E) != real
+    assert np.max(np.abs(E - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_bilinear_symmetry() -> None:
     basis = _dirichlet_basis()
     reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=21, n_trans=13)

@@ -1,6 +1,8 @@
 """Finite-difference oracle: assembly, eigensolve contract, bindings, tails."""
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -530,6 +532,30 @@ def test_binding_hint_cuts_factorizations(window_solves) -> None:
     _, ref, _, sol = window_solves
     assert 2 * sol.factorizations <= ref.factorizations
     assert sol.factorizations <= HINTED_FACTORIZATIONS_MAX
+
+
+# exterior coupling evaluations of one Rayleigh functional on the window
+# solves: at most 6 measured, plus a margin of 2
+RAYLEIGH_COUPLINGS_MAX = 8
+
+
+def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> None:
+    # Newton converges quadratically in about five steps; it must stop
+    # there, not take roundoff-sized steps up to its cap
+    op, ref, hint, sol = window_solves
+    coupling = oracle.LatticeExterior.coupling
+    per_call = Counter()
+
+    def counting(self, E):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "rayleigh_functional":
+            per_call[caller] += 1
+        return coupling(self, E)
+
+    monkeypatch.setattr(oracle.LatticeExterior, "coupling", counting)
+    again = [lowest_eigenpairs(op), lowest_eigenpairs(op, binding_hint=hint)]
+    assert [s.value for s in again] == [ref.value, sol.value]
+    assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
 
 
 @pytest.mark.parametrize("short, long", [(10.0, 20.0), (20.0, 40.0)])

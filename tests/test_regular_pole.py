@@ -30,21 +30,26 @@ from wgpoles import (
     regular_leading_asymptotic,
     solve_secular,
 )
+from wgpoles.regular_pole import SECULAR_RTOL, _mode_coupling, _secular_value
 
 # exact well pole at eps = 0.04, from the matching condition q tan q = k
 WELL_K_004 = 0.03898172374404702
 
 
-def _setup(n_long: int = 65, n_trans: int = 9, count: int = 4):
+def _setup(n_long: int = 65, n_trans: int = 9, count: int = 4, m: int = 1):
     cs = CrossSection(width=np.pi, bc="dirichlet")
     basis = build_basis(cs, 24)
     reg = BoxRegion(cross_section=cs, half_length=1.0, n_long=n_long, n_trans=n_trans)
-    kern = ModeSumKernel(basis=basis, m=1, region=reg, count=count)
+    kern = ModeSumKernel(basis=basis, m=m, region=reg, count=count)
     return basis, reg, kern
 
 
 def _well(reg: BoxRegion) -> PerturbationField:
     return PerturbationField.from_function(reg, lambda x1, x2: np.ones_like(x1))
+
+
+def _tilted(x1, x2):
+    return 1.0 + x2 / np.pi + 0.0 * x1
 
 
 def test_well_oracle_root_is_frozen_value() -> None:
@@ -123,6 +128,18 @@ def test_zero_coupling_assembles_identity() -> None:
     assert np.array_equal(B, np.eye(kern.count * reg.n_long))
 
 
+def test_birman_schwinger_matches_einsum_reference() -> None:
+    # the 4-index product B[i, l, j, q] = C[l, i, j] E[j, l, q], bit for bit
+    basis, reg, kern = _setup(n_long=17, n_trans=5, count=5, m=2)
+    V = PerturbationField.from_function(reg, _tilted)
+    k, eps = 0.05 - 0.01j, 0.3
+    C = _mode_coupling(V, kern)
+    size = kern.count * reg.n_long
+    ref = -eps * np.einsum("lij,jlq->iljq", C, kern.assemble(k)).reshape(size, size)
+    ref[np.diag_indices_from(ref)] += 1.0
+    assert np.array_equal(assemble_birman_schwinger(V, k, eps, kern), ref)
+
+
 def test_real_data_stays_real() -> None:
     basis, reg, kern = _setup(n_long=17, n_trans=5)
     B = assemble_birman_schwinger(_well(reg), 0.02, 0.3, kern)
@@ -148,6 +165,91 @@ def test_restart_agrees_with_fixed_point() -> None:
     k_fp = solve_secular(V, 0.04, kern).k
     k_rs = solve_secular(V, 0.04, kern, k0=0.05).k
     assert abs(k_fp - k_rs) < 1e-10
+
+
+def _plain_fixed_point(V: PerturbationField, eps: float, kern: ModeSumKernel) -> complex:
+    # k <- F(k) from the threshold, by repeated evaluations of the secular map
+    C = _mode_coupling(V, kern)
+    k = 0j
+    for _ in range(60):
+        f, _ = _secular_value(V, k, eps, kern, C)
+        if abs(f - k) <= 1e-14 * abs(f):
+            return f
+        k = f
+    raise AssertionError(f"fixed point did not settle: last k = {k}")
+
+
+@pytest.mark.parametrize(
+    "m, count, eps, fn",
+    [
+        (1, 4, 0.04, lambda x1, x2: np.ones_like(x1) * np.ones_like(x2)),
+        (1, 4, 0.08, _tilted),
+        # the tilt couples the threshold to the open first mode: complex k
+        (2, 5, 0.2, _tilted),
+    ],
+    ids=["flat-well", "tilted-well", "m2-complex"],
+)
+def test_secant_matches_plain_fixed_point(m, count, eps, fn) -> None:
+    basis, reg, kern = _setup(count=count, m=m)
+    V = PerturbationField.from_function(reg, fn)
+    p = solve_secular(V, eps, kern)
+    k_fp = _plain_fixed_point(V, eps, kern)
+    assert abs(p.k - k_fp) <= 1e-12 * abs(k_fp)
+    if m == 2:
+        assert p.k.imag != 0.0
+
+
+def test_residue_comes_from_the_reported_pole() -> None:
+    # k, the residue and |F(k) - k| all belong to one evaluation, at p.k
+    basis, reg, kern = _setup()
+    V = PerturbationField.from_function(reg, _tilted)
+    eps = 0.08
+    p = solve_secular(V, eps, kern)
+    f, g = _secular_value(V, p.k, eps, kern, _mode_coupling(V, kern))
+    assert p.residual == abs(f - p.k)
+    assert p.residual < SECULAR_RTOL * max(eps * eps, abs(f))
+    assert np.array_equal(p.residue, g.real)
+    assert p.iterates[-1] == p.k
+
+
+# Birman-Schwinger solves over the seven regular-secular couplings on the
+# 129x17, 4-mode box: 29 measured, plus a margin of 3
+SECULAR_EVALUATIONS_MAX = 32
+
+
+def test_secant_bounds_the_secular_work() -> None:
+    basis, reg, kern = _setup(n_long=129, n_trans=17)
+    couplings = (0.16, 0.113, 0.08, 0.057, 0.04, 0.028, 0.02)
+    poles = [solve_secular(_well(reg), eps, kern) for eps in couplings]
+    assert all(p.evaluations == p.iterations + 1 for p in poles)
+    assert sum(p.evaluations for p in poles) <= SECULAR_EVALUATIONS_MAX
+
+
+def test_each_evaluation_is_one_dense_solve_and_one_assembly(monkeypatch, caplog) -> None:
+    # the benchmark trace counts numpy.linalg.solve and ModeSumKernel.assemble
+    # calls under solve_secular; both must equal the solver's own count
+    basis, reg, kern = _setup()
+    calls = {"solve": 0, "assemble": 0}
+    solve = np.linalg.solve
+    assemble = ModeSumKernel.assemble
+
+    def counting_solve(a, b):
+        calls["solve"] += 1
+        return solve(a, b)
+
+    def counting_assemble(self, k):
+        calls["assemble"] += 1
+        return assemble(self, k)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    monkeypatch.setattr(ModeSumKernel, "assemble", counting_assemble)
+    with caplog.at_level(logging.INFO, logger="wgpoles.regular_pole"):
+        p = solve_secular(_well(reg), 0.04, kern)
+    assert calls == {"solve": p.evaluations, "assemble": p.evaluations}
+    # the -v line reports the same work and residual
+    (line,) = [r.getMessage() for r in caplog.records if "secular solve" in r.getMessage()]
+    assert f"{p.evaluations} evaluations" in line
+    assert f"|F(k) - k| = {p.residual:.3e}" in line
 
 
 def test_strong_coupling_diverges_loudly(caplog) -> None:
