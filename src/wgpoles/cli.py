@@ -16,6 +16,7 @@ import argparse
 import json
 import logging
 import sys
+import time
 
 from .cell import explicit_window_solution_2d, fit_farfield_coefficient
 from .harness import (
@@ -212,11 +213,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    startup = time.process_time()
     args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    logger.info("start-up: %.3f s CPU from process launch to the command", startup)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -381,8 +381,9 @@ def truncated_binding(
     When ``solves`` is a list, one record of the grid actually solved and
     the solver's work is appended to it: ``L``, the steps ``h_long`` and
     ``h_trans`` after snapping, the effective ``feature_half_width``
-    (``None`` for a potential), and the ``box_columns``, ``unknowns`` and
-    ``factorizations`` of the solve.
+    (``None`` for a potential), and the ``box_columns``, ``unknowns``,
+    ``factorizations`` and ``inner_solves`` (banded back-solves) of the
+    solve.
     """
     half_width = eps * cfg.perturbation["half_width"]
     g = TruncatedGuide(
@@ -409,6 +410,7 @@ def truncated_binding(
                 "box_columns": op.columns,
                 "unknowns": op.size,
                 "factorizations": sol.factorizations,
+                "inner_solves": sol.inner_solves,
             }
         )
     return sol.binding

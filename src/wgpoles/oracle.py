@@ -36,20 +36,34 @@ closed form: past the box each lattice mode decays at the exact lattice
 rate of its threshold, with an amplitude read from the box's edge column.
 Everything is deterministic: fixed all-ones start vector, direct banded
 factorizations.
+
+The box's stiffness matrix is assembled straight into LAPACK lower band
+storage, ``band[i - j, j] = A[i, j]`` for ``i >= j``, with the unknowns
+numbered along each column: the band is as wide as one column's active
+nodes, and the 5-point stencil fills only a few of its diagonals, which is
+all the matrix-vector product visits.  The factorizations and back-solves
+are LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's compiled LAPACK
+extension, loaded on its own: importing ``scipy.linalg`` would pull in
+scipy's array-API layer and with it much of numpy's test and build
+tooling, which costs more CPU at start-up than a window sweep spends
+solving.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import logging
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
+from numpy.linalg import LinAlgError
 
 from .transverse import BC_DIRICHLET, BC_NEUMANN, CrossSection, TransverseBasis
 
@@ -88,6 +102,71 @@ SERIES_BELOW = 1e-3
 
 # refuse factorizations whose band storage would not fit in memory
 MAX_BAND_BYTES = 3 * 1024**3
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, without ``scipy.linalg``.
+
+    The extension needs only numpy, so it is loaded from its file in the
+    installed scipy; the module already imported is reused, and the one
+    loaded here is registered under its own name, so a later
+    ``import scipy.linalg`` shares it.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    roots = [] if spec is None else list(spec.submodule_search_locations or [])
+    paths = [
+        os.path.join(root, "linalg", "_flapack" + suffix)
+        for root in roots
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    for path in paths:
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader)
+            )
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
+    raise ImportError(
+        f"scipy's LAPACK extension {name} not found; looked for "
+        + (", ".join(paths) or "an installed scipy package"),
+        name=name,
+    )
+
+
+_flapack = _load_flapack()
+
+
+def _lapack_info(routine: str, info: int) -> None:
+    # scipy.linalg's mapping of the LAPACK status
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal {routine}")
+
+
+def cholesky_banded(ab: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite band, LAPACK ``dpbtrf``.
+
+    ``ab`` is the matrix in lower band storage, ``ab[i - j, j] = A[i, j]``;
+    the factor comes back in the same storage, in place of ``ab`` when that
+    is a Fortran-ordered float64 array.  Raises ``LinAlgError`` when ``A``
+    is not positive definite.
+    """
+    c, info = _flapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    _lapack_info("pbtrf", info)
+    return c
+
+
+def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` from the factor ``cb`` of :func:`cholesky_banded`, LAPACK ``dpbtrs``."""
+    x, info = _flapack.dpbtrs(cb, b, lower=1)
+    _lapack_info("pbtrs", info)
+    return x
 
 
 class SolverError(RuntimeError):
@@ -313,14 +392,14 @@ def _lattice_exterior(g: TruncatedGuide, c: int) -> LatticeExterior:
 class FdOperator:
     """Box part ``A u = E M u`` of the guide on its active nodes, and the exterior.
 
-    ``matrix`` and ``mass`` cover columns ``0 .. columns - 1`` of the guide;
-    the last of them is the box's natural edge column, whose active nodes
-    are the last ``rows`` unknowns, and the uniform guide beyond it is
-    ``exterior``.
+    ``band`` (``A`` in LAPACK lower band storage) and ``mass`` cover columns
+    ``0 .. columns - 1`` of the guide; the last of them is the box's natural
+    edge column, whose active nodes are the last ``rows`` unknowns, and the
+    uniform guide beyond it is ``exterior``.
     """
 
     guide: TruncatedGuide
-    matrix: sp.csc_matrix = field(repr=False)
+    band: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)
     columns: int
@@ -329,7 +408,43 @@ class FdOperator:
 
     @property
     def size(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.band.shape[1])
+
+    @cached_property
+    def _diagonals(self) -> list[tuple[int, np.ndarray]]:
+        # the 5-point stencil fills only a few rows of the band, the diagonal
+        # first; each is copied out, since a row of the Fortran-ordered band
+        # is strided
+        n = self.size
+        return [(int(d), self.band[d, : n - d].copy())
+                for d in np.flatnonzero(self.band.any(axis=1))]
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """``A v``, each row summed in column order, as a sparse product sums it."""
+        (_, diag), *lower = self._diagonals
+        y = np.zeros_like(v)
+        for d, a in reversed(lower):
+            y[d:] += a * v[:-d]
+        y += diag * v
+        for d, a in lower:
+            y[:-d] += a * v[d:]
+        return y
+
+    @cached_property
+    def matrix(self):
+        """``A`` as a scipy CSC matrix, built from ``band`` on first access."""
+        import scipy.sparse as sp
+
+        d, j = np.nonzero(self.band)
+        vals = self.band[d, j]
+        off = d > 0
+        return sp.csc_matrix(
+            (
+                np.concatenate((vals, vals[off])),
+                (np.concatenate((j + d, j[off])), np.concatenate((j, (j + d)[off]))),
+            ),
+            shape=(self.size, self.size),
+        )
 
 
 def build_fd_operator(g: TruncatedGuide) -> FdOperator:
@@ -343,7 +458,9 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     interior rows are the standard 5-point stencil and whose Neumann
     boundary rows, the symmetry plane and the box's edge column among them,
     carry the ghost-point form automatically; Dirichlet nodes are
-    eliminated.  The guide beyond ``edge`` becomes the operator's
+    eliminated.  Its lower triangle is scattered straight into band
+    storage, after a ``MemoryError`` for a band larger than
+    ``MAX_BAND_BYTES``.  The guide beyond ``edge`` becomes the operator's
     :class:`LatticeExterior`.
     """
     n1, n2 = g.n_long, g.n_trans
@@ -380,19 +497,23 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     w2 = np.full(n2 + 1, h2)
     w2[0] = w2[-1] = h2 / 2.0
 
+    n = int(mask.sum())
     index = -np.ones((edge + 1, n2 + 1), dtype=np.int64)
-    index[mask] = np.arange(int(mask.sum()))
+    index[mask] = np.arange(n)
 
+    # lower-triangle triplets: row - col is the band row, col the band column
     rows: list[np.ndarray] = []
     cols: list[np.ndarray] = []
     vals: list[np.ndarray] = []
 
     def add_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+        # the numbering runs along the edges, so b > a where both are active;
+        # an edge to an eliminated node adds to the active end's diagonal only
         both = (a >= 0) & (b >= 0)
         ab, bb, cb = a[both], b[both], c[both]
-        rows.extend((ab, bb, ab, bb))
-        cols.extend((ab, bb, bb, ab))
-        vals.extend((cb, cb, -cb, -cb))
+        rows.extend((ab, bb, bb))
+        cols.extend((ab, bb, ab))
+        vals.extend((cb, cb, -cb))
         for keep, other in ((a, b), (b, a)):
             solo = (keep >= 0) & (other < 0)
             rows.append(keep[solo])
@@ -417,15 +538,21 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
         cols.append(diag)
         vals.append((q[: edge + 1] * weight)[mask])
 
-    n = int(mask.sum())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsc()
+    col = np.concatenate(cols)
+    offset = np.concatenate(rows) - col
+    bw = int(offset.max())
+    band_bytes = (bw + 1) * n * 8
+    if band_bytes > MAX_BAND_BYTES:
+        raise MemoryError(
+            f"band factorization needs {band_bytes / 1e9:.1f} GB "
+            f"(bandwidth {bw + 1}, {n} unknowns); coarsen the grid"
+        )
+    band = np.zeros((bw + 1, n), order="F")
+    np.add.at(band, (offset, col), np.concatenate(vals))
     col_counts = mask.sum(axis=1)
     return FdOperator(
         guide=g,
-        matrix=A,
+        band=band,
         mass=weight[mask],
         mask=mask,
         columns=int(np.count_nonzero(col_counts)),
@@ -505,23 +632,6 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
     return [threshold - d for d in distances]
 
 
-def _lower_band(op: FdOperator) -> np.ndarray:
-    """``op.matrix`` in LAPACK lower band storage, after the memory guard."""
-    coo = op.matrix.tocoo()
-    lower = coo.row >= coo.col
-    offsets = coo.row[lower] - coo.col[lower]
-    bw = int(offsets.max())
-    band_bytes = (bw + 1) * op.size * 8
-    if band_bytes > MAX_BAND_BYTES:
-        raise MemoryError(
-            f"band factorization needs {band_bytes / 1e9:.1f} GB "
-            f"(bandwidth {bw + 1}, {op.size} unknowns); coarsen the grid"
-        )
-    band = np.zeros((bw + 1, op.size), order="F")
-    band[offsets, coo.col[lower]] = coo.data[lower]
-    return band
-
-
 def lowest_eigenpairs(
     op: FdOperator, binding_hint: float | None = None
 ) -> OracleSolution:
@@ -560,7 +670,6 @@ def lowest_eigenpairs(
     ext = op.exterior
     threshold = discrete_threshold(g)
     n = op.size
-    band = _lower_band(op)
     P = ext.projector
     cap = ext.cap
     coupling = ext.coupling
@@ -582,12 +691,12 @@ def lowest_eigenpairs(
             )
         factorizations += 1
         sigma, slope = coupling(E)
-        ab = band.copy(order="F")
+        ab = op.band.copy(order="F")
         ab[0, :] -= E * op.mass
         ab[low_i - low_j, tail + low_j] += ((P * sigma) @ P.T)[low_i, low_j]
         try:
-            cb = sla.cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+            cb = cholesky_banded(ab)
+        except LinAlgError:
             return None
         return cb, slope
 
@@ -598,7 +707,7 @@ def lowest_eigenpairs(
         theta = math.inf
         for _ in range(INVERSE_ITERATIONS):
             y = op.mass * v - closure(v, slope)
-            z = sla.cho_solve_banded((cb, True), y, check_finite=False)
+            z = cho_solve_banded(cb, y)
             inner_solves += 1
             bz = op.mass * z - closure(z, slope)
             zbz = float(z @ bz)
@@ -613,7 +722,7 @@ def lowest_eigenpairs(
     def rayleigh_functional(v: np.ndarray, E: float) -> float:
         # Newton on the concave, decreasing f(E) = v^T T(E) v from a point
         # with f(E) <= 0: every step stays at or above the root
-        stiff = float(v @ (op.matrix @ v))
+        stiff = float(v @ op.matvec(v))
         mass = float(v @ (op.mass * v))
         a2 = (P.T @ v[tail:]) ** 2
         for _ in range(NEWTON_STEPS):
@@ -672,7 +781,7 @@ def lowest_eigenpairs(
 
     value = upper
     sigma, slope = coupling(value)
-    av = op.matrix @ v
+    av = op.matvec(v)
     mv = op.mass * v
     cv = closure(v, sigma)
     residual = float(

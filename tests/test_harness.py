@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ from wgpoles import (
     run_experiment,
     run_sweep,
 )
+from wgpoles import oracle
 from wgpoles.cli import _parser, main
 from wgpoles.harness import basis_size
 
@@ -574,6 +578,35 @@ def test_cli_report_reruns_byte_identical(tmp_path, capsys) -> None:
     assert doc["pass"] is True and len(doc["rows"]) == 4
 
 
+def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
+    # importing scipy.linalg (with scipy's array-API layer) and scipy.sparse
+    # cost more CPU than a window sweep spends solving; the oracle loads
+    # scipy's LAPACK extension alone, and -v logs the start-up CPU
+    path = tmp_path / "win.json"
+    path.write_text(json.dumps(_window_dict()))
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "-v"]
+    script = (
+        "import json, sys, time\n"
+        "from wgpoles.cli import main\n"
+        f"code = main({argv!r})\n"
+        "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy._lib._array_api')\n"
+        "print(json.dumps([code, [m for m in heavy if m in sys.modules], "
+        "time.process_time()]))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
+    )
+    assert run.returncode == 0, run.stderr
+    code, loaded, cpu = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == []
+    (startup,) = re.findall(r"start-up: ([0-9.]+) s CPU", run.stderr)
+    assert 0.0 < float(startup) < cpu
+
+
 def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys) -> None:
     # the CLI must solve the window the sweep solves, on the snapped step
     # (at eps = 0.55, h = 0.08 the raw step gives half-width 0.52 in place
@@ -601,10 +634,23 @@ def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys) -> None:
     assert (first[2], first[4]) == ("0.0381356", "0.400424")
 
 
-def test_report_records_each_solve() -> None:
+def test_report_records_each_solve(monkeypatch) -> None:
     # one record per solve: coarse step then fine at each length, with the
     # grid actually solved and the solver's work; a potential has no
     # feature half-width
+    calls = {"factorizations": 0, "inner_solves": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(oracle, "cholesky_banded",
+                        counting("factorizations", oracle.cholesky_banded))
+    monkeypatch.setattr(oracle, "cho_solve_banded",
+                        counting("inner_solves", oracle.cho_solve_banded))
     cfg = parse_config(_regular_dict(oracle={"h": [0.2, 0.1], "L": [8.0, 12.0]}))
     rows = run_sweep(cfg)
     solves = rows[0].extras["solves"]
@@ -613,7 +659,12 @@ def test_report_records_each_solve() -> None:
     for s in solves:
         assert s["feature_half_width"] is None
         assert s["unknowns"] > 0 and s["factorizations"] >= 1
+        assert s["inner_solves"] >= 1
         assert 1 <= s["box_columns"] <= round(s["L"] / s["h_long"])
+    # every banded factorization and back-solve passes through the oracle's
+    # two LAPACK functions, and the records count all of them
+    for name, count in calls.items():
+        assert count == sum(s[name] for r in rows for s in r.extras["solves"])
     win = run_sweep(parse_config(_window_dict()))
     for row in win:
         for s in row.extras["solves"]:

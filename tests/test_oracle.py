@@ -1,11 +1,15 @@
 """Finite-difference oracle: assembly, eigensolve contract, bindings, tails."""
 
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
@@ -71,16 +75,84 @@ def test_grid_counts_and_active_dimensions() -> None:
     assert opw.size == opw.columns * (gw.n_trans - 1) + gw.feature_nodes + 1
 
 
-def test_matrix_is_exactly_symmetric() -> None:
-    g = TruncatedGuide(
+def _window_well_guide() -> TruncatedGuide:
+    return TruncatedGuide(
         cross_section=_CS,
         half_length=4.0,
         h=0.1,
         window_half_width=0.5,
         potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2) * (x1 <= 2.0),
     )
-    A = build_fd_operator(g).matrix
-    assert (A - A.T).nnz == 0
+
+
+def test_band_is_the_energy_form() -> None:
+    # v^T A v from the band against the quadratic form written out on the
+    # box's node grid: sum w (du)^2 / h over the edges, an edge to an
+    # eliminated node counting that node as zero, plus sum q w1 w2 u^2
+    g = _window_well_guide()
+    op = build_fd_operator(g)
+    v = np.random.default_rng(7).standard_normal(op.size)
+    u = np.zeros(op.mask.shape)
+    u[op.mask] = v
+    cols = u.shape[0]
+    h1, h2 = g.step_long, g.step_trans
+    w1 = np.full(cols, h1)
+    w1[[0, -1]] = h1 / 2.0
+    w2 = np.full(g.n_trans + 1, h2)
+    w2[[0, -1]] = h2 / 2.0
+    q = g.potential_samples()[:cols]
+    energy = (
+        np.sum(w2 * np.diff(u, axis=0) ** 2) / h1
+        + np.sum(w1[:, None] * np.diff(u, axis=1) ** 2) / h2
+        + np.sum(q * np.outer(w1, w2) * u**2)
+    )
+    Av = op.matvec(v)
+    assert abs(v @ Av - energy) <= 1e-12 * abs(energy)
+    # the product sums each row as the sparse matrix does, bit for bit
+    assert np.array_equal(Av, op.matrix @ v)
+
+
+def test_lapack_binding_matches_scipy() -> None:
+    op = build_fd_operator(_window_well_guide())
+    sol = lowest_eigenpairs(op)
+    b = np.random.default_rng(3).standard_normal(op.size)
+
+    def shifted(E: float) -> np.ndarray:
+        ab = op.band.copy(order="F")
+        ab[0] -= E * op.mass
+        return ab
+
+    # below E_1 the box's pencil factors, and the oracle's LAPACK calls give
+    # scipy's results bit for bit
+    ab = shifted(sol.value - 0.5)
+    want = sla.cholesky_banded(ab, lower=True)
+    got = oracle.cholesky_banded(ab.copy(order="F"))
+    assert np.array_equal(got, want)
+    assert np.array_equal(
+        oracle.cho_solve_banded(got, b), sla.cho_solve_banded((want, True), b)
+    )
+    # the box with a natural edge has its lowest eigenvalue below the
+    # guide's E_1, so at the threshold, above E_1, it is indefinite
+    assert sol.binding > 0
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle.cholesky_banded(shifted(sol.threshold))
+    # loaded on its own, the extension is the one scipy.linalg then imports
+    script = (
+        "import numpy as np, wgpoles\n"
+        "from wgpoles import oracle\n"
+        "import scipy.linalg as sla\n"
+        "assert sla.lapack._flapack is oracle._flapack\n"
+        "c = sla.cholesky_banded(np.array([[4.0, 4.0], [1.0, 0.0]]), lower=True)\n"
+        "assert np.array_equal(c, oracle.cholesky_banded(np.array([[4.0, 4.0], [1.0, 0.0]])))\n"
+    )
+    src = str(Path(oracle.__file__).parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert run.returncode == 0, run.stderr
 
 
 def test_separable_eigenvalue_identity() -> None:
@@ -430,7 +502,7 @@ def test_eigensolver_contract_errors(monkeypatch) -> None:
     def no_factor(*args, **kwargs):
         raise np.linalg.LinAlgError("not positive definite")
 
-    monkeypatch.setattr(oracle.sla, "cholesky_banded", no_factor)
+    monkeypatch.setattr(oracle, "cholesky_banded", no_factor)
     with pytest.raises(SolverError, match="every shift down to -6.0") as info:
         lowest_eigenpairs(op)
     assert info.value.residuals is None
@@ -578,13 +650,14 @@ def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
 
 def test_band_memory_guard(monkeypatch) -> None:
     g = TruncatedGuide(cross_section=_CS, half_length=2.0, h=0.2)
-    op = build_fd_operator(g)
-    # box band storage of 16 rows by 5 columns of 15 unknowns: 9,600 bytes
-    assert op.size == 75
+    # box band storage of 16 rows by 5 columns of 15 unknowns: 9,600 bytes,
+    # refused when the operator is assembled, before the band is allocated
     monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 9_599)
     with pytest.raises(MemoryError):
-        lowest_eigenpairs(op)
+        build_fd_operator(g)
     monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 9_600)
+    op = build_fd_operator(g)
+    assert op.size == 75 and op.band.nbytes == 9_600
     assert lowest_eigenpairs(op).residual <= 1e-8
 
 
