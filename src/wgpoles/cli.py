@@ -7,7 +7,8 @@ bindings), ``sweep`` (full run writing CSV and JSON artifacts), and
 ``report`` (full run printed to stdout).
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when a solver
-fails to converge, 4 when ``sweep --check`` finds a tolerance violation.
+fails to converge or ``pole`` finds a pole its classification rules do not
+cover, 4 when ``sweep --check`` finds a tolerance violation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,11 @@ from .harness import (
     truncated_binding,
 )
 from .oracle import SolverError
-from .regular_pole import IterationDivergedError, solve_secular
+from .regular_pole import (
+    AmbiguousClassificationError,
+    IterationDivergedError,
+    solve_secular,
+)
 from .transverse import build_basis
 
 logger = logging.getLogger(__name__)
@@ -230,6 +235,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (IterationDivergedError, SolverError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except AmbiguousClassificationError as exc:
+        print(f"classification error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except _CheckFailed as exc:
         print(f"acceptance check failed: {exc}", file=sys.stderr)

@@ -518,6 +518,7 @@ def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
         row.classification = pole.classification
         row.extras["secular_evaluations"] = pole.evaluations
         row.extras["secular_residual"] = pole.residual
+        row.extras["secular_modes"] = list(pole.modes)
     b, oracle_extras = row_binding(cfg, index)
     row.extras.update(oracle_extras)
     row.b_oracle = b

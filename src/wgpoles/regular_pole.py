@@ -27,6 +27,16 @@ solve ``(I - eps C E) ghat = C e_m`` with the per-row mode coupling
 ``g = V (phi_m + eps sum_j phi_j E_j W1 ghat_j)``.  This is the grid system
 ``(I - eps V A~) g = V phi_m`` exactly, at ``count / n_trans`` of its size.
 
+Only the modes that ``C`` connects to ``m``, directly or through other
+modes, carry a nonzero ``ghat_j``; the system is solved on that set alone.
+On a row where ``V`` is constant across the strip, ``C[l] = V[l, 0] I``
+exactly: the sampled modes are orthonormal under the trapezoid weights
+while they fit the transverse lattice (Dirichlet ``count <= n_trans - 2``,
+Neumann ``count <= n_trans - 1``).  A potential constant across the strip
+on every row therefore solves ``n_long`` unknowns on mode ``m`` alone, and
+at ``m >= 2`` its pole is exactly real, an eigenvalue embedded in the
+continuum; any other potential couples every mode and solves them all.
+
 Pairings are bilinear (no conjugation): the secular function continues
 analytically in ``k`` and ``V`` may be complex.
 """
@@ -42,7 +52,7 @@ import numpy as np
 import numpy.linalg as nla
 
 from .modesum import BoxRegion, ModeSumField, ModeSumKernel, apply_mode_sum
-from .transverse import TransverseBasis
+from .transverse import BC_DIRICHLET, TransverseBasis
 
 logger = logging.getLogger(__name__)
 
@@ -99,9 +109,32 @@ class PerturbationField:
 
 
 def _mode_coupling(V: PerturbationField, kernel: ModeSumKernel) -> np.ndarray:
-    """Per-row mode coupling ``C[l, i, j] = sum_b phi_i(x2_b) w2_b V[l, b] phi_j(x2_b)``."""
+    """Per-row mode coupling ``C[l, i, j] = sum_b phi_i(x2_b) w2_b V[l, b] phi_j(x2_b)``.
+
+    A row of ``V`` constant across the strip couples ``V[l, 0] I``, written
+    exactly, while the modes fit the transverse lattice; past that bound the
+    sampled modes alias and every row keeps the quadrature.
+    """
+    reg = kernel.region
     phi = kernel.phi
-    return np.einsum("ib,lb,jb->lij", phi * kernel.region.w2, V.values, phi)
+    C = np.einsum("ib,lb,jb->lij", phi * reg.w2, V.values, phi)
+    spare = 2 if reg.cross_section.bc == BC_DIRICHLET else 1
+    if kernel.count <= reg.n_trans - spare:
+        flat = np.all(V.values == V.values[:, :1], axis=1)
+        C[flat] = V.values[flat, 0, None, None] * np.eye(kernel.count)
+    return C
+
+
+def _coupled_modes(C: np.ndarray, m: int) -> np.ndarray:
+    """Indices (0-based) of the modes that ``C`` connects to mode ``m``."""
+    linked = np.any(C != 0, axis=0)
+    modes = np.zeros(len(linked), dtype=bool)
+    modes[m - 1] = True
+    while True:
+        grown = modes | np.any(linked[modes], axis=0)
+        if np.array_equal(grown, modes):
+            return np.flatnonzero(modes)
+        modes = grown
 
 
 def _birman_schwinger(
@@ -144,8 +177,9 @@ def assemble_birman_schwinger(
 ) -> np.ndarray:
     """Matrix of ``I - eps T(k)`` with ``T g = V (A~ g)``, in mode space.
 
-    ``count * n_long`` rows on the unknowns ``ghat_j[l]``, ordered
-    mode-major; see the module docstring for the reduction.
+    ``count * n_long`` rows on the unknowns ``ghat_j[l]`` of every mode,
+    ordered mode-major; see the module docstring for the reduction.  The
+    secular solver assembles the same matrix on the coupled modes only.
     """
     return _birman_schwinger(_mode_coupling(V, kernel), kernel.assemble(k), eps, V.bound)
 
@@ -155,7 +189,8 @@ class PoleResult:
     """Pole location, residue samples, and classification for one solve.
 
     ``evaluations`` counts the Birman-Schwinger solves, one per iterate;
-    ``residual`` is ``|F(k) - k|`` at the reported ``k``.
+    ``residual`` is ``|F(k) - k|`` at the reported ``k``; ``modes`` lists
+    the transverse modes (1-based) those solves ran on.
     """
 
     k: complex
@@ -166,6 +201,7 @@ class PoleResult:
     m: int
     evaluations: int = 0
     residual: float = 0.0
+    modes: tuple[int, ...] = ()
 
     @property
     def lam(self) -> complex:
@@ -178,22 +214,30 @@ class PoleResult:
 
 
 def _secular_value(
-    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel, C: np.ndarray
+    V: PerturbationField,
+    k: complex,
+    eps: float,
+    kernel: ModeSumKernel,
+    C: np.ndarray,
+    modes: np.ndarray,
 ) -> tuple[complex, np.ndarray]:
     """One evaluation of the secular map: returns ``((eps/2)<phi_m, g>, g)``.
 
-    Solves the mode-space system for ``ghat`` and rebuilds the grid samples
+    Solves the mode-space system for ``ghat`` on the mode indices ``modes``
+    (0-based, those ``C`` connects to ``m``; ``ghat_j`` vanishes on the
+    others) and rebuilds the grid samples
     ``g = V (phi_m + eps sum_j phi_j E_j ghat_j)``.
     """
     reg = kernel.region
     mi = kernel.m - 1
-    E = kernel.assemble(k.real if k.imag == 0.0 else k)
-    rhs = C[:, :, mi].T.ravel()
-    ghat = nla.solve(_birman_schwinger(C, E, eps, V.bound), rhs)
-    ghat = ghat.reshape(kernel.count, reg.n_long)
+    E = kernel.assemble(k.real if k.imag == 0.0 else k)[modes]
+    Cs = C[:, modes][:, :, modes]
+    rhs = C[:, modes, mi].T.ravel()
+    ghat = nla.solve(_birman_schwinger(Cs, E, eps, V.bound), rhs)
+    ghat = ghat.reshape(len(modes), reg.n_long)
     u = np.einsum("jlq,jq->lj", E, ghat)
-    g = V.values * (kernel.phi[mi] + eps * (u @ kernel.phi))
-    return 0.5 * eps * complex(reg.w1 @ ghat[mi]), g
+    g = V.values * (kernel.phi[mi] + eps * (u @ kernel.phi[modes]))
+    return 0.5 * eps * complex(reg.w1 @ ghat[modes == mi][0]), g
 
 
 def solve_secular(
@@ -229,13 +273,14 @@ def solve_secular(
         )
 
     C = _mode_coupling(V, kernel)
+    modes = _coupled_modes(C, kernel.m)
     k = complex(k0)
     trace = [k]
     prev = None  # the previous (k, G(k)) pair
     stalled = 0
     for _ in range(MAX_SECULAR_ITERATIONS):
         try:
-            f, g = _secular_value(V, k, eps, kernel, C)
+            f, g = _secular_value(V, k, eps, kernel, C, modes)
         except ValueError as exc:
             # iterate escaped the kernel's analyticity domain; that is a
             # divergence, not a usage error
@@ -274,7 +319,7 @@ def solve_secular(
         "|F(k) - k| = %.3e, %.2f s",
         len(trace) - 1,
         len(trace),
-        kernel.count * reg.n_long,
+        len(modes) * reg.n_long,
         residual,
         time.perf_counter() - start,
     )
@@ -293,6 +338,7 @@ def solve_secular(
         m=kernel.m,
         evaluations=len(trace),
         residual=residual,
+        modes=tuple(int(j) + 1 for j in modes),
     )
 
 

@@ -305,6 +305,8 @@ def test_report_document_structure() -> None:
         assert extras["secular_evaluations"] >= 2
         scale = max(row["epsilon"] ** 2, row["k_re"])
         assert 0.0 <= extras["secular_residual"] < 1e-9 * scale
+        # the strip-uniform well solves on the threshold mode alone
+        assert extras["secular_modes"] == [1]
 
 
 def test_checks_target_one_coupling() -> None:
@@ -511,6 +513,26 @@ def test_cli_exits_3_when_the_secular_iterate_diverges(tmp_path, capsys) -> None
     path.write_text(json.dumps(_regular_dict(epsilons=[5.0, 4.0, 3.0, 2.0])))
     assert main(["pole", "--config", str(path)]) == 3
     assert "solver error: " in capsys.readouterr().err
+
+
+def _embedded_dict() -> dict:
+    # a strip-uniform well at the second threshold: its pole is exactly real
+    return _regular_dict(m=2, epsilons=[0.2, 0.15, 0.1, 0.05], perturbation={})
+
+
+def test_embedded_eigenvalue_is_a_typed_row_error() -> None:
+    rows = run_sweep(parse_config(_embedded_dict()))
+    assert all(
+        r.error.startswith("AmbiguousClassificationError: m = 2 pole with exactly real k")
+        for r in rows
+    )
+
+
+def test_cli_pole_exits_3_on_an_unclassifiable_pole(tmp_path, capsys) -> None:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_embedded_dict()))
+    assert main(["pole", "--config", str(path)]) == 3
+    assert "classification error: m = 2 pole" in capsys.readouterr().err
 
 
 def test_cli_sweep_exits_3_when_every_row_fails(tmp_path, capsys) -> None:

@@ -30,7 +30,13 @@ from wgpoles import (
     regular_leading_asymptotic,
     solve_secular,
 )
-from wgpoles.regular_pole import SECULAR_RTOL, _mode_coupling, _secular_value
+from wgpoles.regular_pole import (
+    SECULAR_RTOL,
+    _birman_schwinger,
+    _coupled_modes,
+    _mode_coupling,
+    _secular_value,
+)
 
 # exact well pole at eps = 0.04, from the matching condition q tan q = k
 WELL_K_004 = 0.03898172374404702
@@ -170,9 +176,10 @@ def test_restart_agrees_with_fixed_point() -> None:
 def _plain_fixed_point(V: PerturbationField, eps: float, kern: ModeSumKernel) -> complex:
     # k <- F(k) from the threshold, by repeated evaluations of the secular map
     C = _mode_coupling(V, kern)
+    modes = _coupled_modes(C, kern.m)
     k = 0j
     for _ in range(60):
-        f, _ = _secular_value(V, k, eps, kern, C)
+        f, _ = _secular_value(V, k, eps, kern, C, modes)
         if abs(f - k) <= 1e-14 * abs(f):
             return f
         k = f
@@ -205,7 +212,8 @@ def test_residue_comes_from_the_reported_pole() -> None:
     V = PerturbationField.from_function(reg, _tilted)
     eps = 0.08
     p = solve_secular(V, eps, kern)
-    f, g = _secular_value(V, p.k, eps, kern, _mode_coupling(V, kern))
+    C = _mode_coupling(V, kern)
+    f, g = _secular_value(V, p.k, eps, kern, C, _coupled_modes(C, kern.m))
     assert p.residual == abs(f - p.k)
     assert p.residual < SECULAR_RTOL * max(eps * eps, abs(f))
     assert np.array_equal(p.residue, g.real)
@@ -227,14 +235,15 @@ def test_secant_bounds_the_secular_work() -> None:
 
 def test_each_evaluation_is_one_dense_solve_and_one_assembly(monkeypatch, caplog) -> None:
     # the benchmark trace counts numpy.linalg.solve and ModeSumKernel.assemble
-    # calls under solve_secular; both must equal the solver's own count
+    # calls under solve_secular; both must equal the solver's own count, and
+    # a strip-uniform well solves on its threshold mode alone
     basis, reg, kern = _setup()
-    calls = {"solve": 0, "assemble": 0}
     solve = np.linalg.solve
     assemble = ModeSumKernel.assemble
 
     def counting_solve(a, b):
         calls["solve"] += 1
+        shapes.add(a.shape)
         return solve(a, b)
 
     def counting_assemble(self, k):
@@ -243,13 +252,98 @@ def test_each_evaluation_is_one_dense_solve_and_one_assembly(monkeypatch, caplog
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     monkeypatch.setattr(ModeSumKernel, "assemble", counting_assemble)
-    with caplog.at_level(logging.INFO, logger="wgpoles.regular_pole"):
-        p = solve_secular(_well(reg), 0.04, kern)
-    assert calls == {"solve": p.evaluations, "assemble": p.evaluations}
-    # the -v line reports the same work and residual
-    (line,) = [r.getMessage() for r in caplog.records if "secular solve" in r.getMessage()]
-    assert f"{p.evaluations} evaluations" in line
-    assert f"|F(k) - k| = {p.residual:.3e}" in line
+    for V, solved in ((_well(reg), 1), (PerturbationField.from_function(reg, _tilted), 4)):
+        calls = {"solve": 0, "assemble": 0}
+        shapes = set()
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger="wgpoles.regular_pole"):
+            p = solve_secular(V, 0.04, kern)
+        assert calls == {"solve": p.evaluations, "assemble": p.evaluations}
+        unknowns = solved * reg.n_long
+        assert shapes == {(unknowns, unknowns)}
+        assert p.modes == tuple(range(1, solved + 1))
+        # the -v line reports the same work and residual
+        (line,) = [r.getMessage() for r in caplog.records if "secular solve" in r.getMessage()]
+        assert f"{p.evaluations} evaluations, {unknowns} mode-space unknowns" in line
+        assert f"|F(k) - k| = {p.residual:.3e}" in line
+
+
+def _einsum_coupling(V: PerturbationField, kern: ModeSumKernel) -> np.ndarray:
+    # the quadrature C[l] = Phi^T W2 diag(V[l]) Phi on every row
+    phi = kern.phi
+    return np.einsum("ib,lb,jb->lij", phi * kern.region.w2, V.values, phi)
+
+
+def test_coupled_modes_match_the_full_system() -> None:
+    # the strip-uniform well solves on mode 1 alone; the full system on all
+    # four modes, with the quadrature's roundoff coupling, agrees
+    basis, reg, kern = _setup(n_long=129, n_trans=17)
+    V, eps = _well(reg), 0.04
+    C = _mode_coupling(V, kern)
+    modes = _coupled_modes(C, kern.m)
+    assert modes.tolist() == [0]
+    Cref = _einsum_coupling(V, kern)
+    assert np.any(Cref[:, 0, 1:] != 0)
+    for k in (0j, 0.03 + 0j, WELL_K_004 + 0j):
+        f, g = _secular_value(V, k, eps, kern, C, modes)
+        E = kern.assemble(k.real)
+        B = _birman_schwinger(Cref, E, eps, V.bound)
+        ghat = np.linalg.solve(B, Cref[:, :, 0].T.ravel()).reshape(kern.count, reg.n_long)
+        u = np.einsum("jlq,jq->lj", E, ghat)
+        gref = V.values * (kern.phi[0] + eps * (u @ kern.phi))
+        fref = 0.5 * eps * (reg.w1 @ ghat[0])
+        assert abs(f - fref) <= 1e-13 * abs(fref)
+        assert np.max(np.abs(g - gref)) <= 1e-13 * np.max(np.abs(gref))
+
+
+@pytest.mark.parametrize("bc, spare", [("dirichlet", 2), ("neumann", 1)])
+def test_sampled_modes_are_orthonormal_up_to_the_lattice_bound(bc, spare) -> None:
+    cs = CrossSection(width=np.pi, bc=bc)
+    basis = build_basis(cs, 24)
+    for n_trans in (9, 17):
+        reg = BoxRegion(cross_section=cs, half_length=1.0, n_long=9, n_trans=n_trans)
+        V = _well(reg)
+        bound = n_trans - spare
+        kern = ModeSumKernel(basis=basis, m=1, region=reg, count=bound)
+        gram = (kern.phi * reg.w2) @ kern.phi.T
+        assert np.max(np.abs(gram - np.eye(bound))) < 1e-14
+        eye = np.broadcast_to(np.eye(bound), (reg.n_long, bound, bound))
+        assert np.array_equal(_mode_coupling(V, kern), eye)
+        # one mode past the bound aliases: the quadrature stays as computed
+        past = ModeSumKernel(basis=basis, m=1, region=reg, count=bound + 1)
+        Cpast = _mode_coupling(V, past)
+        assert np.array_equal(Cpast, _einsum_coupling(V, past))
+        assert abs(Cpast[0, bound, bound] - 1.0) > 0.5
+
+
+def test_one_varying_row_couples_every_mode() -> None:
+    basis, reg, kern = _setup(n_long=33, n_trans=9)
+    values = np.ones((reg.n_long, reg.n_trans))
+    values[16] += reg.x2 / np.pi
+    V = PerturbationField(region=reg, values=values)
+    C = _mode_coupling(V, kern)
+    assert np.array_equal(np.delete(C, 16, axis=0), np.broadcast_to(np.eye(4), (32, 4, 4)))
+    assert np.array_equal(C[16], _einsum_coupling(V, kern)[16])
+    p = solve_secular(V, 0.04, kern)
+    assert p.modes == (1, 2, 3, 4)
+    assert p.classification == BOUND_STATE
+
+
+def test_strip_uniform_pole_above_the_first_threshold_is_real() -> None:
+    # the well separates variables, so its m = 2 pole is an eigenvalue
+    # embedded in the continuum: exactly real k, which the classification
+    # rules do not cover
+    basis, reg, kern = _setup(n_long=129, n_trans=17, count=5, m=2)
+    V = _well(reg)
+    C = _mode_coupling(V, kern)
+    modes = _coupled_modes(C, 2)
+    assert modes.tolist() == [1]
+    k = 0.17831495740890066 + 0j  # the pole, to roundoff
+    f, g = _secular_value(V, k, 0.2, kern, C, modes)
+    assert f.imag == 0.0 and not np.any(g.imag)
+    assert abs(f - k) < 1e-12 * abs(k)
+    with pytest.raises(AmbiguousClassificationError, match="exactly real k"):
+        solve_secular(V, 0.2, kern)
 
 
 def test_strong_coupling_diverges_loudly(caplog) -> None:
