@@ -16,9 +16,10 @@ constant part leaves the regularized kernel ``(exp(-k s) - 1)/(2k)`` which is
 finite at ``k = 0`` and is what the pole solver iterates with.
 
 On the grid ``A~ = sum_j (E_j W1) (x) (phi_j phi_j^T W2)``, so
-:meth:`ModeSumKernel.assemble` returns only the ``count`` longitudinal blocks
-``E_j W1``; solvers work on per-mode amplitudes ordered mode-major (see
-:mod:`wgpoles.regular_pole`), never on the ``(n_long n_trans)^2`` matrix.
+:meth:`ModeSumKernel.assemble` returns only the longitudinal blocks ``E_j W1``,
+of all ``count`` modes or of those a solver asks for; solvers work on
+per-mode amplitudes ordered mode-major (see :mod:`wgpoles.regular_pole`),
+never on the ``(n_long n_trans)^2`` matrix.
 
 Sums are truncated at ``J`` modes; the discarded tail decays like
 ``exp(-sqrt(mu_J - mu_m) * dist)`` away from the source box, so small ``J``
@@ -197,29 +198,34 @@ class ModeSumKernel:
     def exponents(self, k: complex) -> np.ndarray:
         return longitudinal_exponents(self.basis, self.m, k, self.count)
 
-    def assemble(self, k: complex) -> np.ndarray:
-        """Weighted per-mode longitudinal kernels, shape ``(count, n_long, n_long)``.
+    def assemble(self, k: complex, modes: np.ndarray | None = None) -> np.ndarray:
+        """Weighted per-mode longitudinal kernels, shape ``(len(modes), n_long, n_long)``.
 
-        Entry ``[j, i, l]`` is the mode-``j`` kernel between ``x1[i]`` and
-        ``x1[l]`` times the quadrature weight ``w1[l]``; the threshold mode
-        carries the regularized kernel.  On grid samples the operator is
-        ``A~ = sum_j assemble(k)[j] (x) phi_j phi_j^T W2``, so the blocks are
-        all a solver needs.  When every exponent is real (real ``k`` with no
-        mode below the threshold) the blocks are built in real arithmetic,
-        so real data stays real.
+        ``modes`` are the 0-based indices of the modes whose blocks are
+        built, every one of the ``count`` by default.  Entry ``[j, i, l]``
+        of the default assembly is the mode-``j`` kernel between ``x1[i]``
+        and ``x1[l]`` times the quadrature weight ``w1[l]``; the threshold
+        mode carries the regularized kernel.  On grid samples the operator
+        is ``A~ = sum_j assemble(k)[j] (x) phi_j phi_j^T W2``, so the blocks
+        are all a solver needs.  When every exponent is real (real ``k``
+        with no mode below the threshold) the blocks are built in real
+        arithmetic, so real data stays real; a subset is exactly the same
+        rows of the default assembly.
         """
         K = self.exponents(k)
         if not np.any(K.imag):
             K = K.real
             k = float(K[self.m - 1])
+        if modes is None:
+            modes = range(self.count)
         x1 = self.region.x1
         dx = np.abs(x1[:, None] - x1[None, :])
-        E = np.empty((self.count, x1.size, x1.size), dtype=K.dtype)
-        for j in range(self.count):
+        E = np.empty((len(modes), x1.size, x1.size), dtype=K.dtype)
+        for i, j in enumerate(modes):
             if j == self.m - 1:
-                E[j] = regularized_kernel(dx, k)
+                E[i] = regularized_kernel(dx, k)
             else:
-                E[j] = np.exp(-K[j] * dx) / (2.0 * K[j])
+                E[i] = np.exp(-K[j] * dx) / (2.0 * K[j])
         E *= self.region.w1
         return E
 

@@ -547,8 +547,10 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
             f"band factorization needs {band_bytes / 1e9:.1f} GB "
             f"(bandwidth {bw + 1}, {n} unknowns); coarsen the grid"
         )
-    band = np.zeros((bw + 1, n), order="F")
-    np.add.at(band, (offset, col), np.concatenate(vals))
+    # band[offset, col] summed in input order, as np.add.at sums it
+    band = np.bincount(
+        offset + (bw + 1) * col, weights=np.concatenate(vals), minlength=(bw + 1) * n
+    ).reshape((bw + 1, n), order="F")
     col_counts = mask.sum(axis=1)
     return FdOperator(
         guide=g,
@@ -616,18 +618,19 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
     """Shifts to try, nearest the threshold first, ending at ``threshold - 1``.
 
     A positive hint ``b`` gives distances ``2b, 16b, 128b, ...`` below the
-    threshold while they stay under one.  A negative hint (nothing binds)
-    gives only the default, as a zero or missing one does: the eigenvalue
-    then sits above the threshold, just under the exterior's cap, and on
-    patch guides no first shift from the threshold down to ``8|b|`` below
-    it closed the bracket in fewer factorizations than the default.
+    threshold while they stay under one.  Without one (a missing, zero or
+    negative hint) the plan is the threshold itself, then ``threshold - 1``:
+    the threshold factors exactly when nothing binds, and where it does not
+    it is an upper bound on ``E_1`` tighter than the exterior's cap.
     """
-    distances = []
     if binding_hint is not None and binding_hint > 0:
+        distances = []
         d = 2.0 * binding_hint
         while d < 1.0:
             distances.append(d)
             d *= 8.0
+    else:
+        distances = [0.0]
     distances.append(1.0)
     return [threshold - d for d in distances]
 
@@ -646,13 +649,21 @@ def lowest_eigenpairs(
     - ``T`` is concave in ``E``, so the smallest eigenvalue ``theta`` of the
       linearized pencil ``T(s) x = theta (-T'(s)) x``, found by inverse
       iteration, bounds ``E_1 <= s + theta``; Newton steps from there on
-      ``v^T T(E) v = 0`` with that eigenvector ``v`` fall monotonically to
-      its root ``p``, the Rayleigh functional, a tighter upper bound.
+      ``f(E) = v^T T(E) v`` with that eigenvector ``v`` fall monotonically
+      to its root ``p``, the Rayleigh functional, a tighter upper bound:
+      ``T(p)`` is not positive definite, so ``E_1 <= p`` by the same
+      inertia count.  When ``s + theta`` is at or above the cap, where
+      ``f`` falls to ``-inf`` if ``v`` has weight on the exterior's lowest
+      mode, Newton starts instead from the first of the midpoint of
+      ``(s, cap)`` and the points halving its distance to the cap where
+      ``f(E) <= 0``; if there is none, the cap stays the bound.
 
     The first shift comes from the plan (see :func:`_shift_plan`): with a
     positive ``binding_hint`` (an estimate of ``mu_m^h - E_1``) ``2 hint``
     below the threshold, each failed factorization moving eight times
-    farther, down to ``threshold - 1``.  If that fails too, one last shift
+    farther, down to ``threshold - 1``; without one, the threshold itself,
+    which factors exactly when nothing binds and otherwise is the first
+    upper bound, then ``threshold - 1``.  If that fails too, one last shift
     sits one below both zero and the potential's minimum, where ``T(s)`` is
     positive definite by construction.  Only shifts of the plan below the
     exterior's cap are tried; a plan with none raises :class:`SolverError`
@@ -675,7 +686,9 @@ def lowest_eigenpairs(
     coupling = ext.coupling
     tail = n - P.shape[0]
     low_i, low_j = np.tril_indices(P.shape[0])
-    factorizations = inner_solves = 0
+    factorizations = failed = inner_solves = 0
+    # one factor is live at a time, so every factorization reuses this buffer
+    ab = np.empty_like(op.band, order="F")
 
     def closure(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         # projector diag(weights) projector^T on the edge column, zero elsewhere
@@ -684,19 +697,20 @@ def lowest_eigenpairs(
         return y
 
     def factor(E: float):
-        nonlocal factorizations
+        nonlocal factorizations, failed
         if factorizations >= MAX_FACTORIZATIONS:
             raise SolverError(
                 f"no eigenvalue bracket within {MAX_FACTORIZATIONS} factorizations"
             )
         factorizations += 1
         sigma, slope = coupling(E)
-        ab = op.band.copy(order="F")
+        np.copyto(ab, op.band)
         ab[0, :] -= E * op.mass
         ab[low_i - low_j, tail + low_j] += ((P * sigma) @ P.T)[low_i, low_j]
         try:
             cb = cholesky_banded(ab)
         except LinAlgError:
+            failed += 1
             return None
         return cb, slope
 
@@ -719,12 +733,24 @@ def lowest_eigenpairs(
                 break
         return theta, v
 
-    def rayleigh_functional(v: np.ndarray, E: float) -> float:
+    def rayleigh_functional(v: np.ndarray, s: float, E: float) -> float:
         # Newton on the concave, decreasing f(E) = v^T T(E) v from a point
-        # with f(E) <= 0: every step stays at or above the root
+        # with f(E) <= 0: every step stays at or above the root.  f falls to
+        # -inf at the cap when v has weight on the lowest exterior mode, so
+        # a start at the cap is searched for between s and the cap
         stiff = float(v @ op.matvec(v))
         mass = float(v @ (op.mass * v))
         a2 = (P.T @ v[tail:]) ** 2
+        if E >= cap:
+            d = 0.5 * (cap - s)
+            while True:
+                E = cap - d
+                if not E < cap:
+                    return cap
+                sigma, _ = coupling(E)
+                if stiff - E * mass + sigma @ a2 <= 0.0:
+                    break
+                d *= 0.5
         for _ in range(NEWTON_STEPS):
             sigma, slope = coupling(E)
             step = (stiff - E * mass + sigma @ a2) / (mass - slope @ a2)
@@ -764,9 +790,7 @@ def lowest_eigenpairs(
     v = np.ones(n)
     while True:
         theta, v = pencil_vector(*got, v)
-        upper = min(s + theta, upper)
-        if upper < cap:
-            upper = rayleigh_functional(v, upper)
+        upper = rayleigh_functional(v, s, min(s + theta, upper))
         if upper - s <= BRACKET_TOL:
             break
         gap = SHIFT_GAP
@@ -802,11 +826,12 @@ def lowest_eigenpairs(
     u[op.mask] = v
 
     logger.info(
-        "eigensolve: %d box columns, %d unknowns, %d factorizations, "
-        "%d back-solves, %.3f s",
+        "eigensolve: %d box columns, %d unknowns, %d factorizations "
+        "(%d failed), %d back-solves, %.3f s",
         op.columns,
         n,
         factorizations,
+        failed,
         inner_solves,
         time.perf_counter() - start,
     )

@@ -230,7 +230,7 @@ def _secular_value(
     """
     reg = kernel.region
     mi = kernel.m - 1
-    E = kernel.assemble(k.real if k.imag == 0.0 else k)[modes]
+    E = kernel.assemble(k.real if k.imag == 0.0 else k, modes)
     Cs = C[:, modes][:, :, modes]
     rhs = C[:, modes, mi].T.ravel()
     ghat = nla.solve(_birman_schwinger(Cs, E, eps, V.bound), rhs)

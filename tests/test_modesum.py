@@ -129,6 +129,12 @@ def test_assembled_blocks_match_complex_reference(m, k, real) -> None:
     ref = _complex_reference_blocks(kern, k)
     assert np.iscomplexobj(E) != real
     assert np.max(np.abs(E - ref)) <= 1e-15 * np.max(np.abs(ref))
+    # a subset of the modes is exactly those rows of the full assembly, in
+    # the same arithmetic even where the modes left out set it
+    for modes in ([m - 1], [m - 1, m + 1], [m + 3, 0]):
+        sub = kern.assemble(k, np.array(modes))
+        assert sub.dtype == E.dtype
+        assert np.array_equal(sub, E[modes])
 
 
 def test_bilinear_symmetry() -> None:

@@ -112,6 +112,35 @@ def test_band_is_the_energy_form() -> None:
     assert np.array_equal(Av, op.matrix @ v)
 
 
+@pytest.mark.parametrize(
+    "cs, kw",
+    [
+        (_CS, dict(half_length=16.0, h=0.06, window_half_width=0.3)),
+        (_CS, dict(half_length=12.0, h=0.05, potential=lambda x1, x2: -0.5 * (np.abs(x1) <= 1.0))),
+    ],
+    ids=["window", "well"],
+)
+def test_band_sum_matches_add_at(cs, kw, monkeypatch) -> None:
+    # the band is summed by np.bincount over flat Fortran indices; np.add.at
+    # on the same triplets, the reference, sums each entry in the same
+    # order, so the two bands agree bit for bit
+    bincount = np.bincount
+    calls = []
+
+    def recording(x, weights=None, minlength=0):
+        calls.append((x, weights))
+        return bincount(x, weights=weights, minlength=minlength)
+
+    monkeypatch.setattr(np, "bincount", recording)
+    op = build_fd_operator(TruncatedGuide(cross_section=cs, **kw))
+    ((flat, vals),) = calls
+    rows = op.band.shape[0]
+    ref = np.zeros(op.band.shape, order="F")
+    np.add.at(ref, (flat % rows, flat // rows), vals)
+    assert op.band.flags.f_contiguous
+    assert np.array_equal(op.band, ref)
+
+
 def test_lapack_binding_matches_scipy() -> None:
     op = build_fd_operator(_window_well_guide())
     sol = lowest_eigenpairs(op)
@@ -543,7 +572,7 @@ def test_plan_above_the_exterior_cap_raises_before_factoring(monkeypatch) -> Non
 
 
 def test_factorization_cap_reports_no_residuals(monkeypatch) -> None:
-    # the window solve below needs 9 factorizations; a cap of 2 stops the
+    # the window solve below needs 3 factorizations; a cap of 2 stops the
     # bracket before it closes, which is a solver failure with no residual
     g = TruncatedGuide(cross_section=_CS, half_length=16.0, h=0.06, window_half_width=0.3)
     op = build_fd_operator(g)
@@ -646,6 +675,46 @@ def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
     sol = lowest_eigenpairs(op, binding_hint=hint)
     assert sol.factorizations <= ref.factorizations
     assert abs(sol.value / ref.value - 1.0) < 1e-11
+
+
+# the nominal patch row's ladder, each guide hinted by the shorter one's
+# binding: bindings measured before the bracket closed below the exterior's
+# cap, and factorizations measured after it (5 unhinted at L = 10, 3 at
+# L = 20 and 40), plus a margin of 2
+PATCH_LADDER = {
+    10.0: (-0.060277577261702714, 7),
+    20.0: (-0.018519218024857873, 5),
+    40.0: (-0.005287757876252179, 5),
+}
+
+
+def test_patch_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
+    # nothing binds, so the first shift of every solve, the threshold,
+    # factors; the -v line counts the factorizations that failed
+    cholesky = oracle.cholesky_banded
+    failures = Counter()
+
+    def counting(ab):
+        try:
+            return cholesky(ab)
+        except np.linalg.LinAlgError:
+            failures["failed"] += 1
+            raise
+
+    monkeypatch.setattr(oracle, "cholesky_banded", counting)
+    hint = None
+    for L, (binding, budget) in PATCH_LADDER.items():
+        g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, patch_half_width=0.4)
+        failures.clear()
+        caplog.clear()
+        with caplog.at_level("INFO", logger="wgpoles.oracle"):
+            sol = lowest_eigenpairs(build_fd_operator(g), binding_hint=hint)
+        assert sol.shift == sol.threshold
+        assert sol.factorizations <= budget
+        assert abs(sol.binding / binding - 1.0) < 1e-12
+        (line,) = [r.getMessage() for r in caplog.records if "eigensolve" in r.getMessage()]
+        assert f"{sol.factorizations} factorizations ({failures['failed']} failed)" in line
+        hint = sol.binding
 
 
 def test_band_memory_guard(monkeypatch) -> None:

@@ -236,7 +236,7 @@ def test_secant_bounds_the_secular_work() -> None:
 def test_each_evaluation_is_one_dense_solve_and_one_assembly(monkeypatch, caplog) -> None:
     # the benchmark trace counts numpy.linalg.solve and ModeSumKernel.assemble
     # calls under solve_secular; both must equal the solver's own count, and
-    # a strip-uniform well solves on its threshold mode alone
+    # a strip-uniform well solves on, and assembles, its threshold mode alone
     basis, reg, kern = _setup()
     solve = np.linalg.solve
     assemble = ModeSumKernel.assemble
@@ -246,21 +246,24 @@ def test_each_evaluation_is_one_dense_solve_and_one_assembly(monkeypatch, caplog
         shapes.add(a.shape)
         return solve(a, b)
 
-    def counting_assemble(self, k):
+    def counting_assemble(self, k, modes=None):
         calls["assemble"] += 1
-        return assemble(self, k)
+        E = assemble(self, k, modes)
+        blocks.add(len(E))
+        return E
 
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     monkeypatch.setattr(ModeSumKernel, "assemble", counting_assemble)
     for V, solved in ((_well(reg), 1), (PerturbationField.from_function(reg, _tilted), 4)):
         calls = {"solve": 0, "assemble": 0}
-        shapes = set()
+        shapes, blocks = set(), set()
         caplog.clear()
         with caplog.at_level(logging.INFO, logger="wgpoles.regular_pole"):
             p = solve_secular(V, 0.04, kern)
         assert calls == {"solve": p.evaluations, "assemble": p.evaluations}
         unknowns = solved * reg.n_long
         assert shapes == {(unknowns, unknowns)}
+        assert blocks == {solved}
         assert p.modes == tuple(range(1, solved + 1))
         # the -v line reports the same work and residual
         (line,) = [r.getMessage() for r in caplog.records if "secular solve" in r.getMessage()]
