@@ -273,5 +273,22 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CHECK
 
 
+def run() -> None:
+    """Process entry point of ``wgpoles`` and ``python -m wgpoles.cli``.
+
+    Runs :func:`main`, then ends the process with its exit code without
+    interpreter finalization, which tears down every imported module and
+    costs a sweep about as much CPU as its window solves: logging is shut
+    down and both standard streams are flushed first, and the artifacts are
+    closed files by then.  An uncaught exception still exits normally.
+    In-process callers use :func:`main`, which returns the code.
+    """
+    code = main()
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

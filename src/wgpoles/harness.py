@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from .oracle import (
     TruncatedGuide,
     aitken_limit,
     build_fd_operator,
+    build_window_operator,
     lowest_eigenpairs,
     richardson,
 )
@@ -381,9 +381,12 @@ def truncated_binding(
     When ``solves`` is a list, one record of the grid actually solved and
     the solver's work is appended to it: ``L``, the steps ``h_long`` and
     ``h_trans`` after snapping, the effective ``feature_half_width``
-    (``None`` for a potential), and the ``box_columns``, ``unknowns``,
-    ``factorizations`` and ``inner_solves`` (banded back-solves) of the
-    solve.
+    (``None`` for a potential), the operator's ``form``, and the
+    ``box_columns``, ``unknowns``, ``factorizations`` and ``inner_solves``
+    (back-solves) of the solve.  A window scenario solves the
+    :class:`~wgpoles.oracle.WindowOperator` on the window's ``n_feat + 1``
+    wall nodes (form ``"window"``, ``box_columns`` ``None``); the others
+    solve the feature box (form ``"box"``).
     """
     half_width = eps * cfg.perturbation["half_width"]
     g = TruncatedGuide(
@@ -396,7 +399,9 @@ def truncated_binding(
     )
     if cfg.scenario == REGULAR_POTENTIAL:
         g.potential = _box_sampler(eps, cfg.perturbation["half_width"], g.step_long)
-    op = build_fd_operator(g)
+    # a window without a potential is solved on its wall nodes alone
+    build = build_window_operator if cfg.scenario == DIRICHLET_WINDOW else build_fd_operator
+    op = build(g)
     sol = lowest_eigenpairs(op, binding_hint=hint)
     if solves is not None:
         solves.append(
@@ -407,6 +412,7 @@ def truncated_binding(
                 "feature_half_width": None
                 if cfg.scenario == REGULAR_POTENTIAL
                 else g.feature_half_width,
+                "form": op.form,
                 "box_columns": op.columns,
                 "unknowns": op.size,
                 "factorizations": sol.factorizations,
@@ -552,6 +558,9 @@ def run_sweep(
 
     indices = range(len(cfg.epsilons))
     if threads > 1:
+        # imported here: a one-thread sweep does not pay for the import
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(one, indices))
     else:

@@ -333,23 +333,3 @@ def apply_mode_sum(
             )
     return fieldv
 
-
-def wall_source_sum(
-    basis: TransverseBasis, m: int, k: complex, x1, x2, trace: np.ndarray
-) -> np.ndarray:
-    """Mode sum ``sum_j phi_j(x2) trace_j exp(-K_j |x1|) / (2 K_j)``.
-
-    Guide Green function with its source on the wall point ``(0, 0)``, summed
-    over the ``len(trace)`` lowest modes.  With the wall slopes ``Phi_j`` as
-    ``trace`` it is the normal-derivative (dipole) source of a Dirichlet
-    guide, the building block of the window near-field checks; with the wall
-    values ``phi_j(0)`` it is the point source of a Neumann guide,
-    log-singular as ``|x| -> 0``.  Many modes resolve small ``|x|``;
-    convergence is exponential off the wall point.
-    """
-    count = len(trace)
-    K = longitudinal_exponents(basis, m, k, count)
-    phi = basis.phi_matrix(np.atleast_1d(np.asarray(x2, float)))[:count]
-    coef = trace[:, None] / (2.0 * K[:, None])
-    damp = np.exp(-np.outer(K, np.abs(np.atleast_1d(np.asarray(x1, float)))))
-    return np.sum(coef * damp * phi, axis=0)

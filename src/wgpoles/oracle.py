@@ -34,8 +34,20 @@ eigenvalue; the eigenpair does not depend on it, only the number of
 factorizations does.  The same exterior gives the bound state's tails in
 closed form: past the box each lattice mode decays at the exact lattice
 rate of its threshold, with an amplitude read from the box's edge column.
-Everything is deterministic: fixed all-ones start vector, direct banded
+Everything is deterministic: fixed all-ones start vector, direct
 factorizations.
+
+A Neumann window without a potential changes the guide only on its
+``n_feat + 1`` wall nodes, so :class:`WindowOperator` eliminates every
+other node of the same finite guide, on the same grid, in closed form (the
+capacitance matrix method of Buzbee, Dorr, George and Golub, and of
+Proskurowski and Widlund): a dense ``(n_feat + 1)``-square ``T_W(E)``
+built from the same lattice modes, closed by the natural plane and the
+Dirichlet end.  :func:`lowest_eigenpairs` brackets either operator with
+one loop, through the interface both offer: factor or report failure,
+back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with its derivative.  The
+box still accepts a window, as the reference the window form is tested
+against.
 
 The box's stiffness matrix is assembled straight into LAPACK lower band
 storage, ``band[i - j, j] = A[i, j]`` for ``i >= j``, with the unknowns
@@ -43,10 +55,11 @@ numbered along each column: the band is as wide as one column's active
 nodes, and the 5-point stencil fills only a few of its diagonals, which is
 all the matrix-vector product visits.  The factorizations and back-solves
 are LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's compiled LAPACK
-extension, loaded on its own: importing ``scipy.linalg`` would pull in
-scipy's array-API layer and with it much of numpy's test and build
-tooling, which costs more CPU at start-up than a window sweep spends
-solving.
+extension, loaded on its own on the first of them: importing
+``scipy.linalg`` would pull in scipy's array-API layer and with it much of
+numpy's test and build tooling, which costs more CPU at start-up than a
+window sweep spends solving.  The window form's dense factorizations use
+numpy alone.
 """
 
 from __future__ import annotations
@@ -57,9 +70,10 @@ import logging
 import math
 import os
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -104,41 +118,45 @@ SERIES_BELOW = 1e-3
 MAX_BAND_BYTES = 3 * 1024**3
 
 
+# row threads that reach their first banded factorization together load
+# the extension once
+_FLAPACK_LOCK = threading.Lock()
+
+
+@cache
 def _load_flapack():
     """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, without ``scipy.linalg``.
 
     The extension needs only numpy, so it is loaded from its file in the
-    installed scipy; the module already imported is reused, and the one
-    loaded here is registered under its own name, so a later
-    ``import scipy.linalg`` shares it.
+    installed scipy, on the first banded factorization; the module already
+    imported is reused, and the one loaded here is registered under its own
+    name, so a later ``import scipy.linalg`` shares it.
     """
     name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec("scipy")
-    roots = [] if spec is None else list(spec.submodule_search_locations or [])
-    paths = [
-        os.path.join(root, "linalg", "_flapack" + suffix)
-        for root in roots
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES
-    ]
-    for path in paths:
-        if os.path.isfile(path):
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            module = importlib.util.module_from_spec(
-                importlib.util.spec_from_file_location(name, path, loader=loader)
-            )
-            loader.exec_module(module)
-            sys.modules[name] = module
-            return module
+    with _FLAPACK_LOCK:
+        if name in sys.modules:
+            return sys.modules[name]
+        spec = importlib.util.find_spec("scipy")
+        roots = [] if spec is None else list(spec.submodule_search_locations or [])
+        paths = [
+            os.path.join(root, "linalg", "_flapack" + suffix)
+            for root in roots
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        for path in paths:
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader)
+                )
+                loader.exec_module(module)
+                sys.modules[name] = module
+                return module
     raise ImportError(
         f"scipy's LAPACK extension {name} not found; looked for "
         + (", ".join(paths) or "an installed scipy package"),
         name=name,
     )
-
-
-_flapack = _load_flapack()
 
 
 def _lapack_info(routine: str, info: int) -> None:
@@ -157,14 +175,14 @@ def cholesky_banded(ab: np.ndarray) -> np.ndarray:
     is a Fortran-ordered float64 array.  Raises ``LinAlgError`` when ``A``
     is not positive definite.
     """
-    c, info = _flapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+    c, info = _load_flapack().dpbtrf(ab, lower=1, overwrite_ab=1)
     _lapack_info("pbtrf", info)
     return c
 
 
 def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` from the factor ``cb`` of :func:`cholesky_banded`, LAPACK ``dpbtrs``."""
-    x, info = _flapack.dpbtrs(cb, b, lower=1)
+    x, info = _load_flapack().dpbtrs(cb, b, lower=1)
     _lapack_info("pbtrs", info)
     return x
 
@@ -260,6 +278,21 @@ class TruncatedGuide:
         return np.ascontiguousarray(q, dtype=float)
 
 
+def _lattice_angles(h1: float, mu: np.ndarray, E: float):
+    """Column recurrence ``a_{i+1} + a_{i-1} = t a_i``, ``t = 2 + h1^2 (mu - E)``, per mode.
+
+    Returns the angle (``theta`` with ``cosh(theta) = t/2`` where the mode
+    decays, ``t >= 2``; ``phi`` with ``cos(phi) = t/2`` where it
+    oscillates), ``sinh(theta)`` or ``sin(phi)``, and which modes decay.
+    """
+    # from delta = t/2 - 1 directly, so that modes next to E keep their digits
+    delta = 0.5 * h1**2 * (mu - E)
+    half = np.sqrt(0.5 * np.abs(delta))
+    decay = delta >= 0
+    angle = 2.0 * np.where(decay, np.arcsinh(half), np.arcsin(np.minimum(half, 1.0)))
+    return angle, np.sqrt(np.abs(delta * (delta + 2.0))), decay
+
+
 def _lattice_eigenvalues(g: TruncatedGuide, j):
     """``(4/h^2) sin^2(j pi h / (2d))``: eigenvalues of the transverse stencil.
 
@@ -307,15 +340,6 @@ class LatticeExterior:
         s = math.sin(math.pi / (2 * self.columns))
         return float(self.mu.min()) + 4.0 / self.h1**2 * s * s
 
-    def _angles(self, E: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # theta (decaying, t >= 2) or phi (oscillating), from delta = t/2 - 1
-        # directly so that modes next to E keep their digits
-        delta = 0.5 * self.h1**2 * (self.mu - E)
-        half = np.sqrt(0.5 * np.abs(delta))
-        decay = delta >= 0
-        angle = 2.0 * np.where(decay, np.arcsinh(half), np.arcsin(np.minimum(half, 1.0)))
-        return angle, np.sqrt(np.abs(delta * (delta + 2.0))), decay
-
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
         """``sigma_j(E)`` and ``d sigma_j / dE`` of every mode, for ``E`` below the cap.
 
@@ -323,7 +347,7 @@ class LatticeExterior:
         so it is negative and ``sigma_j`` concave.
         """
         M = self.columns
-        angle, sh, decay = self._angles(E)
+        angle, sh, decay = _lattice_angles(self.h1, self.mu, E)
         x = M * angle
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
@@ -342,7 +366,7 @@ class LatticeExterior:
     def extend(self, E: float, edge: np.ndarray) -> np.ndarray:
         """Exterior columns ``c+1 .. n_long`` of the eigenvector whose column ``c`` is ``edge``."""
         M = self.columns
-        angle, _, decay = self._angles(E)
+        angle, _, decay = _lattice_angles(self.h1, self.mu, E)
         k = np.arange(1, M + 1)[:, None]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             decaying = np.where(
@@ -389,13 +413,25 @@ def _lattice_exterior(g: TruncatedGuide, c: int) -> LatticeExterior:
 
 
 @dataclass
+class Factored:
+    """``T(s)`` factored at a shift ``s`` below ``E_1``: back-solves, and ``-T'(s)``."""
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    pencil: Callable[[np.ndarray], np.ndarray]
+
+
+@dataclass
 class FdOperator:
     """Box part ``A u = E M u`` of the guide on its active nodes, and the exterior.
 
     ``band`` (``A`` in LAPACK lower band storage) and ``mass`` cover columns
     ``0 .. columns - 1`` of the guide; the last of them is the box's natural
     edge column, whose active nodes are the last ``rows`` unknowns, and the
-    uniform guide beyond it is ``exterior``.
+    uniform guide beyond it is ``exterior``.  With the exterior's Schur
+    complement ``T(E) = A - E M + projector diag(sigma(E)) projector^T``,
+    the operator offers :func:`lowest_eigenpairs` the same interface as
+    :class:`WindowOperator`: ``factor``, ``coupling``, ``contract`` and
+    ``terms``.
     """
 
     guide: TruncatedGuide
@@ -406,9 +442,71 @@ class FdOperator:
     rows: int
     exterior: LatticeExterior
 
+    form = "box"
+
     @property
     def size(self) -> int:
         return int(self.band.shape[1])
+
+    @property
+    def cap(self) -> float:
+        return self.exterior.cap
+
+    @property
+    def coupling(self) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
+        """``sigma(E)`` and ``d sigma / dE`` of the exterior's modes (see :class:`LatticeExterior`)."""
+        return self.exterior.coupling
+
+    @cached_property
+    def _work(self) -> np.ndarray:
+        # one factor is live at a time, so every factorization reuses this buffer
+        return np.empty_like(self.band, order="F")
+
+    @cached_property
+    def _edge_lower(self) -> tuple[np.ndarray, np.ndarray]:
+        # lower triangle of the closure's block on the edge column
+        return np.tril_indices(self.exterior.projector.shape[0])
+
+    def _closure(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # projector diag(weights) projector^T on the edge column, zero elsewhere
+        P = self.exterior.projector
+        y = np.zeros_like(x)
+        y[-P.shape[0]:] = P @ (weights * (P.T @ x[-P.shape[0]:]))
+        return y
+
+    def factor(self, E: float) -> Factored | None:
+        """``T(E)`` by banded Cholesky, or ``None`` when it is not positive definite.
+
+        The factor lives in a buffer that the next call overwrites.
+        """
+        sigma, slope = self.coupling(E)
+        P = self.exterior.projector
+        low_i, low_j = self._edge_lower
+        ab = self._work
+        np.copyto(ab, self.band)
+        ab[0, :] -= E * self.mass
+        ab[low_i - low_j, self.size - P.shape[0] + low_j] += ((P * sigma) @ P.T)[low_i, low_j]
+        try:
+            cb = cholesky_banded(ab)
+        except LinAlgError:
+            return None
+        return Factored(
+            solve=lambda y: cho_solve_banded(cb, y),
+            pencil=lambda v: self.mass * v - self._closure(v, slope),
+        )
+
+    def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """``v^T A v``, ``v^T M v`` and the weights ``a2`` with ``v^T T(E) v = ... + sigma(E) . a2``."""
+        P = self.exterior.projector
+        return (
+            float(v @ self.matvec(v)),
+            float(v @ (self.mass * v)),
+            (P.T @ v[-P.shape[0]:]) ** 2,
+        )
+
+    def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``A v``, ``M v`` and the closure's part of ``T(E) v = A v - E M v + closure``."""
+        return self.matvec(v), self.mass * v, self._closure(v, sigma)
 
     @cached_property
     def _diagonals(self) -> list[tuple[int, np.ndarray]]:
@@ -447,6 +545,18 @@ class FdOperator:
         )
 
 
+def _box_edge(g: TruncatedGuide, last: int) -> int:
+    """Box edge column, ``BOX_PADDING`` past column ``last``; it must lie inside the guide."""
+    edge = last + BOX_PADDING
+    if edge >= g.n_long:
+        raise ValueError(
+            f"the perturbation reaches column {last} of a guide with {g.n_long} "
+            f"columns; it must end more than {BOX_PADDING} columns before "
+            f"x1 = L = {g.half_length} (lengthen the guide)"
+        )
+    return edge
+
+
 def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     """Assemble the energy-form discretization of ``-Delta + q`` on the feature box.
 
@@ -473,13 +583,7 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
         hit = np.nonzero(np.any(q != 0, axis=1))[0]
         if hit.size:
             last = max(last, int(hit[-1]))
-    edge = last + BOX_PADDING
-    if edge >= n1:
-        raise ValueError(
-            f"the perturbation reaches column {last} of a guide with {n1} "
-            f"columns; it must end more than {BOX_PADDING} columns before "
-            f"x1 = L = {g.half_length} (lengthen the guide)"
-        )
+    edge = _box_edge(g, last)
 
     mask = np.ones((edge + 1, n2 + 1), dtype=bool)
     feature_cols = np.arange(edge + 1) <= g.feature_nodes
@@ -564,19 +668,198 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
 
 
 @dataclass
+class WindowOperator:
+    """A window guide reduced to its wall nodes: the capacitance matrix method.
+
+    A Neumann window without a potential changes the Dirichlet guide only on
+    its ``K = n_feat + 1`` wall nodes ``(i, 0)``.  Eliminating every other
+    node of the finite guide, exactly, leaves the dense ``K``-square
+
+        ``T_W(E) = A_WW - E M_WW - C G(E) C``,
+
+    with ``w1 = h1`` (``h1/2`` at ``i = 0``), ``M_WW = diag(w1 h2 / 2)``,
+    ``C = diag(w1 / h2)`` the wall nodes' edges to the first row, and
+    ``A_WW = diag(w1 / h2)`` plus the wall chain (edges of weight
+    ``h2 / (2 h1)`` between wall nodes, and one from node ``n_feat`` to the
+    Dirichlet wall).  ``G`` is the unperturbed guide's lattice Green function
+    on the first row, ``G[i, i'] = s(|i - i'|) + s(i + i')`` (the second
+    term the image in the symmetry plane), with
+
+        ``s(n) = sum_j phi_j(h2)^2 (h1/2) sinh((N - n) theta_j)
+        / (sinh(theta_j) cosh(N theta_j))``,
+
+    ``N = n_long``, ``cosh(theta_j) = 1 + h1^2 (mu_j - E) / 2``: each lattice
+    mode's column recurrence, closed by the natural plane at ``i = 0`` and
+    the Dirichlet end at ``N`` (its ``sin`` form where the mode oscillates).
+    ``cap`` is the lowest eigenvalue of the guide with the window closed;
+    below it the eliminated block is positive definite, so ``T_W(E)``
+    factors exactly when ``E < E_1``, as the box's ``T(E)`` does.
+    """
+
+    guide: TruncatedGuide
+    stiffness: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+
+    form = "window"
+    columns = None  # no box
+
+    @property
+    def size(self) -> int:
+        return int(self.mass.size)
+
+    @property
+    def cap(self) -> float:
+        g = self.guide
+        s = math.sin(math.pi / (4 * g.n_long))
+        return float(self.mu[0]) + 4.0 / g.step_long**2 * s * s
+
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        # |i - i'| and i + i' of every pair of wall nodes
+        i = np.arange(self.size)
+        return np.abs(i[:, None] - i), i[:, None] + i
+
+    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
+        """``-s(n)`` and ``-ds(n)/dE`` at the offsets ``n = 0 .. 2 n_feat``, for ``E`` below the cap.
+
+        ``-C G C`` is the closure ``sigma`` assembles on the offsets, so
+        ``v^T T_W(E) v = ... + sigma(E) . a2`` as on the box.  The decaying
+        form is summed from ``exp(-n theta)`` and the Dirichlet end's image
+        ``exp(-(2N - n) theta)`` directly, each below one; at ``theta = 0``
+        (``E`` on the mode's threshold) ``s`` is its limit ``(h1/2)(N - n)``.
+        ``ds/dE = -(h1^2/2) s (theta / sinh theta) (a^2 r(a theta) -
+        r(theta) - N tanh(N theta) / theta)``, ``a = N - n``, with
+        ``r(u) = (u coth u - 1) / u^2``, is finite there too.  A mode between
+        its threshold and the cap oscillates, and takes the ``sin`` form of
+        both.
+        """
+        g = self.guide
+        N, h1 = g.n_long, g.step_long
+        angle, sh, decay = _lattice_angles(h1, self.mu, E)
+        wave = ~decay
+        zero = angle == 0.0
+        sign = np.where(decay, 1.0, -1.0)
+        a = N - np.arange(2 * self.size - 1.0)[:, None]
+        au = np.abs(a) * angle
+        with np.errstate(divide="ignore", invalid="ignore"):
+            em = np.expm1(-2.0 * au)
+            s = np.sign(a) * np.exp((np.abs(a) - N) * angle) * (
+                em / (-sh * (1.0 + np.exp(-2.0 * N * angle)))
+            )
+            q = -au * (2.0 + em) / em - 1.0
+            if wave.any():
+                u = a * angle[wave]
+                s[:, wave] = np.sin(u) / (sh[wave] * np.cos(N * angle[wave]))
+                q[:, wave] = u / np.tan(u) - 1.0
+            s[:, zero] = a
+            # per mode, each 1 at theta = 0: theta / sinh(theta) and
+            # tanh(N theta) / (N theta); and 1 / (+-theta^2)
+            x = np.where(zero, 1.0, angle)
+            ratio = np.where(zero, 1.0, x / sh)
+            ends = np.where(zero, 1.0, np.where(decay, np.tanh(N * x), np.tan(N * x)) / (N * x))
+            inverse = 1.0 / (angle * angle * sign)
+            # r(theta), and a^2 r(a theta) = q / (+-theta^2), from the series
+            # 1/3 - (+-u^2)/45 where u coth u - 1 cancels
+            r1 = np.where(
+                angle < SERIES_BELOW,
+                1.0 / 3.0 - angle * angle * sign / 45.0,
+                (np.where(decay, x / np.tanh(x), x / np.tan(x)) - 1.0) * inverse,
+            )
+            r = q * inverse
+            small = au < SERIES_BELOW
+            if small.any():
+                r = np.where(small, a * a * (1.0 / 3.0 - au * au * sign / 45.0), r)
+        w = ratio * self.weight
+        return (
+            -0.5 * h1 * (s @ self.weight),
+            0.25 * h1**3 * ((s * r) @ w - s @ ((r1 + N * N * ends) * w)),
+        )
+
+    def closure(self, weights: np.ndarray) -> np.ndarray:
+        """``C Sigma C``, ``Sigma[i, i'] = weights[|i - i'|] + weights[i + i']``.
+
+        With ``sigma(E)`` it is ``-C G(E) C``, with ``d sigma / dE`` its
+        derivative, so ``T_W(E) = stiffness - E diag(mass) + closure(sigma)``.
+        """
+        diff, pair = self._offsets
+        return np.outer(self.scale, self.scale) * (weights[diff] + weights[pair])
+
+    def factor(self, E: float) -> Factored | None:
+        """``T_W(E)`` by dense Cholesky, or ``None`` when it is not positive definite."""
+        sigma, slope = self.coupling(E)
+        mass = np.diag(self.mass)
+        try:
+            low = np.linalg.cholesky(self.stiffness - E * mass + self.closure(sigma))
+        except LinAlgError:
+            return None
+        pencil = mass - self.closure(slope)
+        return Factored(
+            solve=lambda y: np.linalg.solve(low.T, np.linalg.solve(low, y)),
+            pencil=lambda v: pencil @ v,
+        )
+
+    def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """``v^T A v``, ``v^T M v`` and the pair sums ``a2[n]`` of ``x = C v`` at each offset."""
+        diff, pair = self._offsets
+        xx = np.outer(self.scale * v, self.scale * v).ravel()
+        count = 2 * self.size - 1
+        a2 = np.bincount(diff.ravel(), xx, count) + np.bincount(pair.ravel(), xx, count)
+        return float(v @ (self.stiffness @ v)), float(v @ (self.mass * v)), a2
+
+    def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``A v``, ``M v`` and the closure's part of ``T_W(E) v``, ``sigma`` at ``E``."""
+        return self.stiffness @ v, self.mass * v, self.closure(sigma) @ v
+
+
+def build_window_operator(g: TruncatedGuide) -> WindowOperator:
+    """The window guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`WindowOperator`).
+
+    Solves the same finite guide, on the same grid, as
+    :func:`build_fd_operator`, and refuses the same guides: one whose window
+    comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
+    and so does a guide without a window or with a potential.
+    """
+    if g.window_half_width is None or g.potential is not None:
+        raise ValueError("the window form needs a window guide without a potential")
+    _box_edge(g, g.feature_nodes)
+    h1, h2, n2 = g.step_long, g.step_trans, g.n_trans
+    w1 = np.full(g.feature_nodes + 1, h1)
+    w1[0] = h1 / 2.0
+    chain = h2 / (2.0 * h1)
+    stiffness = np.diag(w1 / h2 + 2.0 * chain)
+    stiffness[0, 0] -= chain
+    i = np.arange(w1.size - 1)
+    stiffness[i, i + 1] = stiffness[i + 1, i] = -chain
+    j = np.arange(1, n2)
+    wall = np.sin(np.pi * j / n2)
+    return WindowOperator(
+        guide=g,
+        stiffness=stiffness,
+        mass=w1 * h2 / 2.0,
+        scale=w1 / h2,
+        weight=2.0 / g.cross_section.width * wall * wall,
+        mu=_lattice_eigenvalues(g, j),
+    )
+
+
+@dataclass
 class OracleSolution:
     """Lowest eigenpair of a truncated guide, with threshold bookkeeping.
 
     ``value`` is ``E_1`` and ``residual`` the relative residual of
-    ``T(E_1) v`` on the box.  ``box_field`` is the eigenvector on the box's
-    node grid (zeros at eliminated nodes), and ``field`` the same on the
-    whole guide, its exterior columns rebuilt from the closed-form modes on
-    first access; both are mass-normalized over the whole guide with a
-    deterministic sign.  ``binding`` is ``mu_m^h - E_1``: positive exactly
-    when a state sits below the discrete threshold.  ``shift`` is the first
-    shift of the plan whose factorization succeeded; ``factorizations`` and
-    ``inner_solves`` count the banded Cholesky factorizations and
-    back-solves of the whole solve.
+    ``T(E_1) v`` on the operator's unknowns.  ``vector`` is ``v``,
+    mass-normalized over the whole guide with a deterministic sign, and
+    ``form`` the operator's (``"box"`` or ``"window"``).  A box solution
+    also gives ``box_field``, the eigenvector on the box's node grid (zeros
+    at eliminated nodes), and ``field``, the same on the whole guide, its
+    exterior columns rebuilt from the closed-form modes on first access.
+    ``binding`` is ``mu_m^h - E_1``: positive exactly when a state sits
+    below the discrete threshold.  ``shift`` is the first shift of the plan
+    whose factorization succeeded; ``factorizations`` and ``inner_solves``
+    count the Cholesky factorizations and back-solves of the whole solve.
     """
 
     guide: TruncatedGuide
@@ -587,8 +870,20 @@ class OracleSolution:
     shift: float
     factorizations: int
     inner_solves: int
-    box_field: np.ndarray = field(repr=False)
-    exterior: LatticeExterior = field(repr=False)
+    form: str
+    vector: np.ndarray = field(repr=False)
+    operator: FdOperator | WindowOperator = field(repr=False)
+
+    @property
+    def exterior(self) -> LatticeExterior:
+        return self.operator.exterior
+
+    @cached_property
+    def box_field(self) -> np.ndarray:
+        """Eigenvector on the box's node grid."""
+        u = np.zeros(self.operator.mask.shape)
+        u[self.operator.mask] = self.vector
+        return u
 
     @cached_property
     def field(self) -> np.ndarray:
@@ -636,27 +931,34 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator, binding_hint: float | None = None
+    op: FdOperator | WindowOperator, binding_hint: float | None = None
 ) -> OracleSolution:
-    """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0`` on the box.
+    """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0``.
 
-    ``T(E) = A - E M + projector diag(sigma(E)) projector^T`` is the exact
-    Schur complement of the exterior (see :class:`LatticeExterior`).
-    ``E_1`` is kept in a bracket ``[s, p]``:
+    ``T(E)`` is the exact Schur complement of the rest of the guide onto the
+    operator's unknowns: the exterior beyond the box of an
+    :class:`FdOperator` (``T(E) = A - E M + projector diag(sigma(E))
+    projector^T``, see :class:`LatticeExterior`), or everything but the
+    wall nodes of a :class:`WindowOperator`.  Either operator factors
+    ``T(s)`` or reports that it is not positive definite, back-solves with
+    the factor, applies ``-T'(s)``, and gives ``f(E) = v^T T(E) v`` as
+    ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
+    ``[s, p]``:
 
-    - below the exterior's cap, a banded Cholesky of ``T(s)`` succeeds
-      exactly when ``s < E_1``, so each shift that factors is a lower bound;
+    - below the operator's cap, a Cholesky factorization of ``T(s)``
+      succeeds exactly when ``s < E_1``, so each shift that factors is a
+      lower bound;
     - ``T`` is concave in ``E``, so the smallest eigenvalue ``theta`` of the
       linearized pencil ``T(s) x = theta (-T'(s)) x``, found by inverse
       iteration, bounds ``E_1 <= s + theta``; Newton steps from there on
-      ``f(E) = v^T T(E) v`` with that eigenvector ``v`` fall monotonically
-      to its root ``p``, the Rayleigh functional, a tighter upper bound:
-      ``T(p)`` is not positive definite, so ``E_1 <= p`` by the same
-      inertia count.  When ``s + theta`` is at or above the cap, where
-      ``f`` falls to ``-inf`` if ``v`` has weight on the exterior's lowest
-      mode, Newton starts instead from the first of the midpoint of
-      ``(s, cap)`` and the points halving its distance to the cap where
-      ``f(E) <= 0``; if there is none, the cap stays the bound.
+      ``f(E)`` with that eigenvector ``v`` fall monotonically to its root
+      ``p``, the Rayleigh functional, a tighter upper bound: ``T(p)`` is not
+      positive definite, so ``E_1 <= p`` by the same inertia count.  When
+      ``s + theta`` is at or above the cap, where ``f`` falls to ``-inf`` if
+      ``v`` has weight on the eliminated guide's lowest mode, Newton starts
+      instead from the first of the midpoint of ``(s, cap)`` and the points
+      halving its distance to the cap where ``f(E) <= 0``; if there is none,
+      the cap stays the bound.
 
     The first shift comes from the plan (see :func:`_shift_plan`): with a
     positive ``binding_hint`` (an estimate of ``mu_m^h - E_1``) ``2 hint``
@@ -666,64 +968,45 @@ def lowest_eigenpairs(
     upper bound, then ``threshold - 1``.  If that fails too, one last shift
     sits one below both zero and the potential's minimum, where ``T(s)`` is
     positive definite by construction.  Only shifts of the plan below the
-    exterior's cap are tried; a plan with none raises :class:`SolverError`
-    without a factorization.  Each next shift sits ``SHIFT_GAP`` of the
-    bracket (at least half of ``BRACKET_TOL``) below ``p``; a shift that
-    does not factor becomes the new upper bound, and the gap widens
-    sixteenfold, up to half the bracket.  The solve stops when
-    ``p - s <= BRACKET_TOL`` and reports ``E_1 = p``; more than ``MAX_FACTORIZATIONS``
-    factorizations raise :class:`SolverError`.  The eigenpair does not
-    depend on the hint; only the number of factorizations does.  The pair
-    is checked against the ``1e-8`` relative-residual contract.
+    cap are tried; a plan with none raises :class:`SolverError` without a
+    factorization.  Each next shift sits ``SHIFT_GAP`` of the bracket (at
+    least half of ``BRACKET_TOL``) below ``p``; a shift that does not factor
+    becomes the new upper bound, and the gap widens sixteenfold, up to half
+    the bracket.  The solve stops when ``p - s <= BRACKET_TOL`` and reports
+    ``E_1 = p``; more than ``MAX_FACTORIZATIONS`` factorizations raise
+    :class:`SolverError`.  The eigenpair does not depend on the hint; only
+    the number of factorizations does.  The pair is checked against the
+    ``1e-8`` relative-residual contract.
     """
     start = time.perf_counter()
     g = op.guide
-    ext = op.exterior
     threshold = discrete_threshold(g)
-    n = op.size
-    P = ext.projector
-    cap = ext.cap
-    coupling = ext.coupling
-    tail = n - P.shape[0]
-    low_i, low_j = np.tril_indices(P.shape[0])
+    cap = op.cap
+    coupling = op.coupling
     factorizations = failed = inner_solves = 0
-    # one factor is live at a time, so every factorization reuses this buffer
-    ab = np.empty_like(op.band, order="F")
 
-    def closure(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # projector diag(weights) projector^T on the edge column, zero elsewhere
-        y = np.zeros_like(x)
-        y[tail:] = P @ (weights * (P.T @ x[tail:]))
-        return y
-
-    def factor(E: float):
+    def factor(E: float) -> Factored | None:
         nonlocal factorizations, failed
         if factorizations >= MAX_FACTORIZATIONS:
             raise SolverError(
                 f"no eigenvalue bracket within {MAX_FACTORIZATIONS} factorizations"
             )
         factorizations += 1
-        sigma, slope = coupling(E)
-        np.copyto(ab, op.band)
-        ab[0, :] -= E * op.mass
-        ab[low_i - low_j, tail + low_j] += ((P * sigma) @ P.T)[low_i, low_j]
-        try:
-            cb = cholesky_banded(ab)
-        except LinAlgError:
+        got = op.factor(E)
+        if got is None:
             failed += 1
-            return None
-        return cb, slope
+        return got
 
-    def pencil_vector(cb: np.ndarray, slope: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray]:
+    def pencil_vector(factored: Factored, v: np.ndarray) -> tuple[float, np.ndarray]:
         # inverse iteration on (T(s), B), B = -T'(s) positive definite; its
         # Rayleigh quotient falls monotonically to the smallest eigenvalue
         nonlocal inner_solves
         theta = math.inf
         for _ in range(INVERSE_ITERATIONS):
-            y = op.mass * v - closure(v, slope)
-            z = cho_solve_banded(cb, y)
+            y = factored.pencil(v)
+            z = factored.solve(y)
             inner_solves += 1
-            bz = op.mass * z - closure(z, slope)
+            bz = factored.pencil(z)
             zbz = float(z @ bz)
             new = float(z @ y) / zbz
             v = z / math.sqrt(zbz)
@@ -736,11 +1019,9 @@ def lowest_eigenpairs(
     def rayleigh_functional(v: np.ndarray, s: float, E: float) -> float:
         # Newton on the concave, decreasing f(E) = v^T T(E) v from a point
         # with f(E) <= 0: every step stays at or above the root.  f falls to
-        # -inf at the cap when v has weight on the lowest exterior mode, so
-        # a start at the cap is searched for between s and the cap
-        stiff = float(v @ op.matvec(v))
-        mass = float(v @ (op.mass * v))
-        a2 = (P.T @ v[tail:]) ** 2
+        # -inf at the cap when v has weight on the lowest eliminated mode,
+        # so a start at the cap is searched for between s and the cap
+        stiff, mass, a2 = op.contract(v)
         if E >= cap:
             d = 0.5 * (cap - s)
             while True:
@@ -766,8 +1047,8 @@ def lowest_eigenpairs(
         raise SolverError(
             f"no shift of the plan (threshold {threshold:.6g} down to "
             f"{threshold - 1.0:.6g}) lies below the exterior's cap {cap:.6g}, "
-            f"the lowest eigenvalue of the guide beyond the box; "
-            f"no factorization was tried"
+            f"the lowest eigenvalue of the eliminated guide; no factorization "
+            f"was tried"
         )
     upper = cap
     for s in shifts:
@@ -787,9 +1068,9 @@ def lowest_eigenpairs(
                 "operator indefinite"
             )
     first_shift = s
-    v = np.ones(n)
+    v = np.ones(op.size)
     while True:
-        theta, v = pencil_vector(*got, v)
+        theta, v = pencil_vector(got, v)
         upper = rayleigh_functional(v, s, min(s + theta, upper))
         if upper - s <= BRACKET_TOL:
             break
@@ -805,9 +1086,7 @@ def lowest_eigenpairs(
 
     value = upper
     sigma, slope = coupling(value)
-    av = op.matvec(v)
-    mv = op.mass * v
-    cv = closure(v, sigma)
+    av, mv, cv = op.terms(v, sigma)
     residual = float(
         np.linalg.norm(av - value * mv + cv)
         / (np.linalg.norm(av) + abs(value) * np.linalg.norm(mv) + np.linalg.norm(cv))
@@ -818,18 +1097,18 @@ def lowest_eigenpairs(
             residuals=residual,
         )
 
-    # -T'(E) is the mass of the whole guide, the exterior extension included
-    v = v / math.sqrt(float(v @ (mv - closure(v, slope))))
+    # -T'(E) is the mass of the whole guide, the eliminated nodes included
+    _, mass, a2 = op.contract(v)
+    v = v / math.sqrt(mass - slope @ a2)
     if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
-    u = np.zeros(op.mask.shape)
-    u[op.mask] = v
 
     logger.info(
-        "eigensolve: %d box columns, %d unknowns, %d factorizations "
-        "(%d failed), %d back-solves, %.3f s",
-        op.columns,
-        n,
+        "eigensolve: %s form, %d unknowns%s, %d factorizations (%d failed), "
+        "%d back-solves, %.3f s",
+        op.form,
+        op.size,
+        "" if op.columns is None else f" on {op.columns} box columns",
         factorizations,
         failed,
         inner_solves,
@@ -844,8 +1123,9 @@ def lowest_eigenpairs(
         shift=float(first_shift),
         factorizations=factorizations,
         inner_solves=inner_solves,
-        box_field=u,
-        exterior=ext,
+        form=op.form,
+        vector=v,
+        operator=op,
     )
 
 
@@ -875,7 +1155,7 @@ def extract_tail_coefficients(
     count = basis.count
     if count > ext.mu.size:
         raise ValueError(f"{count} modes requested; the lattice has {ext.mu.size}")
-    theta, _, decay = ext._angles(sol.value)
+    theta, _, decay = _lattice_angles(ext.h1, ext.mu, sol.value)
     theta = theta[:count]
     if not np.all(decay[:count]):
         raise ValueError(

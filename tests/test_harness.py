@@ -603,7 +603,9 @@ def test_cli_report_reruns_byte_identical(tmp_path, capsys) -> None:
 def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
     # importing scipy.linalg (with scipy's array-API layer) and scipy.sparse
     # cost more CPU than a window sweep spends solving; the oracle loads
-    # scipy's LAPACK extension alone, and -v logs the start-up CPU
+    # scipy's LAPACK extension alone, on the first banded factorization, so
+    # a window sweep, solved on the wall nodes, loads it not at all, nor
+    # the thread pool on one thread; -v logs the start-up CPU
     path = tmp_path / "win.json"
     path.write_text(json.dumps(_window_dict()))
     argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "-v"]
@@ -611,7 +613,8 @@ def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
         "import json, sys, time\n"
         "from wgpoles.cli import main\n"
         f"code = main({argv!r})\n"
-        "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy._lib._array_api')\n"
+        "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy._lib._array_api', "
+        "'scipy.linalg._flapack', 'concurrent.futures')\n"
         "print(json.dumps([code, [m for m in heavy if m in sys.modules], "
         "time.process_time()]))\n"
     )
@@ -627,6 +630,41 @@ def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
     assert loaded == []
     (startup,) = re.findall(r"start-up: ([0-9.]+) s CPU", run.stderr)
     assert 0.0 < float(startup) < cpu
+
+
+def test_cli_process_exits_with_main_s_code_and_complete_output(tmp_path) -> None:
+    # the process entry skips interpreter finalization; its exit code is
+    # main's, and what it printed and wrote is complete when it ends, also
+    # from the block-buffered standard output of a pipe
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(oracle.__file__).parents[1])
+    ok = tmp_path / "win.json"
+    ok.write_text(json.dumps(_window_dict()))
+    failing = tmp_path / "short.json"
+    failing.write_text(json.dumps(_window_dict(oracle={"h": [0.05], "L": [0.3]})))
+    cases = [(ok, 0), (tmp_path / "missing.json", 2), (failing, 3)]
+    for config, code in cases:
+        out = tmp_path / f"out{code}"
+        run = subprocess.run(
+            [sys.executable, "-m", "wgpoles.cli", "sweep", "--config", str(config),
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert run.returncode == code, run.stderr
+        if code == 2:
+            assert run.stderr.startswith("config error:") and not out.exists()
+            continue
+        doc = json.loads((out / "report.json").read_text())
+        csv = (out / "sweep.csv").read_text().splitlines()
+        assert len(doc["rows"]) == len(csv) - 1 == 4
+        if code == 0:
+            lines = run.stdout.splitlines()
+            assert [line.split()[1] for line in lines[:4]] == [f"{e:g}" for e in (0.5, 0.45, 0.4, 0.35)]
+            assert lines[4:] == [f"artifacts in {out}/"]
+        else:
+            assert "every sweep row failed" in run.stderr
 
 
 def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys) -> None:

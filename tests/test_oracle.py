@@ -165,14 +165,17 @@ def test_lapack_binding_matches_scipy() -> None:
     assert sol.binding > 0
     with pytest.raises(np.linalg.LinAlgError):
         oracle.cholesky_banded(shifted(sol.threshold))
-    # loaded on its own, the extension is the one scipy.linalg then imports
+    # the extension loads on the first banded factorization, on its own, and
+    # is the one scipy.linalg then imports
     script = (
-        "import numpy as np, wgpoles\n"
+        "import sys, numpy as np, wgpoles\n"
         "from wgpoles import oracle\n"
+        "assert 'scipy.linalg._flapack' not in sys.modules\n"
+        "c = oracle.cholesky_banded(np.array([[4.0, 4.0], [1.0, 0.0]]))\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
         "import scipy.linalg as sla\n"
-        "assert sla.lapack._flapack is oracle._flapack\n"
-        "c = sla.cholesky_banded(np.array([[4.0, 4.0], [1.0, 0.0]]), lower=True)\n"
-        "assert np.array_equal(c, oracle.cholesky_banded(np.array([[4.0, 4.0], [1.0, 0.0]])))\n"
+        "assert sla.lapack._flapack is oracle._load_flapack()\n"
+        "assert np.array_equal(c, sla.cholesky_banded(np.array([[4.0, 4.0], [1.0, 0.0]]), lower=True))\n"
     )
     src = str(Path(oracle.__file__).parents[1])
     run = subprocess.run(
@@ -354,6 +357,23 @@ def test_symmetric_half_reproduces_even_ground_state() -> None:
     assert abs(half.value - full) < 1e-10 * abs(full)
 
 
+def _full_grid_form(n1, h1, n2, h2):
+    """Energy form (sparse) and trapezoid mass (on the node grid) of the whole half guide."""
+
+    def weights(n, step):
+        w = np.full(n + 1, step)
+        w[[0, -1]] = step / 2.0
+        return w
+
+    def stiffness(n, step):
+        D = sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1))
+        return (D.T @ D) / step
+
+    w1, w2 = weights(n1, h1), weights(n2, h2)
+    A = sp.kron(stiffness(n1, h1), sp.diags(w2)) + sp.kron(sp.diags(w1), stiffness(n2, h2))
+    return A, np.outer(w1, w2)
+
+
 def _full_grid_binding(bc, L, h, window=None, patch=None, potential=None):
     """Binding of the whole half guide, assembled and solved apart from ``wgpoles``.
 
@@ -369,19 +389,7 @@ def _full_grid_binding(bc, L, h, window=None, patch=None, potential=None):
     h1, h2 = L / n1, d / n2
     x1 = np.linspace(0.0, L, n1 + 1)
     x2 = np.linspace(0.0, d, n2 + 1)
-
-    def weights(n, step):
-        w = np.full(n + 1, step)
-        w[[0, -1]] = step / 2.0
-        return w
-
-    def stiffness(n, step):
-        D = sp.diags([-np.ones(n), np.ones(n)], [0, 1], shape=(n, n + 1))
-        return (D.T @ D) / step
-
-    w1, w2 = weights(n1, h1), weights(n2, h2)
-    A = sp.kron(stiffness(n1, h1), sp.diags(w2)) + sp.kron(sp.diags(w1), stiffness(n2, h2))
-    mass = np.outer(w1, w2)
+    A, mass = _full_grid_form(n1, h1, n2, h2)
     if potential is not None:
         q = np.broadcast_to(potential(x1[:, None], x2[None, :]), mass.shape)
         A = A + sp.diags((q * mass).ravel())
@@ -434,6 +442,82 @@ def test_box_solve_matches_full_grid(case) -> None:
         potential=kw.get("potential"),
     )
     assert abs(sol.binding / want - 1.0) < 1e-9
+
+
+def _window_schur(g: TruncatedGuide, E: float) -> np.ndarray:
+    """``T_W(E)`` of a window guide, computed densely apart from ``wgpoles``.
+
+    The whole finite guide's ``A - E M`` on its active nodes (the Dirichlet
+    walls and end deleted, the window's wall nodes kept), with every node
+    but the window's eliminated by a dense Schur complement.
+    """
+    A, mass = _full_grid_form(g.n_long, g.step_long, g.n_trans, g.step_trans)
+    active = np.ones(mass.shape, dtype=bool)
+    active[:, [0, -1]] = False
+    active[-1, :] = False
+    active[: g.feature_nodes + 1, 0] = True
+    wall = np.zeros(mass.shape, dtype=bool)
+    wall[: g.feature_nodes + 1, 0] = True
+    keep = active.ravel()
+    T = (A.toarray() - E * np.diag(mass.ravel()))[np.ix_(keep, keep)]
+    w = wall.ravel()[keep]
+    return T[np.ix_(w, w)] - T[np.ix_(w, ~w)] @ np.linalg.solve(T[np.ix_(~w, ~w)], T[np.ix_(~w, w)])
+
+
+def test_window_form_is_the_schur_complement() -> None:
+    # below mu_1^h, on it (theta_1 = 0: the limit form) and between it and
+    # the cap (mode 1 oscillates: the sin form).  Measured: T_W within
+    # 1.4e-15 of the dense complement, relative to its largest entry, and
+    # -T_W' within 3.5e-9 of its central difference with step 1e-6, which
+    # is that difference's own error; the bounds leave a margin of 70 and 30
+    g = TruncatedGuide(cross_section=_CS, half_length=3.0, h=0.25, window_half_width=1.1)
+    op = oracle.build_window_operator(g)
+    assert (op.size, g.n_long, g.n_trans) == (g.feature_nodes + 1, 12, 13)
+    mu1 = discrete_threshold(g)
+    for E in (mu1 - 0.3, mu1, 0.5 * (mu1 + op.cap)):
+        sigma, slope = op.coupling(E)
+        want = _window_schur(g, E)
+        got = op.stiffness - E * np.diag(op.mass) + op.closure(sigma)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        dE = 1e-6
+        d_want = (_window_schur(g, E + dE) - _window_schur(g, E - dE)) / (2.0 * dE)
+        d_got = op.closure(slope) - np.diag(op.mass)
+        assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
+
+
+# relative difference of the window form's bindings from the box's on the
+# same guides: at most 5.6e-12 measured below, 6.9e-11 over the hinted
+# solves of the nominal window-ladder sweep; the bound leaves a margin of 18
+WINDOW_FORM_REL_TOL = 1e-10
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.3])
+def test_window_form_matches_the_box(eps) -> None:
+    # both steps the harness snaps 0.08 and 0.04 to, two lengths of the
+    # window-ladder rule; the window form solves n_feat + 1 unknowns
+    L0 = round(2.8 / eps**2, 1)
+    for h in (0.08, 0.04):
+        step = eps / (max(4, round(eps / h - 0.5)) + 0.5)
+        for L in (L0, 2.0 * L0):
+            g = TruncatedGuide(cross_section=_CS, half_length=L, h=step, window_half_width=eps)
+            box = lowest_eigenpairs(build_fd_operator(g))
+            win = lowest_eigenpairs(oracle.build_window_operator(g))
+            assert (box.form, win.form) == ("box", "window")
+            assert win.vector.size == g.feature_nodes + 1
+            assert win.residual <= oracle.EIGEN_RESIDUAL_TOL
+            assert abs(win.binding / box.binding - 1.0) <= WINDOW_FORM_REL_TOL
+
+
+def test_window_form_refuses_what_it_does_not_solve() -> None:
+    # no window, a potential, and a window too close to the guide's end, as
+    # the box refuses it
+    for kw in (
+        dict(half_length=4.0, h=0.1),
+        dict(half_length=4.0, h=0.1, window_half_width=0.5, potential=lambda x1, x2: 0.0 * x1),
+        dict(half_length=0.8, h=0.1, window_half_width=0.5),
+    ):
+        with pytest.raises(ValueError):
+            oracle.build_window_operator(TruncatedGuide(cross_section=_CS, **kw))
 
 
 def test_perturbation_at_the_guide_end_is_rejected() -> None:

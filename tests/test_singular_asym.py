@@ -1,4 +1,4 @@
-"""Window and patch pole asymptotics, resonance widths, near-field structure."""
+"""Window and patch pole asymptotics, and resonance widths."""
 
 import math
 
@@ -9,19 +9,15 @@ from wgpoles import (
     BOUND_STATE,
     NO_EIGENVALUE,
     RESONANCE,
-    BoxRegion,
     CrossSection,
-    ModeSumKernel,
     build_basis,
     dirichlet_window_pole,
     dirichlet_window_width,
     explicit_window_solution_2d,
     fit_farfield_coefficient,
-    near_field,
-    near_field_check,
     neumann_patch_pole,
 )
-from wgpoles.singular_asym import NEAR_FIELD_RADII, AsymptoticPole, ExpansionMismatchError
+from wgpoles.singular_asym import AsymptoticPole
 
 
 def _dirichlet_basis(count: int = 24):
@@ -123,58 +119,6 @@ def test_patch_pole_is_logarithmic_in_two_dimensions() -> None:
 def test_patch_pole_validation() -> None:
     with pytest.raises(ValueError):
         neumann_patch_pole(0.01, _dirichlet_basis(), 1)
-
-
-def _near_kernel(bc: str, count: int) -> ModeSumKernel:
-    cs = CrossSection(width=np.pi, bc=bc)
-    basis = build_basis(cs, count)
-    reg = BoxRegion(cross_section=cs, half_length=1.0, n_long=9, n_trans=5)
-    return ModeSumKernel(basis=basis, m=1, region=reg, count=count)
-
-
-def test_near_field_window_dipole_coefficient() -> None:
-    kern = _near_kernel("dirichlet", 2000)
-    rep = near_field_check("neumann-window", 1, 0.02, kern)
-    assert rep.rel_deviation < 0.05
-    assert rep.fit_residual < 0.2
-    expected = 4.0 * 0.02 / (kern.basis.wall_slope[0] * 2.0 * np.pi)
-    assert abs(rep.predicted - expected) < 1e-15
-
-
-def test_near_field_patch_log_coefficient() -> None:
-    kern = _near_kernel("neumann", 2000)
-    rep = near_field_check("dirichlet-patch", 1, 0.02, kern)
-    assert rep.rel_deviation < 0.05
-    assert rep.fit_residual < 0.2
-
-
-def test_near_field_limit_is_threshold_mode() -> None:
-    kern = _near_kernel("dirichlet", 2000)
-    psi = near_field("neumann-window", 1, 1e-4, kern)
-    val = psi(np.array([0.7]), np.array([1.1]))[0]
-    assert abs(val - kern.basis.phi(1, np.array([1.1]))[0]) < 1e-3
-
-
-def test_near_field_mismatch_raises() -> None:
-    # band straddling resolved and saturated radii fits no three-term model
-    kern = _near_kernel("dirichlet", 100)
-    with pytest.raises(ExpansionMismatchError):
-        near_field_check("neumann-window", 1, 0.02, kern, radii=(1e-4, 1e-1))
-
-
-def test_near_field_validation() -> None:
-    kern = _near_kernel("dirichlet", 64)
-    with pytest.raises(ValueError):
-        near_field_check("neumann-window", 1, 0.0, kern)
-    with pytest.raises(ValueError):
-        near_field_check("neumann-window", 1, 0.06, kern)
-    with pytest.raises(ValueError):
-        near_field_check("neumann-window", 2, 0.02, kern)
-    with pytest.raises(ValueError):
-        near_field_check("neumann-window", 1, 0.02, kern, radii=(0.1, 0.1))
-    with pytest.raises(ValueError):
-        near_field("absorbing", 1, 0.02, kern)
-    assert NEAR_FIELD_RADII == (1e-2, 1e-1)
 
 
 def test_window_pole_consistent_with_cell_farfield() -> None:
