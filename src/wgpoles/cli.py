@@ -1,10 +1,9 @@
 """Command line front end for the sweep pipeline and its individual stages.
 
 Subcommands mirror the pipeline: ``basis`` (transverse eigenpairs), ``pole``
-(secular solve per coupling), ``asym`` (leading-order predictions), ``cell``
-(far-field constant of the unit window), ``oracle`` (single truncated-guide
-bindings), ``sweep`` (full run writing CSV and JSON artifacts), and
-``report`` (full run printed to stdout).
+(secular solve per coupling), ``asym`` (leading-order predictions),
+``oracle`` (single truncated-guide bindings), ``sweep`` (full run writing
+CSV and JSON artifacts), and ``report`` (full run printed to stdout).
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when a solver
 fails to converge or ``pole`` finds a pole its classification rules do not
@@ -21,7 +20,6 @@ import os
 import sys
 import time
 
-from .cell import explicit_window_solution_2d, fit_farfield_coefficient
 from .harness import (
     REGULAR_POTENTIAL,
     ConfigError,
@@ -53,8 +51,8 @@ class _CheckFailed(RuntimeError):
     """Internal signal: declared tolerances were violated under ``--check``."""
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", type=str, required=config_required,
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", type=str, required=True,
                    help="Path to the experiment JSON config.")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="Log solver progress.")
@@ -106,18 +104,6 @@ def _cmd_asym(args: argparse.Namespace) -> int:
             f"{eps:>10.6g} {row.k_re:>16.10g} {row.k_im:>14.6g} "
             f"{row.lam_pred:>16.10g} {row.classification or '-':>14}"
         )
-    return EXIT_OK
-
-
-def _cmd_cell(args: argparse.Namespace) -> int:
-    a = parse_config(args.config).perturbation["half_width"] if args.config else 1.0
-    sol = explicit_window_solution_2d(a)
-    fitted = fit_farfield_coefficient(sol, 10.0 * a, 40.0 * a)
-    dev = abs(fitted - sol.farfield_constant) / sol.farfield_constant
-    print(f"window half-width     {a:g}")
-    print(f"far-field constant    {sol.farfield_constant:.12g} (a^2/2)")
-    print(f"fitted from far field {fitted:.12g}")
-    print(f"relative deviation    {dev:.3e}  (reference tol 1e-3)")
     return EXIT_OK
 
 
@@ -193,10 +179,6 @@ def _parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("asym", help="Leading-order pole predictions.")
     _add_common(sp)
     sp.set_defaults(func=_cmd_asym)
-
-    sp = sub.add_parser("cell", help="Far-field constant of the wall window.")
-    _add_common(sp, config_required=False)
-    sp.set_defaults(func=_cmd_cell)
 
     sp = sub.add_parser("oracle", help="Single truncated-guide bindings.")
     _add_common(sp)

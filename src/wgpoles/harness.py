@@ -30,7 +30,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .cell import explicit_window_solution_2d
 from .modesum import BoxRegion, ModeSumKernel
 from .oracle import (
     TruncatedGuide,
@@ -375,7 +374,9 @@ def truncated_binding(
 
     The guide ends in a Dirichlet column at ``L``; a guide the config makes
     invalid (a feature as wide as the guide, or a perturbation within
-    ``BOX_PADDING`` columns of its end) raises ``ValueError``.  ``hint`` is
+    ``BOX_PADDING`` columns of its end) raises ``ValueError``, and so does
+    ``m >= 2``: a lower channel is open there, so the guide's lowest state
+    measures nothing about the pole at ``mu_m``.  ``hint`` is
     an estimate of the binding that places the eigensolver's first shift
     (see :func:`lowest_eigenpairs`); it changes the work, not the result.
     When ``solves`` is a list, one record of the grid actually solved and
@@ -388,6 +389,11 @@ def truncated_binding(
     wall nodes (form ``"window"``, ``box_columns`` ``None``); the others
     solve the feature box (form ``"box"``).
     """
+    if cfg.m >= 2:
+        raise ValueError(
+            f"the oracle binds only below the lowest threshold; at m = {cfg.m} "
+            "a lower channel is open"
+        )
     half_width = eps * cfg.perturbation["half_width"]
     g = TruncatedGuide(
         cross_section=cfg.cross_section,
@@ -498,8 +504,8 @@ def predict_row(cfg: ExperimentConfig, eps: float, basis: TransverseBasis) -> Sw
             extras={"first_order_coefficient": lead},
         )
     if cfg.scenario == DIRICHLET_WINDOW:
-        c2 = explicit_window_solution_2d(cfg.perturbation["half_width"]).farfield_constant
-        pole = dirichlet_window_pole(eps, c2, basis, cfg.m)
+        a = cfg.perturbation["half_width"]
+        pole = dirichlet_window_pole(eps, 0.5 * a * a, basis, cfg.m)
     else:
         pole = neumann_patch_pole(eps, basis, cfg.m)
     return SweepRow(

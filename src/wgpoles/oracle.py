@@ -238,8 +238,6 @@ class TruncatedGuide:
         self.step_long = self.half_length / self.n_long
         self.n_trans = int(max(4, round(self.cross_section.width / self.h)))
         self.step_trans = self.cross_section.width / self.n_trans
-        self.x1 = np.linspace(0.0, self.half_length, self.n_long + 1)
-        self.x2 = np.linspace(0.0, self.cross_section.width, self.n_trans + 1)
 
         width = self.window_half_width or self.patch_half_width
         if width is not None:
@@ -268,6 +266,16 @@ class TruncatedGuide:
             self.feature_nodes = 0
             self.feature_half_width = 0.0
             self.feature_snap = 0.0
+
+    @cached_property
+    def x1(self) -> np.ndarray:
+        """Longitudinal nodes ``0 .. L``, built on first use: the window form never reads them."""
+        return np.linspace(0.0, self.half_length, self.n_long + 1)
+
+    @cached_property
+    def x2(self) -> np.ndarray:
+        """Transverse nodes ``0 .. d``."""
+        return np.linspace(0.0, self.cross_section.width, self.n_trans + 1)
 
     def potential_samples(self) -> np.ndarray | None:
         """Potential ``q`` on the node grid, shape ``(n_long+1, n_trans+1)``."""

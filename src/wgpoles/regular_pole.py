@@ -406,80 +406,3 @@ def _outside_amplitude(fld: ModeSumField, j: int, r: float) -> complex:
     """
     Kj = fld.exponents[j - 1]
     return complex(fld.mode_profile(j, np.array([r]))[0] * np.exp(Kj * r))
-
-
-@dataclass
-class EigenfunctionField:
-    """Residue of the resolvent at the pole, as an evaluator on the guide.
-
-    ``amplitudes[j-1]`` is the coefficient of ``phi_j(x2) exp(-K_j |x1|)``
-    outside the source box; for bound states the threshold-mode amplitude is
-    normalized to one (evaluator scaled to match).
-    ``raw_threshold_amplitude`` is that amplitude before normalization,
-    under the natural scaling ``psi = eps A(k) g`` in which it tends to one
-    as the coupling vanishes.  ``square_integrable`` is false for resonance
-    and no-eigenvalue poles, whose fields grow or radiate; the evaluator
-    still returns values there.
-    """
-
-    amplitudes: np.ndarray = field(repr=False)
-    raw_threshold_amplitude: complex
-    decay_rate: float
-    square_integrable: bool
-    m: int
-    _field: "object" = field(repr=False)
-    _prefactor: complex = field(repr=False)
-
-    def __call__(self, x1, x2) -> np.ndarray:
-        return self._prefactor * self._field(x1, x2)
-
-    def mode_profile(self, j: int, x1) -> np.ndarray:
-        """Longitudinal amplitude of transverse mode ``j`` (normalized)."""
-        return self._prefactor * self._field.mode_profile(j, x1)
-
-
-def assemble_residue(p: PoleResult, kernel: ModeSumKernel) -> EigenfunctionField:
-    """Assemble the residue field ``psi = eps A(k) g`` and its mode amplitudes.
-
-    Amplitudes are read off one unit outside the source box; the decay rate
-    comes from a log-linear fit of the threshold-mode profile over the next
-    five units.  Not defined for ``PoleAtZero`` results.
-    """
-    if p.classification == POLE_AT_ZERO:
-        raise ValueError("pole never detached from the threshold; no residue field")
-    fld = apply_mode_sum(p.residue, p.k, kernel, regularize_m=False)
-    R = kernel.region.half_length
-    r0 = R + 1.0
-    amps = np.array(
-        [_outside_amplitude(fld, j, r0) for j in range(1, kernel.count + 1)]
-    )
-    raw_m = p.eps * amps[p.m - 1]
-    if p.classification == BOUND_STATE:
-        if amps[p.m - 1] == 0:
-            raise ValueError("threshold-mode amplitude vanished; cannot normalize")
-        prefactor = 1.0 / amps[p.m - 1]
-    else:
-        prefactor = complex(p.eps)
-    xs = np.linspace(r0, R + 6.0, 11)
-    prof = np.abs(fld.mode_profile(p.m, xs))
-    if np.any(prof == 0):
-        decay = float("nan")
-    else:
-        decay = -float(np.polyfit(xs, np.log(prof), 1)[0])
-    scaled = amps * prefactor
-    if p.classification == BOUND_STATE:
-        # exactly one: the product with the reciprocal can round to 1 - 1e-16
-        scaled[p.m - 1] = 1.0
-    else:
-        logger.info(
-            "residue field for %s pole is not square integrable", p.classification
-        )
-    return EigenfunctionField(
-        amplitudes=scaled,
-        raw_threshold_amplitude=complex(raw_m),
-        decay_rate=decay,
-        square_integrable=p.classification == BOUND_STATE,
-        m=p.m,
-        _field=fld,
-        _prefactor=complex(prefactor),
-    )

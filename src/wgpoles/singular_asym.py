@@ -15,6 +15,13 @@ the window, the far-field constant ``c_2`` of the rescaled window:
 
 ``2 pi`` is the length of the unit circle.  Only leading terms are
 computed.
+
+The rescaled window problem asks for a function harmonic above the wall,
+zero on the wall outside the window, with zero normal derivative across it,
+and growing like ``xi_2`` at infinity.  For the interval window ``(-a, a)``
+the conformal map ``z -> sqrt(z^2 - a^2)`` solves it in closed form,
+``X = Im sqrt(z^2 - a^2) = xi_2 + c_2 xi_2 / rho^2 + o(1/rho)`` with
+``c_2 = a^2 / 2``, the constant the sweep passes.
 """
 
 from __future__ import annotations

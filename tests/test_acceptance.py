@@ -189,28 +189,96 @@ def test_window_binding_follows_fourth_power_law() -> None:
     assert elapsed < 1200.0, f"runtime {elapsed:.0f}s >= 1200s budget"
 
 
-def test_cell_farfield_constant_and_scaling() -> None:
-    """Far-field fit of the explicit half-plane flow returns a^2 / 2.
+def _window_levels(eps: float, stretch: int = 1) -> list[tuple[float, float]]:
+    """``(h, b)`` of the unit window at ``n_feat = 10, 20, 40`` wall nodes.
 
-    Three window sizes, fitted over rho in [10a, 40a]; the constant must
-    land within 1e-3 of a^2 / 2 and doubling the window must scale it by
-    4 to 1%.
+    ``h = eps / (n_feat + 1/2)`` puts the window edge midway between wall
+    nodes, and the guide is ``stretch`` times ``N`` whole steps long, ``N``
+    the fewest that reach 25 decay lengths ``2 / eps^2``, so neither step is
+    re-rounded.  Each solve's hint is the previous, coarser level's binding.
     """
-    fitted = {}
-    for a in (0.5, 1.0, 2.0):
-        sol = wg.explicit_window_solution_2d(a)
-        c = wg.fit_farfield_coefficient(sol, 10.0 * a, 40.0 * a)
-        exact = 0.5 * a * a
-        assert abs(c - exact) <= 1e-3 * exact, (
-            f"a={a}: fitted {c:.8f} vs {exact} "
-            f"(rel dev {abs(c - exact) / exact:.2e})"
+    levels = []
+    hint = None
+    for n_feat in (10, 20, 40):
+        h = eps / (n_feat + 0.5)
+        n_long = stretch * math.ceil(25.0 / (0.5 * eps * eps) / h)
+        g = wg.TruncatedGuide(
+            cross_section=STRIP, half_length=n_long * h, h=h, window_half_width=eps
         )
-        fitted[a] = c
-    for small, big in ((0.5, 1.0), (1.0, 2.0)):
-        ratio = fitted[big] / fitted[small]
-        assert abs(ratio - 4.0) <= 0.04, (
-            f"scaling {small} -> {big}: ratio {ratio:.4f} is not 4 to 1%"
-        )
+        assert (g.n_long, g.feature_nodes, g.step_long) == (n_long, n_feat, h)
+        hint = wg.lowest_eigenpairs(wg.build_window_operator(g), binding_hint=hint).binding
+        levels.append((h, hint))
+    return levels
+
+
+def _two_stage_richardson(levels: list[tuple[float, float]]) -> float:
+    """Step limit of ``b(h) = b + c1 h + c2 h^2`` through three levels.
+
+    Order 1 on each adjacent pair leaves ``b - c2 h_i h_{i+1}``; order 2 on
+    those two, at the ratio ``sqrt(h_0 / h_2)`` whose square is the ratio of
+    the two products, removes the rest.
+    """
+    (h0, b0), (h1, b1), (h2, b2) = levels
+    coarse = wg.richardson(b0, b1, h0 / h1, order=1)
+    fine = wg.richardson(b1, b2, h1 / h2, order=1)
+    return wg.richardson(coarse, fine, math.sqrt(h0 / h2), order=2)
+
+
+def test_window_tau_squared_from_the_oracle() -> None:
+    """Unit window: the oracle's ``b / eps^4`` tends to the predictor's tau^2 = 1/4.
+
+    The predictor's ``tau = (pi/2) c_2 Phi_1^2`` enters only through the
+    far-field constant ``c_2 = a^2/2``, so this gate checks that constant
+    end to end.  At ``eps = 0.05, 0.02, 0.01`` the window form solves three
+    step levels (see :func:`_window_levels`), extrapolated in the step by
+    :func:`_two_stage_richardson`; ``tau^2 + c1 eps + c2 eps^2`` through the
+    three couplings gives the extrapolated ``tau^2``.  Gates: that value
+    within 1e-4 of the prediction, ``|b / eps^4 - tau^2|`` shrinking with
+    ``eps`` and below 1e-4 at 0.01, the binding at 0.05 moving by less than
+    1e-10 relative when the guide doubles, and at most 3 s of CPU in this
+    thread.  Measured: ``b / eps^4`` 0.2506164, 0.2501441 and 0.2500461;
+    the fit 2.2e-5 below 1/4; 1 s of CPU.
+    """
+    t0 = time.thread_time()
+    cfg = wg.parse_config(
+        {
+            "scenario": wg.DIRICHLET_WINDOW,
+            "cross_section": {"width": math.pi, "bc": "dirichlet"},
+            "m": 1,
+            "epsilons": [0.05, 0.02, 0.01, 0.005],
+            "perturbation": {"half_width": 1.0},
+            "oracle": {"h": [0.01], "L": [1.0]},
+        }
+    )
+    basis = wg.build_basis(STRIP, 9)
+    tau = wg.predict_row(cfg, 0.05, basis).extras["tau"]
+    assert abs(tau * tau - 0.25) <= 1e-15, f"predicted tau^2 {tau * tau!r} is not 1/4"
+
+    couplings = (0.05, 0.02, 0.01)
+    ratios = []
+    for eps in couplings:
+        levels = _window_levels(eps)
+        b = _two_stage_richardson(levels)
+        ratios.append(b / eps**4)
+        if eps == 0.05:
+            longer = _window_levels(eps, stretch=2)
+            for (h, short), (_, long) in zip(levels, longer):
+                assert abs(long - short) <= 1e-10 * short, (
+                    f"h={h:.4g}: doubling L moved b from {short!r} to {long!r}"
+                )
+    misses = [abs(r - tau * tau) for r in ratios]
+    table = ", ".join(f"eps={e}: {r:.7f}" for e, r in zip(couplings, ratios))
+    assert misses[0] > misses[1] > misses[2], f"b/eps^4 not converging: {table}"
+    assert misses[2] <= 1e-4, f"b/eps^4 at eps=0.01 misses tau^2 by {misses[2]:.2e}"
+
+    eps = np.array(couplings)
+    design = np.column_stack([np.ones(3), eps, eps * eps])
+    fitted = float(np.linalg.solve(design, np.array(ratios))[0])
+    assert abs(fitted - tau * tau) <= 1e-4, (
+        f"extrapolated tau^2 {fitted:.7f} vs {tau * tau} ({table})"
+    )
+    cpu = time.thread_time() - t0
+    assert cpu <= 3.0, f"gate took {cpu:.2f} s of CPU, budget 3 s"
 
 
 def test_patch_produces_no_eigenvalue() -> None:
@@ -263,7 +331,7 @@ def test_resonance_width_for_second_threshold() -> None:
     """
     basis = wg.build_basis(STRIP, 6)
     eps = 0.1
-    c2 = wg.explicit_window_solution_2d(1.0).farfield_constant
+    c2 = 0.5  # the unit window's far-field constant a^2/2
     im_k, a1 = wg.dirichlet_window_width(eps, c2, basis, 2)
     want = -(eps**4) / math.sqrt(3.0)
     assert im_k < 0.0

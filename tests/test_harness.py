@@ -458,7 +458,6 @@ def test_cli_exit_codes(tmp_path) -> None:
     assert main(["basis", "--config", str(path)]) == 0
     assert main(["pole", "--config", str(path)]) == 0
     assert main(["asym", "--config", str(path)]) == 0
-    assert main(["cell"]) == 0
     assert main(["oracle", "--config", str(path)]) == 0
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
     assert main(["pole", "--config", str(tmp_path / "missing.json")]) == 2
@@ -535,6 +534,25 @@ def test_cli_pole_exits_3_on_an_unclassifiable_pole(tmp_path, capsys) -> None:
     assert "classification error: m = 2 pole" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scenario", ["DirichletWindow", "NeumannPatch"])
+def test_oracle_refuses_a_threshold_above_an_open_channel(tmp_path, capsys, scenario) -> None:
+    # at m = 2 the guide's lowest state sits near mu_1: mu_2^h - E_1 would
+    # be a number, but not a binding
+    bc = "neumann" if scenario == "NeumannPatch" else "dirichlet"
+    raw = _window_dict(scenario=scenario, cross_section={"width": math.pi, "bc": bc}, m=2)
+    rows = run_sweep(parse_config(raw))
+    for r in rows:
+        assert r.b_oracle is None
+        assert r.error == (
+            "ValueError: the oracle binds only below the lowest threshold; "
+            "at m = 2 a lower channel is open"
+        )
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(raw))
+    assert main(["oracle", "--config", str(path)]) == 2
+    assert "a lower channel is open" in capsys.readouterr().err
+
+
 def test_cli_sweep_exits_3_when_every_row_fails(tmp_path, capsys) -> None:
     # every coupling's guide is shorter than its window half-width
     raw = _window_dict(oracle={"h": [0.05], "L": [[0.4], [0.4], [0.3], [0.3]]})
@@ -561,6 +579,9 @@ def test_readme_cli_section_names_every_long_option() -> None:
         if opt.startswith("--") and opt != "--help"
     }
     assert documented == defined
+    # and its table lists each subcommand once, and no other
+    tabled = re.findall(r"^\| `([a-z]+)` +\|", section, flags=re.M)
+    assert sorted(tabled) == sorted(commands.choices)
 
 
 def test_cli_oracle_rejects_an_invalid_guide_as_a_config_error(tmp_path, capsys) -> None:

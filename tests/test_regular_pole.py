@@ -24,7 +24,6 @@ from wgpoles import (
     PerturbationField,
     apply_mode_sum,
     assemble_birman_schwinger,
-    assemble_residue,
     build_basis,
     classify_pole,
     regular_leading_asymptotic,
@@ -376,22 +375,35 @@ def test_classification_rules() -> None:
 
 
 def _check_normalized_residue(p, kern):
-    ef = assemble_residue(p, kern)
-    assert ef.amplitudes[0] == 1.0
+    """The residue's field ``A(k) g``, scaled so its threshold-mode amplitude is one.
+
+    Mode ``j`` of the field is ``a_j exp(-K_j |x1|)`` outside the box; the
+    amplitudes are read one unit outside it and the decay rate fitted over
+    the next five units.
+    """
+    assert p.classification == BOUND_STATE and p.m == 1
+    fld = apply_mode_sum(p.residue, p.k, kern, regularize_m=False)
+    r0 = kern.region.half_length + 1.0
+    amps = np.array(
+        [
+            complex(fld.mode_profile(j, r0)[0] * np.exp(fld.exponents[j - 1] * r0))
+            for j in range(1, kern.count + 1)
+        ]
+    )
     # x1-only potential excites no other transverse mode
-    assert np.max(np.abs(ef.amplitudes[1:])) < 1e-12
-    assert 0.9 <= ef.raw_threshold_amplitude.real <= 1.1
-    assert abs(ef.raw_threshold_amplitude.imag) < 1e-14
+    assert np.max(np.abs(amps[1:])) < 1e-12 * abs(amps[0])
+    # under the scaling psi = eps A(k) g the amplitude tends to one
+    raw = p.eps * amps[0]
+    assert 0.9 <= raw.real <= 1.1
+    assert abs(raw.imag) < 1e-14
     # outside the box the threshold profile is one pure exponential
-    assert abs(ef.decay_rate / p.k.real - 1.0) < 1e-12
-    assert ef.square_integrable
-    assert ef.m == 1
-    return ef
+    xs = np.linspace(r0, r0 + 5.0, 11)
+    decay = -np.polyfit(xs, np.log(np.abs(fld.mode_profile(1, xs))), 1)[0]
+    assert abs(decay / p.k.real - 1.0) < 1e-12
+    return lambda x1, x2: fld(x1, x2) / amps[0]
 
 
 def test_residue_is_normalized_eigenfunction() -> None:
-    # the coarse grid at these couplings rounded the normalized amplitude
-    # to 1 - 1e-16 when it was scaled by the reciprocal
     basis, reg, kern = _setup()
     for eps in (0.01, 0.02):
         _check_normalized_residue(solve_secular(_well(reg), eps, kern), kern)
@@ -432,11 +444,3 @@ def test_mode_space_residue_solves_grid_equation() -> None:
     # the secular value is the threshold-mode quadrature of that residue
     k = 0.5 * eps * np.einsum("i,j,ij->", reg.w1, reg.w2 * basis.phi(1, reg.x2), g)
     assert abs(k - p.k) < 1e-12 * abs(p.k)
-
-
-def test_residue_not_defined_at_zero_pole() -> None:
-    basis, reg, kern = _setup()
-    V = PerturbationField(region=reg, values=np.zeros((reg.n_long, reg.n_trans)))
-    p = solve_secular(V, 0.3, kern)
-    with pytest.raises(ValueError):
-        assemble_residue(p, kern)

@@ -13,8 +13,6 @@ from wgpoles import (
     build_basis,
     dirichlet_window_pole,
     dirichlet_window_width,
-    explicit_window_solution_2d,
-    fit_farfield_coefficient,
     neumann_patch_pole,
 )
 from wgpoles.singular_asym import AsymptoticPole
@@ -119,13 +117,3 @@ def test_patch_pole_is_logarithmic_in_two_dimensions() -> None:
 def test_patch_pole_validation() -> None:
     with pytest.raises(ValueError):
         neumann_patch_pole(0.01, _dirichlet_basis(), 1)
-
-
-def test_window_pole_consistent_with_cell_farfield() -> None:
-    # doubling the cell half-width quadruples c_2 and hence k_lead
-    basis = _dirichlet_basis()
-    c1 = fit_farfield_coefficient(explicit_window_solution_2d(1.0), 10.0, 100.0)
-    c2 = fit_farfield_coefficient(explicit_window_solution_2d(2.0), 20.0, 200.0)
-    k1 = dirichlet_window_pole(0.05, c1, basis, 1).k_lead
-    k2 = dirichlet_window_pole(0.05, c2, basis, 1).k_lead
-    assert abs(k2 / k1 - 4.0) < 0.04
