@@ -24,7 +24,6 @@ from .harness import (
     REGULAR_POTENTIAL,
     ConfigError,
     basis_size,
-    oracle_steps,
     parse_config,
     predict_row,
     regular_inputs,
@@ -96,10 +95,12 @@ def _cmd_pole(args: argparse.Namespace) -> int:
 def _cmd_asym(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     basis = build_basis(cfg.cross_section, basis_size(cfg))
+    # one potential for every coupling of a regular config
+    V = regular_inputs(cfg, basis)[1] if cfg.scenario == REGULAR_POTENTIAL else None
     print(f"{'epsilon':>10} {'k lead':>16} {'Im k lead':>14} {'lambda pred':>16} "
           f"{'class':>14}")
     for eps in cfg.epsilons:
-        row = predict_row(cfg, eps, basis)
+        row = predict_row(cfg, eps, basis, V)
         print(
             f"{eps:>10.6g} {row.k_re:>16.10g} {row.k_im:>14.6g} "
             f"{row.lam_pred:>16.10g} {row.classification or '-':>14}"
@@ -113,12 +114,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
           f"{'half-width':>10} {'binding':>18}")
     for i, eps in enumerate(cfg.epsilons):
         L = cfg.lengths_for(i)[-1]
-        solved: list[dict] = []
         try:
-            b = truncated_binding(cfg, eps, L, oracle_steps(cfg, eps)[0], solves=solved)
+            b, s = truncated_binding(cfg, eps, L, cfg.oracle["h"][-2:][0])
         except ValueError as exc:  # the config describes an invalid guide
             raise ConfigError(f"epsilon {eps:g}, L {L:g}: {exc}") from exc
-        s = solved[0]
         width = s["feature_half_width"]
         width = "-" if width is None else f"{width:.6g}"
         print(f"{eps:>10.6g} {L:>8g} {s['h_long']:>10.6g} {s['h_trans']:>10.6g} "

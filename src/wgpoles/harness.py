@@ -11,13 +11,10 @@ row, which keeps an error marker instead of fabricated numbers.
 Oracle extrapolation per coupling (:func:`row_binding`): the even
 half-guide is solved on the two finest steps of the configured plan at each
 truncation length (Richardson in the step), then the lengths are
-Aitken-extrapolated.  For a wall feature each step is first snapped so the
-feature edge falls midway between boundary nodes; ``TruncatedGuide`` then
-rounds ``L/h`` to whole cells, which moves the step again, so the edge stays
-exact only where ``L`` is a whole number of snapped steps.  At
-``eps = 0.4``, ``h = 0.04`` the effective half-width is 0.400424, 0.399859
-and 0.400000 at ``L`` = 18, 27 and 36.  Each row's ``solves`` extras
-record the steps and half-width every solve actually used.
+Aitken-extrapolated.  ``TruncatedGuide`` alone turns each configured step
+into the grid it solves (for a wall feature it snaps the step to the
+feature first); each row's ``solves`` extras record the steps and
+half-width every solve actually used.
 """
 
 from __future__ import annotations
@@ -170,11 +167,13 @@ def parse_config(source) -> ExperimentConfig:
     step error that Richardson eliminates.  ``perturbation`` holds the
     feature's ``half_width`` (required for a window or patch); the
     regular scenario's defaults are ``half_width`` 1, the secular grid
-    ``n_long`` 129 by ``n_trans`` 17 and ``modes`` ``m + 3`` resolvent
-    modes.  ``tolerances`` maps gate names of :data:`GATES` to their
-    fields, plus the number ``gap_slope_min``.  A key no block takes, or a
-    gate missing a required field, is rejected.  Defaults are filled in
-    here, in the parsed blocks; ``raw`` keeps the source as given.
+    ``n_long`` 129 by ``n_trans`` 17 (at least 2 each) and ``modes``
+    ``m + 3`` resolvent modes (also the least).  ``m`` is a positive
+    integer, not a boolean.  ``tolerances`` maps gate names of
+    :data:`GATES` to their fields, plus the number ``gap_slope_min``.  A
+    key no block takes, or a gate missing a required field, is rejected.
+    Defaults are filled in here, in the parsed blocks; ``raw`` keeps the
+    source as given.
     """
     if isinstance(source, dict):
         raw = source
@@ -209,7 +208,7 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"bad cross_section {cs_raw!r}: {exc}") from exc
 
     m = raw["m"]
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ConfigError(f"m must be a positive integer, got {m!r}")
 
     eps = _numbers("epsilons", raw["epsilons"])
@@ -253,6 +252,9 @@ def parse_config(source) -> ExperimentConfig:
         **defaults,
         **_check_keys("perturbation", raw.get("perturbation", {}), allowed),
     }
+    # the secular grid needs two nodes a direction, and its resolvent three
+    # evanescent modes beyond the threshold
+    least = {"n_long": 2, "n_trans": 2, "modes": m + 3}
     for key in allowed:
         value = perturbation.get(key)
         try:
@@ -266,6 +268,10 @@ def parse_config(source) -> ExperimentConfig:
                 f"{scenario} needs a positive {kind} perturbation.{key}, got {value!r}"
             )
         perturbation[key] = number if key == "half_width" else int(number)
+        if perturbation[key] < least.get(key, 0):
+            raise ConfigError(
+                f"{scenario} needs perturbation.{key} >= {least[key]}, got {value!r}"
+            )
     expected_bc = "neumann" if scenario == NEUMANN_PATCH else "dirichlet"
     if scenario != REGULAR_POTENTIAL and cross_section.bc != expected_bc:
         raise ConfigError(
@@ -337,21 +343,6 @@ def render_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def oracle_steps(cfg: ExperimentConfig, eps: float) -> list[float]:
-    """Steps the oracle solves at one coupling: the plan's two finest, coarse first.
-
-    For a wall feature each step is snapped so the feature edge falls midway
-    between boundary nodes, clamped so the feature keeps at least four
-    nodes; a step too coarse for a small window is refined rather than
-    rejected, since a sweep shares one step plan across shrinking features.
-    """
-    hs = list(cfg.oracle["h"])[-2:]
-    if cfg.scenario == REGULAR_POTENTIAL:
-        return hs
-    W = eps * cfg.perturbation["half_width"]
-    return [W / (max(4, round(W / h - 0.5)) + 0.5) for h in hs]
-
-
 def _box_sampler(depth: float, a: float, step: float):
     # cell-average of the indicator well: half value on edge nodes, exact
     # overlap fraction for any alignment; keeps the step error second order
@@ -368,9 +359,8 @@ def truncated_binding(
     L: float,
     h: float,
     hint: float | None = None,
-    solves: list | None = None,
-) -> float:
-    """Binding from one eigensolve of the even half-guide; no extrapolation.
+) -> tuple[float, dict]:
+    """Binding from one eigensolve of the even half-guide at step ``h``; no extrapolation.
 
     The guide ends in a Dirichlet column at ``L``; a guide the config makes
     invalid (a feature as wide as the guide, or a perturbation within
@@ -379,14 +369,14 @@ def truncated_binding(
     measures nothing about the pole at ``mu_m``.  ``hint`` is
     an estimate of the binding that places the eigensolver's first shift
     (see :func:`lowest_eigenpairs`); it changes the work, not the result.
-    When ``solves`` is a list, one record of the grid actually solved and
-    the solver's work is appended to it: ``L``, the steps ``h_long`` and
-    ``h_trans`` after snapping, the effective ``feature_half_width``
-    (``None`` for a potential), the operator's ``form``, and the
-    ``box_columns``, ``unknowns``, ``factorizations`` and ``inner_solves``
-    (back-solves) of the solve.  A window scenario solves the
-    :class:`~wgpoles.oracle.WindowOperator` on the window's ``n_feat + 1``
-    wall nodes (form ``"window"``, ``box_columns`` ``None``); the others
+    Returns the binding and one record of the grid actually solved and the
+    solver's work: ``L``, the step ``h_snapped`` after the guide's feature
+    snap, the steps ``h_long`` and ``h_trans`` after rounding to whole
+    cells, the effective ``feature_half_width`` (``None`` for a potential),
+    the operator's ``form``, and the ``box_columns``, ``unknowns``,
+    ``factorizations`` and ``inner_solves`` (back-solves) of the solve.  A
+    window scenario solves the :class:`~wgpoles.oracle.WindowOperator` on
+    the window's ``n_feat + 1`` wall nodes (form ``"window"``, ``box_columns`` ``None``); the others
     solve the feature box (form ``"box"``).
     """
     if cfg.m >= 2:
@@ -394,48 +384,43 @@ def truncated_binding(
             f"the oracle binds only below the lowest threshold; at m = {cfg.m} "
             "a lower channel is open"
         )
-    half_width = eps * cfg.perturbation["half_width"]
+    regular = cfg.scenario == REGULAR_POTENTIAL
+    half_width = cfg.perturbation["half_width"]
     g = TruncatedGuide(
         cross_section=cfg.cross_section,
         half_length=L,
         h=h,
-        mode_index=cfg.m,
-        window_half_width=half_width if cfg.scenario == DIRICHLET_WINDOW else None,
-        patch_half_width=half_width if cfg.scenario == NEUMANN_PATCH else None,
+        half_width=None if regular else eps * half_width,
     )
-    if cfg.scenario == REGULAR_POTENTIAL:
-        g.potential = _box_sampler(eps, cfg.perturbation["half_width"], g.step_long)
+    if regular:
+        g.potential = _box_sampler(eps, half_width, g.step_long)
     # a window without a potential is solved on its wall nodes alone
     build = build_window_operator if cfg.scenario == DIRICHLET_WINDOW else build_fd_operator
     op = build(g)
     sol = lowest_eigenpairs(op, binding_hint=hint)
-    if solves is not None:
-        solves.append(
-            {
-                "L": L,
-                "h_long": g.step_long,
-                "h_trans": g.step_trans,
-                "feature_half_width": None
-                if cfg.scenario == REGULAR_POTENTIAL
-                else g.feature_half_width,
-                "form": op.form,
-                "box_columns": op.columns,
-                "unknowns": op.size,
-                "factorizations": sol.factorizations,
-                "inner_solves": sol.inner_solves,
-            }
-        )
-    return sol.binding
+    return sol.binding, {
+        "L": L,
+        "h_snapped": g.h_snapped,
+        "h_long": g.step_long,
+        "h_trans": g.step_trans,
+        "feature_half_width": None if regular else g.feature_half_width,
+        "form": op.form,
+        "box_columns": op.columns,
+        "unknowns": op.size,
+        "factorizations": sol.factorizations,
+        "inner_solves": sol.inner_solves,
+    }
 
 
 def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     """Oracle binding of one row: step-extrapolated per length, then Aitken.
 
     At each length, Richardson of order ``oracle.order`` on the two finest
-    steps of the plan; a one-step plan, or two steps that snapping collapses
-    onto one grid, keeps the finest binding as it is.  The lengths are then
-    Aitken-extrapolated; a patch row, or one with fewer than three lengths,
-    reports its longest-guide value instead.  The extras carry the lengths,
+    steps of the plan, at the ratio of the steps the guide snapped them to;
+    a one-step plan, or two steps that snapping collapses onto one grid,
+    keeps the finest binding as it is.  The lengths are then
+    Aitken-extrapolated; a patch row, or one with fewer than three
+    lengths, reports its longest-guide value instead.  The extras carry the lengths,
     the per-length bindings ``b_by_L`` and one record per solve (see
     :func:`truncated_binding`).
 
@@ -451,16 +436,17 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     """
     eps = cfg.epsilons[index]
     Ls = cfg.lengths_for(index)
-    hs = oracle_steps(cfg, eps)
     order = float(cfg.oracle["order"])
     by_L = []
     solves: list[dict] = []
     hint = None
     for L in Ls:
         bs = []
-        for h in hs:
-            hint = truncated_binding(cfg, eps, L, h, hint, solves)
+        for h in cfg.oracle["h"][-2:]:
+            hint, record = truncated_binding(cfg, eps, L, h, hint)
+            solves.append(record)
             bs.append(hint)
+        hs = [s["h_snapped"] for s in solves[-len(bs):]]
         if len(hs) == 2 and hs[0] > hs[1]:
             hint = richardson(bs[0], bs[1], hs[0] / hs[1], order=order)
         by_L.append(hint)
@@ -490,10 +476,19 @@ def regular_inputs(
     return kernel, V
 
 
-def predict_row(cfg: ExperimentConfig, eps: float, basis: TransverseBasis) -> SweepRow:
-    """Leading-order prediction for one coupling; no secular or oracle lane."""
+def predict_row(
+    cfg: ExperimentConfig,
+    eps: float,
+    basis: TransverseBasis,
+    V: PerturbationField | None = None,
+) -> SweepRow:
+    """Leading-order prediction for one coupling; no secular or oracle lane.
+
+    A regular-potential row's potential ``V`` is built here unless given.
+    """
     if cfg.scenario == REGULAR_POTENTIAL:
-        _, V = regular_inputs(cfg, basis)
+        if V is None:
+            _, V = regular_inputs(cfg, basis)
         lam = regular_leading_asymptotic(V, eps, cfg.m, basis).real
         lead = math.sqrt(abs(lam)) / eps
         return SweepRow(
@@ -521,9 +516,11 @@ def predict_row(cfg: ExperimentConfig, eps: float, basis: TransverseBasis) -> Sw
 def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
     """Prediction, secular pole (regular scenario only), and oracle binding."""
     eps = cfg.epsilons[index]
-    row = predict_row(cfg, eps, basis)
-    if cfg.scenario == REGULAR_POTENTIAL:
-        kernel, V = regular_inputs(cfg, basis)
+    regular = cfg.scenario == REGULAR_POTENTIAL
+    # the predictor and the secular lane share one kernel and potential
+    kernel, V = regular_inputs(cfg, basis) if regular else (None, None)
+    row = predict_row(cfg, eps, basis, V)
+    if regular:
         pole = solve_secular(V, eps, kernel)
         row.k_re, row.k_im = pole.k.real, pole.k.imag
         row.lam_pole = pole.lam.real

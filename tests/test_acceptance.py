@@ -203,7 +203,7 @@ def _window_levels(eps: float, stretch: int = 1) -> list[tuple[float, float]]:
         h = eps / (n_feat + 0.5)
         n_long = stretch * math.ceil(25.0 / (0.5 * eps * eps) / h)
         g = wg.TruncatedGuide(
-            cross_section=STRIP, half_length=n_long * h, h=h, window_half_width=eps
+            cross_section=STRIP, half_length=n_long * h, h=h, half_width=eps
         )
         assert (g.n_long, g.feature_nodes, g.step_long) == (n_long, n_feat, h)
         hint = wg.lowest_eigenpairs(wg.build_window_operator(g), binding_hint=hint).binding
@@ -370,7 +370,7 @@ def test_kernel_orthogonality_residual_determinism() -> None:
         cross_section=STRIP,
         half_length=10.0,
         h=0.05,
-        window_half_width=0.4,
+        half_width=0.4,
     )
     sol = wg.lowest_eigenpairs(wg.build_fd_operator(guide))
     assert sol.residual <= 1e-8, f"eigen-residual {sol.residual:.3e}"
@@ -422,7 +422,7 @@ def test_bound_state_tail_mode_structure() -> None:
         potential=well,
     )
     sol = wg.lowest_eigenpairs(wg.build_fd_operator(guide))
-    tails = wg.extract_tail_coefficients(sol, basis)
+    tails = wg.extract_tail_coefficients(sol, basis.count)
     a1, rate1 = tails[0]
     a2, rate2 = tails[1]
 

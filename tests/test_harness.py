@@ -27,7 +27,7 @@ from wgpoles import (
     run_experiment,
     run_sweep,
 )
-from wgpoles import oracle
+from wgpoles import harness, oracle
 from wgpoles.cli import _parser, main
 from wgpoles.harness import basis_size
 
@@ -256,6 +256,32 @@ def test_window_sweep_snaps_too_coarse_steps() -> None:
     assert all(r.error is None for r in rows)
     assert all(r.classification == "BoundState" for r in rows)
     assert all(r.b_oracle is not None for r in rows)
+
+
+def test_window_rows_record_the_steps_richardson_used(monkeypatch) -> None:
+    # the guide snaps each configured step to its window, and every record
+    # carries the snapped step; Richardson extrapolates at their ratio.  At
+    # eps = 0.4, h = 0.08 and 0.04 are snapped to 0.4/4.5 and 0.4/10.5
+    ratios = []
+    richardson = harness.richardson
+
+    def recording(coarse, fine, ratio, order=2):
+        ratios.append(ratio)
+        return richardson(coarse, fine, ratio, order=order)
+
+    monkeypatch.setattr(harness, "richardson", recording)
+    raw = _window_dict(
+        epsilons=[0.4, 0.35, 0.3, 0.25], oracle={"h": [0.08, 0.04], "L": [8.0, 10.0]}
+    )
+    rows = run_sweep(parse_config(raw))
+    assert [s["h_snapped"] for s in rows[0].extras["solves"]] == [0.4 / 4.5, 0.4 / 10.5] * 2
+    used = iter(ratios)
+    for row in rows:
+        assert row.error is None
+        steps = [s["h_snapped"] for s in row.extras["solves"]]
+        assert steps == steps[:2] * 2 and steps[0] > steps[1]
+        assert [next(used), next(used)] == [steps[0] / steps[1]] * 2
+    assert next(used, None) is None
 
 
 def test_failed_row_keeps_error_cell_and_sweep_continues() -> None:
@@ -492,9 +518,14 @@ def test_cli_rejects_a_bad_gate_before_any_solve(tmp_path, capsys, tolerances) -
         {"oracle": {"h": [0.1], "L": [8.0], "order": "two"}},
         {"epsilons": 0.4},
         {"oracle": {"h": [0.1], "L": [[8.0], [8.0], 9.0, [8.0]]}},
+        {"perturbation": {"modes": 3}},
+        {"perturbation": {"n_long": 1}},
+        {"perturbation": {"n_trans": 1}},
+        {"m": True},
     ],
     ids=["epsilons", "oracle.h", "oracle.L", "oracle.order", "epsilons-not-a-list",
-         "oracle.L-entry-not-a-list"],
+         "oracle.L-entry-not-a-list", "modes-below-m+3", "n_long-below-2",
+         "n_trans-below-2", "m-boolean"],
 )
 def test_cli_rejects_a_non_numeric_entry_before_any_solve(tmp_path, capsys, over) -> None:
     path = tmp_path / "cfg.json"

@@ -30,6 +30,7 @@ from wgpoles import (
 from wgpoles import oracle
 
 _CS = CrossSection(width=np.pi, bc="dirichlet")
+_NCS = CrossSection(width=np.pi, bc="neumann")
 
 # roots of q tan q = k, q = sqrt(eps - k^2): the separable well poles
 WELL_K_005 = 0.04842657581859076
@@ -69,7 +70,7 @@ def test_grid_counts_and_active_dimensions() -> None:
     assert op.exterior.columns == g.n_long - oracle.BOX_PADDING
     # a window's box ends BOX_PADDING columns past its last carved column,
     # whose wall nodes stay active
-    gw = TruncatedGuide(cross_section=_CS, half_length=20.0, h=0.04, window_half_width=0.3)
+    gw = TruncatedGuide(cross_section=_CS, half_length=20.0, h=0.04, half_width=0.3)
     opw = build_fd_operator(gw)
     assert opw.columns == gw.feature_nodes + oracle.BOX_PADDING + 1
     assert opw.size == opw.columns * (gw.n_trans - 1) + gw.feature_nodes + 1
@@ -80,7 +81,7 @@ def _window_well_guide() -> TruncatedGuide:
         cross_section=_CS,
         half_length=4.0,
         h=0.1,
-        window_half_width=0.5,
+        half_width=0.5,
         potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2) * (x1 <= 2.0),
     )
 
@@ -115,7 +116,7 @@ def test_band_is_the_energy_form() -> None:
 @pytest.mark.parametrize(
     "cs, kw",
     [
-        (_CS, dict(half_length=16.0, h=0.06, window_half_width=0.3)),
+        (_CS, dict(half_length=16.0, h=0.06, half_width=0.3)),
         (_CS, dict(half_length=12.0, h=0.05, potential=lambda x1, x2: -0.5 * (np.abs(x1) <= 1.0))),
     ],
     ids=["window", "well"],
@@ -210,7 +211,7 @@ def test_separable_eigenvalue_identity() -> None:
 def test_discrete_threshold_values() -> None:
     g = TruncatedGuide(cross_section=_CS, half_length=5.0, h=np.pi / 100)
     assert abs(discrete_threshold(g, 1) - 0.999917756002418) < 1e-12
-    assert discrete_threshold(g) == discrete_threshold(g, g.mode_index)
+    assert discrete_threshold(g) == discrete_threshold(g, 1)
     gn = TruncatedGuide(
         cross_section=CrossSection(width=np.pi, bc="neumann"),
         half_length=5.0,
@@ -268,10 +269,10 @@ def test_tail_coefficients_of_tilted_well() -> None:
     cs, kw = FULL_GRID_CASES["tilted well"]
     g = TruncatedGuide(cross_section=cs, **kw)
     sol = lowest_eigenpairs(build_fd_operator(g))
-    tails = extract_tail_coefficients(sol, build_basis(cs, g.n_trans - 1))
+    tails = extract_tail_coefficients(sol, g.n_trans - 1)
     assert len(tails) == g.n_trans - 1
     with pytest.raises(ValueError):
-        extract_tail_coefficients(sol, build_basis(cs, g.n_trans))  # more modes than the lattice
+        extract_tail_coefficients(sol, g.n_trans)  # more modes than the lattice
     assert tails[0][0] == 1.0
     assert abs(tails[0][1] / math.sqrt(sol.binding) - 1.0) < 0.02
     # the tilt couples the second mode in with a definite sign; a log-linear
@@ -292,7 +293,7 @@ def test_tail_coefficients_of_tilted_well() -> None:
 def test_tail_rate_of_a_dirichlet_bent_well(eps, L) -> None:
     g = TruncatedGuide(cross_section=_CS, half_length=L, h=0.05, potential=_well(eps))
     sol = lowest_eigenpairs(build_fd_operator(g))
-    tails = extract_tail_coefficients(sol, build_basis(_CS, g.n_trans - 1))
+    tails = extract_tail_coefficients(sol, g.n_trans - 1)
     rate = tails[0][1]
     assert abs(rate / _lattice_rate(g, 1, sol.value) - 1.0) < 1e-12
     # cosh(h1 k) = 1 + h1^2 b / 2: the rate is sqrt(b) up to O(h1^2 b)
@@ -303,23 +304,13 @@ def test_tail_rate_of_a_dirichlet_bent_well(eps, L) -> None:
 def test_no_bound_state_has_no_tails() -> None:
     g = TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1)
     sol = lowest_eigenpairs(build_fd_operator(g))
-    basis = build_basis(_CS, 6)
-    with pytest.raises(ValueError):
-        extract_tail_coefficients(sol, basis)
-    # on a strip of width 2 pi the second threshold is 3/4 above the first:
-    # the guide's lowest state sits below mu_2 but above mu_1, so mode 1
-    # carries no decaying tail
-    wide = CrossSection(width=2.0 * np.pi, bc="dirichlet")
-    g = TruncatedGuide(cross_section=wide, half_length=5.0, h=0.1, mode_index=2)
-    sol = lowest_eigenpairs(build_fd_operator(g))
-    assert sol.binding > 0 and sol.value > discrete_threshold(g, 1)
-    with pytest.raises(ValueError, match="mode 1 "):
-        extract_tail_coefficients(sol, build_basis(wide, 6))
+    with pytest.raises(ValueError, match="no bound state"):
+        extract_tail_coefficients(sol, 6)
 
 
 def test_window_carving_creates_binding() -> None:
     g = TruncatedGuide(
-        cross_section=_CS, half_length=25.0, h=0.04, window_half_width=0.3
+        cross_section=_CS, half_length=25.0, h=0.04, half_width=0.3
     )
     assert g.feature_half_width == pytest.approx(0.3, abs=1e-12)
     op = build_fd_operator(g)
@@ -331,15 +322,32 @@ def test_window_carving_creates_binding() -> None:
 
 
 def test_feature_snapping() -> None:
-    g = TruncatedGuide(
-        cross_section=_CS, half_length=5.0, h=0.04, window_half_width=0.33
-    )
-    assert abs(g.feature_half_width - 0.34) < 1e-12
-    assert abs(g.feature_snap - 0.01) < 1e-12
-    with pytest.raises(ValueError):
-        TruncatedGuide(
-            cross_section=_CS, half_length=5.0, h=0.2, window_half_width=0.3
-        )
+    # h = 0.04 is snapped so the edge of a 0.33 half-width falls midway
+    # between nodes, 8.5 steps out; a guide a whole number of those steps
+    # long keeps the edge where it was asked for
+    g = TruncatedGuide(cross_section=_CS, half_length=128 * 0.33 / 8.5, h=0.04, half_width=0.33)
+    assert g.h_snapped == 0.33 / 8.5
+    assert (g.n_long, g.feature_nodes) == (128, 8)
+    assert g.feature_snap < 1e-12
+    # any other length rounds L/h to whole cells, which moves the step, and
+    # the edge is snapped again onto the moved step
+    g = TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.04, half_width=0.33)
+    assert g.h_snapped == 0.33 / 8.5
+    assert (g.n_long, g.feature_nodes) == (129, 8)
+    assert g.feature_half_width == 8.5 * g.step_long
+    assert abs(g.feature_snap - (0.33 - 8.5 * 5.0 / 129)) < 1e-15
+
+
+@pytest.mark.parametrize("cs", [_CS, _NCS], ids=["window", "patch"])
+def test_too_coarse_step_is_refined_to_four_feature_nodes(cs) -> None:
+    # h = 0.2 leaves a 0.3 half-width feature one node; the guide refines
+    # the step to 0.3/4.5 instead, and solves the grid that step gives
+    g = TruncatedGuide(cross_section=cs, half_length=5.0, h=0.2, half_width=0.3)
+    assert g.h_snapped == 0.3 / 4.5
+    assert (g.n_long, g.feature_nodes) == (75, 4)
+    assert g.feature_snap < 1e-12
+    same = TruncatedGuide(cross_section=cs, half_length=5.0, h=0.3 / 4.5, half_width=0.3)
+    assert (same.step_long, same.step_trans) == (g.step_long, g.step_trans)
 
 
 def test_symmetric_half_reproduces_even_ground_state() -> None:
@@ -374,16 +382,20 @@ def _full_grid_form(n1, h1, n2, h2):
     return A, np.outer(w1, w2)
 
 
-def _full_grid_binding(bc, L, h, window=None, patch=None, potential=None):
+def _full_grid_binding(bc, L, h, half_width=None, potential=None):
     """Binding of the whole half guide, assembled and solved apart from ``wgpoles``.
 
     The energy form on the full node grid of ``[0, L] x [0, pi]`` is built
     from Kronecker products of 1-D difference matrices, the wall and end
     conditions applied by deleting Dirichlet nodes, and the lowest
     eigenvalue found by scipy's shift-invert Lanczos; the grid follows the
-    guide's rules (``round(L/h)`` cells, feature edge midway between nodes).
+    guide's rules (``h`` snapped to the feature's ``half_width``,
+    ``round(L/h)`` cells, feature edge midway between nodes), and the
+    feature is a window in a Dirichlet wall, a patch in a Neumann one.
     """
     d = math.pi
+    if half_width is not None:
+        h = half_width / (max(4, round(half_width / h - 0.5)) + 0.5)
     n1 = max(4, round(L / h))
     n2 = max(4, round(d / h))
     h1, h2 = L / n1, d / n2
@@ -394,15 +406,15 @@ def _full_grid_binding(bc, L, h, window=None, patch=None, potential=None):
         q = np.broadcast_to(potential(x1[:, None], x2[None, :]), mass.shape)
         A = A + sp.diags((q * mass).ravel())
     active = np.ones((n1 + 1, n2 + 1), dtype=bool)
-    if window or patch:
-        carved = np.arange(n1 + 1) <= round((window or patch) / h1 - 0.5)
+    if half_width is not None:
+        carved = np.arange(n1 + 1) <= round(half_width / h1 - 0.5)
     if bc == "dirichlet":
         active[:, [0, -1]] = False
-        if window:
+        if half_width is not None:
             active[carved, 0] = True
         mu1 = 4.0 / h2**2 * math.sin(math.pi * h2 / (2.0 * d)) ** 2
     else:
-        if patch:
+        if half_width is not None:
             active[carved, 0] = False
         mu1 = 0.0
     active[-1, :] = False
@@ -417,12 +429,10 @@ def _tilted_well(x1, x2):
     return -0.5 * (1.0 + x2 / np.pi) * (np.abs(x1) <= 1.0)
 
 
-_NCS = CrossSection(width=np.pi, bc="neumann")
-
 # (cross section, guide keywords)
 FULL_GRID_CASES = {
-    "window": (_CS, dict(half_length=16.0, h=0.06, window_half_width=0.3)),
-    "patch": (_NCS, dict(half_length=10.0, h=0.05, patch_half_width=0.4)),
+    "window": (_CS, dict(half_length=16.0, h=0.06, half_width=0.3)),
+    "patch": (_NCS, dict(half_length=10.0, h=0.05, half_width=0.4)),
     "tilted well": (_CS, dict(half_length=12.0, h=0.05, potential=_tilted_well)),
 }
 
@@ -437,8 +447,7 @@ def test_box_solve_matches_full_grid(case) -> None:
         cs.bc,
         kw["half_length"],
         kw["h"],
-        window=kw.get("window_half_width"),
-        patch=kw.get("patch_half_width"),
+        half_width=kw.get("half_width"),
         potential=kw.get("potential"),
     )
     assert abs(sol.binding / want - 1.0) < 1e-9
@@ -470,7 +479,7 @@ def test_window_form_is_the_schur_complement() -> None:
     # 1.4e-15 of the dense complement, relative to its largest entry, and
     # -T_W' within 3.5e-9 of its central difference with step 1e-6, which
     # is that difference's own error; the bounds leave a margin of 70 and 30
-    g = TruncatedGuide(cross_section=_CS, half_length=3.0, h=0.25, window_half_width=1.1)
+    g = TruncatedGuide(cross_section=_CS, half_length=3.0, h=0.25, half_width=1.1)
     op = oracle.build_window_operator(g)
     assert (op.size, g.n_long, g.n_trans) == (g.feature_nodes + 1, 12, 13)
     mu1 = discrete_threshold(g)
@@ -493,13 +502,12 @@ WINDOW_FORM_REL_TOL = 1e-10
 
 @pytest.mark.parametrize("eps", [0.4, 0.3])
 def test_window_form_matches_the_box(eps) -> None:
-    # both steps the harness snaps 0.08 and 0.04 to, two lengths of the
-    # window-ladder rule; the window form solves n_feat + 1 unknowns
+    # the window-ladder steps 0.08 and 0.04 and two lengths of its rule;
+    # the window form solves n_feat + 1 unknowns
     L0 = round(2.8 / eps**2, 1)
     for h in (0.08, 0.04):
-        step = eps / (max(4, round(eps / h - 0.5)) + 0.5)
         for L in (L0, 2.0 * L0):
-            g = TruncatedGuide(cross_section=_CS, half_length=L, h=step, window_half_width=eps)
+            g = TruncatedGuide(cross_section=_CS, half_length=L, h=h, half_width=eps)
             box = lowest_eigenpairs(build_fd_operator(g))
             win = lowest_eigenpairs(oracle.build_window_operator(g))
             assert (box.form, win.form) == ("box", "window")
@@ -509,15 +517,16 @@ def test_window_form_matches_the_box(eps) -> None:
 
 
 def test_window_form_refuses_what_it_does_not_solve() -> None:
-    # no window, a potential, and a window too close to the guide's end, as
-    # the box refuses it
-    for kw in (
-        dict(half_length=4.0, h=0.1),
-        dict(half_length=4.0, h=0.1, window_half_width=0.5, potential=lambda x1, x2: 0.0 * x1),
-        dict(half_length=0.8, h=0.1, window_half_width=0.5),
+    # no window, a potential, a window too close to the guide's end, as the
+    # box refuses it, and a patch, which a Neumann wall makes of the feature
+    for cs, kw in (
+        (_CS, dict(half_length=4.0, h=0.1)),
+        (_CS, dict(half_length=4.0, h=0.1, half_width=0.5, potential=lambda x1, x2: 0.0 * x1)),
+        (_CS, dict(half_length=0.8, h=0.1, half_width=0.5)),
+        (_NCS, dict(half_length=4.0, h=0.1, half_width=0.5)),
     ):
         with pytest.raises(ValueError):
-            oracle.build_window_operator(TruncatedGuide(cross_section=_CS, **kw))
+            oracle.build_window_operator(TruncatedGuide(cross_section=cs, **kw))
 
 
 def test_perturbation_at_the_guide_end_is_rejected() -> None:
@@ -526,7 +535,7 @@ def test_perturbation_at_the_guide_end_is_rejected() -> None:
         cross_section=_CS,
         half_length=4.0,
         h=0.1,
-        window_half_width=0.5,
+        half_width=0.5,
         potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2),
     )
     with pytest.raises(ValueError, match="lengthen the guide"):
@@ -537,7 +546,7 @@ def test_perturbation_at_the_guide_end_is_rejected() -> None:
     n_feat = 5
     for cells, ok in ((n_feat + oracle.BOX_PADDING, False), (n_feat + oracle.BOX_PADDING + 1, True)):
         g = TruncatedGuide(
-            cross_section=_CS, half_length=cells * h, h=h, window_half_width=(n_feat + 0.5) * h
+            cross_section=_CS, half_length=cells * h, h=h, half_width=(n_feat + 0.5) * h
         )
         assert g.feature_nodes == n_feat
         if ok:
@@ -585,25 +594,12 @@ def test_field_extends_the_box_in_closed_form() -> None:
 
 
 def test_guide_validation() -> None:
-    with pytest.raises(ValueError):
-        TruncatedGuide(cross_section=_CS, half_length=-1.0, h=0.1)
-    with pytest.raises(ValueError):
-        TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, mode_index=0)
-    with pytest.raises(ValueError):
-        TruncatedGuide(
-            cross_section=_CS,
-            half_length=5.0,
-            h=0.1,
-            window_half_width=0.5,
-            patch_half_width=0.5,
-        )
-    ncs = CrossSection(width=np.pi, bc="neumann")
-    with pytest.raises(ValueError):
-        TruncatedGuide(cross_section=ncs, half_length=5.0, h=0.1, window_half_width=0.5)
-    with pytest.raises(ValueError):
-        TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, patch_half_width=0.5)
-    with pytest.raises(ValueError):
-        TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, window_half_width=6.0)
+    for length, h in ((-1.0, 0.1), (5.0, 0.0), (5.0, -0.1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            TruncatedGuide(cross_section=_CS, half_length=length, h=h, half_width=0.5)
+    for width in (6.0, 0.0):
+        with pytest.raises(ValueError, match="must lie in"):
+            TruncatedGuide(cross_section=_CS, half_length=5.0, h=0.1, half_width=width)
 
 
 def test_eigensolver_contract_errors(monkeypatch) -> None:
@@ -641,24 +637,10 @@ def test_binding_above_one_takes_the_floor_shift() -> None:
         assert (sol.shift == -depth - 1.0) == floor_shift
 
 
-def test_plan_above_the_exterior_cap_raises_before_factoring(monkeypatch) -> None:
-    # the second threshold lies far above the first: every shift of the plan,
-    # down to threshold - 1, is above the exterior's cap next to mu_1
-    g = TruncatedGuide(
-        cross_section=_CS, half_length=20.0, h=0.05, window_half_width=0.3, mode_index=2
-    )
-    op = build_fd_operator(g)
-    assert op.exterior.cap < discrete_threshold(g) - 1.0
-    monkeypatch.setattr(oracle, "MAX_FACTORIZATIONS", 0)
-    with pytest.raises(SolverError, match="below the exterior's cap") as info:
-        lowest_eigenpairs(op)
-    assert info.value.residuals is None
-
-
 def test_factorization_cap_reports_no_residuals(monkeypatch) -> None:
     # the window solve below needs 3 factorizations; a cap of 2 stops the
     # bracket before it closes, which is a solver failure with no residual
-    g = TruncatedGuide(cross_section=_CS, half_length=16.0, h=0.06, window_half_width=0.3)
+    g = TruncatedGuide(cross_section=_CS, half_length=16.0, h=0.06, half_width=0.3)
     op = build_fd_operator(g)
     monkeypatch.setattr(oracle, "MAX_FACTORIZATIONS", 2)
     with pytest.raises(SolverError) as info:
@@ -671,8 +653,8 @@ def test_factorization_cap_reports_no_residuals(monkeypatch) -> None:
 def window_solves():
     """Mid-size window guide: its unhinted solve, a hint, the hinted solve.
 
-    The hint is the binding on the step the harness would snap 0.06 to for
-    this window, i.e. what a sweep row passes from its coarse solve.
+    The hint is the binding on the coarser step 0.06, i.e. what a sweep row
+    passes from its coarse solve.
     """
 
     def operator(h: float):
@@ -680,11 +662,11 @@ def window_solves():
             cross_section=_CS,
             half_length=32.0,
             h=h,
-            window_half_width=0.3,
+            half_width=0.3,
         )
         return build_fd_operator(g)
 
-    hint = lowest_eigenpairs(operator(0.3 / 4.5)).binding
+    hint = lowest_eigenpairs(operator(0.06)).binding
     op = operator(0.04)
     return op, lowest_eigenpairs(op), hint, lowest_eigenpairs(op, binding_hint=hint)
 
@@ -749,7 +731,7 @@ def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
     # sweep row passes along its length ladder, is about four times the
     # longer one's and must not cost the longer solve factorizations
     def operator(L: float):
-        g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, patch_half_width=0.4)
+        g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
         return build_fd_operator(g)
 
     hint = lowest_eigenpairs(operator(short)).binding
@@ -761,14 +743,15 @@ def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
     assert abs(sol.value / ref.value - 1.0) < 1e-11
 
 
-# the nominal patch row's ladder, each guide hinted by the shorter one's
-# binding: bindings measured before the bracket closed below the exterior's
-# cap, and factorizations measured after it (5 unhinted at L = 10, 3 at
-# L = 20 and 40), plus a margin of 2
+# the nominal patch row's ladder (eps = 0.4, the guide snapping h = 0.0316
+# to 0.4/12.5), each guide hinted by the shorter one's binding: the
+# bindings the nominal patch-threads2 sweep reports in its b_by_L, and the
+# factorizations measured (5 unhinted at L = 10, 3 at L = 20 and 40), plus
+# a margin of 2
 PATCH_LADDER = {
-    10.0: (-0.060277577261702714, 7),
-    20.0: (-0.018519218024857873, 5),
-    40.0: (-0.005287757876252179, 5),
+    10.0: (-0.060430321456427134, 7),
+    20.0: (-0.018554048292209656, 5),
+    40.0: (-0.005293728133084005, 5),
 }
 
 
@@ -788,7 +771,7 @@ def test_patch_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
     monkeypatch.setattr(oracle, "cholesky_banded", counting)
     hint = None
     for L, (binding, budget) in PATCH_LADDER.items():
-        g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, patch_half_width=0.4)
+        g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
         failures.clear()
         caplog.clear()
         with caplog.at_level("INFO", logger="wgpoles.oracle"):
