@@ -115,7 +115,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for i, eps in enumerate(cfg.epsilons):
         L = cfg.lengths_for(i)[-1]
         try:
-            b, s = truncated_binding(cfg, eps, L, cfg.oracle["h"][-2:][0])
+            b, s = truncated_binding(cfg, eps, L, cfg.oracle["h"][0])
         except ValueError as exc:  # the config describes an invalid guide
             raise ConfigError(f"epsilon {eps:g}, L {L:g}: {exc}") from exc
         width = s["feature_half_width"]

@@ -9,12 +9,12 @@ reproduces the artifacts byte for byte.  A failed sub-solver aborts only its
 row, which keeps an error marker instead of fabricated numbers.
 
 Oracle extrapolation per coupling (:func:`row_binding`): the even
-half-guide is solved on the two finest steps of the configured plan at each
-truncation length (Richardson in the step), then the lengths are
-Aitken-extrapolated.  ``TruncatedGuide`` alone turns each configured step
-into the grid it solves (for a wall feature it snaps the step to the
-feature first); each row's ``solves`` extras record the steps and
-half-width every solve actually used.
+half-guide is solved on each of the plan's one or two steps at each
+truncation length (Richardson in the step), then the strictly increasing
+lengths are Aitken-extrapolated.  ``TruncatedGuide`` alone turns each
+configured step into the grid it solves (for a wall feature it snaps the
+step to the feature first); each row's ``solves`` extras record the steps
+and half-width every solve actually used.
 """
 
 from __future__ import annotations
@@ -161,15 +161,16 @@ def parse_config(source) -> ExperimentConfig:
          perturbation: {...}, oracle: {h: [], L: [], order}, tolerances: {...}}
 
     ``epsilons`` must be strictly descending positive with at least four
-    entries.  ``oracle.L`` is either one list of lengths shared by every
-    coupling or one list per coupling; ``oracle.h`` lists steps in
-    decreasing order, and ``oracle.order`` (default 2) is the order of the
-    step error that Richardson eliminates.  ``perturbation`` holds the
-    feature's ``half_width`` (required for a window or patch); the
-    regular scenario's defaults are ``half_width`` 1, the secular grid
-    ``n_long`` 129 by ``n_trans`` 17 (at least 2 each) and ``modes``
-    ``m + 3`` resolvent modes (also the least).  ``m`` is a positive
-    integer, not a boolean.  ``tolerances`` maps gate names of
+    entries; a window's or patch's couplings lie in (0, 1).  ``oracle.L``
+    is either one list of lengths shared by every coupling or one list per
+    coupling, each positive and strictly increasing; ``oracle.h`` lists one
+    or two steps in decreasing order, and ``oracle.order`` (default 2) is
+    the order of the step error that Richardson eliminates.
+    ``perturbation`` holds the feature's ``half_width`` (required for a
+    window or patch); the regular scenario's defaults are ``half_width``
+    1, the secular grid ``n_long`` 129 by ``n_trans`` 17 (at least 2 each)
+    and ``modes`` ``m + 3`` resolvent modes (also the least).  ``m`` is a
+    positive integer, not a boolean.  ``tolerances`` maps gate names of
     :data:`GATES` to their fields, plus the number ``gap_slope_min``.  A
     key no block takes, or a gate missing a required field, is rejected.
     Defaults are filled in here, in the parsed blocks; ``raw`` keeps the
@@ -225,6 +226,8 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"oracle.h must list positive steps, got {oracle.get('h')}")
     if any(a <= b for a, b in zip(hs, hs[1:])):
         raise ConfigError(f"oracle.h must be strictly decreasing: {hs}")
+    if len(hs) > 2:
+        raise ConfigError(f"oracle.h takes one or two steps (Richardson), got {hs}")
     oracle["h"] = hs
     L = oracle.get("L")
     if not L or not isinstance(L, (list, tuple)):
@@ -234,11 +237,14 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigError(
                 f"per-coupling oracle.L needs {len(eps)} lists, got {len(L)}"
             )
-        for i, sub in enumerate(L):
-            if not sub or any(v <= 0 for v in _numbers(f"oracle.L[{i}]", sub)):
-                raise ConfigError(f"bad length list {sub!r}")
-    elif any(v <= 0 for v in _numbers("oracle.L", L)):
-        raise ConfigError(f"lengths must be positive, got {L}")
+        lists = [_numbers(f"oracle.L[{i}]", sub) for i, sub in enumerate(L)]
+    else:
+        lists = [_numbers("oracle.L", L)]
+    for Ls in lists:
+        if not Ls or Ls[0] <= 0 or any(a >= b for a, b in zip(Ls, Ls[1:])):
+            raise ConfigError(
+                f"lengths must be positive and strictly increasing, got {Ls}"
+            )
     order = oracle.setdefault("order", 2)
     if not (_number("oracle.order", order) > 0):
         raise ConfigError(f"oracle.order must be positive, got {order!r}")
@@ -277,6 +283,9 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(
             f"{scenario} requires a {expected_bc} cross section, got {cross_section.bc}"
         )
+    if scenario != REGULAR_POTENTIAL and eps[0] >= 1:
+        # the wall asymptotics hold for couplings in (0, 1)
+        raise ConfigError(f"{scenario} couplings must lie in (0, 1), got {eps[0]}")
 
     return ExperimentConfig(
         scenario=scenario,
@@ -415,23 +424,24 @@ def truncated_binding(
 def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     """Oracle binding of one row: step-extrapolated per length, then Aitken.
 
-    At each length, Richardson of order ``oracle.order`` on the two finest
-    steps of the plan, at the ratio of the steps the guide snapped them to;
-    a one-step plan, or two steps that snapping collapses onto one grid,
-    keeps the finest binding as it is.  The lengths are then
-    Aitken-extrapolated; a patch row, or one with fewer than three
-    lengths, reports its longest-guide value instead.  The extras carry the lengths,
-    the per-length bindings ``b_by_L`` and one record per solve (see
+    At each length, Richardson of order ``oracle.order`` on the plan's two
+    steps, at the ratio of the steps the guide snapped them to; a one-step
+    plan, or two steps that snapping collapses onto one grid, keeps the
+    finest binding as it is.  The lengths are then Aitken-extrapolated; a
+    patch row, or one with fewer than three lengths, reports its
+    longest-guide value instead.  The extras carry the lengths, the
+    per-length bindings ``b_by_L`` and one record per solve (see
     :func:`truncated_binding`).
 
-    The solves run along one ladder: lengths in config order (increasing in
-    every shipped config), coarse step to fine within each.  Each raw
-    binding is the hint of the next, finer solve, and each length's
-    step-extrapolated binding the hint of the next length's coarse solve;
-    the row's first solve has none.  Hints come only from this row's own
-    oracle solves: never from the predictor or secular lanes, which share no
-    code with the oracle, and never from another row, so rows stay
-    independent under ``--threads``.  They change the eigensolver's work,
+    The solves run along one ladder: lengths in config order, which
+    :func:`parse_config` makes strictly increasing, so the last length is
+    the longest and Aitken takes the longest three; coarse step to fine
+    within each.  Each raw binding is the hint of the next, finer solve,
+    and each length's step-extrapolated binding the hint of the next
+    length's coarse solve; the row's first solve has none.  Hints come only
+    from this row's own oracle solves: never from the predictor or secular
+    lanes, which share no code with the oracle, and never from another row,
+    so rows stay independent under ``--threads``.  They change the eigensolver's work,
     never its result.
     """
     eps = cfg.epsilons[index]
@@ -442,7 +452,7 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     hint = None
     for L in Ls:
         bs = []
-        for h in cfg.oracle["h"][-2:]:
+        for h in cfg.oracle["h"]:
             hint, record = truncated_binding(cfg, eps, L, h, hint)
             solves.append(record)
             bs.append(hint)

@@ -32,10 +32,12 @@ by inverse iteration, tightened to the Rayleigh functional of its
 eigenvector.  A binding estimate places the first shift next to the
 eigenvalue; the eigenpair does not depend on it, only the number of
 factorizations does.  The same exterior gives the bound state's tails in
-closed form: past the box each lattice mode decays at the exact lattice
-rate of its threshold, with an amplitude read from the box's edge column.
-Everything is deterministic: fixed all-ones start vector, direct
-factorizations.
+closed form (:func:`extract_tail_coefficients`): past the box each lattice
+mode decays at the exact lattice rate of its threshold, with an amplitude
+read from the box's edge column, the last unknowns of the eigenvector.
+The solution keeps the operator's unknowns only; the tails are the one
+closed form of the rest.  Everything is deterministic: fixed all-ones
+start vector, direct factorizations.
 
 A Neumann window without a potential changes the guide only on its
 ``n_feat + 1`` wall nodes, so :class:`WindowOperator` eliminates every
@@ -43,11 +45,12 @@ other node of the same finite guide, on the same grid, in closed form (the
 capacitance matrix method of Buzbee, Dorr, George and Golub, and of
 Proskurowski and Widlund): a dense ``(n_feat + 1)``-square ``T_W(E)``
 built from the same lattice modes, closed by the natural plane and the
-Dirichlet end.  :func:`lowest_eigenpairs` brackets either operator with
-one loop, through the interface both offer: factor or report failure,
-back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with its derivative.  The
-box still accepts a window, as the reference the window form is tested
-against.
+Dirichlet end.  Each operator owns its closure, the ``cap`` and the
+``coupling(E)`` of the guide it eliminates, and :func:`lowest_eigenpairs`
+brackets either with one loop, through the interface both offer: factor
+or report failure, back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with
+its derivative.  The box still accepts a window, as the reference the
+window form is tested against.
 
 The box's stiffness matrix is assembled straight into LAPACK lower band
 storage, ``band[i - j, j] = A[i, j]`` for ``i >= j``, with the unknowns
@@ -321,83 +324,12 @@ def _lattice_eigenvalues(g: TruncatedGuide, j):
     return 4.0 / (h * h) * s * s
 
 
-@dataclass
-class LatticeExterior:
-    """The uniform guide beyond the box, eliminated exactly one mode at a time.
+def _lattice_modes(g: TruncatedGuide) -> tuple[np.ndarray, np.ndarray]:
+    """``projector`` and ``mu`` of the lattice modes on a column's active nodes.
 
-    Past the box's last column ``c`` the guide has no perturbation, so the
-    lattice sines (Dirichlet walls) or cosines (Neumann walls) ``phi_j`` of
-    the transverse stencil, with eigenvalues ``mu_j``, decouple it into
-    ``M = n_long - c`` column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``,
-    ``t_j = 2 + h1^2 (mu_j - E)``, closed by the Dirichlet end at column
-    ``n_long``.  Eliminating the exterior half of column ``c`` and every
-    column beyond it adds ``sigma_j(E) a_j^2`` to the energy, with ``a_j``
-    the projection of column ``c`` on ``phi_j`` and, writing
-    ``cosh(theta) = t_j / 2``, ``sigma_j = sinh(theta) coth(M theta) / h1``
-    (the ``sin`` form when ``t_j < 2``).  ``projector`` is ``W2 Phi`` on the
-    column's active nodes ``nodes``, whose columns are w2-orthonormal, so
-    the Schur complement is ``projector diag(sigma) projector^T``.
+    See :class:`FdOperator`; a column past the feature is active off the
+    walls of a Dirichlet strip and everywhere on a Neumann one.
     """
-
-    phi: np.ndarray = field(repr=False)
-    projector: np.ndarray = field(repr=False)
-    mu: np.ndarray = field(repr=False)
-    nodes: np.ndarray = field(repr=False)
-    columns: int
-    h1: float
-
-    @property
-    def cap(self) -> float:
-        """Lowest eigenvalue of the exterior with column ``c`` held at zero.
-
-        Below it the exterior block is positive definite, so ``T(E)`` has as
-        many negative eigenvalues as the whole guide's pencil at ``E``.
-        """
-        s = math.sin(math.pi / (2 * self.columns))
-        return float(self.mu.min()) + 4.0 / self.h1**2 * s * s
-
-    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``sigma_j(E)`` and ``d sigma_j / dE`` of every mode, for ``E`` below the cap.
-
-        ``d sigma_j / dE`` is minus the mass of the mode's exterior extension,
-        so it is negative and ``sigma_j`` concave.
-        """
-        M = self.columns
-        angle, sh, decay = _lattice_angles(self.h1, self.mu, E)
-        x = M * angle
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
-            slope = np.where(
-                decay,
-                1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
-                M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
-            )
-        # both forms cancel to 2M/3 + 1/(3M) as x -> 0
-        small = x < SERIES_BELOW
-        sq = np.where(decay, angle, -angle) * angle
-        sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
-        slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
-        return sigma / self.h1, -0.5 * self.h1 * slope
-
-    def extend(self, E: float, edge: np.ndarray) -> np.ndarray:
-        """Exterior columns ``c+1 .. n_long`` of the eigenvector whose column ``c`` is ``edge``."""
-        M = self.columns
-        angle, _, decay = _lattice_angles(self.h1, self.mu, E)
-        k = np.arange(1, M + 1)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            decaying = np.where(
-                angle > 0,
-                np.exp(-k * angle) * np.expm1(-2.0 * (M - k) * angle)
-                / np.expm1(-2.0 * M * angle),
-                (M - k) / M,
-            )
-            waving = np.sin((M - k) * angle) / np.sin(M * angle)
-        profile = np.where(decay, decaying, waving)
-        return (profile * (self.projector.T @ edge)) @ self.phi.T
-
-
-def _lattice_exterior(g: TruncatedGuide, c: int) -> LatticeExterior:
-    """Closed-form transverse modes of column ``c`` and the exterior beyond it."""
     n2, h2 = g.n_trans, g.step_trans
     d = g.cross_section.width
     k = np.arange(n2 + 1)
@@ -415,17 +347,11 @@ def _lattice_exterior(g: TruncatedGuide, c: int) -> LatticeExterior:
         w2 = np.full(j.size, h2)
         w2[[0, -1]] = h2 / 2.0
         wave = np.cos
-    # reduce k j modulo the period before scaling, so the phase stays exact
+    # reduce k j modulo the period before scaling, so the phase stays exact;
+    # phi is scaled before it is weighted, which fixes the projector's last bit
     phase = np.outer(k[nodes], j) % (2 * n2)
     phi = wave(np.pi * phase / n2) * scale
-    return LatticeExterior(
-        phi=phi,
-        projector=w2[:, None] * phi,
-        mu=_lattice_eigenvalues(g, j),
-        nodes=nodes,
-        columns=g.n_long - c,
-        h1=g.step_long,
-    )
+    return w2[:, None] * phi, _lattice_eigenvalues(g, j)
 
 
 @dataclass
@@ -438,16 +364,27 @@ class Factored:
 
 @dataclass
 class FdOperator:
-    """Box part ``A u = E M u`` of the guide on its active nodes, and the exterior.
+    """Box part ``A u = E M u`` of the guide on its active nodes, closed by the exterior.
 
     ``band`` (``A`` in LAPACK lower band storage) and ``mass`` cover columns
-    ``0 .. columns - 1`` of the guide; the last of them is the box's natural
-    edge column, whose active nodes are the last ``rows`` unknowns, and the
-    uniform guide beyond it is ``exterior``.  With the exterior's Schur
-    complement ``T(E) = A - E M + projector diag(sigma(E)) projector^T``,
-    the operator offers :func:`lowest_eigenpairs` the same interface as
-    :class:`WindowOperator`: ``factor``, ``coupling``, ``contract`` and
-    ``terms``.
+    ``0 .. c`` of the guide, ``c = columns - 1``; column ``c`` is the box's
+    natural edge column, whose active nodes are the last
+    ``projector.shape[0]`` unknowns.  Past it the guide has no
+    perturbation, so the lattice sines (Dirichlet walls) or cosines
+    (Neumann walls) ``phi_j`` of the transverse stencil, with eigenvalues
+    ``mu``, decouple it into ``M = n_long - c`` (``exterior_columns``)
+    column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2
+    (mu_j - E)``, closed by the Dirichlet end at column ``n_long``.
+    Eliminating the exterior half of column ``c`` and every column beyond
+    it adds ``sigma_j(E) a_j^2`` to the energy, with ``a_j`` the projection
+    of column ``c`` on ``phi_j`` and, writing ``cosh(theta) = t_j / 2``,
+    ``sigma_j = sinh(theta) coth(M theta) / h1`` (the ``sin`` form when
+    ``t_j < 2``).  ``projector`` is ``W2 Phi`` on the column's active
+    nodes, whose columns are w2-orthonormal, so the Schur complement is
+    ``T(E) = A - E M + projector diag(sigma(E)) projector^T``.  The
+    operator offers :func:`lowest_eigenpairs` the same interface as
+    :class:`WindowOperator`: ``cap``, ``factor``, ``coupling``,
+    ``contract`` and ``terms``.
     """
 
     guide: TruncatedGuide
@@ -455,8 +392,8 @@ class FdOperator:
     mass: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)
     columns: int
-    rows: int
-    exterior: LatticeExterior
+    projector: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
 
     form = "box"
 
@@ -465,13 +402,42 @@ class FdOperator:
         return int(self.band.shape[1])
 
     @property
-    def cap(self) -> float:
-        return self.exterior.cap
+    def exterior_columns(self) -> int:
+        """``M``: the exterior's columns, from past the edge column to the Dirichlet end."""
+        return self.guide.n_long - self.columns + 1
 
     @property
-    def coupling(self) -> Callable[[float], tuple[np.ndarray, np.ndarray]]:
-        """``sigma(E)`` and ``d sigma / dE`` of the exterior's modes (see :class:`LatticeExterior`)."""
-        return self.exterior.coupling
+    def cap(self) -> float:
+        """Lowest eigenvalue of the exterior with the edge column held at zero.
+
+        Below it the exterior block is positive definite, so ``T(E)`` has as
+        many negative eigenvalues as the whole guide's pencil at ``E``.
+        """
+        s = math.sin(math.pi / (2 * self.exterior_columns))
+        return float(self.mu.min()) + 4.0 / self.guide.step_long**2 * s * s
+
+    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
+        """``sigma_j(E)`` and ``d sigma_j / dE`` of every mode, for ``E`` below the cap.
+
+        ``d sigma_j / dE`` is minus the mass of the mode's exterior extension,
+        so it is negative and ``sigma_j`` concave.
+        """
+        M, h1 = self.exterior_columns, self.guide.step_long
+        angle, sh, decay = _lattice_angles(h1, self.mu, E)
+        x = M * angle
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
+            slope = np.where(
+                decay,
+                1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
+                M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
+            )
+        # both forms cancel to 2M/3 + 1/(3M) as x -> 0
+        small = x < SERIES_BELOW
+        sq = np.where(decay, angle, -angle) * angle
+        sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
+        slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
+        return sigma / h1, -0.5 * h1 * slope
 
     @cached_property
     def _work(self) -> np.ndarray:
@@ -481,11 +447,11 @@ class FdOperator:
     @cached_property
     def _edge_lower(self) -> tuple[np.ndarray, np.ndarray]:
         # lower triangle of the closure's block on the edge column
-        return np.tril_indices(self.exterior.projector.shape[0])
+        return np.tril_indices(self.projector.shape[0])
 
     def _closure(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         # projector diag(weights) projector^T on the edge column, zero elsewhere
-        P = self.exterior.projector
+        P = self.projector
         y = np.zeros_like(x)
         y[-P.shape[0]:] = P @ (weights * (P.T @ x[-P.shape[0]:]))
         return y
@@ -496,7 +462,7 @@ class FdOperator:
         The factor lives in a buffer that the next call overwrites.
         """
         sigma, slope = self.coupling(E)
-        P = self.exterior.projector
+        P = self.projector
         low_i, low_j = self._edge_lower
         ab = self._work
         np.copyto(ab, self.band)
@@ -513,7 +479,7 @@ class FdOperator:
 
     def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
         """``v^T A v``, ``v^T M v`` and the weights ``a2`` with ``v^T T(E) v = ... + sigma(E) . a2``."""
-        P = self.exterior.projector
+        P = self.projector
         return (
             float(v @ self.matvec(v)),
             float(v @ (self.mass * v)),
@@ -586,8 +552,8 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     carry the ghost-point form automatically; Dirichlet nodes are
     eliminated.  Its lower triangle is scattered straight into band
     storage, after a ``MemoryError`` for a band larger than
-    ``MAX_BAND_BYTES``.  The guide beyond ``edge`` becomes the operator's
-    :class:`LatticeExterior`.
+    ``MAX_BAND_BYTES``.  The guide beyond ``edge`` is eliminated by the
+    operator's lattice modes (see :class:`FdOperator`).
     """
     n1, n2 = g.n_long, g.n_trans
     h1, h2 = g.step_long, g.step_trans
@@ -667,15 +633,15 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     band = np.bincount(
         offset + (bw + 1) * col, weights=np.concatenate(vals), minlength=(bw + 1) * n
     ).reshape((bw + 1, n), order="F")
-    col_counts = mask.sum(axis=1)
+    projector, mu = _lattice_modes(g)
     return FdOperator(
         guide=g,
         band=band,
         mass=weight[mask],
         mask=mask,
-        columns=int(np.count_nonzero(col_counts)),
-        rows=int(col_counts[col_counts > 0].min()),
-        exterior=_lattice_exterior(g, edge),
+        columns=edge + 1,
+        projector=projector,
+        mu=mu,
     )
 
 
@@ -863,18 +829,17 @@ class OracleSolution:
 
     ``value`` is ``E_1`` and ``residual`` the relative residual of
     ``T(E_1) v`` on the operator's unknowns.  ``vector`` is ``v``,
-    mass-normalized over the whole guide with a deterministic sign, and
-    ``form`` the operator's (``"box"`` or ``"window"``).  A box solution
-    also gives ``box_field``, the eigenvector on the box's node grid (zeros
-    at eliminated nodes), and ``field``, the same on the whole guide, its
-    exterior columns rebuilt from the closed-form modes on first access.
-    ``binding`` is ``mu_1^h - E_1``: positive exactly when a state sits
-    below the discrete threshold.  ``shift`` is the first shift of the plan
-    whose factorization succeeded; ``factorizations`` and ``inner_solves``
-    count the Cholesky factorizations and back-solves of the whole solve.
+    mass-normalized over the whole guide with a deterministic sign;
+    ``operator`` is the operator solved, whose ``guide`` and ``form``
+    (``"box"`` or ``"window"``) say what it was.  On the box form the
+    eliminated exterior is given in closed form by
+    :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h - E_1``:
+    positive exactly when a state sits below the discrete threshold.
+    ``shift`` is the first shift of the plan whose factorization
+    succeeded; ``factorizations`` and ``inner_solves`` count the Cholesky
+    factorizations and back-solves of the whole solve.
     """
 
-    guide: TruncatedGuide
     value: float
     residual: float
     threshold: float
@@ -882,31 +847,8 @@ class OracleSolution:
     shift: float
     factorizations: int
     inner_solves: int
-    form: str
     vector: np.ndarray = field(repr=False)
     operator: FdOperator | WindowOperator = field(repr=False)
-
-    @property
-    def exterior(self) -> LatticeExterior:
-        return self.operator.exterior
-
-    @cached_property
-    def box_field(self) -> np.ndarray:
-        """Eigenvector on the box's node grid."""
-        u = np.zeros(self.operator.mask.shape)
-        u[self.operator.mask] = self.vector
-        return u
-
-    @cached_property
-    def field(self) -> np.ndarray:
-        """Eigenvector on the whole node grid, shape ``(n_long+1, n_trans+1)``."""
-        g = self.guide
-        u = np.zeros((g.n_long + 1, g.n_trans + 1))
-        c = self.box_field.shape[0] - 1
-        u[: c + 1] = self.box_field
-        ext = self.exterior
-        u[c + 1 :, ext.nodes] = ext.extend(self.value, u[c, ext.nodes])
-        return u
 
 
 def discrete_threshold(g: TruncatedGuide, m: int = 1) -> float:
@@ -948,7 +890,7 @@ def lowest_eigenpairs(
     ``T(E)`` is the exact Schur complement of the rest of the guide onto the
     operator's unknowns: the exterior beyond the box of an
     :class:`FdOperator` (``T(E) = A - E M + projector diag(sigma(E))
-    projector^T``, see :class:`LatticeExterior`), or everything but the
+    projector^T``), or everything but the
     wall nodes of a :class:`WindowOperator`.  Either operator factors
     ``T(s)`` or reports that it is not positive definite, back-solves with
     the factor, applies ``-T'(s)``, and gives ``f(E) = v^T T(E) v`` as
@@ -1117,7 +1059,6 @@ def lowest_eigenpairs(
         time.perf_counter() - start,
     )
     return OracleSolution(
-        guide=g,
         value=value,
         residual=residual,
         threshold=threshold,
@@ -1125,7 +1066,6 @@ def lowest_eigenpairs(
         shift=float(first_shift),
         factorizations=factorizations,
         inner_solves=inner_solves,
-        form=op.form,
         vector=v,
         operator=op,
     )
@@ -1135,31 +1075,38 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     """Mode amplitudes and decay rates of the ground state's tail, in closed form.
 
     Past the box the eigenvector is, mode by mode, the exterior's exact
-    solution (see :class:`LatticeExterior`): with ``c`` the box's edge
-    column, ``p_j`` the projection of that column on lattice mode ``j`` and
+    solution (see :class:`FdOperator`): with ``c`` the box's edge column,
+    ``p_j`` the projection of that column on lattice mode ``j`` and
     ``cosh(theta_j) = 1 + h1^2 (mu_j^h - E_1) / 2``, its column ``i`` carries
     ``A_j (exp(-theta_j i) - exp(-theta_j (2 n_long - i)))``, the decaying
     tail and its image in the Dirichlet end, where
     ``A_j = p_j exp(theta_j c) / (1 - exp(-2 M theta_j))``.  Returns one
     ``(a_j, rate_j) = (A_j, theta_j / h1)`` for each of the lowest
     ``count`` modes, amplitudes normalized so the threshold mode's is
-    exactly one.  Raises ``ValueError`` when nothing binds: a binding puts
+    exactly one.  Raises ``ValueError`` for a solution of the window form,
+    which keeps no edge column, and when nothing binds: a binding puts
     ``E_1`` below every ``mu_j^h``, so every mode then decays.
     """
-    g = sol.guide
+    op = sol.operator
+    if op.form != "box":
+        raise ValueError(
+            "tails are read from the box form's edge column; "
+            f"this solution is of the {op.form} form"
+        )
     if sol.binding <= 0:
         raise ValueError(
             f"no bound state: binding {sol.binding:.3e} <= 0; tails undefined"
         )
-    ext = sol.exterior
-    if count > ext.mu.size:
-        raise ValueError(f"{count} modes requested; the lattice has {ext.mu.size}")
-    theta = _lattice_angles(ext.h1, ext.mu, sol.value)[0][:count]
-    c = g.n_long - ext.columns
-    p = ext.projector.T[:count] @ sol.box_field[c, ext.nodes]
-    a = p * np.exp(theta * c) / -np.expm1(-2.0 * ext.columns * theta)
+    if count > op.mu.size:
+        raise ValueError(f"{count} modes requested; the lattice has {op.mu.size}")
+    h1, M, P = op.guide.step_long, op.exterior_columns, op.projector
+    theta = _lattice_angles(h1, op.mu, sol.value)[0][:count]
+    # the numbering runs along each column, so the edge column's active
+    # nodes are the last unknowns
+    p = P.T[:count] @ sol.vector[-P.shape[0]:]
+    a = p * np.exp(theta * (op.columns - 1)) / -np.expm1(-2.0 * M * theta)
     a /= a[0]
-    rate = theta / ext.h1
+    rate = theta / h1
     return [(float(aj), float(rj)) for aj, rj in zip(a, rate)]
 
 

@@ -285,15 +285,17 @@ def test_window_rows_record_the_steps_richardson_used(monkeypatch) -> None:
 
 
 def test_failed_row_keeps_error_cell_and_sweep_continues() -> None:
-    # the leading coupling is out of the perturbative range and must fail
-    # alone, without inventing numbers for its row
-    cfg = parse_config(_window_dict(epsilons=[2.0, 0.5, 0.45, 0.4]))
+    # the leading coupling's window is wider than its guide, so its row
+    # must fail alone, without inventing numbers for it
+    cfg = parse_config(
+        _window_dict(oracle={"h": [0.1], "L": [[0.4], [10.0], [10.0], [10.0]]})
+    )
     rows = run_sweep(cfg)
     assert rows[0].error is not None
     assert rows[0].b_oracle is None and rows[0].k_re is None
     assert all(r.error is None for r in rows[1:])
     line = render_csv(rows).splitlines()[1]
-    assert line == "2.0,,,,,,,error:ValueError"
+    assert line == "0.5,,,,,,,error:ValueError"
     verdict = evaluate_checks(cfg, rows, {})
     assert not verdict["pass"]
     assert verdict["checks"][0]["name"] == "row_ok"
@@ -522,14 +524,40 @@ def test_cli_rejects_a_bad_gate_before_any_solve(tmp_path, capsys, tolerances) -
         {"perturbation": {"n_long": 1}},
         {"perturbation": {"n_trans": 1}},
         {"m": True},
+        {"oracle": {"h": [0.3, 0.16, 0.08], "L": [8.0]}},
+        {"oracle": {"h": [0.1], "L": [12.0, 8.0]}},
+        {"oracle": {"h": [0.1], "L": [8.0, 8.0]}},
+        {"oracle": {"h": [0.1], "L": [[8.0, 12.0], [8.0, 12.0], [12.0, 8.0], [8.0, 12.0]]}},
     ],
     ids=["epsilons", "oracle.h", "oracle.L", "oracle.order", "epsilons-not-a-list",
          "oracle.L-entry-not-a-list", "modes-below-m+3", "n_long-below-2",
-         "n_trans-below-2", "m-boolean"],
+         "n_trans-below-2", "m-boolean", "oracle.h-three-steps", "oracle.L-decreasing",
+         "oracle.L-repeated", "oracle.L-entry-decreasing"],
 )
 def test_cli_rejects_a_non_numeric_entry_before_any_solve(tmp_path, capsys, over) -> None:
+    _assert_rejected_before_any_solve(tmp_path, capsys, _regular_dict(**over))
+
+
+@pytest.mark.parametrize(
+    "scenario, bc", [("DirichletWindow", "dirichlet"), ("NeumannPatch", "neumann")]
+)
+def test_cli_rejects_a_wall_coupling_of_one_before_any_solve(
+    tmp_path, capsys, scenario, bc
+) -> None:
+    # the wall asymptotics need couplings in (0, 1); a window wider than its
+    # guide stays a row error, as test_cli_sweep_exits_3_when_every_row_fails
+    # checks
+    raw = _window_dict(
+        scenario=scenario,
+        cross_section={"width": math.pi, "bc": bc},
+        epsilons=[1.0, 0.8, 0.6, 0.4],
+    )
+    _assert_rejected_before_any_solve(tmp_path, capsys, raw)
+
+
+def _assert_rejected_before_any_solve(tmp_path, capsys, raw: dict) -> None:
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_regular_dict(**over)))
+    path.write_text(json.dumps(raw))
     assert main(["oracle", "--config", str(path)]) == 2
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2

@@ -61,13 +61,13 @@ def test_grid_counts_and_active_dimensions() -> None:
     g = TruncatedGuide(cross_section=_CS, half_length=20.0, h=np.pi / 100)
     op = build_fd_operator(g)
     # 100 transverse cells minus two Dirichlet walls
-    assert op.rows == 99
+    assert np.count_nonzero(op.mask[-1]) == 99
     assert g.x1[0] == 0.0 and g.x1[-1] == 20.0
     # nothing is perturbed: the box is the x1 = 0 plane plus the padding, and
     # the exterior runs from its edge column to the Dirichlet end
     assert op.columns == oracle.BOX_PADDING + 1
-    assert op.size == op.columns * op.rows
-    assert op.exterior.columns == g.n_long - oracle.BOX_PADDING
+    assert op.size == op.columns * 99
+    assert op.exterior_columns == g.n_long - oracle.BOX_PADDING
     # a window's box ends BOX_PADDING columns past its last carved column,
     # whose wall nodes stay active
     gw = TruncatedGuide(cross_section=_CS, half_length=20.0, h=0.04, half_width=0.3)
@@ -239,7 +239,7 @@ def test_solver_is_deterministic() -> None:
     a = lowest_eigenpairs(op)
     b = lowest_eigenpairs(op)
     assert a.value == b.value
-    assert np.array_equal(a.field, b.field)
+    assert np.array_equal(a.vector, b.vector)
 
 
 def _lattice_rate(g: TruncatedGuide, j: int, E: float) -> float:
@@ -251,18 +251,38 @@ def _lattice_rate(g: TruncatedGuide, j: int, E: float) -> float:
 
 
 def _assert_tails_rebuild_exterior(sol, tails) -> None:
-    # past the box every mode is its decaying tail minus the image of that
-    # tail in the Dirichlet end at L; one overall scale, since a_m = 1
-    g = sol.guide
-    c = g.n_long - sol.exterior.columns
+    # the whole guide from two parts: the box from the eigenvector, and past
+    # its edge column every mode's decaying tail minus the image of that
+    # tail in the Dirichlet end at L, one overall scale, since a_1 = 1,
+    # fitted on the edge column
+    op = sol.operator
+    g = op.guide
+    c = op.columns - 1
     x = g.x1[c:, None]
     a = np.array([t[0] for t in tails])
     rate = np.array([t[1] for t in tails])
     profile = a * (np.exp(-rate * x) - np.exp(-rate * (2.0 * g.x1[-1] - x)))
     rebuilt = profile @ build_basis(g.cross_section, len(tails)).phi_matrix(g.x2)
-    u = sol.field[c:]
-    scale = float(np.sum(rebuilt * u) / np.sum(rebuilt * rebuilt))
-    assert np.max(np.abs(scale * rebuilt - u)) <= 1e-9 * np.max(np.abs(u))
+    u = np.zeros((g.n_long + 1, g.n_trans + 1))
+    u[: c + 1][op.mask] = sol.vector
+    edge = u[c]
+    scale = float(rebuilt[0] @ edge / (rebuilt[0] @ rebuilt[0]))
+    assert np.max(np.abs(scale * rebuilt[0] - edge)) <= 1e-9 * np.max(np.abs(edge))
+    u[c + 1 :] = scale * rebuilt[1:]
+    # the 5-point equation of the whole guide holds at E_1 from the edge
+    # column to the end
+    h1, h2 = g.step_long, g.step_trans
+    lap = (
+        (2.0 * u[c:-1, 1:-1] - u[c - 1 : -2, 1:-1] - u[c + 1 :, 1:-1]) / h1**2
+        + (2.0 * u[c:-1, 1:-1] - u[c:-1, :-2] - u[c:-1, 2:]) / h2**2
+    )
+    assert np.max(np.abs(lap - sol.value * u[c:-1, 1:-1])) <= 1e-9 * np.max(np.abs(lap))
+    # mass-normalized over the whole guide
+    w1 = np.full(g.n_long + 1, h1)
+    w1[[0, -1]] = h1 / 2.0
+    w2 = np.full(g.n_trans + 1, h2)
+    w2[[0, -1]] = h2 / 2.0
+    assert abs(float(np.sum(u * u * np.outer(w1, w2))) - 1.0) < 1e-12
 
 
 def test_tail_coefficients_of_tilted_well() -> None:
@@ -315,7 +335,7 @@ def test_window_carving_creates_binding() -> None:
     assert g.feature_half_width == pytest.approx(0.3, abs=1e-12)
     op = build_fd_operator(g)
     # window columns keep their wall node active
-    assert op.rows == g.n_trans - 1
+    assert np.count_nonzero(op.mask[-1]) == g.n_trans - 1
     sol = lowest_eigenpairs(op)
     k_lead = 0.5 * 0.3**2
     assert 0.0 < sol.binding < k_lead**2
@@ -510,7 +530,7 @@ def test_window_form_matches_the_box(eps) -> None:
             g = TruncatedGuide(cross_section=_CS, half_length=L, h=h, half_width=eps)
             box = lowest_eigenpairs(build_fd_operator(g))
             win = lowest_eigenpairs(oracle.build_window_operator(g))
-            assert (box.form, win.form) == ("box", "window")
+            assert (box.operator.form, win.operator.form) == ("box", "window")
             assert win.vector.size == g.feature_nodes + 1
             assert win.residual <= oracle.EIGEN_RESIDUAL_TOL
             assert abs(win.binding / box.binding - 1.0) <= WINDOW_FORM_REL_TOL
@@ -527,6 +547,16 @@ def test_window_form_refuses_what_it_does_not_solve() -> None:
     ):
         with pytest.raises(ValueError):
             oracle.build_window_operator(TruncatedGuide(cross_section=cs, **kw))
+
+
+def test_window_form_solution_has_no_tails() -> None:
+    # the tails are read from the box's edge column, which the window form
+    # eliminates with the rest of the guide
+    g = TruncatedGuide(cross_section=_CS, half_length=17.5, h=0.08, half_width=0.4)
+    sol = lowest_eigenpairs(oracle.build_window_operator(g))
+    assert sol.binding > 0
+    with pytest.raises(ValueError, match="read from the box form's edge column"):
+        extract_tail_coefficients(sol, 1)
 
 
 def test_perturbation_at_the_guide_end_is_rejected() -> None:
@@ -550,7 +580,7 @@ def test_perturbation_at_the_guide_end_is_rejected() -> None:
         )
         assert g.feature_nodes == n_feat
         if ok:
-            assert build_fd_operator(g).exterior.columns == 1
+            assert build_fd_operator(g).exterior_columns == 1
         else:
             with pytest.raises(ValueError):
                 build_fd_operator(g)
@@ -564,33 +594,17 @@ def test_box_padding_does_not_move_the_binding(case, monkeypatch) -> None:
     for padding in (2, 12):
         monkeypatch.setattr(oracle, "BOX_PADDING", padding)
         op = build_fd_operator(g)
-        assert op.exterior.columns == g.n_long - op.columns + 1
+        assert op.exterior_columns == g.n_long - op.columns + 1
         bindings.append(lowest_eigenpairs(op).binding)
     assert abs(bindings[1] / bindings[0] - 1.0) < 1e-9
 
 
 def test_field_extends_the_box_in_closed_form() -> None:
-    # the exterior columns rebuilt from the lattice modes satisfy the
-    # 5-point equation of the whole guide at E_1, the box's edge column too
-    cs, kw = FULL_GRID_CASES["tilted well"]
-    g = TruncatedGuide(cross_section=cs, **kw)
-    op = build_fd_operator(g)
-    sol = lowest_eigenpairs(op)
-    u = sol.field
-    h1, h2 = g.step_long, g.step_trans
-    c = op.columns - 1
-    lap = (
-        (2.0 * u[c:-1, 1:-1] - u[c - 1 : -2, 1:-1] - u[c + 1 :, 1:-1]) / h1**2
-        + (2.0 * u[c:-1, 1:-1] - u[c:-1, :-2] - u[c:-1, 2:]) / h2**2
-    )
-    scale = np.max(np.abs(lap))
-    assert np.max(np.abs(lap - sol.value * u[c:-1, 1:-1])) <= 1e-9 * scale
-    # mass-normalized over the whole guide
-    w1 = np.full(g.n_long + 1, h1)
-    w1[[0, -1]] = h1 / 2.0
-    w2 = np.full(g.n_trans + 1, h2)
-    w2[[0, -1]] = h2 / 2.0
-    assert abs(float(np.sum(u * u * np.outer(w1, w2))) - 1.0) < 1e-12
+    # a window and a well: the tails extend the eigenvector past the box's
+    # edge column to the whole guide
+    g = _window_well_guide()
+    sol = lowest_eigenpairs(build_fd_operator(g))
+    _assert_tails_rebuild_exterior(sol, extract_tail_coefficients(sol, g.n_trans - 1))
 
 
 def test_guide_validation() -> None:
@@ -710,7 +724,7 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
     # Newton converges quadratically in about five steps; it must stop
     # there, not take roundoff-sized steps up to its cap
     op, ref, hint, sol = window_solves
-    coupling = oracle.LatticeExterior.coupling
+    coupling = oracle.FdOperator.coupling
     per_call = Counter()
 
     def counting(self, E):
@@ -719,7 +733,7 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
             per_call[caller] += 1
         return coupling(self, E)
 
-    monkeypatch.setattr(oracle.LatticeExterior, "coupling", counting)
+    monkeypatch.setattr(oracle.FdOperator, "coupling", counting)
     again = [lowest_eigenpairs(op), lowest_eigenpairs(op, binding_hint=hint)]
     assert [s.value for s in again] == [ref.value, sol.value]
     assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
