@@ -32,6 +32,7 @@ from .oracle import (
     TruncatedGuide,
     aitken_limit,
     build_fd_operator,
+    build_patch_operator,
     build_window_operator,
     lowest_eigenpairs,
     richardson,
@@ -116,10 +117,13 @@ def _check_keys(where: str, block, allowed) -> dict:
 
 
 def _number(where: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {value!r}") from exc
+    # a JSON boolean is not a number, although float(True) is 1.0
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
 
 
 def _numbers(where: str, values) -> list[float]:
@@ -170,9 +174,10 @@ def parse_config(source) -> ExperimentConfig:
     window or patch); the regular scenario's defaults are ``half_width``
     1, the secular grid ``n_long`` 129 by ``n_trans`` 17 (at least 2 each)
     and ``modes`` ``m + 3`` resolvent modes (also the least).  ``m`` is a
-    positive integer, not a boolean.  ``tolerances`` maps gate names of
-    :data:`GATES` to their fields, plus the number ``gap_slope_min``.  A
-    key no block takes, or a gate missing a required field, is rejected.
+    positive integer, and no number, ``m`` included, may be a boolean.
+    ``tolerances`` maps gate names of :data:`GATES` to their fields, plus
+    the number ``gap_slope_min``.  A key no block takes, or a gate missing
+    a required field, is rejected.
     Defaults are filled in here, in the parsed blocks; ``raw`` keeps the
     source as given.
     """
@@ -203,7 +208,7 @@ def parse_config(source) -> ExperimentConfig:
     cs_raw = _check_keys("cross_section", raw["cross_section"], CROSS_SECTION_KEYS)
     try:
         cross_section = CrossSection(
-            width=float(cs_raw["width"]), bc=str(cs_raw["bc"])
+            width=_number("cross_section.width", cs_raw["width"]), bc=str(cs_raw["bc"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad cross_section {cs_raw!r}: {exc}") from exc
@@ -264,9 +269,9 @@ def parse_config(source) -> ExperimentConfig:
     for key in allowed:
         value = perturbation.get(key)
         try:
-            number = float(value)
+            number = _number(f"perturbation.{key}", value)
             valid = number > 0 and (key == "half_width" or number.is_integer())
-        except (TypeError, ValueError):
+        except ConfigError:
             valid = False
         if not valid:
             kind = "number" if key == "half_width" else "integer"
@@ -385,8 +390,11 @@ def truncated_binding(
     the operator's ``form``, and the ``box_columns``, ``unknowns``,
     ``factorizations`` and ``inner_solves`` (back-solves) of the solve.  A
     window scenario solves the :class:`~wgpoles.oracle.WindowOperator` on
-    the window's ``n_feat + 1`` wall nodes (form ``"window"``, ``box_columns`` ``None``); the others
-    solve the feature box (form ``"box"``).
+    the window's ``n_feat + 1`` wall nodes (form ``"window"``), a patch
+    scenario the :class:`~wgpoles.oracle.PatchOperator` on the
+    ``n_trans + 1`` nodes of the first column past the patch (form
+    ``"patch"``), both with ``box_columns`` ``None``; a potential solves
+    the feature box (form ``"box"``).
     """
     if cfg.m >= 2:
         raise ValueError(
@@ -403,9 +411,12 @@ def truncated_binding(
     )
     if regular:
         g.potential = _box_sampler(eps, half_width, g.step_long)
-    # a window without a potential is solved on its wall nodes alone
-    build = build_window_operator if cfg.scenario == DIRICHLET_WINDOW else build_fd_operator
-    op = build(g)
+        op = build_fd_operator(g)
+    elif cfg.scenario == DIRICHLET_WINDOW:
+        # a wall feature without a potential is solved on its reduced form
+        op = build_window_operator(g)
+    else:
+        op = build_patch_operator(g)
     sol = lowest_eigenpairs(op, binding_hint=hint)
     return sol.binding, {
         "L": L,

@@ -45,12 +45,17 @@ other node of the same finite guide, on the same grid, in closed form (the
 capacitance matrix method of Buzbee, Dorr, George and Golub, and of
 Proskurowski and Widlund): a dense ``(n_feat + 1)``-square ``T_W(E)``
 built from the same lattice modes, closed by the natural plane and the
-Dirichlet end.  Each operator owns its closure, the ``cap`` and the
-``coupling(E)`` of the guide it eliminates, and :func:`lowest_eigenpairs`
-brackets either with one loop, through the interface both offer: factor
-or report failure, back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with
-its derivative.  The box still accepts a window, as the reference the
-window form is tested against.
+Dirichlet end.  A Dirichlet patch without a potential leaves both sides of
+the first column past it uniform, so :class:`PatchOperator` eliminates
+everything but that column: a dense ``(n_trans + 1)``-square ``T_P(E)``,
+closed on the right by the box's own exterior closure and on the left by
+the patch side's mixed lattice sines and the natural plane.  Each operator
+owns its closure, the ``cap`` and the ``coupling(E)`` of the guide it
+eliminates, and :func:`lowest_eigenpairs` brackets any of them with one
+loop, through the interface all three offer: factor or report failure,
+back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with its derivative.  The
+box still accepts windows and patches, as the reference the reduced forms
+are tested against.
 
 The box's stiffness matrix is assembled straight into LAPACK lower band
 storage, ``band[i - j, j] = A[i, j]`` for ``i >= j``, with the unknowns
@@ -61,8 +66,9 @@ are LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's compiled LAPACK
 extension, loaded on its own on the first of them: importing
 ``scipy.linalg`` would pull in scipy's array-API layer and with it much of
 numpy's test and build tooling, which costs more CPU at start-up than a
-window sweep spends solving.  The window form's dense factorizations use
-numpy alone.
+window sweep spends solving.  The patch form's dense factorizations and
+back-solves are ``dpotrf`` and ``dpotrs`` from the same extension; the
+window form's use numpy alone.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ BOX_PADDING = 4
 # the solve stops once the bracket around E_1 is this narrow
 BRACKET_TOL = 1e-10
 
-# cap on the banded factorizations of one solve
+# cap on the factorizations of one solve
 MAX_FACTORIZATIONS = 60
 
 # each shift after the first sits this share of the bracket below its upper bound
@@ -118,8 +124,8 @@ SERIES_BELOW = 1e-3
 MAX_BAND_BYTES = 3 * 1024**3
 
 
-# row threads that reach their first banded factorization together load
-# the extension once
+# row threads that reach their first LAPACK call together load the
+# extension once
 _FLAPACK_LOCK = threading.Lock()
 
 
@@ -128,7 +134,7 @@ def _load_flapack():
     """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, without ``scipy.linalg``.
 
     The extension needs only numpy, so it is loaded from its file in the
-    installed scipy, on the first banded factorization; the module already
+    installed scipy, on the first factorization; the module already
     imported is reused, and the one loaded here is registered under its own
     name, so a later ``import scipy.linalg`` shares it.
     """
@@ -184,6 +190,24 @@ def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` from the factor ``cb`` of :func:`cholesky_banded`, LAPACK ``dpbtrs``."""
     x, info = _load_flapack().dpbtrs(cb, b, lower=1)
     _lapack_info("pbtrs", info)
+    return x
+
+
+def cholesky_dense(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a symmetric positive definite matrix, LAPACK ``dpotrf``.
+
+    Reads the lower triangle of ``a`` only; raises ``LinAlgError`` when it
+    is not positive definite.
+    """
+    c, info = _load_flapack().dpotrf(a, lower=1, clean=0)
+    _lapack_info("potrf", info)
+    return c
+
+
+def cho_solve_dense(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``A x = b`` from the factor ``c`` of :func:`cholesky_dense`, LAPACK ``dpotrs``."""
+    x, info = _load_flapack().dpotrs(c, b, lower=1)
+    _lapack_info("potrs", info)
     return x
 
 
@@ -317,7 +341,8 @@ def _lattice_eigenvalues(g: TruncatedGuide, j):
 
     ``j`` counts the lattice sines of a Dirichlet strip from one and the
     cosines of a Neumann strip from zero, so index ``j`` is the eigenvalue of
-    mode ``j`` or ``j + 1``.
+    mode ``j`` or ``j + 1``; ``j = k - 1/2`` gives mode ``k`` of the mixed
+    sines of a strip Dirichlet on one wall and Neumann on the other.
     """
     h = g.step_trans
     s = np.sin(j * math.pi * h / (2.0 * g.cross_section.width))
@@ -354,6 +379,40 @@ def _lattice_modes(g: TruncatedGuide) -> tuple[np.ndarray, np.ndarray]:
     return w2[:, None] * phi, _lattice_eigenvalues(g, j)
 
 
+def _exterior_cap(h1: float, M: int, mu: np.ndarray) -> float:
+    """Lowest eigenvalue of the ``M``-column exterior with its first column held at zero."""
+    s = math.sin(math.pi / (2 * M))
+    return float(mu.min()) + 4.0 / h1**2 * s * s
+
+
+def _exterior_coupling(h1: float, M: int, mu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
+    """Exterior closure ``sigma_j(E)`` and ``d sigma_j / dE`` per lattice mode, below the cap.
+
+    Eliminating the right half of a natural column and the ``M`` columns
+    from it to a Dirichlet end adds ``sigma_j a_j^2`` to the energy of mode
+    ``j``'s amplitude ``a_j`` on that column, ``sigma_j = sinh(theta)
+    coth(M theta) / h1`` with ``cosh(theta) = 1 + h1^2 (mu_j - E) / 2`` (the
+    ``sin`` form where the mode oscillates).  ``d sigma_j / dE`` is minus the
+    mass of the mode's exterior extension, so it is negative and ``sigma_j``
+    concave.
+    """
+    angle, sh, decay = _lattice_angles(h1, mu, E)
+    x = M * angle
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
+        slope = np.where(
+            decay,
+            1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
+            M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
+        )
+    # both forms cancel to 2M/3 + 1/(3M) as x -> 0
+    small = x < SERIES_BELOW
+    sq = np.where(decay, angle, -angle) * angle
+    sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
+    slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
+    return sigma / h1, -0.5 * h1 * slope
+
+
 @dataclass
 class Factored:
     """``T(s)`` factored at a shift ``s`` below ``E_1``: back-solves, and ``-T'(s)``."""
@@ -376,15 +435,13 @@ class FdOperator:
     column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2
     (mu_j - E)``, closed by the Dirichlet end at column ``n_long``.
     Eliminating the exterior half of column ``c`` and every column beyond
-    it adds ``sigma_j(E) a_j^2`` to the energy, with ``a_j`` the projection
-    of column ``c`` on ``phi_j`` and, writing ``cosh(theta) = t_j / 2``,
-    ``sigma_j = sinh(theta) coth(M theta) / h1`` (the ``sin`` form when
-    ``t_j < 2``).  ``projector`` is ``W2 Phi`` on the column's active
-    nodes, whose columns are w2-orthonormal, so the Schur complement is
-    ``T(E) = A - E M + projector diag(sigma(E)) projector^T``.  The
-    operator offers :func:`lowest_eigenpairs` the same interface as
-    :class:`WindowOperator`: ``cap``, ``factor``, ``coupling``,
-    ``contract`` and ``terms``.
+    it adds ``sigma_j(E) a_j^2`` to the energy (:func:`_exterior_coupling`),
+    with ``a_j`` the projection of column ``c`` on ``phi_j``.
+    ``projector`` is ``W2 Phi`` on the column's active nodes, whose columns
+    are w2-orthonormal, so the Schur complement is ``T(E) = A - E M +
+    projector diag(sigma(E)) projector^T``.  The operator offers
+    :func:`lowest_eigenpairs` the same interface as the reduced forms:
+    ``cap``, ``factor``, ``coupling``, ``contract`` and ``terms``.
     """
 
     guide: TruncatedGuide
@@ -413,31 +470,11 @@ class FdOperator:
         Below it the exterior block is positive definite, so ``T(E)`` has as
         many negative eigenvalues as the whole guide's pencil at ``E``.
         """
-        s = math.sin(math.pi / (2 * self.exterior_columns))
-        return float(self.mu.min()) + 4.0 / self.guide.step_long**2 * s * s
+        return _exterior_cap(self.guide.step_long, self.exterior_columns, self.mu)
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``sigma_j(E)`` and ``d sigma_j / dE`` of every mode, for ``E`` below the cap.
-
-        ``d sigma_j / dE`` is minus the mass of the mode's exterior extension,
-        so it is negative and ``sigma_j`` concave.
-        """
-        M, h1 = self.exterior_columns, self.guide.step_long
-        angle, sh, decay = _lattice_angles(h1, self.mu, E)
-        x = M * angle
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
-            slope = np.where(
-                decay,
-                1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
-                M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
-            )
-        # both forms cancel to 2M/3 + 1/(3M) as x -> 0
-        small = x < SERIES_BELOW
-        sq = np.where(decay, angle, -angle) * angle
-        sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
-        slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
-        return sigma / h1, -0.5 * h1 * slope
+        """``sigma_j(E)`` and ``d sigma_j / dE`` of every mode, for ``E`` below the cap."""
+        return _exterior_coupling(self.guide.step_long, self.exterior_columns, self.mu, E)
 
     @cached_property
     def _work(self) -> np.ndarray:
@@ -824,15 +861,175 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
 
 
 @dataclass
+class PatchOperator:
+    """A patch guide reduced to one interface column.
+
+    A Dirichlet patch without a potential changes the Neumann guide only on
+    its wall nodes ``(i, 0)``, ``i <= n_feat``, so both sides of column
+    ``c = n_feat + 1``, the first past the patch, are uniform lattices, and
+    eliminating each exactly leaves the dense ``(n_trans + 1)``-square
+
+        ``T_P(E) = A_c - E M_c + P diag(sigma(E)) P^T + Q diag(tau(E)) Q^T``
+
+    on that column's nodes.  ``A_c`` and ``M_c = (h1/2) w2`` are the left
+    half of the column (its transverse stencil at weight ``h1/2``) plus its
+    edges to column ``c - 1`` (``w2 / h1`` on the diagonal).  ``P`` and
+    ``sigma`` are the box's exterior closure (:func:`_exterior_coupling`)
+    on ``M = n_long - c`` columns, over the lattice cosines ``mu``.  Left
+    of ``c`` the patch makes the wall Dirichlet, so columns ``0 .. c - 1``
+    decouple in the mixed lattice sines ``psi_k(j) = sqrt(2/d) sin((2k - 1)
+    pi j / (2 n2))`` on nodes ``1 .. n2``, with eigenvalues ``nu``;
+    ``Q = W2 Psi`` (zero on the wall node), and closing each mode's column
+    recurrence by the natural plane gives ``tau_k = -(1/h1) cosh((c - 1)
+    theta_k) / cosh(c theta_k)``.  ``projector`` is ``[P, Q]`` and
+    ``coupling`` returns ``(sigma, tau)`` together.  ``cap`` is the lower
+    of the two sides' lowest eigenvalues with column ``c`` held at zero;
+    below it the eliminated blocks are positive definite, so ``T_P(E)``
+    factors exactly when ``E < E_1``.
+    """
+
+    guide: TruncatedGuide
+    stiffness: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    projector: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    nu: np.ndarray = field(repr=False)
+
+    form = "patch"
+    columns = None  # no box
+
+    @property
+    def size(self) -> int:
+        return int(self.mass.size)
+
+    @property
+    def exterior_columns(self) -> int:
+        """``M``: the columns from past column ``c`` to the Dirichlet end."""
+        return self.guide.n_long - self.guide.feature_nodes - 1
+
+    @property
+    def cap(self) -> float:
+        g = self.guide
+        s = math.sin(math.pi / (4 * (g.feature_nodes + 1)))
+        patch_side = float(self.nu[0]) + 4.0 / g.step_long**2 * s * s
+        return min(_exterior_cap(g.step_long, self.exterior_columns, self.mu), patch_side)
+
+    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(sigma, tau)`` and their derivatives in ``E``, for ``E`` below the cap.
+
+        ``tau`` is summed from ``exp(-theta)`` where the mode decays,
+        ``exp(-theta) (1 + exp(-2 (c - 1) theta)) / (1 + exp(-2 c theta))``,
+        and takes the ``cos`` form where it oscillates; ``d tau / dE =
+        -(h1/2) (c / cosh^2(c theta) + sinh((c - 1) theta) / (sinh(theta)
+        cosh(c theta)))``, minus the mass of the mode's extension to the
+        left, is ``-(h1/2)(2c - 1)`` at ``theta = 0``.
+        """
+        g = self.guide
+        h1, c = g.step_long, g.feature_nodes + 1
+        sigma, dsigma = _exterior_coupling(h1, self.exterior_columns, self.mu, E)
+        angle, sh, decay = _lattice_angles(h1, self.nu, E)
+        wave = ~decay
+        e1 = np.exp(-angle)
+        ec = np.exp(-2.0 * c * angle)
+        em = np.expm1(-2.0 * (c - 1) * angle)
+        ratio = e1 * (2.0 + em) / (1.0 + ec)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mass = 4.0 * c * ec / (1.0 + ec) ** 2 - e1 * em / ((1.0 + ec) * sh)
+        if wave.any():
+            u = angle[wave]
+            cu = np.cos(c * u)
+            ratio[wave] = np.cos((c - 1) * u) / cu
+            mass[wave] = c / cu**2 + np.sin((c - 1) * u) / (sh[wave] * cu)
+        mass[sh == 0.0] = 2.0 * c - 1.0
+        return (
+            np.concatenate((sigma, -ratio / h1)),
+            np.concatenate((dsigma, -0.5 * h1 * mass)),
+        )
+
+    def closure(self, weights: np.ndarray) -> np.ndarray:
+        """``[P, Q] diag(weights) [P, Q]^T``: ``T_P(E) = stiffness - E diag(mass) + closure(sigma)``."""
+        R = self.projector
+        return (R * weights) @ R.T
+
+    def _apply(self, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # closure(weights) @ v, without forming the matrix
+        R = self.projector
+        return R @ (weights * (R.T @ v))
+
+    def factor(self, E: float) -> Factored | None:
+        """``T_P(E)`` by dense Cholesky, or ``None`` when it is not positive definite."""
+        sigma, slope = self.coupling(E)
+        try:
+            low = cholesky_dense(self.stiffness - E * np.diag(self.mass) + self.closure(sigma))
+        except LinAlgError:
+            return None
+        return Factored(
+            solve=lambda y: cho_solve_dense(low, y),
+            pencil=lambda v: self.mass * v - self._apply(v, slope),
+        )
+
+    def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """``v^T A v``, ``v^T M v`` and the weights ``a2 = ([P, Q]^T v)^2``."""
+        return (
+            float(v @ (self.stiffness @ v)),
+            float(v @ (self.mass * v)),
+            (self.projector.T @ v) ** 2,
+        )
+
+    def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``A v``, ``M v`` and the closure's part of ``T_P(E) v``, ``sigma`` at ``E``."""
+        return self.stiffness @ v, self.mass * v, self._apply(v, sigma)
+
+
+def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
+    """The patch guide ``g`` on column ``n_feat + 1`` (see :class:`PatchOperator`).
+
+    Solves the same finite guide, on the same grid, as
+    :func:`build_fd_operator`, and refuses the same guides: one whose patch
+    comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
+    and so does a guide without a patch (a Dirichlet wall or no feature) or
+    with a potential.
+    """
+    if g.half_width is None or g.cross_section.bc == BC_DIRICHLET or g.potential is not None:
+        raise ValueError("the patch form needs a patch guide without a potential")
+    _box_edge(g, g.feature_nodes)
+    h1, h2, n2 = g.step_long, g.step_trans, g.n_trans
+    w2 = np.full(n2 + 1, h2)
+    w2[[0, -1]] = h2 / 2.0
+    # the column's transverse edges at half weight, and its edges to column c - 1
+    chain = h1 / (2.0 * h2)
+    stiffness = np.diag(w2 / h1 + 2.0 * chain)
+    stiffness[[0, -1], [0, -1]] -= chain
+    j = np.arange(n2)
+    stiffness[j, j + 1] = stiffness[j + 1, j] = -chain
+    P, mu = _lattice_modes(g)
+    # mixed sines, phase reduced modulo their period 4 n2 before scaling
+    k = np.arange(n2)
+    phase = np.outer(np.arange(1, n2 + 1), 2 * k + 1) % (4 * n2)
+    psi = np.sin(np.pi * phase / (2 * n2)) * math.sqrt(2.0 / g.cross_section.width)
+    Q = np.zeros((n2 + 1, n2))
+    Q[1:] = w2[1:, None] * psi
+    return PatchOperator(
+        guide=g,
+        stiffness=stiffness,
+        mass=0.5 * h1 * w2,
+        projector=np.hstack((P, Q)),
+        mu=mu,
+        nu=_lattice_eigenvalues(g, k + 0.5),
+    )
+
+
+@dataclass
 class OracleSolution:
     """Lowest eigenpair of a truncated guide, with threshold bookkeeping.
 
     ``value`` is ``E_1`` and ``residual`` the relative residual of
     ``T(E_1) v`` on the operator's unknowns.  ``vector`` is ``v``,
     mass-normalized over the whole guide with a deterministic sign;
-    ``operator`` is the operator solved, whose ``guide`` and ``form``
-    (``"box"`` or ``"window"``) say what it was.  On the box form the
-    eliminated exterior is given in closed form by
+    ``operator`` is the operator solved, whose ``guide`` and ``form`` say
+    what it was: ``"box"``, ``"window"`` (``v`` on the window's wall nodes)
+    or ``"patch"`` (``v`` on the first column past the patch).  On the box
+    form the eliminated exterior is given in closed form by
     :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h - E_1``:
     positive exactly when a state sits below the discrete threshold.
     ``shift`` is the first shift of the plan whose factorization
@@ -848,7 +1045,7 @@ class OracleSolution:
     factorizations: int
     inner_solves: int
     vector: np.ndarray = field(repr=False)
-    operator: FdOperator | WindowOperator = field(repr=False)
+    operator: FdOperator | WindowOperator | PatchOperator = field(repr=False)
 
 
 def discrete_threshold(g: TruncatedGuide, m: int = 1) -> float:
@@ -883,15 +1080,16 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator | WindowOperator, binding_hint: float | None = None
+    op: FdOperator | WindowOperator | PatchOperator, binding_hint: float | None = None
 ) -> OracleSolution:
     """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0``.
 
     ``T(E)`` is the exact Schur complement of the rest of the guide onto the
     operator's unknowns: the exterior beyond the box of an
     :class:`FdOperator` (``T(E) = A - E M + projector diag(sigma(E))
-    projector^T``), or everything but the
-    wall nodes of a :class:`WindowOperator`.  Either operator factors
+    projector^T``), everything but the wall nodes of a
+    :class:`WindowOperator`, or everything but the interface column of a
+    :class:`PatchOperator`.  Each operator factors
     ``T(s)`` or reports that it is not positive definite, back-solves with
     the factor, applies ``-T'(s)``, and gives ``f(E) = v^T T(E) v`` as
     ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
@@ -1083,8 +1281,8 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     ``A_j = p_j exp(theta_j c) / (1 - exp(-2 M theta_j))``.  Returns one
     ``(a_j, rate_j) = (A_j, theta_j / h1)`` for each of the lowest
     ``count`` modes, amplitudes normalized so the threshold mode's is
-    exactly one.  Raises ``ValueError`` for a solution of the window form,
-    which keeps no edge column, and when nothing binds: a binding puts
+    exactly one.  Raises ``ValueError`` for a solution of the window or
+    patch form, which keeps no edge column, and when nothing binds: a binding puts
     ``E_1`` below every ``mu_j^h``, so every mode then decays.
     """
     op = sol.operator

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,27 @@ def test_parse_config_rejects_unknown_keys_and_malformed_gates() -> None:
     for pert in ({"n_long": 0}, {"modes": "many"}, {"modes": 4.5}, {"half_width": -1.0}):
         with pytest.raises(ConfigError, match="perturbation"):
             parse_config(_regular_dict(perturbation=pert))
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"epsilons": [True, 0.6, 0.5, 0.4]},
+        {"oracle": {"h": [True], "L": [8.0]}},
+        {"oracle": {"h": [0.1], "L": [True, 8.0]}},
+        {"oracle": {"h": [0.1], "L": [8.0], "order": True}},
+        {"perturbation": {"half_width": True}},
+        {"cross_section": {"width": True, "bc": "dirichlet"}},
+        {"tolerances": {"slope": {"min": True, "max": 3.0}}},
+        {"tolerances": {"gap_slope_min": True}},
+    ],
+    ids=["epsilons", "oracle.h", "oracle.L", "oracle.order", "half_width", "width",
+         "gate-field", "gap_slope_min"],
+)
+def test_parse_config_rejects_booleans_where_it_takes_a_number(over) -> None:
+    # float(True) is 1.0, so each of these once parsed as the number 1
+    with pytest.raises(ConfigError, match="True"):
+        parse_config(_regular_dict(**over))
 
 
 def test_parse_config_checks_scenario_consistency() -> None:
@@ -811,3 +833,42 @@ def test_report_records_each_solve(monkeypatch) -> None:
             # the edge sits midway between boundary nodes of the solved step
             nodes = s["feature_half_width"] / s["h_long"] - 0.5
             assert abs(nodes - round(nodes)) < 1e-9
+
+
+def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
+    # a patch row solves the patch form on one column, with LAPACK's dense
+    # Cholesky factorization and back-solve, and never assembles or factors
+    # the box; the records count every dense call
+    calls = Counter()
+    flapack = oracle._load_flapack()
+
+    class Counting:
+        def __getattr__(self, name):
+            routine = getattr(flapack, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return routine(*args, **kwargs)
+
+            return counted
+
+    def no_box(*args):
+        calls["cholesky_banded"] += 1
+        raise AssertionError("a patch row reached the box")
+
+    monkeypatch.setattr(oracle, "_load_flapack", Counting)
+    monkeypatch.setattr(oracle, "cholesky_banded", no_box)
+    raw = _window_dict(
+        scenario="NeumannPatch",
+        cross_section={"width": math.pi, "bc": "neumann"},
+        oracle={"h": [0.1], "L": [5.0, 10.0]},
+    )
+    rows = run_sweep(parse_config(raw))
+    solves = [s for r in rows for s in r.extras["solves"]]
+    assert all(r.error is None for r in rows) and len(solves) == 8
+    for s in solves:
+        assert s["form"] == "patch" and s["box_columns"] is None
+        assert s["unknowns"] == round(math.pi / s["h_trans"]) + 1
+    assert calls["cholesky_banded"] == calls["dpbtrf"] == calls["dpbtrs"] == 0
+    assert calls["dpotrf"] == sum(s["factorizations"] for s in solves)
+    assert calls["dpotrs"] == sum(s["inner_solves"] for s in solves)

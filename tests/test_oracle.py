@@ -559,6 +559,114 @@ def test_window_form_solution_has_no_tails() -> None:
         extract_tail_coefficients(sol, 1)
 
 
+def _patch_eliminated(g: TruncatedGuide):
+    """Whole patch guide's ``A`` and mass on its active nodes, and which lie on column ``n_feat + 1``.
+
+    Built apart from ``wgpoles``: the Neumann walls keep every node but the
+    patch's wall nodes and the Dirichlet end.
+    """
+    A, mass = _full_grid_form(g.n_long, g.step_long, g.n_trans, g.step_trans)
+    active = np.ones(mass.shape, dtype=bool)
+    active[: g.feature_nodes + 1, 0] = False
+    active[-1, :] = False
+    column = np.zeros(mass.shape, dtype=bool)
+    column[g.feature_nodes + 1] = True
+    keep = active.ravel()
+    return A.toarray()[np.ix_(keep, keep)], mass.ravel()[keep], column.ravel()[keep]
+
+
+def _patch_schur(g: TruncatedGuide, E: float) -> np.ndarray:
+    """``T_P(E)`` of a patch guide: every node off the interface column eliminated densely."""
+    A, mass, c = _patch_eliminated(g)
+    T = A - E * np.diag(mass)
+    return T[np.ix_(c, c)] - T[np.ix_(c, ~c)] @ np.linalg.solve(T[np.ix_(~c, ~c)], T[np.ix_(~c, c)])
+
+
+# (L, h, W) of short Neumann guides whose E_1 lies above nu_1 = 0.25, where
+# the lowest patch-side mode oscillates
+SHORT_PATCH_GUIDES = [(3.0, 0.1, 0.4), (2.0, 0.1, 0.6)]
+
+
+@pytest.mark.parametrize(
+    "L, h, W", [(2.0, 0.1, 0.6), (2.0, 0.1, 1.4)], ids=["exterior-cap", "patch-side-cap"]
+)
+def test_patch_form_is_the_schur_complement(L, h, W) -> None:
+    # below the threshold, between nu_1 and the cap (patch-side and exterior
+    # modes oscillate) and 1% of that gap below the cap.  The short guide's
+    # cap is the exterior's; the wide patch's is the patch side's.  Measured:
+    # T_P within 2.8e-16 of the dense complement, relative to its largest
+    # entry, and 5.5e-13 next to the cap, where the dense solve loses
+    # digits; -T_P' within 1.6e-8 of its central difference with step 1e-6,
+    # that difference's own error; the bounds leave a margin of 18 and 6
+    g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
+    op = oracle.build_patch_operator(g)
+    assert op.size == g.n_trans + 1 and op.columns is None
+    # the cap is the lowest eigenvalue of the guide with the column held at
+    # zero: measured within 3.7e-14 of the dense eigensolve's
+    A, mass, c = _patch_eliminated(g)
+    lowest = sla.eigh(
+        A[np.ix_(~c, ~c)], np.diag(mass[~c]), eigvals_only=True, subset_by_index=[0, 0]
+    )[0]
+    assert abs(lowest / op.cap - 1.0) <= 1e-12
+    nu1 = op.nu[0]
+    for E in (discrete_threshold(g) - 0.3, 0.5 * (nu1 + op.cap), op.cap - 0.01 * (op.cap - nu1)):
+        sigma, slope = op.coupling(E)
+        want = _patch_schur(g, E)
+        got = op.stiffness - E * np.diag(op.mass) + op.closure(sigma)
+        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
+        dE = 1e-6
+        d_want = (_patch_schur(g, E + dE) - _patch_schur(g, E - dE)) / (2.0 * dE)
+        d_got = op.closure(slope) - np.diag(op.mass)
+        assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
+
+
+# relative difference of the patch form's bindings from the box's on the
+# same guides: at most 3.1e-13 measured below (3.8e-13 over the hinted
+# solves of the nominal patch-threads2 sweep); the bound leaves a margin of 6
+PATCH_FORM_REL_TOL = 2e-12
+
+
+@pytest.mark.parametrize(
+    "L, h, W",
+    [(10.0, 0.0316, 0.4), (20.0, 0.0316, 0.4), (40.0, 0.0316, 0.4), *SHORT_PATCH_GUIDES,
+     (2.0, 0.1, 1.4)],
+)
+def test_patch_form_matches_the_box(L, h, W) -> None:
+    # the nominal patch row's ladder, two short guides and a wide patch whose
+    # cap is the patch side's, on the same grid; the patch form solves the
+    # n_trans + 1 nodes of one column
+    g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
+    box = lowest_eigenpairs(build_fd_operator(g))
+    pat = lowest_eigenpairs(oracle.build_patch_operator(g))
+    assert (box.operator.form, pat.operator.form) == ("box", "patch")
+    assert pat.vector.size == g.n_trans + 1
+    assert pat.residual <= oracle.EIGEN_RESIDUAL_TOL
+    assert abs(pat.binding / box.binding - 1.0) <= PATCH_FORM_REL_TOL
+
+
+def test_patch_form_refuses_what_it_does_not_solve() -> None:
+    # no feature, a Dirichlet wall (which makes the feature a window), a
+    # potential, and a patch too close to the guide's end, as the box
+    # refuses it
+    for cs, kw in (
+        (_NCS, dict(half_length=4.0, h=0.1)),
+        (_CS, dict(half_length=4.0, h=0.1, half_width=0.5)),
+        (_NCS, dict(half_length=4.0, h=0.1, half_width=0.5, potential=lambda x1, x2: 0.0 * x1)),
+        (_NCS, dict(half_length=0.8, h=0.1, half_width=0.5)),
+    ):
+        with pytest.raises(ValueError):
+            oracle.build_patch_operator(TruncatedGuide(cross_section=cs, **kw))
+
+
+def test_patch_form_solution_has_no_tails() -> None:
+    # a short patch guide solved on one column keeps no box edge column
+    L, h, W = SHORT_PATCH_GUIDES[0]
+    g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
+    sol = lowest_eigenpairs(oracle.build_patch_operator(g))
+    with pytest.raises(ValueError, match="read from the box form's edge column"):
+        extract_tail_coefficients(sol, 1)
+
+
 def test_perturbation_at_the_guide_end_is_rejected() -> None:
     # the potential reaches x1 = L: no uniform exterior is left to eliminate
     g = TruncatedGuide(
@@ -739,14 +847,31 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
     assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
 
 
-@pytest.mark.parametrize("short, long", [(10.0, 20.0), (20.0, 40.0)])
-def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
+# the patch guide's two forms: the builder, and the factorization it calls
+PATCH_FORMS = {
+    "box": (build_fd_operator, "cholesky_banded"),
+    "patch": (oracle.build_patch_operator, "cholesky_dense"),
+}
+
+
+# the box cases keep their ids; the patch form's carry a suffix
+@pytest.mark.parametrize(
+    "short, long, form",
+    [
+        pytest.param(short, long, form, id=f"{short}-{long}" + ("" if form == "box" else "-patch-form"))
+        for form in sorted(PATCH_FORMS)
+        for short, long in ((10.0, 20.0), (20.0, 40.0))
+    ],
+)
+def test_patch_hint_costs_no_extra_factorizations(short, long, form) -> None:
     # nothing binds under a patch; the shorter guide's binding, the hint a
     # sweep row passes along its length ladder, is about four times the
     # longer one's and must not cost the longer solve factorizations
+    build, _ = PATCH_FORMS[form]
+
     def operator(L: float):
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
-        return build_fd_operator(g)
+        return build(g)
 
     hint = lowest_eigenpairs(operator(short)).binding
     assert hint < 0
@@ -758,40 +883,51 @@ def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
 
 
 # the nominal patch row's ladder (eps = 0.4, the guide snapping h = 0.0316
-# to 0.4/12.5), each guide hinted by the shorter one's binding: the
-# bindings the nominal patch-threads2 sweep reports in its b_by_L, and the
-# factorizations measured (5 unhinted at L = 10, 3 at L = 20 and 40), plus
-# a margin of 2
+# to 0.4/12.5), each guide hinted by the shorter one's binding: the box's
+# bindings, which the nominal patch-threads2 sweep reported in its b_by_L
+# while it solved the box, and per form the factorizations measured (box:
+# 5 unhinted at L = 10, 3 at L = 20 and 40; patch form: 4, 4 and 3), plus a
+# margin of 2
 PATCH_LADDER = {
-    10.0: (-0.060430321456427134, 7),
-    20.0: (-0.018554048292209656, 5),
-    40.0: (-0.005293728133084005, 5),
+    10.0: (-0.060430321456427134, {"box": 7, "patch": 6}),
+    20.0: (-0.018554048292209656, {"box": 5, "patch": 6}),
+    40.0: (-0.005293728133084005, {"box": 5, "patch": 5}),
 }
 
 
 def test_patch_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
+    _assert_patch_ladder_closes_below_the_cap("box", monkeypatch, caplog)
+
+
+def test_patch_form_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
+    _assert_patch_ladder_closes_below_the_cap("patch", monkeypatch, caplog)
+
+
+def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None:
     # nothing binds, so the first shift of every solve, the threshold,
     # factors; the -v line counts the factorizations that failed
-    cholesky = oracle.cholesky_banded
+    build, factorization = PATCH_FORMS[form]
+    cholesky = getattr(oracle, factorization)
     failures = Counter()
 
-    def counting(ab):
+    def counting(a):
         try:
-            return cholesky(ab)
+            return cholesky(a)
         except np.linalg.LinAlgError:
             failures["failed"] += 1
             raise
 
-    monkeypatch.setattr(oracle, "cholesky_banded", counting)
+    monkeypatch.setattr(oracle, factorization, counting)
     hint = None
-    for L, (binding, budget) in PATCH_LADDER.items():
+    for L, (binding, budgets) in PATCH_LADDER.items():
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
         failures.clear()
         caplog.clear()
         with caplog.at_level("INFO", logger="wgpoles.oracle"):
-            sol = lowest_eigenpairs(build_fd_operator(g), binding_hint=hint)
+            sol = lowest_eigenpairs(build(g), binding_hint=hint)
+        assert sol.operator.form == form
         assert sol.shift == sol.threshold
-        assert sol.factorizations <= budget
+        assert sol.factorizations <= budgets[form]
         assert abs(sol.binding / binding - 1.0) < 1e-12
         (line,) = [r.getMessage() for r in caplog.records if "eigensolve" in r.getMessage()]
         assert f"{sol.factorizations} factorizations ({failures['failed']} failed)" in line
