@@ -388,13 +388,13 @@ def truncated_binding(
     snap, the steps ``h_long`` and ``h_trans`` after rounding to whole
     cells, the effective ``feature_half_width`` (``None`` for a potential),
     the operator's ``form``, and the ``box_columns``, ``unknowns``,
-    ``factorizations`` and ``inner_solves`` (back-solves) of the solve.  A
-    window scenario solves the :class:`~wgpoles.oracle.WindowOperator` on
-    the window's ``n_feat + 1`` wall nodes (form ``"window"``), a patch
-    scenario the :class:`~wgpoles.oracle.PatchOperator` on the
-    ``n_trans + 1`` nodes of the first column past the patch (form
-    ``"patch"``), both with ``box_columns`` ``None``; a potential solves
-    the feature box (form ``"box"``).
+    ``factorizations``, ``inner_solves`` (back-solves) and eigen-``residual``
+    of the solve.  A window scenario solves the
+    :class:`~wgpoles.oracle.WindowOperator` on the window's ``n_feat + 1`` wall
+    nodes (form ``"window"``), a patch scenario the
+    :class:`~wgpoles.oracle.PatchOperator` on the ``n_trans + 1`` nodes of the
+    first column past the patch (form ``"patch"``), both with ``box_columns``
+    ``None``; a potential solves the feature box (form ``"box"``).
     """
     if cfg.m >= 2:
         raise ValueError(
@@ -429,6 +429,7 @@ def truncated_binding(
         "unknowns": op.size,
         "factorizations": sol.factorizations,
         "inner_solves": sol.inner_solves,
+        "residual": sol.residual,
     }
 
 

@@ -16,28 +16,26 @@ constant part leaves the regularized kernel ``(exp(-k s) - 1)/(2k)`` which is
 finite at ``k = 0`` and is what the pole solver iterates with.
 
 On the grid ``A~ = sum_j (E_j W1) (x) (phi_j phi_j^T W2)``, so
-:meth:`ModeSumKernel.assemble` returns only the longitudinal blocks ``E_j W1``,
-of all ``count`` modes or of those a solver asks for; solvers work on
-per-mode amplitudes ordered mode-major (see :mod:`wgpoles.regular_pole`),
-never on the ``(n_long n_trans)^2`` matrix.
+:meth:`ModeSumKernel.assemble`, the one application of ``A(k)``, returns only
+the longitudinal blocks ``E_j W1``, of all ``count`` modes or of those a
+solver asks for; solvers work on per-mode amplitudes ordered mode-major (see
+:mod:`wgpoles.regular_pole`), never on the ``(n_long n_trans)^2`` matrix.
 
-Sums are truncated at ``J`` modes; the discarded tail decays like
-``exp(-sqrt(mu_J - mu_m) * dist)`` away from the source box, so small ``J``
-suffices off the support.  Quadrature is trapezoid on a uniform tensor grid
-over the source box; the ``|x1 - t1|`` kink always sits on grid nodes, keeping
-the composite rule second order.
+Past the source box each mode of the field is one exponential
+``a_j exp(-K_j |x1|)``; :meth:`ModeSumKernel.outside_amplitudes` gives the
+``a_j`` in closed form, and the pole solver reads nothing else of the field
+there.  Quadrature is trapezoid on a uniform tensor grid over the source
+box; the ``|x1 - t1|`` kink always sits on grid nodes, keeping the composite
+rule second order.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .transverse import CrossSection, TransverseBasis
-
-logger = logging.getLogger(__name__)
 
 # Below this magnitude k is treated as exactly zero in the threshold kernel
 # (removable singularity limit -s/2).
@@ -145,10 +143,6 @@ class BoxRegion:
         self.w1 = _trapezoid_weights(self.x1)
         self.w2 = _trapezoid_weights(self.x2)
 
-    @property
-    def size(self) -> int:
-        return self.n_long * self.n_trans
-
     def sample(self, fn) -> np.ndarray:
         """Sample ``fn(x1, x2)`` on the grid; returns shape ``(n_long, n_trans)``."""
         vals = np.asarray(fn(self.x1[:, None], self.x2[None, :]))
@@ -239,97 +233,15 @@ class ModeSumKernel:
         ghat = (self.phi * reg.w2) @ g2.T
         return ghat * reg.w1[None, :]
 
+    def outside_amplitudes(self, g: np.ndarray, k: complex) -> np.ndarray:
+        """Amplitudes ``a_j`` of the field ``A(k) g`` past the source box, shape ``(count,)``.
 
-@dataclass
-class ModeSumField:
-    """Field ``u = A(k) g`` as an evaluator on the whole guide.
-
-    Built by :func:`apply_mode_sum`; holds the per-mode weighted sources, so
-    evaluation anywhere (inside or far outside the source box) is a small
-    mode-by-mode sum.  ``square_integrable`` is informational: oscillatory
-    modes below the threshold make the field non-decaying.
-    """
-
-    kernel: ModeSumKernel
-    k: complex
-    regularize_m: bool
-    ghat: np.ndarray = field(repr=False)
-    exponents: np.ndarray = field(repr=False)
-
-    @property
-    def threshold_mass(self) -> complex:
-        """Quadrature of ``g`` against the threshold mode, ``<g, phi_m>``."""
-        return complex(self.ghat[self.kernel.m - 1].sum())
-
-    def _mode_profile(self, j: int, x1: np.ndarray) -> np.ndarray:
-        """Longitudinal amplitude ``c_j(x1)`` so that ``u = sum_j c_j phi_j(x2)``."""
-        kern = self.kernel
-        k = complex(self.k)
-        dx = np.abs(np.asarray(x1, dtype=float)[:, None] - kern.region.x1[None, :])
-        if j == kern.m - 1:
-            C = regularized_kernel(dx, k)
-            out = C @ self.ghat[j]
-            if not self.regularize_m and abs(k) >= K_ZERO_TOL:
-                # at k ~ 0 the constructor only let a raw field through with
-                # vanishing threshold mass, so the 1/(2k) term drops out
-                out = out + self.threshold_mass / (2.0 * k)
-            return out
-        Kj = self.exponents[j]
-        return (np.exp(-Kj * dx) / (2.0 * Kj)) @ self.ghat[j]
-
-    def mode_profile(self, j: int, x1: np.ndarray) -> np.ndarray:
-        """Public 1-based variant of the per-mode longitudinal amplitude."""
-        if not 1 <= j <= self.kernel.count:
-            raise ValueError(f"mode index {j} outside 1..{self.kernel.count}")
-        return self._mode_profile(j - 1, np.atleast_1d(np.asarray(x1, dtype=float)))
-
-    def __call__(self, x1, x2) -> np.ndarray:
-        """Evaluate the field at points ``(x1, x2)`` (broadcast together)."""
-        x1b, x2b = np.broadcast_arrays(np.asarray(x1, float), np.asarray(x2, float))
-        shape = x1b.shape
-        x1f = x1b.ravel()
-        phi_eval = self.kernel.basis.phi_matrix(x2b.ravel())[: self.kernel.count]
-        u = np.zeros(x1f.size, dtype=complex)
-        for j in range(self.kernel.count):
-            u += phi_eval[j] * self._mode_profile(j, x1f)
-        if not np.iscomplexobj(self.ghat) and not np.iscomplexobj(
-            np.asarray(self.k)
-        ) and self.kernel.m == 1:
-            u = u.real
-        return u.reshape(shape)
-
-
-def apply_mode_sum(
-    g: np.ndarray, k: complex, kernel: ModeSumKernel, regularize_m: bool = False
-) -> ModeSumField:
-    """Apply ``A(k)`` to grid samples ``g``; returns an evaluator on the guide.
-
-    ``g`` must match the kernel's region grid (flat or 2-D).  With
-    ``regularize_m = False`` (the raw resolvent) and ``|k| < 1e-12`` the
-    threshold mode's constant part carries a ``1/(2k)`` factor; that is only
-    meaningful when ``g`` has no threshold-mode mass, and a ``ValueError``
-    is raised otherwise.
-    """
-    g = np.asarray(g)
-    if g.size != kernel.region.size:
-        raise ValueError(
-            f"sample count {g.size} does not match region grid {kernel.region.size}"
-        )
-    ghat = kernel.project_sources(g)
-    fieldv = ModeSumField(
-        kernel=kernel,
-        k=complex(k),
-        regularize_m=regularize_m,
-        ghat=ghat,
-        exponents=kernel.exponents(k),
-    )
-    if not regularize_m and abs(k) < K_ZERO_TOL:
-        mass = abs(fieldv.threshold_mass)
-        scale = np.abs(ghat).sum() + 1e-300
-        if mass > 1e-10 * scale:
-            raise ValueError(
-                "raw mode sum at k = 0 requires zero threshold-mode mass; "
-                f"got relative mass {mass / scale:.2e}"
-            )
-    return fieldv
-
+        For ``x1 >= R`` mode ``j`` is exactly ``a_j exp(-K_j x1)``, ``a_j = sum_l
+        exp(K_j x1[l]) ghat[j, l] / (2 K_j)`` with ``ghat`` from :meth:`project_sources`;
+        the threshold mode keeps the raw resolvent's ``1/(2k)``, so ``k = 0`` is refused.
+        """
+        if abs(k) < K_ZERO_TOL:
+            raise ValueError("outside amplitudes need k != 0: a_m carries 1/(2k)")
+        K = self.exponents(k)
+        ghat = self.project_sources(g)
+        return np.einsum("jl,jl->j", np.exp(K[:, None] * self.region.x1), ghat) / (2.0 * K)

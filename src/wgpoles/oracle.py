@@ -1121,8 +1121,10 @@ def lowest_eigenpairs(
     below the threshold ``mu_1^h``, so below the cap.  Each next shift sits
     ``SHIFT_GAP`` of the bracket (at least half of ``BRACKET_TOL``) below
     ``p``; a shift that does not factor becomes the new upper bound, and
-    the gap widens sixteenfold, up to half the bracket.  The solve stops
-    when ``p - s <= BRACKET_TOL`` and reports ``E_1 = p``; more than
+    the gap widens sixteenfold, up to half the bracket.  The solve stops at
+    the first point where ``p - s <= BRACKET_TOL``: after a Newton bound, or
+    as soon as a trial shift factors, with no inverse iteration at that
+    trial.  It reports ``E_1 = p`` with the last pencil vector; more than
     ``MAX_FACTORIZATIONS`` factorizations raise :class:`SolverError`.  The
     eigenpair does not depend on the hint; only the number of
     factorizations does.  The pair is checked against the
@@ -1225,6 +1227,8 @@ def lowest_eigenpairs(
             upper = trial
             gap = min(16.0 * gap, 0.5)
         s = trial
+        if upper - s <= BRACKET_TOL:
+            break
 
     value = upper
     sigma, slope = coupling(value)

@@ -13,9 +13,9 @@ a contraction with rate ``O(eps)`` starting from ``k = 0``.  The solver
 finds the root of ``F(k) - k`` by safeguarded secant steps, with the plain
 update ``k <- F(k)`` as the fallback, at one linear solve per iterate.  The
 residue of the resolvent at the pole is ``psi = A(k) g`` with
-``g = S(k)(V phi_m)``, taken from the solve at the reported ``k``; its
-transverse mode amplitudes and decay identify it as a genuine eigenfunction
-(``m = 1``, or ``m >= 2`` with ``Im k > 0``) or a resonance state.
+``g = S(k)(V phi_m)``, taken from the solve at the reported ``k``; ``k``
+and ``psi``'s first-mode amplitude past the box identify it as a genuine
+eigenfunction (``m = 1``, or ``m >= 2`` with ``Im k > 0``) or a resonance.
 
 The linear solves run in mode space.  On the box grid ``A~`` is
 ``sum_j (E_j W1) (x) phi_j phi_j^T W2``, so ``g`` enters only through its
@@ -51,7 +51,7 @@ from typing import Callable
 import numpy as np
 import numpy.linalg as nla
 
-from .modesum import BoxRegion, ModeSumField, ModeSumKernel, apply_mode_sum
+from .modesum import BoxRegion, ModeSumKernel
 from .transverse import BC_DIRICHLET, TransverseBasis
 
 logger = logging.getLogger(__name__)
@@ -256,9 +256,11 @@ def solve_secular(
     farther from ``F(k)`` than ``|G(k)|``.  The solve stops at the first
     evaluation point with ``|G(k)| < 1e-12 * max(eps^2, |F(k)|)``, or when
     ``|G|`` plateaus at roundoff, and reports that ``k`` with the residue
-    ``g`` from its own Birman-Schwinger solve: one solve per iterate.
-    ``V phi_m = 0`` short-circuits to a ``PoleAtZero`` result: the threshold
-    pole does not detach.
+    ``g`` from its own Birman-Schwinger solve: one solve per iterate.  On
+    the resonance side at ``m >= 2``, ``a_1`` of ``A(k) g`` past the box
+    comes from :meth:`ModeSumKernel.outside_amplitudes`.  ``V phi_m = 0``
+    short-circuits to a ``PoleAtZero`` result: the threshold pole does not
+    detach.
     """
     start = time.perf_counter()
     reg = kernel.region
@@ -327,8 +329,7 @@ def solve_secular(
         g = g.real
     a1 = None
     if kernel.m >= 2 and k.real > 0 and k.imag < 0:
-        fld = apply_mode_sum(g, k, kernel, regularize_m=False)
-        a1 = _outside_amplitude(fld, 1, kernel.region.half_length + 1.0)
+        a1 = complex(kernel.outside_amplitudes(g, k)[0])
     return PoleResult(
         k=k,
         classification=classify_pole(k, kernel.m, a1),
@@ -365,9 +366,10 @@ def classify_pole(k: complex, m: int, a1: complex | None = None) -> str:
 
     ``m = 1``: any pole with ``Re k > 0`` is a bound state below the
     threshold.  ``m >= 2``: ``Im k > 0`` keeps the pole on the physical
-    sheet (bound state); ``Im k < 0`` with a nonzero first-mode amplitude
-    ``a1`` is a resonance; ``Re k <= 0`` detaches no eigenvalue; ``k = 0``
-    means the pole never left the threshold.  The boundary cases (``m >= 2``
+    sheet (bound state); ``Im k < 0`` with a nonzero amplitude ``a1`` of
+    the open first mode past the box (see :func:`solve_secular`) is a
+    resonance; ``Re k <= 0`` detaches no eigenvalue; ``k = 0`` means the
+    pole never left the threshold.  The boundary cases (``m >= 2``
     with ``Im k`` exactly zero, or a missing/vanishing ``a1`` on the
     resonance side) are not covered by the classification rules and raise.
     """
@@ -397,12 +399,3 @@ def classify_pole(k: complex, m: int, a1: complex | None = None) -> str:
         )
     return RESONANCE
 
-
-def _outside_amplitude(fld: ModeSumField, j: int, r: float) -> complex:
-    """Amplitude ``a_j`` of ``exp(-K_j |x1|)`` in the field at ``x1 = r``.
-
-    Exact at any ``r`` beyond the source box, where mode ``j`` of the field
-    is the pure exponential ``a_j exp(-K_j |x1|)``.
-    """
-    Kj = fld.exponents[j - 1]
-    return complex(fld.mode_profile(j, np.array([r]))[0] * np.exp(Kj * r))

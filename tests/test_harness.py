@@ -822,6 +822,7 @@ def test_report_records_each_solve(monkeypatch) -> None:
         assert s["feature_half_width"] is None
         assert s["unknowns"] > 0 and s["factorizations"] >= 1
         assert s["inner_solves"] >= 1
+        assert 0 <= s["residual"] <= oracle.EIGEN_RESIDUAL_TOL
         assert 1 <= s["box_columns"] <= round(s["L"] / s["h_long"])
     # every banded factorization and back-solve passes through the oracle's
     # two LAPACK functions, and the records count all of them
@@ -830,6 +831,7 @@ def test_report_records_each_solve(monkeypatch) -> None:
     win = run_sweep(parse_config(_window_dict()))
     for row in win:
         for s in row.extras["solves"]:
+            assert 0 <= s["residual"] <= oracle.EIGEN_RESIDUAL_TOL
             # the edge sits midway between boundary nodes of the solved step
             nodes = s["feature_half_width"] / s["h_long"] - 0.5
             assert abs(nodes - round(nodes)) < 1e-9

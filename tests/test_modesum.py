@@ -9,11 +9,12 @@ import pytest
 from wgpoles.modesum import (
     BoxRegion,
     ModeSumKernel,
-    apply_mode_sum,
     longitudinal_exponents,
     regularized_kernel,
 )
 from wgpoles.transverse import BC_DIRICHLET, CrossSection, build_basis
+
+from conftest import mode_profiles
 
 PI = math.pi
 
@@ -141,13 +142,12 @@ def test_bilinear_symmetry() -> None:
     basis = _dirichlet_basis()
     reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=21, n_trans=13)
     kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
-    X1, X2 = np.meshgrid(reg.x1, reg.x2, indexing="ij")
     w = np.outer(reg.w1, reg.w2)
     rng = np.random.default_rng(7)
     f = rng.standard_normal((reg.n_long, reg.n_trans))
     g = rng.standard_normal((reg.n_long, reg.n_trans))
-    Af = apply_mode_sum(f, 0.05, kern, regularize_m=True)(X1, X2)
-    Ag = apply_mode_sum(g, 0.05, kern, regularize_m=True)(X1, X2)
+    Af = mode_profiles(kern, f, 0.05).T @ kern.phi
+    Ag = mode_profiles(kern, g, 0.05).T @ kern.phi
     left = complex(np.sum(f * w * Ag))
     right = complex(np.sum(g * w * Af))
     assert abs(left - right) < 1e-12 * max(abs(left), 1.0)
@@ -160,9 +160,8 @@ def test_apply_analytic_example() -> None:
     reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=257, n_trans=41)
     kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
     g = reg.sample(lambda x1, x2: basis.phi(2, x2.ravel())[None, :] * np.ones_like(x1))
-    fld = apply_mode_sum(g, 0.0, kern, regularize_m=False)
     x2 = np.array([0.4, 1.1, 2.0])
-    got = fld(np.zeros_like(x2), x2)
+    got = mode_profiles(kern, g, 0.0)[:, reg.n_long // 2] @ basis.phi_matrix(x2)[: kern.count]
     expect = basis.phi(2, x2) * (1.0 - math.exp(-math.sqrt(3.0))) / 3.0
     assert np.max(np.abs(got - expect)) < 2e-5
     assert abs((1.0 - math.exp(-math.sqrt(3.0))) / 3.0 - 0.2743596) < 1e-7
@@ -173,11 +172,11 @@ def test_apply_excites_single_mode() -> None:
     reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=33, n_trans=21)
     kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
     g = reg.sample(lambda x1, x2: basis.phi(3, x2.ravel())[None, :] * np.exp(-x1**2))
-    fld = apply_mode_sum(g, 0.02, kern, regularize_m=False)
-    xs = np.array([2.5])
+    # mode profiles at x1 = 2.5, past the box
+    prof = kern.outside_amplitudes(g, 0.02) * np.exp(-kern.exponents(0.02) * 2.5)
     for j in (1, 2, 4, 5):
-        assert np.max(np.abs(fld.mode_profile(j, xs))) < 1e-13
-    assert np.max(np.abs(fld.mode_profile(3, xs))) > 1e-4
+        assert abs(prof[j - 1]) < 1e-13
+    assert abs(prof[2]) > 1e-4
 
 
 def test_apply_grid_mismatch_and_zero_mass_guard() -> None:
@@ -185,14 +184,14 @@ def test_apply_grid_mismatch_and_zero_mass_guard() -> None:
     reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=9, n_trans=7)
     kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
     with pytest.raises(ValueError):
-        apply_mode_sum(np.ones(5), 0.1, kern)
-    # raw resolvent at k = 0 needs zero threshold-mode mass
+        kern.outside_amplitudes(np.ones(5), 0.1)
+    # the raw resolvent's amplitudes are refused at k = 0 ...
     g = reg.sample(lambda x1, x2: basis.phi(1, x2.ravel())[None, :] * np.ones_like(x1))
     with pytest.raises(ValueError):
-        apply_mode_sum(g, 0.0, kern, regularize_m=False)
-    # regularized application is fine there
-    fld = apply_mode_sum(g, 0.0, kern, regularize_m=True)
-    assert np.isfinite(fld(np.array([0.3]), np.array([1.0]))[0])
+        kern.outside_amplitudes(g, 0.0)
+    # ... while the regularized assembly is finite there on threshold-mode mass
+    assert abs(kern.project_sources(g)[0].sum()) > 1.0
+    assert np.all(np.isfinite(mode_profiles(kern, g, 0.0)))
 
 
 def test_truncation_tail_off_support() -> None:
@@ -205,7 +204,13 @@ def test_truncation_tail_off_support() -> None:
     vals = {}
     for count in (9, 18):
         kern = ModeSumKernel(basis=basis, m=1, region=reg, count=count)
-        vals[count] = apply_mode_sum(g, 0.05, kern, regularize_m=True)(x1, x2)
+        # the regularized field past the box: the threshold mode drops the
+        # constant <g, phi_1>/(2k) of the raw resolvent's
+        prof = kern.outside_amplitudes(g, 0.05)[:, None] * np.exp(
+            -kern.exponents(0.05)[:, None] * x1
+        )
+        prof[0] -= kern.project_sources(g)[0].sum() / (2.0 * 0.05)
+        vals[count] = np.sum(prof * basis.phi_matrix(x2)[:count], axis=0)
     delta = 1.0  # separation of the evaluation points from the box
     mu = basis.mu
     bound = 10.0 * math.exp(-math.sqrt(mu[8] - mu[0]) * delta) * np.max(np.abs(vals[9]))
@@ -213,17 +218,29 @@ def test_truncation_tail_off_support() -> None:
 
 
 def test_output_mode_decay_rates() -> None:
+    # the field past the box, applied by the assembly of a longer box at the
+    # same step with the source padded by zeros, is a_j exp(-K_j x1) mode by
+    # mode with the closed-form amplitudes
     basis = _dirichlet_basis()
     reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=33, n_trans=21)
     kern = ModeSumKernel(basis=basis, m=1, region=reg, count=8)
     rng = np.random.default_rng(11)
     g = rng.standard_normal((reg.n_long, reg.n_trans))
     k = 0.04
-    fld = apply_mode_sum(g, k, kern, regularize_m=False)
-    xs = np.linspace(2.0, 5.0, 13)
+    amps = kern.outside_amplitudes(g, k)
+    big = BoxRegion(cross_section=basis.cross_section, half_length=5.0, n_long=161, n_trans=21)
+    wide = ModeSumKernel(basis=basis, m=1, region=big, count=8)
+    gw = np.zeros((big.n_long, big.n_trans))
+    gw[64:97] = g
+    # the small box's end nodes are interior in the big one: full weight there
+    gw[[64, 96]] *= 0.5
+    prof = mode_profiles(wide, gw, k, raw=True)
+    far = big.x1 >= 2.0
+    xs = big.x1[far]
+    want = amps[:, None] * np.exp(-kern.exponents(k)[:, None] * xs)
+    assert np.max(np.abs(prof[:, far] - want)) < 1e-12 * np.max(np.abs(want))
     for j in (2, 3):
-        prof = np.abs(np.asarray(fld.mode_profile(j, xs)))
-        slope = np.polyfit(xs, np.log(prof), 1)[0]
+        slope = np.polyfit(xs, np.log(np.abs(prof[j - 1, far])), 1)[0]
         expected = math.sqrt(basis.mu[j - 1] - basis.mu[0] + k * k)
         assert abs(-slope - expected) < 0.05 * expected
 
@@ -242,11 +259,11 @@ def test_helmholtz_residual_on_interior_grid() -> None:
 
     g = reg.sample(g_fn)
     k = 0.05
-    fld = apply_mode_sum(g, k, kern, regularize_m=False)
+    prof = mode_profiles(kern, g, k, raw=True)
     i1 = np.arange(20, 141, 2)
     i2 = np.arange(12, 85)
     X1, X2 = np.meshgrid(reg.x1[i1], reg.x2[i2], indexing="ij")
-    U = np.asarray(fld(X1, X2)).real
+    U = (prof.T @ kern.phi)[np.ix_(i1, i2)]
     h1 = 2.0 * (reg.x1[1] - reg.x1[0])
     h2 = reg.x2[1] - reg.x2[0]
     lap = (U[2:, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / h1**2 + (

@@ -536,6 +536,23 @@ def test_window_form_matches_the_box(eps) -> None:
             assert abs(win.binding / box.binding - 1.0) <= WINDOW_FORM_REL_TOL
 
 
+def test_hinted_window_solve_stops_when_a_trial_closes_the_bracket() -> None:
+    # the window-ladder's fine step at eps = 0.4, hinted by its coarse step
+    # as a sweep row is: inverse iteration takes two back-solves at the
+    # first shift and two at the first trial; the second trial factors
+    # within BRACKET_TOL of the upper bound, so the solve stops there
+    L = round(2.8 / 0.4**2, 1)
+
+    def operator(h: float):
+        g = TruncatedGuide(cross_section=_CS, half_length=L, h=h, half_width=0.4)
+        return oracle.build_window_operator(g)
+
+    hint = lowest_eigenpairs(operator(0.08)).binding
+    sol = lowest_eigenpairs(operator(0.04), binding_hint=hint)
+    assert (sol.factorizations, sol.inner_solves) == (3, 4)
+    assert sol.residual <= oracle.EIGEN_RESIDUAL_TOL
+
+
 def test_window_form_refuses_what_it_does_not_solve() -> None:
     # no window, a potential, a window too close to the guide's end, as the
     # box refuses it, and a patch, which a Neumann wall makes of the feature
