@@ -57,9 +57,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="Log solver progress.")
 
 
+def positive_int(text: str) -> int:
+    """``int(text)``, refused below 1; argparse reports either failure and exits 2."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1,
-                   help="Worker threads for sweep rows (default 1).")
+    p.add_argument("--threads", type=positive_int, default=1,
+                   help="Worker threads for sweep rows, at least 1 (default 1).")
 
 
 def _cmd_basis(args: argparse.Namespace) -> int:

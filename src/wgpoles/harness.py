@@ -101,10 +101,7 @@ class ExperimentConfig:
 
     def lengths_for(self, index: int) -> tuple[float, ...]:
         """Truncation lengths for the ``index``-th coupling."""
-        L = self.oracle["L"]
-        if L and isinstance(L[0], (list, tuple)):
-            return tuple(float(v) for v in L[index])
-        return tuple(float(v) for v in L)
+        return self.oracle["L"][index]
 
 
 def _check_keys(where: str, block, allowed) -> dict:
@@ -167,9 +164,10 @@ def parse_config(source) -> ExperimentConfig:
     ``epsilons`` must be strictly descending positive with at least four
     entries; a window's or patch's couplings lie in (0, 1).  ``oracle.L``
     is either one list of lengths shared by every coupling or one list per
-    coupling, each positive and strictly increasing; ``oracle.h`` lists one
-    or two steps in decreasing order, and ``oracle.order`` (default 2) is
-    the order of the step error that Richardson eliminates.
+    coupling, each positive and strictly increasing; either way it is
+    stored as one tuple per coupling.  ``oracle.h`` lists one or two steps
+    in decreasing order, and ``oracle.order`` (default 2) is the order of
+    the step error that Richardson eliminates.
     ``perturbation`` holds the feature's ``half_width`` (required for a
     window or patch); the regular scenario's defaults are ``half_width``
     1, the secular grid ``n_long`` 129 by ``n_trans`` 17 (at least 2 each)
@@ -244,12 +242,13 @@ def parse_config(source) -> ExperimentConfig:
             )
         lists = [_numbers(f"oracle.L[{i}]", sub) for i, sub in enumerate(L)]
     else:
-        lists = [_numbers("oracle.L", L)]
+        lists = [_numbers("oracle.L", L)] * len(eps)
     for Ls in lists:
         if not Ls or Ls[0] <= 0 or any(a >= b for a, b in zip(Ls, Ls[1:])):
             raise ConfigError(
                 f"lengths must be positive and strictly increasing, got {Ls}"
             )
+    oracle["L"] = tuple(tuple(Ls) for Ls in lists)
     order = oracle.setdefault("order", 2)
     if not (_number("oracle.order", order) > 0):
         raise ConfigError(f"oracle.order must be positive, got {order!r}")
@@ -391,10 +390,10 @@ def truncated_binding(
     ``factorizations``, ``inner_solves`` (back-solves) and eigen-``residual``
     of the solve.  A window scenario solves the
     :class:`~wgpoles.oracle.WindowOperator` on the window's ``n_feat + 1`` wall
-    nodes (form ``"window"``), a patch scenario the
-    :class:`~wgpoles.oracle.PatchOperator` on the ``n_trans + 1`` nodes of the
-    first column past the patch (form ``"patch"``), both with ``box_columns``
-    ``None``; a potential solves the feature box (form ``"box"``).
+    nodes (form ``"window"``, ``box_columns`` ``None``); a patch scenario
+    solves the box of one column, the ``n_trans + 1`` nodes of the first
+    column past the patch (form ``"box"``, ``box_columns`` 1), and a
+    potential the feature box (form ``"box"``).
     """
     if cfg.m >= 2:
         raise ValueError(

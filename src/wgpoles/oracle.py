@@ -46,16 +46,16 @@ capacitance matrix method of Buzbee, Dorr, George and Golub, and of
 Proskurowski and Widlund): a dense ``(n_feat + 1)``-square ``T_W(E)``
 built from the same lattice modes, closed by the natural plane and the
 Dirichlet end.  A Dirichlet patch without a potential leaves both sides of
-the first column past it uniform, so :class:`PatchOperator` eliminates
-everything but that column: a dense ``(n_trans + 1)``-square ``T_P(E)``,
-closed on the right by the box's own exterior closure and on the left by
-the patch side's mixed lattice sines and the natural plane.  Each operator
-owns its closure, the ``cap`` and the ``coupling(E)`` of the guide it
-eliminates, and :func:`lowest_eigenpairs` brackets any of them with one
-loop, through the interface all three offer: factor or report failure,
-back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with its derivative.  The
-box still accepts windows and patches, as the reference the reduced forms
-are tested against.
+the first column past it uniform, so :func:`build_patch_operator` makes it
+the box of one column: an :class:`FdOperator` on that column's
+``n_trans + 1`` nodes, closed on the right by the box's own exterior
+closure and on the left by the patch side's mixed lattice sines and the
+natural plane.  Each operator owns its closure, the ``cap`` and the
+``coupling(E)`` of the guide it eliminates, and :func:`lowest_eigenpairs`
+brackets either with one loop, through the interface both offer: factor
+or report failure, back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with
+its derivative.  The box still accepts windows and patches, as the
+reference the reduced forms are tested against.
 
 The box's stiffness matrix is assembled straight into LAPACK lower band
 storage, ``band[i - j, j] = A[i, j]`` for ``i >= j``, with the unknowns
@@ -66,9 +66,8 @@ are LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's compiled LAPACK
 extension, loaded on its own on the first of them: importing
 ``scipy.linalg`` would pull in scipy's array-API layer and with it much of
 numpy's test and build tooling, which costs more CPU at start-up than a
-window sweep spends solving.  The patch form's dense factorizations and
-back-solves are ``dpotrf`` and ``dpotrs`` from the same extension; the
-window form's use numpy alone.
+window sweep spends solving.  The window form's dense factorizations use
+numpy alone.
 """
 
 from __future__ import annotations
@@ -190,24 +189,6 @@ def cho_solve_banded(cb: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``A x = b`` from the factor ``cb`` of :func:`cholesky_banded`, LAPACK ``dpbtrs``."""
     x, info = _load_flapack().dpbtrs(cb, b, lower=1)
     _lapack_info("pbtrs", info)
-    return x
-
-
-def cholesky_dense(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a symmetric positive definite matrix, LAPACK ``dpotrf``.
-
-    Reads the lower triangle of ``a`` only; raises ``LinAlgError`` when it
-    is not positive definite.
-    """
-    c, info = _load_flapack().dpotrf(a, lower=1, clean=0)
-    _lapack_info("potrf", info)
-    return c
-
-
-def cho_solve_dense(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``A x = b`` from the factor ``c`` of :func:`cholesky_dense`, LAPACK ``dpotrs``."""
-    x, info = _load_flapack().dpotrs(c, b, lower=1)
-    _lapack_info("potrs", info)
     return x
 
 
@@ -413,6 +394,37 @@ def _exterior_coupling(h1: float, M: int, mu: np.ndarray, E: float) -> tuple[np.
     return sigma / h1, -0.5 * h1 * slope
 
 
+def _patch_side_coupling(h1: float, c: int, nu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
+    """Patch-side closure ``tau_k(E)`` and ``d tau_k / dE`` per mixed lattice sine, below the cap.
+
+    Eliminating columns ``0 .. c - 1``, whose wall nodes a patch holds at
+    zero, and closing each mode's column recurrence by the natural plane
+    adds ``tau_k b_k^2`` to the energy of the amplitude ``b_k`` of column
+    ``c`` on mode ``k``, ``tau_k = -(1/h1) cosh((c - 1) theta_k) /
+    cosh(c theta_k)``.  It is summed from ``exp(-theta)`` where the mode
+    decays, ``exp(-theta) (1 + exp(-2 (c - 1) theta)) / (1 + exp(-2 c
+    theta))``, and takes the ``cos`` form where it oscillates; ``d tau / dE
+    = -(h1/2) (c / cosh^2(c theta) + sinh((c - 1) theta) / (sinh(theta)
+    cosh(c theta)))``, minus the mass of the mode's extension to the left,
+    is ``-(h1/2)(2c - 1)`` at ``theta = 0``.
+    """
+    angle, sh, decay = _lattice_angles(h1, nu, E)
+    wave = ~decay
+    e1 = np.exp(-angle)
+    ec = np.exp(-2.0 * c * angle)
+    em = np.expm1(-2.0 * (c - 1) * angle)
+    ratio = e1 * (2.0 + em) / (1.0 + ec)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mass = 4.0 * c * ec / (1.0 + ec) ** 2 - e1 * em / ((1.0 + ec) * sh)
+    if wave.any():
+        u = angle[wave]
+        cu = np.cos(c * u)
+        ratio[wave] = np.cos((c - 1) * u) / cu
+        mass[wave] = c / cu**2 + np.sin((c - 1) * u) / (sh[wave] * cu)
+    mass[sh == 0.0] = 2.0 * c - 1.0
+    return -ratio / h1, -0.5 * h1 * mass
+
+
 @dataclass
 class Factored:
     """``T(s)`` factored at a shift ``s`` below ``E_1``: back-solves, and ``-T'(s)``."""
@@ -423,12 +435,12 @@ class Factored:
 
 @dataclass
 class FdOperator:
-    """Box part ``A u = E M u`` of the guide on its active nodes, closed by the exterior.
+    """Columns of the guide, ``A u = E M u`` on their active nodes, closed on both sides.
 
-    ``band`` (``A`` in LAPACK lower band storage) and ``mass`` cover columns
-    ``0 .. c`` of the guide, ``c = columns - 1``; column ``c`` is the box's
-    natural edge column, whose active nodes are the last
-    ``projector.shape[0]`` unknowns.  Past it the guide has no
+    ``band`` (``A`` in LAPACK lower band storage), ``mass`` and ``mask``
+    (the active nodes) cover columns ``first .. c`` of the guide, ``c =
+    first + columns - 1``; column ``c`` is the natural edge column, whose
+    active nodes are the last unknowns.  Past it the guide has no
     perturbation, so the lattice sines (Dirichlet walls) or cosines
     (Neumann walls) ``phi_j`` of the transverse stencil, with eigenvalues
     ``mu``, decouple it into ``M = n_long - c`` (``exterior_columns``)
@@ -437,10 +449,21 @@ class FdOperator:
     Eliminating the exterior half of column ``c`` and every column beyond
     it adds ``sigma_j(E) a_j^2`` to the energy (:func:`_exterior_coupling`),
     with ``a_j`` the projection of column ``c`` on ``phi_j``.
-    ``projector`` is ``W2 Phi`` on the column's active nodes, whose columns
-    are w2-orthonormal, so the Schur complement is ``T(E) = A - E M +
-    projector diag(sigma(E)) projector^T``.  The operator offers
-    :func:`lowest_eigenpairs` the same interface as the reduced forms:
+    ``projector`` is ``P = W2 Phi`` on the column's active nodes, whose
+    columns are w2-orthonormal, so the box (``first = 0``, the symmetry
+    plane its natural left side) has the Schur complement ``T(E) = A - E M
+    + P diag(sigma(E)) P^T``, ``P`` zero off column ``c``.
+
+    The patch form (:func:`build_patch_operator`) is the box of one column,
+    ``c = first = n_feat + 1``, the first past a Dirichlet patch.  Left of
+    it the patch makes the wall Dirichlet, so columns ``0 .. c - 1``
+    decouple in the mixed lattice sines ``psi_k(j) = sqrt(2/d) sin((2k - 1)
+    pi j / (2 n2))`` on nodes ``1 .. n2``, with eigenvalues ``nu`` (empty
+    on the box); eliminating them adds ``Q diag(tau(E)) Q^T``, ``Q = W2
+    Psi`` (zero on the wall node, :func:`_patch_side_coupling`).  So
+    ``projector`` is ``[P, Q]``, ``coupling`` returns ``sigma`` and ``tau``
+    concatenated, and ``cap`` is the lower of the two sides' caps.  Both
+    forms offer :func:`lowest_eigenpairs` the window form's interface:
     ``cap``, ``factor``, ``coupling``, ``contract`` and ``terms``.
     """
 
@@ -451,6 +474,8 @@ class FdOperator:
     columns: int
     projector: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
+    first: int = 0
+    nu: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
     form = "box"
 
@@ -461,20 +486,32 @@ class FdOperator:
     @property
     def exterior_columns(self) -> int:
         """``M``: the exterior's columns, from past the edge column to the Dirichlet end."""
-        return self.guide.n_long - self.columns + 1
+        return self.guide.n_long - (self.first + self.columns - 1)
 
     @property
     def cap(self) -> float:
-        """Lowest eigenvalue of the exterior with the edge column held at zero.
+        """Lowest eigenvalue of the eliminated guide, with the edge column held at zero.
 
-        Below it the exterior block is positive definite, so ``T(E)`` has as
-        many negative eigenvalues as the whole guide's pencil at ``E``.
+        Below it the eliminated blocks are positive definite, so ``T(E)``
+        has as many negative eigenvalues as the whole guide's pencil at
+        ``E``.  A patch side of ``first`` columns, closed by the natural
+        plane, has the lowest eigenvalue of ``2 first`` columns between
+        two held ones.
         """
-        return _exterior_cap(self.guide.step_long, self.exterior_columns, self.mu)
+        h1 = self.guide.step_long
+        cap = _exterior_cap(h1, self.exterior_columns, self.mu)
+        if self.first:
+            cap = min(cap, _exterior_cap(h1, 2 * self.first, self.nu))
+        return cap
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``sigma_j(E)`` and ``d sigma_j / dE`` of every mode, for ``E`` below the cap."""
-        return _exterior_coupling(self.guide.step_long, self.exterior_columns, self.mu, E)
+        """``sigma_j(E)``, then any patch side's ``tau_k(E)``, and their derivatives, below the cap."""
+        h1 = self.guide.step_long
+        sigma, slope = _exterior_coupling(h1, self.exterior_columns, self.mu, E)
+        if not self.first:
+            return sigma, slope
+        tau, dtau = _patch_side_coupling(h1, self.first, self.nu, E)
+        return np.concatenate((sigma, tau)), np.concatenate((slope, dtau))
 
     @cached_property
     def _work(self) -> np.ndarray:
@@ -483,8 +520,11 @@ class FdOperator:
 
     @cached_property
     def _edge_lower(self) -> tuple[np.ndarray, np.ndarray]:
-        # lower triangle of the closure's block on the edge column
-        return np.tril_indices(self.projector.shape[0])
+        # flat indices of the lower triangle of the closure's block on the
+        # edge column, in the block and in the Fortran-ordered band
+        n = self.projector.shape[0]
+        i, j = np.tril_indices(n)
+        return i * n + j, (i - j) + self.band.shape[0] * (self.size - n + j)
 
     def _closure(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         # projector diag(weights) projector^T on the edge column, zero elsewhere
@@ -500,11 +540,11 @@ class FdOperator:
         """
         sigma, slope = self.coupling(E)
         P = self.projector
-        low_i, low_j = self._edge_lower
+        src, dst = self._edge_lower
         ab = self._work
         np.copyto(ab, self.band)
         ab[0, :] -= E * self.mass
-        ab[low_i - low_j, self.size - P.shape[0] + low_j] += ((P * sigma) @ P.T)[low_i, low_j]
+        ab.reshape(-1, order="F")[dst] += ((P * sigma) @ P.T).reshape(-1)[src]
         try:
             cb = cholesky_banded(ab)
         except LinAlgError:
@@ -860,135 +900,15 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
     )
 
 
-@dataclass
-class PatchOperator:
-    """A patch guide reduced to one interface column.
-
-    A Dirichlet patch without a potential changes the Neumann guide only on
-    its wall nodes ``(i, 0)``, ``i <= n_feat``, so both sides of column
-    ``c = n_feat + 1``, the first past the patch, are uniform lattices, and
-    eliminating each exactly leaves the dense ``(n_trans + 1)``-square
-
-        ``T_P(E) = A_c - E M_c + P diag(sigma(E)) P^T + Q diag(tau(E)) Q^T``
-
-    on that column's nodes.  ``A_c`` and ``M_c = (h1/2) w2`` are the left
-    half of the column (its transverse stencil at weight ``h1/2``) plus its
-    edges to column ``c - 1`` (``w2 / h1`` on the diagonal).  ``P`` and
-    ``sigma`` are the box's exterior closure (:func:`_exterior_coupling`)
-    on ``M = n_long - c`` columns, over the lattice cosines ``mu``.  Left
-    of ``c`` the patch makes the wall Dirichlet, so columns ``0 .. c - 1``
-    decouple in the mixed lattice sines ``psi_k(j) = sqrt(2/d) sin((2k - 1)
-    pi j / (2 n2))`` on nodes ``1 .. n2``, with eigenvalues ``nu``;
-    ``Q = W2 Psi`` (zero on the wall node), and closing each mode's column
-    recurrence by the natural plane gives ``tau_k = -(1/h1) cosh((c - 1)
-    theta_k) / cosh(c theta_k)``.  ``projector`` is ``[P, Q]`` and
-    ``coupling`` returns ``(sigma, tau)`` together.  ``cap`` is the lower
-    of the two sides' lowest eigenvalues with column ``c`` held at zero;
-    below it the eliminated blocks are positive definite, so ``T_P(E)``
-    factors exactly when ``E < E_1``.
-    """
-
-    guide: TruncatedGuide
-    stiffness: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
-    projector: np.ndarray = field(repr=False)
-    mu: np.ndarray = field(repr=False)
-    nu: np.ndarray = field(repr=False)
-
-    form = "patch"
-    columns = None  # no box
-
-    @property
-    def size(self) -> int:
-        return int(self.mass.size)
-
-    @property
-    def exterior_columns(self) -> int:
-        """``M``: the columns from past column ``c`` to the Dirichlet end."""
-        return self.guide.n_long - self.guide.feature_nodes - 1
-
-    @property
-    def cap(self) -> float:
-        g = self.guide
-        s = math.sin(math.pi / (4 * (g.feature_nodes + 1)))
-        patch_side = float(self.nu[0]) + 4.0 / g.step_long**2 * s * s
-        return min(_exterior_cap(g.step_long, self.exterior_columns, self.mu), patch_side)
-
-    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``(sigma, tau)`` and their derivatives in ``E``, for ``E`` below the cap.
-
-        ``tau`` is summed from ``exp(-theta)`` where the mode decays,
-        ``exp(-theta) (1 + exp(-2 (c - 1) theta)) / (1 + exp(-2 c theta))``,
-        and takes the ``cos`` form where it oscillates; ``d tau / dE =
-        -(h1/2) (c / cosh^2(c theta) + sinh((c - 1) theta) / (sinh(theta)
-        cosh(c theta)))``, minus the mass of the mode's extension to the
-        left, is ``-(h1/2)(2c - 1)`` at ``theta = 0``.
-        """
-        g = self.guide
-        h1, c = g.step_long, g.feature_nodes + 1
-        sigma, dsigma = _exterior_coupling(h1, self.exterior_columns, self.mu, E)
-        angle, sh, decay = _lattice_angles(h1, self.nu, E)
-        wave = ~decay
-        e1 = np.exp(-angle)
-        ec = np.exp(-2.0 * c * angle)
-        em = np.expm1(-2.0 * (c - 1) * angle)
-        ratio = e1 * (2.0 + em) / (1.0 + ec)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mass = 4.0 * c * ec / (1.0 + ec) ** 2 - e1 * em / ((1.0 + ec) * sh)
-        if wave.any():
-            u = angle[wave]
-            cu = np.cos(c * u)
-            ratio[wave] = np.cos((c - 1) * u) / cu
-            mass[wave] = c / cu**2 + np.sin((c - 1) * u) / (sh[wave] * cu)
-        mass[sh == 0.0] = 2.0 * c - 1.0
-        return (
-            np.concatenate((sigma, -ratio / h1)),
-            np.concatenate((dsigma, -0.5 * h1 * mass)),
-        )
-
-    def closure(self, weights: np.ndarray) -> np.ndarray:
-        """``[P, Q] diag(weights) [P, Q]^T``: ``T_P(E) = stiffness - E diag(mass) + closure(sigma)``."""
-        R = self.projector
-        return (R * weights) @ R.T
-
-    def _apply(self, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # closure(weights) @ v, without forming the matrix
-        R = self.projector
-        return R @ (weights * (R.T @ v))
-
-    def factor(self, E: float) -> Factored | None:
-        """``T_P(E)`` by dense Cholesky, or ``None`` when it is not positive definite."""
-        sigma, slope = self.coupling(E)
-        try:
-            low = cholesky_dense(self.stiffness - E * np.diag(self.mass) + self.closure(sigma))
-        except LinAlgError:
-            return None
-        return Factored(
-            solve=lambda y: cho_solve_dense(low, y),
-            pencil=lambda v: self.mass * v - self._apply(v, slope),
-        )
-
-    def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """``v^T A v``, ``v^T M v`` and the weights ``a2 = ([P, Q]^T v)^2``."""
-        return (
-            float(v @ (self.stiffness @ v)),
-            float(v @ (self.mass * v)),
-            (self.projector.T @ v) ** 2,
-        )
-
-    def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``A v``, ``M v`` and the closure's part of ``T_P(E) v``, ``sigma`` at ``E``."""
-        return self.stiffness @ v, self.mass * v, self._apply(v, sigma)
-
-
-def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
-    """The patch guide ``g`` on column ``n_feat + 1`` (see :class:`PatchOperator`).
+def build_patch_operator(g: TruncatedGuide) -> FdOperator:
+    """The patch guide ``g`` as the box of one column, ``n_feat + 1`` (see :class:`FdOperator`).
 
     Solves the same finite guide, on the same grid, as
     :func:`build_fd_operator`, and refuses the same guides: one whose patch
     comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
     and so does a guide without a patch (a Dirichlet wall or no feature) or
-    with a potential.
+    with a potential.  The column's tridiagonal stencil is stored in
+    ``n_trans + 1`` band rows, since the closure's block on it is dense.
     """
     if g.half_width is None or g.cross_section.bc == BC_DIRICHLET or g.potential is not None:
         raise ValueError("the patch form needs a patch guide without a potential")
@@ -998,10 +918,10 @@ def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
     w2[[0, -1]] = h2 / 2.0
     # the column's transverse edges at half weight, and its edges to column c - 1
     chain = h1 / (2.0 * h2)
-    stiffness = np.diag(w2 / h1 + 2.0 * chain)
-    stiffness[[0, -1], [0, -1]] -= chain
-    j = np.arange(n2)
-    stiffness[j, j + 1] = stiffness[j + 1, j] = -chain
+    band = np.zeros((n2 + 1, n2 + 1), order="F")
+    band[0] = w2 / h1 + 2.0 * chain
+    band[0, [0, -1]] -= chain
+    band[1, :n2] = -chain
     P, mu = _lattice_modes(g)
     # mixed sines, phase reduced modulo their period 4 n2 before scaling
     k = np.arange(n2)
@@ -1009,12 +929,15 @@ def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
     psi = np.sin(np.pi * phase / (2 * n2)) * math.sqrt(2.0 / g.cross_section.width)
     Q = np.zeros((n2 + 1, n2))
     Q[1:] = w2[1:, None] * psi
-    return PatchOperator(
+    return FdOperator(
         guide=g,
-        stiffness=stiffness,
+        band=band,
         mass=0.5 * h1 * w2,
+        mask=np.ones((1, n2 + 1), dtype=bool),
+        columns=1,
         projector=np.hstack((P, Q)),
         mu=mu,
+        first=g.feature_nodes + 1,
         nu=_lattice_eigenvalues(g, k + 0.5),
     )
 
@@ -1027,10 +950,10 @@ class OracleSolution:
     ``T(E_1) v`` on the operator's unknowns.  ``vector`` is ``v``,
     mass-normalized over the whole guide with a deterministic sign;
     ``operator`` is the operator solved, whose ``guide`` and ``form`` say
-    what it was: ``"box"``, ``"window"`` (``v`` on the window's wall nodes)
-    or ``"patch"`` (``v`` on the first column past the patch).  On the box
-    form the eliminated exterior is given in closed form by
-    :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h - E_1``:
+    what it was: ``"box"`` (``v`` on the box's columns, one column past
+    the patch for the patch form) or ``"window"`` (``v`` on the window's
+    wall nodes).  On the box form the eliminated exterior is given in
+    closed form by :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h - E_1``:
     positive exactly when a state sits below the discrete threshold.
     ``shift`` is the first shift of the plan whose factorization
     succeeded; ``factorizations`` and ``inner_solves`` count the Cholesky
@@ -1045,7 +968,7 @@ class OracleSolution:
     factorizations: int
     inner_solves: int
     vector: np.ndarray = field(repr=False)
-    operator: FdOperator | WindowOperator | PatchOperator = field(repr=False)
+    operator: FdOperator | WindowOperator = field(repr=False)
 
 
 def discrete_threshold(g: TruncatedGuide, m: int = 1) -> float:
@@ -1080,16 +1003,16 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator | WindowOperator | PatchOperator, binding_hint: float | None = None
+    op: FdOperator | WindowOperator, binding_hint: float | None = None
 ) -> OracleSolution:
     """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0``.
 
     ``T(E)`` is the exact Schur complement of the rest of the guide onto the
-    operator's unknowns: the exterior beyond the box of an
+    operator's unknowns: everything but the columns of an
     :class:`FdOperator` (``T(E) = A - E M + projector diag(sigma(E))
-    projector^T``), everything but the wall nodes of a
-    :class:`WindowOperator`, or everything but the interface column of a
-    :class:`PatchOperator`.  Each operator factors
+    projector^T``; the exterior beyond the box, and for the patch form also
+    the patch side left of its one column), or everything but the wall
+    nodes of a :class:`WindowOperator`.  Each operator factors
     ``T(s)`` or reports that it is not positive definite, back-solves with
     the factor, applies ``-T'(s)``, and gives ``f(E) = v^T T(E) v`` as
     ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
@@ -1277,7 +1200,8 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     """Mode amplitudes and decay rates of the ground state's tail, in closed form.
 
     Past the box the eigenvector is, mode by mode, the exterior's exact
-    solution (see :class:`FdOperator`): with ``c`` the box's edge column,
+    solution (see :class:`FdOperator`): with ``c`` the box's edge column
+    (the patch form's one column),
     ``p_j`` the projection of that column on lattice mode ``j`` and
     ``cosh(theta_j) = 1 + h1^2 (mu_j^h - E_1) / 2``, its column ``i`` carries
     ``A_j (exp(-theta_j i) - exp(-theta_j (2 n_long - i)))``, the decaying
@@ -1285,8 +1209,8 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     ``A_j = p_j exp(theta_j c) / (1 - exp(-2 M theta_j))``.  Returns one
     ``(a_j, rate_j) = (A_j, theta_j / h1)`` for each of the lowest
     ``count`` modes, amplitudes normalized so the threshold mode's is
-    exactly one.  Raises ``ValueError`` for a solution of the window or
-    patch form, which keeps no edge column, and when nothing binds: a binding puts
+    exactly one.  Raises ``ValueError`` for a solution of the window form,
+    which keeps no edge column, and when nothing binds: a binding puts
     ``E_1`` below every ``mu_j^h``, so every mode then decays.
     """
     op = sol.operator
@@ -1306,7 +1230,7 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     # the numbering runs along each column, so the edge column's active
     # nodes are the last unknowns
     p = P.T[:count] @ sol.vector[-P.shape[0]:]
-    a = p * np.exp(theta * (op.columns - 1)) / -np.expm1(-2.0 * M * theta)
+    a = p * np.exp(theta * (op.first + op.columns - 1)) / -np.expm1(-2.0 * M * theta)
     a /= a[0]
     rate = theta / h1
     return [(float(aj), float(rj)) for aj, rj in zip(a, rate)]

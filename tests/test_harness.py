@@ -196,13 +196,19 @@ def test_parse_config_checks_scenario_consistency() -> None:
 
 
 def test_per_coupling_length_lists() -> None:
-    cfg = parse_config(
-        _window_dict(
-            oracle={"h": [0.1], "L": [[10.0], [12.0], [14.0], [16.0]]}
-        )
-    )
+    # per-coupling and shared lists are both stored as one tuple per
+    # coupling; the report's config echo keeps the list as given
+    per = [[10.0], [12.0], [14.0], [16.0]]
+    cfg = parse_config(_window_dict(oracle={"h": [0.1], "L": per}))
+    assert cfg.oracle["L"] == ((10.0,), (12.0,), (14.0,), (16.0,))
     assert cfg.lengths_for(0) == (10.0,)
     assert cfg.lengths_for(3) == (16.0,)
+    shared = parse_config(_window_dict(oracle={"h": [0.1], "L": [8, 12.0]}))
+    assert shared.oracle["L"] == ((8.0, 12.0),) * 4
+    assert all(shared.lengths_for(i) == (8.0, 12.0) for i in range(4))
+    for c, given in ((cfg, per), (shared, [8, 12.0])):
+        assert c.raw["oracle"]["L"] == given
+        assert json.loads(emit_report(c, [], {}))["config"] == c.raw
     with pytest.raises(ConfigError):
         parse_config(_window_dict(oracle={"h": [0.1], "L": [[10.0], [12.0]]}))
 
@@ -665,6 +671,27 @@ def test_readme_cli_section_names_every_long_option() -> None:
     assert sorted(tabled) == sorted(commands.choices)
 
 
+@pytest.mark.parametrize("command", ["sweep", "report"])
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_cli_refuses_fewer_than_one_thread(tmp_path, capsys, command, threads) -> None:
+    # refused by the parser, with exit 2, before the config is read
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_window_dict()))
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(path), "--threads", threads])
+    assert exc.value.code == 2
+    assert "argument --threads: " in capsys.readouterr().err
+
+
+def test_star_import_resolves_every_exported_name() -> None:
+    # a name left in __all__ after its definition is gone fails the import
+    import wgpoles
+
+    namespace: dict = {}
+    exec("from wgpoles import *", namespace)
+    assert all(namespace[name] is getattr(wgpoles, name) for name in wgpoles.__all__)
+
+
 def test_cli_oracle_rejects_an_invalid_guide_as_a_config_error(tmp_path, capsys) -> None:
     # the last coupling's window half-width 0.35 equals its guide length
     raw = _window_dict(oracle={"h": [0.05], "L": [[10.0], [10.0], [10.0], [0.35]]})
@@ -838,9 +865,9 @@ def test_report_records_each_solve(monkeypatch) -> None:
 
 
 def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
-    # a patch row solves the patch form on one column, with LAPACK's dense
-    # Cholesky factorization and back-solve, and never assembles or factors
-    # the box; the records count every dense call
+    # a patch row solves the patch form, the box of one column, with LAPACK's
+    # banded Cholesky factorization and back-solve, and never assembles the
+    # feature box; the records count every LAPACK call
     calls = Counter()
     flapack = oracle._load_flapack()
 
@@ -855,11 +882,11 @@ def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
             return counted
 
     def no_box(*args):
-        calls["cholesky_banded"] += 1
+        calls["build_fd_operator"] += 1
         raise AssertionError("a patch row reached the box")
 
     monkeypatch.setattr(oracle, "_load_flapack", Counting)
-    monkeypatch.setattr(oracle, "cholesky_banded", no_box)
+    monkeypatch.setattr(harness, "build_fd_operator", no_box)
     raw = _window_dict(
         scenario="NeumannPatch",
         cross_section={"width": math.pi, "bc": "neumann"},
@@ -869,8 +896,9 @@ def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
     solves = [s for r in rows for s in r.extras["solves"]]
     assert all(r.error is None for r in rows) and len(solves) == 8
     for s in solves:
-        assert s["form"] == "patch" and s["box_columns"] is None
+        assert s["box_columns"] == 1
         assert s["unknowns"] == round(math.pi / s["h_trans"]) + 1
-    assert calls["cholesky_banded"] == calls["dpbtrf"] == calls["dpbtrs"] == 0
-    assert calls["dpotrf"] == sum(s["factorizations"] for s in solves)
-    assert calls["dpotrs"] == sum(s["inner_solves"] for s in solves)
+    assert calls["build_fd_operator"] == 0
+    assert calls["dpbtrf"] == sum(s["factorizations"] for s in solves)
+    assert calls["dpbtrs"] == sum(s["inner_solves"] for s in solves)
+    assert set(calls) == {"dpbtrf", "dpbtrs"}

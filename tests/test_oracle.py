@@ -592,6 +592,11 @@ def _patch_eliminated(g: TruncatedGuide):
     return A.toarray()[np.ix_(keep, keep)], mass.ravel()[keep], column.ravel()[keep]
 
 
+def _dense_terms(op, weights: np.ndarray):
+    """``A``, ``M`` and the closure at ``weights`` as dense matrices, from ``op.terms`` on unit vectors."""
+    return (np.column_stack(t) for t in zip(*(op.terms(e, weights) for e in np.eye(op.size))))
+
+
 def _patch_schur(g: TruncatedGuide, E: float) -> np.ndarray:
     """``T_P(E)`` of a patch guide: every node off the interface column eliminated densely."""
     A, mass, c = _patch_eliminated(g)
@@ -614,10 +619,11 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
     # T_P within 2.8e-16 of the dense complement, relative to its largest
     # entry, and 5.5e-13 next to the cap, where the dense solve loses
     # digits; -T_P' within 1.6e-8 of its central difference with step 1e-6,
-    # that difference's own error; the bounds leave a margin of 18 and 6
+    # that difference's own error; the bounds leave a margin of 18 and 6.
+    # T_P is read off the box of one column through its terms
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     op = oracle.build_patch_operator(g)
-    assert op.size == g.n_trans + 1 and op.columns is None
+    assert (op.size, op.columns, op.first) == (g.n_trans + 1, 1, g.feature_nodes + 1)
     # the cap is the lowest eigenvalue of the guide with the column held at
     # zero: measured within 3.7e-14 of the dense eigensolve's
     A, mass, c = _patch_eliminated(g)
@@ -629,17 +635,18 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
     for E in (discrete_threshold(g) - 0.3, 0.5 * (nu1 + op.cap), op.cap - 0.01 * (op.cap - nu1)):
         sigma, slope = op.coupling(E)
         want = _patch_schur(g, E)
-        got = op.stiffness - E * np.diag(op.mass) + op.closure(sigma)
+        A, M, C = _dense_terms(op, sigma)
+        got = A - E * M + C
         assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
         dE = 1e-6
         d_want = (_patch_schur(g, E + dE) - _patch_schur(g, E - dE)) / (2.0 * dE)
-        d_got = op.closure(slope) - np.diag(op.mass)
+        _, M, C = _dense_terms(op, slope)
+        d_got = C - M
         assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
 
 
 # relative difference of the patch form's bindings from the box's on the
-# same guides: at most 3.1e-13 measured below (3.8e-13 over the hinted
-# solves of the nominal patch-threads2 sweep); the bound leaves a margin of 6
+# same guides: at most 2.9e-13 measured below; the bound leaves a margin of 6
 PATCH_FORM_REL_TOL = 2e-12
 
 
@@ -650,12 +657,13 @@ PATCH_FORM_REL_TOL = 2e-12
 )
 def test_patch_form_matches_the_box(L, h, W) -> None:
     # the nominal patch row's ladder, two short guides and a wide patch whose
-    # cap is the patch side's, on the same grid; the patch form solves the
-    # n_trans + 1 nodes of one column
+    # cap is the patch side's, on the same grid; the patch form is the box
+    # of one column, the n_trans + 1 nodes of the first past the patch
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     box = lowest_eigenpairs(build_fd_operator(g))
     pat = lowest_eigenpairs(oracle.build_patch_operator(g))
-    assert (box.operator.form, pat.operator.form) == ("box", "patch")
+    assert (box.operator.first, box.operator.columns) == (0, g.feature_nodes + oracle.BOX_PADDING + 1)
+    assert (pat.operator.first, pat.operator.columns) == (g.feature_nodes + 1, 1)
     assert pat.vector.size == g.n_trans + 1
     assert pat.residual <= oracle.EIGEN_RESIDUAL_TOL
     assert abs(pat.binding / box.binding - 1.0) <= PATCH_FORM_REL_TOL
@@ -676,11 +684,13 @@ def test_patch_form_refuses_what_it_does_not_solve() -> None:
 
 
 def test_patch_form_solution_has_no_tails() -> None:
-    # a short patch guide solved on one column keeps no box edge column
+    # a short patch guide solved on one column: its one column is an edge
+    # column, but nothing binds under a patch, so there are no tails
     L, h, W = SHORT_PATCH_GUIDES[0]
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     sol = lowest_eigenpairs(oracle.build_patch_operator(g))
-    with pytest.raises(ValueError, match="read from the box form's edge column"):
+    assert sol.binding < 0
+    with pytest.raises(ValueError, match="no bound state"):
         extract_tail_coefficients(sol, 1)
 
 
@@ -864,11 +874,9 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
     assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
 
 
-# the patch guide's two forms: the builder, and the factorization it calls
-PATCH_FORMS = {
-    "box": (build_fd_operator, "cholesky_banded"),
-    "patch": (oracle.build_patch_operator, "cholesky_dense"),
-}
+# the patch guide's two forms, both factored by cholesky_banded: the full
+# box, and the box of one column
+PATCH_FORMS = {"box": build_fd_operator, "patch": oracle.build_patch_operator}
 
 
 # the box cases keep their ids; the patch form's carry a suffix
@@ -884,7 +892,7 @@ def test_patch_hint_costs_no_extra_factorizations(short, long, form) -> None:
     # nothing binds under a patch; the shorter guide's binding, the hint a
     # sweep row passes along its length ladder, is about four times the
     # longer one's and must not cost the longer solve factorizations
-    build, _ = PATCH_FORMS[form]
+    build = PATCH_FORMS[form]
 
     def operator(L: float):
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
@@ -923,8 +931,8 @@ def test_patch_form_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
 def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None:
     # nothing binds, so the first shift of every solve, the threshold,
     # factors; the -v line counts the factorizations that failed
-    build, factorization = PATCH_FORMS[form]
-    cholesky = getattr(oracle, factorization)
+    build = PATCH_FORMS[form]
+    cholesky = oracle.cholesky_banded
     failures = Counter()
 
     def counting(a):
@@ -934,7 +942,7 @@ def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None
             failures["failed"] += 1
             raise
 
-    monkeypatch.setattr(oracle, factorization, counting)
+    monkeypatch.setattr(oracle, "cholesky_banded", counting)
     hint = None
     for L, (binding, budgets) in PATCH_LADDER.items():
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
@@ -942,7 +950,7 @@ def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None
         caplog.clear()
         with caplog.at_level("INFO", logger="wgpoles.oracle"):
             sol = lowest_eigenpairs(build(g), binding_hint=hint)
-        assert sol.operator.form == form
+        assert sol.operator.first == (0 if form == "box" else g.feature_nodes + 1)
         assert sol.shift == sol.threshold
         assert sol.factorizations <= budgets[form]
         assert abs(sol.binding / binding - 1.0) < 1e-12
