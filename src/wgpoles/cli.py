@@ -172,6 +172,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="wgpoles",
         description="Threshold poles of perturbed waveguides: predictions, "
         "secular solves, and finite-difference cross-checks.",
+        epilog="Run with OPENBLAS_NUM_THREADS=1 in the environment: the solves "
+        "are too small to gain from BLAS threads, which only add CPU time.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -387,8 +387,9 @@ def truncated_binding(
     snap, the steps ``h_long`` and ``h_trans`` after rounding to whole
     cells, the effective ``feature_half_width`` (``None`` for a potential),
     the operator's ``form``, and the ``box_columns``, ``unknowns``,
-    ``factorizations``, ``inner_solves`` (back-solves) and eigen-``residual``
-    of the solve.  A window scenario solves the
+    ``factorizations``, ``inner_solves`` (back-solves),
+    ``closure_evaluations`` (evaluations of the closure ``coupling(E)``)
+    and eigen-``residual`` of the solve.  A window scenario solves the
     :class:`~wgpoles.oracle.WindowOperator` on the window's ``n_feat + 1`` wall
     nodes (form ``"window"``, ``box_columns`` ``None``); a patch scenario
     solves the box of one column, the ``n_trans + 1`` nodes of the first
@@ -428,6 +429,7 @@ def truncated_binding(
         "unknowns": op.size,
         "factorizations": sol.factorizations,
         "inner_solves": sol.inner_solves,
+        "closure_evaluations": sol.closure_evaluations,
         "residual": sol.residual,
     }
 

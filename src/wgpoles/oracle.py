@@ -21,7 +21,10 @@ Only a box of columns around the feature is assembled.  Past it the guide
 is a uniform lattice whose transverse sines (or cosines) are exact
 eigenvectors of the stencil, so the rest of the guide, out to its end at
 ``L``, is eliminated exactly, one mode at a time, in closed form: a
-discrete transparent boundary condition for the finite guide.  The
+discrete transparent boundary condition for the finite guide (Ehrhardt and
+Arnold).  Each closure is one formula in each mode's angle ``theta_j``
+(:func:`_lattice_angles`), which continues past the mode's threshold to
+``theta = i phi``: no closure branches on how a mode behaves.  The
 eigenvalue is then the root of a small nonlinear symmetric problem
 ``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
 bracketed from below by banded Cholesky factorizations, which succeed
@@ -116,7 +119,7 @@ NEWTON_STOP = 1e-3
 INVERSE_TOL = 1e-8
 INVERSE_ITERATIONS = 50
 
-# below this M * theta the exterior coupling uses its Taylor series
+# below this |u| the closures' r(u) = (u coth u - 1) / u^2 takes its Taylor series
 SERIES_BELOW = 1e-3
 
 # refuse factorizations whose band storage would not fit in memory
@@ -302,19 +305,49 @@ class TruncatedGuide:
         return np.ascontiguousarray(q, dtype=float)
 
 
-def _lattice_angles(h1: float, mu: np.ndarray, E: float):
-    """Column recurrence ``a_{i+1} + a_{i-1} = t a_i``, ``t = 2 + h1^2 (mu - E)``, per mode.
+def _lattice_angles(h1: float, mu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
+    """``theta_j`` of each mode's column recurrence, and ``theta_j / sinh(theta_j)``.
 
-    Returns the angle (``theta`` with ``cosh(theta) = t/2`` where the mode
-    decays, ``t >= 2``; ``phi`` with ``cos(phi) = t/2`` where it
-    oscillates), ``sinh(theta)`` or ``sin(phi)``, and which modes decay.
+    ``a_{i+1} + a_{i-1} = 2 cosh(theta) a_i``, ``cosh(theta) = 1 + h1^2
+    (mu_j - E) / 2``, ``mu`` ascending.  Past its threshold a mode
+    oscillates and ``theta`` continues to ``i phi``, so it is complex only
+    when some mode oscillates; ``theta / sinh(theta)`` is real either way.
+    On a threshold ``theta`` is about ``3e-154``, not zero, and every
+    closure takes its limit there by plain arithmetic.
     """
-    # from delta = t/2 - 1 directly, so that modes next to E keep their digits
+    # from delta = cosh(theta) - 1 directly, so that modes next to E keep
+    # their digits; half = |sinh(theta / 2)|, plus the smallest normal number
     delta = 0.5 * h1**2 * (mu - E)
-    half = np.sqrt(0.5 * np.abs(delta))
-    decay = delta >= 0
-    angle = 2.0 * np.where(decay, np.arcsinh(half), np.arcsin(np.minimum(half, 1.0)))
-    return angle, np.sqrt(np.abs(delta * (delta + 2.0))), decay
+    half = np.sqrt(0.5 * np.abs(delta) + sys.float_info.min)
+    angle = np.arcsinh(half)
+    theta = 2.0 * angle
+    if E > mu[0]:
+        # the oscillating modes, a prefix; below the cap |delta| <= 2
+        k = int(np.searchsorted(mu, E))
+        angle[:k] = np.arcsin(half[:k])
+        theta = np.where(delta < 0.0, 2j, 2.0) * angle
+    # |sinh(theta)| = 2 half sqrt(1 + delta / 2) on both sides of the threshold
+    return theta, angle / (half * np.sqrt(1.0 + 0.5 * delta))
+
+
+def _r(u: np.ndarray, uc: np.ndarray) -> np.ndarray:
+    """``r(u) = (u coth u - 1) / u^2`` from ``uc = u coth u``, for a real or an imaginary ``u``.
+
+    ``u coth u`` and ``u^2`` are real for such ``u``, and so is ``r``, an
+    even function.  Below ``SERIES_BELOW``, where ``u coth u - 1`` cancels,
+    ``r`` is its series ``1/3 - u^2/45``: the one series of the closures.
+    """
+    u2 = (u * u).real
+    r = (uc.real - 1.0) / u2
+    small = np.abs(u2) < SERIES_BELOW**2
+    if np.count_nonzero(small):
+        r[small] = 1.0 / 3.0 - u2[small] / 45.0
+    return r
+
+
+def _t(u: np.ndarray) -> np.ndarray:
+    """``t(u) = tanh(u) / u`` for a real or an imaginary ``u``: real, and 1 as ``u -> 0``."""
+    return (np.tanh(u) / u).real
 
 
 def _lattice_eigenvalues(g: TruncatedGuide, j):
@@ -366,65 +399,6 @@ def _exterior_cap(h1: float, M: int, mu: np.ndarray) -> float:
     return float(mu.min()) + 4.0 / h1**2 * s * s
 
 
-def _exterior_coupling(h1: float, M: int, mu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
-    """Exterior closure ``sigma_j(E)`` and ``d sigma_j / dE`` per lattice mode, below the cap.
-
-    Eliminating the right half of a natural column and the ``M`` columns
-    from it to a Dirichlet end adds ``sigma_j a_j^2`` to the energy of mode
-    ``j``'s amplitude ``a_j`` on that column, ``sigma_j = sinh(theta)
-    coth(M theta) / h1`` with ``cosh(theta) = 1 + h1^2 (mu_j - E) / 2`` (the
-    ``sin`` form where the mode oscillates).  ``d sigma_j / dE`` is minus the
-    mass of the mode's exterior extension, so it is negative and ``sigma_j``
-    concave.
-    """
-    angle, sh, decay = _lattice_angles(h1, mu, E)
-    x = M * angle
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        sigma = np.where(decay, sh / np.tanh(x), sh / np.tan(x))
-        slope = np.where(
-            decay,
-            1.0 / (np.tanh(angle) * np.tanh(x)) - M / np.sinh(x) ** 2,
-            M / np.sin(x) ** 2 - 1.0 / (np.tan(angle) * np.tan(x)),
-        )
-    # both forms cancel to 2M/3 + 1/(3M) as x -> 0
-    small = x < SERIES_BELOW
-    sq = np.where(decay, angle, -angle) * angle
-    sigma = np.where(small, 1.0 / M + sq * (M / 3.0 + 1.0 / (6.0 * M)), sigma)
-    slope = np.where(small, 2.0 * M / 3.0 + 1.0 / (3.0 * M), slope)
-    return sigma / h1, -0.5 * h1 * slope
-
-
-def _patch_side_coupling(h1: float, c: int, nu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
-    """Patch-side closure ``tau_k(E)`` and ``d tau_k / dE`` per mixed lattice sine, below the cap.
-
-    Eliminating columns ``0 .. c - 1``, whose wall nodes a patch holds at
-    zero, and closing each mode's column recurrence by the natural plane
-    adds ``tau_k b_k^2`` to the energy of the amplitude ``b_k`` of column
-    ``c`` on mode ``k``, ``tau_k = -(1/h1) cosh((c - 1) theta_k) /
-    cosh(c theta_k)``.  It is summed from ``exp(-theta)`` where the mode
-    decays, ``exp(-theta) (1 + exp(-2 (c - 1) theta)) / (1 + exp(-2 c
-    theta))``, and takes the ``cos`` form where it oscillates; ``d tau / dE
-    = -(h1/2) (c / cosh^2(c theta) + sinh((c - 1) theta) / (sinh(theta)
-    cosh(c theta)))``, minus the mass of the mode's extension to the left,
-    is ``-(h1/2)(2c - 1)`` at ``theta = 0``.
-    """
-    angle, sh, decay = _lattice_angles(h1, nu, E)
-    wave = ~decay
-    e1 = np.exp(-angle)
-    ec = np.exp(-2.0 * c * angle)
-    em = np.expm1(-2.0 * (c - 1) * angle)
-    ratio = e1 * (2.0 + em) / (1.0 + ec)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mass = 4.0 * c * ec / (1.0 + ec) ** 2 - e1 * em / ((1.0 + ec) * sh)
-    if wave.any():
-        u = angle[wave]
-        cu = np.cos(c * u)
-        ratio[wave] = np.cos((c - 1) * u) / cu
-        mass[wave] = c / cu**2 + np.sin((c - 1) * u) / (sh[wave] * cu)
-    mass[sh == 0.0] = 2.0 * c - 1.0
-    return -ratio / h1, -0.5 * h1 * mass
-
-
 @dataclass
 class Factored:
     """``T(s)`` factored at a shift ``s`` below ``E_1``: back-solves, and ``-T'(s)``."""
@@ -447,7 +421,7 @@ class FdOperator:
     column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2
     (mu_j - E)``, closed by the Dirichlet end at column ``n_long``.
     Eliminating the exterior half of column ``c`` and every column beyond
-    it adds ``sigma_j(E) a_j^2`` to the energy (:func:`_exterior_coupling`),
+    it adds ``sigma_j(E) a_j^2`` to the energy (see :meth:`coupling`),
     with ``a_j`` the projection of column ``c`` on ``phi_j``.
     ``projector`` is ``P = W2 Phi`` on the column's active nodes, whose
     columns are w2-orthonormal, so the box (``first = 0``, the symmetry
@@ -460,7 +434,7 @@ class FdOperator:
     decouple in the mixed lattice sines ``psi_k(j) = sqrt(2/d) sin((2k - 1)
     pi j / (2 n2))`` on nodes ``1 .. n2``, with eigenvalues ``nu`` (empty
     on the box); eliminating them adds ``Q diag(tau(E)) Q^T``, ``Q = W2
-    Psi`` (zero on the wall node, :func:`_patch_side_coupling`).  So
+    Psi`` (zero on the wall node; see :meth:`coupling`).  So
     ``projector`` is ``[P, Q]``, ``coupling`` returns ``sigma`` and ``tau``
     concatenated, and ``cap`` is the lower of the two sides' caps.  Both
     forms offer :func:`lowest_eigenpairs` the window form's interface:
@@ -505,12 +479,34 @@ class FdOperator:
         return cap
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``sigma_j(E)``, then any patch side's ``tau_k(E)``, and their derivatives, below the cap."""
-        h1 = self.guide.step_long
-        sigma, slope = _exterior_coupling(h1, self.exterior_columns, self.mu, E)
-        if not self.first:
+        """``sigma_j(E)``, then any patch side's ``tau_k(E)``, and their derivatives, below the cap.
+
+        ``sigma_j = sinh(theta) coth(M theta) / h1``; with ``x = M theta``
+        it is ``(x coth x) / (M h1) * sinh(theta) / theta``, and ``d sigma
+        / dE = -(h1/2) (x coth x / M) (r(theta) - M^2 r(x) + M^2 t(x))``,
+        taken with ``x coth x * t(x) = 1``, finite where ``t(x)`` has a
+        pole.  The patch side, ``c = first``, adds ``tau_k = -(1/h1)
+        cosh((c - 1) theta) / cosh(c theta)``, summed from ``exp(-theta)``,
+        and ``d tau / dE = -(h1^2/2) tau (theta / sinh theta) ((c - 1)^2
+        t((c - 1) theta) - c^2 t(c theta))``.  Each derivative is minus the
+        mass of the mode's eliminated extension.  All are real, for a
+        decaying mode, an oscillating one and the threshold between.
+        """
+        h1, M, c = self.guide.step_long, self.exterior_columns, self.first
+        theta, ratio = _lattice_angles(h1, self.mu, E)
+        # theta and x = M theta in one array
+        u = np.multiply.outer((1.0, M), theta)
+        uc = (u / np.tanh(u)).real
+        r1, rx = _r(u, uc)
+        sigma = uc[1] / (M * h1 * ratio)
+        slope = -0.5 * h1 * (uc[1] * (r1 - M * M * rx) / M + M)
+        if not c:
             return sigma, slope
-        tau, dtau = _patch_side_coupling(h1, self.first, self.nu, E)
+        theta, ratio = _lattice_angles(h1, self.nu, E)
+        u = np.multiply.outer((c - 1.0, c), theta)
+        em = np.expm1(-2.0 * u)
+        tau = (-np.exp(-theta) * (2.0 + em[0]) / ((2.0 + em[1]) * h1)).real
+        dtau = -0.5 * h1**2 * tau * ratio * ((c - 1) ** 2 * _t(u[0]) - c * c * _t(u[1]))
         return np.concatenate((sigma, tau)), np.concatenate((slope, dtau))
 
     @cached_property
@@ -745,7 +741,8 @@ class WindowOperator:
 
     ``N = n_long``, ``cosh(theta_j) = 1 + h1^2 (mu_j - E) / 2``: each lattice
     mode's column recurrence, closed by the natural plane at ``i = 0`` and
-    the Dirichlet end at ``N`` (its ``sin`` form where the mode oscillates).
+    the Dirichlet end at ``N``, continued to ``theta = i phi`` where the
+    mode oscillates (see :func:`_lattice_angles`).
     ``cap`` is the lowest eigenvalue of the guide with the window closed;
     below it the eliminated block is positive definite, so ``T_W(E)``
     factors exactly when ``E < E_1``, as the box's ``T(E)`` does.
@@ -767,9 +764,9 @@ class WindowOperator:
 
     @property
     def cap(self) -> float:
-        g = self.guide
-        s = math.sin(math.pi / (4 * g.n_long))
-        return float(self.mu[0]) + 4.0 / g.step_long**2 * s * s
+        # a natural plane N columns from a held end: half of a 2N chain
+        # between two held ends
+        return _exterior_cap(self.guide.step_long, 2 * self.guide.n_long, self.mu)
 
     @cached_property
     def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
@@ -781,57 +778,43 @@ class WindowOperator:
         """``-s(n)`` and ``-ds(n)/dE`` at the offsets ``n = 0 .. 2 n_feat``, for ``E`` below the cap.
 
         ``-C G C`` is the closure ``sigma`` assembles on the offsets, so
-        ``v^T T_W(E) v = ... + sigma(E) . a2`` as on the box.  The decaying
-        form is summed from ``exp(-n theta)`` and the Dirichlet end's image
-        ``exp(-(2N - n) theta)`` directly, each below one; at ``theta = 0``
-        (``E`` on the mode's threshold) ``s`` is its limit ``(h1/2)(N - n)``.
-        ``ds/dE = -(h1^2/2) s (theta / sinh theta) (a^2 r(a theta) -
-        r(theta) - N tanh(N theta) / theta)``, ``a = N - n``, with
-        ``r(u) = (u coth u - 1) / u^2``, is finite there too.  A mode between
-        its threshold and the cap oscillates, and takes the ``sin`` form of
-        both.
+        ``v^T T_W(E) v = ... + sigma(E) . a2`` as on the box.  Per mode,
+        with ``a = N - n``, ``s(n)`` is summed from ``exp(-n theta)`` and
+        the Dirichlet end's image ``exp(-(2N - n) theta)``: ``exp(-n theta)
+        2a e1(2a theta) (theta / sinh theta) / (1 + exp(-2N theta))``, with
+        ``e1(u) = (1 - exp(-u)) / u``, and ``ds/dE = -(h1^2/2) s (theta /
+        sinh theta) (a^2 r(a theta) - r(theta) - N^2 t(N theta))``; both
+        hold through the threshold and at ``theta = i phi``.
         """
-        g = self.guide
-        N, h1 = g.n_long, g.step_long
-        angle, sh, decay = _lattice_angles(h1, self.mu, E)
-        wave = ~decay
-        zero = angle == 0.0
-        sign = np.where(decay, 1.0, -1.0)
-        a = N - np.arange(2 * self.size - 1.0)[:, None]
-        au = np.abs(a) * angle
-        with np.errstate(divide="ignore", invalid="ignore"):
-            em = np.expm1(-2.0 * au)
-            s = np.sign(a) * np.exp((np.abs(a) - N) * angle) * (
-                em / (-sh * (1.0 + np.exp(-2.0 * N * angle)))
-            )
-            q = -au * (2.0 + em) / em - 1.0
-            if wave.any():
-                u = a * angle[wave]
-                s[:, wave] = np.sin(u) / (sh[wave] * np.cos(N * angle[wave]))
-                q[:, wave] = u / np.tan(u) - 1.0
-            s[:, zero] = a
-            # per mode, each 1 at theta = 0: theta / sinh(theta) and
-            # tanh(N theta) / (N theta); and 1 / (+-theta^2)
-            x = np.where(zero, 1.0, angle)
-            ratio = np.where(zero, 1.0, x / sh)
-            ends = np.where(zero, 1.0, np.where(decay, np.tanh(N * x), np.tan(N * x)) / (N * x))
-            inverse = 1.0 / (angle * angle * sign)
-            # r(theta), and a^2 r(a theta) = q / (+-theta^2), from the series
-            # 1/3 - (+-u^2)/45 where u coth u - 1 cancels
-            r1 = np.where(
-                angle < SERIES_BELOW,
-                1.0 / 3.0 - angle * angle * sign / 45.0,
-                (np.where(decay, x / np.tanh(x), x / np.tan(x)) - 1.0) * inverse,
-            )
-            r = q * inverse
-            small = au < SERIES_BELOW
-            if small.any():
-                r = np.where(small, a * a * (1.0 / 3.0 - au * au * sign / 45.0), r)
-        w = ratio * self.weight
-        return (
-            -0.5 * h1 * (s @ self.weight),
-            0.25 * h1**3 * ((s * r) @ w - s @ ((r1 + N * N * ends) * w)),
-        )
+        N, h1 = self.guide.n_long, self.guide.step_long
+        theta, ratio = _lattice_angles(h1, self.mu, E)
+        # complex arithmetic only on the oscillating modes, a prefix of mu
+        k = int(np.searchsorted(self.mu, E))
+        sigma, slope = self._mode_sums(np.ascontiguousarray(theta[k:].real), ratio[k:], self.weight[k:])
+        if k:
+            more = self._mode_sums(theta[:k], ratio[:k], self.weight[:k])
+            sigma, slope = sigma + more[0].real, slope + more[1].real
+        sign = np.sign(N - np.arange(2 * self.size - 1.0))
+        return -0.5 * h1 * sign * sigma, 0.25 * h1**3 * sign * slope
+
+    def _mode_sums(self, theta, ratio, weight) -> tuple[np.ndarray, np.ndarray]:
+        # s(n) and its slope's factor over the given modes, each up to sign(a)
+        # and its factor in h1
+        N = self.guide.n_long
+        # |a|, taken as 1 on the offset n = N, whose row sign(a) = 0 clears
+        A = np.maximum(np.abs(N - np.arange(2 * self.size - 1.0)), 1.0)[:, None]
+        u = A * theta
+        em = np.expm1(-2.0 * u)
+        # r first and in place where possible, as the matrices can be large;
+        # 2|a| e1(2|a| theta) theta / sinh(theta) = -expm1(-2|a| theta) / sinh(theta)
+        # and u[0] = N theta
+        r = _r(u, -u * (2.0 + em) / em)
+        s = np.exp((A - N) * theta) * em
+        s *= -ratio / (theta * (2.0 + em[0]))
+        w = ratio * weight
+        sigma, ends = s @ weight, s @ ((_r(theta, theta / np.tanh(theta)) + N * N * _t(u[0])) * w)
+        s *= np.multiply(r, A * A, out=r)
+        return sigma, s @ w - ends
 
     def closure(self, weights: np.ndarray) -> np.ndarray:
         """``C Sigma C``, ``Sigma[i, i'] = weights[|i - i'|] + weights[i + i']``.
@@ -957,7 +940,8 @@ class OracleSolution:
     positive exactly when a state sits below the discrete threshold.
     ``shift`` is the first shift of the plan whose factorization
     succeeded; ``factorizations`` and ``inner_solves`` count the Cholesky
-    factorizations and back-solves of the whole solve.
+    factorizations and back-solves of the whole solve, and
+    ``closure_evaluations`` its calls of the operator's ``coupling(E)``.
     """
 
     value: float
@@ -967,6 +951,7 @@ class OracleSolution:
     shift: float
     factorizations: int
     inner_solves: int
+    closure_evaluations: int
     vector: np.ndarray = field(repr=False)
     operator: FdOperator | WindowOperator = field(repr=False)
 
@@ -1058,7 +1043,7 @@ def lowest_eigenpairs(
     threshold = discrete_threshold(g)
     cap = op.cap
     coupling = op.coupling
-    factorizations = failed = inner_solves = 0
+    factorizations = failed = inner_solves = evaluations = 0
 
     def factor(E: float) -> Factored | None:
         nonlocal factorizations, failed
@@ -1096,6 +1081,7 @@ def lowest_eigenpairs(
         # with f(E) <= 0: every step stays at or above the root.  f falls to
         # -inf at the cap when v has weight on the lowest eliminated mode,
         # so a start at the cap is searched for between s and the cap
+        nonlocal evaluations
         stiff, mass, a2 = op.contract(v)
         if E >= cap:
             d = 0.5 * (cap - s)
@@ -1104,11 +1090,13 @@ def lowest_eigenpairs(
                 if not E < cap:
                     return cap
                 sigma, _ = coupling(E)
+                evaluations += 1
                 if stiff - E * mass + sigma @ a2 <= 0.0:
                     break
                 d *= 0.5
         for _ in range(NEWTON_STEPS):
             sigma, slope = coupling(E)
+            evaluations += 1
             step = (stiff - E * mass + sigma @ a2) / (mass - slope @ a2)
             if not step < 0.0:
                 break
@@ -1155,6 +1143,8 @@ def lowest_eigenpairs(
 
     value = upper
     sigma, slope = coupling(value)
+    # and each factorization evaluated the closure once
+    evaluations += factorizations + 1
     av, mv, cv = op.terms(v, sigma)
     residual = float(
         np.linalg.norm(av - value * mv + cv)
@@ -1174,13 +1164,14 @@ def lowest_eigenpairs(
 
     logger.info(
         "eigensolve: %s form, %d unknowns%s, %d factorizations (%d failed), "
-        "%d back-solves, %.3f s",
+        "%d back-solves, %d closure evaluations, %.3f s",
         op.form,
         op.size,
         "" if op.columns is None else f" on {op.columns} box columns",
         factorizations,
         failed,
         inner_solves,
+        evaluations,
         time.perf_counter() - start,
     )
     return OracleSolution(
@@ -1191,6 +1182,7 @@ def lowest_eigenpairs(
         shift=float(first_shift),
         factorizations=factorizations,
         inner_solves=inner_solves,
+        closure_evaluations=evaluations,
         vector=v,
         operator=op,
     )

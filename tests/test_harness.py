@@ -827,7 +827,7 @@ def test_report_records_each_solve(monkeypatch) -> None:
     # one record per solve: coarse step then fine at each length, with the
     # grid actually solved and the solver's work; a potential has no
     # feature half-width
-    calls = {"factorizations": 0, "inner_solves": 0}
+    calls = {"factorizations": 0, "inner_solves": 0, "closure_evaluations": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -840,6 +840,8 @@ def test_report_records_each_solve(monkeypatch) -> None:
                         counting("factorizations", oracle.cholesky_banded))
     monkeypatch.setattr(oracle, "cho_solve_banded",
                         counting("inner_solves", oracle.cho_solve_banded))
+    monkeypatch.setattr(oracle.FdOperator, "coupling",
+                        counting("closure_evaluations", oracle.FdOperator.coupling))
     cfg = parse_config(_regular_dict(oracle={"h": [0.2, 0.1], "L": [8.0, 12.0]}))
     rows = run_sweep(cfg)
     solves = rows[0].extras["solves"]
@@ -852,7 +854,8 @@ def test_report_records_each_solve(monkeypatch) -> None:
         assert 0 <= s["residual"] <= oracle.EIGEN_RESIDUAL_TOL
         assert 1 <= s["box_columns"] <= round(s["L"] / s["h_long"])
     # every banded factorization and back-solve passes through the oracle's
-    # two LAPACK functions, and the records count all of them
+    # two LAPACK functions, every closure evaluation through the box's
+    # coupling, and the records count all of them
     for name, count in calls.items():
         assert count == sum(s[name] for r in rows for s in r.extras["solves"])
     win = run_sweep(parse_config(_window_dict()))

@@ -494,16 +494,19 @@ def _window_schur(g: TruncatedGuide, E: float) -> np.ndarray:
 
 
 def test_window_form_is_the_schur_complement() -> None:
-    # below mu_1^h, on it (theta_1 = 0: the limit form) and between it and
-    # the cap (mode 1 oscillates: the sin form).  Measured: T_W within
-    # 1.4e-15 of the dense complement, relative to its largest entry, and
-    # -T_W' within 3.5e-9 of its central difference with step 1e-6, which
-    # is that difference's own error; the bounds leave a margin of 70 and 30
+    # below mu_1^h, on it (theta_1 = 0: the limit), between it and the cap
+    # (mode 1 oscillates, theta_1 = i phi), 1e-9 either side of it, and a
+    # pair straddling r's series join: at mu_1^h - 1e-8 every a theta_1 is
+    # below SERIES_BELOW, at mu_1^h - 1e-6 those with a >= 5 are above it.
+    # Measured: T_W within 1.8e-15 of the dense complement, relative to its
+    # largest entry, and -T_W' within 3.5e-9 of its central difference with
+    # step 1e-6, which is that difference's own error; the bounds leave a
+    # margin of 57 and 29
     g = TruncatedGuide(cross_section=_CS, half_length=3.0, h=0.25, half_width=1.1)
     op = oracle.build_window_operator(g)
     assert (op.size, g.n_long, g.n_trans) == (g.feature_nodes + 1, 12, 13)
     mu1 = discrete_threshold(g)
-    for E in (mu1 - 0.3, mu1, 0.5 * (mu1 + op.cap)):
+    for E in (mu1 - 0.3, mu1, 0.5 * (mu1 + op.cap), mu1 - 1e-9, mu1 + 1e-9, mu1 - 1e-8, mu1 - 1e-6):
         sigma, slope = op.coupling(E)
         want = _window_schur(g, E)
         got = op.stiffness - E * np.diag(op.mass) + op.closure(sigma)
@@ -614,13 +617,17 @@ SHORT_PATCH_GUIDES = [(3.0, 0.1, 0.4), (2.0, 0.1, 0.6)]
 )
 def test_patch_form_is_the_schur_complement(L, h, W) -> None:
     # below the threshold, between nu_1 and the cap (patch-side and exterior
-    # modes oscillate) and 1% of that gap below the cap.  The short guide's
-    # cap is the exterior's; the wide patch's is the patch side's.  Measured:
-    # T_P within 2.8e-16 of the dense complement, relative to its largest
-    # entry, and 5.5e-13 next to the cap, where the dense solve loses
-    # digits; -T_P' within 1.6e-8 of its central difference with step 1e-6,
-    # that difference's own error; the bounds leave a margin of 18 and 6.
-    # T_P is read off the box of one column through its terms
+    # modes oscillate), 1% of that gap below the cap, 1e-9 either side of
+    # the threshold mu_1^h = 0, and a pair straddling r's series join in the
+    # exterior: M theta_0 is 4.2e-4 and 4.2e-3 (short guide) or 1.7e-4 and
+    # 1.7e-3 (wide patch) at 1e-7 and 1e-5 below the threshold.  The short
+    # guide's cap is the exterior's; the wide patch's is the patch side's.
+    # Measured: T_P within 5.4e-16 of the dense complement, relative to its
+    # largest entry, and 5.5e-13 next to the cap, where the dense solve
+    # loses digits; -T_P' within 4.0e-8 of its central difference with step
+    # 1e-6, that difference's own error (1.6e-8 away from the threshold);
+    # the bounds leave a margin of 18 and 2.5.  T_P is read off the box of
+    # one column through its terms
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     op = oracle.build_patch_operator(g)
     assert (op.size, op.columns, op.first) == (g.n_trans + 1, 1, g.feature_nodes + 1)
@@ -631,8 +638,9 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
         A[np.ix_(~c, ~c)], np.diag(mass[~c]), eigvals_only=True, subset_by_index=[0, 0]
     )[0]
     assert abs(lowest / op.cap - 1.0) <= 1e-12
-    nu1 = op.nu[0]
-    for E in (discrete_threshold(g) - 0.3, 0.5 * (nu1 + op.cap), op.cap - 0.01 * (op.cap - nu1)):
+    nu1, mu1 = op.nu[0], discrete_threshold(g)
+    for E in (mu1 - 0.3, 0.5 * (nu1 + op.cap), op.cap - 0.01 * (op.cap - nu1),
+              mu1 - 1e-9, mu1 + 1e-9, mu1 - 1e-7, mu1 - 1e-5):
         sigma, slope = op.coupling(E)
         want = _patch_schur(g, E)
         A, M, C = _dense_terms(op, sigma)
