@@ -111,7 +111,7 @@ def _cmd_asym(args: argparse.Namespace) -> int:
         row = predict_row(cfg, eps, basis, V)
         print(
             f"{eps:>10.6g} {row.k_re:>16.10g} {row.k_im:>14.6g} "
-            f"{row.lam_pred:>16.10g} {row.classification or '-':>14}"
+            f"{row.lambda_pred:>16.10g} {row.classification or '-':>14}"
         )
     return EXIT_OK
 

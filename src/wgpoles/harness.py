@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,12 @@ GATES = {
     "first_order": (("margin_eps2",), ()),
 }
 
-CSV_HEADER = "epsilon,k_re,k_im,lambda_pred,lambda_pole,b_oracle,rel_err,classification"
+# the sweep.csv columns: every SweepRow field but ``error`` and ``extras``
+CSV_COLUMNS = (
+    "epsilon", "k_re", "k_im", "lambda_pred", "lambda_pole", "b_oracle", "rel_err",
+    "classification",
+)
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 # slope fits need this many couplings; the config invariant enforces it
 MIN_EPSILONS = 4
@@ -310,13 +315,17 @@ def basis_size(cfg: ExperimentConfig) -> int:
 
 @dataclass
 class SweepRow:
-    """One coupling's worth of sweep output; ``None`` renders as an empty cell."""
+    """One coupling's worth of sweep output; ``None`` renders as an empty cell.
+
+    The fields are exactly the keys of a ``report.json`` row; the
+    ``sweep.csv`` columns are :data:`CSV_COLUMNS`.
+    """
 
     epsilon: float
     k_re: float | None = None
     k_im: float | None = None
-    lam_pred: float | None = None
-    lam_pole: float | None = None
+    lambda_pred: float | None = None
+    lambda_pole: float | None = None
     b_oracle: float | None = None
     rel_err: float | None = None
     classification: str | None = None
@@ -333,26 +342,15 @@ def _cell(value) -> str:
 
 
 def render_csv(rows: list[SweepRow]) -> str:
-    """Sweep rows as CSV text with the fixed header; deterministic."""
+    """Sweep rows as CSV text with the fixed header; deterministic.
+
+    An error row's classification cell names the error's type.
+    """
     lines = [CSV_HEADER]
     for r in rows:
-        classification = r.classification
         if r.error is not None:
-            classification = f"error:{r.error.split(':', 1)[0]}"
-        lines.append(
-            ",".join(
-                (
-                    _cell(r.epsilon),
-                    _cell(r.k_re),
-                    _cell(r.k_im),
-                    _cell(r.lam_pred),
-                    _cell(r.lam_pole),
-                    _cell(r.b_oracle),
-                    _cell(r.rel_err),
-                    _cell(classification),
-                )
-            )
-        )
+            r = replace(r, classification=f"error:{r.error.split(':', 1)[0]}")
+        lines.append(",".join(_cell(getattr(r, name)) for name in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -518,7 +516,7 @@ def predict_row(
             epsilon=eps,
             k_re=lead * eps,
             k_im=0.0,
-            lam_pred=lam,
+            lambda_pred=lam,
             extras={"first_order_coefficient": lead},
         )
     if cfg.scenario == DIRICHLET_WINDOW:
@@ -530,7 +528,7 @@ def predict_row(
         epsilon=eps,
         k_re=pole.k_lead,
         k_im=pole.im_k_lead,
-        lam_pred=pole.lam_lead,
+        lambda_pred=pole.lam_lead,
         classification=pole.classification,
         extras={"tau": pole.tau, "order": pole.order},
     )
@@ -546,7 +544,7 @@ def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
     if regular:
         pole = solve_secular(V, eps, kernel)
         row.k_re, row.k_im = pole.k.real, pole.k.imag
-        row.lam_pole = pole.lam.real
+        row.lambda_pole = pole.lam.real
         row.classification = pole.classification
         row.extras["secular_evaluations"] = pole.evaluations
         row.extras["secular_residual"] = pole.residual
@@ -555,14 +553,12 @@ def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
     row.extras.update(oracle_extras)
     row.b_oracle = b
     if cfg.scenario != NEUMANN_PATCH and b > 0:
-        row.rel_err = abs(row.lam_pred + b) / abs(b)
+        row.rel_err = abs(row.lambda_pred + b) / abs(b)
     return row
 
 
-def run_sweep(
-    cfg: ExperimentConfig, csv_path=None, threads: int = 1
-) -> list[SweepRow]:
-    """One row per coupling, descending; optionally writes the CSV artifact.
+def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
+    """One row per coupling, descending.
 
     Rows are computed independently (in a thread pool when ``threads > 1``)
     and assembled in config order.  A sub-solver failure marks its row with
@@ -588,12 +584,8 @@ def run_sweep(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, indices))
-    else:
-        rows = [one(i) for i in indices]
-    if csv_path is not None:
-        Path(csv_path).write_text(render_csv(rows))
-    return rows
+            return list(pool.map(one, indices))
+    return [one(i) for i in indices]
 
 
 def fit_loglog_slope(points) -> tuple[float, float]:
@@ -633,16 +625,16 @@ def compute_fits(cfg: ExperimentConfig, rows: list[SweepRow]) -> dict:
         fits[name] = {"slope": slope, "stderr": stderr}
 
     ok = [r for r in rows if r.error is None]
-    pred = [(r.epsilon, r.lam_pred) for r in ok if r.lam_pred is not None]
+    pred = [(r.epsilon, r.lambda_pred) for r in ok if r.lambda_pred is not None]
     if len(pred) >= 3:
         try_fit("pred_slope", pred)
     bind = [(r.epsilon, r.b_oracle) for r in ok if r.b_oracle is not None]
     if len(bind) >= 3:
         try_fit("b_slope", bind)
     gap = [
-        (r.epsilon, r.lam_pole - r.lam_pred)
+        (r.epsilon, r.lambda_pole - r.lambda_pred)
         for r in ok
-        if r.lam_pole is not None and r.lam_pred is not None
+        if r.lambda_pole is not None and r.lambda_pred is not None
     ]
     if len(gap) >= 3:
         try_fit("gap_slope", gap)
@@ -786,49 +778,34 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
     return {"pass": all(c["pass"] for c in checks), "checks": checks}
 
 
-def emit_report(
-    cfg: ExperimentConfig, rows: list[SweepRow], fits: dict, path=None
-) -> str:
+def emit_report(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> str:
     """Deterministic JSON report: config echo, rows, fits, check verdicts."""
     verdicts = evaluate_checks(cfg, rows, fits)
     doc = {
         "config": cfg.raw,
-        "rows": [
-            {
-                "epsilon": r.epsilon,
-                "k_re": r.k_re,
-                "k_im": r.k_im,
-                "lambda_pred": r.lam_pred,
-                "lambda_pole": r.lam_pole,
-                "b_oracle": r.b_oracle,
-                "rel_err": r.rel_err,
-                "classification": r.classification,
-                "error": r.error,
-                "extras": r.extras,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
         "fits": fits,
         "pass": verdicts["pass"],
         "checks": verdicts["checks"],
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def run_experiment(
     cfg: ExperimentConfig, out_dir=None, threads: int = 1
 ) -> tuple[list[SweepRow], dict, str]:
-    """Sweep, fit, and report in one pass; writes artifacts under ``out_dir``."""
-    csv_path = report_path = None
+    """Sweep, fit, and report in one pass; writes artifacts under ``out_dir``.
+
+    The one writer of ``sweep.csv`` and ``report.json``.  The report stages
+    are looked up in this module at call time, so a wrapper set on
+    ``render_csv``, ``emit_report`` or ``compute_fits`` sees every call.
+    """
+    rows = run_sweep(cfg, threads=threads)
+    fits = compute_fits(cfg, rows)
+    report = emit_report(cfg, rows, fits)
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "sweep.csv"
-        report_path = out / "report.json"
-    rows = run_sweep(cfg, csv_path=csv_path, threads=threads)
-    fits = compute_fits(cfg, rows)
-    report = emit_report(cfg, rows, fits, path=report_path)
+        (out / "sweep.csv").write_text(render_csv(rows))
+        (out / "report.json").write_text(report)
     return rows, fits, report

@@ -13,7 +13,8 @@ structure: modes below the threshold oscillate (``K_j`` imaginary), the
 threshold mode itself has ``K_m = k`` exactly, and modes above decay.  The
 threshold kernel degenerates like ``1/(2k)`` as ``k -> 0``; subtracting its
 constant part leaves the regularized kernel ``(exp(-k s) - 1)/(2k)`` which is
-finite at ``k = 0`` and is what the pole solver iterates with.
+finite at ``k = 0`` and is what the pole solver iterates with; it is evaluated
+as ``expm1(-k s)/(2k)`` for real and complex ``k`` alike.
 
 On the grid ``A~ = sum_j (E_j W1) (x) (phi_j phi_j^T W2)``, so
 :meth:`ModeSumKernel.assemble`, the one application of ``A(k)``, returns only
@@ -40,10 +41,6 @@ from .transverse import CrossSection, TransverseBasis
 # Below this magnitude k is treated as exactly zero in the threshold kernel
 # (removable singularity limit -s/2).
 K_ZERO_TOL = 1e-12
-
-# Switch to the Taylor series of (e^x - 1)/x for complex k when |k s| is below
-# this, where direct evaluation loses digits to cancellation.
-_SERIES_TOL = 1e-4
 
 
 def longitudinal_exponents(
@@ -84,34 +81,21 @@ def longitudinal_exponents(
 def regularized_kernel(s, k: complex):
     """Threshold-mode kernel ``(exp(-k s) - 1)/(2k)`` with its ``k = 0`` limit.
 
-    ``s`` is a nonnegative separation (scalar or array); ``k`` a scalar.
-    Below ``|k| = 1e-12`` the removable-singularity limit ``-s/2`` is returned
-    exactly.  Real ``k`` uses ``expm1``; complex ``k`` switches to a Taylor
-    series when ``|k s|`` is small, so the evaluation is cancellation-free
-    everywhere.
+    ``s`` is a nonnegative separation (scalar or array); ``k`` a real or
+    complex scalar.  Below ``|k| = 1e-12`` the removable-singularity limit
+    ``-s/2`` is returned exactly; any other ``k`` takes
+    ``expm1(-k s)/(2k)``, which does not cancel at small ``|k s|``.
     """
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0):
         raise ValueError("separation s must be nonnegative")
-    scalar = np.isscalar(s) or s_arr.ndim == 0
     if abs(k) < K_ZERO_TOL:
         out = -0.5 * s_arr
-        if np.iscomplexobj(np.asarray(k)) or isinstance(k, complex):
+        if np.iscomplexobj(k):
             out = out.astype(complex)
-    elif not isinstance(k, complex) and not np.iscomplexobj(np.asarray(k)):
-        out = np.expm1(-float(k) * s_arr) / (2.0 * float(k))
     else:
-        k = complex(k)
-        x = -k * s_arr
-        # (e^x - 1)/x, stable for small |x|
-        ratio = np.ones_like(x)
-        small = np.abs(x) < _SERIES_TOL
-        xs = x[small]
-        ratio[small] = 1.0 + xs / 2.0 + xs * xs / 6.0 + xs * xs * xs / 24.0
-        xb = x[~small]
-        ratio[~small] = (np.exp(xb) - 1.0) / xb
-        out = -0.5 * s_arr * ratio
-    return out.item() if scalar else out
+        out = np.expm1(-k * s_arr) / (2.0 * k)
+    return out.item() if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
 @dataclass

@@ -62,39 +62,26 @@ class TransverseBasis:
     def width(self) -> float:
         return self.cross_section.width
 
-    def _wavenumber(self, j: int | np.ndarray) -> np.ndarray:
-        """Spatial frequency of mode j: sqrt(mu_j) with the sign convention
-        that Neumann mode 1 is the constant (frequency 0)."""
-        d = self.width
-        j = np.asarray(j)
-        if self.cross_section.bc == BC_DIRICHLET:
-            return j * np.pi / d
-        return (j - 1) * np.pi / d
+    def phi(self, j: int, x: np.ndarray | float) -> np.ndarray:
+        """Evaluate ``phi_j`` at transverse points ``x``: row ``j - 1`` of :meth:`phi_matrix`.
 
-    def phi(self, j: int, x: np.ndarray | float) -> np.ndarray | float:
-        """Evaluate ``phi_j`` at transverse points ``x``.
-
-        ``j`` is 1-based.  ``x`` may be a scalar or array; values outside
-        ``[0, d]`` are not meaningful and are not checked.
+        ``j`` is 1-based.  ``x`` may be a scalar or array, and the result has
+        its shape; values outside ``[0, d]`` are not meaningful and are not
+        checked.
         """
         self._check_mode(j)
-        d = self.width
-        q = self._wavenumber(j)
-        if self.cross_section.bc == BC_DIRICHLET:
-            return np.sqrt(2.0 / d) * np.sin(q * np.asarray(x, dtype=float))
-        if j == 1:
-            return np.full_like(np.asarray(x, dtype=float), 1.0 / np.sqrt(d))
-        return np.sqrt(2.0 / d) * np.cos(q * np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return self.phi_matrix(x.ravel())[j - 1].reshape(x.shape)
 
     def phi_matrix(self, x: np.ndarray) -> np.ndarray:
         """All modes at once: returns array of shape ``(count, len(x))``."""
         x = np.asarray(x, dtype=float)
         d = self.width
-        j = np.arange(1, self.count + 1)
-        q = self._wavenumber(j)[:, None]
+        j = np.arange(1, self.count + 1)[:, None]
         if self.cross_section.bc == BC_DIRICHLET:
-            return np.sqrt(2.0 / d) * np.sin(q * x[None, :])
-        out = np.sqrt(2.0 / d) * np.cos(q * x[None, :])
+            return np.sqrt(2.0 / d) * np.sin(j * np.pi / d * x[None, :])
+        # Neumann mode j has frequency (j - 1) pi / d; mode 1 is the constant
+        out = np.sqrt(2.0 / d) * np.cos((j - 1) * np.pi / d * x[None, :])
         out[0, :] = 1.0 / np.sqrt(d)
         return out
 

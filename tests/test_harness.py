@@ -1,5 +1,6 @@
 """Sweep driver and CLI behavior: config validation, artifacts, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -240,8 +241,8 @@ def test_loglog_slope_reports_scatter() -> None:
 def test_csv_header_and_cells() -> None:
     rows = [
         SweepRow(
-            epsilon=0.5, k_re=0.25, k_im=0.0, lam_pred=-0.0625,
-            lam_pole=-0.06, b_oracle=0.061, rel_err=0.02,
+            epsilon=0.5, k_re=0.25, k_im=0.0, lambda_pred=-0.0625,
+            lambda_pole=-0.06, b_oracle=0.061, rel_err=0.02,
             classification="BoundState",
         ),
         SweepRow(epsilon=0.25, error="ValueError: boom"),
@@ -252,6 +253,9 @@ def test_csv_header_and_cells() -> None:
     assert lines[0] == (
         "epsilon,k_re,k_im,lambda_pred,lambda_pole,b_oracle,rel_err,classification"
     )
+    # every row field but the error and the extras is a column, in order
+    fields = [f.name for f in dataclasses.fields(SweepRow)]
+    assert lines[0].split(",") == [f for f in fields if f not in ("error", "extras")]
     assert lines[1].startswith("0.5,0.25,0.0,-0.0625,")
     assert lines[2] == "0.25,,,,,,,error:ValueError"
     assert text.endswith("\n")
@@ -259,21 +263,21 @@ def test_csv_header_and_cells() -> None:
 
 def test_regular_sweep_rows_and_artifacts(tmp_path) -> None:
     cfg = parse_config(_regular_dict())
-    csv_path = tmp_path / "sweep.csv"
-    rows = run_sweep(cfg, csv_path=csv_path)
+    rows, _, report = run_experiment(cfg, out_dir=tmp_path)
     assert [r.epsilon for r in rows] == [0.8, 0.6, 0.5, 0.4]
     for r in rows:
         assert r.error is None
         assert r.classification == "BoundState"
         assert r.k_re > 0 and r.k_im == 0.0
-        assert r.lam_pred < 0 and r.lam_pole < 0
+        assert r.lambda_pred < 0 and r.lambda_pole < 0
         assert r.b_oracle > 0 and r.rel_err > 0
         # secular pole and truncated-guide binding agree far better than
         # either agrees with the leading asymptotics at these couplings
-        assert abs(r.lam_pole + r.b_oracle) < 0.05 * r.b_oracle
-    text = csv_path.read_text()
+        assert abs(r.lambda_pole + r.b_oracle) < 0.05 * r.b_oracle
+    text = (tmp_path / "sweep.csv").read_text()
     assert text == render_csv(rows)
     assert text.splitlines()[0] == CSV_HEADER
+    assert (tmp_path / "report.json").read_text() == report
 
 
 def test_window_sweep_snaps_too_coarse_steps() -> None:
@@ -348,6 +352,9 @@ def test_report_document_structure() -> None:
     assert doc["config"]["scenario"] == "RegularPotential"
     assert len(doc["rows"]) == 4
     assert doc["rows"][0]["epsilon"] == 0.8
+    # a report row carries exactly the row's fields
+    fields = {f.name for f in dataclasses.fields(SweepRow)}
+    assert all(row.keys() == fields for row in doc["rows"])
     # an impossible tolerance demand must fail with the row identified
     assert doc["pass"] is False
     failing = [c for c in doc["checks"] if not c["pass"]]
@@ -463,7 +470,7 @@ def test_failed_fits_become_notes_and_unavailable_verdicts() -> None:
     # bindings and pole-minus-prediction gaps change sign, and no binding is
     # positive, so neither slope nor the prefactor can be fitted
     rows = [
-        SweepRow(epsilon=e, b_oracle=b, lam_pred=-e * e, lam_pole=-e * e + g)
+        SweepRow(epsilon=e, b_oracle=b, lambda_pred=-e * e, lambda_pole=-e * e + g)
         for e, b, g in ((0.4, -1e-3, 1e-4), (0.3, 0.0, -1e-5), (0.2, -1e-5, 1e-6))
     ]
     fits = compute_fits(cfg, rows)
@@ -489,7 +496,7 @@ def test_predictor_rows_match_closed_forms() -> None:
     # length and the first-order coefficient is half of it
     assert row.extras["first_order_coefficient"] == pytest.approx(1.0, rel=1e-6)
     assert row.k_re == pytest.approx(0.5, rel=1e-6)
-    assert row.lam_pred == pytest.approx(-0.25, rel=1e-6)
+    assert row.lambda_pred == pytest.approx(-0.25, rel=1e-6)
 
     win = parse_config(_window_dict())
     row = predict_row(win, 0.2, basis)
@@ -905,3 +912,31 @@ def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
     assert calls["dpbtrf"] == sum(s["factorizations"] for s in solves)
     assert calls["dpbtrs"] == sum(s["inner_solves"] for s in solves)
     assert set(calls) == {"dpbtrf", "dpbtrs"}
+
+
+def test_benchmark_tracer_sees_every_wrapped_layer(tmp_path) -> None:
+    # the benchmark's tracer wraps module attributes from outside; a
+    # refactor that stops calling one of them leaves its layer silently at
+    # zero.  oracle.cholesky_banded and oracle.cho_solve_banded are not
+    # asserted: the program calls LAPACK's banded routines directly, so the
+    # scipy.linalg names the tracer wraps read 0 until the benchmark changes
+    repo = Path(__file__).parents[1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_regular_dict()))
+    spans_path = tmp_path / "spans.json"
+    run = subprocess.run(
+        [sys.executable, str(repo / "bench" / "child.py"), "trace", str(spans_path),
+         "sweep", "--config", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
+    )
+    assert run.returncode == 0, run.stderr
+    seen = Counter(span[0] for span in json.loads(spans_path.read_text()))
+    layers = (
+        "harness.render_csv", "harness.emit_report", "harness.compute_fits",
+        "harness.truncated_binding", "harness.predict_row", "transverse.build_basis",
+        "oracle.build_fd_operator", "oracle.lowest_eigenpairs",
+        "regular_pole.solve_secular", "modesum.assemble",
+    )
+    assert [name for name in layers if seen[name] == 0] == []
