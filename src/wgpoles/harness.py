@@ -384,15 +384,14 @@ def truncated_binding(
     solver's work: ``L``, the step ``h_snapped`` after the guide's feature
     snap, the steps ``h_long`` and ``h_trans`` after rounding to whole
     cells, the effective ``feature_half_width`` (``None`` for a potential),
-    the operator's ``form``, and the ``box_columns``, ``unknowns``,
-    ``factorizations``, ``inner_solves`` (back-solves),
+    the ``binding``, the operator's ``form``, and the ``box_columns``,
+    ``unknowns``, ``factorizations``, ``inner_solves`` (back-solves),
     ``closure_evaluations`` (evaluations of the closure ``coupling(E)``)
-    and eigen-``residual`` of the solve.  A window scenario solves the
-    :class:`~wgpoles.oracle.WindowOperator` on the window's ``n_feat + 1`` wall
-    nodes (form ``"window"``, ``box_columns`` ``None``); a patch scenario
-    solves the box of one column, the ``n_trans + 1`` nodes of the first
-    column past the patch (form ``"box"``, ``box_columns`` 1), and a
-    potential the feature box (form ``"box"``).
+    and eigen-``residual`` of the solve.  A potential is solved on the
+    feature box (form ``"box"``), a window on its ``n_feat + 1`` wall nodes
+    (``"window"``) and a patch on the ``n_trans + 1`` nodes of the first
+    column past it (``"patch"``); both dense forms have ``box_columns``
+    ``None``.
     """
     if cfg.m >= 2:
         raise ValueError(
@@ -422,6 +421,7 @@ def truncated_binding(
         "h_long": g.step_long,
         "h_trans": g.step_trans,
         "feature_half_width": None if regular else g.feature_half_width,
+        "binding": sol.binding,
         "form": op.form,
         "box_columns": op.columns,
         "unknowns": op.size,
@@ -441,8 +441,11 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     finest binding as it is.  The lengths are then Aitken-extrapolated; a
     patch row, or one with fewer than three lengths, reports its
     longest-guide value instead.  The extras carry the lengths, the
-    per-length bindings ``b_by_L`` and one record per solve (see
-    :func:`truncated_binding`).
+    per-length bindings ``b_by_L`` and ``richardson_correction`` (minus
+    the fine step's binding; ``None`` unextrapolated), one record per solve
+    (see :func:`truncated_binding`), and for an Aitken row the
+    ``aitken_ratio`` ``(b3 - b2) / (b2 - b1)`` of the last three ``b_by_L``
+    (``None`` if ``b2 == b1``) and the ``aitken_correction`` ``b - b3``.
 
     The solves run along one ladder: lengths in config order, which
     :func:`parse_config` makes strictly increasing, so the last length is
@@ -458,8 +461,7 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     eps = cfg.epsilons[index]
     Ls = cfg.lengths_for(index)
     order = float(cfg.oracle["order"])
-    by_L = []
-    solves: list[dict] = []
+    by_L, corrections, solves = [], [], []
     hint = None
     for L in Ls:
         bs = []
@@ -468,15 +470,20 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
             solves.append(record)
             bs.append(hint)
         hs = [s["h_snapped"] for s in solves[-len(bs):]]
-        if len(hs) == 2 and hs[0] > hs[1]:
+        extrapolated = len(hs) == 2 and hs[0] > hs[1]
+        if extrapolated:
             hint = richardson(bs[0], bs[1], hs[0] / hs[1], order=order)
         by_L.append(hint)
-    extras = {"L": list(Ls), "b_by_L": by_L, "solves": solves}
+        corrections.append(hint - bs[1] if extrapolated else None)
+    extras = {"L": list(Ls), "b_by_L": by_L, "richardson_correction": corrections, "solves": solves}
     if cfg.scenario == NEUMANN_PATCH or len(by_L) < 3:
         # no positive limit exists for the patch; report the best (largest-L)
         # truncated value instead of extrapolating toward one
         return by_L[-1], extras
-    return aitken_limit(by_L), extras
+    b = aitken_limit(by_L)
+    b1, b2, b3 = by_L[-3:]
+    extras.update(aitken_ratio=None if b2 == b1 else (b3 - b2) / (b2 - b1), aitken_correction=b - b3)
+    return b, extras
 
 
 def regular_inputs(

@@ -27,7 +27,8 @@ Arnold).  Each closure is one formula in each mode's angle ``theta_j``
 ``theta = i phi``: no closure branches on how a mode behaves.  The
 eigenvalue is then the root of a small nonlinear symmetric problem
 ``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
-bracketed from below by banded Cholesky factorizations, which succeed
+bracketed from below by Cholesky factorizations (banded on the box, dense
+on the dense forms below), which succeed
 exactly when the shift lies below ``E_1`` (as long as it stays below the
 exterior's own lowest eigenvalue, the cap where ``T`` has its first pole),
 and from above by the smallest eigenvalue of the linearized pencil, found
@@ -42,35 +43,29 @@ The solution keeps the operator's unknowns only; the tails are the one
 closed form of the rest.  Everything is deterministic: fixed all-ones
 start vector, direct factorizations.
 
-A Neumann window without a potential changes the guide only on its
-``n_feat + 1`` wall nodes, so :class:`WindowOperator` eliminates every
-other node of the same finite guide, on the same grid, in closed form (the
+A wall feature without a potential is reduced to a :class:`DenseForm`,
+every other node of the same finite guide eliminated in closed form (the
 capacitance matrix method of Buzbee, Dorr, George and Golub, and of
-Proskurowski and Widlund): a dense ``(n_feat + 1)``-square ``T_W(E)``
-built from the same lattice modes, closed by the natural plane and the
-Dirichlet end.  A Dirichlet patch without a potential leaves both sides of
-the first column past it uniform, so :func:`build_patch_operator` makes it
-the box of one column: an :class:`FdOperator` on that column's
-``n_trans + 1`` nodes, closed on the right by the box's own exterior
-closure and on the left by the patch side's mixed lattice sines and the
-natural plane.  Each operator owns its closure, the ``cap`` and the
-``coupling(E)`` of the guide it eliminates, and :func:`lowest_eigenpairs`
-brackets either with one loop, through the interface both offer: factor
+Proskurowski and Widlund): a window to its ``n_feat + 1`` wall nodes
+(:class:`WindowOperator`), a patch to the ``n_trans + 1`` nodes of the
+first column past it (:class:`PatchOperator`).  Both closures are Toeplitz
+plus Hankel in the node index, so the two forms differ only in their
+``coupling(E)`` and ``cap``.  :func:`lowest_eigenpairs` brackets the box and
+either form with one loop, through the interface all three offer: factor
 or report failure, back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with
 its derivative.  The box still accepts windows and patches, as the
-reference the reduced forms are tested against.
+reference the dense forms are tested against.
 
 The box's stiffness matrix is assembled straight into LAPACK lower band
 storage, ``band[i - j, j] = A[i, j]`` for ``i >= j``, with the unknowns
 numbered along each column: the band is as wide as one column's active
 nodes, and the 5-point stencil fills only a few of its diagonals, which is
-all the matrix-vector product visits.  The factorizations and back-solves
-are LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's compiled LAPACK
-extension, loaded on its own on the first of them: importing
+all the matrix-vector product visits.  The box's factorizations and
+back-solves are LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's compiled
+LAPACK extension, loaded on its own on the first of them: importing
 ``scipy.linalg`` would pull in scipy's array-API layer and with it much of
 numpy's test and build tooling, which costs more CPU at start-up than a
-window sweep spends solving.  The window form's dense factorizations use
-numpy alone.
+window sweep spends solving.  The dense forms factor with numpy alone.
 """
 
 from __future__ import annotations
@@ -288,7 +283,7 @@ class TruncatedGuide:
 
     @cached_property
     def x1(self) -> np.ndarray:
-        """Longitudinal nodes ``0 .. L``, built on first use: the window form never reads them."""
+        """Longitudinal nodes ``0 .. L``, built on first use: the dense forms never read them."""
         return np.linspace(0.0, self.half_length, self.n_long + 1)
 
     @cached_property
@@ -350,6 +345,41 @@ def _t(u: np.ndarray) -> np.ndarray:
     return (np.tanh(u) / u).real
 
 
+def _exterior_coupling(h1: float, M: int, mu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
+    """``sigma_j(E)`` of an ``M``-column exterior closed by a Dirichlet end, and ``d sigma / dE``.
+
+    ``sigma_j = sinh(theta) coth(M theta) / h1``; with ``x = M theta`` it is
+    ``(x coth x) / (M h1) * sinh(theta) / theta``, and ``d sigma / dE =
+    -(h1/2) (x coth x / M) (r(theta) - M^2 r(x) + M^2 t(x))``, taken with
+    ``x coth x * t(x) = 1``, finite where ``t(x)`` has a pole.  This
+    derivative and ``d tau / dE`` are minus the mass of the mode's
+    eliminated extension, real on both sides of the threshold.
+    """
+    theta, ratio = _lattice_angles(h1, mu, E)
+    # theta and x = M theta in one array
+    u = np.multiply.outer((1.0, M), theta)
+    uc = (u / np.tanh(u)).real
+    r1, rx = _r(u, uc)
+    sigma = uc[1] / (M * h1 * ratio)
+    slope = -0.5 * h1 * (uc[1] * (r1 - M * M * rx) / M + M)
+    return sigma, slope
+
+
+def _patch_side_coupling(h1: float, c: int, nu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
+    """``tau_k(E)`` of the ``c`` columns under a Dirichlet patch, closed by the natural plane, and ``d tau / dE``.
+
+    ``tau_k = -(1/h1) cosh((c - 1) theta) / cosh(c theta)``, summed from
+    ``exp(-theta)``, and ``d tau / dE = -(h1^2/2) tau (theta / sinh theta)
+    ((c - 1)^2 t((c - 1) theta) - c^2 t(c theta))``.
+    """
+    theta, ratio = _lattice_angles(h1, nu, E)
+    u = np.multiply.outer((c - 1.0, c), theta)
+    em = np.expm1(-2.0 * u)
+    tau = (-np.exp(-theta) * (2.0 + em[0]) / ((2.0 + em[1]) * h1)).real
+    dtau = -0.5 * h1**2 * tau * ratio * ((c - 1) ** 2 * _t(u[0]) - c * c * _t(u[1]))
+    return tau, dtau
+
+
 def _lattice_eigenvalues(g: TruncatedGuide, j):
     """``(4/h^2) sin^2(j pi h / (2d))``: eigenvalues of the transverse stencil.
 
@@ -409,36 +439,21 @@ class Factored:
 
 @dataclass
 class FdOperator:
-    """Columns of the guide, ``A u = E M u`` on their active nodes, closed on both sides.
+    """The box: columns ``0 .. c`` of the guide, ``A u = E M u`` on their active nodes.
 
     ``band`` (``A`` in LAPACK lower band storage), ``mass`` and ``mask``
-    (the active nodes) cover columns ``first .. c`` of the guide, ``c =
-    first + columns - 1``; column ``c`` is the natural edge column, whose
-    active nodes are the last unknowns.  Past it the guide has no
-    perturbation, so the lattice sines (Dirichlet walls) or cosines
-    (Neumann walls) ``phi_j`` of the transverse stencil, with eigenvalues
-    ``mu``, decouple it into ``M = n_long - c`` (``exterior_columns``)
-    column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2
-    (mu_j - E)``, closed by the Dirichlet end at column ``n_long``.
-    Eliminating the exterior half of column ``c`` and every column beyond
-    it adds ``sigma_j(E) a_j^2`` to the energy (see :meth:`coupling`),
-    with ``a_j`` the projection of column ``c`` on ``phi_j``.
-    ``projector`` is ``P = W2 Phi`` on the column's active nodes, whose
-    columns are w2-orthonormal, so the box (``first = 0``, the symmetry
-    plane its natural left side) has the Schur complement ``T(E) = A - E M
-    + P diag(sigma(E)) P^T``, ``P`` zero off column ``c``.
-
-    The patch form (:func:`build_patch_operator`) is the box of one column,
-    ``c = first = n_feat + 1``, the first past a Dirichlet patch.  Left of
-    it the patch makes the wall Dirichlet, so columns ``0 .. c - 1``
-    decouple in the mixed lattice sines ``psi_k(j) = sqrt(2/d) sin((2k - 1)
-    pi j / (2 n2))`` on nodes ``1 .. n2``, with eigenvalues ``nu`` (empty
-    on the box); eliminating them adds ``Q diag(tau(E)) Q^T``, ``Q = W2
-    Psi`` (zero on the wall node; see :meth:`coupling`).  So
-    ``projector`` is ``[P, Q]``, ``coupling`` returns ``sigma`` and ``tau``
-    concatenated, and ``cap`` is the lower of the two sides' caps.  Both
-    forms offer :func:`lowest_eigenpairs` the window form's interface:
-    ``cap``, ``factor``, ``coupling``, ``contract`` and ``terms``.
+    (the active nodes) cover columns ``0 .. c = columns - 1`` of the guide,
+    from the symmetry plane to the natural edge column ``c``, whose active
+    nodes are the last unknowns.  Past it the guide has no perturbation, so
+    the lattice sines (Dirichlet walls) or cosines (Neumann walls)
+    ``phi_j`` of the transverse stencil, with eigenvalues ``mu``, decouple
+    it into ``M = n_long - c`` (``exterior_columns``) column recurrences
+    ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2 (mu_j - E)``, closed
+    by the Dirichlet end at column ``n_long``.  Eliminating them adds
+    ``sigma_j(E) a_j^2`` to the energy, ``a_j`` the projection of column
+    ``c`` on ``phi_j``.  ``projector`` is ``P = W2 Phi`` on the column's
+    active nodes, whose columns are w2-orthonormal, so ``T(E) = A - E M +
+    P diag(sigma(E)) P^T``, ``P`` zero off column ``c``.
     """
 
     guide: TruncatedGuide
@@ -448,8 +463,6 @@ class FdOperator:
     columns: int
     projector: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
-    first: int = 0
-    nu: np.ndarray = field(default_factory=lambda: np.empty(0), repr=False)
 
     form = "box"
 
@@ -460,54 +473,20 @@ class FdOperator:
     @property
     def exterior_columns(self) -> int:
         """``M``: the exterior's columns, from past the edge column to the Dirichlet end."""
-        return self.guide.n_long - (self.first + self.columns - 1)
+        return self.guide.n_long - (self.columns - 1)
 
     @property
     def cap(self) -> float:
-        """Lowest eigenvalue of the eliminated guide, with the edge column held at zero.
+        """Lowest eigenvalue of the exterior, with the edge column held at zero.
 
-        Below it the eliminated blocks are positive definite, so ``T(E)``
-        has as many negative eigenvalues as the whole guide's pencil at
-        ``E``.  A patch side of ``first`` columns, closed by the natural
-        plane, has the lowest eigenvalue of ``2 first`` columns between
-        two held ones.
+        Below it the eliminated block is positive definite, so ``T(E)`` has
+        as many negative eigenvalues as the whole guide's pencil at ``E``.
         """
-        h1 = self.guide.step_long
-        cap = _exterior_cap(h1, self.exterior_columns, self.mu)
-        if self.first:
-            cap = min(cap, _exterior_cap(h1, 2 * self.first, self.nu))
-        return cap
+        return _exterior_cap(self.guide.step_long, self.exterior_columns, self.mu)
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``sigma_j(E)``, then any patch side's ``tau_k(E)``, and their derivatives, below the cap.
-
-        ``sigma_j = sinh(theta) coth(M theta) / h1``; with ``x = M theta``
-        it is ``(x coth x) / (M h1) * sinh(theta) / theta``, and ``d sigma
-        / dE = -(h1/2) (x coth x / M) (r(theta) - M^2 r(x) + M^2 t(x))``,
-        taken with ``x coth x * t(x) = 1``, finite where ``t(x)`` has a
-        pole.  The patch side, ``c = first``, adds ``tau_k = -(1/h1)
-        cosh((c - 1) theta) / cosh(c theta)``, summed from ``exp(-theta)``,
-        and ``d tau / dE = -(h1^2/2) tau (theta / sinh theta) ((c - 1)^2
-        t((c - 1) theta) - c^2 t(c theta))``.  Each derivative is minus the
-        mass of the mode's eliminated extension.  All are real, for a
-        decaying mode, an oscillating one and the threshold between.
-        """
-        h1, M, c = self.guide.step_long, self.exterior_columns, self.first
-        theta, ratio = _lattice_angles(h1, self.mu, E)
-        # theta and x = M theta in one array
-        u = np.multiply.outer((1.0, M), theta)
-        uc = (u / np.tanh(u)).real
-        r1, rx = _r(u, uc)
-        sigma = uc[1] / (M * h1 * ratio)
-        slope = -0.5 * h1 * (uc[1] * (r1 - M * M * rx) / M + M)
-        if not c:
-            return sigma, slope
-        theta, ratio = _lattice_angles(h1, self.nu, E)
-        u = np.multiply.outer((c - 1.0, c), theta)
-        em = np.expm1(-2.0 * u)
-        tau = (-np.exp(-theta) * (2.0 + em[0]) / ((2.0 + em[1]) * h1)).real
-        dtau = -0.5 * h1**2 * tau * ratio * ((c - 1) ** 2 * _t(u[0]) - c * c * _t(u[1]))
-        return np.concatenate((sigma, tau)), np.concatenate((slope, dtau))
+        """``sigma_j(E)`` and ``d sigma_j / dE`` below the cap (see :func:`_exterior_coupling`)."""
+        return _exterior_coupling(self.guide.step_long, self.exterior_columns, self.mu, E)
 
     @cached_property
     def _work(self) -> np.ndarray:
@@ -719,7 +698,69 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
 
 
 @dataclass
-class WindowOperator:
+class DenseForm:
+    """A guide reduced to ``K`` nodes in closed form: a dense ``K``-square ``T(E)``.
+
+    ``T(E) = stiffness - E diag(mass) + closure(sigma(E))``, the closure
+    Toeplitz plus Hankel in the node index, and ``coupling(E)`` gives
+    ``sigma`` and its derivative at the offsets ``0 .. 2K - 2``.  ``cap`` is
+    the lowest eigenvalue of the guide with the kept nodes held at zero;
+    below it ``T(E)`` factors exactly when ``E < E_1``, as the box's does.
+    """
+
+    guide: TruncatedGuide
+    stiffness: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
+    cap: float
+
+    columns = None  # no box
+
+    @property
+    def size(self) -> int:
+        return int(self.mass.size)
+
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        # |i - i'| and i + i' of every pair of nodes
+        i = np.arange(self.size)
+        return np.abs(i[:, None] - i), i[:, None] + i
+
+    def closure(self, weights: np.ndarray) -> np.ndarray:
+        """``C Sigma C``, ``C = diag(scale)``, ``Sigma[i, i'] = weights[|i - i'|] + weights[i + i']``."""
+        diff, pair = self._offsets
+        return np.outer(self.scale, self.scale) * (weights[diff] + weights[pair])
+
+    def factor(self, E: float) -> Factored | None:
+        """``T(E)`` by dense Cholesky, or ``None`` when it is not positive definite."""
+        sigma, slope = self.coupling(E)
+        mass = np.diag(self.mass)
+        try:
+            low = np.linalg.cholesky(self.stiffness - E * mass + self.closure(sigma))
+        except LinAlgError:
+            return None
+        pencil = mass - self.closure(slope)
+        return Factored(
+            solve=lambda y: np.linalg.solve(low.T, np.linalg.solve(low, y)),
+            pencil=lambda v: pencil @ v,
+        )
+
+    def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """``v^T A v``, ``v^T M v`` and the pair sums ``a2`` of ``x = C v``: ``v^T T(E) v = ... + sigma(E) . a2``."""
+        diff, pair = self._offsets
+        xx = np.outer(self.scale * v, self.scale * v).ravel()
+        count = 2 * self.size - 1
+        a2 = np.bincount(diff.ravel(), xx, count) + np.bincount(pair.ravel(), xx, count)
+        return float(v @ (self.stiffness @ v)), float(v @ (self.mass * v)), a2
+
+    def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``A v``, ``M v`` and the closure's part of ``T(E) v``, ``sigma`` at ``E``."""
+        return self.stiffness @ v, self.mass * v, self.closure(sigma) @ v
+
+
+@dataclass
+class WindowOperator(DenseForm):
     """A window guide reduced to its wall nodes: the capacitance matrix method.
 
     A Neumann window without a potential changes the Dirichlet guide only on
@@ -743,48 +784,23 @@ class WindowOperator:
     mode's column recurrence, closed by the natural plane at ``i = 0`` and
     the Dirichlet end at ``N``, continued to ``theta = i phi`` where the
     mode oscillates (see :func:`_lattice_angles`).
-    ``cap`` is the lowest eigenvalue of the guide with the window closed;
-    below it the eliminated block is positive definite, so ``T_W(E)``
-    factors exactly when ``E < E_1``, as the box's ``T(E)`` does.
     """
 
-    guide: TruncatedGuide
-    stiffness: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
-    mu: np.ndarray = field(repr=False)
 
     form = "window"
-    columns = None  # no box
-
-    @property
-    def size(self) -> int:
-        return int(self.mass.size)
-
-    @property
-    def cap(self) -> float:
-        # a natural plane N columns from a held end: half of a 2N chain
-        # between two held ends
-        return _exterior_cap(self.guide.step_long, 2 * self.guide.n_long, self.mu)
-
-    @cached_property
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        # |i - i'| and i + i' of every pair of wall nodes
-        i = np.arange(self.size)
-        return np.abs(i[:, None] - i), i[:, None] + i
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
         """``-s(n)`` and ``-ds(n)/dE`` at the offsets ``n = 0 .. 2 n_feat``, for ``E`` below the cap.
 
-        ``-C G C`` is the closure ``sigma`` assembles on the offsets, so
-        ``v^T T_W(E) v = ... + sigma(E) . a2`` as on the box.  Per mode,
-        with ``a = N - n``, ``s(n)`` is summed from ``exp(-n theta)`` and
-        the Dirichlet end's image ``exp(-(2N - n) theta)``: ``exp(-n theta)
-        2a e1(2a theta) (theta / sinh theta) / (1 + exp(-2N theta))``, with
-        ``e1(u) = (1 - exp(-u)) / u``, and ``ds/dE = -(h1^2/2) s (theta /
-        sinh theta) (a^2 r(a theta) - r(theta) - N^2 t(N theta))``; both
-        hold through the threshold and at ``theta = i phi``.
+        ``-C G C`` is the closure ``sigma`` assembles on the offsets.  Per
+        mode, with ``a = N - n``, ``s(n)`` is summed from ``exp(-n theta)``
+        and the Dirichlet end's image ``exp(-(2N - n) theta)``: ``exp(-n
+        theta) 2a e1(2a theta) (theta / sinh theta) / (1 + exp(-2N
+        theta))``, with ``e1(u) = (1 - exp(-u)) / u``, and ``ds/dE =
+        -(h1^2/2) s (theta / sinh theta) (a^2 r(a theta) - r(theta) - N^2
+        t(N theta))``; both hold through the threshold and at ``theta = i
+        phi``.
         """
         N, h1 = self.guide.n_long, self.guide.step_long
         theta, ratio = _lattice_angles(h1, self.mu, E)
@@ -799,57 +815,33 @@ class WindowOperator:
 
     def _mode_sums(self, theta, ratio, weight) -> tuple[np.ndarray, np.ndarray]:
         # s(n) and its slope's factor over the given modes, each up to sign(a)
-        # and its factor in h1
+        # and its factor in h1.  s is the call's one (offset, mode) matrix;
+        # the rest runs on blocks of its rows of about 2^14 entries, small
+        # enough for malloc's heap, each entry by the same operations in the
+        # same order, and each block but the last takes u and em again for r
         N = self.guide.n_long
         # |a|, taken as 1 on the offset n = N, whose row sign(a) = 0 clears
         A = np.maximum(np.abs(N - np.arange(2 * self.size - 1.0)), 1.0)[:, None]
-        u = A * theta
-        em = np.expm1(-2.0 * u)
-        # r first and in place where possible, as the matrices can be large;
-        # 2|a| e1(2|a| theta) theta / sinh(theta) = -expm1(-2|a| theta) / sinh(theta)
-        # and u[0] = N theta
-        r = _r(u, -u * (2.0 + em) / em)
-        s = np.exp((A - N) * theta) * em
-        s *= -ratio / (theta * (2.0 + em[0]))
+        s = np.empty((A.size, theta.size), dtype=theta.dtype)
+        rows = max(1, 2**14 // theta.size)
+        blocks = [(A[i : i + rows], s[i : i + rows]) for i in range(0, A.size, rows)]
+        for a, sb in blocks:
+            u = a * theta
+            em = np.expm1(-2.0 * u)
+            np.exp(np.multiply(a - N, theta, out=sb), out=sb)
+            sb *= em
+        u0 = N * theta  # row 0 of u: A[0] = N
+        s *= -ratio / (theta * (2.0 + np.expm1(-2.0 * u0)))
         w = ratio * weight
-        sigma, ends = s @ weight, s @ ((_r(theta, theta / np.tanh(theta)) + N * N * _t(u[0])) * w)
-        s *= np.multiply(r, A * A, out=r)
+        sigma, ends = s @ weight, s @ ((_r(theta, theta / np.tanh(theta)) + N * N * _t(u0)) * w)
+        for k, (a, sb) in enumerate(reversed(blocks)):
+            if k:
+                u = a * theta
+                em = np.expm1(-2.0 * u)
+            # 2|a| e1(2|a| theta) theta / sinh(theta) = -expm1(-2|a| theta) / sinh(theta)
+            r = _r(u, -u * (2.0 + em) / em)
+            sb *= np.multiply(r, a * a, out=r)
         return sigma, s @ w - ends
-
-    def closure(self, weights: np.ndarray) -> np.ndarray:
-        """``C Sigma C``, ``Sigma[i, i'] = weights[|i - i'|] + weights[i + i']``.
-
-        With ``sigma(E)`` it is ``-C G(E) C``, with ``d sigma / dE`` its
-        derivative, so ``T_W(E) = stiffness - E diag(mass) + closure(sigma)``.
-        """
-        diff, pair = self._offsets
-        return np.outer(self.scale, self.scale) * (weights[diff] + weights[pair])
-
-    def factor(self, E: float) -> Factored | None:
-        """``T_W(E)`` by dense Cholesky, or ``None`` when it is not positive definite."""
-        sigma, slope = self.coupling(E)
-        mass = np.diag(self.mass)
-        try:
-            low = np.linalg.cholesky(self.stiffness - E * mass + self.closure(sigma))
-        except LinAlgError:
-            return None
-        pencil = mass - self.closure(slope)
-        return Factored(
-            solve=lambda y: np.linalg.solve(low.T, np.linalg.solve(low, y)),
-            pencil=lambda v: pencil @ v,
-        )
-
-    def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """``v^T A v``, ``v^T M v`` and the pair sums ``a2[n]`` of ``x = C v`` at each offset."""
-        diff, pair = self._offsets
-        xx = np.outer(self.scale * v, self.scale * v).ravel()
-        count = 2 * self.size - 1
-        a2 = np.bincount(diff.ravel(), xx, count) + np.bincount(pair.ravel(), xx, count)
-        return float(v @ (self.stiffness @ v)), float(v @ (self.mass * v)), a2
-
-    def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``A v``, ``M v`` and the closure's part of ``T_W(E) v``, ``sigma`` at ``E``."""
-        return self.stiffness @ v, self.mass * v, self.closure(sigma) @ v
 
 
 def build_window_operator(g: TruncatedGuide) -> WindowOperator:
@@ -873,25 +865,67 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
     stiffness[i, i + 1] = stiffness[i + 1, i] = -chain
     j = np.arange(1, n2)
     wall = np.sin(np.pi * j / n2)
+    mu = _lattice_eigenvalues(g, j)
     return WindowOperator(
         guide=g,
         stiffness=stiffness,
         mass=w1 * h2 / 2.0,
         scale=w1 / h2,
+        mu=mu,
+        # a natural plane N columns from a held end: half of a 2N chain
+        # between two held ends
+        cap=_exterior_cap(h1, 2 * g.n_long, mu),
         weight=2.0 / g.cross_section.width * wall * wall,
-        mu=_lattice_eigenvalues(g, j),
     )
 
 
-def build_patch_operator(g: TruncatedGuide) -> FdOperator:
-    """The patch guide ``g`` as the box of one column, ``n_feat + 1`` (see :class:`FdOperator`).
+@dataclass
+class PatchOperator(DenseForm):
+    """A patch guide reduced to the first column past the patch, ``c = n_feat + 1``.
+
+    A Dirichlet patch without a potential leaves both sides of column ``c``
+    uniform.  Eliminating every other node of the finite guide, exactly,
+    leaves on its ``n2 + 1`` nodes ``T_P(E) = A_c - E M_c + P diag(sigma(E))
+    P^T + Q diag(tau(E)) Q^T``, ``P = W2 Phi`` the box's exterior closure on
+    the lattice cosines (see :class:`FdOperator`), ``Q = W2 Psi`` the patch
+    side's on the mixed lattice sines ``psi_k(j) = sqrt(2/d) sin((2k + 1) pi
+    j / (2 n2))``, with eigenvalues ``nu``.  By product to sum both terms
+    are ``W2 Sigma W2``, ``Sigma[j, j'] = q[|j - j'|] + q[2 n2 - j - j']``,
+    with ``q[m] = sum_p z_p cos(p pi m / (2 n2))``, ``z_{2j} = s_j^2
+    sigma_j / 2`` (``s_j^2 = 2/d``, ``1/d`` for ``j = 0, n2``) and
+    ``z_{2k + 1} = tau_k / d``.  Numbered from the far wall, ``i = n2 -
+    j``, the column's nodes make ``Sigma`` the closure of :class:`DenseForm`.
+    """
+
+    nu: np.ndarray = field(repr=False)
+
+    form = "patch"
+
+    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
+        """``q[m]`` and ``dq[m]/dE`` below the cap, each the real part of one DFT of length ``4 n2``.
+
+        The DFT's roundoff grows with the norm of ``z``, not with the sum of
+        its terms.
+        """
+        g = self.guide
+        h1, c = g.step_long, g.feature_nodes + 1
+        z = np.empty((2, 2 * self.nu.size + 1))
+        z[:, 0::2] = _exterior_coupling(h1, g.n_long - c, self.mu, E)
+        z[:, 1::2] = _patch_side_coupling(h1, c, self.nu, E)
+        z[:, [0, -1]] *= 0.5
+        sigma, slope = np.fft.rfft(z / g.cross_section.width, 4 * self.nu.size).real
+        return sigma, slope
+
+
+def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
+    """The patch guide ``g`` on the first column past the patch (see :class:`PatchOperator`).
 
     Solves the same finite guide, on the same grid, as
     :func:`build_fd_operator`, and refuses the same guides: one whose patch
     comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
     and so does a guide without a patch (a Dirichlet wall or no feature) or
-    with a potential.  The column's tridiagonal stencil is stored in
-    ``n_trans + 1`` band rows, since the closure's block on it is dense.
+    with a potential.  The column's stencil and weights read the same from
+    either wall.
     """
     if g.half_width is None or g.cross_section.bc == BC_DIRICHLET or g.potential is not None:
         raise ValueError("the patch form needs a patch guide without a potential")
@@ -901,27 +935,22 @@ def build_patch_operator(g: TruncatedGuide) -> FdOperator:
     w2[[0, -1]] = h2 / 2.0
     # the column's transverse edges at half weight, and its edges to column c - 1
     chain = h1 / (2.0 * h2)
-    band = np.zeros((n2 + 1, n2 + 1), order="F")
-    band[0] = w2 / h1 + 2.0 * chain
-    band[0, [0, -1]] -= chain
-    band[1, :n2] = -chain
-    P, mu = _lattice_modes(g)
-    # mixed sines, phase reduced modulo their period 4 n2 before scaling
-    k = np.arange(n2)
-    phase = np.outer(np.arange(1, n2 + 1), 2 * k + 1) % (4 * n2)
-    psi = np.sin(np.pi * phase / (2 * n2)) * math.sqrt(2.0 / g.cross_section.width)
-    Q = np.zeros((n2 + 1, n2))
-    Q[1:] = w2[1:, None] * psi
-    return FdOperator(
+    stiffness = np.diag(w2 / h1 + 2.0 * chain)
+    stiffness[[0, -1], [0, -1]] -= chain
+    i = np.arange(n2)
+    stiffness[i, i + 1] = stiffness[i + 1, i] = -chain
+    mu, nu = _lattice_eigenvalues(g, np.arange(n2 + 1)), _lattice_eigenvalues(g, i + 0.5)
+    c = g.feature_nodes + 1
+    return PatchOperator(
         guide=g,
-        band=band,
+        stiffness=stiffness,
         mass=0.5 * h1 * w2,
-        mask=np.ones((1, n2 + 1), dtype=bool),
-        columns=1,
-        projector=np.hstack((P, Q)),
+        scale=w2,
         mu=mu,
-        first=g.feature_nodes + 1,
-        nu=_lattice_eigenvalues(g, k + 0.5),
+        # the patch side of c columns, closed by the natural plane, has the
+        # lowest eigenvalue of 2c columns between two held ones
+        cap=min(_exterior_cap(h1, g.n_long - c, mu), _exterior_cap(h1, 2 * c, nu)),
+        nu=nu,
     )
 
 
@@ -933,10 +962,11 @@ class OracleSolution:
     ``T(E_1) v`` on the operator's unknowns.  ``vector`` is ``v``,
     mass-normalized over the whole guide with a deterministic sign;
     ``operator`` is the operator solved, whose ``guide`` and ``form`` say
-    what it was: ``"box"`` (``v`` on the box's columns, one column past
-    the patch for the patch form) or ``"window"`` (``v`` on the window's
-    wall nodes).  On the box form the eliminated exterior is given in
-    closed form by :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h - E_1``:
+    what it was: ``"box"`` (``v`` on the box's columns), ``"window"``
+    (``v`` on the window's wall nodes) or ``"patch"`` (``v`` on the first
+    column past the patch).  On the box form the eliminated exterior is
+    given in closed form by :func:`extract_tail_coefficients`.  ``binding``
+    is ``mu_1^h - E_1``:
     positive exactly when a state sits below the discrete threshold.
     ``shift`` is the first shift of the plan whose factorization
     succeeded; ``factorizations`` and ``inner_solves`` count the Cholesky
@@ -953,7 +983,7 @@ class OracleSolution:
     inner_solves: int
     closure_evaluations: int
     vector: np.ndarray = field(repr=False)
-    operator: FdOperator | WindowOperator = field(repr=False)
+    operator: FdOperator | DenseForm = field(repr=False)
 
 
 def discrete_threshold(g: TruncatedGuide, m: int = 1) -> float:
@@ -988,16 +1018,16 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator | WindowOperator, binding_hint: float | None = None
+    op: FdOperator | DenseForm, binding_hint: float | None = None
 ) -> OracleSolution:
     """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0``.
 
     ``T(E)`` is the exact Schur complement of the rest of the guide onto the
     operator's unknowns: everything but the columns of an
     :class:`FdOperator` (``T(E) = A - E M + projector diag(sigma(E))
-    projector^T``; the exterior beyond the box, and for the patch form also
-    the patch side left of its one column), or everything but the wall
-    nodes of a :class:`WindowOperator`.  Each operator factors
+    projector^T``, factored by banded Cholesky), or everything but the few
+    nodes of a :class:`DenseForm`: a window's wall nodes, or the first
+    column past a patch (factored by dense Cholesky).  Each operator factors
     ``T(s)`` or reports that it is not positive definite, back-solves with
     the factor, applies ``-T'(s)``, and gives ``f(E) = v^T T(E) v`` as
     ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
@@ -1192,8 +1222,7 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     """Mode amplitudes and decay rates of the ground state's tail, in closed form.
 
     Past the box the eigenvector is, mode by mode, the exterior's exact
-    solution (see :class:`FdOperator`): with ``c`` the box's edge column
-    (the patch form's one column),
+    solution (see :class:`FdOperator`): with ``c`` the box's edge column,
     ``p_j`` the projection of that column on lattice mode ``j`` and
     ``cosh(theta_j) = 1 + h1^2 (mu_j^h - E_1) / 2``, its column ``i`` carries
     ``A_j (exp(-theta_j i) - exp(-theta_j (2 n_long - i)))``, the decaying
@@ -1201,7 +1230,7 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     ``A_j = p_j exp(theta_j c) / (1 - exp(-2 M theta_j))``.  Returns one
     ``(a_j, rate_j) = (A_j, theta_j / h1)`` for each of the lowest
     ``count`` modes, amplitudes normalized so the threshold mode's is
-    exactly one.  Raises ``ValueError`` for a solution of the window form,
+    exactly one.  Raises ``ValueError`` for a solution of a dense form,
     which keeps no edge column, and when nothing binds: a binding puts
     ``E_1`` below every ``mu_j^h``, so every mode then decays.
     """
@@ -1222,7 +1251,7 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     # the numbering runs along each column, so the edge column's active
     # nodes are the last unknowns
     p = P.T[:count] @ sol.vector[-P.shape[0]:]
-    a = p * np.exp(theta * (op.first + op.columns - 1)) / -np.expm1(-2.0 * M * theta)
+    a = p * np.exp(theta * (op.columns - 1)) / -np.expm1(-2.0 * M * theta)
     a /= a[0]
     rate = theta / h1
     return [(float(aj), float(rj)) for aj, rj in zip(a, rate)]

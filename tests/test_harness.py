@@ -874,28 +874,50 @@ def test_report_records_each_solve(monkeypatch) -> None:
             assert abs(nodes - round(nodes)) < 1e-9
 
 
+def test_rows_record_their_extrapolation() -> None:
+    # each length's Richardson correction, and an Aitken row's ratio and
+    # correction, recomputed from b_by_L and the solves' own bindings; a
+    # one-step plan over two lengths extrapolates neither way
+    cfg = parse_config(_regular_dict(oracle={"h": [0.2, 0.1], "L": [8.0, 10.0, 12.0]}))
+    order = float(cfg.oracle["order"])
+    for row in run_sweep(cfg):
+        x = row.extras
+        for i, b in enumerate(x["b_by_L"]):
+            coarse, fine = x["solves"][2 * i : 2 * i + 2]
+            ratio = coarse["h_snapped"] / fine["h_snapped"]
+            assert b == oracle.richardson(coarse["binding"], fine["binding"], ratio, order=order)
+            assert x["richardson_correction"][i] == b - fine["binding"]
+        b1, b2, b3 = x["b_by_L"]
+        assert x["aitken_ratio"] == (b3 - b2) / (b2 - b1)
+        assert x["aitken_correction"] == row.b_oracle - b3
+    for row in run_sweep(parse_config(_regular_dict())):
+        assert row.extras["richardson_correction"] == [None, None]
+        assert row.b_oracle == row.extras["solves"][-1]["binding"]
+        assert not {"aitken_ratio", "aitken_correction"} & set(row.extras)
+
+
 def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
-    # a patch row solves the patch form, the box of one column, with LAPACK's
-    # banded Cholesky factorization and back-solve, and never assembles the
-    # feature box; the records count every LAPACK call
+    # a patch row solves the dense patch form on the first column past the
+    # patch, with numpy's dense Cholesky factorization and two solves with
+    # the factor per back-solve; it never assembles the feature box nor
+    # loads scipy's LAPACK extension, and the records count every
+    # factorization and back-solve
     calls = Counter()
-    flapack = oracle._load_flapack()
 
-    class Counting:
-        def __getattr__(self, name):
-            routine = getattr(flapack, name)
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return routine(*args, **kwargs)
-
-            return counted
+        return counted
 
     def no_box(*args):
         calls["build_fd_operator"] += 1
         raise AssertionError("a patch row reached the box")
 
-    monkeypatch.setattr(oracle, "_load_flapack", Counting)
+    monkeypatch.setattr(oracle, "_load_flapack", counting("_load_flapack", oracle._load_flapack))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
     monkeypatch.setattr(harness, "build_fd_operator", no_box)
     raw = _window_dict(
         scenario="NeumannPatch",
@@ -906,12 +928,11 @@ def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
     solves = [s for r in rows for s in r.extras["solves"]]
     assert all(r.error is None for r in rows) and len(solves) == 8
     for s in solves:
-        assert s["box_columns"] == 1
+        assert (s["form"], s["box_columns"]) == ("patch", None)
         assert s["unknowns"] == round(math.pi / s["h_trans"]) + 1
-    assert calls["build_fd_operator"] == 0
-    assert calls["dpbtrf"] == sum(s["factorizations"] for s in solves)
-    assert calls["dpbtrs"] == sum(s["inner_solves"] for s in solves)
-    assert set(calls) == {"dpbtrf", "dpbtrs"}
+    assert calls["cholesky"] == sum(s["factorizations"] for s in solves)
+    assert calls["solve"] == 2 * sum(s["inner_solves"] for s in solves)
+    assert set(calls) == {"cholesky", "solve"}
 
 
 def test_benchmark_tracer_sees_every_wrapped_layer(tmp_path) -> None:
@@ -919,24 +940,40 @@ def test_benchmark_tracer_sees_every_wrapped_layer(tmp_path) -> None:
     # refactor that stops calling one of them leaves its layer silently at
     # zero.  oracle.cholesky_banded and oracle.cho_solve_banded are not
     # asserted: the program calls LAPACK's banded routines directly, so the
-    # scipy.linalg names the tracer wraps read 0 until the benchmark changes
+    # scipy.linalg names the tracer wraps read 0 until the benchmark changes.
+    # The three workload shapes run: the regular config, a window config,
+    # and a patch config on two row threads as patch-threads2 runs; only
+    # the regular one assembles the feature box, since both wall features
+    # are solved on their dense forms
     repo = Path(__file__).parents[1]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_regular_dict()))
-    spans_path = tmp_path / "spans.json"
-    run = subprocess.run(
-        [sys.executable, str(repo / "bench" / "child.py"), "trace", str(spans_path),
-         "sweep", "--config", str(path), "--out", str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
+    patch = _window_dict(
+        scenario="NeumannPatch",
+        cross_section={"width": math.pi, "bc": "neumann"},
+        oracle={"h": [0.1], "L": [5.0, 10.0]},
     )
-    assert run.returncode == 0, run.stderr
-    seen = Counter(span[0] for span in json.loads(spans_path.read_text()))
+    runs = {"regular": (_regular_dict(), 1), "window": (_window_dict(), 1), "patch": (patch, 2)}
+    seen = {}
+    for name, (raw, threads) in runs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        spans_path = tmp_path / f"{name}-spans.json"
+        run = subprocess.run(
+            [sys.executable, str(repo / "bench" / "child.py"), "trace", str(spans_path),
+             "sweep", "--config", str(path), "--out", str(tmp_path / name),
+             "--threads", str(threads)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
+        )
+        assert run.returncode == 0, (name, run.stderr)
+        seen[name] = Counter(span[0] for span in json.loads(spans_path.read_text()))
     layers = (
         "harness.render_csv", "harness.emit_report", "harness.compute_fits",
         "harness.truncated_binding", "harness.predict_row", "transverse.build_basis",
         "oracle.build_fd_operator", "oracle.lowest_eigenpairs",
         "regular_pole.solve_secular", "modesum.assemble",
     )
-    assert [name for name in layers if seen[name] == 0] == []
+    assert [layer for layer in layers if seen["regular"][layer] == 0] == []
+    for name, count in seen.items():
+        assert count["oracle.lowest_eigenpairs"] > 0 and count["harness.truncated_binding"] > 0, name
+        assert (count["oracle.build_fd_operator"] > 0) == (name == "regular"), name

@@ -601,20 +601,36 @@ def _dense_terms(op, weights: np.ndarray):
 
 
 def _patch_schur(g: TruncatedGuide, E: float) -> np.ndarray:
-    """``T_P(E)`` of a patch guide: every node off the interface column eliminated densely."""
+    """``T_P(E)`` of a patch guide: every node off the interface column eliminated densely.
+
+    The column's nodes are numbered from the far wall, as the patch form
+    numbers them.
+    """
     A, mass, c = _patch_eliminated(g)
     T = A - E * np.diag(mass)
-    return T[np.ix_(c, c)] - T[np.ix_(c, ~c)] @ np.linalg.solve(T[np.ix_(~c, ~c)], T[np.ix_(~c, c)])
+    S = T[np.ix_(c, c)] - T[np.ix_(c, ~c)] @ np.linalg.solve(T[np.ix_(~c, ~c)], T[np.ix_(~c, c)])
+    return S[::-1, ::-1]
 
 
 # (L, h, W) of short Neumann guides whose E_1 lies above nu_1 = 0.25, where
 # the lowest patch-side mode oscillates
 SHORT_PATCH_GUIDES = [(3.0, 0.1, 0.4), (2.0, 0.1, 0.6)]
 
-
-@pytest.mark.parametrize(
+# a short guide whose cap is the exterior's and a wide patch whose cap is
+# the patch side's
+PATCH_CAP_GUIDES = pytest.mark.parametrize(
     "L, h, W", [(2.0, 0.1, 0.6), (2.0, 0.1, 1.4)], ids=["exterior-cap", "patch-side-cap"]
 )
+
+
+def _patch_energies(op, g: TruncatedGuide) -> tuple[float, ...]:
+    """Below the threshold, between ``nu_1`` and the cap, next to the cap, and around the threshold."""
+    nu1, mu1 = op.nu[0], discrete_threshold(g)
+    return (mu1 - 0.3, 0.5 * (nu1 + op.cap), op.cap - 0.01 * (op.cap - nu1),
+            mu1 - 1e-9, mu1 + 1e-9, mu1 - 1e-7, mu1 - 1e-5)
+
+
+@PATCH_CAP_GUIDES
 def test_patch_form_is_the_schur_complement(L, h, W) -> None:
     # below the threshold, between nu_1 and the cap (patch-side and exterior
     # modes oscillate), 1% of that gap below the cap, 1e-9 either side of
@@ -622,15 +638,15 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
     # exterior: M theta_0 is 4.2e-4 and 4.2e-3 (short guide) or 1.7e-4 and
     # 1.7e-3 (wide patch) at 1e-7 and 1e-5 below the threshold.  The short
     # guide's cap is the exterior's; the wide patch's is the patch side's.
-    # Measured: T_P within 5.4e-16 of the dense complement, relative to its
-    # largest entry, and 5.5e-13 next to the cap, where the dense solve
+    # Measured: T_P within 2.7e-16 of the dense complement, relative to its
+    # largest entry, and 5.0e-13 next to the cap, where the dense solve
     # loses digits; -T_P' within 4.0e-8 of its central difference with step
-    # 1e-6, that difference's own error (1.6e-8 away from the threshold);
-    # the bounds leave a margin of 18 and 2.5.  T_P is read off the box of
-    # one column through its terms
+    # 1e-6, that difference's own error (1.4e-8 away from the threshold);
+    # the bounds leave a margin of 20 and 2.5.  T_P is read off the dense
+    # form through its terms
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     op = oracle.build_patch_operator(g)
-    assert (op.size, op.columns, op.first) == (g.n_trans + 1, 1, g.feature_nodes + 1)
+    assert (op.size, op.form, op.columns) == (g.n_trans + 1, "patch", None)
     # the cap is the lowest eigenvalue of the guide with the column held at
     # zero: measured within 3.7e-14 of the dense eigensolve's
     A, mass, c = _patch_eliminated(g)
@@ -638,9 +654,7 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
         A[np.ix_(~c, ~c)], np.diag(mass[~c]), eigvals_only=True, subset_by_index=[0, 0]
     )[0]
     assert abs(lowest / op.cap - 1.0) <= 1e-12
-    nu1, mu1 = op.nu[0], discrete_threshold(g)
-    for E in (mu1 - 0.3, 0.5 * (nu1 + op.cap), op.cap - 0.01 * (op.cap - nu1),
-              mu1 - 1e-9, mu1 + 1e-9, mu1 - 1e-7, mu1 - 1e-5):
+    for E in _patch_energies(op, g):
         sigma, slope = op.coupling(E)
         want = _patch_schur(g, E)
         A, M, C = _dense_terms(op, sigma)
@@ -653,8 +667,42 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
         assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
 
 
+# the patch form's closure against the projector sum it transforms, relative
+# to the largest entry: at most 1.0e-15 measured below; the bound leaves a
+# margin of 10
+PATCH_CLOSURE_REL_TOL = 1e-14
+
+
+@PATCH_CAP_GUIDES
+def test_patch_closure_is_the_projector_sum(L, h, W) -> None:
+    # the closure at offsets, C Sigma C, against P diag(sigma) P^T +
+    # Q diag(tau) Q^T built from the lattice cosines and the patch side's
+    # mixed sines on the column's nodes numbered from the far wall, the two
+    # sides' couplings and derivatives taken from the closure kit.  The
+    # Schur complement test above cannot see the transform at roundoff
+    g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
+    op = oracle.build_patch_operator(g)
+    n2, h1, c = g.n_trans, g.step_long, g.feature_nodes + 1
+    P, mu = oracle._lattice_modes(g)
+    assert np.array_equal(mu, op.mu)
+    w2 = np.full(n2 + 1, g.step_trans)
+    w2[[0, -1]] /= 2.0
+    k = np.arange(n2)
+    phase = np.outer(np.arange(1, n2 + 1), 2 * k + 1) % (4 * n2)
+    Q = np.zeros((n2 + 1, n2))
+    Q[1:] = w2[1:, None] * np.sin(np.pi * phase / (2 * n2)) * math.sqrt(2.0 / g.cross_section.width)
+    P, Q = P[::-1], Q[::-1]
+    for E in _patch_energies(op, g):
+        sides = zip(oracle._exterior_coupling(h1, g.n_long - c, op.mu, E),
+                    oracle._patch_side_coupling(h1, c, op.nu, E))
+        for (sigma, tau), weights in zip(sides, op.coupling(E)):
+            want = (P * sigma) @ P.T + (Q * tau) @ Q.T
+            got = op.closure(weights)
+            assert np.abs(got - want).max() <= PATCH_CLOSURE_REL_TOL * np.abs(want).max()
+
+
 # relative difference of the patch form's bindings from the box's on the
-# same guides: at most 2.9e-13 measured below; the bound leaves a margin of 6
+# same guides: at most 2.7e-13 measured below; the bound leaves a margin of 7
 PATCH_FORM_REL_TOL = 2e-12
 
 
@@ -665,13 +713,13 @@ PATCH_FORM_REL_TOL = 2e-12
 )
 def test_patch_form_matches_the_box(L, h, W) -> None:
     # the nominal patch row's ladder, two short guides and a wide patch whose
-    # cap is the patch side's, on the same grid; the patch form is the box
-    # of one column, the n_trans + 1 nodes of the first past the patch
+    # cap is the patch side's, on the same grid; the patch form solves the
+    # n_trans + 1 nodes of the first column past the patch
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     box = lowest_eigenpairs(build_fd_operator(g))
     pat = lowest_eigenpairs(oracle.build_patch_operator(g))
-    assert (box.operator.first, box.operator.columns) == (0, g.feature_nodes + oracle.BOX_PADDING + 1)
-    assert (pat.operator.first, pat.operator.columns) == (g.feature_nodes + 1, 1)
+    assert (box.operator.form, box.operator.columns) == ("box", g.feature_nodes + oracle.BOX_PADDING + 1)
+    assert (pat.operator.form, pat.operator.columns) == ("patch", None)
     assert pat.vector.size == g.n_trans + 1
     assert pat.residual <= oracle.EIGEN_RESIDUAL_TOL
     assert abs(pat.binding / box.binding - 1.0) <= PATCH_FORM_REL_TOL
@@ -692,13 +740,14 @@ def test_patch_form_refuses_what_it_does_not_solve() -> None:
 
 
 def test_patch_form_solution_has_no_tails() -> None:
-    # a short patch guide solved on one column: its one column is an edge
-    # column, but nothing binds under a patch, so there are no tails
+    # a short patch guide solved on one column: the tails are read from the
+    # box's edge column, which the patch form eliminates with the rest of
+    # the guide (and nothing binds under a patch)
     L, h, W = SHORT_PATCH_GUIDES[0]
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     sol = lowest_eigenpairs(oracle.build_patch_operator(g))
     assert sol.binding < 0
-    with pytest.raises(ValueError, match="no bound state"):
+    with pytest.raises(ValueError, match="read from the box form's edge column"):
         extract_tail_coefficients(sol, 1)
 
 
@@ -882,8 +931,9 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
     assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
 
 
-# the patch guide's two forms, both factored by cholesky_banded: the full
-# box, and the box of one column
+# the patch guide's two forms: the full box, factored by cholesky_banded,
+# and the dense form on the first column past the patch, factored by
+# np.linalg.cholesky
 PATCH_FORMS = {"box": build_fd_operator, "patch": oracle.build_patch_operator}
 
 
@@ -940,7 +990,9 @@ def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None
     # nothing binds, so the first shift of every solve, the threshold,
     # factors; the -v line counts the factorizations that failed
     build = PATCH_FORMS[form]
-    cholesky = oracle.cholesky_banded
+    owner = oracle if form == "box" else np.linalg
+    name = "cholesky_banded" if form == "box" else "cholesky"
+    cholesky = getattr(owner, name)
     failures = Counter()
 
     def counting(a):
@@ -950,7 +1002,7 @@ def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None
             failures["failed"] += 1
             raise
 
-    monkeypatch.setattr(oracle, "cholesky_banded", counting)
+    monkeypatch.setattr(owner, name, counting)
     hint = None
     for L, (binding, budgets) in PATCH_LADDER.items():
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
@@ -958,7 +1010,7 @@ def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None
         caplog.clear()
         with caplog.at_level("INFO", logger="wgpoles.oracle"):
             sol = lowest_eigenpairs(build(g), binding_hint=hint)
-        assert sol.operator.first == (0 if form == "box" else g.feature_nodes + 1)
+        assert sol.operator.form == form
         assert sol.shift == sol.threshold
         assert sol.factorizations <= budgets[form]
         assert abs(sol.binding / binding - 1.0) < 1e-12
