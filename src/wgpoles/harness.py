@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -390,7 +391,7 @@ def truncated_binding(
     and eigen-``residual`` of the solve.  A potential is solved on the
     feature box (form ``"box"``), a window on its ``n_feat + 1`` wall nodes
     (``"window"``) and a patch on the ``n_trans + 1`` nodes of the first
-    column past it (``"patch"``); both dense forms have ``box_columns``
+    column past it (``"patch"``); both wall forms have ``box_columns``
     ``None``.
     """
     if cfg.m >= 2:
@@ -569,11 +570,13 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
 
     Rows are computed independently (in a thread pool when ``threads > 1``)
     and assembled in config order.  A sub-solver failure marks its row with
-    the error instead of aborting the sweep.
+    the error instead of aborting the sweep.  Each finished row logs its
+    eigensolves and its wall time.
     """
     basis = build_basis(cfg.cross_section, basis_size(cfg))
 
     def one(index: int) -> SweepRow:
+        start = time.perf_counter()
         try:
             row = _row(cfg, index, basis)
         except Exception as exc:
@@ -582,7 +585,12 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
                 epsilon=cfg.epsilons[index],
                 error=f"{type(exc).__name__}: {exc}",
             )
-        logger.info("row eps=%g done", row.epsilon)
+        logger.info(
+            "row eps=%g done: %d eigensolves, %.3f s",
+            row.epsilon,
+            len(row.extras["solves"]),
+            time.perf_counter() - start,
+        )
         return row
 
     indices = range(len(cfg.epsilons))
@@ -806,8 +814,10 @@ def run_experiment(
     The one writer of ``sweep.csv`` and ``report.json``.  The report stages
     are looked up in this module at call time, so a wrapper set on
     ``render_csv``, ``emit_report`` or ``compute_fits`` sees every call.
+    The fits, report and CSV stage logs its wall time.
     """
     rows = run_sweep(cfg, threads=threads)
+    start = time.perf_counter()
     fits = compute_fits(cfg, rows)
     report = emit_report(cfg, rows, fits)
     if out_dir is not None:
@@ -815,4 +825,5 @@ def run_experiment(
         out.mkdir(parents=True, exist_ok=True)
         (out / "sweep.csv").write_text(render_csv(rows))
         (out / "report.json").write_text(report)
+    logger.info("fits, report and CSV: %.3f s", time.perf_counter() - start)
     return rows, fits, report

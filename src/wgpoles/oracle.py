@@ -27,8 +27,7 @@ Arnold).  Each closure is one formula in each mode's angle ``theta_j``
 ``theta = i phi``: no closure branches on how a mode behaves.  The
 eigenvalue is then the root of a small nonlinear symmetric problem
 ``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
-bracketed from below by Cholesky factorizations (banded on the box, dense
-on the dense forms below), which succeed
+bracketed from below by Cholesky factorizations, which succeed
 exactly when the shift lies below ``E_1`` (as long as it stays below the
 exterior's own lowest eigenvalue, the cap where ``T`` has its first pole),
 and from above by the smallest eigenvalue of the linearized pencil, found
@@ -43,29 +42,32 @@ The solution keeps the operator's unknowns only; the tails are the one
 closed form of the rest.  Everything is deterministic: fixed all-ones
 start vector, direct factorizations.
 
-A wall feature without a potential is reduced to a :class:`DenseForm`,
-every other node of the same finite guide eliminated in closed form (the
-capacitance matrix method of Buzbee, Dorr, George and Golub, and of
-Proskurowski and Widlund): a window to its ``n_feat + 1`` wall nodes
+A wall feature without a potential is reduced further, every other node
+of the same finite guide eliminated in closed form (the capacitance
+matrix method of Buzbee, Dorr, George and Golub, and of Proskurowski and
+Widlund): a window to its ``n_feat + 1`` wall nodes
 (:class:`WindowOperator`), a patch to the ``n_trans + 1`` nodes of the
-first column past it (:class:`PatchOperator`).  Both closures are Toeplitz
-plus Hankel in the node index, so the two forms differ only in their
-``coupling(E)`` and ``cap``.  :func:`lowest_eigenpairs` brackets the box and
-either form with one loop, through the interface all three offer: factor
-or report failure, back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with
-its derivative.  The box still accepts windows and patches, as the
-reference the dense forms are tested against.
+first column past it (:class:`PatchOperator`).  The box and both wall
+forms are one operator, :class:`FdOperator`: a stiffness band plus a
+closure on its last few unknowns that is Toeplitz plus or minus Hankel in
+their node index, so the three forms differ only in their ``coupling(E)``
+and in the fields their builders set.  :func:`lowest_eigenpairs` brackets
+each with one loop, through the interface the class offers: factor or
+report failure, back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with its
+derivative.  The box still accepts windows and patches, as the reference
+the wall forms are tested against.
 
-The box's stiffness matrix is assembled straight into LAPACK lower band
-storage, ``band[i - j, j] = A[i, j]`` for ``i >= j``, with the unknowns
-numbered along each column: the band is as wide as one column's active
-nodes, and the 5-point stencil fills only a few of its diagonals, which is
-all the matrix-vector product visits.  The box's factorizations and
-back-solves are LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's compiled
-LAPACK extension, loaded on its own on the first of them: importing
-``scipy.linalg`` would pull in scipy's array-API layer and with it much of
-numpy's test and build tooling, which costs more CPU at start-up than a
-window sweep spends solving.  The dense forms factor with numpy alone.
+The stiffness is assembled straight into LAPACK lower band storage,
+``band[i - j, j] = A[i, j]`` for ``i >= j``; the box numbers its unknowns
+along each column, so its band is as wide as one column's active nodes,
+and the 5-point stencil fills only a few of its diagonals, which is all
+the matrix-vector product visits.  The closure's lower triangle is
+gathered into the same band, full on the wall forms.  Every factorization
+and back-solve is LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's
+compiled LAPACK extension, loaded on its own on the first of them:
+importing ``scipy.linalg`` would pull in scipy's array-API layer and with
+it much of numpy's test and build tooling, which costs more CPU at
+start-up than a window sweep spends solving.
 """
 
 from __future__ import annotations
@@ -283,7 +285,7 @@ class TruncatedGuide:
 
     @cached_property
     def x1(self) -> np.ndarray:
-        """Longitudinal nodes ``0 .. L``, built on first use: the dense forms never read them."""
+        """Longitudinal nodes ``0 .. L``, built on first use: the wall forms never read them."""
         return np.linspace(0.0, self.half_length, self.n_long + 1)
 
     @cached_property
@@ -393,40 +395,32 @@ def _lattice_eigenvalues(g: TruncatedGuide, j):
     return 4.0 / (h * h) * s * s
 
 
-def _lattice_modes(g: TruncatedGuide) -> tuple[np.ndarray, np.ndarray]:
-    """``projector`` and ``mu`` of the lattice modes on a column's active nodes.
-
-    See :class:`FdOperator`; a column past the feature is active off the
-    walls of a Dirichlet strip and everywhere on a Neumann one.
-    """
-    n2, h2 = g.n_trans, g.step_trans
-    d = g.cross_section.width
-    k = np.arange(n2 + 1)
-    if g.cross_section.bc == BC_DIRICHLET:
-        nodes = (k > 0) & (k < n2)
-        j = k[1:-1]
-        scale = np.full(j.size, math.sqrt(2.0 / d))
-        w2 = np.full(j.size, h2)
-        wave = np.sin
-    else:
-        nodes = np.ones(n2 + 1, dtype=bool)
-        j = k
-        scale = np.full(j.size, math.sqrt(2.0 / d))
-        scale[[0, -1]] = math.sqrt(1.0 / d)
-        w2 = np.full(j.size, h2)
-        w2[[0, -1]] = h2 / 2.0
-        wave = np.cos
-    # reduce k j modulo the period before scaling, so the phase stays exact;
-    # phi is scaled before it is weighted, which fixes the projector's last bit
-    phase = np.outer(k[nodes], j) % (2 * n2)
-    phi = wave(np.pi * phase / n2) * scale
-    return w2[:, None] * phi, _lattice_eigenvalues(g, j)
-
-
 def _exterior_cap(h1: float, M: int, mu: np.ndarray) -> float:
     """Lowest eigenvalue of the ``M``-column exterior with its first column held at zero."""
     s = math.sin(math.pi / (2 * M))
     return float(mu.min()) + 4.0 / h1**2 * s * s
+
+
+def _check_band(rows: int, n: int) -> None:
+    """Refuse a working band of ``rows`` by ``n`` that would exceed ``MAX_BAND_BYTES``."""
+    band_bytes = rows * n * 8
+    if band_bytes > MAX_BAND_BYTES:
+        raise MemoryError(
+            f"band factorization needs {band_bytes / 1e9:.1f} GB "
+            f"(bandwidth {rows}, {n} unknowns); coarsen the grid"
+        )
+
+
+@cache
+def _cosines(n2: int, count: int, d: float) -> np.ndarray:
+    """``cos(p pi m / (2 n2)) / d`` for the slots ``p = 0 .. 2 n2`` and the offsets ``m < count``.
+
+    Rows ``p = 0`` and ``2 n2`` are halved.  ``p m`` is reduced modulo the
+    period before scaling, so each phase stays exact.
+    """
+    table = np.cos(np.pi * (np.outer(np.arange(2 * n2 + 1), np.arange(count)) % (4 * n2)) / (2 * n2))
+    table[[0, -1]] *= 0.5
+    return table / d
 
 
 @dataclass
@@ -437,32 +431,55 @@ class Factored:
     pencil: Callable[[np.ndarray], np.ndarray]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class FdOperator:
-    """The box: columns ``0 .. c`` of the guide, ``A u = E M u`` on their active nodes.
+    """A guide on a few of its nodes, the rest eliminated exactly: ``T(E) = A - E M + closure``.
 
-    ``band`` (``A`` in LAPACK lower band storage), ``mass`` and ``mask``
-    (the active nodes) cover columns ``0 .. c = columns - 1`` of the guide,
-    from the symmetry plane to the natural edge column ``c``, whose active
-    nodes are the last unknowns.  Past it the guide has no perturbation, so
-    the lattice sines (Dirichlet walls) or cosines (Neumann walls)
-    ``phi_j`` of the transverse stencil, with eigenvalues ``mu``, decouple
-    it into ``M = n_long - c`` (``exterior_columns``) column recurrences
-    ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2 (mu_j - E)``, closed
-    by the Dirichlet end at column ``n_long``.  Eliminating them adds
-    ``sigma_j(E) a_j^2`` to the energy, ``a_j`` the projection of column
-    ``c`` on ``phi_j``.  ``projector`` is ``P = W2 Phi`` on the column's
-    active nodes, whose columns are w2-orthonormal, so ``T(E) = A - E M +
-    P diag(sigma(E)) P^T``, ``P`` zero off column ``c``.
+    ``band`` is the stiffness ``A`` in LAPACK lower band storage,
+    ``band[i - j, j] = A[i, j]`` for ``i >= j``, as wide as ``T(E)``, and
+    ``mass`` the diagonal of ``M``.  The closure couples the last ``K =
+    scale.size`` unknowns, Toeplitz plus or minus Hankel in their node
+    index: ``C Sigma C``, ``C = diag(scale)``,
+
+        ``Sigma[i, i'] = w[|i - i'|] + image w[i + i' + 2 first]``,
+
+    the second term each pair's image in the wall ``first`` nodes before
+    node 0, with ``w`` the closure's weights ``sigma`` of ``coupling(E)``,
+    or their slope for ``T'(E)``, at the offsets ``0 .. 2 (K + first) -
+    2``.  ``cap`` is the lowest eigenvalue of the guide with the kept nodes
+    held at zero; below it ``T(E)`` factors exactly when ``E < E_1``.  The
+    box and the two wall forms (:class:`WindowOperator`,
+    :class:`PatchOperator`) differ only in ``coupling(E)`` and in the fields
+    their builders set.
+
+    This class is the box: ``mask`` (the active nodes) covers its columns
+    ``0 .. c = columns - 1``, from the symmetry plane to the natural edge
+    column ``c``, whose active nodes are the last unknowns.  Past it the
+    guide has no perturbation, so the lattice sines (Dirichlet walls) or
+    cosines (Neumann walls) ``phi_j`` of the transverse stencil, with
+    eigenvalues ``mu``, decouple it into ``M = exterior_columns`` column
+    recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2 (mu_j -
+    E)``, closed by the Dirichlet end at column ``n_long``.  Eliminating
+    them adds ``sigma_j(E) a_j^2`` to the energy, ``a_j`` the projection
+    of column ``c`` on ``phi_j``: ``P diag(sigma(E)) P^T``, ``P = W2 Phi``
+    on the column's active nodes ``k``.  By product to sum that is ``W2
+    (q[|k - k'|] -+ q[k + k']) W2``, ``q[m] = sum_j z_j cos(j pi m / n2)``,
+    ``z_j = s_j^2 sigma_j / 2`` (``s_j^2 = 2/d``, ``1/d`` for the cosines
+    ``j = 0, n2``): minus for the sines, whose first active node is ``k =
+    1``, plus for the cosines.
     """
 
     guide: TruncatedGuide
     band: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
-    mask: np.ndarray = field(repr=False)
-    columns: int
-    projector: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
+    cap: float
+    image: float = 1.0
+    first: int = 0
+    exterior_columns: int | None = None
+    mask: np.ndarray | None = field(default=None, repr=False)
+    columns: int | None = None  # no box
 
     form = "box"
 
@@ -470,83 +487,104 @@ class FdOperator:
     def size(self) -> int:
         return int(self.band.shape[1])
 
-    @property
-    def exterior_columns(self) -> int:
-        """``M``: the exterior's columns, from past the edge column to the Dirichlet end."""
-        return self.guide.n_long - (self.columns - 1)
-
-    @property
-    def cap(self) -> float:
-        """Lowest eigenvalue of the exterior, with the edge column held at zero.
-
-        Below it the eliminated block is positive definite, so ``T(E)`` has
-        as many negative eigenvalues as the whole guide's pencil at ``E``.
-        """
-        return _exterior_cap(self.guide.step_long, self.exterior_columns, self.mu)
-
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``sigma_j(E)`` and ``d sigma_j / dE`` below the cap (see :func:`_exterior_coupling`)."""
-        return _exterior_coupling(self.guide.step_long, self.exterior_columns, self.mu, E)
+        """``q[m]`` and ``dq[m]/dE`` of the box's exterior below the cap (see :func:`_exterior_coupling`)."""
+        return self._cosine_sums(self._exterior(E))
+
+    def _exterior(self, E: float) -> np.ndarray:
+        # sigma_j and its slope in the even slots 2 j of a table of 2 n2 + 1;
+        # the modes start at j = first, as the active nodes do
+        g = self.guide
+        z = np.zeros((2, 2 * g.n_trans + 1))
+        start = 2 * self.first
+        z[:, start : start + 2 * self.mu.size : 2] = _exterior_coupling(
+            g.step_long, self.exterior_columns, self.mu, E
+        )
+        return z
+
+    def _cosine_sums(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the sums of z over the slots at the closure's offsets
+        g = self.guide
+        q = z @ _cosines(g.n_trans, self._count, g.cross_section.width)
+        return q[0], q[1]
+
+    @property
+    def _count(self) -> int:
+        # the closure's offsets, 0 .. 2 (K + first) - 2
+        return 2 * (self.scale.size + self.first) - 1
+
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        # |i - i'| and i + i' + 2 first of every pair of the closure's nodes
+        i = np.arange(self.scale.size)
+        return np.abs(i[:, None] - i), i[:, None] + i + 2 * self.first
+
+    @cached_property
+    def _lower(self) -> tuple[np.ndarray, ...]:
+        # the closure's lower triangle: offsets, C_i C_i', and flat indices
+        # in the Fortran-ordered band
+        K, rows = self.scale.size, self.band.shape[0]
+        i, j = np.tril_indices(K)
+        dst = (i - j) + rows * (self.size - K + j)
+        return i - j, i + j + 2 * self.first, self.scale[i] * self.scale[j], dst
+
+    def closure(self, weights: np.ndarray) -> np.ndarray:
+        """The closure's ``K``-square block ``C Sigma C`` at ``weights``."""
+        diff, pair = self._offsets
+        return np.outer(self.scale, self.scale) * (weights[diff] + self.image * weights[pair])
+
+    @staticmethod
+    def _apply(block: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # the closure's block on the last K unknowns, zero elsewhere
+        y = np.zeros_like(x)
+        y[-block.shape[0]:] = block @ x[-block.shape[0]:]
+        return y
 
     @cached_property
     def _work(self) -> np.ndarray:
         # one factor is live at a time, so every factorization reuses this buffer
         return np.empty_like(self.band, order="F")
 
-    @cached_property
-    def _edge_lower(self) -> tuple[np.ndarray, np.ndarray]:
-        # flat indices of the lower triangle of the closure's block on the
-        # edge column, in the block and in the Fortran-ordered band
-        n = self.projector.shape[0]
-        i, j = np.tril_indices(n)
-        return i * n + j, (i - j) + self.band.shape[0] * (self.size - n + j)
-
-    def _closure(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        # projector diag(weights) projector^T on the edge column, zero elsewhere
-        P = self.projector
-        y = np.zeros_like(x)
-        y[-P.shape[0]:] = P @ (weights * (P.T @ x[-P.shape[0]:]))
-        return y
-
     def factor(self, E: float) -> Factored | None:
         """``T(E)`` by banded Cholesky, or ``None`` when it is not positive definite.
 
+        The closure's lower triangle is gathered straight into the band.
         The factor lives in a buffer that the next call overwrites.
         """
         sigma, slope = self.coupling(E)
-        P = self.projector
-        src, dst = self._edge_lower
+        diff, pair, cc, dst = self._lower
         ab = self._work
         np.copyto(ab, self.band)
         ab[0, :] -= E * self.mass
-        ab.reshape(-1, order="F")[dst] += ((P * sigma) @ P.T).reshape(-1)[src]
+        ab.reshape(-1, order="F")[dst] += cc * (sigma[diff] + self.image * sigma[pair])
         try:
             cb = cholesky_banded(ab)
         except LinAlgError:
             return None
+        block = self.closure(slope)
         return Factored(
             solve=lambda y: cho_solve_banded(cb, y),
-            pencil=lambda v: self.mass * v - self._closure(v, slope),
+            pencil=lambda v: self.mass * v - self._apply(block, v),
         )
 
     def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """``v^T A v``, ``v^T M v`` and the weights ``a2`` with ``v^T T(E) v = ... + sigma(E) . a2``."""
-        P = self.projector
-        return (
-            float(v @ self.matvec(v)),
-            float(v @ (self.mass * v)),
-            (P.T @ v[-P.shape[0]:]) ** 2,
-        )
+        """``v^T A v``, ``v^T M v`` and the pair sums ``a2`` of ``x = C v``: ``v^T T(E) v = ... + sigma(E) . a2``."""
+        diff, pair = self._offsets
+        x = self.scale * v[-self.scale.size:]
+        xx = np.outer(x, x).ravel()
+        n = self._count
+        a2 = np.bincount(diff.ravel(), xx, n) + self.image * np.bincount(pair.ravel(), xx, n)
+        return float(v @ self.matvec(v)), float(v @ (self.mass * v)), a2
 
     def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``A v``, ``M v`` and the closure's part of ``T(E) v = A v - E M v + closure``."""
-        return self.matvec(v), self.mass * v, self._closure(v, sigma)
+        """``A v``, ``M v`` and the closure's part of ``T(E) v = A v - E M v + closure``, ``sigma`` at ``E``."""
+        return self.matvec(v), self.mass * v, self._apply(self.closure(sigma), v)
 
     @cached_property
     def _diagonals(self) -> list[tuple[int, np.ndarray]]:
-        # the 5-point stencil fills only a few rows of the band, the diagonal
-        # first; each is copied out, since a row of the Fortran-ordered band
-        # is strided
+        # the stencil fills only a few rows of the band, the diagonal first;
+        # each is copied out, since a row of the Fortran-ordered band is
+        # strided
         n = self.size
         return [(int(d), self.band[d, : n - d].copy())
                 for d in np.flatnonzero(self.band.any(axis=1))]
@@ -589,6 +627,20 @@ def _box_edge(g: TruncatedGuide, last: int) -> int:
             f"x1 = L = {g.half_length} (lengthen the guide)"
         )
     return edge
+
+
+def _chain_band(diag: np.ndarray, link: float) -> np.ndarray:
+    """A chain's ``K``-square stiffness in a band of ``K`` rows, the closure's width.
+
+    ``diag`` is its diagonal and ``-link`` every edge between neighbours;
+    refused with ``MemoryError`` beyond ``MAX_BAND_BYTES``.
+    """
+    K = diag.size
+    _check_band(K, K)
+    band = np.zeros((K, K), order="F")
+    band[0] = diag
+    band[1, :-1] = -link
+    return band
 
 
 def build_fd_operator(g: TruncatedGuide) -> FdOperator:
@@ -674,93 +726,32 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
 
     col = np.concatenate(cols)
     offset = np.concatenate(rows) - col
-    bw = int(offset.max())
-    band_bytes = (bw + 1) * n * 8
-    if band_bytes > MAX_BAND_BYTES:
-        raise MemoryError(
-            f"band factorization needs {band_bytes / 1e9:.1f} GB "
-            f"(bandwidth {bw + 1}, {n} unknowns); coarsen the grid"
-        )
+    # the edge column's active nodes k, which are also its lattice modes' j
+    k = np.flatnonzero(mask[-1])
+    width = max(int(offset.max()) + 1, k.size)
+    _check_band(width, n)
     # band[offset, col] summed in input order, as np.add.at sums it
     band = np.bincount(
-        offset + (bw + 1) * col, weights=np.concatenate(vals), minlength=(bw + 1) * n
-    ).reshape((bw + 1, n), order="F")
-    projector, mu = _lattice_modes(g)
+        offset + width * col, weights=np.concatenate(vals), minlength=width * n
+    ).reshape((width, n), order="F")
+    mu = _lattice_eigenvalues(g, k)
     return FdOperator(
         guide=g,
         band=band,
         mass=weight[mask],
+        scale=w2[k],
+        mu=mu,
+        cap=_exterior_cap(h1, n1 - edge, mu),
+        image=-1.0 if cs.bc == BC_DIRICHLET else 1.0,
+        first=int(k[0]),
+        exterior_columns=n1 - edge,
         mask=mask,
         columns=edge + 1,
-        projector=projector,
-        mu=mu,
     )
 
 
-@dataclass
-class DenseForm:
-    """A guide reduced to ``K`` nodes in closed form: a dense ``K``-square ``T(E)``.
-
-    ``T(E) = stiffness - E diag(mass) + closure(sigma(E))``, the closure
-    Toeplitz plus Hankel in the node index, and ``coupling(E)`` gives
-    ``sigma`` and its derivative at the offsets ``0 .. 2K - 2``.  ``cap`` is
-    the lowest eigenvalue of the guide with the kept nodes held at zero;
-    below it ``T(E)`` factors exactly when ``E < E_1``, as the box's does.
-    """
-
-    guide: TruncatedGuide
-    stiffness: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(repr=False)
-    mu: np.ndarray = field(repr=False)
-    cap: float
-
-    columns = None  # no box
-
-    @property
-    def size(self) -> int:
-        return int(self.mass.size)
-
-    @cached_property
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        # |i - i'| and i + i' of every pair of nodes
-        i = np.arange(self.size)
-        return np.abs(i[:, None] - i), i[:, None] + i
-
-    def closure(self, weights: np.ndarray) -> np.ndarray:
-        """``C Sigma C``, ``C = diag(scale)``, ``Sigma[i, i'] = weights[|i - i'|] + weights[i + i']``."""
-        diff, pair = self._offsets
-        return np.outer(self.scale, self.scale) * (weights[diff] + weights[pair])
-
-    def factor(self, E: float) -> Factored | None:
-        """``T(E)`` by dense Cholesky, or ``None`` when it is not positive definite."""
-        sigma, slope = self.coupling(E)
-        mass = np.diag(self.mass)
-        try:
-            low = np.linalg.cholesky(self.stiffness - E * mass + self.closure(sigma))
-        except LinAlgError:
-            return None
-        pencil = mass - self.closure(slope)
-        return Factored(
-            solve=lambda y: np.linalg.solve(low.T, np.linalg.solve(low, y)),
-            pencil=lambda v: pencil @ v,
-        )
-
-    def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """``v^T A v``, ``v^T M v`` and the pair sums ``a2`` of ``x = C v``: ``v^T T(E) v = ... + sigma(E) . a2``."""
-        diff, pair = self._offsets
-        xx = np.outer(self.scale * v, self.scale * v).ravel()
-        count = 2 * self.size - 1
-        a2 = np.bincount(diff.ravel(), xx, count) + np.bincount(pair.ravel(), xx, count)
-        return float(v @ (self.stiffness @ v)), float(v @ (self.mass * v)), a2
-
-    def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``A v``, ``M v`` and the closure's part of ``T(E) v``, ``sigma`` at ``E``."""
-        return self.stiffness @ v, self.mass * v, self.closure(sigma) @ v
-
-
-@dataclass
-class WindowOperator(DenseForm):
+@dataclass(kw_only=True)
+class WindowOperator(FdOperator):
     """A window guide reduced to its wall nodes: the capacitance matrix method.
 
     A Neumann window without a potential changes the Dirichlet guide only on
@@ -859,16 +850,14 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
     w1 = np.full(g.feature_nodes + 1, h1)
     w1[0] = h1 / 2.0
     chain = h2 / (2.0 * h1)
-    stiffness = np.diag(w1 / h2 + 2.0 * chain)
-    stiffness[0, 0] -= chain
-    i = np.arange(w1.size - 1)
-    stiffness[i, i + 1] = stiffness[i + 1, i] = -chain
+    band = _chain_band(w1 / h2 + 2.0 * chain, chain)
+    band[0, 0] -= chain
     j = np.arange(1, n2)
     wall = np.sin(np.pi * j / n2)
     mu = _lattice_eigenvalues(g, j)
     return WindowOperator(
         guide=g,
-        stiffness=stiffness,
+        band=band,
         mass=w1 * h2 / 2.0,
         scale=w1 / h2,
         mu=mu,
@@ -879,8 +868,8 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
     )
 
 
-@dataclass
-class PatchOperator(DenseForm):
+@dataclass(kw_only=True)
+class PatchOperator(FdOperator):
     """A patch guide reduced to the first column past the patch, ``c = n_feat + 1``.
 
     A Dirichlet patch without a potential leaves both sides of column ``c``
@@ -894,7 +883,8 @@ class PatchOperator(DenseForm):
     with ``q[m] = sum_p z_p cos(p pi m / (2 n2))``, ``z_{2j} = s_j^2
     sigma_j / 2`` (``s_j^2 = 2/d``, ``1/d`` for ``j = 0, n2``) and
     ``z_{2k + 1} = tau_k / d``.  Numbered from the far wall, ``i = n2 -
-    j``, the column's nodes make ``Sigma`` the closure of :class:`DenseForm`.
+    j``, the column's nodes make ``Sigma`` the closure of :class:`FdOperator`
+    with the image sign ``+1``.
     """
 
     nu: np.ndarray = field(repr=False)
@@ -902,19 +892,11 @@ class PatchOperator(DenseForm):
     form = "patch"
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``q[m]`` and ``dq[m]/dE`` below the cap, each the real part of one DFT of length ``4 n2``.
-
-        The DFT's roundoff grows with the norm of ``z``, not with the sum of
-        its terms.
-        """
+        """``q[m]`` and ``dq[m]/dE`` below the cap: the exterior's modes in the even slots, the patch side's in the odd."""
         g = self.guide
-        h1, c = g.step_long, g.feature_nodes + 1
-        z = np.empty((2, 2 * self.nu.size + 1))
-        z[:, 0::2] = _exterior_coupling(h1, g.n_long - c, self.mu, E)
-        z[:, 1::2] = _patch_side_coupling(h1, c, self.nu, E)
-        z[:, [0, -1]] *= 0.5
-        sigma, slope = np.fft.rfft(z / g.cross_section.width, 4 * self.nu.size).real
-        return sigma, slope
+        z = self._exterior(E)
+        z[:, 1::2] = _patch_side_coupling(g.step_long, g.feature_nodes + 1, self.nu, E)
+        return self._cosine_sums(z)
 
 
 def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
@@ -935,21 +917,20 @@ def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
     w2[[0, -1]] = h2 / 2.0
     # the column's transverse edges at half weight, and its edges to column c - 1
     chain = h1 / (2.0 * h2)
-    stiffness = np.diag(w2 / h1 + 2.0 * chain)
-    stiffness[[0, -1], [0, -1]] -= chain
-    i = np.arange(n2)
-    stiffness[i, i + 1] = stiffness[i + 1, i] = -chain
-    mu, nu = _lattice_eigenvalues(g, np.arange(n2 + 1)), _lattice_eigenvalues(g, i + 0.5)
-    c = g.feature_nodes + 1
+    band = _chain_band(w2 / h1 + 2.0 * chain, chain)
+    band[0, [0, -1]] -= chain
+    mu, nu = _lattice_eigenvalues(g, np.arange(n2 + 1)), _lattice_eigenvalues(g, np.arange(n2) + 0.5)
+    M = g.n_long - (g.feature_nodes + 1)
     return PatchOperator(
         guide=g,
-        stiffness=stiffness,
+        band=band,
         mass=0.5 * h1 * w2,
         scale=w2,
         mu=mu,
         # the patch side of c columns, closed by the natural plane, has the
         # lowest eigenvalue of 2c columns between two held ones
-        cap=min(_exterior_cap(h1, g.n_long - c, mu), _exterior_cap(h1, 2 * c, nu)),
+        cap=min(_exterior_cap(h1, M, mu), _exterior_cap(h1, 2 * (g.feature_nodes + 1), nu)),
+        exterior_columns=M,
         nu=nu,
     )
 
@@ -969,7 +950,7 @@ class OracleSolution:
     is ``mu_1^h - E_1``:
     positive exactly when a state sits below the discrete threshold.
     ``shift`` is the first shift of the plan whose factorization
-    succeeded; ``factorizations`` and ``inner_solves`` count the Cholesky
+    succeeded; ``factorizations`` and ``inner_solves`` count the banded Cholesky
     factorizations and back-solves of the whole solve, and
     ``closure_evaluations`` its calls of the operator's ``coupling(E)``.
     """
@@ -983,7 +964,7 @@ class OracleSolution:
     inner_solves: int
     closure_evaluations: int
     vector: np.ndarray = field(repr=False)
-    operator: FdOperator | DenseForm = field(repr=False)
+    operator: FdOperator = field(repr=False)
 
 
 def discrete_threshold(g: TruncatedGuide, m: int = 1) -> float:
@@ -1018,19 +999,17 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator | DenseForm, binding_hint: float | None = None
+    op: FdOperator, binding_hint: float | None = None
 ) -> OracleSolution:
     """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0``.
 
-    ``T(E)`` is the exact Schur complement of the rest of the guide onto the
-    operator's unknowns: everything but the columns of an
-    :class:`FdOperator` (``T(E) = A - E M + projector diag(sigma(E))
-    projector^T``, factored by banded Cholesky), or everything but the few
-    nodes of a :class:`DenseForm`: a window's wall nodes, or the first
-    column past a patch (factored by dense Cholesky).  Each operator factors
-    ``T(s)`` or reports that it is not positive definite, back-solves with
-    the factor, applies ``-T'(s)``, and gives ``f(E) = v^T T(E) v`` as
-    ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
+    ``T(E) = A - E M + closure(sigma(E))`` is the exact Schur complement
+    of the rest of the guide onto the operator's unknowns (see
+    :class:`FdOperator`): the box's columns, a window's wall nodes, or the
+    first column past a patch, each factored by banded Cholesky.  The
+    operator factors ``T(s)`` or reports that it is not positive definite,
+    back-solves with the factor, applies ``-T'(s)``, and gives ``f(E) = v^T
+    T(E) v`` as ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
     ``[s, p]``:
 
     - below the operator's cap, a Cholesky factorization of ``T(s)``
@@ -1230,7 +1209,7 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
     ``A_j = p_j exp(theta_j c) / (1 - exp(-2 M theta_j))``.  Returns one
     ``(a_j, rate_j) = (A_j, theta_j / h1)`` for each of the lowest
     ``count`` modes, amplitudes normalized so the threshold mode's is
-    exactly one.  Raises ``ValueError`` for a solution of a dense form,
+    exactly one.  Raises ``ValueError`` for a solution of a wall form,
     which keeps no edge column, and when nothing binds: a binding puts
     ``E_1`` below every ``mu_j^h``, so every mode then decays.
     """
@@ -1246,11 +1225,19 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
         )
     if count > op.mu.size:
         raise ValueError(f"{count} modes requested; the lattice has {op.mu.size}")
-    h1, M, P = op.guide.step_long, op.exterior_columns, op.projector
+    g = op.guide
+    h1, M, K = g.step_long, op.exterior_columns, op.scale.size
     theta = _lattice_angles(h1, op.mu, sol.value)[0][:count]
-    # the numbering runs along each column, so the edge column's active
-    # nodes are the last unknowns
-    p = P.T[:count] @ sol.vector[-P.shape[0]:]
+    # the edge column's active nodes k, the last unknowns since the
+    # numbering runs along each column, and the lowest modes j, sines from
+    # j = 1 or cosines from j = 0 like them, each unit in w2 over the strip;
+    # k j is reduced modulo the period before scaling, so the phase stays exact
+    k = np.arange(op.first, op.first + K)
+    j = k[:count]
+    wave = np.sin if g.cross_section.bc == BC_DIRICHLET else np.cos
+    phi = wave(np.pi * (np.outer(k, j) % (2 * g.n_trans)) / g.n_trans)
+    norm = np.sqrt(np.where((j == 0) | (j == g.n_trans), 1.0, 2.0) / g.cross_section.width)
+    p = (op.scale * sol.vector[-K:]) @ phi * norm
     a = p * np.exp(theta * (op.columns - 1)) / -np.expm1(-2.0 * M * theta)
     a /= a[0]
     rate = theta / h1

@@ -280,6 +280,24 @@ def test_regular_sweep_rows_and_artifacts(tmp_path) -> None:
     assert (tmp_path / "report.json").read_text() == report
 
 
+def test_verbose_log_times_each_row_and_the_report_stage(tmp_path, caplog) -> None:
+    # -v logs one timed line per row, with its eigensolves, and one for the
+    # fits, report and CSV stage; the artifacts stay what the rows render
+    cfg = parse_config(_regular_dict())
+    with caplog.at_level("INFO", logger="wgpoles.harness"):
+        rows, _, report = run_experiment(cfg, out_dir=tmp_path)
+    lines = [r.getMessage() for r in caplog.records if r.name == "wgpoles.harness"]
+    done = [re.fullmatch(r"row eps=(\S+) done: (\d+) eigensolves, ([0-9.]+) s", m) for m in lines]
+    done = [m for m in done if m]
+    assert [float(m[1]) for m in done] == [r.epsilon for r in rows]
+    assert [int(m[2]) for m in done] == [len(r.extras["solves"]) for r in rows]
+    assert all(float(m[3]) > 0.0 for m in done)
+    (stage,) = [m for m in lines if m.startswith("fits, report and CSV: ")]
+    assert re.fullmatch(r"fits, report and CSV: [0-9.]+ s", stage)
+    assert (tmp_path / "report.json").read_text() == report
+    assert (tmp_path / "sweep.csv").read_text() == render_csv(rows)
+
+
 def test_window_sweep_snaps_too_coarse_steps() -> None:
     # one shared step plan across shrinking windows: the smallest windows
     # force a refinement rather than a row error
@@ -739,9 +757,9 @@ def test_cli_report_reruns_byte_identical(tmp_path, capsys) -> None:
 def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
     # importing scipy.linalg (with scipy's array-API layer) and scipy.sparse
     # cost more CPU than a window sweep spends solving; the oracle loads
-    # scipy's LAPACK extension alone, on the first banded factorization, so
-    # a window sweep, solved on the wall nodes, loads it not at all, nor
-    # the thread pool on one thread; -v logs the start-up CPU
+    # scipy's LAPACK extension alone, on the first banded factorization,
+    # which a window sweep makes on its wall nodes, and a sweep on one
+    # thread loads no thread pool; -v logs the start-up CPU
     path = tmp_path / "win.json"
     path.write_text(json.dumps(_window_dict()))
     argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "-v"]
@@ -750,7 +768,7 @@ def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
         "from wgpoles.cli import main\n"
         f"code = main({argv!r})\n"
         "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy._lib._array_api', "
-        "'scipy.linalg._flapack', 'concurrent.futures')\n"
+        "'concurrent.futures')\n"
         "print(json.dumps([code, [m for m in heavy if m in sys.modules], "
         "time.process_time()]))\n"
     )
@@ -897,11 +915,28 @@ def test_rows_record_their_extrapolation() -> None:
 
 
 def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
-    # a patch row solves the dense patch form on the first column past the
-    # patch, with numpy's dense Cholesky factorization and two solves with
-    # the factor per back-solve; it never assembles the feature box nor
-    # loads scipy's LAPACK extension, and the records count every
-    # factorization and back-solve
+    raw = _window_dict(
+        scenario="NeumannPatch",
+        cross_section={"width": math.pi, "bc": "neumann"},
+        oracle={"h": [0.1], "L": [5.0, 10.0]},
+    )
+    solves = _assert_wall_sweep_never_reaches_the_box("patch", raw, 8, monkeypatch)
+    for s in solves:
+        assert s["unknowns"] == round(math.pi / s["h_trans"]) + 1
+
+
+def test_window_sweep_never_reaches_the_box(monkeypatch) -> None:
+    solves = _assert_wall_sweep_never_reaches_the_box("window", _window_dict(), 4, monkeypatch)
+    for s in solves:
+        assert s["unknowns"] == round(s["feature_half_width"] / s["h_long"] - 0.5) + 1
+
+
+def _assert_wall_sweep_never_reaches_the_box(form, raw, count, monkeypatch) -> list[dict]:
+    # a window row solves the window form on its wall nodes, a patch row the
+    # patch form on the first column past the patch; both factor and
+    # back-solve with the oracle's one banded LAPACK pair, never with
+    # numpy's dense Cholesky, and never assemble the feature box; the
+    # records count every factorization and back-solve
     calls = Counter()
 
     def counting(name, fn):
@@ -913,26 +948,21 @@ def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
 
     def no_box(*args):
         calls["build_fd_operator"] += 1
-        raise AssertionError("a patch row reached the box")
+        raise AssertionError("a wall row reached the box")
 
-    monkeypatch.setattr(oracle, "_load_flapack", counting("_load_flapack", oracle._load_flapack))
-    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
-    monkeypatch.setattr(np.linalg, "solve", counting("solve", np.linalg.solve))
+    monkeypatch.setattr(oracle, "cholesky_banded", counting("factorizations", oracle.cholesky_banded))
+    monkeypatch.setattr(oracle, "cho_solve_banded", counting("inner_solves", oracle.cho_solve_banded))
+    monkeypatch.setattr(np.linalg, "cholesky", counting("np.linalg.cholesky", np.linalg.cholesky))
     monkeypatch.setattr(harness, "build_fd_operator", no_box)
-    raw = _window_dict(
-        scenario="NeumannPatch",
-        cross_section={"width": math.pi, "bc": "neumann"},
-        oracle={"h": [0.1], "L": [5.0, 10.0]},
-    )
     rows = run_sweep(parse_config(raw))
     solves = [s for r in rows for s in r.extras["solves"]]
-    assert all(r.error is None for r in rows) and len(solves) == 8
+    assert all(r.error is None for r in rows) and len(solves) == count
     for s in solves:
-        assert (s["form"], s["box_columns"]) == ("patch", None)
-        assert s["unknowns"] == round(math.pi / s["h_trans"]) + 1
-    assert calls["cholesky"] == sum(s["factorizations"] for s in solves)
-    assert calls["solve"] == 2 * sum(s["inner_solves"] for s in solves)
-    assert set(calls) == {"cholesky", "solve"}
+        assert (s["form"], s["box_columns"]) == (form, None)
+    for name in ("factorizations", "inner_solves"):
+        assert calls[name] == sum(s[name] for s in solves), name
+    assert set(calls) == {"factorizations", "inner_solves"}
+    return solves
 
 
 def test_benchmark_tracer_sees_every_wrapped_layer(tmp_path) -> None:
@@ -944,7 +974,7 @@ def test_benchmark_tracer_sees_every_wrapped_layer(tmp_path) -> None:
     # The three workload shapes run: the regular config, a window config,
     # and a patch config on two row threads as patch-threads2 runs; only
     # the regular one assembles the feature box, since both wall features
-    # are solved on their dense forms
+    # are solved on their wall forms
     repo = Path(__file__).parents[1]
     patch = _window_dict(
         scenario="NeumannPatch",

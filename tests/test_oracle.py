@@ -499,9 +499,9 @@ def test_window_form_is_the_schur_complement() -> None:
     # pair straddling r's series join: at mu_1^h - 1e-8 every a theta_1 is
     # below SERIES_BELOW, at mu_1^h - 1e-6 those with a >= 5 are above it.
     # Measured: T_W within 1.8e-15 of the dense complement, relative to its
-    # largest entry, and -T_W' within 3.5e-9 of its central difference with
+    # largest entry, and -T_W' within 2.6e-9 of its central difference with
     # step 1e-6, which is that difference's own error; the bounds leave a
-    # margin of 57 and 29
+    # margin of 57 and 38.  T_W is read off the form through its terms
     g = TruncatedGuide(cross_section=_CS, half_length=3.0, h=0.25, half_width=1.1)
     op = oracle.build_window_operator(g)
     assert (op.size, g.n_long, g.n_trans) == (g.feature_nodes + 1, 12, 13)
@@ -509,17 +509,19 @@ def test_window_form_is_the_schur_complement() -> None:
     for E in (mu1 - 0.3, mu1, 0.5 * (mu1 + op.cap), mu1 - 1e-9, mu1 + 1e-9, mu1 - 1e-8, mu1 - 1e-6):
         sigma, slope = op.coupling(E)
         want = _window_schur(g, E)
-        got = op.stiffness - E * np.diag(op.mass) + op.closure(sigma)
+        A, M, C = _dense_terms(op, sigma)
+        got = A - E * M + C
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         dE = 1e-6
         d_want = (_window_schur(g, E + dE) - _window_schur(g, E - dE)) / (2.0 * dE)
-        d_got = op.closure(slope) - np.diag(op.mass)
+        _, M, C = _dense_terms(op, slope)
+        d_got = C - M
         assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
 
 
 # relative difference of the window form's bindings from the box's on the
-# same guides: at most 5.6e-12 measured below, 6.9e-11 over the hinted
-# solves of the nominal window-ladder sweep; the bound leaves a margin of 18
+# same guides: at most 4.8e-12 measured below, 6.9e-11 over the hinted
+# solves of the nominal window-ladder sweep; the bound leaves a margin of 21
 WINDOW_FORM_REL_TOL = 1e-10
 
 
@@ -639,10 +641,10 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
     # 1.7e-3 (wide patch) at 1e-7 and 1e-5 below the threshold.  The short
     # guide's cap is the exterior's; the wide patch's is the patch side's.
     # Measured: T_P within 2.7e-16 of the dense complement, relative to its
-    # largest entry, and 5.0e-13 next to the cap, where the dense solve
+    # largest entry, and 5.5e-13 next to the cap, where the dense solve
     # loses digits; -T_P' within 4.0e-8 of its central difference with step
     # 1e-6, that difference's own error (1.4e-8 away from the threshold);
-    # the bounds leave a margin of 20 and 2.5.  T_P is read off the dense
+    # the bounds leave a margin of 18 and 2.5.  T_P is read off the dense
     # form through its terms
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     op = oracle.build_patch_operator(g)
@@ -667,9 +669,59 @@ def test_patch_form_is_the_schur_complement(L, h, W) -> None:
         assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
 
 
+def _lattice_projector(g: TruncatedGuide, mu: np.ndarray) -> np.ndarray:
+    """``P = W2 Phi`` on a uniform column's active nodes, built apart from the oracle.
+
+    The lattice sines ``sqrt(2/d) sin(j k pi / n2)``, ``j, k = 1 .. n2 - 1``,
+    of a Dirichlet strip, or the cosines ``s_j cos(j k pi / n2)``, ``j, k =
+    0 .. n2``, of a Neumann one, ``s_j^2 = 2/d`` (``1/d`` at ``j = 0, n2``);
+    ``k j`` is reduced modulo the period, so the phase stays exact.  ``mu``,
+    the operator's mode eigenvalues, must be the columns' stencil eigenvalues.
+    """
+    n2, d = g.n_trans, g.cross_section.width
+    w2 = np.full(n2 + 1, g.step_trans)
+    w2[[0, -1]] /= 2.0
+    k = np.arange(n2 + 1)
+    s = np.full(n2 + 1, math.sqrt(2.0 / d))
+    if g.cross_section.bc == "dirichlet":
+        k, s, wave = k[1:-1], s[1:-1], np.sin
+    else:
+        s[[0, -1]] = math.sqrt(1.0 / d)
+        wave = np.cos
+    lam = 4.0 / g.step_trans**2 * np.sin(k * np.pi * g.step_trans / (2.0 * d)) ** 2
+    assert np.allclose(mu, lam, rtol=1e-14, atol=0.0)
+    return w2[k, None] * wave(np.pi * (np.outer(k, k) % (2 * n2)) / n2) * s
+
+
+# the box's closure at offsets against the projector product it transforms,
+# relative to the largest entry: at most 1.0e-15 (sines) and 6.7e-16
+# (cosines) measured below; the bound leaves a margin of 10
+BOX_CLOSURE_REL_TOL = 1e-14
+
+
+@pytest.mark.parametrize("cs", [_CS, _NCS], ids=["dirichlet-sines", "neumann-cosines"])
+def test_box_closure_is_the_projector_product(cs) -> None:
+    # the box's edge closure, W2 (q[|k - k'|] -+ q[k + k']) W2 from one
+    # cosine sum, and its slope against P diag(sigma) P^T with P rebuilt from the
+    # lattice modes and sigma from the closure kit: below the threshold,
+    # 1e-9 either side of it, with one mode oscillating, and next to the
+    # cap, where two do
+    g = TruncatedGuide(cross_section=cs, half_length=2.0, h=0.1)
+    op = build_fd_operator(g)
+    P = _lattice_projector(g, op.mu)
+    mu1 = discrete_threshold(g)
+    assert op.mu[1] < op.cap
+    for E in (mu1 - 0.3, mu1 - 1e-9, mu1 + 1e-9, 0.5 * (mu1 + op.cap), op.cap - 0.01 * (op.cap - mu1)):
+        modes = oracle._exterior_coupling(g.step_long, op.exterior_columns, op.mu, E)
+        for weights, sigma in zip(op.coupling(E), modes):
+            want = (P * sigma) @ P.T
+            got = op.closure(weights)
+            assert np.abs(got - want).max() <= BOX_CLOSURE_REL_TOL * np.abs(want).max()
+
+
 # the patch form's closure against the projector sum it transforms, relative
-# to the largest entry: at most 1.0e-15 measured below; the bound leaves a
-# margin of 10
+# to the largest entry: at most 1.2e-15 measured below; the bound leaves a
+# margin of 8
 PATCH_CLOSURE_REL_TOL = 1e-14
 
 
@@ -683,8 +735,7 @@ def test_patch_closure_is_the_projector_sum(L, h, W) -> None:
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     op = oracle.build_patch_operator(g)
     n2, h1, c = g.n_trans, g.step_long, g.feature_nodes + 1
-    P, mu = oracle._lattice_modes(g)
-    assert np.array_equal(mu, op.mu)
+    P = _lattice_projector(g, op.mu)
     w2 = np.full(n2 + 1, g.step_trans)
     w2[[0, -1]] /= 2.0
     k = np.arange(n2)
@@ -702,7 +753,7 @@ def test_patch_closure_is_the_projector_sum(L, h, W) -> None:
 
 
 # relative difference of the patch form's bindings from the box's on the
-# same guides: at most 2.7e-13 measured below; the bound leaves a margin of 7
+# same guides: at most 3.6e-13 measured below; the bound leaves a margin of 5
 PATCH_FORM_REL_TOL = 2e-12
 
 
@@ -931,9 +982,8 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
     assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
 
 
-# the patch guide's two forms: the full box, factored by cholesky_banded,
-# and the dense form on the first column past the patch, factored by
-# np.linalg.cholesky
+# the patch guide's two forms: the full box, and the patch form on the
+# first column past the patch, both factored by cholesky_banded
 PATCH_FORMS = {"box": build_fd_operator, "patch": oracle.build_patch_operator}
 
 
@@ -990,9 +1040,7 @@ def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None
     # nothing binds, so the first shift of every solve, the threshold,
     # factors; the -v line counts the factorizations that failed
     build = PATCH_FORMS[form]
-    owner = oracle if form == "box" else np.linalg
-    name = "cholesky_banded" if form == "box" else "cholesky"
-    cholesky = getattr(owner, name)
+    cholesky = oracle.cholesky_banded
     failures = Counter()
 
     def counting(a):
@@ -1002,7 +1050,7 @@ def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None
             failures["failed"] += 1
             raise
 
-    monkeypatch.setattr(owner, name, counting)
+    monkeypatch.setattr(oracle, "cholesky_banded", counting)
     hint = None
     for L, (binding, budgets) in PATCH_LADDER.items():
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
@@ -1030,6 +1078,15 @@ def test_band_memory_guard(monkeypatch) -> None:
     op = build_fd_operator(g)
     assert op.size == 75 and op.band.nbytes == 9_600
     assert lowest_eigenpairs(op).residual <= 1e-8
+    # a wall form's band is as wide as its unknowns, the closure's width
+    for cs, build in ((_CS, oracle.build_window_operator), (_NCS, oracle.build_patch_operator)):
+        g = TruncatedGuide(cross_section=cs, half_length=4.0, h=0.1, half_width=0.5)
+        n = g.feature_nodes + 1 if cs is _CS else g.n_trans + 1
+        monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 8 * n * n - 1)
+        with pytest.raises(MemoryError):
+            build(g)
+        monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 8 * n * n)
+        assert build(g).band.nbytes == 8 * n * n
 
 
 def test_richardson_eliminates_leading_order() -> None:
