@@ -2,8 +2,8 @@
 
 Subcommands mirror the pipeline: ``basis`` (transverse eigenpairs), ``pole``
 (secular solve per coupling), ``asym`` (leading-order predictions),
-``oracle`` (single truncated-guide bindings), ``sweep`` (full run writing
-CSV and JSON artifacts), and ``report`` (full run printed to stdout).
+``oracle`` (single truncated-guide bindings), and ``sweep`` (full run
+writing CSV and JSON artifacts).
 
 Exit codes: 0 on success, 2 for configuration problems, 3 when a solver
 fails to converge or ``pole`` finds a pole its classification rules do not
@@ -65,11 +65,6 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=positive_int, default=1,
-                   help="Worker threads for sweep rows, at least 1 (default 1).")
-
-
 def _cmd_basis(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     basis = build_basis(cfg.cross_section, basis_size(cfg))
@@ -121,7 +116,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"{'epsilon':>10} {'L':>8} {'h_long':>10} {'h_trans':>10} "
           f"{'half-width':>10} {'binding':>18}")
     for i, eps in enumerate(cfg.epsilons):
-        L = cfg.lengths_for(i)[-1]
+        L = cfg.oracle["L"][i][-1]
         try:
             b, s = truncated_binding(cfg, eps, L, cfg.oracle["h"][0])
         except ValueError as exc:  # the config describes an invalid guide
@@ -133,38 +128,26 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_pipeline(args: argparse.Namespace, write: bool) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    out = args.out if write else None
-    rows, fits, report = run_experiment(cfg, out_dir=out, threads=args.threads)
+    rows, _, report = run_experiment(cfg, out_dir=args.out, threads=args.threads)
     if rows and all(r.error is not None for r in rows):
         print("every sweep row failed; see the report for details", file=sys.stderr)
         return EXIT_SOLVER
-    if write:
-        for r in rows:
-            status = r.error or r.classification or "-"
-            b = "-" if r.b_oracle is None else f"{r.b_oracle:.6g}"
-            print(f"eps {r.epsilon:<10g} b_oracle {b:<14} {status}")
-        print(f"artifacts in {out}/")
-        doc = json.loads(report)
-        if getattr(args, "check", False) and not doc["pass"]:
-            failing = [c for c in doc["checks"] if not c["pass"]]
-            for c in failing:
-                where = f" (row {c['row']})" if "row" in c else ""
-                print(f"check failed: {c['name']}{where}: {c['detail']}",
-                      file=sys.stderr)
-            raise _CheckFailed(f"{len(failing)} tolerance checks failed")
-    else:
-        sys.stdout.write(report)
+    for r in rows:
+        status = r.error or r.classification or "-"
+        b = "-" if r.b_oracle is None else f"{r.b_oracle:.6g}"
+        print(f"eps {r.epsilon:<10g} b_oracle {b:<14} {status}")
+    print(f"artifacts in {args.out}/")
+    doc = json.loads(report)
+    if args.check and not doc["pass"]:
+        failing = [c for c in doc["checks"] if not c["pass"]]
+        for c in failing:
+            where = f" (row {c['row']})" if "row" in c else ""
+            print(f"check failed: {c['name']}{where}: {c['detail']}",
+                  file=sys.stderr)
+        raise _CheckFailed(f"{len(failing)} tolerance checks failed")
     return EXIT_OK
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_pipeline(args, write=True)
-
-
-def _cmd_report(args: argparse.Namespace) -> int:
-    return _run_pipeline(args, write=False)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -195,17 +178,13 @@ def _parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="Full sweep; writes sweep.csv and report.json.")
     _add_common(sp)
-    _add_threads(sp)
+    sp.add_argument("--threads", type=positive_int, default=1,
+                    help="Worker threads for sweep rows, at least 1 (default 1).")
     sp.add_argument("--out", type=str, default="out",
                     help="Directory for sweep.csv and report.json (default out).")
     sp.add_argument("--check", action="store_true",
                     help="Exit 4 when a declared tolerance fails.")
     sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("report", help="Full sweep; prints the JSON report.")
-    _add_common(sp)
-    _add_threads(sp)
-    sp.set_defaults(func=_cmd_report)
 
     return p
 
@@ -248,9 +227,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IterationDivergedError, SolverError) as exc:

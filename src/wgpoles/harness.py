@@ -65,7 +65,6 @@ POTENTIAL_KEYS = ("half_width", "n_long", "n_trans", "modes")
 
 # tolerance gates: required and optional fields; ``gap_slope_min`` is a number
 GATES = {
-    "rel_err": (("max",), ("epsilon",)),
     "slope": (("min", "max"), ()),
     "prefactor": (("exponent", "predicted"), ("rel_tol",)),
     "classification": (("expect",), ()),
@@ -104,10 +103,6 @@ class ExperimentConfig:
     oracle: dict
     tolerances: dict
     raw: dict = field(repr=False)
-
-    def lengths_for(self, index: int) -> tuple[float, ...]:
-        """Truncation lengths for the ``index``-th coupling."""
-        return self.oracle["L"][index]
 
 
 def _check_keys(where: str, block, allowed) -> dict:
@@ -160,7 +155,7 @@ def _tolerances(raw) -> dict:
 
 
 def parse_config(source) -> ExperimentConfig:
-    """Build a validated config from a dict, JSON text, or JSON file path.
+    """Build a validated config from a dict or the path of a JSON file.
 
     Schema::
 
@@ -182,20 +177,17 @@ def parse_config(source) -> ExperimentConfig:
     ``tolerances`` maps gate names of :data:`GATES` to their fields, plus
     the number ``gap_slope_min``.  A key no block takes, or a gate missing
     a required field, is rejected.
-    Defaults are filled in here, in the parsed blocks; ``raw`` keeps the
-    source as given.
+    Defaults are filled in and every number is converted (to an ``int``
+    for ``m`` and the secular grid, else a ``float``) here, in the parsed
+    blocks; ``raw`` keeps the source as given.
     """
     if isinstance(source, dict):
         raw = source
     else:
-        text = str(source)
-        if not text.lstrip().startswith(("{", "[")):
-            p = Path(text)
-            if not p.exists():
-                raise ConfigError(f"config file not found: {source}")
-            text = p.read_text()
         try:
-            raw = json.loads(text)
+            raw = json.loads(Path(source).read_text())
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {source}: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -255,8 +247,9 @@ def parse_config(source) -> ExperimentConfig:
                 f"lengths must be positive and strictly increasing, got {Ls}"
             )
     oracle["L"] = tuple(tuple(Ls) for Ls in lists)
-    order = oracle.setdefault("order", 2)
-    if not (_number("oracle.order", order) > 0):
+    order = oracle.get("order", 2)
+    oracle["order"] = _number("oracle.order", order)
+    if not oracle["order"] > 0:
         raise ConfigError(f"oracle.order must be positive, got {order!r}")
 
     if scenario == REGULAR_POTENTIAL:
@@ -460,8 +453,8 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     never its result.
     """
     eps = cfg.epsilons[index]
-    Ls = cfg.lengths_for(index)
-    order = float(cfg.oracle["order"])
+    Ls = cfg.oracle["L"][index]
+    order = cfg.oracle["order"]
     by_L, corrections, solves = [], [], []
     hint = None
     for L in Ls:
@@ -672,8 +665,8 @@ def compute_fits(cfg: ExperimentConfig, rows: list[SweepRow]) -> dict:
 def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> dict:
     """Verdicts against the declared tolerances; see the config schema.
 
-    Recognized tolerance keys: ``rel_err`` (max, optional epsilon),
-    ``slope`` (min/max on ``b_slope``), ``gap_slope_min``, ``prefactor``
+    Recognized tolerance keys: ``slope`` (min/max on ``b_slope``),
+    ``gap_slope_min``, ``prefactor``
     (exponent/predicted/rel_tol), ``classification`` (expected label on
     every row), ``truncation_bound`` (factor on the per-length bindings
     against the pure truncation scale), ``first_order`` (margin on
@@ -691,25 +684,6 @@ def evaluate_checks(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> 
     for i, r in enumerate(rows):
         if r.error is not None:
             add("row_ok", False, r.error, row=i)
-
-    spec = tol.get("rel_err")
-    if spec is not None:
-        target = spec.get("epsilon")
-        limit = spec["max"]
-        for i, r in enumerate(rows):
-            if target is not None and r.epsilon != target:
-                continue
-            if r.error is not None:
-                continue
-            if r.rel_err is None:
-                add("rel_err", False, "no oracle comparison available", row=i)
-            else:
-                add(
-                    "rel_err",
-                    r.rel_err <= limit,
-                    f"rel_err {r.rel_err:.6g} vs limit {limit:g}",
-                    row=i,
-                )
 
     spec = tol.get("slope")
     if spec is not None:

@@ -794,22 +794,17 @@ class WindowOperator(FdOperator):
         phi``.
         """
         N, h1 = self.guide.n_long, self.guide.step_long
-        theta, ratio = _lattice_angles(h1, self.mu, E)
-        # complex arithmetic only on the oscillating modes, a prefix of mu
-        k = int(np.searchsorted(self.mu, E))
-        sigma, slope = self._mode_sums(np.ascontiguousarray(theta[k:].real), ratio[k:], self.weight[k:])
-        if k:
-            more = self._mode_sums(theta[:k], ratio[:k], self.weight[:k])
-            sigma, slope = sigma + more[0].real, slope + more[1].real
+        sigma, slope = self._mode_sums(*_lattice_angles(h1, self.mu, E))
         sign = np.sign(N - np.arange(2 * self.size - 1.0))
         return -0.5 * h1 * sign * sigma, 0.25 * h1**3 * sign * slope
 
-    def _mode_sums(self, theta, ratio, weight) -> tuple[np.ndarray, np.ndarray]:
-        # s(n) and its slope's factor over the given modes, each up to sign(a)
-        # and its factor in h1.  s is the call's one (offset, mode) matrix;
-        # the rest runs on blocks of its rows of about 2^14 entries, small
-        # enough for malloc's heap, each entry by the same operations in the
-        # same order, and each block but the last takes u and em again for r
+    def _mode_sums(self, theta, ratio) -> tuple[np.ndarray, np.ndarray]:
+        # s(n) and its slope's factor, each up to sign(a) and its factor in
+        # h1; complex when some mode oscillates, and only their real parts
+        # are kept.  s is the call's one (offset, mode) matrix; the rest
+        # runs on blocks of its rows of about 2^14 entries, small enough for
+        # malloc's heap, each entry by the same operations in the same
+        # order, and each block but the last takes u and em again for r
         N = self.guide.n_long
         # |a|, taken as 1 on the offset n = N, whose row sign(a) = 0 clears
         A = np.maximum(np.abs(N - np.arange(2 * self.size - 1.0)), 1.0)[:, None]
@@ -823,8 +818,8 @@ class WindowOperator(FdOperator):
             sb *= em
         u0 = N * theta  # row 0 of u: A[0] = N
         s *= -ratio / (theta * (2.0 + np.expm1(-2.0 * u0)))
-        w = ratio * weight
-        sigma, ends = s @ weight, s @ ((_r(theta, theta / np.tanh(theta)) + N * N * _t(u0)) * w)
+        w = ratio * self.weight
+        sigma, ends = s @ self.weight, s @ ((_r(theta, theta / np.tanh(theta)) + N * N * _t(u0)) * w)
         for k, (a, sb) in enumerate(reversed(blocks)):
             if k:
                 u = a * theta
@@ -832,7 +827,7 @@ class WindowOperator(FdOperator):
             # 2|a| e1(2|a| theta) theta / sinh(theta) = -expm1(-2|a| theta) / sinh(theta)
             r = _r(u, -u * (2.0 + em) / em)
             sb *= np.multiply(r, a * a, out=r)
-        return sigma, s @ w - ends
+        return sigma.real, (s @ w - ends).real
 
 
 def build_window_operator(g: TruncatedGuide) -> WindowOperator:

@@ -62,20 +62,22 @@ def _window_dict(**over) -> dict:
     return cfg
 
 
-def test_parse_config_accepts_dict_text_and_file(tmp_path) -> None:
+def test_parse_config_accepts_dict_and_file(tmp_path) -> None:
     d = _regular_dict()
     from_dict = parse_config(d)
-    from_text = parse_config(json.dumps(d))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(d))
-    from_file = parse_config(path)
-    for cfg in (from_dict, from_text, from_file):
+    for cfg in (from_dict, parse_config(path), parse_config(str(path))):
         assert cfg.scenario == "RegularPotential"
         assert cfg.epsilons == (0.8, 0.6, 0.5, 0.4)
         assert cfg.cross_section.bc == "dirichlet"
+    # text is read as a path: JSON text names no file
+    for text in (json.dumps(d), str(tmp_path / "missing.json"), str(tmp_path)):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            parse_config(text)
 
 
-def test_parse_config_rejects_bad_input() -> None:
+def test_parse_config_rejects_bad_input(tmp_path) -> None:
     with pytest.raises(ConfigError):
         parse_config(_regular_dict(scenario="SomethingElse"))
     with pytest.raises(ConfigError):
@@ -100,10 +102,11 @@ def test_parse_config_rejects_bad_input() -> None:
         parse_config(
             _regular_dict(oracle={"h": [0.1], "L": [8.0], "extrapolaton": "aitken"})
         )
-    with pytest.raises(ConfigError):
-        parse_config("this is not json")
-    with pytest.raises(ConfigError):
-        parse_config("[1, 2, 3]")
+    path = tmp_path / "cfg.json"
+    for text in ("this is not json", "[1, 2, 3]"):
+        path.write_text(text)
+        with pytest.raises(ConfigError):
+            parse_config(path)
 
 
 def test_parse_config_fills_defaults_in_one_place() -> None:
@@ -111,6 +114,10 @@ def test_parse_config_fills_defaults_in_one_place() -> None:
         _regular_dict(perturbation={}, oracle={"h": [0.1], "L": [8.0]}, m=2)
     )
     assert reg.oracle["order"] == 2
+    # a number given as a string is stored converted, as every other is
+    for order in ("1", " 1e0 "):
+        given = parse_config(_regular_dict(oracle={"h": [0.1], "L": [8.0], "order": order}))
+        assert type(given.oracle["order"]) is float and given.oracle["order"] == 1.0
     assert reg.perturbation == {
         "half_width": 1.0, "n_long": 129, "n_trans": 17, "modes": 5,
     }
@@ -134,13 +141,14 @@ def test_parse_config_rejects_unknown_keys_and_malformed_gates() -> None:
         _window_dict(perturbation={"half_width": 1.0, "modes": 20}),
         _regular_dict(tolerances={"truncation_bounds": {"factor": 0}}),
         _regular_dict(tolerances={"slope": {"min": 1.0, "max": 3.0, "mx": 2.0}}),
+        _regular_dict(tolerances={"rel_err": {"max": 0.1}}),
     ]
     for raw in unknown:
         with pytest.raises(ConfigError, match="unknown"):
             parse_config(raw)
     malformed = [
         {"slope": {"min": 3.7}},
-        {"rel_err": {"epsilon": 0.4}},
+        {"truncation_bound": {}},
         {"prefactor": {"exponent": 4.0}},
         {"prefactor": {"exponent": 4.0, "predicted": 0.0}},
         {"first_order": {"margin_eps2": "wide"}},
@@ -202,11 +210,8 @@ def test_per_coupling_length_lists() -> None:
     per = [[10.0], [12.0], [14.0], [16.0]]
     cfg = parse_config(_window_dict(oracle={"h": [0.1], "L": per}))
     assert cfg.oracle["L"] == ((10.0,), (12.0,), (14.0,), (16.0,))
-    assert cfg.lengths_for(0) == (10.0,)
-    assert cfg.lengths_for(3) == (16.0,)
     shared = parse_config(_window_dict(oracle={"h": [0.1], "L": [8, 12.0]}))
     assert shared.oracle["L"] == ((8.0, 12.0),) * 4
-    assert all(shared.lengths_for(i) == (8.0, 12.0) for i in range(4))
     for c, given in ((cfg, per), (shared, [8, 12.0])):
         assert c.raw["oracle"]["L"] == given
         assert json.loads(emit_report(c, [], {}))["config"] == c.raw
@@ -363,7 +368,7 @@ def test_report_is_deterministic_and_threads_do_not_reorder() -> None:
 
 
 def test_report_document_structure() -> None:
-    cfg = parse_config(_regular_dict(tolerances={"rel_err": {"max": 1e-9}}))
+    cfg = parse_config(_regular_dict(tolerances={"first_order": {"margin_eps2": 1e-9}}))
     rows, fits, report = run_experiment(cfg)
     doc = json.loads(report)
     assert sorted(doc.keys()) == ["checks", "config", "fits", "pass", "rows"]
@@ -388,20 +393,6 @@ def test_report_document_structure() -> None:
         assert 0.0 <= extras["secular_residual"] < 1e-9 * scale
         # the strip-uniform well solves on the threshold mode alone
         assert extras["secular_modes"] == [1]
-
-
-def test_checks_target_one_coupling() -> None:
-    cfg = parse_config(
-        _regular_dict(tolerances={"rel_err": {"max": 0.1, "epsilon": 0.4}})
-    )
-    rows = [
-        SweepRow(epsilon=0.8, rel_err=5.0),
-        SweepRow(epsilon=0.4, rel_err=0.05),
-    ]
-    verdict = evaluate_checks(cfg, rows, {})
-    assert verdict["pass"]
-    done = [c for c in verdict["checks"] if c["name"] == "rel_err"]
-    assert len(done) == 1 and done[0]["row"] == 1
 
 
 def test_checks_slope_window_and_classification() -> None:
@@ -696,7 +687,7 @@ def test_readme_cli_section_names_every_long_option() -> None:
     assert sorted(tabled) == sorted(commands.choices)
 
 
-@pytest.mark.parametrize("command", ["sweep", "report"])
+@pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])
 def test_cli_refuses_fewer_than_one_thread(tmp_path, capsys, command, threads) -> None:
     # refused by the parser, with exit 2, before the config is read
@@ -728,7 +719,7 @@ def test_cli_oracle_rejects_an_invalid_guide_as_a_config_error(tmp_path, capsys)
 
 
 def test_cli_sweep_check_flags_tolerance_failure(tmp_path) -> None:
-    cfg = _regular_dict(tolerances={"rel_err": {"max": 1e-9}})
+    cfg = _regular_dict(tolerances={"first_order": {"margin_eps2": 1e-9}})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "out"
@@ -745,13 +736,18 @@ def test_cli_sweep_check_flags_tolerance_failure(tmp_path) -> None:
 def test_cli_report_reruns_byte_identical(tmp_path, capsys) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_regular_dict()))
-    assert main(["report", "--config", str(path)]) == 0
-    first = capsys.readouterr().out
-    assert main(["report", "--config", str(path)]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    doc = json.loads(first)
+    reports = []
+    for out in ("a", "b"):
+        assert main(["sweep", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+        reports.append((tmp_path / out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    doc = json.loads(reports[0])
     assert doc["pass"] is True and len(doc["rows"]) == 4
+    # the report is the sweep's file: no command prints it
+    with pytest.raises(SystemExit) as exc:
+        main(["report", "--config", str(path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
