@@ -1,144 +1,40 @@
 """Threshold poles of weakly perturbed planar waveguides.
 
-Tools for locating the resolvent pole that detaches from a transverse
-threshold of a straight guide under a small localized perturbation, for both
-regular perturbations (a potential in the interior) and singular boundary
-deformations (a window or patch changing the wall condition), together with
-closed-form leading asymptotics and a finite-difference oracle for
-cross-checking bindings on truncated guides.
+Locates the resolvent pole that detaches from a transverse threshold of a
+straight guide under a small localized perturbation: a regular potential
+in the interior, or a window or patch changing one wall's condition.  Three
+lanes give the pole: closed-form leading asymptotics, a mode-sum secular
+equation, and a finite-difference oracle on truncated guides.
+
+The package root exports what README's example and the sweep use: the
+cross-section and its basis, the secular lane's kernel and solve, the
+oracle's guide and eigensolve, and the sweep's ``parse_config`` and
+``run_experiment``.  Everything else is imported from its module
+(``wgpoles.harness``, ``wgpoles.oracle``, ...).
 """
 
-from .harness import (
-    CSV_HEADER,
-    DIRICHLET_WINDOW,
-    NEUMANN_PATCH,
-    REGULAR_POTENTIAL,
-    SCENARIOS,
-    ConfigError,
-    ExperimentConfig,
-    FitError,
-    SweepRow,
-    compute_fits,
-    emit_report,
-    evaluate_checks,
-    fit_loglog_slope,
-    parse_config,
-    predict_row,
-    render_csv,
-    row_binding,
-    run_experiment,
-    run_sweep,
-    truncated_binding,
-)
-from .modesum import (
-    BoxRegion,
-    ModeSumKernel,
-    longitudinal_exponents,
-    regularized_kernel,
-)
-from .oracle import (
-    FdOperator,
-    OracleSolution,
-    SolverError,
-    TruncatedGuide,
-    WindowOperator,
-    aitken_limit,
-    build_fd_operator,
-    build_patch_operator,
-    build_window_operator,
-    discrete_threshold,
-    extract_tail_coefficients,
-    lowest_eigenpairs,
-    richardson,
-)
-from .regular_pole import (
-    BOUND_STATE,
-    NO_EIGENVALUE,
-    POLE_AT_ZERO,
-    RESONANCE,
-    AmbiguousClassificationError,
-    IterationDivergedError,
-    PerturbationField,
-    PoleResult,
-    assemble_birman_schwinger,
-    classify_pole,
-    regular_leading_asymptotic,
-    solve_secular,
-)
-from .singular_asym import (
-    AsymptoticPole,
-    dirichlet_window_pole,
-    dirichlet_window_width,
-    neumann_patch_pole,
-)
-from .transverse import (
-    BC_DIRICHLET,
-    BC_NEUMANN,
-    CrossSection,
-    TransverseBasis,
-    build_basis,
-)
+from .harness import ConfigError, SweepRow, parse_config, run_experiment
+from .modesum import BoxRegion, ModeSumKernel
+from .oracle import TruncatedGuide, build_fd_operator, lowest_eigenpairs
+from .regular_pole import PerturbationField, solve_secular
+from .transverse import BC_DIRICHLET, CrossSection, build_basis
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousClassificationError",
-    "AsymptoticPole",
     "BC_DIRICHLET",
-    "BC_NEUMANN",
-    "BOUND_STATE",
     "BoxRegion",
-    "CSV_HEADER",
     "ConfigError",
     "CrossSection",
-    "DIRICHLET_WINDOW",
-    "ExperimentConfig",
-    "FdOperator",
-    "FitError",
-    "IterationDivergedError",
     "ModeSumKernel",
-    "NEUMANN_PATCH",
-    "NO_EIGENVALUE",
-    "OracleSolution",
-    "POLE_AT_ZERO",
     "PerturbationField",
-    "PoleResult",
-    "REGULAR_POTENTIAL",
-    "RESONANCE",
-    "SCENARIOS",
-    "SolverError",
     "SweepRow",
-    "TransverseBasis",
     "TruncatedGuide",
-    "WindowOperator",
     "__version__",
-    "aitken_limit",
-    "assemble_birman_schwinger",
     "build_basis",
     "build_fd_operator",
-    "build_patch_operator",
-    "build_window_operator",
-    "classify_pole",
-    "compute_fits",
-    "dirichlet_window_pole",
-    "dirichlet_window_width",
-    "discrete_threshold",
-    "emit_report",
-    "evaluate_checks",
-    "extract_tail_coefficients",
-    "fit_loglog_slope",
-    "longitudinal_exponents",
     "lowest_eigenpairs",
-    "neumann_patch_pole",
     "parse_config",
-    "predict_row",
-    "regular_leading_asymptotic",
-    "regularized_kernel",
-    "render_csv",
-    "richardson",
-    "row_binding",
     "run_experiment",
-    "run_sweep",
     "solve_secular",
-    "truncated_binding",
 ]

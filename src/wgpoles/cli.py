@@ -1,13 +1,13 @@
-"""Command line front end for the sweep pipeline and its individual stages.
+"""Command line front end: ``wgpoles sweep`` runs the whole experiment.
 
-Subcommands mirror the pipeline: ``basis`` (transverse eigenpairs), ``pole``
-(secular solve per coupling), ``asym`` (leading-order predictions),
-``oracle`` (single truncated-guide bindings), and ``sweep`` (full run
-writing CSV and JSON artifacts).
+``sweep`` is the one subcommand.  It runs every lane for every coupling of
+a JSON config and writes ``sweep.csv`` and ``report.json``; each report row
+records the predictor, the secular pole and every oracle solve with the grid
+it used (see :func:`wgpoles.harness.run_experiment`).
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when a solver
-fails to converge or ``pole`` finds a pole its classification rules do not
-cover, 4 when ``sweep --check`` finds a tolerance violation.
+Exit codes: 0 on success, 2 for configuration problems, 3 when every sweep
+row failed, 4 when ``--check`` finds a tolerance violation.  A solver that
+fails fails only its row, which the report records with the error.
 """
 
 from __future__ import annotations
@@ -20,23 +20,7 @@ import os
 import sys
 import time
 
-from .harness import (
-    REGULAR_POTENTIAL,
-    ConfigError,
-    basis_size,
-    parse_config,
-    predict_row,
-    regular_inputs,
-    run_experiment,
-    truncated_binding,
-)
-from .oracle import SolverError
-from .regular_pole import (
-    AmbiguousClassificationError,
-    IterationDivergedError,
-    solve_secular,
-)
-from .transverse import build_basis
+from .harness import ConfigError, parse_config, run_experiment
 
 logger = logging.getLogger(__name__)
 
@@ -46,86 +30,12 @@ EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
 
-class _CheckFailed(RuntimeError):
-    """Internal signal: declared tolerances were violated under ``--check``."""
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, required=True,
-                   help="Path to the experiment JSON config.")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="Log solver progress.")
-
-
 def positive_int(text: str) -> int:
     """``int(text)``, refused below 1; argparse reports either failure and exits 2."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-def _cmd_basis(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    basis = build_basis(cfg.cross_section, basis_size(cfg))
-    print(f"cross section: width {cfg.cross_section.width:g}, {cfg.cross_section.bc}")
-    print(f"{'j':>4} {'mu_j':>18} {'wall value':>14} {'wall slope':>14}")
-    for j in range(basis.count):
-        print(
-            f"{j + 1:>4} {basis.mu[j]:>18.12f} "
-            f"{basis.wall_value[j]:>14.8f} {basis.wall_slope[j]:>14.8f}"
-        )
-    return EXIT_OK
-
-
-def _cmd_pole(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    if cfg.scenario != REGULAR_POTENTIAL:
-        raise ConfigError(f"pole subcommand needs a {REGULAR_POTENTIAL} config")
-    basis = build_basis(cfg.cross_section, basis_size(cfg))
-    kernel, V = regular_inputs(cfg, basis)
-    print(f"{'epsilon':>10} {'Re k':>16} {'Im k':>12} {'lambda':>16} "
-          f"{'class':>14} {'iters':>6}")
-    for eps in cfg.epsilons:
-        p = solve_secular(V, eps, kernel)
-        print(
-            f"{eps:>10.6g} {p.k.real:>16.10g} {p.k.imag:>12.4g} "
-            f"{p.lam.real:>16.10g} {p.classification:>14} {p.iterations:>6}"
-        )
-    return EXIT_OK
-
-
-def _cmd_asym(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    basis = build_basis(cfg.cross_section, basis_size(cfg))
-    # one potential for every coupling of a regular config
-    V = regular_inputs(cfg, basis)[1] if cfg.scenario == REGULAR_POTENTIAL else None
-    print(f"{'epsilon':>10} {'k lead':>16} {'Im k lead':>14} {'lambda pred':>16} "
-          f"{'class':>14}")
-    for eps in cfg.epsilons:
-        row = predict_row(cfg, eps, basis, V)
-        print(
-            f"{eps:>10.6g} {row.k_re:>16.10g} {row.k_im:>14.6g} "
-            f"{row.lambda_pred:>16.10g} {row.classification or '-':>14}"
-        )
-    return EXIT_OK
-
-
-def _cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    print(f"{'epsilon':>10} {'L':>8} {'h_long':>10} {'h_trans':>10} "
-          f"{'half-width':>10} {'binding':>18}")
-    for i, eps in enumerate(cfg.epsilons):
-        L = cfg.oracle["L"][i][-1]
-        try:
-            b, s = truncated_binding(cfg, eps, L, cfg.oracle["h"][0])
-        except ValueError as exc:  # the config describes an invalid guide
-            raise ConfigError(f"epsilon {eps:g}, L {L:g}: {exc}") from exc
-        width = s["feature_half_width"]
-        width = "-" if width is None else f"{width:.6g}"
-        print(f"{eps:>10.6g} {L:>8g} {s['h_long']:>10.6g} {s['h_trans']:>10.6g} "
-              f"{width:>10} {b:>18.12g}")
-    return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -146,7 +56,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             where = f" (row {c['row']})" if "row" in c else ""
             print(f"check failed: {c['name']}{where}: {c['detail']}",
                   file=sys.stderr)
-        raise _CheckFailed(f"{len(failing)} tolerance checks failed")
+        print(f"acceptance check failed: {len(failing)} tolerance checks failed",
+              file=sys.stderr)
+        return EXIT_CHECK
     return EXIT_OK
 
 
@@ -160,32 +72,17 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("basis", help="Transverse eigenvalues and wall traces.")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_basis)
-
-    sp = sub.add_parser("pole", help="Secular pole solve for each coupling.")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_pole)
-
-    sp = sub.add_parser("asym", help="Leading-order pole predictions.")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_asym)
-
-    sp = sub.add_parser("oracle", help="Single truncated-guide bindings.")
-    _add_common(sp)
-    sp.set_defaults(func=_cmd_oracle)
-
     sp = sub.add_parser("sweep", help="Full sweep; writes sweep.csv and report.json.")
-    _add_common(sp)
+    sp.add_argument("--config", type=str, required=True,
+                    help="Path to the experiment JSON config.")
+    sp.add_argument("-v", "--verbose", action="store_true",
+                    help="Log solver progress.")
     sp.add_argument("--threads", type=positive_int, default=1,
                     help="Worker threads for sweep rows, at least 1 (default 1).")
     sp.add_argument("--out", type=str, default="out",
                     help="Directory for sweep.csv and report.json (default out).")
     sp.add_argument("--check", action="store_true",
                     help="Exit 4 when a declared tolerance fails.")
-    sp.set_defaults(func=_cmd_sweep)
-
     return p
 
 
@@ -225,19 +122,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     logger.info("start-up: %.3f s CPU from process launch to the command", startup)
     try:
-        return args.func(args)
+        return _cmd_sweep(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IterationDivergedError, SolverError) as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except AmbiguousClassificationError as exc:
-        print(f"classification error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    except _CheckFailed as exc:
-        print(f"acceptance check failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK
 
 
 def run() -> None:

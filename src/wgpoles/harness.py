@@ -507,6 +507,9 @@ def predict_row(
     """Leading-order prediction for one coupling; no secular or oracle lane.
 
     A regular-potential row's potential ``V`` is built here unless given.
+    A wall row's extras record ``tau``, ``order`` and the ``wall_trace``
+    ``tau`` comes from: the threshold mode's wall slope for a window, its
+    wall value for a patch.
     """
     if cfg.scenario == REGULAR_POTENTIAL:
         if V is None:
@@ -523,15 +526,17 @@ def predict_row(
     if cfg.scenario == DIRICHLET_WINDOW:
         a = cfg.perturbation["half_width"]
         pole = dirichlet_window_pole(eps, 0.5 * a * a, basis, cfg.m)
+        trace = basis.wall_slope[cfg.m - 1]
     else:
         pole = neumann_patch_pole(eps, basis, cfg.m)
+        trace = basis.wall_value[cfg.m - 1]
     return SweepRow(
         epsilon=eps,
         k_re=pole.k_lead,
         k_im=pole.im_k_lead,
         lambda_pred=pole.lam_lead,
         classification=pole.classification,
-        extras={"tau": pole.tau, "order": pole.order},
+        extras={"tau": pole.tau, "order": pole.order, "wall_trace": float(trace)},
     )
 
 

@@ -81,7 +81,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -411,12 +411,13 @@ def _check_band(rows: int, n: int) -> None:
         )
 
 
-@cache
+@lru_cache(maxsize=8)
 def _cosines(n2: int, count: int, d: float) -> np.ndarray:
     """``cos(p pi m / (2 n2)) / d`` for the slots ``p = 0 .. 2 n2`` and the offsets ``m < count``.
 
     Rows ``p = 0`` and ``2 n2`` are halved.  ``p m`` is reduced modulo the
-    period before scaling, so each phase stays exact.
+    period before scaling, so each phase stays exact.  Tables are kept for
+    the 8 grids used last; a nominal benchmark sweep uses at most 4.
     """
     table = np.cos(np.pi * (np.outer(np.arange(2 * n2 + 1), np.arange(count)) % (4 * n2)) / (2 * n2))
     table[[0, -1]] *= 0.5

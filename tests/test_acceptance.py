@@ -19,12 +19,30 @@ import numpy as np
 from scipy.optimize import brentq
 
 import wgpoles as wg
+from wgpoles.harness import (
+    DIRICHLET_WINDOW,
+    NEUMANN_PATCH,
+    REGULAR_POTENTIAL,
+    fit_loglog_slope,
+    predict_row,
+    row_binding,
+)
+from wgpoles.modesum import regularized_kernel
+from wgpoles.oracle import build_window_operator, extract_tail_coefficients, richardson
+from wgpoles.regular_pole import (
+    BOUND_STATE,
+    NO_EIGENVALUE,
+    RESONANCE,
+    regular_leading_asymptotic,
+)
+from wgpoles.singular_asym import dirichlet_window_pole, dirichlet_window_width
+from wgpoles.transverse import TransverseBasis
 
 STRIP = wg.CrossSection(width=math.pi, bc=wg.BC_DIRICHLET)
 REGULAR_EPS = (0.08, 0.04, 0.02, 0.01)
 
 
-def _box_kernel(basis: wg.TransverseBasis) -> wg.ModeSumKernel:
+def _box_kernel(basis: TransverseBasis) -> wg.ModeSumKernel:
     region = wg.BoxRegion(
         cross_section=STRIP, half_length=1.0, n_long=129, n_trans=17
     )
@@ -101,21 +119,21 @@ def test_regular_potential_pole_and_oracle_asymptotics() -> None:
     gaps = []
     for eps in REGULAR_EPS:
         pole = wg.solve_secular(V, eps, kernel)
-        lam_lead = wg.regular_leading_asymptotic(V, eps, 1, basis)
+        lam_lead = regular_leading_asymptotic(V, eps, 1, basis)
         dev = abs(pole.k - eps)
-        if dev > 5.0 * eps * eps or pole.classification != wg.BOUND_STATE:
+        if dev > 5.0 * eps * eps or pole.classification != BOUND_STATE:
             failures.append(
                 f"(i) eps={eps}: k={pole.k:.8g} ({pole.classification}), "
                 f"|k - eps|={dev:.3g} > 5 eps^2={5.0 * eps * eps:.3g}"
             )
         gaps.append((eps, abs(pole.lam - lam_lead)))
-    slope, _ = wg.fit_loglog_slope(gaps)
+    slope, _ = fit_loglog_slope(gaps)
     if slope < 2.7:
         failures.append(f"(ii) pole-minus-leading slope {slope:.3f} < 2.7")
 
     cfg = wg.parse_config(
         {
-            "scenario": wg.REGULAR_POTENTIAL,
+            "scenario": REGULAR_POTENTIAL,
             "cross_section": {"width": math.pi, "bc": "dirichlet"},
             "m": 1,
             "epsilons": list(REGULAR_EPS),
@@ -129,7 +147,7 @@ def test_regular_potential_pole_and_oracle_asymptotics() -> None:
         }
     )
     # the sweep's own ladder for the eps = 0.04 row
-    b, _ = wg.row_binding(cfg, REGULAR_EPS.index(0.04))
+    b, _ = row_binding(cfg, REGULAR_EPS.index(0.04))
     failures += _regular_oracle_failures(0.04, b)
     elapsed = time.monotonic() - t0
     if elapsed >= 300.0:
@@ -149,7 +167,7 @@ def test_window_binding_follows_fourth_power_law() -> None:
     t0 = time.monotonic()
     cfg = wg.parse_config(
         {
-            "scenario": wg.DIRICHLET_WINDOW,
+            "scenario": DIRICHLET_WINDOW,
             "cross_section": {"width": math.pi, "bc": "dirichlet"},
             "m": 1,
             "epsilons": [0.4, 0.3, 0.2, 0.15],
@@ -206,7 +224,7 @@ def _window_levels(eps: float, stretch: int = 1) -> list[tuple[float, float]]:
             cross_section=STRIP, half_length=n_long * h, h=h, half_width=eps
         )
         assert (g.n_long, g.feature_nodes, g.step_long) == (n_long, n_feat, h)
-        hint = wg.lowest_eigenpairs(wg.build_window_operator(g), binding_hint=hint).binding
+        hint = wg.lowest_eigenpairs(build_window_operator(g), binding_hint=hint).binding
         levels.append((h, hint))
     return levels
 
@@ -219,9 +237,9 @@ def _two_stage_richardson(levels: list[tuple[float, float]]) -> float:
     the two products, removes the rest.
     """
     (h0, b0), (h1, b1), (h2, b2) = levels
-    coarse = wg.richardson(b0, b1, h0 / h1, order=1)
-    fine = wg.richardson(b1, b2, h1 / h2, order=1)
-    return wg.richardson(coarse, fine, math.sqrt(h0 / h2), order=2)
+    coarse = richardson(b0, b1, h0 / h1, order=1)
+    fine = richardson(b1, b2, h1 / h2, order=1)
+    return richardson(coarse, fine, math.sqrt(h0 / h2), order=2)
 
 
 def test_window_tau_squared_from_the_oracle() -> None:
@@ -242,7 +260,7 @@ def test_window_tau_squared_from_the_oracle() -> None:
     t0 = time.thread_time()
     cfg = wg.parse_config(
         {
-            "scenario": wg.DIRICHLET_WINDOW,
+            "scenario": DIRICHLET_WINDOW,
             "cross_section": {"width": math.pi, "bc": "dirichlet"},
             "m": 1,
             "epsilons": [0.05, 0.02, 0.01, 0.005],
@@ -251,7 +269,7 @@ def test_window_tau_squared_from_the_oracle() -> None:
         }
     )
     basis = wg.build_basis(STRIP, 9)
-    tau = wg.predict_row(cfg, 0.05, basis).extras["tau"]
+    tau = predict_row(cfg, 0.05, basis).extras["tau"]
     assert abs(tau * tau - 0.25) <= 1e-15, f"predicted tau^2 {tau * tau!r} is not 1/4"
 
     couplings = (0.05, 0.02, 0.01)
@@ -292,14 +310,14 @@ def test_patch_produces_no_eigenvalue() -> None:
     """
     cfg = wg.parse_config(
         {
-            "scenario": wg.NEUMANN_PATCH,
+            "scenario": NEUMANN_PATCH,
             "cross_section": {"width": math.pi, "bc": "neumann"},
             "m": 1,
             "epsilons": [0.45, 0.4, 0.35, 0.3],
             "perturbation": {"half_width": 1.0},
             "oracle": {"h": [0.0316], "L": [10.0, 20.0, 40.0]},
             "tolerances": {
-                "classification": {"expect": wg.NO_EIGENVALUE},
+                "classification": {"expect": NO_EIGENVALUE},
                 "truncation_bound": {"factor": 3.0},
             },
         }
@@ -310,7 +328,7 @@ def test_patch_produces_no_eigenvalue() -> None:
     assert doc["pass"], f"sweep checks failed: {failing}"
 
     for row in doc["rows"]:
-        assert row["classification"] == wg.NO_EIGENVALUE
+        assert row["classification"] == NO_EIGENVALUE
         assert row["k_re"] < 0.0, f"eps={row['epsilon']}: k_lead not negative"
     probe = next(r for r in doc["rows"] if r["epsilon"] == 0.3)
     ladder = probe["extras"]["b_by_L"]
@@ -332,14 +350,14 @@ def test_resonance_width_for_second_threshold() -> None:
     basis = wg.build_basis(STRIP, 6)
     eps = 0.1
     c2 = 0.5  # the unit window's far-field constant a^2/2
-    im_k, a1 = wg.dirichlet_window_width(eps, c2, basis, 2)
+    im_k, a1 = dirichlet_window_width(eps, c2, basis, 2)
     want = -(eps**4) / math.sqrt(3.0)
     assert im_k < 0.0
     assert abs(im_k - want) <= 1e-12 * abs(want), f"width {im_k} != {want}"
     assert a1 != 0
 
-    pole = wg.dirichlet_window_pole(eps, c2, basis, 2)
-    assert pole.classification == wg.RESONANCE
+    pole = dirichlet_window_pole(eps, c2, basis, 2)
+    assert pole.classification == RESONANCE
     assert pole.im_k_lead == im_k
     assert pole.a1_pred == a1
 
@@ -353,8 +371,8 @@ def test_kernel_orthogonality_residual_determinism() -> None:
     sweep driver must reproduce byte-identical reports on a second run.
     """
     s = np.linspace(0.0, 2.0, 201)
-    assert np.array_equal(np.asarray(wg.regularized_kernel(s, 1e-13)), -0.5 * s)
-    drift = np.max(np.abs(np.asarray(wg.regularized_kernel(s, 5e-11)) + 0.5 * s))
+    assert np.array_equal(np.asarray(regularized_kernel(s, 1e-13)), -0.5 * s)
+    drift = np.max(np.abs(np.asarray(regularized_kernel(s, 5e-11)) + 0.5 * s))
     assert drift <= 1e-10, f"kernel limit drift {drift:.3e}"
 
     basis = wg.build_basis(STRIP, 8)
@@ -377,7 +395,7 @@ def test_kernel_orthogonality_residual_determinism() -> None:
 
     cfg = wg.parse_config(
         {
-            "scenario": wg.REGULAR_POTENTIAL,
+            "scenario": REGULAR_POTENTIAL,
             "cross_section": {"width": math.pi, "bc": "dirichlet"},
             "m": 1,
             "epsilons": [0.8, 0.6, 0.5, 0.4],
@@ -407,7 +425,7 @@ def test_bound_state_tail_mode_structure() -> None:
         kernel.region, lambda x1, x2: 1.0 + x2 / math.pi
     )
     pole = wg.solve_secular(V, eps, kernel)
-    assert pole.classification == wg.BOUND_STATE
+    assert pole.classification == BOUND_STATE
     k = pole.k.real
 
     def well(x1, x2):
@@ -422,7 +440,7 @@ def test_bound_state_tail_mode_structure() -> None:
         potential=well,
     )
     sol = wg.lowest_eigenpairs(wg.build_fd_operator(guide))
-    tails = wg.extract_tail_coefficients(sol, basis.count)
+    tails = extract_tail_coefficients(sol, basis.count)
     a1, rate1 = tails[0]
     a2, rate2 = tails[1]
 

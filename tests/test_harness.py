@@ -13,12 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wgpoles import (
+from wgpoles import harness, oracle
+from wgpoles.cli import _parser, main
+from wgpoles.harness import (
     CSV_HEADER,
     ConfigError,
     FitError,
     SweepRow,
-    build_basis,
+    basis_size,
     compute_fits,
     emit_report,
     evaluate_checks,
@@ -29,9 +31,7 @@ from wgpoles import (
     run_experiment,
     run_sweep,
 )
-from wgpoles import harness, oracle
-from wgpoles.cli import _parser, main
-from wgpoles.harness import basis_size
+from wgpoles.transverse import build_basis
 
 
 def _regular_dict(**over) -> dict:
@@ -524,21 +524,20 @@ def test_predictor_rows_match_closed_forms() -> None:
     assert row.classification == "NoEigenvalue"
 
 
-def test_cli_exit_codes(tmp_path) -> None:
+def test_cli_exit_codes(tmp_path, capsys) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_regular_dict()))
-    assert main(["basis", "--config", str(path)]) == 0
-    assert main(["pole", "--config", str(path)]) == 0
-    assert main(["asym", "--config", str(path)]) == 0
-    assert main(["oracle", "--config", str(path)]) == 0
     assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
-    assert main(["pole", "--config", str(tmp_path / "missing.json")]) == 2
-    win = tmp_path / "win.json"
-    win.write_text(json.dumps(_window_dict()))
-    assert main(["pole", "--config", str(win)]) == 2
+    assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["sweep", "--config", str(bad)]) == 2
+    # sweep is the one command; each stage's numbers are in its report rows
+    for command in ("basis", "pole", "asym", "oracle"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(path)])
+        assert exc.value.code == 2
+        assert f"invalid choice: '{command}'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -602,19 +601,28 @@ def test_cli_rejects_a_wall_coupling_of_one_before_any_solve(
 def _assert_rejected_before_any_solve(tmp_path, capsys, raw: dict) -> None:
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(raw))
-    assert main(["oracle", "--config", str(path)]) == 2
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 2 and all(line.startswith("config error: ") for line in err)
+    assert len(err) == 1 and err[0].startswith("config error: ")
     assert not out.exists()
 
 
 def test_cli_exits_3_when_the_secular_iterate_diverges(tmp_path, capsys) -> None:
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_regular_dict(epsilons=[5.0, 4.0, 3.0, 2.0])))
-    assert main(["pole", "--config", str(path)]) == 3
-    assert "solver error: " in capsys.readouterr().err
+    # a diverged secular iterate fails its row alone: at eps = 5 the iterate
+    # leaves the resolvent domain while eps = 4, 3 and 2 solve; the sweep
+    # exits 3 only when every row diverges
+    for epsilons, code in (([5.0, 4.0, 3.0, 2.0], 0), ([8.0, 7.0, 6.0, 5.0], 3)):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(_regular_dict(epsilons=epsilons)))
+        out = tmp_path / f"out{code}"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == code
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        diverged = [r["error"] is not None for r in rows]
+        assert diverged == ([True] * 4 if code else [True, False, False, False])
+        for r in rows[: sum(diverged)]:
+            assert r["error"].startswith("IterationDivergedError: ")
+    assert "every sweep row failed" in capsys.readouterr().err
 
 
 def _embedded_dict() -> dict:
@@ -631,14 +639,18 @@ def test_embedded_eigenvalue_is_a_typed_row_error() -> None:
 
 
 def test_cli_pole_exits_3_on_an_unclassifiable_pole(tmp_path, capsys) -> None:
+    # every row's pole is embedded, so every row fails
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_embedded_dict()))
-    assert main(["pole", "--config", str(path)]) == 3
-    assert "classification error: m = 2 pole" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
+    assert "every sweep row failed" in capsys.readouterr().err
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert all(r["error"].startswith("AmbiguousClassificationError: m = 2 pole") for r in rows)
 
 
 @pytest.mark.parametrize("scenario", ["DirichletWindow", "NeumannPatch"])
-def test_oracle_refuses_a_threshold_above_an_open_channel(tmp_path, capsys, scenario) -> None:
+def test_oracle_refuses_a_threshold_above_an_open_channel(scenario) -> None:
     # at m = 2 the guide's lowest state sits near mu_1: mu_2^h - E_1 would
     # be a number, but not a binding
     bc = "neumann" if scenario == "NeumannPatch" else "dirichlet"
@@ -650,10 +662,6 @@ def test_oracle_refuses_a_threshold_above_an_open_channel(tmp_path, capsys, scen
             "ValueError: the oracle binds only below the lowest threshold; "
             "at m = 2 a lower channel is open"
         )
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(raw))
-    assert main(["oracle", "--config", str(path)]) == 2
-    assert "a lower channel is open" in capsys.readouterr().err
 
 
 def test_cli_sweep_exits_3_when_every_row_fails(tmp_path, capsys) -> None:
@@ -687,14 +695,43 @@ def test_readme_cli_section_names_every_long_option() -> None:
     assert sorted(tabled) == sorted(commands.choices)
 
 
-@pytest.mark.parametrize("command", ["sweep"])
+def test_readme_python_example_runs_and_states_its_numbers(capsys) -> None:
+    # the Quick start's library example, run as written, prints and states
+    # what its comments say: k^2 = 1.5196e-3 from the secular pole, and a
+    # one-step oracle binding 5.7% below that
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(example, namespace)
+    k, classification = capsys.readouterr().out.splitlines()[0].split()
+    assert (k, classification) == ("0.0389817", "BoundState")
+    pole, sol = namespace["pole"], namespace["sol"]
+    assert pole.k.real**2 == pytest.approx(1.5196e-3, abs=5e-8)
+    assert sol.binding == pytest.approx(1.4326e-3, abs=5e-8)
+    assert 1.0 - sol.binding / pole.k.real**2 == pytest.approx(0.057, abs=5e-4)
+
+
+def test_every_export_has_a_user() -> None:
+    # the package root re-exports what README and the benchmark call, and
+    # nothing else; tests import the rest from its module
+    import wgpoles
+
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text() + (root / "bench" / "child.py").read_text()
+    unused = [
+        name for name in wgpoles.__all__
+        if name != "__version__" and not re.search(rf"\b{name}\b", text)
+    ]
+    assert unused == []
+
+
 @pytest.mark.parametrize("threads", ["0", "-3", "two"])
-def test_cli_refuses_fewer_than_one_thread(tmp_path, capsys, command, threads) -> None:
+def test_cli_refuses_fewer_than_one_thread(tmp_path, capsys, threads) -> None:
     # refused by the parser, with exit 2, before the config is read
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(_window_dict()))
     with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(path), "--threads", threads])
+        main(["sweep", "--config", str(path), "--threads", threads])
     assert exc.value.code == 2
     assert "argument --threads: " in capsys.readouterr().err
 
@@ -708,14 +745,18 @@ def test_star_import_resolves_every_exported_name() -> None:
     assert all(namespace[name] is getattr(wgpoles, name) for name in wgpoles.__all__)
 
 
-def test_cli_oracle_rejects_an_invalid_guide_as_a_config_error(tmp_path, capsys) -> None:
-    # the last coupling's window half-width 0.35 equals its guide length
+def test_cli_oracle_rejects_an_invalid_guide_as_a_config_error(tmp_path) -> None:
+    # the last coupling's window half-width 0.35 equals its guide length:
+    # the config parses, and the guide it describes fails its row alone
     raw = _window_dict(oracle={"h": [0.05], "L": [[10.0], [10.0], [10.0], [0.35]]})
     path = tmp_path / "win.json"
     path.write_text(json.dumps(raw))
-    assert main(["oracle", "--config", str(path)]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: epsilon 0.35")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    rows = json.loads((out / "report.json").read_text())["rows"]
+    assert all(r["error"] is None and r["b_oracle"] is not None for r in rows[:3])
+    assert rows[3]["b_oracle"] is None
+    assert rows[3]["error"] == "ValueError: feature half-width 0.35 must lie in (0, L = 0.35)"
 
 
 def test_cli_sweep_check_flags_tolerance_failure(tmp_path) -> None:
@@ -817,31 +858,36 @@ def test_cli_process_exits_with_main_s_code_and_complete_output(tmp_path) -> Non
             assert "every sweep row failed" in run.stderr
 
 
-def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path, capsys) -> None:
-    # the CLI must solve the window the sweep solves, on the snapped step
-    # (at eps = 0.55, h = 0.08 the raw step gives half-width 0.52 in place
-    # of 0.5508), and print the steps and half-width the guide actually
-    # used after rounding L/h: at eps = 0.4, h = 0.04, L = 18 the snapped
-    # step 0.0380952 becomes 0.0381356 and the half-width 0.400424
+def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path) -> None:
+    # each row's first solve is on the coarse step snapped to the window,
+    # W = eps * a = (n + 1/2) h_snapped (at eps = 0.55, h = 0.08 the raw step
+    # would give half-width 0.52), and records the steps and half-width the
+    # guide actually used after rounding L/h, which moves the window edge
+    # off the snap: at eps = 0.4, h = 0.04, L = 18 the snapped step
+    # 0.0380952 becomes 0.0381356 and the half-width 0.400424
     plans = (([0.55, 0.5, 0.45, 0.4], 0.08, 10.0), ([0.4, 0.35, 0.3, 0.25], 0.04, 18.0))
     for epsilons, h, L in plans:
-        raw = _window_dict(epsilons=epsilons, oracle={"h": [h], "L": [L]})
-        rows = run_sweep(parse_config(raw))
         path = tmp_path / "win.json"
-        path.write_text(json.dumps(raw))
-        assert main(["oracle", "--config", str(path)]) == 0
-        lines = capsys.readouterr().out.splitlines()[1:]
-        assert len(lines) == 4
-        for line, row in zip(lines, rows):
-            eps, _, h_long, h_trans, width, b = line.split()
-            solve = row.extras["solves"][0]
-            assert float(eps) == row.epsilon
-            assert b == f"{row.extras['b_by_L'][0]:.12g}"
-            assert h_long == f"{solve['h_long']:.6g}"
-            assert h_trans == f"{solve['h_trans']:.6g}"
-            assert width == f"{solve['feature_half_width']:.6g}"
-    first = lines[0].split()
-    assert (first[2], first[4]) == ("0.0381356", "0.400424")
+        path.write_text(json.dumps(_window_dict(epsilons=epsilons, oracle={"h": [h], "L": [L]})))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        for row in rows:
+            solve = row["extras"]["solves"][0]
+            n = max(4, round(row["epsilon"] / h - 0.5))
+            assert solve["h_snapped"] == pytest.approx(row["epsilon"] / (n + 0.5), rel=1e-14)
+            assert solve["h_long"] == pytest.approx(L / round(L / solve["h_snapped"]), rel=1e-14)
+            assert solve["h_trans"] == pytest.approx(
+                math.pi / round(math.pi / solve["h_snapped"]), rel=1e-14
+            )
+            assert solve["feature_half_width"] == pytest.approx(
+                (n + 0.5) * solve["h_long"], rel=1e-14
+            )
+            assert solve["binding"] == row["extras"]["b_by_L"][0]
+    first = rows[0]["extras"]["solves"][0]
+    assert f"{first['h_long']:.6g}" == "0.0381356"
+    assert f"{first['h_trans']:.6g}" == "0.0383121"
+    assert f"{first['feature_half_width']:.6g}" == "0.400424"
 
 
 def test_report_records_each_solve(monkeypatch) -> None:

@@ -15,19 +15,18 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
-from wgpoles import (
-    CrossSection,
+from wgpoles import oracle
+from wgpoles.oracle import (
     SolverError,
     TruncatedGuide,
     aitken_limit,
-    build_basis,
     build_fd_operator,
     discrete_threshold,
     extract_tail_coefficients,
     lowest_eigenpairs,
     richardson,
 )
-from wgpoles import oracle
+from wgpoles.transverse import CrossSection, build_basis
 
 _CS = CrossSection(width=np.pi, bc="dirichlet")
 _NCS = CrossSection(width=np.pi, bc="neumann")
@@ -717,6 +716,10 @@ def test_box_closure_is_the_projector_product(cs) -> None:
             want = (P * sigma) @ P.T
             got = op.closure(weights)
             assert np.abs(got - want).max() <= BOX_CLOSURE_REL_TOL * np.abs(want).max()
+    # the closure's cosine tables are kept for the last 8 grids, not for
+    # every grid the process solves
+    info = oracle._cosines.cache_info()
+    assert info.maxsize == 8 and 0 < info.currsize <= 8
 
 
 # the patch form's closure against the projector sum it transforms, relative
@@ -1016,18 +1019,20 @@ def test_patch_hint_costs_no_extra_factorizations(short, long, form) -> None:
 
 
 # the nominal patch row's ladder (eps = 0.4, the guide snapping h = 0.0316
-# to 0.4/12.5), each guide hinted by the shorter one's binding: the box's
-# bindings, which the nominal patch-threads2 sweep reported in its b_by_L
-# while it solved the box, and per form the factorizations measured (box:
-# 5 unhinted at L = 10, 3 at L = 20 and 40; patch form: 4, 4 and 3), plus a
-# margin of 2.  The rung L = 6 in front is not the row's (its binding is
-# the box's, solved alone): on either form one of its 5 factorizations, a
-# trial shift above E_1, fails, so the failure count is checked on both
+# to 0.4/12.5), each guide hinted by the shorter one's binding, and per
+# form the factorizations measured (box: 5 at L = 10, 3 at L = 20 and 40;
+# patch form: 4, 4 and 3), plus a margin of 2.  The bindings are the box's,
+# solved the way this test solves them: the four rungs in order on the box
+# at h = 0.0316 and half_width = 0.4, L = 6 unhinted and each later rung
+# hinted by the one before (the patch form lies within 3.6e-13 relative of
+# them).  The rung L = 6 in front is not the row's: on either form one of
+# its 5 factorizations, a trial shift above E_1, fails, so the failure
+# count is checked on both
 PATCH_LADDER = {
     6.0: (-0.13856526385271012, {"box": 7, "patch": 7}),
-    10.0: (-0.060430321456427134, {"box": 7, "patch": 6}),
-    20.0: (-0.018554048292209656, {"box": 5, "patch": 6}),
-    40.0: (-0.005293728133084005, {"box": 5, "patch": 5}),
+    10.0: (-0.060430321456377986, {"box": 7, "patch": 6}),
+    20.0: (-0.01855404829219981, {"box": 5, "patch": 6}),
+    40.0: (-0.005293728133082047, {"box": 5, "patch": 5}),
 }
 
 

@@ -11,30 +11,26 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from wgpoles import (
+from wgpoles.modesum import BoxRegion, ModeSumKernel
+from wgpoles.regular_pole import (
     BOUND_STATE,
     NO_EIGENVALUE,
     POLE_AT_ZERO,
     RESONANCE,
-    AmbiguousClassificationError,
-    BoxRegion,
-    CrossSection,
-    IterationDivergedError,
-    ModeSumKernel,
-    PerturbationField,
-    assemble_birman_schwinger,
-    build_basis,
-    classify_pole,
-    regular_leading_asymptotic,
-    solve_secular,
-)
-from wgpoles.regular_pole import (
     SECULAR_RTOL,
+    AmbiguousClassificationError,
+    IterationDivergedError,
+    PerturbationField,
     _birman_schwinger,
     _coupled_modes,
     _mode_coupling,
     _secular_value,
+    assemble_birman_schwinger,
+    classify_pole,
+    regular_leading_asymptotic,
+    solve_secular,
 )
+from wgpoles.transverse import CrossSection, build_basis
 
 from conftest import mode_profiles
 

@@ -5,17 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from wgpoles import (
-    BOUND_STATE,
-    NO_EIGENVALUE,
-    RESONANCE,
-    CrossSection,
-    build_basis,
+from wgpoles.regular_pole import BOUND_STATE, NO_EIGENVALUE, RESONANCE
+from wgpoles.singular_asym import (
+    AsymptoticPole,
     dirichlet_window_pole,
     dirichlet_window_width,
     neumann_patch_pole,
 )
-from wgpoles.singular_asym import AsymptoticPole
+from wgpoles.transverse import CrossSection, build_basis
 
 
 def _dirichlet_basis(count: int = 24):
