@@ -10,14 +10,21 @@ The package root exports what README's example and the sweep use: the
 cross-section and its basis, the secular lane's kernel and solve, the
 oracle's guide and eigensolve, and the sweep's ``parse_config`` and
 ``run_experiment``.  Everything else is imported from its module
-(``wgpoles.harness``, ``wgpoles.oracle``, ...).
+(``wgpoles.harness``, ``wgpoles.oracle``, ...).  Importing the package
+sets ``OPENBLAS_NUM_THREADS=1`` unless the caller set it (one BLAS thread:
+the solves are too small to gain from more, which only add CPU and move
+the report's last digits); it reaches numpy's OpenBLAS if numpy loads after.
 """
 
-from .harness import ConfigError, SweepRow, parse_config, run_experiment
-from .modesum import BoxRegion, ModeSumKernel
-from .oracle import TruncatedGuide, build_fd_operator, lowest_eigenpairs
-from .regular_pole import PerturbationField, solve_secular
-from .transverse import BC_DIRICHLET, CrossSection, build_basis
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read as each OpenBLAS loads
+
+from .harness import ConfigError, SweepRow, parse_config, run_experiment  # noqa: E402
+from .modesum import BoxRegion, ModeSumKernel  # noqa: E402
+from .oracle import TruncatedGuide, build_fd_operator, lowest_eigenpairs  # noqa: E402
+from .regular_pole import PerturbationField, solve_secular  # noqa: E402
+from .transverse import BC_DIRICHLET, CrossSection, build_basis  # noqa: E402
 
 __version__ = "0.1.0"
 

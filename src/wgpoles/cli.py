@@ -67,8 +67,6 @@ def _parser() -> argparse.ArgumentParser:
         prog="wgpoles",
         description="Threshold poles of perturbed waveguides: predictions, "
         "secular solves, and finite-difference cross-checks.",
-        epilog="Run with OPENBLAS_NUM_THREADS=1 in the environment: the solves "
-        "are too small to gain from BLAS threads, which only add CPU time.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -120,7 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    logger.info("start-up: %.3f s CPU from process launch to the command", startup)
+    logger.info("start-up: %.3f s CPU from process launch to the command, "
+                "OPENBLAS_NUM_THREADS=%s", startup, os.environ.get("OPENBLAS_NUM_THREADS"))
     try:
         return _cmd_sweep(args)
     except ConfigError as exc:

@@ -1,13 +1,7 @@
-"""Suite-wide settings, applied before numpy is imported, and shared test helpers."""
+"""Shared test helpers."""
 
-import os
-
-# one BLAS thread, as the benchmark runs: the window form's dense products
-# are large enough for OpenBLAS to thread, which spends more CPU for no
-# faster test
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402  (after the thread setting)
+import wgpoles  # noqa: F401  (first: it sets the BLAS thread default before numpy loads)
+import numpy as np
 
 
 def mode_profiles(kern, g: np.ndarray, k: complex, raw: bool = False) -> np.ndarray:

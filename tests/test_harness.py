@@ -796,7 +796,8 @@ def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
     # cost more CPU than a window sweep spends solving; the oracle loads
     # scipy's LAPACK extension alone, on the first banded factorization,
     # which a window sweep makes on its wall nodes, and a sweep on one
-    # thread loads no thread pool; -v logs the start-up CPU
+    # thread loads no thread pool; -v logs the start-up CPU and the BLAS
+    # thread setting
     path = tmp_path / "win.json"
     path.write_text(json.dumps(_window_dict()))
     argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "-v"]
@@ -821,6 +822,7 @@ def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
     assert loaded == []
     (startup,) = re.findall(r"start-up: ([0-9.]+) s CPU", run.stderr)
     assert 0.0 < float(startup) < cpu
+    assert "OPENBLAS_NUM_THREADS=1" in run.stderr
 
 
 def test_cli_process_exits_with_main_s_code_and_complete_output(tmp_path) -> None:
@@ -856,6 +858,65 @@ def test_cli_process_exits_with_main_s_code_and_complete_output(tmp_path) -> Non
             assert lines[4:] == [f"artifacts in {out}/"]
         else:
             assert "every sweep row failed" in run.stderr
+
+
+def _env_without_blas_setting() -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(oracle.__file__).parents[1])
+    return env
+
+
+def test_importing_the_package_sets_one_blas_thread_unless_the_caller_chose(tmp_path) -> None:
+    # the benchmark's set-up child imports wgpoles, then numpy and scipy, and
+    # reads the thread count of each bundled OpenBLAS: one by default, since
+    # the package sets OPENBLAS_NUM_THREADS before numpy loads, and the
+    # caller's count when the environment sets one
+    path = tmp_path / "win.json"
+    path.write_text(json.dumps(_window_dict()))
+    child = Path(__file__).parents[1] / "bench" / "child.py"
+    env = _env_without_blas_setting()
+    for setting, threads in ((None, 1), ("2", 2)):
+        run = subprocess.run(
+            [sys.executable, str(child), "setup", str(path)],
+            capture_output=True,
+            text=True,
+            env=env if setting is None else {**env, "OPENBLAS_NUM_THREADS": setting},
+        )
+        assert run.returncode == 0, run.stderr
+        info = json.loads(run.stdout.splitlines()[-1])
+        assert (info["numpy_blas"]["threads"], info["scipy_blas"]["threads"]) == (threads, threads)
+
+
+def test_cli_report_does_not_depend_on_the_caller_s_blas_setting(tmp_path) -> None:
+    # the nominal regular-secular benchmark config: with two BLAS threads its
+    # 129-square secular solves moved one row's secular_residual from 0.0
+    # to 3.5e-18, so the report is byte-identical only if the CLI runs on
+    # one thread with the variable unset as with it set to 1
+    epsilons = [0.16, 0.113, 0.08, 0.057, 0.04, 0.028, 0.02]
+    cfg = _regular_dict(
+        epsilons=epsilons,
+        perturbation={"half_width": 1.0, "n_long": 129, "n_trans": 17, "modes": 4},
+        oracle={"h": [0.25, 0.125], "order": 2,
+                "L": [[round(f / e, 3) for f in (2.0, 3.0, 4.0)] for e in epsilons]},
+        tolerances={"gap_slope_min": 2.7, "first_order": {"margin_eps2": 5.0},
+                    "classification": {"expect": "BoundState"}},
+    )
+    path = tmp_path / "regular.json"
+    path.write_text(json.dumps(cfg))
+    env = _env_without_blas_setting()
+    reports = []
+    for name, run_env in (("unset", env), ("one", {**env, "OPENBLAS_NUM_THREADS": "1"})):
+        out = tmp_path / name
+        run = subprocess.run(
+            [sys.executable, "-m", "wgpoles.cli", "sweep", "--config", str(path),
+             "--out", str(out), "--check"],
+            capture_output=True,
+            text=True,
+            env=run_env,
+        )
+        assert run.returncode == 0, run.stderr
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_cli_oracle_solves_the_sweep_coarse_step(tmp_path) -> None:
