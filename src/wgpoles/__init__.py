@@ -21,20 +21,18 @@ import os
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read as each OpenBLAS loads
 
 from .harness import ConfigError, SweepRow, parse_config, run_experiment  # noqa: E402
-from .modesum import BoxRegion, ModeSumKernel  # noqa: E402
+from .modesum import ModeSumKernel  # noqa: E402
 from .oracle import TruncatedGuide, build_fd_operator, lowest_eigenpairs  # noqa: E402
-from .regular_pole import PerturbationField, solve_secular  # noqa: E402
+from .regular_pole import solve_secular  # noqa: E402
 from .transverse import BC_DIRICHLET, CrossSection, build_basis  # noqa: E402
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BC_DIRICHLET",
-    "BoxRegion",
     "ConfigError",
     "CrossSection",
     "ModeSumKernel",
-    "PerturbationField",
     "SweepRow",
     "TruncatedGuide",
     "__version__",

@@ -5,8 +5,9 @@ a JSON config and writes ``sweep.csv`` and ``report.json``; each report row
 records the predictor, the secular pole and every oracle solve with the grid
 it used (see :func:`wgpoles.harness.run_experiment`).
 
-Exit codes: 0 on success, 2 for configuration problems, 3 when every sweep
-row failed, 4 when ``--check`` finds a tolerance violation.  A solver that
+Exit codes: 0 on success, 2 for configuration problems or an ``--out``
+that cannot be made a directory, 3 when every sweep row failed, 4 when
+``--check`` finds a tolerance violation.  A solver that
 fails fails only its row, which the report records with the error.
 """
 
@@ -124,6 +125,10 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_sweep(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # an --out that cannot be a directory fails before any row is solved
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

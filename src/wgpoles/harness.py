@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .modesum import BoxRegion, ModeSumKernel
+from .modesum import ModeSumKernel, lattice_modes
 from .oracle import (
     TruncatedGuide,
     aitken_limit,
@@ -38,11 +38,7 @@ from .oracle import (
     lowest_eigenpairs,
     richardson,
 )
-from .regular_pole import (
-    PerturbationField,
-    regular_leading_asymptotic,
-    solve_secular,
-)
+from .regular_pole import regular_leading_asymptotic, solve_secular
 from .singular_asym import dirichlet_window_pole, neumann_patch_pole
 from .transverse import CrossSection, TransverseBasis, build_basis
 
@@ -115,13 +111,17 @@ def _check_keys(where: str, block, allowed) -> dict:
 
 
 def _number(where: str, value) -> float:
-    # a JSON boolean is not a number, although float(True) is 1.0
+    # a JSON boolean is not a number, although float(True) is 1.0; NaN and
+    # Infinity are JSON tokens Python reads, but no setting takes them
     if not isinstance(value, bool):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
             pass
-    raise ConfigError(f"{where} must be a number, got {value!r}")
+        else:
+            if math.isfinite(number):
+                return number
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
 def _numbers(where: str, values) -> list[float]:
@@ -172,8 +172,10 @@ def parse_config(source) -> ExperimentConfig:
     ``perturbation`` holds the feature's ``half_width`` (required for a
     window or patch); the regular scenario's defaults are ``half_width``
     1, the secular grid ``n_long`` 129 by ``n_trans`` 17 (at least 2 each)
-    and ``modes`` ``m + 3`` resolvent modes (also the least).  ``m`` is a
-    positive integer, and no number, ``m`` included, may be a boolean.
+    and ``modes`` ``m + 3`` resolvent modes (also the least; at most
+    :func:`~wgpoles.modesum.lattice_modes`, ``n_trans - 2`` for Dirichlet
+    walls and ``n_trans - 1`` for Neumann).  ``m`` is a positive integer,
+    and no number, ``m`` included, may be a boolean, NaN or infinite.
     ``tolerances`` maps gate names of :data:`GATES` to their fields, plus
     the number ``gap_slope_min``.  A key no block takes, or a gate missing
     a required field, is rejected.
@@ -281,6 +283,11 @@ def parse_config(source) -> ExperimentConfig:
             raise ConfigError(
                 f"{scenario} needs perturbation.{key} >= {least[key]}, got {value!r}"
             )
+    if scenario == REGULAR_POTENTIAL:
+        fit = lattice_modes(cross_section, perturbation["n_trans"])
+        if perturbation["modes"] > fit:  # past this bound the sampled modes alias
+            raise ConfigError(f"perturbation.modes must be at most {fit} on n_trans = "
+                              f"{perturbation['n_trans']} nodes, got {perturbation['modes']}")
     expected_bc = "neumann" if scenario == NEUMANN_PATCH else "dirichlet"
     if scenario != REGULAR_POTENTIAL and cross_section.bc != expected_bc:
         raise ConfigError(
@@ -482,39 +489,24 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
 
 def regular_inputs(
     cfg: ExperimentConfig, basis: TransverseBasis
-) -> tuple[ModeSumKernel, PerturbationField]:
-    """Secular-lane kernel and potential for a regular-potential config."""
+) -> tuple[ModeSumKernel, np.ndarray]:
+    """Secular-lane kernel and the unit well sampled on its grid, for a regular config."""
     p = cfg.perturbation
-    region = BoxRegion(
-        cross_section=cfg.cross_section,
-        half_length=p["half_width"],
-        n_long=p["n_long"],
-        n_trans=p["n_trans"],
-    )
-    kernel = ModeSumKernel(basis=basis, m=cfg.m, region=region, count=p["modes"])
-    V = PerturbationField.from_function(
-        region, lambda x1, x2: np.ones_like(x1) * np.ones_like(x2)
-    )
-    return kernel, V
+    kernel = ModeSumKernel(basis, cfg.m, p["half_width"], p["n_long"], p["n_trans"], p["modes"])
+    return kernel, kernel.sample(lambda x1, x2: np.ones_like(x1))
 
 
-def predict_row(
-    cfg: ExperimentConfig,
-    eps: float,
-    basis: TransverseBasis,
-    V: PerturbationField | None = None,
-) -> SweepRow:
+def predict_row(cfg: ExperimentConfig, eps: float, basis: TransverseBasis,
+                kernel: ModeSumKernel | None = None, V: np.ndarray | None = None) -> SweepRow:
     """Leading-order prediction for one coupling; no secular or oracle lane.
 
-    A regular-potential row's potential ``V`` is built here unless given.
-    A wall row's extras record ``tau``, ``order`` and the ``wall_trace``
-    ``tau`` comes from: the threshold mode's wall slope for a window, its
-    wall value for a patch.
+    A regular-potential row needs the ``kernel`` and potential ``V`` of
+    :func:`regular_inputs`.  A wall row's extras record ``tau``, ``order``
+    and the ``wall_trace`` ``tau`` comes from: the threshold mode's wall
+    slope for a window, its wall value for a patch.
     """
     if cfg.scenario == REGULAR_POTENTIAL:
-        if V is None:
-            _, V = regular_inputs(cfg, basis)
-        lam = regular_leading_asymptotic(V, eps, cfg.m, basis).real
+        lam = regular_leading_asymptotic(V, eps, kernel).real
         lead = math.sqrt(abs(lam)) / eps
         return SweepRow(
             epsilon=eps,
@@ -540,14 +532,12 @@ def predict_row(
     )
 
 
-def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis) -> SweepRow:
+def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis,
+         kernel: ModeSumKernel | None, V: np.ndarray | None) -> SweepRow:
     """Prediction, secular pole (regular scenario only), and oracle binding."""
     eps = cfg.epsilons[index]
-    regular = cfg.scenario == REGULAR_POTENTIAL
-    # the predictor and the secular lane share one kernel and potential
-    kernel, V = regular_inputs(cfg, basis) if regular else (None, None)
-    row = predict_row(cfg, eps, basis, V)
-    if regular:
+    row = predict_row(cfg, eps, basis, kernel, V)
+    if kernel is not None:
         pole = solve_secular(V, eps, kernel)
         row.k_re, row.k_im = pole.k.real, pole.k.imag
         row.lambda_pole = pole.lam.real
@@ -572,11 +562,13 @@ def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
     eigensolves and its wall time.
     """
     basis = build_basis(cfg.cross_section, basis_size(cfg))
+    # every row's predictor and secular lane read one kernel and potential
+    kernel, V = regular_inputs(cfg, basis) if cfg.scenario == REGULAR_POTENTIAL else (None, None)
 
     def one(index: int) -> SweepRow:
         start = time.perf_counter()
         try:
-            row = _row(cfg, index, basis)
+            row = _row(cfg, index, basis, kernel, V)
         except Exception as exc:
             logger.warning("row eps=%g failed: %s", cfg.epsilons[index], exc)
             return SweepRow(
@@ -793,15 +785,17 @@ def run_experiment(
     The one writer of ``sweep.csv`` and ``report.json``.  The report stages
     are looked up in this module at call time, so a wrapper set on
     ``render_csv``, ``emit_report`` or ``compute_fits`` sees every call.
-    The fits, report and CSV stage logs its wall time.
+    The fits, report and CSV stage logs its wall time.  ``out_dir`` is made
+    before any row is solved, so an unusable one raises ``OSError`` at once.
     """
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(cfg, threads=threads)
     start = time.perf_counter()
     fits = compute_fits(cfg, rows)
     report = emit_report(cfg, rows, fits)
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "sweep.csv").write_text(render_csv(rows))
         (out / "report.json").write_text(report)
     logger.info("fits, report and CSV: %.3f s", time.perf_counter() - start)

@@ -27,16 +27,17 @@ Past the source box each mode of the field is one exponential
 ``a_j`` in closed form, and the pole solver reads nothing else of the field
 there.  Quadrature is trapezoid on a uniform tensor grid over the source
 box; the ``|x1 - t1|`` kink always sits on grid nodes, keeping the composite
-rule second order.
+rule second order.  The kernel alone owns that grid, and
+:meth:`ModeSumKernel.sample` samples a potential on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .transverse import CrossSection, TransverseBasis
+from .transverse import BC_DIRICHLET, CrossSection, TransverseBasis
 
 # Below this magnitude k is treated as exactly zero in the threshold kernel
 # (removable singularity limit -s/2).
@@ -98,42 +99,13 @@ def regularized_kernel(s, k: complex):
     return out.item() if np.isscalar(s) or s_arr.ndim == 0 else out
 
 
-@dataclass
-class BoxRegion:
-    """Uniform tensor quadrature grid over the source box ``Q = (-R, R) x (0, d)``.
+def lattice_modes(cross_section: CrossSection, n_trans: int) -> int:
+    """Most modes whose samples on ``n_trans`` transverse nodes stay orthonormal.
 
-    Trapezoid weights; endpoints included in both directions, so the weights
-    sum exactly to the box area ``2 R d``.
+    ``n_trans - 2`` between Dirichlet walls (whose end nodes vanish),
+    ``n_trans - 1`` between Neumann walls; past that the sampled modes alias.
     """
-
-    cross_section: CrossSection
-    half_length: float
-    n_long: int = 64
-    n_trans: int = 32
-    x1: np.ndarray = field(init=False, repr=False)
-    x2: np.ndarray = field(init=False, repr=False)
-    w1: np.ndarray = field(init=False, repr=False)
-    w2: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if not (self.half_length > 0):
-            raise ValueError(f"half-length must be positive, got {self.half_length}")
-        if self.n_long < 2 or self.n_trans < 2:
-            raise ValueError("need at least 2 nodes per direction")
-        R = self.half_length
-        d = self.cross_section.width
-        self.x1 = np.linspace(-R, R, self.n_long)
-        self.x2 = np.linspace(0.0, d, self.n_trans)
-        self.w1 = _trapezoid_weights(self.x1)
-        self.w2 = _trapezoid_weights(self.x2)
-
-    def sample(self, fn) -> np.ndarray:
-        """Sample ``fn(x1, x2)`` on the grid; returns shape ``(n_long, n_trans)``."""
-        vals = np.asarray(fn(self.x1[:, None], self.x2[None, :]))
-        # functions of one coordinate only come back collapsed; expand them
-        return np.ascontiguousarray(
-            np.broadcast_to(vals, (self.n_long, self.n_trans))
-        )
+    return n_trans - (2 if cross_section.bc == BC_DIRICHLET else 1)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -145,15 +117,21 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ModeSumKernel:
-    """Truncated mode-sum operator ``A(k)`` over a :class:`BoxRegion` grid.
+    """Truncated mode-sum operator ``A(k)`` on the grid of its source box.
 
-    ``count`` modes are kept; at least three evanescent modes beyond the
-    threshold are required so the truncation tail is controlled.
+    The box ``(-half_length, half_length) x (0, d)``, ``d`` the width of the
+    basis's cross-section, has ``n_long`` by ``n_trans`` uniform nodes
+    ``x1``, ``x2`` with trapezoid weights ``w1``, ``w2`` (endpoints
+    included, so the weights sum to the box area).  ``count`` modes are
+    kept; at least three evanescent modes beyond the threshold are required
+    so the truncation tail is controlled.
     """
 
     basis: TransverseBasis
     m: int
-    region: BoxRegion
+    half_length: float
+    n_long: int
+    n_trans: int
     count: int
 
     def __post_init__(self) -> None:
@@ -165,13 +143,22 @@ class ModeSumKernel:
                 "need at least three evanescent modes beyond the threshold"
             )
         if self.count > self.basis.count:
-            raise ValueError(
-                f"mode count {self.count} exceeds basis size {self.basis.count}"
-            )
-        if self.region.cross_section != self.basis.cross_section:
-            raise ValueError("region and basis disagree on the cross-section")
+            raise ValueError(f"mode count {self.count} exceeds basis size {self.basis.count}")
+        if not (self.half_length > 0):
+            raise ValueError(f"half-length must be positive, got {self.half_length}")
+        if self.n_long < 2 or self.n_trans < 2:
+            raise ValueError("need at least 2 nodes per direction")
+        self.x1 = np.linspace(-self.half_length, self.half_length, self.n_long)
+        self.x2 = np.linspace(0.0, self.basis.width, self.n_trans)
+        self.w1, self.w2 = _trapezoid_weights(self.x1), _trapezoid_weights(self.x2)
         # transverse samples phi_j(x2), shape (count, n_trans)
-        self.phi = self.basis.phi_matrix(self.region.x2)[: self.count]
+        self.phi = self.basis.phi_matrix(self.x2)[: self.count]
+
+    def sample(self, fn) -> np.ndarray:
+        """Sample ``fn(x1, x2)`` on the grid; returns shape ``(n_long, n_trans)``."""
+        vals = np.asarray(fn(self.x1[:, None], self.x2[None, :]))
+        # functions of one coordinate only come back collapsed; expand them
+        return np.ascontiguousarray(np.broadcast_to(vals, (self.n_long, self.n_trans)))
 
     def exponents(self, k: complex) -> np.ndarray:
         return longitudinal_exponents(self.basis, self.m, k, self.count)
@@ -196,7 +183,7 @@ class ModeSumKernel:
             k = float(K[self.m - 1])
         if modes is None:
             modes = range(self.count)
-        x1 = self.region.x1
+        x1 = self.x1
         dx = np.abs(x1[:, None] - x1[None, :])
         E = np.empty((len(modes), x1.size, x1.size), dtype=K.dtype)
         for i, j in enumerate(modes):
@@ -204,7 +191,7 @@ class ModeSumKernel:
                 E[i] = regularized_kernel(dx, k)
             else:
                 E[i] = np.exp(-K[j] * dx) / (2.0 * K[j])
-        E *= self.region.w1
+        E *= self.w1
         return E
 
     def project_sources(self, g: np.ndarray) -> np.ndarray:
@@ -212,10 +199,9 @@ class ModeSumKernel:
 
         ``ghat[j, l1] = w1[l1] * sum_l2 phi_j(x2[l2]) w2[l2] g[l1, l2]``.
         """
-        reg = self.region
-        g2 = np.asarray(g).reshape(reg.n_long, reg.n_trans)
-        ghat = (self.phi * reg.w2) @ g2.T
-        return ghat * reg.w1[None, :]
+        g2 = np.asarray(g).reshape(self.n_long, self.n_trans)
+        ghat = (self.phi * self.w2) @ g2.T
+        return ghat * self.w1[None, :]
 
     def outside_amplitudes(self, g: np.ndarray, k: complex) -> np.ndarray:
         """Amplitudes ``a_j`` of the field ``A(k) g`` past the source box, shape ``(count,)``.
@@ -228,4 +214,4 @@ class ModeSumKernel:
             raise ValueError("outside amplitudes need k != 0: a_m carries 1/(2k)")
         K = self.exponents(k)
         ghat = self.project_sources(g)
-        return np.einsum("jl,jl->j", np.exp(K[:, None] * self.region.x1), ghat) / (2.0 * K)
+        return np.einsum("jl,jl->j", np.exp(K[:, None] * self.x1), ghat) / (2.0 * K)

@@ -32,13 +32,16 @@ modes, carry a nonzero ``ghat_j``; the system is solved on that set alone.
 On a row where ``V`` is constant across the strip, ``C[l] = V[l, 0] I``
 exactly: the sampled modes are orthonormal under the trapezoid weights
 while they fit the transverse lattice (Dirichlet ``count <= n_trans - 2``,
-Neumann ``count <= n_trans - 1``).  A potential constant across the strip
-on every row therefore solves ``n_long`` unknowns on mode ``m`` alone, and
-at ``m >= 2`` its pole is exactly real, an eigenvalue embedded in the
-continuum; any other potential couples every mode and solves them all.
+Neumann ``count <= n_trans - 1``; :func:`wgpoles.modesum.lattice_modes`).
+A potential constant across the strip on every row therefore solves
+``n_long`` unknowns on mode ``m`` alone, and at ``m >= 2`` its pole is
+exactly real, an eigenvalue embedded in the continuum; any other potential
+couples every mode and solves them all.
 
-Pairings are bilinear (no conjugation): the secular function continues
-analytically in ``k`` and ``V`` may be complex.
+``V`` is a plain ``(n_long, n_trans)`` array sampled on the kernel's grid
+(:meth:`ModeSumKernel.sample`), so the predictor and the secular solve read
+one grid.  Pairings are bilinear (no conjugation): the secular function
+continues analytically in ``k`` and ``V`` may be complex.
 """
 
 from __future__ import annotations
@@ -46,13 +49,11 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import numpy.linalg as nla
 
-from .modesum import BoxRegion, ModeSumKernel
-from .transverse import BC_DIRICHLET, TransverseBasis
+from .modesum import ModeSumKernel, lattice_modes
 
 logger = logging.getLogger(__name__)
 
@@ -82,46 +83,18 @@ class AmbiguousClassificationError(ValueError):
     """Pole parameters fall on a boundary the classification rules do not cover."""
 
 
-@dataclass
-class PerturbationField:
-    """Multiplicative perturbation: sampled potential ``V`` on a box grid."""
-
-    region: BoxRegion
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values)
-        if self.values.shape != (self.region.n_long, self.region.n_trans):
-            raise ValueError(
-                f"potential samples {self.values.shape} do not match grid "
-                f"({self.region.n_long}, {self.region.n_trans})"
-            )
-
-    @classmethod
-    def from_function(cls, region: BoxRegion, fn: Callable) -> "PerturbationField":
-        """Sample ``fn(x1, x2)`` on the region grid."""
-        return cls(region=region, values=region.sample(fn))
-
-    @property
-    def bound(self) -> float:
-        """Uniform operator bound ``C(L) = max |V|``."""
-        return float(np.max(np.abs(self.values)))
-
-
-def _mode_coupling(V: PerturbationField, kernel: ModeSumKernel) -> np.ndarray:
+def _mode_coupling(V: np.ndarray, kernel: ModeSumKernel) -> np.ndarray:
     """Per-row mode coupling ``C[l, i, j] = sum_b phi_i(x2_b) w2_b V[l, b] phi_j(x2_b)``.
 
     A row of ``V`` constant across the strip couples ``V[l, 0] I``, written
-    exactly, while the modes fit the transverse lattice; past that bound the
-    sampled modes alias and every row keeps the quadrature.
+    exactly, while the modes fit the transverse lattice (:func:`lattice_modes`);
+    past that bound the sampled modes alias and every row keeps the quadrature.
     """
-    reg = kernel.region
     phi = kernel.phi
-    C = np.einsum("ib,lb,jb->lij", phi * reg.w2, V.values, phi)
-    spare = 2 if reg.cross_section.bc == BC_DIRICHLET else 1
-    if kernel.count <= reg.n_trans - spare:
-        flat = np.all(V.values == V.values[:, :1], axis=1)
-        C[flat] = V.values[flat, 0, None, None] * np.eye(kernel.count)
+    C = np.einsum("ib,lb,jb->lij", phi * kernel.w2, V, phi)
+    if kernel.count <= lattice_modes(kernel.basis.cross_section, kernel.n_trans):
+        flat = np.all(V == V[:, :1], axis=1)
+        C[flat] = V[flat, 0, None, None] * np.eye(kernel.count)
     return C
 
 
@@ -172,18 +145,6 @@ def _birman_schwinger(
     return B
 
 
-def assemble_birman_schwinger(
-    V: PerturbationField, k: complex, eps: float, kernel: ModeSumKernel
-) -> np.ndarray:
-    """Matrix of ``I - eps T(k)`` with ``T g = V (A~ g)``, in mode space.
-
-    ``count * n_long`` rows on the unknowns ``ghat_j[l]`` of every mode,
-    ordered mode-major; see the module docstring for the reduction.  The
-    secular solver assembles the same matrix on the coupled modes only.
-    """
-    return _birman_schwinger(_mode_coupling(V, kernel), kernel.assemble(k), eps, V.bound)
-
-
 @dataclass
 class PoleResult:
     """Pole location, residue samples, and classification for one solve.
@@ -214,41 +175,43 @@ class PoleResult:
 
 
 def _secular_value(
-    V: PerturbationField,
+    V: np.ndarray,
     k: complex,
     eps: float,
     kernel: ModeSumKernel,
     C: np.ndarray,
     modes: np.ndarray,
+    bound: float,
 ) -> tuple[complex, np.ndarray]:
     """One evaluation of the secular map: returns ``((eps/2)<phi_m, g>, g)``.
 
     Solves the mode-space system for ``ghat`` on the mode indices ``modes``
     (0-based, those ``C`` connects to ``m``; ``ghat_j`` vanishes on the
     others) and rebuilds the grid samples
-    ``g = V (phi_m + eps sum_j phi_j E_j ghat_j)``.
+    ``g = V (phi_m + eps sum_j phi_j E_j ghat_j)``; ``bound`` is ``max |V|``
+    for the contraction screen of :func:`_birman_schwinger`.
     """
-    reg = kernel.region
     mi = kernel.m - 1
     E = kernel.assemble(k.real if k.imag == 0.0 else k, modes)
     Cs = C[:, modes][:, :, modes]
     rhs = C[:, modes, mi].T.ravel()
-    ghat = nla.solve(_birman_schwinger(Cs, E, eps, V.bound), rhs)
-    ghat = ghat.reshape(len(modes), reg.n_long)
+    ghat = nla.solve(_birman_schwinger(Cs, E, eps, bound), rhs)
+    ghat = ghat.reshape(len(modes), kernel.n_long)
     u = np.einsum("jlq,jq->lj", E, ghat)
-    g = V.values * (kernel.phi[mi] + eps * (u @ kernel.phi[modes]))
-    return 0.5 * eps * complex(reg.w1 @ ghat[modes == mi][0]), g
+    g = V * (kernel.phi[mi] + eps * (u @ kernel.phi[modes]))
+    return 0.5 * eps * complex(kernel.w1 @ ghat[modes == mi][0]), g
 
 
 def solve_secular(
-    V: PerturbationField,
+    V: np.ndarray,
     eps: float,
     kernel: ModeSumKernel,
     k0: complex = 0.0,
 ) -> PoleResult:
     """Solve the secular equation for the pole ``k`` near threshold ``m``.
 
-    Safeguarded secant iteration on ``G(k) = F(k) - k`` with
+    ``V`` is sampled on the kernel's grid; another shape raises
+    ``ValueError``.  Safeguarded secant iteration on ``G(k) = F(k) - k`` with
     ``F(k) = (eps/2)<phi_m, S(k)(V phi_m)>``, from ``k0`` (default the
     threshold itself).  The second iterate is ``F(k0)``; each later one is
     the secant point through the last two ``(k, G)`` pairs, or the plain
@@ -263,12 +226,14 @@ def solve_secular(
     detach.
     """
     start = time.perf_counter()
-    reg = kernel.region
-    if not np.any(V.values * kernel.phi[kernel.m - 1]):
+    grid = (kernel.n_long, kernel.n_trans)
+    if np.shape(V) != grid:
+        raise ValueError(f"potential samples {np.shape(V)} do not match grid {grid}")
+    if not np.any(V * kernel.phi[kernel.m - 1]):
         return PoleResult(
             k=0.0 + 0.0j,
             classification=POLE_AT_ZERO,
-            residue=np.zeros((reg.n_long, reg.n_trans)),
+            residue=np.zeros(grid),
             iterates=[complex(k0)],
             eps=eps,
             m=kernel.m,
@@ -276,13 +241,14 @@ def solve_secular(
 
     C = _mode_coupling(V, kernel)
     modes = _coupled_modes(C, kernel.m)
+    bound = float(np.max(np.abs(V)))
     k = complex(k0)
     trace = [k]
     prev = None  # the previous (k, G(k)) pair
     stalled = 0
     for _ in range(MAX_SECULAR_ITERATIONS):
         try:
-            f, g = _secular_value(V, k, eps, kernel, C, modes)
+            f, g = _secular_value(V, k, eps, kernel, C, modes, bound)
         except ValueError as exc:
             # iterate escaped the kernel's analyticity domain; that is a
             # divergence, not a usage error
@@ -321,7 +287,7 @@ def solve_secular(
         "|F(k) - k| = %.3e, %.2f s",
         len(trace) - 1,
         len(trace),
-        len(modes) * reg.n_long,
+        len(modes) * kernel.n_long,
         residual,
         time.perf_counter() - start,
     )
@@ -343,18 +309,16 @@ def solve_secular(
     )
 
 
-def regular_leading_asymptotic(
-    V: PerturbationField, eps: float, m: int, basis: TransverseBasis
-) -> complex:
+def regular_leading_asymptotic(V: np.ndarray, eps: float, kernel: ModeSumKernel) -> complex:
     """Leading pole asymptotics ``lambda = -(eps^2/4) <phi_m V phi_m>^2``.
 
-    The average is the quadrature of ``V phi_m^2`` over the source box.
+    The average is the quadrature of ``V phi_m^2`` over the kernel's source
+    box, on the grid and threshold mode the secular lane solves with.
     First order in the detachment parameter; the solver's pole differs from
     this by ``O(eps^3)``.
     """
-    reg = V.region
-    phim2 = basis.phi(m, reg.x2) ** 2
-    avg = complex(np.einsum("i,j,ij->", reg.w1, reg.w2 * phim2, V.values))
+    phim2 = kernel.phi[kernel.m - 1] ** 2
+    avg = complex(np.einsum("i,j,ij->", kernel.w1, kernel.w2 * phim2, V))
     lam = -0.25 * eps * eps * avg * avg
     if lam.imag == 0.0:
         return complex(lam.real)

@@ -13,7 +13,7 @@ def mode_profiles(kern, g: np.ndarray, k: complex, raw: bool = False) -> np.ndar
     ``A(k) g``, which adds back the constant ``<g, phi_m>/(2k)`` that the
     regularized kernel drops.
     """
-    src = (kern.phi * kern.region.w2) @ np.asarray(g).T
+    src = (kern.phi * kern.w2) @ np.asarray(g).T
     prof = np.einsum("jil,jl->ji", kern.assemble(k), src)
     if not raw:
         return prof

@@ -43,10 +43,9 @@ REGULAR_EPS = (0.08, 0.04, 0.02, 0.01)
 
 
 def _box_kernel(basis: TransverseBasis) -> wg.ModeSumKernel:
-    region = wg.BoxRegion(
-        cross_section=STRIP, half_length=1.0, n_long=129, n_trans=17
+    return wg.ModeSumKernel(
+        basis=basis, m=1, half_length=1.0, n_long=129, n_trans=17, count=4
     )
-    return wg.ModeSumKernel(basis=basis, m=1, region=region, count=4)
 
 
 def _box_well_binding(eps: float) -> float:
@@ -111,15 +110,13 @@ def test_regular_potential_pole_and_oracle_asymptotics() -> None:
     t0 = time.monotonic()
     basis = wg.build_basis(STRIP, 9)
     kernel = _box_kernel(basis)
-    V = wg.PerturbationField.from_function(
-        kernel.region, lambda x1, x2: np.ones_like(x1)
-    )
+    V = kernel.sample(lambda x1, x2: np.ones_like(x1))
     failures: list[str] = []
 
     gaps = []
     for eps in REGULAR_EPS:
         pole = wg.solve_secular(V, eps, kernel)
-        lam_lead = regular_leading_asymptotic(V, eps, 1, basis)
+        lam_lead = regular_leading_asymptotic(V, eps, kernel)
         dev = abs(pole.k - eps)
         if dev > 5.0 * eps * eps or pole.classification != BOUND_STATE:
             failures.append(
@@ -421,9 +418,7 @@ def test_bound_state_tail_mode_structure() -> None:
     eps = 0.05
     basis = wg.build_basis(STRIP, 6)
     kernel = _box_kernel(basis)
-    V = wg.PerturbationField.from_function(
-        kernel.region, lambda x1, x2: 1.0 + x2 / math.pi
-    )
+    V = kernel.sample(lambda x1, x2: 1.0 + x2 / math.pi)
     pole = wg.solve_secular(V, eps, kernel)
     assert pole.classification == BOUND_STATE
     k = pole.k.real

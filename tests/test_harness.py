@@ -27,10 +27,12 @@ from wgpoles.harness import (
     fit_loglog_slope,
     parse_config,
     predict_row,
+    regular_inputs,
     render_csv,
     run_experiment,
     run_sweep,
 )
+from wgpoles.modesum import lattice_modes
 from wgpoles.transverse import build_basis
 
 
@@ -123,7 +125,7 @@ def test_parse_config_fills_defaults_in_one_place() -> None:
     }
     assert basis_size(reg) == 10
     assert basis_size(
-        parse_config(_regular_dict(perturbation={"modes": 40}))
+        parse_config(_regular_dict(perturbation={"modes": 40, "n_trans": 42}))
     ) == 40
     win = parse_config(_window_dict())
     assert win.perturbation == {"half_width": 1.0}
@@ -500,7 +502,7 @@ def test_failed_fits_become_notes_and_unavailable_verdicts() -> None:
 def test_predictor_rows_match_closed_forms() -> None:
     reg = parse_config(_regular_dict())
     basis = build_basis(reg.cross_section, 9)
-    row = predict_row(reg, 0.5, basis)
+    row = predict_row(reg, 0.5, basis, *regular_inputs(reg, basis))
     # the box spans the full cross section, so the mode average is the box
     # length and the first-order coefficient is half of it
     assert row.extras["first_order_coefficient"] == pytest.approx(1.0, rel=1e-6)
@@ -596,6 +598,54 @@ def test_cli_rejects_a_wall_coupling_of_one_before_any_solve(
         epsilons=[1.0, 0.8, 0.6, 0.4],
     )
     _assert_rejected_before_any_solve(tmp_path, capsys, raw)
+
+
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"epsilons": [math.nan, 0.6, 0.5, 0.4]},
+        {"oracle": {"h": [math.nan], "L": [8.0, 12.0]}},
+        {"oracle": {"h": [0.1], "L": [8.0, math.inf]}},
+        {"perturbation": {"half_width": math.inf}},
+        {"tolerances": {"gap_slope_min": math.nan}},
+        {"tolerances": {"first_order": {"margin_eps2": "-inf"}}},
+    ],
+    ids=["epsilon", "oracle.h", "oracle.L", "half_width", "gap_slope_min", "gate-field-text"],
+)
+def test_cli_rejects_a_non_finite_number_before_any_solve(tmp_path, capsys, over) -> None:
+    # json writes and reads the NaN and Infinity tokens; each of these once
+    # parsed, and its sweep ran to an error row, a failed check or exit 3
+    _assert_rejected_before_any_solve(tmp_path, capsys, _regular_dict(**over))
+
+
+@pytest.mark.parametrize("bc, fit", [("dirichlet", 6), ("neumann", 5)])
+def test_cli_rejects_more_secular_modes_than_the_transverse_grid_holds(
+    tmp_path, capsys, bc, fit
+) -> None:
+    # the default four modes fit 6 Dirichlet or 5 Neumann transverse nodes;
+    # on one node fewer the sampled modes alias
+    cs = {"width": math.pi, "bc": bc}
+    cfg = parse_config(_regular_dict(cross_section=cs, perturbation={"n_trans": fit}))
+    assert cfg.perturbation["modes"] == lattice_modes(cfg.cross_section, fit) == 4
+    raw = _regular_dict(cross_section=cs, perturbation={"n_trans": fit - 1})
+    _assert_rejected_before_any_solve(tmp_path, capsys, raw)
+
+
+def test_cli_refuses_an_unusable_out_before_any_solve(tmp_path, capsys, monkeypatch) -> None:
+    # --out naming a regular file, or a directory under one, is one stderr
+    # line and exit 2, and no row is solved
+    solved = []
+    row = harness._row
+    monkeypatch.setattr(harness, "_row", lambda *args: solved.append(args) or row(*args))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_regular_dict()))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker, blocker / "out"):
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: ")
+    assert solved == []
 
 
 def _assert_rejected_before_any_solve(tmp_path, capsys, raw: dict) -> None:

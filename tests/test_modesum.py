@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from wgpoles.modesum import (
-    BoxRegion,
     ModeSumKernel,
     longitudinal_exponents,
     regularized_kernel,
@@ -114,29 +113,34 @@ def test_regularized_kernel_continuity_bound() -> None:
 
 
 def test_region_weights_sum_to_box_area() -> None:
-    cs = CrossSection(width=PI, bc=BC_DIRICHLET)
-    reg = BoxRegion(cross_section=cs, half_length=1.5, n_long=33, n_trans=17)
-    assert abs(reg.w1.sum() - 3.0) < 1e-13
-    assert abs(reg.w2.sum() - PI) < 1e-13
-    total = np.outer(reg.w1, reg.w2).sum()
+    # the kernel's own box grid: its cross-section comes from the basis
+    basis = _dirichlet_basis()
+    box = dict(half_length=1.5, n_long=33, n_trans=17)
+    kern = ModeSumKernel(basis=basis, m=1, count=4, **box)
+    assert abs(kern.w1.sum() - 3.0) < 1e-13
+    assert abs(kern.w2.sum() - PI) < 1e-13
+    total = np.outer(kern.w1, kern.w2).sum()
     assert abs(total - 2.0 * 1.5 * PI) < 1e-12
-    assert np.all(reg.w1 > 0) and np.all(reg.w2 > 0)
-    with pytest.raises(ValueError):
-        BoxRegion(cross_section=cs, half_length=-1.0)
+    assert np.all(kern.w1 > 0) and np.all(kern.w2 > 0)
+    assert kern.x2[-1] == PI and kern.phi.shape == (4, 17)
+    for bad in ({"half_length": -1.0}, {"n_long": 1}, {"n_trans": 1}):
+        with pytest.raises(ValueError):
+            ModeSumKernel(basis=basis, m=1, count=4, **{**box, **bad})
 
 
 def test_kernel_count_validation() -> None:
     basis = _dirichlet_basis()
-    cs = basis.cross_section
-    reg = BoxRegion(cross_section=cs, half_length=1.0, n_long=17, n_trans=9)
+    box = dict(half_length=1.0, n_long=17, n_trans=9)
     with pytest.raises(ValueError):
-        ModeSumKernel(basis=basis, m=2, region=reg, count=4)  # < m + 3
-    assert ModeSumKernel(basis=basis, m=2, region=reg, count=5).count == 5
+        ModeSumKernel(basis=basis, m=2, count=4, **box)  # < m + 3
+    with pytest.raises(ValueError):
+        ModeSumKernel(basis=basis, m=2, count=basis.count + 1, **box)
+    assert ModeSumKernel(basis=basis, m=2, count=5, **box).count == 5
 
 
 def _complex_reference_blocks(kern: ModeSumKernel, k: complex) -> np.ndarray:
     # every block in complex arithmetic, straight from the kernel formulas
-    x1 = kern.region.x1
+    x1 = kern.x1
     dx = np.abs(x1[:, None] - x1[None, :])
     K = longitudinal_exponents(kern.basis, kern.m, k, kern.count)
     blocks = [
@@ -144,7 +148,7 @@ def _complex_reference_blocks(kern: ModeSumKernel, k: complex) -> np.ndarray:
         else np.exp(-K[j] * dx) / (2.0 * K[j])
         for j in range(kern.count)
     ]
-    return np.array(blocks) * kern.region.w1
+    return np.array(blocks) * kern.w1
 
 
 @pytest.mark.parametrize(
@@ -154,8 +158,7 @@ def _complex_reference_blocks(kern: ModeSumKernel, k: complex) -> np.ndarray:
 def test_assembled_blocks_match_complex_reference(m, k, real) -> None:
     # real arithmetic exactly when every exponent is real: m = 1 and real k
     basis = _dirichlet_basis()
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=33, n_trans=9)
-    kern = ModeSumKernel(basis=basis, m=m, region=reg, count=m + 4)
+    kern = ModeSumKernel(basis=basis, m=m, half_length=1.0, n_long=33, n_trans=9, count=m + 4)
     E = kern.assemble(k)
     ref = _complex_reference_blocks(kern, k)
     assert np.iscomplexobj(E) != real
@@ -170,12 +173,11 @@ def test_assembled_blocks_match_complex_reference(m, k, real) -> None:
 
 def test_bilinear_symmetry() -> None:
     basis = _dirichlet_basis()
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=21, n_trans=13)
-    kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
-    w = np.outer(reg.w1, reg.w2)
+    kern = ModeSumKernel(basis=basis, m=1, half_length=1.0, n_long=21, n_trans=13, count=9)
+    w = np.outer(kern.w1, kern.w2)
     rng = np.random.default_rng(7)
-    f = rng.standard_normal((reg.n_long, reg.n_trans))
-    g = rng.standard_normal((reg.n_long, reg.n_trans))
+    f = rng.standard_normal((kern.n_long, kern.n_trans))
+    g = rng.standard_normal((kern.n_long, kern.n_trans))
     Af = mode_profiles(kern, f, 0.05).T @ kern.phi
     Ag = mode_profiles(kern, g, 0.05).T @ kern.phi
     left = complex(np.sum(f * w * Ag))
@@ -187,11 +189,10 @@ def test_apply_analytic_example() -> None:
     # source phi_2(x2) * 1_(-1,1)(x1), m = 1, k = 0: only the j = 2 kernel
     # survives, giving phi_2(x2) * (1 - e^{-sqrt(3)})/3 at x1 = 0
     basis = _dirichlet_basis()
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=257, n_trans=41)
-    kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
-    g = reg.sample(lambda x1, x2: basis.phi(2, x2.ravel())[None, :] * np.ones_like(x1))
+    kern = ModeSumKernel(basis=basis, m=1, half_length=1.0, n_long=257, n_trans=41, count=9)
+    g = kern.sample(lambda x1, x2: basis.phi(2, x2.ravel())[None, :] * np.ones_like(x1))
     x2 = np.array([0.4, 1.1, 2.0])
-    got = mode_profiles(kern, g, 0.0)[:, reg.n_long // 2] @ basis.phi_matrix(x2)[: kern.count]
+    got = mode_profiles(kern, g, 0.0)[:, kern.n_long // 2] @ basis.phi_matrix(x2)[: kern.count]
     expect = basis.phi(2, x2) * (1.0 - math.exp(-math.sqrt(3.0))) / 3.0
     assert np.max(np.abs(got - expect)) < 2e-5
     assert abs((1.0 - math.exp(-math.sqrt(3.0))) / 3.0 - 0.2743596) < 1e-7
@@ -199,9 +200,8 @@ def test_apply_analytic_example() -> None:
 
 def test_apply_excites_single_mode() -> None:
     basis = _dirichlet_basis()
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=33, n_trans=21)
-    kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
-    g = reg.sample(lambda x1, x2: basis.phi(3, x2.ravel())[None, :] * np.exp(-x1**2))
+    kern = ModeSumKernel(basis=basis, m=1, half_length=1.0, n_long=33, n_trans=21, count=9)
+    g = kern.sample(lambda x1, x2: basis.phi(3, x2.ravel())[None, :] * np.exp(-x1**2))
     # mode profiles at x1 = 2.5, past the box
     prof = kern.outside_amplitudes(g, 0.02) * np.exp(-kern.exponents(0.02) * 2.5)
     for j in (1, 2, 4, 5):
@@ -211,12 +211,11 @@ def test_apply_excites_single_mode() -> None:
 
 def test_apply_grid_mismatch_and_zero_mass_guard() -> None:
     basis = _dirichlet_basis()
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=9, n_trans=7)
-    kern = ModeSumKernel(basis=basis, m=1, region=reg, count=9)
+    kern = ModeSumKernel(basis=basis, m=1, half_length=1.0, n_long=9, n_trans=7, count=9)
     with pytest.raises(ValueError):
         kern.outside_amplitudes(np.ones(5), 0.1)
     # the raw resolvent's amplitudes are refused at k = 0 ...
-    g = reg.sample(lambda x1, x2: basis.phi(1, x2.ravel())[None, :] * np.ones_like(x1))
+    g = kern.sample(lambda x1, x2: basis.phi(1, x2.ravel())[None, :] * np.ones_like(x1))
     with pytest.raises(ValueError):
         kern.outside_amplitudes(g, 0.0)
     # ... while the regularized assembly is finite there on threshold-mode mass
@@ -226,14 +225,14 @@ def test_apply_grid_mismatch_and_zero_mass_guard() -> None:
 
 def test_truncation_tail_off_support() -> None:
     basis = build_basis(CrossSection(width=PI, bc=BC_DIRICHLET), 40)
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=25, n_trans=15)
+    box = dict(half_length=1.0, n_long=25, n_trans=15)
     rng = np.random.default_rng(3)
-    g = rng.standard_normal((reg.n_long, reg.n_trans))
+    g = rng.standard_normal((box["n_long"], box["n_trans"]))
     x1 = np.array([2.0, 3.0])
     x2 = np.array([1.0, 2.2])
     vals = {}
     for count in (9, 18):
-        kern = ModeSumKernel(basis=basis, m=1, region=reg, count=count)
+        kern = ModeSumKernel(basis=basis, m=1, count=count, **box)
         # the regularized field past the box: the threshold mode drops the
         # constant <g, phi_1>/(2k) of the raw resolvent's
         prof = kern.outside_amplitudes(g, 0.05)[:, None] * np.exp(
@@ -252,21 +251,19 @@ def test_output_mode_decay_rates() -> None:
     # same step with the source padded by zeros, is a_j exp(-K_j x1) mode by
     # mode with the closed-form amplitudes
     basis = _dirichlet_basis()
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=33, n_trans=21)
-    kern = ModeSumKernel(basis=basis, m=1, region=reg, count=8)
+    kern = ModeSumKernel(basis=basis, m=1, half_length=1.0, n_long=33, n_trans=21, count=8)
     rng = np.random.default_rng(11)
-    g = rng.standard_normal((reg.n_long, reg.n_trans))
+    g = rng.standard_normal((kern.n_long, kern.n_trans))
     k = 0.04
     amps = kern.outside_amplitudes(g, k)
-    big = BoxRegion(cross_section=basis.cross_section, half_length=5.0, n_long=161, n_trans=21)
-    wide = ModeSumKernel(basis=basis, m=1, region=big, count=8)
-    gw = np.zeros((big.n_long, big.n_trans))
+    wide = ModeSumKernel(basis=basis, m=1, half_length=5.0, n_long=161, n_trans=21, count=8)
+    gw = np.zeros((wide.n_long, wide.n_trans))
     gw[64:97] = g
     # the small box's end nodes are interior in the big one: full weight there
     gw[[64, 96]] *= 0.5
     prof = mode_profiles(wide, gw, k, raw=True)
-    far = big.x1 >= 2.0
-    xs = big.x1[far]
+    far = wide.x1 >= 2.0
+    xs = wide.x1[far]
     want = amps[:, None] * np.exp(-kern.exponents(k)[:, None] * xs)
     assert np.max(np.abs(prof[:, far] - want)) < 1e-12 * np.max(np.abs(want))
     for j in (2, 3):
@@ -281,21 +278,20 @@ def test_helmholtz_residual_on_interior_grid() -> None:
     # runs on a subgrid of those nodes, where the kinks sit on stencil
     # points and the composite error stays O(h^2).
     basis = _dirichlet_basis()
-    reg = BoxRegion(cross_section=basis.cross_section, half_length=1.0, n_long=161, n_trans=97)
-    kern = ModeSumKernel(basis=basis, m=1, region=reg, count=10)
+    kern = ModeSumKernel(basis=basis, m=1, half_length=1.0, n_long=161, n_trans=97, count=10)
 
     def g_fn(x1, x2):
         return np.exp(-3.0 * x1**2) * np.sin(x2) ** 3
 
-    g = reg.sample(g_fn)
+    g = kern.sample(g_fn)
     k = 0.05
     prof = mode_profiles(kern, g, k, raw=True)
     i1 = np.arange(20, 141, 2)
     i2 = np.arange(12, 85)
-    X1, X2 = np.meshgrid(reg.x1[i1], reg.x2[i2], indexing="ij")
+    X1, X2 = np.meshgrid(kern.x1[i1], kern.x2[i2], indexing="ij")
     U = (prof.T @ kern.phi)[np.ix_(i1, i2)]
-    h1 = 2.0 * (reg.x1[1] - reg.x1[0])
-    h2 = reg.x2[1] - reg.x2[0]
+    h1 = 2.0 * (kern.x1[1] - kern.x1[0])
+    h2 = kern.x2[1] - kern.x2[0]
     lap = (U[2:, 1:-1] - 2.0 * U[1:-1, 1:-1] + U[:-2, 1:-1]) / h1**2 + (
         U[1:-1, 2:] - 2.0 * U[1:-1, 1:-1] + U[1:-1, :-2]
     ) / h2**2
