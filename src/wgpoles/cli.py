@@ -14,7 +14,6 @@ fails fails only its row, which the report records with the error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import logging
 import os
@@ -85,35 +84,8 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _steady_heap() -> None:
-    """Fix glibc malloc's mmap and trim thresholds for the rest of the process.
-
-    A sweep allocates and frees arrays of a few sizes thousands of times;
-    the secular solve's 129 x 129 blocks sit just above malloc's initial
-    128 KiB mmap threshold.  By default glibc raises that threshold as it
-    frees mapped blocks, and gives the top of the heap back to the kernel
-    once twice the threshold lies free there.  Whether a block reuses heap
-    pages or faults in fresh ones then depends on the heap's layout, which
-    even the length of the ``--out`` path shifts: the nominal regular grid
-    took 5,500 or 9,000 page faults by that alone.  Both thresholds are
-    fixed at the highest values the dynamic ones reach (32 MiB, trimming at
-    64 MiB), so every smaller array comes from a heap that is not trimmed,
-    whatever its layout.  Other C libraries are left as they are.
-    """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):
-        return
-    # M_MMAP_THRESHOLD, then M_TRIM_THRESHOLD; mallopt returns 0 on failure
-    if mallopt(-3, 32 << 20):
-        mallopt(-1, 64 << 20)
-
-
 def main(argv: list[str] | None = None) -> int:
     startup = time.process_time()
-    _steady_heap()
     args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,

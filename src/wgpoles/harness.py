@@ -23,7 +23,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,7 @@ from .oracle import (
     lowest_eigenpairs,
     richardson,
 )
-from .regular_pole import regular_leading_asymptotic, solve_secular
+from .regular_pole import POLE_CLASSES, regular_leading_asymptotic, solve_secular
 from .singular_asym import dirichlet_window_pole, neumann_patch_pole
 from .transverse import CrossSection, TransverseBasis, build_basis
 
@@ -67,13 +67,6 @@ GATES = {
     "truncation_bound": (("factor",), ()),
     "first_order": (("margin_eps2",), ()),
 }
-
-# the sweep.csv columns: every SweepRow field but ``error`` and ``extras``
-CSV_COLUMNS = (
-    "epsilon", "k_re", "k_im", "lambda_pred", "lambda_pole", "b_oracle", "rel_err",
-    "classification",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 # slope fits need this many couplings; the config invariant enforces it
 MIN_EPSILONS = 4
@@ -130,8 +123,12 @@ def _numbers(where: str, values) -> list[float]:
     return [_number(f"{where}[{i}]", v) for i, v in enumerate(values)]
 
 
-def _tolerances(raw) -> dict:
-    """Validated gates with numeric fields as floats and defaults filled in."""
+def _tolerances(raw, scenario: str) -> dict:
+    """Validated gates with numeric fields as floats and defaults filled in.
+
+    A gate that no sweep of ``scenario`` can pass is refused here, not
+    failed under ``--check`` after every row is solved.
+    """
     tol = _check_keys("tolerances", raw, (*GATES, "gap_slope_min"))
     for name, spec in tol.items():
         where = f"tolerances.{name}"
@@ -151,6 +148,16 @@ def _tolerances(raw) -> dict:
         tol["prefactor"].setdefault("rel_tol", 0.15)
         if tol["prefactor"]["predicted"] == 0:
             raise ConfigError("tolerances.prefactor.predicted must be nonzero")
+        if scenario == NEUMANN_PATCH:
+            raise ConfigError("tolerances.prefactor fits positive bindings; a patch binds none")
+    if "slope" in tol and tol["slope"]["min"] > tol["slope"]["max"]:
+        raise ConfigError(f"tolerances.slope.min exceeds its max: {tol['slope']}")
+    if "classification" in tol and tol["classification"]["expect"] not in POLE_CLASSES:
+        raise ConfigError(f"tolerances.classification.expect must be one of {POLE_CLASSES}, "
+                          f"got {tol['classification']['expect']!r}")
+    for name in ("gap_slope_min", "first_order"):
+        if name in tol and scenario != REGULAR_POTENTIAL:
+            raise ConfigError(f"tolerances.{name} reads the secular pole; a {scenario} has none")
     return tol
 
 
@@ -177,8 +184,11 @@ def parse_config(source) -> ExperimentConfig:
     walls and ``n_trans - 1`` for Neumann).  ``m`` is a positive integer,
     and no number, ``m`` included, may be a boolean, NaN or infinite.
     ``tolerances`` maps gate names of :data:`GATES` to their fields, plus
-    the number ``gap_slope_min``.  A key no block takes, or a gate missing
-    a required field, is rejected.
+    the number ``gap_slope_min``.  A key no block takes, a gate missing
+    a required field, or a gate no row can pass is rejected: a ``slope``
+    ``min`` above its ``max``, a ``classification`` label no pole takes,
+    ``gap_slope_min`` or ``first_order`` outside the regular scenario (only
+    its secular lane gives a pole), or ``prefactor`` on a patch.
     Defaults are filled in and every number is converted (to an ``int``
     for ``m`` and the secular grid, else a ``float``) here, in the parsed
     blocks; ``raw`` keeps the source as given.
@@ -304,7 +314,7 @@ def parse_config(source) -> ExperimentConfig:
         epsilons=tuple(eps),
         perturbation=perturbation,
         oracle=oracle,
-        tolerances=_tolerances(raw.get("tolerances", {})),
+        tolerances=_tolerances(raw.get("tolerances", {}), scenario),
         raw=raw,
     )
 
@@ -328,10 +338,14 @@ class SweepRow:
     lambda_pred: float | None = None
     lambda_pole: float | None = None
     b_oracle: float | None = None
-    rel_err: float | None = None
     classification: str | None = None
     error: str | None = None
     extras: dict = field(default_factory=dict)
+
+
+# the sweep.csv columns: every SweepRow field but ``error`` and ``extras``, in order
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow) if f.name not in ("error", "extras"))
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def _cell(value) -> str:
@@ -548,8 +562,6 @@ def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis,
     b, oracle_extras = row_binding(cfg, index)
     row.extras.update(oracle_extras)
     row.b_oracle = b
-    if cfg.scenario != NEUMANN_PATCH and b > 0:
-        row.rel_err = abs(row.lambda_pred + b) / abs(b)
     return row
 
 

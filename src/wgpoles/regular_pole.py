@@ -62,6 +62,7 @@ BOUND_STATE = "BoundState"
 RESONANCE = "Resonance"
 NO_EIGENVALUE = "NoEigenvalue"
 POLE_AT_ZERO = "PoleAtZero"
+POLE_CLASSES = (BOUND_STATE, RESONANCE, NO_EIGENVALUE, POLE_AT_ZERO)
 
 MAX_SECULAR_ITERATIONS = 100
 SECULAR_RTOL = 1e-12

@@ -1,0 +1,132 @@
+"""Guards on the whole program: the lanes' import boundary, solver work, golden numbers.
+
+The work ratchet and the golden numbers run the benchmark's three nominal
+workloads in process on one thread.  ``golden_rows.json`` records the
+commit its numbers came from; regenerate it only for a change of method,
+and say which numbers moved and by how much:
+
+    PYTHONPATH=src python tests/test_guards.py COMMIT
+"""
+
+import ast
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from wgpoles.harness import parse_config, run_sweep
+
+REPO = Path(__file__).parents[1]
+PACKAGE = REPO / "src" / "wgpoles"
+GOLDEN_PATH = Path(__file__).with_name("golden_rows.json")
+
+# per-row numbers held to GOLDEN_REL_TOL relative: far below every gate, far
+# above roundoff across machines
+GOLDEN_KEYS = ("b_oracle", "lambda_pole", "lambda_pred", "k_re")
+GOLDEN_REL_TOL = 1e-10
+
+# each workload's total solver work may fall but not rise: factorizations,
+# back-solves, closure evaluations, secular evaluations
+WORK_KEYS = ("factorizations", "inner_solves", "closure_evaluations", "secular_evaluations")
+WORK_CEILING = {
+    "window-ladder": (80, 112, 286, 0),
+    "regular-secular": (158, 291, 471, 29),
+    "patch-threads2": (43, 82, 184, 0),
+}
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("workloads", REPO / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _nominal_rows() -> dict:
+    workloads = _workloads()
+    rows = {}
+    for name in workloads.BENCHMARK_WORKLOADS:
+        zero = [0] * len(workloads.SPECS[name].nominal)
+        rows[name] = run_sweep(parse_config(workloads.make_config(name, zero)))
+    return rows
+
+
+@pytest.fixture(scope="module")
+def nominal_rows() -> dict:
+    return _nominal_rows()
+
+
+def _golden(row) -> dict:
+    return {
+        "epsilon": row.epsilon,
+        **{key: getattr(row, key) for key in GOLDEN_KEYS},
+        "b_by_L": row.extras["b_by_L"],
+    }
+
+
+def _package_imports(module: str) -> set[tuple[str, str]]:
+    """``(module, name)`` of each import from within the package; ``name`` is
+    ``"*"`` when a whole module is imported."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("wgpoles")):
+            source = (node.module or "").removeprefix("wgpoles").lstrip(".")
+            found |= {(source, a.name) if source else (a.name, "*") for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {
+                (a.name.partition(".")[2] or "__init__", "*")
+                for a in node.names if a.name.split(".")[0] == "wgpoles"
+            }
+    return found
+
+
+def test_the_oracle_and_the_predictor_lanes_share_no_code() -> None:
+    # the oracle cross-checks the predictor and secular lanes, so it reads
+    # nothing of theirs, and they nothing of it
+    assert ("oracle", "lowest_eigenpairs") in _package_imports("harness")
+    assert _package_imports("oracle") <= {
+        ("transverse", "CrossSection"), ("transverse", "BC_DIRICHLET"),
+    }
+    for module in ("modesum", "regular_pole", "singular_asym"):
+        assert "oracle" not in {source for source, _ in _package_imports(module)}, module
+
+
+def test_solver_work_of_the_nominal_workloads_does_not_rise(nominal_rows) -> None:
+    # the counts are deterministic, so unlike a timing they show any rise;
+    # a change that lowers a total lowers its ceiling here
+    for name, rows in nominal_rows.items():
+        assert all(r.error is None for r in rows), name
+        solves = [s for r in rows for s in r.extras["solves"]]
+        totals = (
+            *(sum(s[key] for s in solves) for key in WORK_KEYS[:3]),
+            sum(r.extras.get("secular_evaluations", 0) for r in rows),
+        )
+        for key, got, ceiling in zip(WORK_KEYS, totals, WORK_CEILING[name]):
+            assert got <= ceiling, f"{name}: {key} rose to {got} from {ceiling}"
+
+
+def test_nominal_workload_rows_match_their_golden_numbers(nominal_rows) -> None:
+    golden = json.loads(GOLDEN_PATH.read_text())["rows"]
+    assert set(golden) == set(nominal_rows)
+    for name, rows in nominal_rows.items():
+        assert len(rows) == len(golden[name]), name
+        for row, want in zip(rows, golden[name]):
+            got = _golden(row)
+            assert got["epsilon"] == want["epsilon"], name
+            for key in (*GOLDEN_KEYS, "b_by_L"):
+                where = f"{name} eps={row.epsilon} {key}"
+                if want[key] is None:
+                    assert got[key] is None, where
+                else:
+                    assert got[key] == pytest.approx(want[key], rel=GOLDEN_REL_TOL, abs=0), where
+
+
+if __name__ == "__main__":
+    doc = {
+        "commit": sys.argv[1],
+        "rows": {name: [_golden(r) for r in rows] for name, rows in _nominal_rows().items()},
+    }
+    GOLDEN_PATH.write_text(json.dumps(doc, indent=1) + "\n")

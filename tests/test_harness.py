@@ -64,6 +64,11 @@ def _window_dict(**over) -> dict:
     return cfg
 
 
+def _patch_dict(**over) -> dict:
+    return _window_dict(scenario="NeumannPatch", cross_section={"width": math.pi, "bc": "neumann"},
+                        **over)
+
+
 def test_parse_config_accepts_dict_and_file(tmp_path) -> None:
     d = _regular_dict()
     from_dict = parse_config(d)
@@ -143,7 +148,7 @@ def test_parse_config_rejects_unknown_keys_and_malformed_gates() -> None:
         _window_dict(perturbation={"half_width": 1.0, "modes": 20}),
         _regular_dict(tolerances={"truncation_bounds": {"factor": 0}}),
         _regular_dict(tolerances={"slope": {"min": 1.0, "max": 3.0, "mx": 2.0}}),
-        _regular_dict(tolerances={"rel_err": {"max": 0.1}}),
+        _regular_dict(tolerances={"max_error": {"max": 0.1}}),
     ]
     for raw in unknown:
         with pytest.raises(ConfigError, match="unknown"):
@@ -249,7 +254,7 @@ def test_csv_header_and_cells() -> None:
     rows = [
         SweepRow(
             epsilon=0.5, k_re=0.25, k_im=0.0, lambda_pred=-0.0625,
-            lambda_pole=-0.06, b_oracle=0.061, rel_err=0.02,
+            lambda_pole=-0.06, b_oracle=0.061,
             classification="BoundState",
         ),
         SweepRow(epsilon=0.25, error="ValueError: boom"),
@@ -258,13 +263,13 @@ def test_csv_header_and_cells() -> None:
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER
     assert lines[0] == (
-        "epsilon,k_re,k_im,lambda_pred,lambda_pole,b_oracle,rel_err,classification"
+        "epsilon,k_re,k_im,lambda_pred,lambda_pole,b_oracle,classification"
     )
     # every row field but the error and the extras is a column, in order
     fields = [f.name for f in dataclasses.fields(SweepRow)]
     assert lines[0].split(",") == [f for f in fields if f not in ("error", "extras")]
     assert lines[1].startswith("0.5,0.25,0.0,-0.0625,")
-    assert lines[2] == "0.25,,,,,,,error:ValueError"
+    assert lines[2] == "0.25,,,,,,error:ValueError"
     assert text.endswith("\n")
 
 
@@ -277,7 +282,7 @@ def test_regular_sweep_rows_and_artifacts(tmp_path) -> None:
         assert r.classification == "BoundState"
         assert r.k_re > 0 and r.k_im == 0.0
         assert r.lambda_pred < 0 and r.lambda_pole < 0
-        assert r.b_oracle > 0 and r.rel_err > 0
+        assert r.b_oracle > 0 and r.lambda_pred + r.b_oracle != 0
         # secular pole and truncated-guide binding agree far better than
         # either agrees with the leading asymptotics at these couplings
         assert abs(r.lambda_pole + r.b_oracle) < 0.05 * r.b_oracle
@@ -352,7 +357,7 @@ def test_failed_row_keeps_error_cell_and_sweep_continues() -> None:
     assert rows[0].b_oracle is None and rows[0].k_re is None
     assert all(r.error is None for r in rows[1:])
     line = render_csv(rows).splitlines()[1]
-    assert line == "0.5,,,,,,,error:ValueError"
+    assert line == "0.5,,,,,,error:ValueError"
     verdict = evaluate_checks(cfg, rows, {})
     assert not verdict["pass"]
     assert verdict["checks"][0]["name"] == "row_ok"
@@ -470,7 +475,7 @@ def test_prefactor_geometric_mean() -> None:
 
 def test_failed_fits_become_notes_and_unavailable_verdicts() -> None:
     cfg = parse_config(
-        _window_dict(
+        _regular_dict(
             tolerances={
                 "slope": {"min": 3.7, "max": 4.3},
                 "gap_slope_min": 2.7,
@@ -646,6 +651,27 @@ def test_cli_refuses_an_unusable_out_before_any_solve(tmp_path, capsys, monkeypa
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("output error: ")
     assert solved == []
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        _window_dict(tolerances={"classification": {"expect": "Boundstate"}}),
+        _window_dict(tolerances={"slope": {"min": 4.3, "max": 3.7}}),
+        _window_dict(tolerances={"first_order": {"margin_eps2": 5.0}}),
+        _window_dict(tolerances={"gap_slope_min": 2.7}),
+        _patch_dict(tolerances={"first_order": {"margin_eps2": 5.0}}),
+        _patch_dict(tolerances={"gap_slope_min": 2.7}),
+        _patch_dict(tolerances={"prefactor": {"exponent": 4.0, "predicted": 0.25}}),
+    ],
+    ids=["unknown-label", "slope-min-above-max", "window-first_order", "window-gap_slope_min",
+         "patch-first_order", "patch-gap_slope_min", "patch-prefactor"],
+)
+def test_cli_rejects_a_gate_no_row_can_pass_before_any_solve(tmp_path, capsys, raw) -> None:
+    # each of these once parsed, solved every row and failed --check: no
+    # pole carries the label, no slope lies in the range, a wall row has no
+    # secular pole, and a patch binds nothing
+    _assert_rejected_before_any_solve(tmp_path, capsys, raw)
 
 
 def _assert_rejected_before_any_solve(tmp_path, capsys, raw: dict) -> None:
