@@ -181,8 +181,9 @@ def parse_config(source) -> ExperimentConfig:
     1, the secular grid ``n_long`` 129 by ``n_trans`` 17 (at least 2 each)
     and ``modes`` ``m + 3`` resolvent modes (also the least; at most
     :func:`~wgpoles.modesum.lattice_modes`, ``n_trans - 2`` for Dirichlet
-    walls and ``n_trans - 1`` for Neumann).  ``m`` is a positive integer,
-    and no number, ``m`` included, may be a boolean, NaN or infinite.
+    walls and ``n_trans - 1`` for Neumann).  ``m`` must be the integer 1,
+    since the oracle binds only below the lowest threshold, and no number
+    may be a boolean, NaN or infinite.
     ``tolerances`` maps gate names of :data:`GATES` to their fields, plus
     the number ``gap_slope_min``.  A key no block takes, a gate missing
     a required field, or a gate no row can pass is rejected: a ``slope``
@@ -222,8 +223,9 @@ def parse_config(source) -> ExperimentConfig:
         raise ConfigError(f"bad cross_section {cs_raw!r}: {exc}") from exc
 
     m = raw["m"]
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m!r}")
+    if isinstance(m, bool) or not isinstance(m, int) or m != 1:
+        # at m >= 2 every row's oracle refuses (truncated_binding)
+        raise ConfigError(f"m must be 1, got {m!r}: the oracle binds only below the lowest threshold")
 
     eps = _numbers("epsilons", raw["epsilons"])
     if len(eps) < MIN_EPSILONS:

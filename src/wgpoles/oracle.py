@@ -122,6 +122,10 @@ SERIES_BELOW = 1e-3
 # refuse factorizations whose band storage would not fit in memory
 MAX_BAND_BYTES = 3 * 1024**3
 
+# the window closure forms its (offset, mode) terms on blocks of rows of
+# about this many entries, small enough for malloc's heap
+WINDOW_BLOCK = 2**14
+
 
 # row threads that reach their first LAPACK call together load the
 # extension once
@@ -521,13 +525,12 @@ class FdOperator:
         return np.abs(i[:, None] - i), i[:, None] + i + 2 * self.first
 
     @cached_property
-    def _lower(self) -> tuple[np.ndarray, ...]:
-        # the closure's lower triangle: offsets, C_i C_i', and flat indices
-        # in the Fortran-ordered band
+    def _lower(self) -> tuple[np.ndarray, np.ndarray]:
+        # the closure's lower triangle: flat indices in its C-ordered block,
+        # and in the Fortran-ordered band
         K, rows = self.scale.size, self.band.shape[0]
         i, j = np.tril_indices(K)
-        dst = (i - j) + rows * (self.size - K + j)
-        return i - j, i + j + 2 * self.first, self.scale[i] * self.scale[j], dst
+        return i * K + j, (i - j) + rows * (self.size - K + j)
 
     def closure(self, weights: np.ndarray) -> np.ndarray:
         """The closure's ``K``-square block ``C Sigma C`` at ``weights``."""
@@ -553,11 +556,11 @@ class FdOperator:
         The factor lives in a buffer that the next call overwrites.
         """
         sigma, slope = self.coupling(E)
-        diff, pair, cc, dst = self._lower
+        src, dst = self._lower
         ab = self._work
         np.copyto(ab, self.band)
         ab[0, :] -= E * self.mass
-        ab.reshape(-1, order="F")[dst] += cc * (sigma[diff] + self.image * sigma[pair])
+        ab.reshape(-1, order="F")[dst] += self.closure(sigma).ravel()[src]
         try:
             cb = cholesky_banded(ab)
         except LinAlgError:
@@ -775,7 +778,9 @@ class WindowOperator(FdOperator):
     ``N = n_long``, ``cosh(theta_j) = 1 + h1^2 (mu_j - E) / 2``: each lattice
     mode's column recurrence, closed by the natural plane at ``i = 0`` and
     the Dirichlet end at ``N``, continued to ``theta = i phi`` where the
-    mode oscillates (see :func:`_lattice_angles`).
+    mode oscillates (see :func:`_lattice_angles`).  ``coupling(E)`` forms
+    its (offset, mode) terms in one pass, a block of ``WINDOW_BLOCK`` terms
+    at a time; the sums depend on the block size only through roundoff.
     """
 
     weight: np.ndarray = field(repr=False)
@@ -802,33 +807,31 @@ class WindowOperator(FdOperator):
     def _mode_sums(self, theta, ratio) -> tuple[np.ndarray, np.ndarray]:
         # s(n) and its slope's factor, each up to sign(a) and its factor in
         # h1; complex when some mode oscillates, and only their real parts
-        # are kept.  s is the call's one (offset, mode) matrix; the rest
-        # runs on blocks of its rows of about 2^14 entries, small enough for
-        # malloc's heap, each entry by the same operations in the same
-        # order, and each block but the last takes u and em again for r
+        # are kept
         N = self.guide.n_long
         # |a|, taken as 1 on the offset n = N, whose row sign(a) = 0 clears
         A = np.maximum(np.abs(N - np.arange(2 * self.size - 1.0)), 1.0)[:, None]
-        s = np.empty((A.size, theta.size), dtype=theta.dtype)
-        rows = max(1, 2**14 // theta.size)
-        blocks = [(A[i : i + rows], s[i : i + rows]) for i in range(0, A.size, rows)]
-        for a, sb in blocks:
+        u0 = N * theta  # u on the offset n = 0, where |a| = N
+        factor = -ratio / (theta * (2.0 + np.expm1(-2.0 * u0)))
+        w = ratio * self.weight
+        ends = (_r(theta, theta / np.tanh(theta)) + N * N * _t(u0)) * w
+        sigma = np.empty(A.size, dtype=theta.dtype)
+        slope = np.empty_like(sigma)
+        rows = max(1, WINDOW_BLOCK // theta.size)
+        for i in range(0, A.size, rows):
+            a = A[i : i + rows]
             u = a * theta
             em = np.expm1(-2.0 * u)
-            np.exp(np.multiply(a - N, theta, out=sb), out=sb)
-            sb *= em
-        u0 = N * theta  # row 0 of u: A[0] = N
-        s *= -ratio / (theta * (2.0 + np.expm1(-2.0 * u0)))
-        w = ratio * self.weight
-        sigma, ends = s @ self.weight, s @ ((_r(theta, theta / np.tanh(theta)) + N * N * _t(u0)) * w)
-        for k, (a, sb) in enumerate(reversed(blocks)):
-            if k:
-                u = a * theta
-                em = np.expm1(-2.0 * u)
+            s = np.exp((a - N) * theta)
+            s *= em
+            s *= factor
+            sigma[i : i + rows] = s @ self.weight
+            end = s @ ends
             # 2|a| e1(2|a| theta) theta / sinh(theta) = -expm1(-2|a| theta) / sinh(theta)
             r = _r(u, -u * (2.0 + em) / em)
-            sb *= np.multiply(r, a * a, out=r)
-        return sigma.real, (s @ w - ends).real
+            s *= np.multiply(r, a * a, out=r)
+            slope[i : i + rows] = s @ w - end
+        return sigma.real, slope.real
 
 
 def build_window_operator(g: TruncatedGuide) -> WindowOperator:

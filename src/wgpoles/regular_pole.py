@@ -27,16 +27,14 @@ solve ``(I - eps C E) ghat = C e_m`` with the per-row mode coupling
 ``g = V (phi_m + eps sum_j phi_j E_j W1 ghat_j)``.  This is the grid system
 ``(I - eps V A~) g = V phi_m`` exactly, at ``count / n_trans`` of its size.
 
-Only the modes that ``C`` connects to ``m``, directly or through other
-modes, carry a nonzero ``ghat_j``; the system is solved on that set alone.
 On a row where ``V`` is constant across the strip, ``C[l] = V[l, 0] I``
 exactly: the sampled modes are orthonormal under the trapezoid weights
 while they fit the transverse lattice (Dirichlet ``count <= n_trans - 2``,
 Neumann ``count <= n_trans - 1``; :func:`wgpoles.modesum.lattice_modes`).
-A potential constant across the strip on every row therefore solves
-``n_long`` unknowns on mode ``m`` alone, and at ``m >= 2`` its pole is
-exactly real, an eigenvalue embedded in the continuum; any other potential
-couples every mode and solves them all.
+A potential constant across the strip on every row therefore couples no
+other mode to ``m`` and solves ``n_long`` unknowns on mode ``m`` alone, and
+at ``m >= 2`` its pole is exactly real, an eigenvalue embedded in the
+continuum; any other potential solves every mode.
 
 ``V`` is a plain ``(n_long, n_trans)`` array sampled on the kernel's grid
 (:meth:`ModeSumKernel.sample`), so the predictor and the secular solve read
@@ -84,57 +82,30 @@ class AmbiguousClassificationError(ValueError):
     """Pole parameters fall on a boundary the classification rules do not cover."""
 
 
-def _mode_coupling(V: np.ndarray, kernel: ModeSumKernel) -> np.ndarray:
-    """Per-row mode coupling ``C[l, i, j] = sum_b phi_i(x2_b) w2_b V[l, b] phi_j(x2_b)``.
+def _mode_coupling(V: np.ndarray, kernel: ModeSumKernel) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mode coupling ``C[l, i, j] = sum_b phi_i(x2_b) w2_b V[l, b] phi_j(x2_b)``, and the solved modes.
 
     A row of ``V`` constant across the strip couples ``V[l, 0] I``, written
     exactly, while the modes fit the transverse lattice (:func:`lattice_modes`);
     past that bound the sampled modes alias and every row keeps the quadrature.
+    The modes (0-based) are the threshold mode alone when every row is
+    written so, and every mode otherwise: a non-flat row whose quadrature
+    couples nothing exactly, such as one nonzero only on a Dirichlet wall
+    node, solves modes whose ``ghat`` stays exactly zero.
     """
     phi = kernel.phi
     C = np.einsum("ib,lb,jb->lij", phi * kernel.w2, V, phi)
-    if kernel.count <= lattice_modes(kernel.basis.cross_section, kernel.n_trans):
-        flat = np.all(V == V[:, :1], axis=1)
-        C[flat] = V[flat, 0, None, None] * np.eye(kernel.count)
-    return C
+    flat = np.all(V == V[:, :1], axis=1)
+    if kernel.count > lattice_modes(kernel.basis.cross_section, kernel.n_trans):
+        flat[:] = False
+    C[flat] = V[flat, 0, None, None] * np.eye(kernel.count)
+    return C, np.array([kernel.m - 1] if flat.all() else range(kernel.count))
 
 
-def _coupled_modes(C: np.ndarray, m: int) -> np.ndarray:
-    """Indices (0-based) of the modes that ``C`` connects to mode ``m``."""
-    linked = np.any(C != 0, axis=0)
-    modes = np.zeros(len(linked), dtype=bool)
-    modes[m - 1] = True
-    while True:
-        grown = modes | np.any(linked[modes], axis=0)
-        if np.array_equal(grown, modes):
-            return np.flatnonzero(modes)
-        modes = grown
-
-
-def _birman_schwinger(
-    C: np.ndarray, E: np.ndarray, eps: float, bound: float
-) -> np.ndarray:
-    """``I - eps C E`` from the mode coupling and the blocks ``E = kernel.assemble(k)``.
-
-    When the contraction heuristic ``eps * C(L) * max_j ||E_j W1||_2 >= 1``
-    fails a warning is logged; the assembly itself proceeds.
-    """
+def _birman_schwinger(C: np.ndarray, E: np.ndarray, eps: float) -> np.ndarray:
+    """``I - eps C E`` from the mode coupling and the blocks ``E = kernel.assemble(k)``."""
     if eps < 0:
         raise ValueError(f"coupling must be nonnegative, got {eps}")
-    if eps > 0:
-        # cheap screen first: sqrt(||E_j||_1 ||E_j||_inf) bounds the 2-norm
-        # from above, so it never misses; the exact norms cost about as much
-        # as the solve itself
-        absE = np.abs(E)
-        rough = np.sqrt(absE.sum(axis=1).max(axis=1) * absE.sum(axis=2).max(axis=1))
-        if eps * bound * float(rough.max()) >= 1.0:
-            sharp = eps * bound * max(nla.norm(Ej, 2) for Ej in E)
-            if sharp >= 1.0:
-                logger.warning(
-                    "contraction heuristic violated: eps*C(L)*||A|| = %.3g >= 1; "
-                    "secular iteration may not converge",
-                    sharp,
-                )
     count, n = E.shape[:2]
     # B[i, l, j, q] = C[l, i, j] E[j, l, q], then scaled by -eps; written
     # into a C-ordered array so that the reshape below copies nothing
@@ -176,31 +147,17 @@ class PoleResult:
 
 
 def _secular_value(
-    V: np.ndarray,
-    k: complex,
-    eps: float,
-    kernel: ModeSumKernel,
-    C: np.ndarray,
-    modes: np.ndarray,
-    bound: float,
-) -> tuple[complex, np.ndarray]:
-    """One evaluation of the secular map: returns ``((eps/2)<phi_m, g>, g)``.
+    k: complex, eps: float, kernel: ModeSumKernel, modes: np.ndarray, C: np.ndarray, rhs: np.ndarray
+) -> tuple[complex, np.ndarray, np.ndarray]:
+    """One evaluation of the secular map: ``(eps/2) w1 . ghat_m``, the blocks ``E`` and ``ghat``.
 
-    Solves the mode-space system for ``ghat`` on the mode indices ``modes``
-    (0-based, those ``C`` connects to ``m``; ``ghat_j`` vanishes on the
-    others) and rebuilds the grid samples
-    ``g = V (phi_m + eps sum_j phi_j E_j ghat_j)``; ``bound`` is ``max |V|``
-    for the contraction screen of :func:`_birman_schwinger`.
+    Solves the mode-space system ``(I - eps C E) ghat = rhs`` on the mode
+    indices ``modes`` (0-based, from :func:`_mode_coupling`), with ``C`` the
+    coupling among those modes and ``rhs`` its column ``C e_m``.
     """
-    mi = kernel.m - 1
     E = kernel.assemble(k.real if k.imag == 0.0 else k, modes)
-    Cs = C[:, modes][:, :, modes]
-    rhs = C[:, modes, mi].T.ravel()
-    ghat = nla.solve(_birman_schwinger(Cs, E, eps, bound), rhs)
-    ghat = ghat.reshape(len(modes), kernel.n_long)
-    u = np.einsum("jlq,jq->lj", E, ghat)
-    g = V * (kernel.phi[mi] + eps * (u @ kernel.phi[modes]))
-    return 0.5 * eps * complex(kernel.w1 @ ghat[modes == mi][0]), g
+    ghat = nla.solve(_birman_schwinger(C, E, eps), rhs).reshape(len(modes), kernel.n_long)
+    return 0.5 * eps * complex(kernel.w1 @ ghat[modes == kernel.m - 1][0]), E, ghat
 
 
 def solve_secular(
@@ -240,16 +197,17 @@ def solve_secular(
             m=kernel.m,
         )
 
-    C = _mode_coupling(V, kernel)
-    modes = _coupled_modes(C, kernel.m)
-    bound = float(np.max(np.abs(V)))
+    C, modes = _mode_coupling(V, kernel)
+    # the k-independent part of every evaluation: the coupling among the
+    # solved modes and its threshold column
+    system = C[:, modes][:, :, modes], C[:, modes, kernel.m - 1].T.ravel()
     k = complex(k0)
     trace = [k]
     prev = None  # the previous (k, G(k)) pair
     stalled = 0
     for _ in range(MAX_SECULAR_ITERATIONS):
         try:
-            f, g = _secular_value(V, k, eps, kernel, C, modes, bound)
+            f, E, ghat = _secular_value(k, eps, kernel, modes, *system)
         except ValueError as exc:
             # iterate escaped the kernel's analyticity domain; that is a
             # divergence, not a usage error
@@ -283,6 +241,10 @@ def solve_secular(
             f"steps (last |F(k) - k| = {residual:.3e})",
             trace,
         )
+    # the residue's samples g = V (phi_m + eps sum_j phi_j E_j ghat_j), from
+    # the evaluation at the reported k
+    u = np.einsum("jlq,jq->lj", E, ghat)
+    g = V * (kernel.phi[kernel.m - 1] + eps * (u @ kernel.phi[modes]))
     logger.info(
         "secular solve: %d iterations, %d evaluations, %d mode-space unknowns, "
         "|F(k) - k| = %.3e, %.2f s",

@@ -117,18 +117,16 @@ def test_parse_config_rejects_bad_input(tmp_path) -> None:
 
 
 def test_parse_config_fills_defaults_in_one_place() -> None:
-    reg = parse_config(
-        _regular_dict(perturbation={}, oracle={"h": [0.1], "L": [8.0]}, m=2)
-    )
+    reg = parse_config(_regular_dict(perturbation={}, oracle={"h": [0.1], "L": [8.0]}))
     assert reg.oracle["order"] == 2
     # a number given as a string is stored converted, as every other is
     for order in ("1", " 1e0 "):
         given = parse_config(_regular_dict(oracle={"h": [0.1], "L": [8.0], "order": order}))
         assert type(given.oracle["order"]) is float and given.oracle["order"] == 1.0
     assert reg.perturbation == {
-        "half_width": 1.0, "n_long": 129, "n_trans": 17, "modes": 5,
+        "half_width": 1.0, "n_long": 129, "n_trans": 17, "modes": 4,
     }
-    assert basis_size(reg) == 10
+    assert basis_size(reg) == 9
     assert basis_size(
         parse_config(_regular_dict(perturbation={"modes": 40, "n_trans": 42}))
     ) == 40
@@ -701,28 +699,32 @@ def test_cli_exits_3_when_the_secular_iterate_diverges(tmp_path, capsys) -> None
     assert "every sweep row failed" in capsys.readouterr().err
 
 
-def _embedded_dict() -> dict:
-    # a strip-uniform well at the second threshold: its pole is exactly real
-    return _regular_dict(m=2, epsilons=[0.2, 0.15, 0.1, 0.05], perturbation={})
+def _at_m2(raw: dict) -> harness.ExperimentConfig:
+    # parse_config refuses m = 2, so a library caller builds the config
+    return dataclasses.replace(parse_config(raw), m=2)
+
+
+# a strip-uniform well at the second threshold: its pole is exactly real
+_EMBEDDED = _regular_dict(epsilons=[0.2, 0.15, 0.1, 0.05], perturbation={"modes": 5})
 
 
 def test_embedded_eigenvalue_is_a_typed_row_error() -> None:
-    rows = run_sweep(parse_config(_embedded_dict()))
+    rows = run_sweep(_at_m2(_EMBEDDED))
     assert all(
         r.error.startswith("AmbiguousClassificationError: m = 2 pole with exactly real k")
         for r in rows
     )
 
 
-def test_cli_pole_exits_3_on_an_unclassifiable_pole(tmp_path, capsys) -> None:
-    # every row's pole is embedded, so every row fails
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(_embedded_dict()))
-    out = tmp_path / "out"
-    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 3
-    assert "every sweep row failed" in capsys.readouterr().err
-    rows = json.loads((out / "report.json").read_text())["rows"]
-    assert all(r["error"].startswith("AmbiguousClassificationError: m = 2 pole") for r in rows)
+@pytest.mark.parametrize(
+    "raw", [{**_EMBEDDED, "m": 2}, _window_dict(m=2), _patch_dict(m=2)],
+    ids=["RegularPotential", "DirichletWindow", "NeumannPatch"],
+)
+def test_cli_rejects_a_threshold_above_the_first_before_any_solve(tmp_path, capsys, raw) -> None:
+    # every row of such a sweep once failed after its predictor and secular
+    # solve had run, and the sweep exited 3: the regular row on its
+    # unclassifiable pole, the window and patch rows on the oracle's refusal
+    _assert_rejected_before_any_solve(tmp_path, capsys, raw)
 
 
 @pytest.mark.parametrize("scenario", ["DirichletWindow", "NeumannPatch"])
@@ -730,8 +732,8 @@ def test_oracle_refuses_a_threshold_above_an_open_channel(scenario) -> None:
     # at m = 2 the guide's lowest state sits near mu_1: mu_2^h - E_1 would
     # be a number, but not a binding
     bc = "neumann" if scenario == "NeumannPatch" else "dirichlet"
-    raw = _window_dict(scenario=scenario, cross_section={"width": math.pi, "bc": bc}, m=2)
-    rows = run_sweep(parse_config(raw))
+    raw = _window_dict(scenario=scenario, cross_section={"width": math.pi, "bc": bc})
+    rows = run_sweep(_at_m2(raw))
     for r in rows:
         assert r.b_oracle is None
         assert r.error == (

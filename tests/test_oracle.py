@@ -518,6 +518,28 @@ def test_window_form_is_the_schur_complement() -> None:
         assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
 
 
+def test_window_closure_does_not_depend_on_its_block_size(monkeypatch) -> None:
+    # the tau^2 gate's finest level at eps = 0.05 on a short guide: 81
+    # offsets by 2,544 modes, 14 blocks of 6 rows by default; below the
+    # threshold, on it, and with mode 1 oscillating.  The block's row count
+    # changes only how BLAS groups the rows of each product: measured
+    # within 7.7e-16 (sigma) and 5.7e-14 (slope) of one-row blocks, relative
+    # to the largest entry
+    h = 0.05 / 40.5
+    g = TruncatedGuide(cross_section=_CS, half_length=300 * h, h=h, half_width=0.05)
+    op = oracle.build_window_operator(g)
+    rows = oracle.WINDOW_BLOCK // op.mu.size
+    assert (2 * op.size - 1, op.mu.size, rows) == (81, 2544, 6)
+    mu1 = discrete_threshold(g)
+    for E in (mu1 - 1e-5, mu1, 0.5 * (mu1 + op.cap)):
+        blocked = op.coupling(E)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "WINDOW_BLOCK", 1)
+            one_row = op.coupling(E)
+        for got, want, tol in zip(blocked, one_row, (1e-14, 1e-12)):
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
 # relative difference of the window form's bindings from the box's on the
 # same guides: at most 4.8e-12 measured below, 6.9e-11 over the hinted
 # solves of the nominal window-ladder sweep; the bound leaves a margin of 21
