@@ -38,7 +38,7 @@ from .oracle import (
     lowest_eigenpairs,
     richardson,
 )
-from .regular_pole import POLE_CLASSES, regular_leading_asymptotic, solve_secular
+from .regular_pole import POLE_CLASSES, RESONANCE, regular_leading_asymptotic, solve_secular
 from .singular_asym import dirichlet_window_pole, neumann_patch_pole
 from .transverse import CrossSection, TransverseBasis, build_basis
 
@@ -152,8 +152,10 @@ def _tolerances(raw, scenario: str) -> dict:
             raise ConfigError("tolerances.prefactor fits positive bindings; a patch binds none")
     if "slope" in tol and tol["slope"]["min"] > tol["slope"]["max"]:
         raise ConfigError(f"tolerances.slope.min exceeds its max: {tol['slope']}")
-    if "classification" in tol and tol["classification"]["expect"] not in POLE_CLASSES:
-        raise ConfigError(f"tolerances.classification.expect must be one of {POLE_CLASSES}, "
+    # m = 1 only, where no pole is a resonance
+    expectable = tuple(c for c in POLE_CLASSES if c != RESONANCE)
+    if "classification" in tol and tol["classification"]["expect"] not in expectable:
+        raise ConfigError(f"tolerances.classification.expect must be one of {expectable}, "
                           f"got {tol['classification']['expect']!r}")
     for name in ("gap_slope_min", "first_order"):
         if name in tol and scenario != REGULAR_POTENTIAL:
@@ -405,10 +407,8 @@ def truncated_binding(
     ``unknowns``, ``factorizations``, ``inner_solves`` (back-solves),
     ``closure_evaluations`` (evaluations of the closure ``coupling(E)``)
     and eigen-``residual`` of the solve.  A potential is solved on the
-    feature box (form ``"box"``), a window on its ``n_feat + 1`` wall nodes
-    (``"window"``) and a patch on the ``n_trans + 1`` nodes of the first
-    column past it (``"patch"``); both wall forms have ``box_columns``
-    ``None``.
+    feature box (form ``"box"``), a window or a patch on its ``n_feat + 1``
+    wall nodes (``"window"``, ``"patch"``, with ``box_columns`` ``None``).
     """
     if cfg.m >= 2:
         raise ValueError(

@@ -45,17 +45,17 @@ start vector, direct factorizations.
 A wall feature without a potential is reduced further, every other node
 of the same finite guide eliminated in closed form (the capacitance
 matrix method of Buzbee, Dorr, George and Golub, and of Proskurowski and
-Widlund): a window to its ``n_feat + 1`` wall nodes
-(:class:`WindowOperator`), a patch to the ``n_trans + 1`` nodes of the
-first column past it (:class:`PatchOperator`).  The box and both wall
-forms are one operator, :class:`FdOperator`: a stiffness band plus a
-closure on its last few unknowns that is Toeplitz plus or minus Hankel in
-their node index, so the three forms differ only in their ``coupling(E)``
-and in the fields their builders set.  :func:`lowest_eigenpairs` brackets
-each with one loop, through the interface the class offers: factor or
-report failure, back-solve, apply ``-T'(s)``, and ``v^T T(E) v`` with its
-derivative.  The box still accepts windows and patches, as the reference
-the wall forms are tested against.
+Widlund), to its ``n_feat + 1`` wall nodes, through one sum, the
+unperturbed guide's Green function on the wall row (:func:`_wall_row`):
+a window is its Schur complement (:class:`WindowOperator`), a patch its
+constraint (:class:`PatchOperator`).  The box and the window are one
+operator, :class:`FdOperator`: a stiffness band plus a closure on its last
+few unknowns that is Toeplitz plus or minus Hankel in their node index.
+:func:`lowest_eigenpairs` brackets both with one loop, through the
+interface the class offers (factor or report failure, back-solve, apply
+``-T'(s)``, and ``v^T T(E) v`` with its derivative), and a patch by the
+inertia of its Green function.  The box still accepts windows and
+patches, as the reference the wall forms are tested against.
 
 The stiffness is assembled straight into LAPACK lower band storage,
 ``band[i - j, j] = A[i, j]`` for ``i >= j``; the box numbers its unknowns
@@ -99,11 +99,14 @@ BOX_PADDING = 4
 # the solve stops once the bracket around E_1 is this narrow
 BRACKET_TOL = 1e-10
 
-# cap on the factorizations of one solve
+# cap on the factorizations (a patch's evaluations) of one solve
 MAX_FACTORIZATIONS = 60
 
 # each shift after the first sits this share of the bracket below its upper bound
 SHIFT_GAP = 1e-4
+
+# a patch's Newton iterate is its root once its step is below this share of it
+ROOT_STEP = 1e-13
 
 # Newton steps on the Rayleigh functional, which converge quadratically; they
 # stop after a step shorter than this share of BRACKET_TOL, below which
@@ -122,7 +125,7 @@ SERIES_BELOW = 1e-3
 # refuse factorizations whose band storage would not fit in memory
 MAX_BAND_BYTES = 3 * 1024**3
 
-# the window closure forms its (offset, mode) terms on blocks of rows of
+# the wall-row sum forms its (offset, mode) terms on blocks of rows of
 # about this many entries, small enough for malloc's heap
 WINDOW_BLOCK = 2**14
 
@@ -371,28 +374,12 @@ def _exterior_coupling(h1: float, M: int, mu: np.ndarray, E: float) -> tuple[np.
     return sigma, slope
 
 
-def _patch_side_coupling(h1: float, c: int, nu: np.ndarray, E: float) -> tuple[np.ndarray, np.ndarray]:
-    """``tau_k(E)`` of the ``c`` columns under a Dirichlet patch, closed by the natural plane, and ``d tau / dE``.
-
-    ``tau_k = -(1/h1) cosh((c - 1) theta) / cosh(c theta)``, summed from
-    ``exp(-theta)``, and ``d tau / dE = -(h1^2/2) tau (theta / sinh theta)
-    ((c - 1)^2 t((c - 1) theta) - c^2 t(c theta))``.
-    """
-    theta, ratio = _lattice_angles(h1, nu, E)
-    u = np.multiply.outer((c - 1.0, c), theta)
-    em = np.expm1(-2.0 * u)
-    tau = (-np.exp(-theta) * (2.0 + em[0]) / ((2.0 + em[1]) * h1)).real
-    dtau = -0.5 * h1**2 * tau * ratio * ((c - 1) ** 2 * _t(u[0]) - c * c * _t(u[1]))
-    return tau, dtau
-
-
 def _lattice_eigenvalues(g: TruncatedGuide, j):
     """``(4/h^2) sin^2(j pi h / (2d))``: eigenvalues of the transverse stencil.
 
     ``j`` counts the lattice sines of a Dirichlet strip from one and the
     cosines of a Neumann strip from zero, so index ``j`` is the eigenvalue of
-    mode ``j`` or ``j + 1``; ``j = k - 1/2`` gives mode ``k`` of the mixed
-    sines of a strip Dirichlet on one wall and Neumann on the other.
+    mode ``j`` or ``j + 1``.
     """
     h = g.step_trans
     s = np.sin(j * math.pi * h / (2.0 * g.cross_section.width))
@@ -453,9 +440,8 @@ class FdOperator:
     or their slope for ``T'(E)``, at the offsets ``0 .. 2 (K + first) -
     2``.  ``cap`` is the lowest eigenvalue of the guide with the kept nodes
     held at zero; below it ``T(E)`` factors exactly when ``E < E_1``.  The
-    box and the two wall forms (:class:`WindowOperator`,
-    :class:`PatchOperator`) differ only in ``coupling(E)`` and in the fields
-    their builders set.
+    box and the window form (:class:`WindowOperator`) differ only in
+    ``coupling(E)`` and in the fields their builders set.
 
     This class is the box: ``mask`` (the active nodes) covers its columns
     ``0 .. c = columns - 1``, from the symmetry plane to the natural edge
@@ -494,9 +480,6 @@ class FdOperator:
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
         """``q[m]`` and ``dq[m]/dE`` of the box's exterior below the cap (see :func:`_exterior_coupling`)."""
-        return self._cosine_sums(self._exterior(E))
-
-    def _exterior(self, E: float) -> np.ndarray:
         # sigma_j and its slope in the even slots 2 j of a table of 2 n2 + 1;
         # the modes start at j = first, as the active nodes do
         g = self.guide
@@ -505,11 +488,6 @@ class FdOperator:
         z[:, start : start + 2 * self.mu.size : 2] = _exterior_coupling(
             g.step_long, self.exterior_columns, self.mu, E
         )
-        return z
-
-    def _cosine_sums(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the sums of z over the slots at the closure's offsets
-        g = self.guide
         q = z @ _cosines(g.n_trans, self._count, g.cross_section.width)
         return q[0], q[1]
 
@@ -633,20 +611,6 @@ def _box_edge(g: TruncatedGuide, last: int) -> int:
     return edge
 
 
-def _chain_band(diag: np.ndarray, link: float) -> np.ndarray:
-    """A chain's ``K``-square stiffness in a band of ``K`` rows, the closure's width.
-
-    ``diag`` is its diagonal and ``-link`` every edge between neighbours;
-    refused with ``MemoryError`` beyond ``MAX_BAND_BYTES``.
-    """
-    K = diag.size
-    _check_band(K, K)
-    band = np.zeros((K, K), order="F")
-    band[0] = diag
-    band[1, :-1] = -link
-    return band
-
-
 def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     """Assemble the energy-form discretization of ``-Delta + q`` on the feature box.
 
@@ -754,6 +718,70 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     )
 
 
+def _mode_sums(N: int, count: int, theta, ratio, weight) -> tuple[np.ndarray, np.ndarray]:
+    """``s(n)`` and its slope's factor, up to ``sign(N - n)`` and a power of ``h1`` (see :func:`_wall_row`).
+
+    The (offset, mode) terms are formed a block of ``WINDOW_BLOCK`` at a
+    time, which moves the sums by roundoff only; the real parts are kept.
+    """
+    # |a| = |N - n|, taken as 1 on the offset n = N, whose row sign(a) = 0 clears
+    A = np.maximum(np.abs(N - np.arange(count, dtype=float)), 1.0)[:, None]
+    u0 = N * theta  # u on the offset n = 0, where |a| = N
+    factor = -ratio / (theta * (2.0 + np.expm1(-2.0 * u0)))
+    w = ratio * weight
+    ends = (_r(theta, theta / np.tanh(theta)) + N * N * _t(u0)) * w
+    sigma = np.empty(A.size, dtype=theta.dtype)
+    slope = np.empty_like(sigma)
+    rows = max(1, WINDOW_BLOCK // theta.size)
+    for i in range(0, A.size, rows):
+        a = A[i : i + rows]
+        u = a * theta
+        em = np.expm1(-2.0 * u)
+        s = np.exp((a - N) * theta)
+        s *= em
+        s *= factor
+        sigma[i : i + rows] = s @ weight
+        end = s @ ends
+        # 2|a| e1(2|a| theta) theta / sinh(theta) = -expm1(-2|a| theta) / sinh(theta)
+        r = _r(u, -u * (2.0 + em) / em)
+        s *= np.multiply(r, a * a, out=r)
+        slope[i : i + rows] = s @ w - end
+    return sigma.real, slope.real
+
+
+def _wall_row(g: TruncatedGuide, mu: np.ndarray, weight: np.ndarray, count: int, E: float):
+    """``s(n)`` and ``ds(n)/dE`` at the offsets ``n = 0 .. count - 1``: the unperturbed guide's wall-row sum.
+
+    The unperturbed guide's lattice Green function on one row is ``G[i, i']
+    = s(|i - i'|) + s(i + i')`` (the second term the image in the symmetry
+    plane), with
+
+        ``s(n) = sum_j weight_j (h1/2) sinh((N - n) theta_j)
+        / (sinh(theta_j) cosh(N theta_j))``,
+
+    ``N = n_long``, ``weight_j`` the square of lattice mode ``j``'s value on
+    the row and ``cosh(theta_j) = 1 + h1^2 (mu_j - E) / 2``: each mode's
+    column recurrence, closed by the natural plane at ``i = 0`` and the
+    Dirichlet end at ``N``, continued to ``theta = i phi`` where the mode
+    oscillates (see :func:`_lattice_angles`).  Per mode, with ``a = N - n``,
+    ``s(n)`` is summed from ``exp(-n theta)`` and the Dirichlet end's image
+    ``exp(-(2N - n) theta)``: ``exp(-n theta) 2a e1(2a theta) (theta / sinh
+    theta) / (1 + exp(-2N theta))``, with ``e1(u) = (1 - exp(-u)) / u``,
+    and ``ds/dE = -(h1^2/2) s (theta / sinh theta) (a^2 r(a theta) -
+    r(theta) - N^2 t(N theta))``; both hold through the threshold and at
+    ``theta = i phi``.  The decaying modes are summed in real arithmetic,
+    the oscillating prefix ``mu_j < E`` apart: only its terms are complex.
+    """
+    N, h1 = g.n_long, g.step_long
+    theta, ratio = _lattice_angles(h1, mu, E)
+    k = int(np.searchsorted(mu, E)) if E > mu[0] else 0
+    s, slope = _mode_sums(N, count, theta[k:].real, ratio[k:], weight[k:])
+    if k:
+        s, slope = np.add((s, slope), _mode_sums(N, count, theta[:k], ratio[:k], weight[:k]))
+    sign = np.sign(N - np.arange(count, dtype=float))
+    return 0.5 * h1 * sign * s, -0.25 * h1**3 * sign * slope
+
+
 @dataclass(kw_only=True)
 class WindowOperator(FdOperator):
     """A window guide reduced to its wall nodes: the capacitance matrix method.
@@ -769,18 +797,8 @@ class WindowOperator(FdOperator):
     ``A_WW = diag(w1 / h2)`` plus the wall chain (edges of weight
     ``h2 / (2 h1)`` between wall nodes, and one from node ``n_feat`` to the
     Dirichlet wall).  ``G`` is the unperturbed guide's lattice Green function
-    on the first row, ``G[i, i'] = s(|i - i'|) + s(i + i')`` (the second
-    term the image in the symmetry plane), with
-
-        ``s(n) = sum_j phi_j(h2)^2 (h1/2) sinh((N - n) theta_j)
-        / (sinh(theta_j) cosh(N theta_j))``,
-
-    ``N = n_long``, ``cosh(theta_j) = 1 + h1^2 (mu_j - E) / 2``: each lattice
-    mode's column recurrence, closed by the natural plane at ``i = 0`` and
-    the Dirichlet end at ``N``, continued to ``theta = i phi`` where the
-    mode oscillates (see :func:`_lattice_angles`).  ``coupling(E)`` forms
-    its (offset, mode) terms in one pass, a block of ``WINDOW_BLOCK`` terms
-    at a time; the sums depend on the block size only through roundoff.
+    on the first row (:func:`_wall_row`), whose ``weight`` are the lattice
+    sines' squares there, ``phi_j(h2)^2``.
     """
 
     weight: np.ndarray = field(repr=False)
@@ -788,50 +806,9 @@ class WindowOperator(FdOperator):
     form = "window"
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``-s(n)`` and ``-ds(n)/dE`` at the offsets ``n = 0 .. 2 n_feat``, for ``E`` below the cap.
-
-        ``-C G C`` is the closure ``sigma`` assembles on the offsets.  Per
-        mode, with ``a = N - n``, ``s(n)`` is summed from ``exp(-n theta)``
-        and the Dirichlet end's image ``exp(-(2N - n) theta)``: ``exp(-n
-        theta) 2a e1(2a theta) (theta / sinh theta) / (1 + exp(-2N
-        theta))``, with ``e1(u) = (1 - exp(-u)) / u``, and ``ds/dE =
-        -(h1^2/2) s (theta / sinh theta) (a^2 r(a theta) - r(theta) - N^2
-        t(N theta))``; both hold through the threshold and at ``theta = i
-        phi``.
-        """
-        N, h1 = self.guide.n_long, self.guide.step_long
-        sigma, slope = self._mode_sums(*_lattice_angles(h1, self.mu, E))
-        sign = np.sign(N - np.arange(2 * self.size - 1.0))
-        return -0.5 * h1 * sign * sigma, 0.25 * h1**3 * sign * slope
-
-    def _mode_sums(self, theta, ratio) -> tuple[np.ndarray, np.ndarray]:
-        # s(n) and its slope's factor, each up to sign(a) and its factor in
-        # h1; complex when some mode oscillates, and only their real parts
-        # are kept
-        N = self.guide.n_long
-        # |a|, taken as 1 on the offset n = N, whose row sign(a) = 0 clears
-        A = np.maximum(np.abs(N - np.arange(2 * self.size - 1.0)), 1.0)[:, None]
-        u0 = N * theta  # u on the offset n = 0, where |a| = N
-        factor = -ratio / (theta * (2.0 + np.expm1(-2.0 * u0)))
-        w = ratio * self.weight
-        ends = (_r(theta, theta / np.tanh(theta)) + N * N * _t(u0)) * w
-        sigma = np.empty(A.size, dtype=theta.dtype)
-        slope = np.empty_like(sigma)
-        rows = max(1, WINDOW_BLOCK // theta.size)
-        for i in range(0, A.size, rows):
-            a = A[i : i + rows]
-            u = a * theta
-            em = np.expm1(-2.0 * u)
-            s = np.exp((a - N) * theta)
-            s *= em
-            s *= factor
-            sigma[i : i + rows] = s @ self.weight
-            end = s @ ends
-            # 2|a| e1(2|a| theta) theta / sinh(theta) = -expm1(-2|a| theta) / sinh(theta)
-            r = _r(u, -u * (2.0 + em) / em)
-            s *= np.multiply(r, a * a, out=r)
-            slope[i : i + rows] = s @ w - end
-        return sigma.real, slope.real
+        """``-s(n)`` and ``-ds(n)/dE`` at the offsets ``0 .. 2 n_feat``, below the cap: ``-C G C``."""
+        s, slope = _wall_row(self.guide, self.mu, self.weight, 2 * self.size - 1, E)
+        return -s, -slope
 
 
 def build_window_operator(g: TruncatedGuide) -> WindowOperator:
@@ -848,8 +825,11 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
     h1, h2, n2 = g.step_long, g.step_trans, g.n_trans
     w1 = np.full(g.feature_nodes + 1, h1)
     w1[0] = h1 / 2.0
-    chain = h2 / (2.0 * h1)
-    band = _chain_band(w1 / h2 + 2.0 * chain, chain)
+    # the wall chain's K-square stiffness in a band of K rows, the closure's width
+    chain, K = h2 / (2.0 * h1), w1.size
+    _check_band(K, K)
+    band = np.zeros((K, K), order="F")
+    band[0], band[1, :-1] = w1 / h2 + 2.0 * chain, -chain
     band[0, 0] -= chain
     j = np.arange(1, n2)
     wall = np.sin(np.pi * j / n2)
@@ -868,70 +848,55 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
 
 
 @dataclass(kw_only=True)
-class PatchOperator(FdOperator):
-    """A patch guide reduced to the first column past the patch, ``c = n_feat + 1``.
+class PatchOperator:
+    """A patch guide on its ``K = n_feat + 1`` wall nodes: the constraint form.
 
-    A Dirichlet patch without a potential leaves both sides of column ``c``
-    uniform.  Eliminating every other node of the finite guide, exactly,
-    leaves on its ``n2 + 1`` nodes ``T_P(E) = A_c - E M_c + P diag(sigma(E))
-    P^T + Q diag(tau(E)) Q^T``, ``P = W2 Phi`` the box's exterior closure on
-    the lattice cosines (see :class:`FdOperator`), ``Q = W2 Psi`` the patch
-    side's on the mixed lattice sines ``psi_k(j) = sqrt(2/d) sin((2k + 1) pi
-    j / (2 n2))``, with eigenvalues ``nu``.  By product to sum both terms
-    are ``W2 Sigma W2``, ``Sigma[j, j'] = q[|j - j'|] + q[2 n2 - j - j']``,
-    with ``q[m] = sum_p z_p cos(p pi m / (2 n2))``, ``z_{2j} = s_j^2
-    sigma_j / 2`` (``s_j^2 = 2/d``, ``1/d`` for ``j = 0, n2``) and
-    ``z_{2k + 1} = tau_k / d``.  Numbered from the far wall, ``i = n2 -
-    j``, the column's nodes make ``Sigma`` the closure of :class:`FdOperator`
-    with the image sign ``+1``.
+    A Dirichlet patch without a potential holds the Neumann guide at zero on
+    its wall nodes ``(i, 0)``, so ``E`` is an eigenvalue exactly when some
+    force ``q`` there gives ``G_PP(E) q = 0``, ``G_PP`` the unperturbed
+    guide's wall-row Green function (:func:`_wall_row`; ``weight`` the
+    cosines' squares on the wall, ``1/d`` at ``j = 0, n2``, else ``2/d``).
+    By inertia ``G_PP(E)`` has ``N0(E) - N(E)`` negative eigenvalues, ``N``
+    counting the patched guide's eigenvalues below ``E`` and ``N0`` the
+    unperturbed ``mu_j + lam_k``, ``lam_k = (4/h1^2) sin^2((2k - 1) pi /
+    (4N))``; its poles at ``lam_k`` lie along the threshold mode's wave.
     """
 
-    nu: np.ndarray = field(repr=False)
+    guide: TruncatedGuide
+    mu: np.ndarray = field(repr=False)
+    weight: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
 
     form = "patch"
+    columns = None  # no box
 
-    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``q[m]`` and ``dq[m]/dE`` below the cap: the exterior's modes in the even slots, the patch side's in the odd."""
-        g = self.guide
-        z = self._exterior(E)
-        z[:, 1::2] = _patch_side_coupling(g.step_long, g.feature_nodes + 1, self.nu, E)
-        return self._cosine_sums(z)
+    @property
+    def size(self) -> int:
+        return self.guide.feature_nodes + 1
+
+    def green(self, E: float) -> tuple[np.ndarray, np.ndarray]:
+        """``G_PP(E)`` and ``G_PP'(E)``, each ``K``-square."""
+        i = np.arange(self.size)[:, None]
+        sums = _wall_row(self.guide, self.mu, self.weight, 2 * i.size - 1, E)
+        return tuple(s[abs(i - i.T)] + s[i + i.T] for s in sums)
 
 
 def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
-    """The patch guide ``g`` on the first column past the patch (see :class:`PatchOperator`).
+    """The patch guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`PatchOperator`).
 
     Solves the same finite guide, on the same grid, as
     :func:`build_fd_operator`, and refuses the same guides: one whose patch
     comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
     and so does a guide without a patch (a Dirichlet wall or no feature) or
-    with a potential.  The column's stencil and weights read the same from
-    either wall.
+    with a potential.
     """
     if g.half_width is None or g.cross_section.bc == BC_DIRICHLET or g.potential is not None:
         raise ValueError("the patch form needs a patch guide without a potential")
     _box_edge(g, g.feature_nodes)
-    h1, h2, n2 = g.step_long, g.step_trans, g.n_trans
-    w2 = np.full(n2 + 1, h2)
-    w2[[0, -1]] = h2 / 2.0
-    # the column's transverse edges at half weight, and its edges to column c - 1
-    chain = h1 / (2.0 * h2)
-    band = _chain_band(w2 / h1 + 2.0 * chain, chain)
-    band[0, [0, -1]] -= chain
-    mu, nu = _lattice_eigenvalues(g, np.arange(n2 + 1)), _lattice_eigenvalues(g, np.arange(n2) + 0.5)
-    M = g.n_long - (g.feature_nodes + 1)
-    return PatchOperator(
-        guide=g,
-        band=band,
-        mass=0.5 * h1 * w2,
-        scale=w2,
-        mu=mu,
-        # the patch side of c columns, closed by the natural plane, has the
-        # lowest eigenvalue of 2c columns between two held ones
-        cap=min(_exterior_cap(h1, M, mu), _exterior_cap(h1, 2 * (g.feature_nodes + 1), nu)),
-        exterior_columns=M,
-        nu=nu,
-    )
+    j, k = np.arange(g.n_trans + 1), np.arange(1, g.n_long + 1)
+    weight = np.where((j == 0) | (j == g.n_trans), 1.0, 2.0) / g.cross_section.width
+    s = np.sin((2 * k - 1) * np.pi / (4 * g.n_long))
+    return PatchOperator(guide=g, mu=_lattice_eigenvalues(g, j), weight=weight, lam=4 / g.step_long**2 * s * s)
 
 
 @dataclass
@@ -939,19 +904,22 @@ class OracleSolution:
     """Lowest eigenpair of a truncated guide, with threshold bookkeeping.
 
     ``value`` is ``E_1`` and ``residual`` the relative residual of
-    ``T(E_1) v`` on the operator's unknowns.  ``vector`` is ``v``,
-    mass-normalized over the whole guide with a deterministic sign;
-    ``operator`` is the operator solved, whose ``guide`` and ``form`` say
-    what it was: ``"box"`` (``v`` on the box's columns), ``"window"``
-    (``v`` on the window's wall nodes) or ``"patch"`` (``v`` on the first
-    column past the patch).  On the box form the eliminated exterior is
-    given in closed form by :func:`extract_tail_coefficients`.  ``binding``
-    is ``mu_1^h - E_1``:
-    positive exactly when a state sits below the discrete threshold.
-    ``shift`` is the first shift of the plan whose factorization
-    succeeded; ``factorizations`` and ``inner_solves`` count the banded Cholesky
-    factorizations and back-solves of the whole solve, and
-    ``closure_evaluations`` its calls of the operator's ``coupling(E)``.
+    ``T(E_1) v`` on the operator's unknowns (of ``G_PP(E_1) v`` on a
+    patch's).  ``vector`` is ``v``, mass-normalized over the whole guide
+    with a deterministic sign; ``operator`` is the operator solved, whose
+    ``guide`` and ``form`` say what it was: ``"box"`` (``v`` on the box's
+    columns), ``"window"`` (``v`` on the window's wall nodes) or ``"patch"``
+    (``v`` the force on the patch's wall nodes, whose field ``G(E_1) v`` has
+    unit mass).  On the box form the eliminated exterior is given in closed
+    form by :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h -
+    E_1``: positive exactly when a state sits below the discrete threshold.
+    ``shift`` is the first shift of the plan whose factorization succeeded
+    (a patch's first iterate); ``factorizations`` and ``inner_solves``
+    count the banded Cholesky factorizations and back-solves of the whole
+    solve, and ``closure_evaluations`` its calls of the operator's
+    ``coupling(E)``.  A patch solve factors and back-solves nothing; its
+    closure evaluations are its evaluations of ``G_PP``, each
+    eigendecomposed once.
     """
 
     value: float
@@ -963,7 +931,7 @@ class OracleSolution:
     inner_solves: int
     closure_evaluations: int
     vector: np.ndarray = field(repr=False)
-    operator: FdOperator = field(repr=False)
+    operator: FdOperator | PatchOperator = field(repr=False)
 
 
 def discrete_threshold(g: TruncatedGuide, m: int = 1) -> float:
@@ -998,14 +966,15 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator, binding_hint: float | None = None
+    op: FdOperator | PatchOperator, binding_hint: float | None = None
 ) -> OracleSolution:
     """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0``.
 
-    ``T(E) = A - E M + closure(sigma(E))`` is the exact Schur complement
-    of the rest of the guide onto the operator's unknowns (see
-    :class:`FdOperator`): the box's columns, a window's wall nodes, or the
-    first column past a patch, each factored by banded Cholesky.  The
+    A patch's is the root of its Green function's crossing eigenvalue (see
+    :func:`_patch_root`).  Otherwise ``T(E) = A - E M + closure(sigma(E))``
+    is the exact Schur complement of the rest of the guide onto the
+    operator's unknowns (see :class:`FdOperator`): the box's columns or a
+    window's wall nodes, each factored by banded Cholesky.  The
     operator factors ``T(s)`` or reports that it is not positive definite,
     back-solves with the factor, applies ``-T'(s)``, and gives ``f(E) = v^T
     T(E) v`` as ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
@@ -1026,29 +995,25 @@ def lowest_eigenpairs(
       halving its distance to the cap where ``f(E) <= 0``; if there is none,
       the cap stays the bound.
 
-    The first shift comes from the plan (see :func:`_shift_plan`): with a
-    positive ``binding_hint`` (an estimate of ``mu_1^h - E_1``) ``2 hint``
-    below the threshold, each failed factorization moving eight times
-    farther, down to ``threshold - 1``; without one, the threshold itself,
-    which factors exactly when nothing binds and otherwise is the first
-    upper bound, then ``threshold - 1``.  If that fails too, one last shift
-    sits one below both zero and the potential's minimum, where ``T(s)`` is
-    positive definite by construction.  Every shift of the plan lies at or
-    below the threshold ``mu_1^h``, so below the cap.  Each next shift sits
+    The first shift comes from the plan of :func:`_shift_plan`, all at or
+    below the threshold ``mu_1^h``, so below the cap; past its end one last
+    shift sits one below both zero and the potential's minimum, where
+    ``T(s)`` is positive definite by construction.  Each next shift sits
     ``SHIFT_GAP`` of the bracket (at least half of ``BRACKET_TOL``) below
     ``p``; a shift that does not factor becomes the new upper bound, and
     the gap widens sixteenfold, up to half the bracket.  The solve stops at
     the first point where ``p - s <= BRACKET_TOL``: after a Newton bound, or
-    as soon as a trial shift factors, with no inverse iteration at that
-    trial.  It reports ``E_1 = p`` with the last pencil vector; more than
-    ``MAX_FACTORIZATIONS`` factorizations raise :class:`SolverError`.  The
-    eigenpair does not depend on the hint; only the number of
-    factorizations does.  The pair is checked against the
-    ``1e-8`` relative-residual contract.
+    as soon as a trial shift factors.  It reports ``E_1 = p`` with the last
+    pencil vector; more than ``MAX_FACTORIZATIONS`` factorizations raise
+    :class:`SolverError`.  The eigenpair does not depend on the hint, an
+    estimate of ``mu_1^h - E_1``; only the work does.  The pair is checked
+    against the ``1e-8`` relative-residual contract.
     """
     start = time.perf_counter()
     g = op.guide
     threshold = discrete_threshold(g)
+    if op.form == "patch":
+        return _patch_root(op, threshold, binding_hint, start)
     cap = op.cap
     coupling = op.coupling
     factorizations = failed = inner_solves = evaluations = 0
@@ -1158,18 +1123,78 @@ def lowest_eigenpairs(
         np.linalg.norm(av - value * mv + cv)
         / (np.linalg.norm(av) + abs(value) * np.linalg.norm(mv) + np.linalg.norm(cv))
     )
+    # -T'(E) is the mass of the whole guide, the eliminated nodes included
+    _, mass, a2 = op.contract(v)
+    return _solved(op, start, threshold, value, residual, v, mass - slope @ a2, first_shift,
+                   (factorizations, failed, inner_solves, evaluations))
+
+
+def _patch_root(op: PatchOperator, threshold: float, binding_hint, start: float) -> OracleSolution:
+    """``E_1`` of a patch guide: the root of the eigenvalue of ``G_PP(E)`` that crosses zero.
+
+    Each evaluation's inertia (see :class:`PatchOperator`) makes ``E`` a
+    bound, and ``E_1 > lam_1``.  Newton follows the crossing eigenvalue
+    through ``psi(E) = 1 / (c^T G_PP^-1 c)``, ``c = cos(i phi_0)`` the pole
+    direction, ``phi_0`` the threshold mode's angle: ``psi`` is the
+    eigenvalue over ``(c . q)^2`` at the root, with no poles below ``mu_1``
+    but ``G_PP``'s.  Steps on ``(E - P) psi``, ``P`` the pole below ``E``,
+    start at ``threshold - binding_hint`` below ``(4/h1^2) sin^2(pi /
+    (2N))``, else where ``N phi_0 = 3 pi / 4``; one out of the bracket
+    bisects it, or doubles ``E - lam_1``.  An iterate whose step is below
+    ``ROOT_STEP`` of it, and whose eigenvalue nearest zero meets the
+    residual contract, is the root, ``v`` that eigenvalue's vector; the
+    bracket's far side is then evaluated ``BRACKET_TOL / 2`` away.
+    """
+    h1, N, lam = op.guide.step_long, op.guide.n_long, op.lam
+    lo, hi, found, evaluations = lam[0], math.inf, None, 0
+    top, mid = (4.0 / h1**2 * math.sin(a * math.pi / N) ** 2 for a in (0.5, 0.375))
+    E = math.nan if binding_hint is None else threshold - binding_hint
+    first = E = E if lo < E < top else mid
+    while True:
+        if evaluations >= MAX_FACTORIZATIONS:
+            raise SolverError(f"no eigenvalue bracket within {MAX_FACTORIZATIONS} evaluations")
+        evaluations += 1
+        G, slope = op.green(E)
+        w, V = np.linalg.eigh(G)
+        # the inertia count: E < E_1 exactly when G_PP(E) has N0(E) negative eigenvalues
+        below = np.count_nonzero(w < 0.0) == np.searchsorted(lam, E - op.mu).sum()
+        lo, hi = (E, hi) if below else (lo, E)
+        if found is not None:
+            if hi - lo <= BRACKET_TOL:
+                break
+            found = None
+        c = np.cos(2.0 * math.asin(min(1.0, 0.5 * h1 * math.sqrt(E))) * np.arange(op.size))
+        z = V @ (V.T @ c / w)
+        psi = 1.0 / (c @ z)
+        x = E - lam[np.searchsorted(lam, E) - 1]
+        trial = E - x * psi / (psi + x * psi * psi * (z @ slope @ z))
+        residual = np.abs(w).min() / np.abs(w).max()
+        if abs(trial - E) <= ROOT_STEP * E and residual <= EIGEN_RESIDUAL_TOL:
+            found = E, residual, V[:, np.argmin(np.abs(w))], slope
+            if hi - lo <= BRACKET_TOL:
+                break
+            E += 0.5 * BRACKET_TOL if hi - E > BRACKET_TOL else -0.5 * BRACKET_TOL
+        elif lo < trial < hi:
+            E = trial
+        else:
+            E = 0.5 * (lo + hi) if hi < math.inf else 2.0 * E - lam[0]
+    E, residual, q, slope = found
+    # G_PP' = (G M G)_PP: the force's field has mass q^T G_PP' q
+    return _solved(op, start, threshold, E, float(residual), q, q @ slope @ q, first,
+                   (0, 0, 0, evaluations))
+
+
+def _solved(op, start, threshold, value, residual, v, mass, shift, work) -> OracleSolution:
+    """The solution past the residual contract: ``v / sqrt(mass)``, its sign fixed; ``work`` the ``-v`` counts."""
     if residual > EIGEN_RESIDUAL_TOL:
         raise SolverError(
             f"eigen-residual {residual} exceeds {EIGEN_RESIDUAL_TOL}",
             residuals=residual,
         )
-
-    # -T'(E) is the mass of the whole guide, the eliminated nodes included
-    _, mass, a2 = op.contract(v)
-    v = v / math.sqrt(mass - slope @ a2)
+    v = v / math.sqrt(mass)
     if v[int(np.argmax(np.abs(v)))] < 0:
         v = -v
-
+    factorizations, failed, inner_solves, evaluations = work
     logger.info(
         "eigensolve: %s form, %d unknowns%s, %d factorizations (%d failed), "
         "%d back-solves, %d closure evaluations, %.3f s",
@@ -1187,7 +1212,7 @@ def lowest_eigenpairs(
         residual=residual,
         threshold=threshold,
         binding=float(threshold - value),
-        shift=float(first_shift),
+        shift=float(shift),
         factorizations=factorizations,
         inner_solves=inner_solves,
         closure_evaluations=evaluations,

@@ -1,9 +1,10 @@
 """Guards on the whole program: the lanes' import boundary, solver work, golden numbers.
 
 The work ratchet and the golden numbers run the benchmark's three nominal
-workloads in process on one thread.  ``golden_rows.json`` records the
-commit its numbers came from; regenerate it only for a change of method,
-and say which numbers moved and by how much:
+workloads in process on one thread, and the row pool must give the same
+rows on the two threads ``patch-threads2`` runs.  ``golden_rows.json``
+records the commit its numbers came from; regenerate it only for a change
+of method, and say which numbers moved and by how much:
 
     PYTHONPATH=src python tests/test_guards.py COMMIT
 """
@@ -33,7 +34,7 @@ WORK_KEYS = ("factorizations", "inner_solves", "closure_evaluations", "secular_e
 WORK_CEILING = {
     "window-ladder": (80, 112, 286, 0),
     "regular-secular": (158, 291, 471, 29),
-    "patch-threads2": (43, 82, 184, 0),
+    "patch-threads2": (0, 0, 65, 0),
 }
 
 
@@ -106,6 +107,16 @@ def test_solver_work_of_the_nominal_workloads_does_not_rise(nominal_rows) -> Non
         )
         for key, got, ceiling in zip(WORK_KEYS, totals, WORK_CEILING[name]):
             assert got <= ceiling, f"{name}: {key} rose to {got} from {ceiling}"
+
+
+def test_the_row_pool_gives_the_rows_of_one_thread(nominal_rows) -> None:
+    # patch-threads2 runs its rows on two threads; those rows, extras
+    # included, must be the one-thread rows the golden numbers hold
+    workloads = _workloads()
+    spec = workloads.SPECS["patch-threads2"]
+    assert spec.threads == 2
+    cfg = parse_config(workloads.make_config("patch-threads2", [0] * len(spec.nominal)))
+    assert run_sweep(cfg, threads=spec.threads) == nominal_rows["patch-threads2"]
 
 
 def test_nominal_workload_rows_match_their_golden_numbers(nominal_rows) -> None:

@@ -655,6 +655,7 @@ def test_cli_refuses_an_unusable_out_before_any_solve(tmp_path, capsys, monkeypa
     "raw",
     [
         _window_dict(tolerances={"classification": {"expect": "Boundstate"}}),
+        _window_dict(tolerances={"classification": {"expect": "Resonance"}}),
         _window_dict(tolerances={"slope": {"min": 4.3, "max": 3.7}}),
         _window_dict(tolerances={"first_order": {"margin_eps2": 5.0}}),
         _window_dict(tolerances={"gap_slope_min": 2.7}),
@@ -662,13 +663,15 @@ def test_cli_refuses_an_unusable_out_before_any_solve(tmp_path, capsys, monkeypa
         _patch_dict(tolerances={"gap_slope_min": 2.7}),
         _patch_dict(tolerances={"prefactor": {"exponent": 4.0, "predicted": 0.25}}),
     ],
-    ids=["unknown-label", "slope-min-above-max", "window-first_order", "window-gap_slope_min",
+    ids=["unknown-label", "resonance-at-m1", "slope-min-above-max", "window-first_order",
+         "window-gap_slope_min",
          "patch-first_order", "patch-gap_slope_min", "patch-prefactor"],
 )
 def test_cli_rejects_a_gate_no_row_can_pass_before_any_solve(tmp_path, capsys, raw) -> None:
     # each of these once parsed, solved every row and failed --check: no
-    # pole carries the label, no slope lies in the range, a wall row has no
-    # secular pole, and a patch binds nothing
+    # pole carries the label (no pole at m = 1 is a resonance), no slope
+    # lies in the range, a wall row has no secular pole, and a patch binds
+    # nothing
     _assert_rejected_before_any_solve(tmp_path, capsys, raw)
 
 
@@ -1103,7 +1106,8 @@ def test_patch_sweep_never_reaches_the_box(monkeypatch) -> None:
     )
     solves = _assert_wall_sweep_never_reaches_the_box("patch", raw, 8, monkeypatch)
     for s in solves:
-        assert s["unknowns"] == round(math.pi / s["h_trans"]) + 1
+        assert s["unknowns"] == round(s["feature_half_width"] / s["h_long"] - 0.5) + 1
+        assert (s["factorizations"], s["inner_solves"]) == (0, 0) and s["closure_evaluations"] > 0
 
 
 def test_window_sweep_never_reaches_the_box(monkeypatch) -> None:
@@ -1113,11 +1117,11 @@ def test_window_sweep_never_reaches_the_box(monkeypatch) -> None:
 
 
 def _assert_wall_sweep_never_reaches_the_box(form, raw, count, monkeypatch) -> list[dict]:
-    # a window row solves the window form on its wall nodes, a patch row the
-    # patch form on the first column past the patch; both factor and
-    # back-solve with the oracle's one banded LAPACK pair, never with
-    # numpy's dense Cholesky, and never assemble the feature box; the
-    # records count every factorization and back-solve
+    # a window row solves the window form on its wall nodes, factored and
+    # back-solved with the oracle's one banded LAPACK pair, a patch row the
+    # patch form on its wall nodes, which factors nothing; neither uses
+    # numpy's dense Cholesky or assembles the feature box, and the records
+    # count every factorization and back-solve
     calls = Counter()
 
     def counting(name, fn):
@@ -1142,7 +1146,7 @@ def _assert_wall_sweep_never_reaches_the_box(form, raw, count, monkeypatch) -> l
         assert (s["form"], s["box_columns"]) == (form, None)
     for name in ("factorizations", "inner_solves"):
         assert calls[name] == sum(s[name] for s in solves), name
-    assert set(calls) == {"factorizations", "inner_solves"}
+    assert set(calls) == (set() if form == "patch" else {"factorizations", "inner_solves"})
     return solves
 
 

@@ -602,20 +602,20 @@ def test_window_form_solution_has_no_tails() -> None:
         extract_tail_coefficients(sol, 1)
 
 
-def _patch_eliminated(g: TruncatedGuide):
-    """Whole patch guide's ``A`` and mass on its active nodes, and which lie on column ``n_feat + 1``.
+def _patch_guide_dense(g: TruncatedGuide):
+    """Unperturbed Neumann guide's dense ``A`` and mass on its active nodes, and which are the patch's.
 
-    Built apart from ``wgpoles``: the Neumann walls keep every node but the
-    patch's wall nodes and the Dirichlet end.
+    Built apart from ``wgpoles``: every node but the Dirichlet end is
+    active, and the patch's nodes are the wall nodes ``(i, 0)``, ``i <=
+    n_feat``; the patched guide is the block off them.
     """
     A, mass = _full_grid_form(g.n_long, g.step_long, g.n_trans, g.step_trans)
     active = np.ones(mass.shape, dtype=bool)
-    active[: g.feature_nodes + 1, 0] = False
     active[-1, :] = False
-    column = np.zeros(mass.shape, dtype=bool)
-    column[g.feature_nodes + 1] = True
+    patch = np.zeros(mass.shape, dtype=bool)
+    patch[: g.feature_nodes + 1, 0] = True
     keep = active.ravel()
-    return A.toarray()[np.ix_(keep, keep)], mass.ravel()[keep], column.ravel()[keep]
+    return A.toarray()[np.ix_(keep, keep)], mass.ravel()[keep], patch.ravel()[keep]
 
 
 def _dense_terms(op, weights: np.ndarray):
@@ -623,71 +623,114 @@ def _dense_terms(op, weights: np.ndarray):
     return (np.column_stack(t) for t in zip(*(op.terms(e, weights) for e in np.eye(op.size))))
 
 
-def _patch_schur(g: TruncatedGuide, E: float) -> np.ndarray:
-    """``T_P(E)`` of a patch guide: every node off the interface column eliminated densely.
-
-    The column's nodes are numbered from the far wall, as the patch form
-    numbers them.
-    """
-    A, mass, c = _patch_eliminated(g)
-    T = A - E * np.diag(mass)
-    S = T[np.ix_(c, c)] - T[np.ix_(c, ~c)] @ np.linalg.solve(T[np.ix_(~c, ~c)], T[np.ix_(~c, c)])
-    return S[::-1, ::-1]
-
-
-# (L, h, W) of short Neumann guides whose E_1 lies above nu_1 = 0.25, where
-# the lowest patch-side mode oscillates
+# (L, h, W) of short Neumann guides whose E_1 lies above 0.25
 SHORT_PATCH_GUIDES = [(3.0, 0.1, 0.4), (2.0, 0.1, 0.6)]
 
-# a short guide whose cap is the exterior's and a wide patch whose cap is
-# the patch side's
-PATCH_CAP_GUIDES = pytest.mark.parametrize(
-    "L, h, W", [(2.0, 0.1, 0.6), (2.0, 0.1, 1.4)], ids=["exterior-cap", "patch-side-cap"]
+# a short guide and a wide patch, each small enough to solve densely
+PATCH_DENSE_GUIDES = pytest.mark.parametrize(
+    "L, h, W", [(2.0, 0.1, 0.6), (2.0, 0.1, 1.4)], ids=["short-guide", "wide-patch"]
 )
 
-
-def _patch_energies(op, g: TruncatedGuide) -> tuple[float, ...]:
-    """Below the threshold, between ``nu_1`` and the cap, next to the cap, and around the threshold."""
-    nu1, mu1 = op.nu[0], discrete_threshold(g)
-    return (mu1 - 0.3, 0.5 * (nu1 + op.cap), op.cap - 0.01 * (op.cap - nu1),
-            mu1 - 1e-9, mu1 + 1e-9, mu1 - 1e-7, mu1 - 1e-5)
+# the wall-row Green function and its slope against the dense inverse,
+# relative to the largest entry: at most 1.9e-13 and 2.3e-13 measured below,
+# the dense inverse's own error next to a pole; the bound leaves a margin of 8
+PATCH_GREEN_REL_TOL = 2e-12
 
 
-@PATCH_CAP_GUIDES
-def test_patch_form_is_the_schur_complement(L, h, W) -> None:
-    # below the threshold, between nu_1 and the cap (patch-side and exterior
-    # modes oscillate), 1% of that gap below the cap, 1e-9 either side of
-    # the threshold mu_1^h = 0, and a pair straddling r's series join in the
-    # exterior: M theta_0 is 4.2e-4 and 4.2e-3 (short guide) or 1.7e-4 and
-    # 1.7e-3 (wide patch) at 1e-7 and 1e-5 below the threshold.  The short
-    # guide's cap is the exterior's; the wide patch's is the patch side's.
-    # Measured: T_P within 2.7e-16 of the dense complement, relative to its
-    # largest entry, and 5.5e-13 next to the cap, where the dense solve
-    # loses digits; -T_P' within 4.0e-8 of its central difference with step
-    # 1e-6, that difference's own error (1.4e-8 away from the threshold);
-    # the bounds leave a margin of 18 and 2.5.  T_P is read off the dense
-    # form through its terms
+@PATCH_DENSE_GUIDES
+def test_wall_row_green_function_is_the_dense_inverse(L, h, W) -> None:
+    # G_PP(E) against the patch block of (A - E M)^-1 of the unperturbed
+    # guide, and G_PP'(E) against that of G M G: below E_1^0 = lam_1, between
+    # it and mu_1 (the constant mode oscillates), 1e-9 either side of mu_1,
+    # where mode 1 reaches its threshold, and between later poles with two
+    # modes oscillating
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     op = oracle.build_patch_operator(g)
-    assert (op.size, op.form, op.columns) == (g.n_trans + 1, "patch", None)
-    # the cap is the lowest eigenvalue of the guide with the column held at
-    # zero: measured within 3.7e-14 of the dense eigensolve's
-    A, mass, c = _patch_eliminated(g)
-    lowest = sla.eigh(
-        A[np.ix_(~c, ~c)], np.diag(mass[~c]), eigvals_only=True, subset_by_index=[0, 0]
-    )[0]
-    assert abs(lowest / op.cap - 1.0) <= 1e-12
-    for E in _patch_energies(op, g):
-        sigma, slope = op.coupling(E)
-        want = _patch_schur(g, E)
-        A, M, C = _dense_terms(op, sigma)
-        got = A - E * M + C
-        assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
-        dE = 1e-6
-        d_want = (_patch_schur(g, E + dE) - _patch_schur(g, E - dE)) / (2.0 * dE)
-        _, M, C = _dense_terms(op, slope)
-        d_got = C - M
-        assert np.abs(d_got - d_want).max() <= 1e-7 * np.abs(d_want).max()
+    assert (op.size, op.form, op.columns) == (g.feature_nodes + 1, "patch", None)
+    A, mass, patch = _patch_guide_dense(g)
+    lam1, mu1 = op.lam[0], op.mu[1]
+    assert mu1 < mu1 + lam1 < 3.0 < op.mu[2]
+    for E in (0.5 * lam1, 0.5 * (lam1 + mu1), mu1 - 1e-9, mu1 + 1e-9, mu1 + 0.5 * lam1, 3.0):
+        G = np.linalg.inv(A - E * np.diag(mass))
+        got = op.green(E)
+        for g_, want in zip(got, (G, G @ np.diag(mass) @ G)):
+            want = want[np.ix_(patch, patch)]
+            assert np.abs(g_ - want).max() <= PATCH_GREEN_REL_TOL * np.abs(want).max()
+
+
+@PATCH_DENSE_GUIDES
+def test_patch_inertia_counts_the_patched_guide_eigenvalues(L, h, W) -> None:
+    # the unperturbed eigenvalues are mu_j + lam_k, lam_k = (4/h1^2)
+    # sin^2((2k - 1) pi / (4N)) (measured within 1.2e-13 of the dense
+    # eigensolve), and between any two eigenvalues of either guide G_PP(E)
+    # has as many negative eigenvalues as the unperturbed guide has
+    # eigenvalues below E, less the patched guide's
+    g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
+    op = oracle.build_patch_operator(g)
+    A, mass, patch = _patch_guide_dense(g)
+    unperturbed = sla.eigh(A, np.diag(mass), eigvals_only=True)
+    formula = np.sort(np.add.outer(op.mu, op.lam).ravel())
+    assert np.abs(unperturbed / formula - 1.0).max() <= 1e-12
+    patched = sla.eigh(A[np.ix_(~patch, ~patch)], np.diag(mass[~patch]), eigvals_only=True)
+    both = np.sort(np.concatenate((unperturbed[:10], patched[:10])))
+    for E in 0.5 * (both[1:] + both[:-1]):
+        negative = np.count_nonzero(np.linalg.eigvalsh(op.green(E)[0]) < 0.0)
+        assert negative == np.searchsorted(formula, E) - np.searchsorted(patched, E), E
+    assert abs(lowest_eigenpairs(op).value / patched[0] - 1.0) <= 1e-11
+
+
+def _extended_root(g: TruncatedGuide) -> np.longdouble:
+    """``E_1`` of a patch guide by bisection on the inertia of ``G_PP``, all in ``np.longdouble``.
+
+    Built apart from ``wgpoles``: each mode's wall-row sum from its plain
+    closed form, ``E_1`` the point between ``lam_1`` and ``lam_2`` where
+    ``G_PP`` stops having one negative eigenvalue, counted by the pivots of
+    an unpivoted symmetric elimination.
+    """
+    ld = np.longdouble
+    N, n2, K, d = g.n_long, g.n_trans, g.feature_nodes + 1, ld(g.cross_section.width)
+    pi = ld("3.14159265358979323846264338327950288")
+    h1, h2 = ld(g.half_length) / N, d / n2
+    j, n = np.arange(n2 + 1).astype(ld), np.arange(2 * K - 1).astype(ld)
+    mu = 4 / h2**2 * np.sin(j * pi * h2 / (2 * d)) ** 2
+    weight = np.where((j == 0) | (j == n2), 1 / d, 2 / d)
+    i = np.arange(K)
+
+    def negatives(E):
+        s = np.zeros(n.size, dtype=ld)
+        for m, w in zip(mu, weight):
+            delta = h1**2 * (m - E) / 2
+            if delta >= 0:
+                t = 2 * np.arcsinh(np.sqrt(delta / 2))
+                image = np.exp(-n * t) - np.exp(-(2 * N - n) * t)
+                s += w * h1 / 2 * image / (np.sinh(t) * (1 + np.exp(-2 * N * t)))
+            else:
+                t = 2 * np.arcsin(np.sqrt(-delta / 2))
+                s += w * h1 / 2 * np.sin((N - n) * t) / (np.sin(t) * np.cos(N * t))
+        G = s[np.abs(i[:, None] - i)] + s[i[:, None] + i]
+        count = 0
+        for k in range(K):
+            count += G[k, k] < 0
+            G[k + 1 :, k + 1 :] -= np.outer(G[k + 1 :, k], G[k, k + 1 :]) / G[k, k]
+        return count
+
+    lo, hi = (4 / h1**2 * np.sin(a * pi / (4 * N)) ** 2 for a in (1, 3))
+    for _ in range(70):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if negatives(mid) == 1 else (lo, mid)
+    return lo
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+def test_patch_root_matches_an_extended_precision_bisection() -> None:
+    # the nominal row's first rung: the wall form's E_1 measured within
+    # 6.7e-16 of the extended-precision root (at most 5.1e-15 over the nine
+    # rungs of eps = 0.3, 0.4, 0.45; the box and the former one-column form
+    # lay 1.1e-12 and 7.8e-13 away here).  The bound is the root loop's own
+    # stop, ROOT_STEP
+    g = TruncatedGuide(cross_section=_NCS, half_length=10.0, h=0.0316, half_width=0.4)
+    sol = lowest_eigenpairs(oracle.build_patch_operator(g))
+    assert abs(sol.value / float(_extended_root(g)) - 1.0) <= oracle.ROOT_STEP
 
 
 def _lattice_projector(g: TruncatedGuide, mu: np.ndarray) -> np.ndarray:
@@ -744,41 +787,10 @@ def test_box_closure_is_the_projector_product(cs) -> None:
     assert info.maxsize == 8 and 0 < info.currsize <= 8
 
 
-# the patch form's closure against the projector sum it transforms, relative
-# to the largest entry: at most 1.2e-15 measured below; the bound leaves a
-# margin of 8
-PATCH_CLOSURE_REL_TOL = 1e-14
-
-
-@PATCH_CAP_GUIDES
-def test_patch_closure_is_the_projector_sum(L, h, W) -> None:
-    # the closure at offsets, C Sigma C, against P diag(sigma) P^T +
-    # Q diag(tau) Q^T built from the lattice cosines and the patch side's
-    # mixed sines on the column's nodes numbered from the far wall, the two
-    # sides' couplings and derivatives taken from the closure kit.  The
-    # Schur complement test above cannot see the transform at roundoff
-    g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
-    op = oracle.build_patch_operator(g)
-    n2, h1, c = g.n_trans, g.step_long, g.feature_nodes + 1
-    P = _lattice_projector(g, op.mu)
-    w2 = np.full(n2 + 1, g.step_trans)
-    w2[[0, -1]] /= 2.0
-    k = np.arange(n2)
-    phase = np.outer(np.arange(1, n2 + 1), 2 * k + 1) % (4 * n2)
-    Q = np.zeros((n2 + 1, n2))
-    Q[1:] = w2[1:, None] * np.sin(np.pi * phase / (2 * n2)) * math.sqrt(2.0 / g.cross_section.width)
-    P, Q = P[::-1], Q[::-1]
-    for E in _patch_energies(op, g):
-        sides = zip(oracle._exterior_coupling(h1, g.n_long - c, op.mu, E),
-                    oracle._patch_side_coupling(h1, c, op.nu, E))
-        for (sigma, tau), weights in zip(sides, op.coupling(E)):
-            want = (P * sigma) @ P.T + (Q * tau) @ Q.T
-            got = op.closure(weights)
-            assert np.abs(got - want).max() <= PATCH_CLOSURE_REL_TOL * np.abs(want).max()
-
-
 # relative difference of the patch form's bindings from the box's on the
-# same guides: at most 3.6e-13 measured below; the bound leaves a margin of 5
+# same guides: at most 1.1e-12 measured below, the box's own error (see
+# test_patch_root_matches_an_extended_precision_bisection); the bound leaves
+# a margin of 1.75
 PATCH_FORM_REL_TOL = 2e-12
 
 
@@ -788,15 +800,14 @@ PATCH_FORM_REL_TOL = 2e-12
      (2.0, 0.1, 1.4)],
 )
 def test_patch_form_matches_the_box(L, h, W) -> None:
-    # the nominal patch row's ladder, two short guides and a wide patch whose
-    # cap is the patch side's, on the same grid; the patch form solves the
-    # n_trans + 1 nodes of the first column past the patch
+    # the nominal patch row's ladder, two short guides and a wide patch, on
+    # the same grid; the patch form solves the patch's n_feat + 1 wall nodes
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     box = lowest_eigenpairs(build_fd_operator(g))
     pat = lowest_eigenpairs(oracle.build_patch_operator(g))
     assert (box.operator.form, box.operator.columns) == ("box", g.feature_nodes + oracle.BOX_PADDING + 1)
     assert (pat.operator.form, pat.operator.columns) == ("patch", None)
-    assert pat.vector.size == g.n_trans + 1
+    assert pat.vector.size == g.feature_nodes + 1
     assert pat.residual <= oracle.EIGEN_RESIDUAL_TOL
     assert abs(pat.binding / box.binding - 1.0) <= PATCH_FORM_REL_TOL
 
@@ -816,9 +827,9 @@ def test_patch_form_refuses_what_it_does_not_solve() -> None:
 
 
 def test_patch_form_solution_has_no_tails() -> None:
-    # a short patch guide solved on one column: the tails are read from the
-    # box's edge column, which the patch form eliminates with the rest of
-    # the guide (and nothing binds under a patch)
+    # a short patch guide solved on its wall nodes: the tails are read from
+    # the box's edge column, which the patch form eliminates with the rest
+    # of the guide (and nothing binds under a patch)
     L, h, W = SHORT_PATCH_GUIDES[0]
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
     sol = lowest_eigenpairs(oracle.build_patch_operator(g))
@@ -1007,9 +1018,14 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
     assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
 
 
-# the patch guide's two forms: the full box, and the patch form on the
-# first column past the patch, both factored by cholesky_banded
+# the patch guide's two forms: the full box, factored by cholesky_banded,
+# and the patch form on its wall nodes, which evaluates G_PP instead
 PATCH_FORMS = {"box": build_fd_operator, "patch": oracle.build_patch_operator}
+
+
+def _patch_work(sol) -> int:
+    """A patch solve's work: the box's factorizations, the patch form's ``G_PP`` evaluations."""
+    return sol.factorizations if sol.operator.form == "box" else sol.closure_evaluations
 
 
 # the box cases keep their ids; the patch form's carry a suffix
@@ -1024,7 +1040,7 @@ PATCH_FORMS = {"box": build_fd_operator, "patch": oracle.build_patch_operator}
 def test_patch_hint_costs_no_extra_factorizations(short, long, form) -> None:
     # nothing binds under a patch; the shorter guide's binding, the hint a
     # sweep row passes along its length ladder, is about four times the
-    # longer one's and must not cost the longer solve factorizations
+    # longer one's and must not cost the longer solve work
     build = PATCH_FORMS[form]
 
     def operator(L: float):
@@ -1036,25 +1052,43 @@ def test_patch_hint_costs_no_extra_factorizations(short, long, form) -> None:
     op = operator(long)
     ref = lowest_eigenpairs(op)
     sol = lowest_eigenpairs(op, binding_hint=hint)
-    assert sol.factorizations <= ref.factorizations
+    assert _patch_work(sol) <= _patch_work(ref)
     assert abs(sol.value / ref.value - 1.0) < 1e-11
 
 
+def test_patch_step_hint_starts_the_root_loop() -> None:
+    # a coarse step's binding, the hint a two-step row passes to its fine
+    # solve, is the fine solve's first iterate and saves it evaluations:
+    # measured 4 against 5 unhinted
+    def operator(h: float):
+        g = TruncatedGuide(cross_section=_NCS, half_length=10.0, h=h, half_width=0.4)
+        return oracle.build_patch_operator(g)
+
+    hint = lowest_eigenpairs(operator(0.05)).binding
+    op = operator(0.025)
+    ref, sol = lowest_eigenpairs(op), lowest_eigenpairs(op, binding_hint=hint)
+    assert sol.shift == sol.threshold - hint != ref.shift
+    assert sol.closure_evaluations < ref.closure_evaluations
+    assert abs(sol.value / ref.value - 1.0) <= oracle.ROOT_STEP
+
+
 # the nominal patch row's ladder (eps = 0.4, the guide snapping h = 0.0316
-# to 0.4/12.5), each guide hinted by the shorter one's binding, and per
-# form the factorizations measured (box: 5 at L = 10, 3 at L = 20 and 40;
-# patch form: 4, 4 and 3), plus a margin of 2.  The bindings are the box's,
-# solved the way this test solves them: the four rungs in order on the box
-# at h = 0.0316 and half_width = 0.4, L = 6 unhinted and each later rung
-# hinted by the one before (the patch form lies within 3.6e-13 relative of
-# them).  The rung L = 6 in front is not the row's: on either form one of
-# its 5 factorizations, a trial shift above E_1, fails, so the failure
-# count is checked on both
+# to 0.4/12.5), each guide hinted by the shorter one's binding, with per
+# form the binding and the work measured (box: 5 factorizations at L = 10,
+# 3 at L = 20 and 40; patch form: 5, 5, 6 and 6 G_PP evaluations), plus a
+# margin of 2.  The bindings are each form's own, solved the way this test
+# solves them: the four rungs in order at h = 0.0316 and half_width = 0.4,
+# L = 6 unhinted and each later rung hinted by the one before.  The patch
+# form's lie within 6.7e-16 of an extended-precision root at L = 10 (see
+# test_patch_root_matches_an_extended_precision_bisection), the box's
+# within 1.2e-12 of them.  The rung L = 6 in front is not the row's: one of
+# the box's 5 factorizations there, a trial shift above E_1, fails, so the
+# failure count is checked
 PATCH_LADDER = {
-    6.0: (-0.13856526385271012, {"box": 7, "patch": 7}),
-    10.0: (-0.060430321456377986, {"box": 7, "patch": 6}),
-    20.0: (-0.01855404829219981, {"box": 5, "patch": 6}),
-    40.0: (-0.005293728133082047, {"box": 5, "patch": 5}),
+    6.0: ({"box": -0.13856526385271012, "patch": -0.1385652638528261}, {"box": 7, "patch": 7}),
+    10.0: ({"box": -0.060430321456377986, "patch": -0.06043032145644699}, {"box": 7, "patch": 7}),
+    20.0: ({"box": -0.01855404829219981, "patch": -0.01855404829221393}, {"box": 5, "patch": 8}),
+    40.0: ({"box": -0.005293728133082047, "patch": -0.0052937281330847664}, {"box": 5, "patch": 8}),
 }
 
 
@@ -1067,37 +1101,40 @@ def test_patch_form_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
 
 
 def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None:
-    # nothing binds, so the first shift of every solve, the threshold,
+    # nothing binds, so the box's first shift of every solve, the threshold,
     # factors; the -v line counts the factorizations that failed, which a
-    # wrapper on cholesky_banded counts too
+    # wrapper on cholesky_banded counts too, and the closure evaluations.
+    # The patch form factors nothing
     build = PATCH_FORMS[form]
     cholesky = oracle.cholesky_banded
-    failures = Counter()
+    calls = Counter()
 
     def counting(a):
+        calls["ladder"] += 1
         try:
             return cholesky(a)
         except np.linalg.LinAlgError:
-            failures["failed"] += 1
-            failures["ladder"] += 1
+            calls["failed"] += 1
+            calls["failed in the ladder"] += 1
             raise
 
     monkeypatch.setattr(oracle, "cholesky_banded", counting)
     hint = None
-    for L, (binding, budgets) in PATCH_LADDER.items():
+    for L, (bindings, budgets) in PATCH_LADDER.items():
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
-        failures["failed"] = 0
+        calls["failed"] = 0
         caplog.clear()
         with caplog.at_level("INFO", logger="wgpoles.oracle"):
             sol = lowest_eigenpairs(build(g), binding_hint=hint)
         assert sol.operator.form == form
-        assert sol.shift == sol.threshold
-        assert sol.factorizations <= budgets[form]
-        assert abs(sol.binding / binding - 1.0) < 1e-12
+        assert (sol.shift == sol.threshold) == (form == "box")
+        assert _patch_work(sol) <= budgets[form]
+        assert abs(sol.binding / bindings[form] - 1.0) < 1e-12
         (line,) = [r.getMessage() for r in caplog.records if "eigensolve" in r.getMessage()]
-        assert f"{sol.factorizations} factorizations ({failures['failed']} failed)" in line
+        assert f"{sol.factorizations} factorizations ({calls['failed']} failed)" in line
+        assert f"{sol.closure_evaluations} closure evaluations" in line
         hint = sol.binding
-    assert failures["ladder"] > 0
+    assert (calls["failed in the ladder"] > 0, calls["ladder"] > 0) == (form == "box",) * 2
 
 
 def test_band_memory_guard(monkeypatch) -> None:
@@ -1111,15 +1148,14 @@ def test_band_memory_guard(monkeypatch) -> None:
     op = build_fd_operator(g)
     assert op.size == 75 and op.band.nbytes == 9_600
     assert lowest_eigenpairs(op).residual <= 1e-8
-    # a wall form's band is as wide as its unknowns, the closure's width
-    for cs, build in ((_CS, oracle.build_window_operator), (_NCS, oracle.build_patch_operator)):
-        g = TruncatedGuide(cross_section=cs, half_length=4.0, h=0.1, half_width=0.5)
-        n = g.feature_nodes + 1 if cs is _CS else g.n_trans + 1
-        monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 8 * n * n - 1)
-        with pytest.raises(MemoryError):
-            build(g)
-        monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 8 * n * n)
-        assert build(g).band.nbytes == 8 * n * n
+    # the window form's band is as wide as its unknowns, the closure's width
+    g = TruncatedGuide(cross_section=_CS, half_length=4.0, h=0.1, half_width=0.5)
+    n = g.feature_nodes + 1
+    monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 8 * n * n - 1)
+    with pytest.raises(MemoryError):
+        oracle.build_window_operator(g)
+    monkeypatch.setattr(oracle, "MAX_BAND_BYTES", 8 * n * n)
+    assert oracle.build_window_operator(g).band.nbytes == 8 * n * n
 
 
 def test_richardson_eliminates_leading_order() -> None:
