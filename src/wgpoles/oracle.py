@@ -47,22 +47,20 @@ of the same finite guide eliminated in closed form (the capacitance
 matrix method of Buzbee, Dorr, George and Golub, and of Proskurowski and
 Widlund), to its ``n_feat + 1`` wall nodes, through one sum, the
 unperturbed guide's Green function on the wall row (:func:`_wall_row`):
-a window is its Schur complement (:class:`WindowOperator`), a patch its
-constraint (:class:`PatchOperator`).  The box and the window are one
-operator, :class:`FdOperator`: a stiffness band plus a closure on its last
-few unknowns that is Toeplitz plus or minus Hankel in their node index.
-:func:`lowest_eigenpairs` brackets both with one loop, through the
-interface the class offers (factor or report failure, back-solve, apply
-``-T'(s)``, and ``v^T T(E) v`` with its derivative), and a patch by the
-inertia of its Green function.  The box still accepts windows and
-patches, as the reference the wall forms are tested against.
+a window is its Schur complement, a patch its constraint, both one dense
+matrix ``H(E)`` of :class:`WallOperator`.  Its root loop
+(:func:`_wall_root`) eigendecomposes ``H(E)``, whose inertia makes each
+point a bound on ``E_1``, and takes Newton steps on its crossing
+eigenvalue.  The box, :class:`FdOperator`, keeps the banded Cholesky
+bracket above; it still accepts windows and patches, as the reference
+the wall forms are tested against.
 
-The stiffness is assembled straight into LAPACK lower band storage,
+The box's stiffness is assembled straight into LAPACK lower band storage,
 ``band[i - j, j] = A[i, j]`` for ``i >= j``; the box numbers its unknowns
 along each column, so its band is as wide as one column's active nodes,
 and the 5-point stencil fills only a few of its diagonals, which is all
 the matrix-vector product visits.  The closure's lower triangle is
-gathered into the same band, full on the wall forms.  Every factorization
+gathered into the same band.  Every factorization
 and back-solve is LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's
 compiled LAPACK extension, loaded on its own on the first of them:
 importing ``scipy.linalg`` would pull in scipy's array-API layer and with
@@ -99,13 +97,13 @@ BOX_PADDING = 4
 # the solve stops once the bracket around E_1 is this narrow
 BRACKET_TOL = 1e-10
 
-# cap on the factorizations (a patch's evaluations) of one solve
+# cap on the factorizations (a wall form's evaluations) of one solve
 MAX_FACTORIZATIONS = 60
 
 # each shift after the first sits this share of the bracket below its upper bound
 SHIFT_GAP = 1e-4
 
-# a patch's Newton iterate is its root once its step is below this share of it
+# a wall form's Newton iterate is its root once its step is below this share of it
 ROOT_STEP = 1e-13
 
 # Newton steps on the Rayleigh functional, which converge quadratically; they
@@ -392,16 +390,6 @@ def _exterior_cap(h1: float, M: int, mu: np.ndarray) -> float:
     return float(mu.min()) + 4.0 / h1**2 * s * s
 
 
-def _check_band(rows: int, n: int) -> None:
-    """Refuse a working band of ``rows`` by ``n`` that would exceed ``MAX_BAND_BYTES``."""
-    band_bytes = rows * n * 8
-    if band_bytes > MAX_BAND_BYTES:
-        raise MemoryError(
-            f"band factorization needs {band_bytes / 1e9:.1f} GB "
-            f"(bandwidth {rows}, {n} unknowns); coarsen the grid"
-        )
-
-
 @lru_cache(maxsize=8)
 def _cosines(n2: int, count: int, d: float) -> np.ndarray:
     """``cos(p pi m / (2 n2)) / d`` for the slots ``p = 0 .. 2 n2`` and the offsets ``m < count``.
@@ -425,39 +413,33 @@ class Factored:
 
 @dataclass(kw_only=True)
 class FdOperator:
-    """A guide on a few of its nodes, the rest eliminated exactly: ``T(E) = A - E M + closure``.
+    """The feature box, the rest of the guide eliminated exactly: ``T(E) = A - E M + closure``.
 
     ``band`` is the stiffness ``A`` in LAPACK lower band storage,
-    ``band[i - j, j] = A[i, j]`` for ``i >= j``, as wide as ``T(E)``, and
-    ``mass`` the diagonal of ``M``.  The closure couples the last ``K =
-    scale.size`` unknowns, Toeplitz plus or minus Hankel in their node
-    index: ``C Sigma C``, ``C = diag(scale)``,
+    ``band[i - j, j] = A[i, j]`` for ``i >= j``, and ``mass`` the diagonal
+    of ``M``.  ``mask`` (the active nodes) covers the box's columns ``0 ..
+    c = columns - 1``, from the symmetry plane to the natural edge column
+    ``c``, whose ``K = scale.size`` active nodes are the last unknowns.
+    Past it the guide has no perturbation, so the lattice sines (Dirichlet
+    walls) or cosines (Neumann walls) ``phi_j`` of the transverse stencil,
+    with eigenvalues ``mu``, decouple it into ``M = exterior_columns``
+    column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2
+    (mu_j - E)``, closed by the Dirichlet end at column ``n_long``.
+    Eliminating them adds ``sigma_j(E) a_j^2`` to the energy, ``a_j`` the
+    projection of column ``c`` on ``phi_j``: ``P diag(sigma(E)) P^T``, ``P
+    = W2 Phi`` on the column's active nodes ``k``.  By product to sum that
+    is the closure ``C Sigma C``, ``C = diag(scale) = W2``,
 
-        ``Sigma[i, i'] = w[|i - i'|] + image w[i + i' + 2 first]``,
+        ``Sigma[i, i'] = q[|i - i'|] + image q[i + i' + 2 first]``,
 
-    the second term each pair's image in the wall ``first`` nodes before
-    node 0, with ``w`` the closure's weights ``sigma`` of ``coupling(E)``,
-    or their slope for ``T'(E)``, at the offsets ``0 .. 2 (K + first) -
-    2``.  ``cap`` is the lowest eigenvalue of the guide with the kept nodes
-    held at zero; below it ``T(E)`` factors exactly when ``E < E_1``.  The
-    box and the window form (:class:`WindowOperator`) differ only in
-    ``coupling(E)`` and in the fields their builders set.
-
-    This class is the box: ``mask`` (the active nodes) covers its columns
-    ``0 .. c = columns - 1``, from the symmetry plane to the natural edge
-    column ``c``, whose active nodes are the last unknowns.  Past it the
-    guide has no perturbation, so the lattice sines (Dirichlet walls) or
-    cosines (Neumann walls) ``phi_j`` of the transverse stencil, with
-    eigenvalues ``mu``, decouple it into ``M = exterior_columns`` column
-    recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2 (mu_j -
-    E)``, closed by the Dirichlet end at column ``n_long``.  Eliminating
-    them adds ``sigma_j(E) a_j^2`` to the energy, ``a_j`` the projection
-    of column ``c`` on ``phi_j``: ``P diag(sigma(E)) P^T``, ``P = W2 Phi``
-    on the column's active nodes ``k``.  By product to sum that is ``W2
-    (q[|k - k'|] -+ q[k + k']) W2``, ``q[m] = sum_j z_j cos(j pi m / n2)``,
-    ``z_j = s_j^2 sigma_j / 2`` (``s_j^2 = 2/d``, ``1/d`` for the cosines
-    ``j = 0, n2``): minus for the sines, whose first active node is ``k =
-    1``, plus for the cosines.
+    ``q[m] = sum_j z_j cos(j pi m / n2)``, ``z_j = s_j^2 sigma_j / 2``
+    (``s_j^2 = 2/d``, ``1/d`` for the cosines ``j = 0, n2``), ``i`` the
+    node index ``k - first``: ``image = -1`` for the sines, whose ``first``
+    active node is ``k = 1``, ``+1`` for the cosines.  ``coupling(E)``
+    gives ``q`` and its slope, for ``T'(E)``, at the offsets ``0 .. 2 (K +
+    first) - 2``.  ``cap`` is the lowest eigenvalue of the guide with the
+    box's nodes held at zero; below it ``T(E)`` factors exactly when ``E <
+    E_1``.
     """
 
     guide: TruncatedGuide
@@ -466,11 +448,11 @@ class FdOperator:
     scale: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
     cap: float
-    image: float = 1.0
-    first: int = 0
-    exterior_columns: int | None = None
-    mask: np.ndarray | None = field(default=None, repr=False)
-    columns: int | None = None  # no box
+    image: float
+    first: int
+    exterior_columns: int
+    mask: np.ndarray = field(repr=False)
+    columns: int
 
     form = "box"
 
@@ -697,7 +679,11 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     # the edge column's active nodes k, which are also its lattice modes' j
     k = np.flatnonzero(mask[-1])
     width = max(int(offset.max()) + 1, k.size)
-    _check_band(width, n)
+    if width * n * 8 > MAX_BAND_BYTES:
+        raise MemoryError(
+            f"band factorization needs {width * n * 8 / 1e9:.1f} GB "
+            f"(bandwidth {width}, {n} unknowns); coarsen the grid"
+        )
     # band[offset, col] summed in input order, as np.add.at sums it
     band = np.bincount(
         offset + width * col, weights=np.concatenate(vals), minlength=width * n
@@ -783,41 +769,84 @@ def _wall_row(g: TruncatedGuide, mu: np.ndarray, weight: np.ndarray, count: int,
 
 
 @dataclass(kw_only=True)
-class WindowOperator(FdOperator):
-    """A window guide reduced to its wall nodes: the capacitance matrix method.
+class WallOperator:
+    """A wall feature's guide on its ``K = n_feat + 1`` wall nodes: the capacitance matrix method.
 
-    A Neumann window without a potential changes the Dirichlet guide only on
-    its ``K = n_feat + 1`` wall nodes ``(i, 0)``.  Eliminating every other
-    node of the finite guide, exactly, leaves the dense ``K``-square
+    A window or a patch without a potential changes the unperturbed guide
+    only on its wall nodes ``(i, 0)``.  Eliminating every other node,
+    exactly, through the unperturbed guide's Green function ``G`` on one
+    row (:func:`_wall_row`, ``weight`` the lattice modes' squares on it)
+    leaves the dense ``K``-square ``H(E) = A - E diag(M) - sign C G(E) C``:
 
-        ``T_W(E) = A_WW - E M_WW - C G(E) C``,
+    - a Neumann window in a Dirichlet guide (``sign = +1``) is the Schur
+      complement of the rest of the guide, ``G`` on the first row: with
+      ``w1 = h1`` (``h1/2`` at ``i = 0``), ``M = w1 h2 / 2``, ``C = diag(w1
+      / h2)`` the wall nodes' edges to the first row, and ``A = diag(w1 /
+      h2)`` plus the wall chain (edges of weight ``h2 / (2 h1)`` between
+      wall nodes, and one from node ``n_feat`` to the Dirichlet wall);
+    - a Dirichlet patch in a Neumann guide (``sign = -1``, ``A = M = 0``,
+      ``C = I``) is a constraint, ``G`` on the wall: ``E`` is an eigenvalue
+      exactly when some force ``q`` on the wall nodes gives ``G(E) q = 0``.
 
-    with ``w1 = h1`` (``h1/2`` at ``i = 0``), ``M_WW = diag(w1 h2 / 2)``,
-    ``C = diag(w1 / h2)`` the wall nodes' edges to the first row, and
-    ``A_WW = diag(w1 / h2)`` plus the wall chain (edges of weight
-    ``h2 / (2 h1)`` between wall nodes, and one from node ``n_feat`` to the
-    Dirichlet wall).  ``G`` is the unperturbed guide's lattice Green function
-    on the first row (:func:`_wall_row`), whose ``weight`` are the lattice
-    sines' squares there, ``phi_j(h2)^2``.
+    By the inertia of the Schur complement or of the constraint, the guide
+    has ``N0(E) + sign neg(H(E))`` eigenvalues below ``E``, ``neg``
+    counting negative eigenvalues and ``N0`` the unperturbed ``mu_j +
+    lam_k``, ``lam_k = (4/h1^2) sin^2((2k - 1) pi / (4N))``, which are
+    ``H``'s poles.  ``E_1`` lies below the first of them, ``first``, under
+    a window and above it under a patch; ``bracket``, ``start`` and
+    ``top`` are the root loop's data (see :func:`_wall_root`).
     """
 
+    guide: TruncatedGuide
+    form: str
+    sign: float
+    stiffness: np.ndarray = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    scale: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)
     weight: np.ndarray = field(repr=False)
+    first: float
+    bracket: tuple[float, float]
+    start: float
+    top: float
 
-    form = "window"
+    columns = None  # no box
 
-    def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``-s(n)`` and ``-ds(n)/dE`` at the offsets ``0 .. 2 n_feat``, below the cap: ``-C G C``."""
-        s, slope = _wall_row(self.guide, self.mu, self.weight, 2 * self.size - 1, E)
-        return -s, -slope
+    @property
+    def size(self) -> int:
+        return self.scale.size
+
+    def evaluate(self, E: float) -> tuple[np.ndarray, np.ndarray]:
+        """``H(E)`` and ``H'(E)``, each ``K``-square."""
+        i = np.arange(self.size)[:, None]
+        sums = _wall_row(self.guide, self.mu, self.weight, 2 * i.size - 1, E)
+        G, slope = (s[abs(i - i.T)] + s[i + i.T] for s in sums)
+        cc = -self.sign * np.outer(self.scale, self.scale)
+        return self.stiffness - E * np.diag(self.mass) + cc * G, cc * slope - np.diag(self.mass)
+
+    def unperturbed_below(self, E: float) -> tuple[int, float]:
+        """``N0(E)``, and the highest ``mu_1 + lam_k`` below ``E`` (``-inf`` if none), in closed form.
+
+        ``lam_k < E - mu_j`` exactly when ``k < 2N asin(h1 sqrt(E - mu_j) /
+        2) / pi + 1/2``, so no list of the ``N = n_long`` poles is formed.
+        """
+        g = self.guide
+        N, h1 = g.n_long, g.step_long
+        half = np.minimum(1.0, 0.5 * h1 * np.sqrt(np.maximum(E - self.mu, 0.0)))
+        counts = np.ceil(2.0 * N / math.pi * np.arcsin(half) + 0.5) - 1.0
+        k = counts[0]
+        pole = self.mu[0] + 4.0 / h1**2 * math.sin((2 * k - 1) * math.pi / (4 * N)) ** 2
+        return int(counts.sum()), pole if k else -math.inf
 
 
-def build_window_operator(g: TruncatedGuide) -> WindowOperator:
-    """The window guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`WindowOperator`).
+def build_window_operator(g: TruncatedGuide) -> WallOperator:
+    """The window guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`WallOperator`).
 
     Solves the same finite guide, on the same grid, as
     :func:`build_fd_operator`, and refuses the same guides: one whose window
     comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
-    and so does a guide without a window or with a potential.
+    and so does a guide without a window or with a potential.  The root
+    loop starts at the threshold, or at a hint anywhere below the first pole.
     """
     if g.half_width is None or g.cross_section.bc != BC_DIRICHLET or g.potential is not None:
         raise ValueError("the window form needs a window guide without a potential")
@@ -825,78 +854,48 @@ def build_window_operator(g: TruncatedGuide) -> WindowOperator:
     h1, h2, n2 = g.step_long, g.step_trans, g.n_trans
     w1 = np.full(g.feature_nodes + 1, h1)
     w1[0] = h1 / 2.0
-    # the wall chain's K-square stiffness in a band of K rows, the closure's width
-    chain, K = h2 / (2.0 * h1), w1.size
-    _check_band(K, K)
-    band = np.zeros((K, K), order="F")
-    band[0], band[1, :-1] = w1 / h2 + 2.0 * chain, -chain
-    band[0, 0] -= chain
+    # the wall chain's K-square stiffness
+    chain = h2 / (2.0 * h1)
+    stiffness = np.diag(w1 / h2 + 2.0 * chain) - chain * (np.eye(w1.size, k=1) + np.eye(w1.size, k=-1))
+    stiffness[0, 0] -= chain
     j = np.arange(1, n2)
     wall = np.sin(np.pi * j / n2)
     mu = _lattice_eigenvalues(g, j)
-    return WindowOperator(
-        guide=g,
-        band=band,
-        mass=w1 * h2 / 2.0,
-        scale=w1 / h2,
-        mu=mu,
-        # a natural plane N columns from a held end: half of a 2N chain
-        # between two held ends
-        cap=_exterior_cap(h1, 2 * g.n_long, mu),
-        weight=2.0 / g.cross_section.width * wall * wall,
+    # mu_1 + lam_1: a natural plane N columns from a held end is half of a
+    # 2N chain between two held ends
+    first = _exterior_cap(h1, 2 * g.n_long, mu)
+    return WallOperator(
+        guide=g, form="window", sign=1.0, stiffness=stiffness, mass=w1 * h2 / 2.0, scale=w1 / h2,
+        mu=mu, weight=2.0 / g.cross_section.width * wall * wall,
+        first=first, bracket=(-math.inf, first), start=float(mu[0]), top=first,
     )
 
 
-@dataclass(kw_only=True)
-class PatchOperator:
-    """A patch guide on its ``K = n_feat + 1`` wall nodes: the constraint form.
-
-    A Dirichlet patch without a potential holds the Neumann guide at zero on
-    its wall nodes ``(i, 0)``, so ``E`` is an eigenvalue exactly when some
-    force ``q`` there gives ``G_PP(E) q = 0``, ``G_PP`` the unperturbed
-    guide's wall-row Green function (:func:`_wall_row`; ``weight`` the
-    cosines' squares on the wall, ``1/d`` at ``j = 0, n2``, else ``2/d``).
-    By inertia ``G_PP(E)`` has ``N0(E) - N(E)`` negative eigenvalues, ``N``
-    counting the patched guide's eigenvalues below ``E`` and ``N0`` the
-    unperturbed ``mu_j + lam_k``, ``lam_k = (4/h1^2) sin^2((2k - 1) pi /
-    (4N))``; its poles at ``lam_k`` lie along the threshold mode's wave.
-    """
-
-    guide: TruncatedGuide
-    mu: np.ndarray = field(repr=False)
-    weight: np.ndarray = field(repr=False)
-    lam: np.ndarray = field(repr=False)
-
-    form = "patch"
-    columns = None  # no box
-
-    @property
-    def size(self) -> int:
-        return self.guide.feature_nodes + 1
-
-    def green(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``G_PP(E)`` and ``G_PP'(E)``, each ``K``-square."""
-        i = np.arange(self.size)[:, None]
-        sums = _wall_row(self.guide, self.mu, self.weight, 2 * i.size - 1, E)
-        return tuple(s[abs(i - i.T)] + s[i + i.T] for s in sums)
-
-
-def build_patch_operator(g: TruncatedGuide) -> PatchOperator:
-    """The patch guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`PatchOperator`).
+def build_patch_operator(g: TruncatedGuide) -> WallOperator:
+    """The patch guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`WallOperator`).
 
     Solves the same finite guide, on the same grid, as
     :func:`build_fd_operator`, and refuses the same guides: one whose patch
     comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
     and so does a guide without a patch (a Dirichlet wall or no feature) or
-    with a potential.
+    with a potential.  The root loop starts where ``N phi_0 = 3 pi / 4``,
+    ``phi_0`` the threshold mode's angle, or at a hint between the first
+    pole and ``(4/h1^2) sin^2(pi / (2N))``.
     """
     if g.half_width is None or g.cross_section.bc == BC_DIRICHLET or g.potential is not None:
         raise ValueError("the patch form needs a patch guide without a potential")
     _box_edge(g, g.feature_nodes)
-    j, k = np.arange(g.n_trans + 1), np.arange(1, g.n_long + 1)
+    K, h1, N = g.feature_nodes + 1, g.step_long, g.n_long
+    j = np.arange(g.n_trans + 1)
     weight = np.where((j == 0) | (j == g.n_trans), 1.0, 2.0) / g.cross_section.width
-    s = np.sin((2 * k - 1) * np.pi / (4 * g.n_long))
-    return PatchOperator(guide=g, mu=_lattice_eigenvalues(g, j), weight=weight, lam=4 / g.step_long**2 * s * s)
+    top, start = (4.0 / h1**2 * math.sin(a * math.pi / N) ** 2 for a in (0.5, 0.375))
+    mu = _lattice_eigenvalues(g, j)
+    first = _exterior_cap(h1, 2 * N, mu)
+    return WallOperator(
+        guide=g, form="patch", sign=-1.0, stiffness=np.zeros((K, K)), mass=np.zeros(K),
+        scale=np.ones(K), mu=mu, weight=weight,
+        first=first, bracket=(first, math.inf), start=start, top=top,
+    )
 
 
 @dataclass
@@ -904,22 +903,22 @@ class OracleSolution:
     """Lowest eigenpair of a truncated guide, with threshold bookkeeping.
 
     ``value`` is ``E_1`` and ``residual`` the relative residual of
-    ``T(E_1) v`` on the operator's unknowns (of ``G_PP(E_1) v`` on a
-    patch's).  ``vector`` is ``v``, mass-normalized over the whole guide
-    with a deterministic sign; ``operator`` is the operator solved, whose
-    ``guide`` and ``form`` say what it was: ``"box"`` (``v`` on the box's
-    columns), ``"window"`` (``v`` on the window's wall nodes) or ``"patch"``
-    (``v`` the force on the patch's wall nodes, whose field ``G(E_1) v`` has
-    unit mass).  On the box form the eliminated exterior is given in closed
-    form by :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h -
-    E_1``: positive exactly when a state sits below the discrete threshold.
-    ``shift`` is the first shift of the plan whose factorization succeeded
-    (a patch's first iterate); ``factorizations`` and ``inner_solves``
-    count the banded Cholesky factorizations and back-solves of the whole
-    solve, and ``closure_evaluations`` its calls of the operator's
-    ``coupling(E)``.  A patch solve factors and back-solves nothing; its
-    closure evaluations are its evaluations of ``G_PP``, each
-    eigendecomposed once.
+    ``T(E_1) v`` on the box's unknowns (on a wall form's, the eigenvalue of
+    ``H`` nearest zero over its largest).  ``vector`` is ``v``,
+    mass-normalized over the whole guide with a deterministic sign;
+    ``operator`` is the operator solved, whose ``guide`` and ``form`` say
+    what it was: ``"box"`` (``v`` on the box's columns), ``"window"`` (``v``
+    on the window's wall nodes) or ``"patch"`` (``v`` the force on the
+    patch's wall nodes, whose field ``G(E_1) v`` has unit mass).  On the
+    box form the eliminated exterior is given in closed form by
+    :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h - E_1``:
+    positive exactly when a state sits below the discrete threshold.
+    ``shift`` is the box's first shift whose factorization succeeded, or
+    a wall form's first iterate.  ``factorizations`` and ``inner_solves``
+    count the box's banded Cholesky factorizations and back-solves, and
+    ``closure_evaluations`` its evaluations of the closure ``coupling(E)``.
+    A window or patch solve factors and back-solves nothing; its closure
+    evaluations are its evaluations of ``H(E)``, each eigendecomposed once.
     """
 
     value: float
@@ -931,7 +930,7 @@ class OracleSolution:
     inner_solves: int
     closure_evaluations: int
     vector: np.ndarray = field(repr=False)
-    operator: FdOperator | PatchOperator = field(repr=False)
+    operator: FdOperator | WallOperator = field(repr=False)
 
 
 def discrete_threshold(g: TruncatedGuide, m: int = 1) -> float:
@@ -966,19 +965,18 @@ def _shift_plan(threshold: float, binding_hint: float | None) -> list[float]:
 
 
 def lowest_eigenpairs(
-    op: FdOperator | PatchOperator, binding_hint: float | None = None
+    op: FdOperator | WallOperator, binding_hint: float | None = None
 ) -> OracleSolution:
     """Lowest eigenpair of the guide: the root ``E_1`` of ``T(E) v = 0``.
 
-    A patch's is the root of its Green function's crossing eigenvalue (see
-    :func:`_patch_root`).  Otherwise ``T(E) = A - E M + closure(sigma(E))``
-    is the exact Schur complement of the rest of the guide onto the
-    operator's unknowns (see :class:`FdOperator`): the box's columns or a
-    window's wall nodes, each factored by banded Cholesky.  The
-    operator factors ``T(s)`` or reports that it is not positive definite,
-    back-solves with the factor, applies ``-T'(s)``, and gives ``f(E) = v^T
-    T(E) v`` as ``v^T A v - E v^T M v + sigma(E) . a2``.  ``E_1`` is kept in a bracket
-    ``[s, p]``:
+    A window's or a patch's is the root of the crossing eigenvalue of its
+    ``H(E)`` (see :func:`_wall_root`).  The box's ``T(E) = A - E M +
+    closure(sigma(E))`` is the exact Schur complement of the rest of the
+    guide onto its columns (see :class:`FdOperator`), factored by banded
+    Cholesky.  The operator factors ``T(s)`` or reports that it is not
+    positive definite, back-solves with the factor, applies ``-T'(s)``, and
+    gives ``f(E) = v^T T(E) v`` as ``v^T A v - E v^T M v + sigma(E) . a2``.
+    ``E_1`` is kept in a bracket ``[s, p]``:
 
     - below the operator's cap, a Cholesky factorization of ``T(s)``
       succeeds exactly when ``s < E_1``, so each shift that factors is a
@@ -1012,8 +1010,8 @@ def lowest_eigenpairs(
     start = time.perf_counter()
     g = op.guide
     threshold = discrete_threshold(g)
-    if op.form == "patch":
-        return _patch_root(op, threshold, binding_hint, start)
+    if isinstance(op, WallOperator):
+        return _wall_root(op, threshold, binding_hint, start)
     cap = op.cap
     coupling = op.coupling
     factorizations = failed = inner_solves = evaluations = 0
@@ -1129,58 +1127,58 @@ def lowest_eigenpairs(
                    (factorizations, failed, inner_solves, evaluations))
 
 
-def _patch_root(op: PatchOperator, threshold: float, binding_hint, start: float) -> OracleSolution:
-    """``E_1`` of a patch guide: the root of the eigenvalue of ``G_PP(E)`` that crosses zero.
+def _wall_root(op: WallOperator, threshold: float, binding_hint, start: float) -> OracleSolution:
+    """``E_1`` of a wall form: the root of the eigenvalue of ``H(E)`` that crosses zero.
 
-    Each evaluation's inertia (see :class:`PatchOperator`) makes ``E`` a
-    bound, and ``E_1 > lam_1``.  Newton follows the crossing eigenvalue
-    through ``psi(E) = 1 / (c^T G_PP^-1 c)``, ``c = cos(i phi_0)`` the pole
-    direction, ``phi_0`` the threshold mode's angle: ``psi`` is the
-    eigenvalue over ``(c . q)^2`` at the root, with no poles below ``mu_1``
-    but ``G_PP``'s.  Steps on ``(E - P) psi``, ``P`` the pole below ``E``,
-    start at ``threshold - binding_hint`` below ``(4/h1^2) sin^2(pi /
-    (2N))``, else where ``N phi_0 = 3 pi / 4``; one out of the bracket
-    bisects it, or doubles ``E - lam_1``.  An iterate whose step is below
-    ``ROOT_STEP`` of it, and whose eigenvalue nearest zero meets the
-    residual contract, is the root, ``v`` that eigenvalue's vector; the
-    bracket's far side is then evaluated ``BRACKET_TOL / 2`` away.
+    Each evaluation's inertia (see :class:`WallOperator`) makes ``E`` a
+    bound: ``E < E_1`` exactly when ``N0(E) + sign neg(H(E)) = 0``.  Newton
+    follows the crossing eigenvalue through ``psi(E) = 1 / (c^T H^-1 c)``,
+    ``c = cosh(theta_0 i)`` (``cos(phi_0 i)`` past the threshold),
+    ``theta_0`` the threshold mode's angle (:func:`_lattice_angles`):
+    ``psi`` is the eigenvalue over ``(c . v)^2`` at the root, and has no
+    poles below ``mu_1`` but ``H``'s.  Steps on ``(E - P) psi``, ``P`` the
+    unperturbed eigenvalue below ``E`` on the threshold mode (on ``psi``
+    alone below the first), start at ``threshold - binding_hint`` when that
+    lies in the bracket below ``top``, else at ``start``; one out of the
+    bracket bisects it, or doubles ``E``'s distance from the first pole.  An
+    iterate whose step is below ``ROOT_STEP`` of it, and whose eigenvalue
+    nearest zero meets the residual contract, gives the root, its Newton
+    update, with ``v`` that eigenvalue's vector; the bracket's far side is
+    then evaluated ``BRACKET_TOL / 2`` away.
     """
-    h1, N, lam = op.guide.step_long, op.guide.n_long, op.lam
-    lo, hi, found, evaluations = lam[0], math.inf, None, 0
-    top, mid = (4.0 / h1**2 * math.sin(a * math.pi / N) ** 2 for a in (0.5, 0.375))
+    h1 = op.guide.step_long
+    (lo, hi), found, evaluations = op.bracket, None, 0
     E = math.nan if binding_hint is None else threshold - binding_hint
-    first = E = E if lo < E < top else mid
+    initial = E = E if lo < E < op.top else op.start
     while True:
         if evaluations >= MAX_FACTORIZATIONS:
             raise SolverError(f"no eigenvalue bracket within {MAX_FACTORIZATIONS} evaluations")
         evaluations += 1
-        G, slope = op.green(E)
-        w, V = np.linalg.eigh(G)
-        # the inertia count: E < E_1 exactly when G_PP(E) has N0(E) negative eigenvalues
-        below = np.count_nonzero(w < 0.0) == np.searchsorted(lam, E - op.mu).sum()
-        lo, hi = (E, hi) if below else (lo, E)
+        H, slope = op.evaluate(E)
+        w, V = np.linalg.eigh(H)
+        count, pole = op.unperturbed_below(E)
+        lo, hi = (E, hi) if count + op.sign * np.count_nonzero(w < 0.0) == 0 else (lo, E)
         if found is not None:
             if hi - lo <= BRACKET_TOL:
                 break
             found = None
-        c = np.cos(2.0 * math.asin(min(1.0, 0.5 * h1 * math.sqrt(E))) * np.arange(op.size))
+        c = np.cosh(_lattice_angles(h1, op.mu[:1], E)[0] * np.arange(op.size)).real
         z = V @ (V.T @ c / w)
         psi = 1.0 / (c @ z)
-        x = E - lam[np.searchsorted(lam, E) - 1]
-        trial = E - x * psi / (psi + x * psi * psi * (z @ slope @ z))
+        trial = E - psi / (psi / (E - pole) + psi * psi * (z @ slope @ z))
         residual = np.abs(w).min() / np.abs(w).max()
         if abs(trial - E) <= ROOT_STEP * E and residual <= EIGEN_RESIDUAL_TOL:
-            found = E, residual, V[:, np.argmin(np.abs(w))], slope
+            found = trial, residual, V[:, np.argmin(np.abs(w))], slope
             if hi - lo <= BRACKET_TOL:
                 break
             E += 0.5 * BRACKET_TOL if hi - E > BRACKET_TOL else -0.5 * BRACKET_TOL
         elif lo < trial < hi:
             E = trial
         else:
-            E = 0.5 * (lo + hi) if hi < math.inf else 2.0 * E - lam[0]
-    E, residual, q, slope = found
-    # G_PP' = (G M G)_PP: the force's field has mass q^T G_PP' q
-    return _solved(op, start, threshold, E, float(residual), q, q @ slope @ q, first,
+            E = 0.5 * (lo + hi) if hi - lo < math.inf else 2.0 * E - op.first
+    E, residual, v, slope = found
+    # -sign H' is the mass of the whole guide's field, the eliminated nodes included
+    return _solved(op, start, threshold, E, float(residual), v, -op.sign * (v @ slope @ v), initial,
                    (0, 0, 0, evaluations))
 
 
