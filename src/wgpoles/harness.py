@@ -406,7 +406,7 @@ def truncated_binding(
     the ``binding``, the operator's ``form``, and the ``box_columns``,
     ``unknowns``, ``factorizations``, ``inner_solves`` (back-solves),
     ``closure_evaluations`` and eigen-``residual`` of the solve.  A
-    potential is solved on the feature box (form ``"box"``), a window or a
+    potential is solved on its box (form ``"box"``), a window or a
     patch on its ``n_feat + 1`` wall nodes (``"window"``, ``"patch"``, with
     ``box_columns`` ``None``), which factors nothing and whose closure
     evaluations are its evaluations of ``H(E)``.

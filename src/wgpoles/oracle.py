@@ -17,16 +17,16 @@ boundary rows the ghost-point reflection, and sampled transverse eigenmodes
 are lattice-exact, so the transverse factor of the error cancels in ``b``
 identically.
 
-Only a box of columns around the feature is assembled.  Past it the guide
-is a uniform lattice whose transverse sines (or cosines) are exact
-eigenvectors of the stencil, so the rest of the guide, out to its end at
-``L``, is eliminated exactly, one mode at a time, in closed form: a
-discrete transparent boundary condition for the finite guide (Ehrhardt and
-Arnold).  Each closure is one formula in each mode's angle ``theta_j``
-(:func:`_lattice_angles`), which continues past the mode's threshold to
-``theta = i phi``: no closure branches on how a mode behaves.  The
-eigenvalue is then the root of a small nonlinear symmetric problem
-``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
+A well is solved on a box of columns around it, the only part assembled.
+Past it the guide is a uniform lattice whose transverse sines (or
+cosines) are exact eigenvectors of the stencil, so the rest of the guide,
+out to its end at ``L``, is eliminated exactly, one mode at a time, in
+closed form: a discrete transparent boundary condition for the finite
+guide (Ehrhardt and Arnold).  Each closure is one formula in each mode's
+angle ``theta_j`` (:func:`_lattice_angles`), which continues past the
+mode's threshold to ``theta = i phi``: no closure branches on how a mode
+behaves.  The eigenvalue is then the root of a small nonlinear symmetric
+problem ``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
 bracketed from below by Cholesky factorizations, which succeed
 exactly when the shift lies below ``E_1`` (as long as it stays below the
 exterior's own lowest eigenvalue, the cap where ``T`` has its first pole),
@@ -42,18 +42,18 @@ The solution keeps the operator's unknowns only; the tails are the one
 closed form of the rest.  Everything is deterministic: fixed all-ones
 start vector, direct factorizations.
 
-A wall feature without a potential is reduced further, every other node
-of the same finite guide eliminated in closed form (the capacitance
-matrix method of Buzbee, Dorr, George and Golub, and of Proskurowski and
-Widlund), to its ``n_feat + 1`` wall nodes, through one sum, the
-unperturbed guide's Green function on the wall row (:func:`_wall_row`):
-a window is its Schur complement, a patch its constraint, both one dense
+A window or a patch without a potential has no box: every node of the
+finite guide but its ``n_feat + 1`` wall nodes is eliminated in closed
+form (the capacitance matrix method of Buzbee, Dorr, George and Golub,
+and of Proskurowski and Widlund), through one sum, the unperturbed
+guide's Green function on the wall row (:func:`_wall_row`): a window is
+its Schur complement, a patch its constraint, both one dense
 matrix ``H(E)`` of :class:`WallOperator`.  Its root loop
 (:func:`_wall_root`) eigendecomposes ``H(E)``, whose inertia makes each
 point a bound on ``E_1``, and takes Newton steps on its crossing
 eigenvalue.  The box, :class:`FdOperator`, keeps the banded Cholesky
-bracket above; it still accepts windows and patches, as the reference
-the wall forms are tested against.
+bracket above and solves wells alone: it refuses a guide with a wall
+feature.
 
 The box's stiffness is assembled straight into LAPACK lower band storage,
 ``band[i - j, j] = A[i, j]`` for ``i >= j``; the box numbers its unknowns
@@ -91,7 +91,8 @@ logger = logging.getLogger(__name__)
 
 EIGEN_RESIDUAL_TOL = 1e-8
 
-# box columns kept past the last column the feature or potential touches
+# box columns kept past the last column a well touches; a wall feature must
+# end as far before the guide's end
 BOX_PADDING = 4
 
 # the solve stops once the bracket around E_1 is this narrow
@@ -413,7 +414,7 @@ class Factored:
 
 @dataclass(kw_only=True)
 class FdOperator:
-    """The feature box, the rest of the guide eliminated exactly: ``T(E) = A - E M + closure``.
+    """A well's box, the rest of the guide eliminated exactly: ``T(E) = A - E M + closure``.
 
     ``band`` is the stiffness ``A`` in LAPACK lower band storage,
     ``band[i - j, j] = A[i, j]`` for ``i >= j``, and ``mass`` the diagonal
@@ -594,11 +595,13 @@ def _box_edge(g: TruncatedGuide, last: int) -> int:
 
 
 def build_fd_operator(g: TruncatedGuide) -> FdOperator:
-    """Assemble the energy-form discretization of ``-Delta + q`` on the feature box.
+    """Assemble the energy-form discretization of ``-Delta + q`` on the well's box.
 
     The box runs from the symmetry plane to column ``edge``, ``BOX_PADDING``
-    columns past the last column the feature or the potential touches; a
-    guide too short to leave a column past ``edge`` raises ``ValueError``.
+    columns past the last column the potential touches; a guide too short
+    to leave a column past ``edge`` raises ``ValueError``, and so does a
+    guide with a window or a patch, which is solved on its wall nodes
+    (:func:`build_window_operator`, :func:`build_patch_operator`).
     The quadratic form ``sum (du)^2 * w / h`` over grid edges plus the
     trapezoid-weighted potential gives a symmetric matrix pencil whose
     interior rows are the standard 5-point stencil and whose Neumann
@@ -609,24 +612,22 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     ``MAX_BAND_BYTES``.  The guide beyond ``edge`` is eliminated by the
     operator's lattice modes (see :class:`FdOperator`).
     """
+    if g.half_width is not None:
+        raise ValueError(
+            "the box solves wells only; a window or a patch is solved on its "
+            "wall nodes (build_window_operator, build_patch_operator)"
+        )
     n1, n2 = g.n_long, g.n_trans
     h1, h2 = g.step_long, g.step_trans
     cs = g.cross_section
 
     q = g.potential_samples()
-    last = g.feature_nodes
-    if q is not None:
-        hit = np.nonzero(np.any(q != 0, axis=1))[0]
-        if hit.size:
-            last = max(last, int(hit[-1]))
-    edge = _box_edge(g, last)
+    touched = [] if q is None else np.flatnonzero(np.any(q != 0, axis=1))
+    edge = _box_edge(g, int(max(touched, default=0)))
 
     mask = np.ones((edge + 1, n2 + 1), dtype=bool)
     if cs.bc == BC_DIRICHLET:
         mask[:, [0, -1]] = False
-    if g.half_width is not None:
-        # a window opens its wall nodes, a patch closes them
-        mask[: g.feature_nodes + 1, 0] = cs.bc == BC_DIRICHLET
 
     w1 = np.full(edge + 1, h1)
     w1[0] = w1[-1] = h1 / 2.0
@@ -676,9 +677,7 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
 
     col = np.concatenate(cols)
     offset = np.concatenate(rows) - col
-    # the edge column's active nodes k, which are also its lattice modes' j
-    k = np.flatnonzero(mask[-1])
-    width = max(int(offset.max()) + 1, k.size)
+    width = int(offset.max()) + 1
     if width * n * 8 > MAX_BAND_BYTES:
         raise MemoryError(
             f"band factorization needs {width * n * 8 / 1e9:.1f} GB "
@@ -688,6 +687,8 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     band = np.bincount(
         offset + width * col, weights=np.concatenate(vals), minlength=width * n
     ).reshape((width, n), order="F")
+    # the edge column's active nodes k, which are also its lattice modes' j
+    k = np.flatnonzero(mask[-1])
     mu = _lattice_eigenvalues(g, k)
     return FdOperator(
         guide=g,
@@ -842,11 +843,10 @@ class WallOperator:
 def build_window_operator(g: TruncatedGuide) -> WallOperator:
     """The window guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`WallOperator`).
 
-    Solves the same finite guide, on the same grid, as
-    :func:`build_fd_operator`, and refuses the same guides: one whose window
-    comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
-    and so does a guide without a window or with a potential.  The root
-    loop starts at the threshold, or at a hint anywhere below the first pole.
+    A guide whose window comes within ``BOX_PADDING`` columns of its end
+    raises ``ValueError``, and so does a guide without a window or with a
+    potential.  The root loop starts at the threshold, or at a hint
+    anywhere below the first pole.
     """
     if g.half_width is None or g.cross_section.bc != BC_DIRICHLET or g.potential is not None:
         raise ValueError("the window form needs a window guide without a potential")
@@ -874,13 +874,11 @@ def build_window_operator(g: TruncatedGuide) -> WallOperator:
 def build_patch_operator(g: TruncatedGuide) -> WallOperator:
     """The patch guide ``g`` on its ``n_feat + 1`` wall nodes (see :class:`WallOperator`).
 
-    Solves the same finite guide, on the same grid, as
-    :func:`build_fd_operator`, and refuses the same guides: one whose patch
-    comes within ``BOX_PADDING`` columns of its end raises ``ValueError``,
-    and so does a guide without a patch (a Dirichlet wall or no feature) or
-    with a potential.  The root loop starts where ``N phi_0 = 3 pi / 4``,
-    ``phi_0`` the threshold mode's angle, or at a hint between the first
-    pole and ``(4/h1^2) sin^2(pi / (2N))``.
+    A guide whose patch comes within ``BOX_PADDING`` columns of its end
+    raises ``ValueError``, and so does a guide without a patch (a Dirichlet
+    wall or no feature) or with a potential.  The root loop starts where
+    ``N phi_0 = 3 pi / 4``, ``phi_0`` the threshold mode's angle, or at a
+    hint between the first pole and ``(4/h1^2) sin^2(pi / (2N))``.
     """
     if g.half_width is None or g.cross_section.bc == BC_DIRICHLET or g.potential is not None:
         raise ValueError("the patch form needs a patch guide without a potential")
@@ -986,12 +984,10 @@ def lowest_eigenpairs(
       iteration, bounds ``E_1 <= s + theta``; Newton steps from there on
       ``f(E)`` with that eigenvector ``v`` fall monotonically to its root
       ``p``, the Rayleigh functional, a tighter upper bound: ``T(p)`` is not
-      positive definite, so ``E_1 <= p`` by the same inertia count.  When
-      ``s + theta`` is at or above the cap, where ``f`` falls to ``-inf`` if
-      ``v`` has weight on the eliminated guide's lowest mode, Newton starts
-      instead from the first of the midpoint of ``(s, cap)`` and the points
-      halving its distance to the cap where ``f(E) <= 0``; if there is none,
-      the cap stays the bound.
+      positive definite, so ``E_1 <= p`` by the same inertia count.  Newton
+      needs a start below the cap, where ``T`` has its first pole: a bound
+      ``s + theta`` at or above the cap, with no tighter bound yet, raises
+      :class:`SolverError`, without an eigenpair.
 
     The first shift comes from the plan of :func:`_shift_plan`, all at or
     below the threshold ``mu_1^h``, so below the cap; past its end one last
@@ -1047,24 +1043,11 @@ def lowest_eigenpairs(
                 break
         return theta, v
 
-    def rayleigh_functional(v: np.ndarray, s: float, E: float) -> float:
+    def rayleigh_functional(v: np.ndarray, E: float) -> float:
         # Newton on the concave, decreasing f(E) = v^T T(E) v from a point
-        # with f(E) <= 0: every step stays at or above the root.  f falls to
-        # -inf at the cap when v has weight on the lowest eliminated mode,
-        # so a start at the cap is searched for between s and the cap
+        # below the cap with f(E) <= 0: every step stays at or above the root
         nonlocal evaluations
         stiff, mass, a2 = op.contract(v)
-        if E >= cap:
-            d = 0.5 * (cap - s)
-            while True:
-                E = cap - d
-                if not E < cap:
-                    return cap
-                sigma, _ = coupling(E)
-                evaluations += 1
-                if stiff - E * mass + sigma @ a2 <= 0.0:
-                    break
-                d *= 0.5
         for _ in range(NEWTON_STEPS):
             sigma, slope = coupling(E)
             evaluations += 1
@@ -1097,7 +1080,13 @@ def lowest_eigenpairs(
     v = np.ones(op.size)
     while True:
         theta, v = pencil_vector(got, v)
-        upper = rayleigh_functional(v, s, min(s + theta, upper))
+        bound = min(s + theta, upper)
+        if bound >= cap:
+            raise SolverError(
+                f"pencil bound {s + theta:.17g} from shift {s:.17g} is at or "
+                f"above the exterior's cap {cap:.17g}"
+            )
+        upper = rayleigh_functional(v, bound)
         if upper - s <= BRACKET_TOL:
             break
         gap = SHIFT_GAP

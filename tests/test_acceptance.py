@@ -387,7 +387,7 @@ def test_kernel_orthogonality_residual_determinism() -> None:
         h=0.05,
         half_width=0.4,
     )
-    sol = wg.lowest_eigenpairs(wg.build_fd_operator(guide))
+    sol = wg.lowest_eigenpairs(build_window_operator(guide))
     assert sol.residual <= 1e-8, f"eigen-residual {sol.residual:.3e}"
 
     cfg = wg.parse_config(

@@ -2,7 +2,8 @@
 
 The work ratchet and the golden numbers run the benchmark's three nominal
 workloads in process on one thread, and the row pool must give the same
-rows on the two threads ``patch-threads2`` runs.  ``golden_rows.json``
+rows on the two threads ``patch-threads2`` runs.  Every regular solve of
+those sweeps is also held to its exact reference, a 1-D lattice eigenvalue.  ``golden_rows.json``
 records the commit its numbers came from; regenerate it only for a change
 of method, and say which numbers moved and by how much:
 
@@ -15,7 +16,9 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from wgpoles.harness import parse_config, run_sweep
 
@@ -58,6 +61,27 @@ def _nominal_rows() -> dict:
 @pytest.fixture(scope="module")
 def nominal_rows() -> dict:
     return _nominal_rows()
+
+
+def _separated_binding(eps: float, a: float, L: float, h1: float) -> float:
+    """Binding of a regular solve from its exact separation in ``x1``, built apart from ``wgpoles``.
+
+    The cell-averaged well ``-eps * clip((a - |x1|)/h1 + 1/2, 0, 1)`` is
+    uniform across the strip, so the lattice problem separates: the binding
+    is minus the lowest eigenvalue of the tridiagonal pencil in ``x1`` on
+    the nodes ``i h1``, ``i < N = L / h1``, with stiffness ``sum (u_{i+1} -
+    u_i)^2 / h1`` (a natural end at 0, a Dirichlet end at ``N``), trapezoid
+    mass ``w1`` and the well's term ``w1 q``.
+    """
+    n = round(L / h1)
+    x1 = h1 * np.arange(n)
+    q = -eps * np.clip((a - x1) / h1 + 0.5, 0.0, 1.0)
+    w1 = np.full(n, h1)
+    w1[0] = h1 / 2.0
+    stiff = np.full(n, 2.0 / h1)
+    stiff[0] = 1.0 / h1
+    off = -1.0 / (h1 * np.sqrt(w1[:-1] * w1[1:]))
+    return -eigh_tridiagonal(stiff / w1 + q, off, select="i", select_range=(0, 0))[0][0]
 
 
 def _golden(row) -> dict:
@@ -107,6 +131,25 @@ def test_solver_work_of_the_nominal_workloads_does_not_rise(nominal_rows) -> Non
         )
         for key, got, ceiling in zip(WORK_KEYS, totals, WORK_CEILING[name]):
             assert got <= ceiling, f"{name}: {key} rose to {got} from {ceiling}"
+
+
+# every regular solve's binding against its separated 1-D pencil: at most
+# 2.7e-14 measured (6.2e-11 relative, at the smallest binding); the bound
+# leaves a margin of 3.7
+SEPARATED_ABS_TOL = 1e-13
+
+
+def test_every_regular_solve_is_its_separated_lattice_eigenvalue(nominal_rows) -> None:
+    # the box's only exact reference now that it solves wells alone: each
+    # of the 42 solves of the nominal regular-secular sweep, both steps
+    # and every length of each row
+    cfg = _workloads().make_config("regular-secular", [0] * 7)
+    a = cfg["perturbation"]["half_width"]
+    solves = [(r.epsilon, s) for r in nominal_rows["regular-secular"] for s in r.extras["solves"]]
+    assert len(solves) == 42
+    for eps, s in solves:
+        want = _separated_binding(eps, a, s["L"], s["h_long"])
+        assert abs(s["binding"] - want) <= SEPARATED_ABS_TOL, (eps, s["L"], s["h_long"])
 
 
 def test_the_row_pool_gives_the_rows_of_one_thread(nominal_rows) -> None:

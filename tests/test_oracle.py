@@ -1,5 +1,6 @@
 """Finite-difference oracle: assembly, eigensolve contract, bindings, tails."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -47,6 +48,10 @@ def _well(eps: float):
     return q
 
 
+def _tilted_well(x1, x2):
+    return -0.5 * (1.0 + x2 / np.pi) * (np.abs(x1) <= 1.0)
+
+
 def test_well_roots_are_frozen_values() -> None:
     for eps, frozen in ((0.05, WELL_K_005), (0.5, WELL_K_05)):
         def f(k: float) -> float:
@@ -68,21 +73,33 @@ def test_grid_counts_and_active_dimensions() -> None:
     assert op.columns == oracle.BOX_PADDING + 1
     assert op.size == op.columns * 99
     assert op.exterior_columns == g.n_long - oracle.BOX_PADDING
-    # a window's box ends BOX_PADDING columns past its last carved column,
-    # whose wall nodes stay active
-    gw = TruncatedGuide(cross_section=_CS, half_length=20.0, h=0.04, half_width=0.3)
+    # a well's box ends BOX_PADDING columns past the last column its
+    # potential touches: the half-value edge sample at x1 = 1, column 25
+    gw = TruncatedGuide(cross_section=_CS, half_length=20.0, h=0.04, potential=_well(0.3))
     opw = build_fd_operator(gw)
-    assert opw.columns == gw.feature_nodes + oracle.BOX_PADDING + 1
-    assert opw.size == opw.columns * (gw.n_trans - 1) + gw.feature_nodes + 1
+    assert opw.columns == 25 + oracle.BOX_PADDING + 1
+    assert opw.size == opw.columns * (gw.n_trans - 1)
 
 
-def _window_well_guide() -> TruncatedGuide:
+@pytest.mark.parametrize("cs", [_CS, _NCS], ids=["window", "patch"])
+@pytest.mark.parametrize("potential", [None, _well(0.3)], ids=["bare", "with-well"])
+def test_box_refuses_a_wall_feature(cs, potential) -> None:
+    # the box solves wells alone; a window or a patch, with or without a
+    # potential, is refused before anything is assembled
+    g = TruncatedGuide(
+        cross_section=cs, half_length=20.0, h=0.1, half_width=0.4, potential=potential
+    )
+    with pytest.raises(ValueError, match="build_window_operator, build_patch_operator"):
+        build_fd_operator(g)
+
+
+def _x2_well_guide() -> TruncatedGuide:
+    # a well that varies across the strip, cut off at x1 = 2
     return TruncatedGuide(
         cross_section=_CS,
         half_length=4.0,
         h=0.1,
-        half_width=0.5,
-        potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2) * (x1 <= 2.0),
+        potential=lambda x1, x2: -np.exp(-(x1**2)) * np.sin(x2) * (x1 <= 2.0),
     )
 
 
@@ -90,7 +107,7 @@ def test_band_is_the_energy_form() -> None:
     # v^T A v from the band against the quadratic form written out on the
     # box's node grid: sum w (du)^2 / h over the edges, an edge to an
     # eliminated node counting that node as zero, plus sum q w1 w2 u^2
-    g = _window_well_guide()
+    g = _x2_well_guide()
     op = build_fd_operator(g)
     v = np.random.default_rng(7).standard_normal(op.size)
     u = np.zeros(op.mask.shape)
@@ -116,10 +133,10 @@ def test_band_is_the_energy_form() -> None:
 @pytest.mark.parametrize(
     "cs, kw",
     [
-        (_CS, dict(half_length=16.0, h=0.06, half_width=0.3)),
+        (_NCS, dict(half_length=12.0, h=0.05, potential=_tilted_well)),
         (_CS, dict(half_length=12.0, h=0.05, potential=lambda x1, x2: -0.5 * (np.abs(x1) <= 1.0))),
     ],
-    ids=["window", "well"],
+    ids=["neumann well", "well"],
 )
 def test_band_sum_matches_add_at(cs, kw, monkeypatch) -> None:
     # the band is summed by np.bincount over flat Fortran indices; np.add.at
@@ -143,7 +160,7 @@ def test_band_sum_matches_add_at(cs, kw, monkeypatch) -> None:
 
 
 def test_lapack_binding_matches_scipy() -> None:
-    op = build_fd_operator(_window_well_guide())
+    op = build_fd_operator(_x2_well_guide())
     sol = lowest_eigenpairs(op)
     b = np.random.default_rng(3).standard_normal(op.size)
 
@@ -333,10 +350,9 @@ def test_window_carving_creates_binding() -> None:
         cross_section=_CS, half_length=25.0, h=0.04, half_width=0.3
     )
     assert g.feature_half_width == pytest.approx(0.3, abs=1e-12)
-    op = build_fd_operator(g)
-    # window columns keep their wall node active
-    assert np.count_nonzero(op.mask[-1]) == g.n_trans - 1
-    sol = lowest_eigenpairs(op)
+    # solved on the window's wall nodes, which the window opens
+    sol = lowest_eigenpairs(oracle.build_window_operator(g))
+    assert sol.vector.size == g.feature_nodes + 1
     k_lead = 0.5 * 0.3**2
     assert 0.0 < sol.binding < k_lead**2
 
@@ -445,23 +461,25 @@ def _full_grid_binding(bc, L, h, half_width=None, potential=None):
     return mu1 - E
 
 
-def _tilted_well(x1, x2):
-    return -0.5 * (1.0 + x2 / np.pi) * (np.abs(x1) <= 1.0)
-
-
 # (cross section, guide keywords)
 FULL_GRID_CASES = {
     "window": (_CS, dict(half_length=16.0, h=0.06, half_width=0.3)),
     "patch": (_NCS, dict(half_length=10.0, h=0.05, half_width=0.4)),
     "tilted well": (_CS, dict(half_length=12.0, h=0.05, potential=_tilted_well)),
+    "neumann well": (_NCS, dict(half_length=12.0, h=0.05, potential=_tilted_well)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FULL_GRID_CASES))
 def test_box_solve_matches_full_grid(case) -> None:
+    # each guide on the operator a sweep uses: the box for the wells, the
+    # wall forms for the window and the patch.  Measured 4.5e-11 (window),
+    # 3.4e-12 (patch), 5.3e-13 and 5.5e-13 (the wells), the full grid's own
+    # error; the bound leaves a margin of 22
     cs, kw = FULL_GRID_CASES[case]
     g = TruncatedGuide(cross_section=cs, **kw)
-    sol = lowest_eigenpairs(build_fd_operator(g))
+    build = {"window": oracle.build_window_operator, "patch": oracle.build_patch_operator}
+    sol = lowest_eigenpairs(build.get(case, build_fd_operator)(g))
     assert sol.residual <= 1e-8
     want = _full_grid_binding(
         cs.bc,
@@ -537,43 +555,38 @@ def test_window_closure_does_not_depend_on_its_block_size(monkeypatch) -> None:
             assert np.abs(got - want).max() <= tol * np.abs(want).max()
 
 
-# relative difference of the window form's bindings from the box's on the
-# same guides: at most 4.8e-12 measured below, 6.9e-11 over the hinted
-# solves of the nominal window-ladder sweep; the bound leaves a margin of 21
-WINDOW_FORM_REL_TOL = 1e-10
+# relative difference of the wall forms' bindings from the full grid's on
+# the same guides: at most 5.3e-11 measured below, the full grid's own
+# roundoff (its binding moves by up to 7.8e-11 as its shift moves from
+# mu_1 - 1 to mu_1 - 0.1); the bound leaves a margin of 3.8
+FULL_GRID_REL_TOL = 2e-10
 
 
 @pytest.mark.parametrize("eps", [0.4, 0.3])
 def test_window_form_matches_the_box(eps) -> None:
-    # the window-ladder steps 0.08 and 0.04 and two lengths of its rule;
-    # the window form solves n_feat + 1 unknowns
-    L0 = round(2.8 / eps**2, 1)
-    for h in (0.08, 0.04):
-        for L in (L0, 2.0 * L0):
-            g = TruncatedGuide(cross_section=_CS, half_length=L, h=h, half_width=eps)
-            box = lowest_eigenpairs(build_fd_operator(g))
-            win = lowest_eigenpairs(oracle.build_window_operator(g))
-            assert (box.operator.form, win.operator.form) == ("box", "window")
-            assert win.vector.size == g.feature_nodes + 1
-            assert win.residual <= oracle.EIGEN_RESIDUAL_TOL
-            assert abs(win.binding / box.binding - 1.0) <= WINDOW_FORM_REL_TOL
+    # the window-ladder's first length at its coarse step 0.08, and at eps =
+    # 0.4 at its fine step 0.04 too, against the full grid of the same
+    # guide: measured 1.4e-12 and 5.3e-11 (eps = 0.4), 1.4e-11 (eps = 0.3).
+    # The window form solves n_feat + 1 unknowns
+    L = round(2.8 / eps**2, 1)
+    for h in {0.4: (0.08, 0.04), 0.3: (0.08,)}[eps]:
+        g = TruncatedGuide(cross_section=_CS, half_length=L, h=h, half_width=eps)
+        win = lowest_eigenpairs(oracle.build_window_operator(g))
+        assert win.operator.form == "window"
+        assert win.vector.size == g.feature_nodes + 1
+        assert win.residual <= oracle.EIGEN_RESIDUAL_TOL
+        want = _full_grid_binding("dirichlet", L, h, half_width=eps)
+        assert abs(win.binding / want - 1.0) <= FULL_GRID_REL_TOL
 
 
-def test_hinted_window_solve_stops_when_a_trial_closes_the_bracket(monkeypatch) -> None:
-    # the window-ladder's fine step at eps = 0.4 on the box, hinted by its
-    # coarse step as a sweep row is: the first shift and the first trial
-    # each take a Rayleigh functional; the second trial factors within
-    # BRACKET_TOL of the upper bound, so the solve stops there, with no
-    # Rayleigh functional after it.  Each Rayleigh functional and the final
-    # mass contract the pencil vector once
-    L = round(2.8 / 0.4**2, 1)
-
-    def operator(h: float):
-        g = TruncatedGuide(cross_section=_CS, half_length=L, h=h, half_width=0.4)
-        return build_fd_operator(g)
-
-    hint = lowest_eigenpairs(operator(0.08)).binding
-    op = operator(0.04)
+def test_hinted_window_solve_stops_when_a_trial_closes_the_bracket(well_solves, monkeypatch) -> None:
+    # the regular row's well at its fine step, hinted by its coarse step as
+    # a sweep row is: the first shift and the first trial each take a
+    # Rayleigh functional; the second trial factors within BRACKET_TOL of
+    # the upper bound, so the solve stops there, with no Rayleigh functional
+    # after it.  Each Rayleigh functional and the final mass contract the
+    # pencil vector once
+    op, _, hint, _ = well_solves
     log = []
     for name, tag in (("factor", "F"), ("contract", "C")):
         method = getattr(op, name)
@@ -740,6 +753,9 @@ def test_long_wall_guide_solves_in_bounded_memory(form) -> None:
     assert peak <= WALL_SOLVE_PEAK_BYTES, f"{peak / 2**20:.1f} MiB"
 
 
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
 def _extended_root(g: TruncatedGuide) -> np.longdouble:
     """``E_1`` of a patch guide by bisection on the inertia of ``G_PP``, all in ``np.longdouble``.
 
@@ -782,7 +798,7 @@ def _extended_root(g: TruncatedGuide) -> np.longdouble:
     return lo
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="no extended precision")
+@pytest.mark.skipif(not EXTENDED, reason="no extended precision")
 def test_patch_root_matches_an_extended_precision_bisection() -> None:
     # the nominal row's first rung: the wall form's E_1 measured within
     # 6.7e-16 of the extended-precision root (at most 5.1e-15 over the nine
@@ -848,29 +864,30 @@ def test_box_closure_is_the_projector_product(cs) -> None:
     assert info.maxsize == 8 and 0 < info.currsize <= 8
 
 
-# relative difference of the patch form's bindings from the box's on the
-# same guides: at most 1.1e-12 measured below, the box's own error (see
-# test_patch_root_matches_an_extended_precision_bisection); the bound leaves
-# a margin of 1.75
-PATCH_FORM_REL_TOL = 2e-12
-
-
 @pytest.mark.parametrize(
     "L, h, W",
     [(10.0, 0.0316, 0.4), (20.0, 0.0316, 0.4), (40.0, 0.0316, 0.4), *SHORT_PATCH_GUIDES,
      (2.0, 0.1, 1.4)],
 )
 def test_patch_form_matches_the_box(L, h, W) -> None:
-    # the nominal patch row's ladder, two short guides and a wide patch, on
-    # the same grid; the patch form solves the patch's n_feat + 1 wall nodes
+    # the nominal patch row's ladder, two short guides and a wide patch,
+    # each against an independent solve of the same grid: the full grid
+    # (measured 1.2e-11 at L = 10, at most 9.3e-14 on the short guides),
+    # or on the ladder's two longer rungs, whose full grids take 0.7 and
+    # 1.7 s, the extended-precision bisection (measured 2.2e-16 and 0).
+    # The patch form solves the patch's n_feat + 1 wall nodes
     g = TruncatedGuide(cross_section=_NCS, half_length=L, h=h, half_width=W)
-    box = lowest_eigenpairs(build_fd_operator(g))
     pat = lowest_eigenpairs(oracle.build_patch_operator(g))
-    assert (box.operator.form, box.operator.columns) == ("box", g.feature_nodes + oracle.BOX_PADDING + 1)
     assert (pat.operator.form, pat.operator.columns) == ("patch", None)
     assert pat.vector.size == g.feature_nodes + 1
     assert pat.residual <= oracle.EIGEN_RESIDUAL_TOL
-    assert abs(pat.binding / box.binding - 1.0) <= PATCH_FORM_REL_TOL
+    if L <= 10.0:
+        want = _full_grid_binding("neumann", L, h, half_width=W)
+        assert abs(pat.binding / want - 1.0) <= FULL_GRID_REL_TOL
+    elif not EXTENDED:
+        pytest.skip("no extended precision")
+    else:
+        assert abs(pat.value / float(_extended_root(g)) - 1.0) <= oracle.ROOT_STEP
 
 
 def test_patch_form_refuses_what_it_does_not_solve() -> None:
@@ -905,20 +922,20 @@ def test_perturbation_at_the_guide_end_is_rejected() -> None:
         cross_section=_CS,
         half_length=4.0,
         h=0.1,
-        half_width=0.5,
         potential=lambda x1, x2: -0.3 * np.exp(-(x1**2)) * np.sin(x2),
     )
     with pytest.raises(ValueError, match="lengthen the guide"):
         build_fd_operator(g)
-    # a window whose last carved column sits BOX_PADDING columns before the
-    # end is refused; one column more of guide gives a one-column exterior
+    # a well whose last column sits BOX_PADDING columns before the end is
+    # refused; one column more of guide gives a one-column exterior
     h = 0.1
-    n_feat = 5
-    for cells, ok in ((n_feat + oracle.BOX_PADDING, False), (n_feat + oracle.BOX_PADDING + 1, True)):
+    last = 5
+    for cells, ok in ((last + oracle.BOX_PADDING, False), (last + oracle.BOX_PADDING + 1, True)):
         g = TruncatedGuide(
-            cross_section=_CS, half_length=cells * h, h=h, half_width=(n_feat + 0.5) * h
+            cross_section=_CS, half_length=cells * h, h=h,
+            potential=lambda x1, x2: -0.3 * (x1 < (last + 0.5) * h) * np.ones_like(x2),
         )
-        assert g.feature_nodes == n_feat
+        assert np.flatnonzero(g.potential_samples()[:, 1])[-1] == last
         if ok:
             assert build_fd_operator(g).exterior_columns == 1
         else:
@@ -926,9 +943,14 @@ def test_perturbation_at_the_guide_end_is_rejected() -> None:
                 build_fd_operator(g)
 
 
-@pytest.mark.parametrize("case", ["window", "patch", "tilted well"])
+# (cross section, guide keywords) of the regular row's well at its fine step
+UNIFORM_WELL = (_CS, dict(half_length=40.0, h=0.125, potential=_well(0.08)))
+
+
+@pytest.mark.parametrize("case", ["uniform well", "neumann well", "tilted well"])
 def test_box_padding_does_not_move_the_binding(case, monkeypatch) -> None:
-    cs, kw = FULL_GRID_CASES[case]
+    # measured 1.7e-13 (uniform), 2.0e-14 (Neumann) and 3.2e-14 (tilted)
+    cs, kw = UNIFORM_WELL if case == "uniform well" else FULL_GRID_CASES[case]
     g = TruncatedGuide(cross_section=cs, **kw)
     bindings = []
     for padding in (2, 12):
@@ -940,9 +962,9 @@ def test_box_padding_does_not_move_the_binding(case, monkeypatch) -> None:
 
 
 def test_field_extends_the_box_in_closed_form() -> None:
-    # a window and a well: the tails extend the eigenvector past the box's
-    # edge column to the whole guide
-    g = _window_well_guide()
+    # a well that varies across the strip: the tails extend the eigenvector
+    # past the box's edge column to the whole guide
+    g = _x2_well_guide()
     sol = lowest_eigenpairs(build_fd_operator(g))
     _assert_tails_rebuild_exterior(sol, extract_tail_coefficients(sol, g.n_trans - 1))
 
@@ -991,42 +1013,50 @@ def test_binding_above_one_takes_the_floor_shift() -> None:
         assert (sol.shift == -depth - 1.0) == floor_shift
 
 
-def test_factorization_cap_reports_no_residuals(monkeypatch) -> None:
-    # the window solve below needs 3 factorizations; a cap of 2 stops the
+@pytest.fixture(scope="module")
+def well_solves():
+    """The regular row's well at its fine step: its unhinted solve, a hint, the hinted solve.
+
+    The hint is the binding on the coarse step 0.25, i.e. what a sweep row
+    passes from its coarse solve.
+    """
+    cs, kw = UNIFORM_WELL
+
+    def operator(h: float):
+        return build_fd_operator(TruncatedGuide(cross_section=cs, **{**kw, "h": h}))
+
+    hint = lowest_eigenpairs(operator(0.25)).binding
+    op = operator(kw["h"])
+    return op, lowest_eigenpairs(op), hint, lowest_eigenpairs(op, binding_hint=hint)
+
+
+def test_factorization_cap_reports_no_residuals(well_solves, monkeypatch) -> None:
+    # the hinted well solve needs 3 factorizations; a cap of 2 stops the
     # bracket before it closes, which is a solver failure with no residual
-    g = TruncatedGuide(cross_section=_CS, half_length=16.0, h=0.06, half_width=0.3)
-    op = build_fd_operator(g)
+    op, _, hint, sol = well_solves
+    assert sol.factorizations == 3
     monkeypatch.setattr(oracle, "MAX_FACTORIZATIONS", 2)
     with pytest.raises(SolverError) as info:
-        lowest_eigenpairs(op)
+        lowest_eigenpairs(op, binding_hint=hint)
     assert info.value.residuals is None
     assert "2 factorizations" in str(info.value)
 
 
-@pytest.fixture(scope="module")
-def window_solves():
-    """Mid-size window guide: its unhinted solve, a hint, the hinted solve.
-
-    The hint is the binding on the coarser step 0.06, i.e. what a sweep row
-    passes from its coarse solve.
-    """
-
-    def operator(h: float):
-        g = TruncatedGuide(
-            cross_section=_CS,
-            half_length=32.0,
-            h=h,
-            half_width=0.3,
-        )
-        return build_fd_operator(g)
-
-    hint = lowest_eigenpairs(operator(0.06)).binding
-    op = operator(0.04)
-    return op, lowest_eigenpairs(op), hint, lowest_eigenpairs(op, binding_hint=hint)
+@pytest.mark.parametrize("hinted", [False, True], ids=["unhinted", "hinted"])
+def test_pencil_bound_at_the_cap_is_a_solver_failure(well_solves, hinted) -> None:
+    # with the cap moved to just above E_1 the pencil's first bound lies
+    # above it, where the Rayleigh functional has no start: the solve fails
+    # without an eigenpair, naming both, unhinted and hinted alike
+    op, ref, hint, _ = well_solves
+    capped = dataclasses.replace(op, cap=ref.value + 1e-9)
+    with pytest.raises(SolverError, match="pencil bound .* at or above the exterior's cap") as info:
+        lowest_eigenpairs(capped, binding_hint=hint if hinted else None)
+    assert info.value.residuals is None
+    assert f"{capped.cap:.17g}" in str(info.value)
 
 
-def test_binding_hint_keeps_the_eigenpair(window_solves) -> None:
-    _, ref, hint, sol = window_solves
+def test_binding_hint_keeps_the_eigenpair(well_solves) -> None:
+    _, ref, hint, sol = well_solves
     assert ref.shift == ref.threshold - 1.0
     assert sol.shift == ref.threshold - 2.0 * hint
     assert abs(sol.value / ref.value - 1.0) < 1e-11
@@ -1034,36 +1064,53 @@ def test_binding_hint_keeps_the_eigenpair(window_solves) -> None:
     assert sol.residual <= 1e-8
 
 
-def test_shift_above_the_eigenvalue_steps_down(window_solves) -> None:
+def test_shift_above_the_eigenvalue_steps_down(well_solves) -> None:
     # a hint of b/4 aims the first shift at threshold - b/2, above E_1; the
     # failed factorization moves it to threshold - 4b, below
-    op, ref, _, _ = window_solves
+    op, ref, _, _ = well_solves
     sol = lowest_eigenpairs(op, binding_hint=ref.binding / 4.0)
     assert sol.shift == ref.threshold - 4.0 * ref.binding
     assert abs(sol.value / ref.value - 1.0) < 1e-11
     assert sol.residual <= 1e-8
 
 
-# factorizations of the hinted window solve: 3 measured, plus a margin of 2
+def test_first_bound_within_the_tolerance_stops_the_solve(well_solves, monkeypatch) -> None:
+    # a hint that puts the first shift 5e-11 below E_1: it factors, and the
+    # Rayleigh functional of its pencil vector closes the bracket, so the
+    # solve stops after that one bound, with no trial shift
+    op, ref, _, _ = well_solves
+    log = []
+    for name, tag in (("factor", "F"), ("contract", "C")):
+        method = getattr(op, name)
+        monkeypatch.setattr(op, name, lambda x, method=method, tag=tag: log.append(tag) or method(x))
+    sol = lowest_eigenpairs(op, binding_hint=0.5 * (ref.binding + 5e-11))
+    assert "".join(log) == "FCC"
+    assert sol.shift < ref.value < sol.shift + oracle.BRACKET_TOL
+    assert abs(sol.value / ref.value - 1.0) < 1e-11
+    assert sol.residual <= oracle.EIGEN_RESIDUAL_TOL
+
+
+# factorizations of the hinted well solve: 3 measured (9 unhinted), plus a
+# margin of 2
 HINTED_FACTORIZATIONS_MAX = 5
 
 
-def test_binding_hint_cuts_factorizations(window_solves) -> None:
+def test_binding_hint_cuts_factorizations(well_solves) -> None:
     # counts, not times: the start vector is fixed, so they repeat exactly
-    _, ref, _, sol = window_solves
+    _, ref, _, sol = well_solves
     assert 2 * sol.factorizations <= ref.factorizations
     assert sol.factorizations <= HINTED_FACTORIZATIONS_MAX
 
 
-# exterior coupling evaluations of one Rayleigh functional on the window
-# solves: at most 6 measured, plus a margin of 2
-RAYLEIGH_COUPLINGS_MAX = 8
+# exterior coupling evaluations of one Rayleigh functional on the well
+# solves: at most 5 measured, plus a margin of 2
+RAYLEIGH_COUPLINGS_MAX = 7
 
 
-def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> None:
+def test_rayleigh_functional_stops_at_roundoff(well_solves, monkeypatch) -> None:
     # Newton converges quadratically in about five steps; it must stop
     # there, not take roundoff-sized steps up to its cap
-    op, ref, hint, sol = window_solves
+    op, ref, hint, sol = well_solves
     coupling = oracle.FdOperator.coupling
     per_call = Counter()
 
@@ -1079,41 +1126,23 @@ def test_rayleigh_functional_stops_at_roundoff(window_solves, monkeypatch) -> No
     assert per_call and max(per_call.values()) <= RAYLEIGH_COUPLINGS_MAX
 
 
-# the patch guide's two forms: the full box, factored by cholesky_banded,
-# and the patch form on its wall nodes, which evaluates G_PP instead
-PATCH_FORMS = {"box": build_fd_operator, "patch": oracle.build_patch_operator}
-
-
-def _patch_work(sol) -> int:
-    """A patch solve's work: the box's factorizations, the patch form's ``G_PP`` evaluations."""
-    return sol.factorizations if sol.operator.form == "box" else sol.closure_evaluations
-
-
-# the box cases keep their ids; the patch form's carry a suffix
 @pytest.mark.parametrize(
-    "short, long, form",
-    [
-        pytest.param(short, long, form, id=f"{short}-{long}" + ("" if form == "box" else "-patch-form"))
-        for form in sorted(PATCH_FORMS)
-        for short, long in ((10.0, 20.0), (20.0, 40.0))
-    ],
+    "short, long", [(10.0, 20.0), (20.0, 40.0)], ids=["10.0-20.0-patch-form", "20.0-40.0-patch-form"]
 )
-def test_patch_hint_costs_no_extra_factorizations(short, long, form) -> None:
+def test_patch_hint_costs_no_extra_factorizations(short, long) -> None:
     # nothing binds under a patch; the shorter guide's binding, the hint a
     # sweep row passes along its length ladder, is about four times the
-    # longer one's and must not cost the longer solve work
-    build = PATCH_FORMS[form]
-
+    # longer one's and must not cost the longer solve G_PP evaluations
     def operator(L: float):
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
-        return build(g)
+        return oracle.build_patch_operator(g)
 
     hint = lowest_eigenpairs(operator(short)).binding
     assert hint < 0
     op = operator(long)
     ref = lowest_eigenpairs(op)
     sol = lowest_eigenpairs(op, binding_hint=hint)
-    assert _patch_work(sol) <= _patch_work(ref)
+    assert sol.closure_evaluations <= ref.closure_evaluations
     assert abs(sol.value / ref.value - 1.0) < 1e-11
 
 
@@ -1134,68 +1163,43 @@ def test_patch_step_hint_starts_the_root_loop() -> None:
 
 
 # the nominal patch row's ladder (eps = 0.4, the guide snapping h = 0.0316
-# to 0.4/12.5), each guide hinted by the shorter one's binding, with per
-# form the binding and the work measured (box: 5 factorizations at L = 10,
-# 3 at L = 20 and 40; patch form: 5, 5, 6 and 6 G_PP evaluations), plus a
-# margin of 2.  The bindings are each form's own, solved the way this test
-# solves them: the four rungs in order at h = 0.0316 and half_width = 0.4,
-# L = 6 unhinted and each later rung hinted by the one before.  The patch
-# form's lie within 6.7e-16 of an extended-precision root at L = 10 (see
-# test_patch_root_matches_an_extended_precision_bisection), the box's
-# within 1.2e-12 of them.  The rung L = 6 in front is not the row's: one of
-# the box's 5 factorizations there, a trial shift above E_1, fails, so the
-# failure count is checked
+# to 0.4/12.5), each guide hinted by the shorter one's binding: the patch
+# form's binding and its G_PP evaluations (measured 5, 5, 6 and 6) plus a
+# margin of 2.  The bindings are solved the way this test solves them: the
+# four rungs in order at h = 0.0316 and half_width = 0.4, L = 6 unhinted and
+# each later rung hinted by the one before; they lie within 6.7e-16 of an
+# extended-precision root at L = 10 (see
+# test_patch_root_matches_an_extended_precision_bisection).  The rung L = 6
+# in front is not the row's
 PATCH_LADDER = {
-    6.0: ({"box": -0.13856526385271012, "patch": -0.1385652638528261}, {"box": 7, "patch": 7}),
-    10.0: ({"box": -0.060430321456377986, "patch": -0.06043032145644699}, {"box": 7, "patch": 7}),
-    20.0: ({"box": -0.01855404829219981, "patch": -0.01855404829221393}, {"box": 5, "patch": 8}),
-    40.0: ({"box": -0.005293728133082047, "patch": -0.0052937281330847664}, {"box": 5, "patch": 8}),
+    6.0: (-0.1385652638528261, 7),
+    10.0: (-0.06043032145644699, 7),
+    20.0: (-0.01855404829221393, 8),
+    40.0: (-0.0052937281330847664, 8),
 }
 
 
-def test_patch_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
-    _assert_patch_ladder_closes_below_the_cap("box", monkeypatch, caplog)
-
-
 def test_patch_form_ladder_closes_below_the_cap(monkeypatch, caplog) -> None:
-    _assert_patch_ladder_closes_below_the_cap("patch", monkeypatch, caplog)
-
-
-def _assert_patch_ladder_closes_below_the_cap(form, monkeypatch, caplog) -> None:
-    # nothing binds, so the box's first shift of every solve, the threshold,
-    # factors; the -v line counts the factorizations that failed, which a
-    # wrapper on cholesky_banded counts too, and the closure evaluations.
-    # The patch form factors nothing
-    build = PATCH_FORMS[form]
-    cholesky = oracle.cholesky_banded
+    # the patch form factors nothing: a wrapper on cholesky_banded sees no
+    # call, and the -v line counts no factorization and the G_PP
+    # evaluations as closure evaluations
     calls = Counter()
-
-    def counting(a):
-        calls["ladder"] += 1
-        try:
-            return cholesky(a)
-        except np.linalg.LinAlgError:
-            calls["failed"] += 1
-            calls["failed in the ladder"] += 1
-            raise
-
-    monkeypatch.setattr(oracle, "cholesky_banded", counting)
+    monkeypatch.setattr(oracle, "cholesky_banded", lambda a: calls.update(["cholesky"]))
     hint = None
-    for L, (bindings, budgets) in PATCH_LADDER.items():
+    for L, (binding, budget) in PATCH_LADDER.items():
         g = TruncatedGuide(cross_section=_NCS, half_length=L, h=0.0316, half_width=0.4)
-        calls["failed"] = 0
         caplog.clear()
         with caplog.at_level("INFO", logger="wgpoles.oracle"):
-            sol = lowest_eigenpairs(build(g), binding_hint=hint)
-        assert sol.operator.form == form
-        assert (sol.shift == sol.threshold) == (form == "box")
-        assert _patch_work(sol) <= budgets[form]
-        assert abs(sol.binding / bindings[form] - 1.0) < 1e-12
+            sol = lowest_eigenpairs(oracle.build_patch_operator(g), binding_hint=hint)
+        assert sol.operator.form == "patch"
+        assert sol.shift != sol.threshold
+        assert sol.closure_evaluations <= budget
+        assert abs(sol.binding / binding - 1.0) < 1e-12
         (line,) = [r.getMessage() for r in caplog.records if "eigensolve" in r.getMessage()]
-        assert f"{sol.factorizations} factorizations ({calls['failed']} failed)" in line
+        assert "0 factorizations (0 failed)" in line
         assert f"{sol.closure_evaluations} closure evaluations" in line
         hint = sol.binding
-    assert (calls["failed in the ladder"] > 0, calls["ladder"] > 0) == (form == "box",) * 2
+    assert not calls
 
 
 def test_band_memory_guard(monkeypatch) -> None:
