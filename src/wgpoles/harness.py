@@ -628,7 +628,7 @@ def fit_loglog_slope(points) -> tuple[float, float]:
     slope = float(np.sum((x - xbar) * (y - y.mean())) / sxx)
     intercept = float(y.mean() - slope * xbar)
     ss_res = float(np.sum((y - slope * x - intercept) ** 2))
-    stderr = math.sqrt(max(ss_res, 0.0) / (n - 2) / sxx) if n > 2 else 0.0
+    stderr = math.sqrt(ss_res / (n - 2) / sxx)
     return slope, stderr
 
 

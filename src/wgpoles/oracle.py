@@ -18,15 +18,17 @@ are lattice-exact, so the transverse factor of the error cancels in ``b``
 identically.
 
 A well is solved on a box of columns around it, the only part assembled.
-Past it the guide is a uniform lattice whose transverse sines (or
-cosines) are exact eigenvectors of the stencil, so the rest of the guide,
-out to its end at ``L``, is eliminated exactly, one mode at a time, in
-closed form: a discrete transparent boundary condition for the finite
-guide (Ehrhardt and Arnold).  Each closure is one formula in each mode's
-angle ``theta_j`` (:func:`_lattice_angles`), which continues past the
-mode's threshold to ``theta = i phi``: no closure branches on how a mode
-behaves.  The eigenvalue is then the root of a small nonlinear symmetric
-problem ``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
+The transverse sines (or cosines) of the lattice are exact eigenvectors
+of the stencil, so the box is assembled in them, column by column, and
+past it, where the guide is uniform, they decouple the rest of the
+guide, out to its end at ``L``, which is eliminated exactly, one mode at
+a time, in closed form: a discrete transparent boundary condition for
+the finite guide (Ehrhardt and Arnold), a diagonal on the box's edge
+column.  Each closure is one formula in each mode's angle ``theta_j``
+(:func:`_lattice_angles`), which continues past the mode's threshold to
+``theta = i phi``: no closure branches on how a mode behaves.  The
+eigenvalue is then the root of a small nonlinear symmetric problem
+``T(E) v = 0`` on the box, whose ``T`` is concave in ``E``.  It is
 bracketed from below by Cholesky factorizations, which succeed
 exactly when the shift lies below ``E_1`` (as long as it stays below the
 exterior's own lowest eigenvalue, the cap where ``T`` has its first pole),
@@ -37,10 +39,11 @@ eigenvalue; the eigenpair does not depend on it, only the number of
 factorizations does.  The same exterior gives the bound state's tails in
 closed form (:func:`extract_tail_coefficients`): past the box each lattice
 mode decays at the exact lattice rate of its threshold, with an amplitude
-read from the box's edge column, the last unknowns of the eigenvector.
-The solution keeps the operator's unknowns only; the tails are the one
-closed form of the rest.  Everything is deterministic: fixed all-ones
-start vector, direct factorizations.
+that is the mode's coefficient in the box's edge column, one of the last
+unknowns of the eigenvector.  The solution keeps the operator's unknowns
+only; the tails are the one closed form of the rest.  Everything is
+deterministic: a fixed start vector, the threshold mode in every column,
+and direct factorizations.
 
 A window or a patch without a potential has no box: every node of the
 finite guide but its ``n_feat + 1`` wall nodes is eliminated in closed
@@ -57,12 +60,14 @@ feature.
 
 The box's stiffness is assembled straight into LAPACK lower band storage,
 ``band[i - j, j] = A[i, j]`` for ``i >= j``; the box numbers its unknowns
-along each column, so its band is as wide as one column's active nodes,
-and the 5-point stencil fills only a few of its diagonals, which is all
-the matrix-vector product visits.  The closure's lower triangle is
-gathered into the same band.  Every factorization
-and back-solve is LAPACK's ``dpbtrf`` and ``dpbtrs`` from scipy's
-compiled LAPACK extension, loaded on its own on the first of them:
+by mode within each column, so its band is as wide as one column's
+modes.  Only the potential couples modes, inside a column; a well
+uniform across the strip couples none, and its band fills only the
+diagonal and the row that joins neighbouring columns, which is all the
+matrix-vector product visits.  The closure is added to the band's
+diagonal.  Every factorization and back-solve is LAPACK's ``dpbtrf`` and
+``dpbtrs`` from scipy's compiled LAPACK extension, loaded on its own on
+the first of them:
 importing ``scipy.linalg`` would pull in scipy's array-API layer and with
 it much of numpy's test and build tooling, which costs more CPU at
 start-up than a window sweep spends solving.
@@ -79,7 +84,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -391,19 +396,6 @@ def _exterior_cap(h1: float, M: int, mu: np.ndarray) -> float:
     return float(mu.min()) + 4.0 / h1**2 * s * s
 
 
-@lru_cache(maxsize=8)
-def _cosines(n2: int, count: int, d: float) -> np.ndarray:
-    """``cos(p pi m / (2 n2)) / d`` for the slots ``p = 0 .. 2 n2`` and the offsets ``m < count``.
-
-    Rows ``p = 0`` and ``2 n2`` are halved.  ``p m`` is reduced modulo the
-    period before scaling, so each phase stays exact.  Tables are kept for
-    the 8 grids used last; a nominal benchmark sweep uses at most 4.
-    """
-    table = np.cos(np.pi * (np.outer(np.arange(2 * n2 + 1), np.arange(count)) % (4 * n2)) / (2 * n2))
-    table[[0, -1]] *= 0.5
-    return table / d
-
-
 @dataclass
 class Factored:
     """``T(s)`` factored at a shift ``s`` below ``E_1``: back-solves, and ``-T'(s)``."""
@@ -414,45 +406,39 @@ class Factored:
 
 @dataclass(kw_only=True)
 class FdOperator:
-    """A well's box, the rest of the guide eliminated exactly: ``T(E) = A - E M + closure``.
+    """A well's box in its columns' lattice modes, the guide past it eliminated: ``T(E) = A - E M + closure``.
 
-    ``band`` is the stiffness ``A`` in LAPACK lower band storage,
-    ``band[i - j, j] = A[i, j]`` for ``i >= j``, and ``mass`` the diagonal
-    of ``M``.  ``mask`` (the active nodes) covers the box's columns ``0 ..
-    c = columns - 1``, from the symmetry plane to the natural edge column
-    ``c``, whose ``K = scale.size`` active nodes are the last unknowns.
-    Past it the guide has no perturbation, so the lattice sines (Dirichlet
-    walls) or cosines (Neumann walls) ``phi_j`` of the transverse stencil,
-    with eigenvalues ``mu``, decouple it into ``M = exterior_columns``
-    column recurrences ``a_{i+1} + a_{i-1} = t_j a_i``, ``t_j = 2 + h1^2
-    (mu_j - E)``, closed by the Dirichlet end at column ``n_long``.
-    Eliminating them adds ``sigma_j(E) a_j^2`` to the energy, ``a_j`` the
-    projection of column ``c`` on ``phi_j``: ``P diag(sigma(E)) P^T``, ``P
-    = W2 Phi`` on the column's active nodes ``k``.  By product to sum that
-    is the closure ``C Sigma C``, ``C = diag(scale) = W2``,
+    The box has ``columns`` columns, from the symmetry plane to the natural
+    edge column ``c = columns - 1``.  Each column's active nodes carry the
+    lattice sines (Dirichlet walls, ``j = 1 .. n2 - 1``) or cosines (Neumann
+    walls, ``j = 0 .. n2``) ``phi_j`` of the transverse stencil, unit in the
+    trapezoid weight ``w2`` and with eigenvalues ``mu``; unknown ``i K +
+    j``, ``K = mu.size``, is the coefficient of mode ``j`` in column ``i``.
+    These are exact eigenvectors of the stencil, so the energy form keeps
+    its longitudinal and transverse parts diagonal: ``A`` is ``w1_i mu_j +
+    edges_i / h1`` on the diagonal, ``-1/h1`` between the same mode of
+    neighbouring columns, plus the potential's ``K``-square block ``w1_i
+    Phi^T W2 diag(q_i) Phi`` in each column, and ``M = diag(mass)`` is
+    ``w1_i``.  ``band`` holds ``A`` in LAPACK lower band storage,
+    ``band[i - j, j] = A[i, j]`` for ``i >= j``.
 
-        ``Sigma[i, i'] = q[|i - i'|] + image q[i + i' + 2 first]``,
-
-    ``q[m] = sum_j z_j cos(j pi m / n2)``, ``z_j = s_j^2 sigma_j / 2``
-    (``s_j^2 = 2/d``, ``1/d`` for the cosines ``j = 0, n2``), ``i`` the
-    node index ``k - first``: ``image = -1`` for the sines, whose ``first``
-    active node is ``k = 1``, ``+1`` for the cosines.  ``coupling(E)``
-    gives ``q`` and its slope, for ``T'(E)``, at the offsets ``0 .. 2 (K +
-    first) - 2``.  ``cap`` is the lowest eigenvalue of the guide with the
-    box's nodes held at zero; below it ``T(E)`` factors exactly when ``E <
-    E_1``.
+    Past column ``c`` the guide has no perturbation, so each mode's
+    coefficient follows the recurrence ``a_{i+1} + a_{i-1} = t_j a_i``,
+    ``t_j = 2 + h1^2 (mu_j - E)``, over ``M = exterior_columns`` columns to
+    the Dirichlet end at ``n_long``.  Eliminating them adds ``sigma_j(E)
+    a_j^2`` to the energy (:func:`_exterior_coupling`): the closure is
+    ``sigma(E)`` on the last ``K`` diagonal entries, and ``coupling(E)``
+    gives it with its slope, for ``T'(E)``.  ``cap`` is the lowest
+    eigenvalue of the guide with the box's nodes held at zero; below it
+    ``T(E)`` factors exactly when ``E < E_1``.
     """
 
     guide: TruncatedGuide
     band: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
-    scale: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
     cap: float
-    image: float
-    first: int
     exterior_columns: int
-    mask: np.ndarray = field(repr=False)
     columns: int
 
     form = "box"
@@ -462,47 +448,15 @@ class FdOperator:
         return int(self.band.shape[1])
 
     def coupling(self, E: float) -> tuple[np.ndarray, np.ndarray]:
-        """``q[m]`` and ``dq[m]/dE`` of the box's exterior below the cap (see :func:`_exterior_coupling`)."""
-        # sigma_j and its slope in the even slots 2 j of a table of 2 n2 + 1;
-        # the modes start at j = first, as the active nodes do
+        """``sigma_j(E)`` and ``d sigma_j / dE`` of the box's exterior below the cap."""
         g = self.guide
-        z = np.zeros((2, 2 * g.n_trans + 1))
-        start = 2 * self.first
-        z[:, start : start + 2 * self.mu.size : 2] = _exterior_coupling(
-            g.step_long, self.exterior_columns, self.mu, E
-        )
-        q = z @ _cosines(g.n_trans, self._count, g.cross_section.width)
-        return q[0], q[1]
-
-    @property
-    def _count(self) -> int:
-        # the closure's offsets, 0 .. 2 (K + first) - 2
-        return 2 * (self.scale.size + self.first) - 1
-
-    @cached_property
-    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
-        # |i - i'| and i + i' + 2 first of every pair of the closure's nodes
-        i = np.arange(self.scale.size)
-        return np.abs(i[:, None] - i), i[:, None] + i + 2 * self.first
-
-    @cached_property
-    def _lower(self) -> tuple[np.ndarray, np.ndarray]:
-        # the closure's lower triangle: flat indices in its C-ordered block,
-        # and in the Fortran-ordered band
-        K, rows = self.scale.size, self.band.shape[0]
-        i, j = np.tril_indices(K)
-        return i * K + j, (i - j) + rows * (self.size - K + j)
-
-    def closure(self, weights: np.ndarray) -> np.ndarray:
-        """The closure's ``K``-square block ``C Sigma C`` at ``weights``."""
-        diff, pair = self._offsets
-        return np.outer(self.scale, self.scale) * (weights[diff] + self.image * weights[pair])
+        return _exterior_coupling(g.step_long, self.exterior_columns, self.mu, E)
 
     @staticmethod
-    def _apply(block: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # the closure's block on the last K unknowns, zero elsewhere
+    def _apply(weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # the closure's diagonal on the edge column's modes, zero elsewhere
         y = np.zeros_like(x)
-        y[-block.shape[0]:] = block @ x[-block.shape[0]:]
+        y[-weights.size:] = weights * x[-weights.size:]
         return y
 
     @cached_property
@@ -513,43 +467,35 @@ class FdOperator:
     def factor(self, E: float) -> Factored | None:
         """``T(E)`` by banded Cholesky, or ``None`` when it is not positive definite.
 
-        The closure's lower triangle is gathered straight into the band.
         The factor lives in a buffer that the next call overwrites.
         """
         sigma, slope = self.coupling(E)
-        src, dst = self._lower
         ab = self._work
         np.copyto(ab, self.band)
         ab[0, :] -= E * self.mass
-        ab.reshape(-1, order="F")[dst] += self.closure(sigma).ravel()[src]
+        ab[0, -sigma.size:] += sigma
         try:
             cb = cholesky_banded(ab)
         except LinAlgError:
             return None
-        block = self.closure(slope)
         return Factored(
             solve=lambda y: cho_solve_banded(cb, y),
-            pencil=lambda v: self.mass * v - self._apply(block, v),
+            pencil=lambda v: self.mass * v - self._apply(slope, v),
         )
 
     def contract(self, v: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """``v^T A v``, ``v^T M v`` and the pair sums ``a2`` of ``x = C v``: ``v^T T(E) v = ... + sigma(E) . a2``."""
-        diff, pair = self._offsets
-        x = self.scale * v[-self.scale.size:]
-        xx = np.outer(x, x).ravel()
-        n = self._count
-        a2 = np.bincount(diff.ravel(), xx, n) + self.image * np.bincount(pair.ravel(), xx, n)
-        return float(v @ self.matvec(v)), float(v @ (self.mass * v)), a2
+        """``v^T A v``, ``v^T M v`` and ``a2``, the edge column's squared coefficients in ``v^T T(E) v``."""
+        return float(v @ self.matvec(v)), float(v @ (self.mass * v)), v[-self.mu.size:] ** 2
 
     def terms(self, v: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``A v``, ``M v`` and the closure's part of ``T(E) v = A v - E M v + closure``, ``sigma`` at ``E``."""
-        return self.matvec(v), self.mass * v, self._apply(self.closure(sigma), v)
+        return self.matvec(v), self.mass * v, self._apply(sigma, v)
 
     @cached_property
     def _diagonals(self) -> list[tuple[int, np.ndarray]]:
-        # the stencil fills only a few rows of the band, the diagonal first;
-        # each is copied out, since a row of the Fortran-ordered band is
-        # strided
+        # only the nonzero rows of the band, the diagonal first: a well
+        # uniform across the strip fills only the diagonal and row K; each
+        # is copied out, since a row of the Fortran-ordered band is strided
         n = self.size
         return [(int(d), self.band[d, : n - d].copy())
                 for d in np.flatnonzero(self.band.any(axis=1))]
@@ -603,105 +549,71 @@ def build_fd_operator(g: TruncatedGuide) -> FdOperator:
     guide with a window or a patch, which is solved on its wall nodes
     (:func:`build_window_operator`, :func:`build_patch_operator`).
     The quadratic form ``sum (du)^2 * w / h`` over grid edges plus the
-    trapezoid-weighted potential gives a symmetric matrix pencil whose
-    interior rows are the standard 5-point stencil and whose Neumann
-    boundary rows, the symmetry plane and the box's edge column among them,
-    carry the ghost-point form automatically; Dirichlet nodes are
-    eliminated.  Its lower triangle is scattered straight into band
-    storage, after a ``MemoryError`` for a band larger than
-    ``MAX_BAND_BYTES``.  The guide beyond ``edge`` is eliminated by the
-    operator's lattice modes (see :class:`FdOperator`).
+    trapezoid-weighted potential, whose node rows are the 5-point stencil
+    with the ghost-point form on the Neumann boundaries (the symmetry plane
+    and the box's edge column among them), is written in each column's
+    lattice modes (see :class:`FdOperator`) straight into band storage,
+    after a ``MemoryError`` for a band larger than ``MAX_BAND_BYTES``.  A
+    column's potential block is one batched matrix product; a column
+    uniform across the strip keeps it diagonal, so a strip-uniform well's
+    band fills only its diagonal and row ``K``.  The guide beyond ``edge``
+    is eliminated mode by mode.
     """
     if g.half_width is not None:
         raise ValueError(
             "the box solves wells only; a window or a patch is solved on its "
             "wall nodes (build_window_operator, build_patch_operator)"
         )
-    n1, n2 = g.n_long, g.n_trans
-    h1, h2 = g.step_long, g.step_trans
-    cs = g.cross_section
-
+    n2, h1 = g.n_trans, g.step_long
     q = g.potential_samples()
     touched = [] if q is None else np.flatnonzero(np.any(q != 0, axis=1))
     edge = _box_edge(g, int(max(touched, default=0)))
+    C = edge + 1
 
-    mask = np.ones((edge + 1, n2 + 1), dtype=bool)
-    if cs.bc == BC_DIRICHLET:
-        mask[:, [0, -1]] = False
-
-    w1 = np.full(edge + 1, h1)
-    w1[0] = w1[-1] = h1 / 2.0
-    w2 = np.full(n2 + 1, h2)
-    w2[0] = w2[-1] = h2 / 2.0
-
-    n = int(mask.sum())
-    index = -np.ones((edge + 1, n2 + 1), dtype=np.int64)
-    index[mask] = np.arange(n)
-
-    # lower-triangle triplets: row - col is the band row, col the band column
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-
-    def add_edges(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
-        # the numbering runs along the edges, so b > a where both are active;
-        # an edge to an eliminated node adds to the active end's diagonal only
-        both = (a >= 0) & (b >= 0)
-        ab, bb, cb = a[both], b[both], c[both]
-        rows.extend((ab, bb, bb))
-        cols.extend((ab, bb, ab))
-        vals.extend((cb, cb, -cb))
-        for keep, other in ((a, b), (b, a)):
-            solo = (keep >= 0) & (other < 0)
-            rows.append(keep[solo])
-            cols.append(keep[solo])
-            vals.append(c[solo])
-
-    add_edges(
-        index[:-1, :].ravel(),
-        index[1:, :].ravel(),
-        np.broadcast_to(w2[None, :] / h1, (edge, n2 + 1)).ravel(),
-    )
-    add_edges(
-        index[:, :-1].ravel(),
-        index[:, 1:].ravel(),
-        np.broadcast_to(w1[:, None] / h2, (edge + 1, n2)).ravel(),
-    )
-
-    weight = w1[:, None] * w2[None, :]
-    if q is not None:
-        diag = index[mask]
-        rows.append(diag)
-        cols.append(diag)
-        vals.append((q[: edge + 1] * weight)[mask])
-
-    col = np.concatenate(cols)
-    offset = np.concatenate(rows) - col
-    width = int(offset.max()) + 1
-    if width * n * 8 > MAX_BAND_BYTES:
-        raise MemoryError(
-            f"band factorization needs {width * n * 8 / 1e9:.1f} GB "
-            f"(bandwidth {width}, {n} unknowns); coarsen the grid"
-        )
-    # band[offset, col] summed in input order, as np.add.at sums it
-    band = np.bincount(
-        offset + width * col, weights=np.concatenate(vals), minlength=width * n
-    ).reshape((width, n), order="F")
-    # the edge column's active nodes k, which are also its lattice modes' j
-    k = np.flatnonzero(mask[-1])
+    # the active nodes k of a column, which are also its lattice modes' j
+    k = np.arange(n2 + 1)
+    if g.cross_section.bc == BC_DIRICHLET:
+        k = k[1:-1]
+    K = k.size
     mu = _lattice_eigenvalues(g, k)
+    w1 = np.full(C, h1)
+    w1[0] = w1[-1] = h1 / 2.0
+    edges = np.full(C, 2.0)
+    edges[0] = edges[-1] = 1.0
+
+    if (K + 1) * C * K * 8 > MAX_BAND_BYTES:
+        raise MemoryError(
+            f"band factorization needs {(K + 1) * C * K * 8 / 1e9:.1f} GB "
+            f"(bandwidth {K + 1}, {C * K} unknowns); coarsen the grid"
+        )
+    # band[r, i, j]: row r of the band at unknown i K + j
+    band = np.zeros((K + 1, C, K))
+    band[0] = w1[:, None] * mu + edges[:, None] / h1
+    band[K, :-1] = -1.0 / h1
+    if q is not None:
+        # w1 (c I + Phi^T W2 diag(q - c) Phi) in each column, c the potential
+        # at its first active node: a column uniform across the strip gives
+        # c I exactly.  Phi is unit in w2 = h2 (h2/2 at a Neumann wall); k j
+        # is reduced modulo the period before scaling, so each phase is exact
+        wall = (k == 0) | (k == n2)
+        wave = np.sin if g.cross_section.bc == BC_DIRICHLET else np.cos
+        phi = wave(np.pi * (np.outer(k, k) % (2 * n2)) / n2)
+        phi *= np.sqrt(np.where(wall, 1.0, 2.0) / g.cross_section.width)
+        w2 = np.where(wall, 0.5, 1.0) * g.step_trans
+        c = q[:C, k[0]]
+        block = (phi.T * w2 * (q[:C, k] - c[:, None])[:, None, :]) @ phi
+        block *= w1[:, None, None]
+        band[0] += w1[:, None] * c[:, None]
+        for r in range(K):
+            band[r, :, : K - r] += block.diagonal(-r, 1, 2)
     return FdOperator(
         guide=g,
-        band=band,
-        mass=weight[mask],
-        scale=w2[k],
+        band=band.reshape(K + 1, C * K),
+        mass=np.repeat(w1, K),
         mu=mu,
-        cap=_exterior_cap(h1, n1 - edge, mu),
-        image=-1.0 if cs.bc == BC_DIRICHLET else 1.0,
-        first=int(k[0]),
-        exterior_columns=n1 - edge,
-        mask=mask,
-        columns=edge + 1,
+        cap=_exterior_cap(h1, g.n_long - edge, mu),
+        exterior_columns=g.n_long - edge,
+        columns=C,
     )
 
 
@@ -908,7 +820,8 @@ class OracleSolution:
     what it was: ``"box"`` (``v`` on the box's columns), ``"window"`` (``v``
     on the window's wall nodes) or ``"patch"`` (``v`` the force on the
     patch's wall nodes, whose field ``G(E_1) v`` has unit mass).  On the
-    box form the eliminated exterior is given in closed form by
+    box ``v`` holds each column's lattice-mode coefficients (see
+    :class:`FdOperator`), and the eliminated exterior is given in closed form by
     :func:`extract_tail_coefficients`.  ``binding`` is ``mu_1^h - E_1``:
     positive exactly when a state sits below the discrete threshold.
     ``shift`` is the box's first shift whose factorization succeeded, or
@@ -972,8 +885,9 @@ def lowest_eigenpairs(
     closure(sigma(E))`` is the exact Schur complement of the rest of the
     guide onto its columns (see :class:`FdOperator`), factored by banded
     Cholesky.  The operator factors ``T(s)`` or reports that it is not
-    positive definite, back-solves with the factor, applies ``-T'(s)``, and
-    gives ``f(E) = v^T T(E) v`` as ``v^T A v - E v^T M v + sigma(E) . a2``.
+    positive definite, back-solves with the factor, applies ``-T'(s)``, a
+    diagonal, and gives ``f(E) = v^T T(E) v`` as ``v^T A v - E v^T M v +
+    sigma(E) . a2``, ``a2`` the squares of ``v``'s edge-column coefficients.
     ``E_1`` is kept in a bracket ``[s, p]``:
 
     - below the operator's cap, a Cholesky factorization of ``T(s)``
@@ -981,7 +895,8 @@ def lowest_eigenpairs(
       lower bound;
     - ``T`` is concave in ``E``, so the smallest eigenvalue ``theta`` of the
       linearized pencil ``T(s) x = theta (-T'(s)) x``, found by inverse
-      iteration, bounds ``E_1 <= s + theta``; Newton steps from there on
+      iteration from the threshold mode in every column, bounds ``E_1 <= s
+    + theta``; Newton steps from there on
       ``f(E)`` with that eigenvector ``v`` fall monotonically to its root
       ``p``, the Rayleigh functional, a tighter upper bound: ``T(p)`` is not
       positive definite, so ``E_1 <= p`` by the same inertia count.  Newton
@@ -1077,7 +992,9 @@ def lowest_eigenpairs(
                 "operator indefinite"
             )
     first_shift = s
-    v = np.ones(op.size)
+    # the threshold mode in every column
+    v = np.zeros(op.size)
+    v[:: op.mu.size] = 1.0
     while True:
         theta, v = pencil_vector(got, v)
         bound = min(s + theta, upper)
@@ -1213,7 +1130,8 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
 
     Past the box the eigenvector is, mode by mode, the exterior's exact
     solution (see :class:`FdOperator`): with ``c`` the box's edge column,
-    ``p_j`` the projection of that column on lattice mode ``j`` and
+    ``p_j`` that column's coefficient of lattice mode ``j``, one of the
+    eigenvector's last ``K`` unknowns, and
     ``cosh(theta_j) = 1 + h1^2 (mu_j^h - E_1) / 2``, its column ``i`` carries
     ``A_j (exp(-theta_j i) - exp(-theta_j (2 n_long - i)))``, the decaying
     tail and its image in the Dirichlet end, where
@@ -1236,19 +1154,10 @@ def extract_tail_coefficients(sol: OracleSolution, count: int) -> list[tuple[flo
         )
     if count > op.mu.size:
         raise ValueError(f"{count} modes requested; the lattice has {op.mu.size}")
-    g = op.guide
-    h1, M, K = g.step_long, op.exterior_columns, op.scale.size
+    h1, M = op.guide.step_long, op.exterior_columns
     theta = _lattice_angles(h1, op.mu, sol.value)[0][:count]
-    # the edge column's active nodes k, the last unknowns since the
-    # numbering runs along each column, and the lowest modes j, sines from
-    # j = 1 or cosines from j = 0 like them, each unit in w2 over the strip;
-    # k j is reduced modulo the period before scaling, so the phase stays exact
-    k = np.arange(op.first, op.first + K)
-    j = k[:count]
-    wave = np.sin if g.cross_section.bc == BC_DIRICHLET else np.cos
-    phi = wave(np.pi * (np.outer(k, j) % (2 * g.n_trans)) / g.n_trans)
-    norm = np.sqrt(np.where((j == 0) | (j == g.n_trans), 1.0, 2.0) / g.cross_section.width)
-    p = (op.scale * sol.vector[-K:]) @ phi * norm
+    # the edge column's mode coefficients, the last unknowns
+    p = sol.vector[-op.mu.size:][:count]
     a = p * np.exp(theta * (op.columns - 1)) / -np.expm1(-2.0 * M * theta)
     a /= a[0]
     rate = theta / h1

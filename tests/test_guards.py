@@ -13,14 +13,17 @@ of method, and say which numbers moved and by how much:
 import ast
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from wgpoles.harness import parse_config, run_sweep
+from wgpoles.oracle import TruncatedGuide
 
 REPO = Path(__file__).parents[1]
 PACKAGE = REPO / "src" / "wgpoles"
@@ -36,7 +39,7 @@ GOLDEN_REL_TOL = 1e-10
 WORK_KEYS = ("factorizations", "inner_solves", "closure_evaluations", "secular_evaluations")
 WORK_CEILING = {
     "window-ladder": (0, 0, 139, 0),
-    "regular-secular": (158, 291, 471, 29),
+    "regular-secular": (158, 287, 471, 29),
     "patch-threads2": (0, 0, 64, 0),
 }
 
@@ -150,6 +153,60 @@ def test_every_regular_solve_is_its_separated_lattice_eigenvalue(nominal_rows) -
     for eps, s in solves:
         want = _separated_binding(eps, a, s["L"], s["h_long"])
         assert abs(s["binding"] - want) <= SEPARATED_ABS_TOL, (eps, s["L"], s["h_long"])
+
+
+def _exact_binding(eps: float) -> float:
+    """``k^2`` of the well's even state, ``q tan q = k``, ``q^2 = eps - k^2``, by bisection."""
+
+    def mismatch(k: float) -> float:
+        q = math.sqrt(max(eps - k * k, 0.0))
+        return q * math.tan(q) - k
+
+    k = brentq(mismatch, 0.0, math.sqrt(eps), xtol=1e-15)
+    return k * k
+
+
+# the regular rows' error budget, relative to the exact binding, by coupling:
+# the step error (Richardson at the ratio of the shipped steps as solved,
+# 0.25 and 0.125 rounded to whole cells, on a guide 60 decay lengths long,
+# where the length error is negligible) and the shipped row's error (its
+# length ladder and Aitken on top of the same steps).  Each holds at its
+# measured value plus BUDGET_MARGIN of it: the two LAPACK drivers of
+# eigh_tridiagonal differ by up to 5.6e-11 of b at eps = 0.02, about 1% of
+# that row's step error after Richardson, so the margin is eight times that
+REGULAR_BUDGET = {
+    0.16: (1.925e-7, -3.595e-4),
+    0.113: (1.239e-7, -2.832e-4),
+    0.08: (1.664e-8, -2.288e-4),
+    0.057: (2.474e-8, -1.994e-4),
+    0.04: (4.045e-9, -1.780e-4),
+    0.028: (6.677e-9, -1.640e-4),
+    0.02: (6.043e-9, -1.558e-4),
+}
+BUDGET_MARGIN = 0.1
+
+
+def test_regular_error_budget_per_row(nominal_rows) -> None:
+    # the length truncation is nearly all of the oracle's error: the
+    # shipped step pair alone lies within 2e-7 of the exact root, the rows
+    # up to 3.6e-4 off.  A change to the length treatment must beat the
+    # second column, and a change to the steps the first
+    cfg = _workloads().make_config("regular-secular", [0] * 7)
+    a = cfg["perturbation"]["half_width"]
+    rows = nominal_rows["regular-secular"]
+    assert [r.epsilon for r in rows] == list(REGULAR_BUDGET)
+    cross_section = parse_config(cfg).cross_section
+    for row, (step_error, row_error) in zip(rows, REGULAR_BUDGET.values()):
+        exact = _exact_binding(row.epsilon)
+        L = 60.0 / math.sqrt(exact)
+        coarse, fine = (
+            TruncatedGuide(cross_section=cross_section, half_length=L, h=h).step_long
+            for h in cfg["oracle"]["h"]
+        )
+        b_coarse, b_fine = (_separated_binding(row.epsilon, a, L, h) for h in (coarse, fine))
+        b = b_fine + (b_fine - b_coarse) / ((coarse / fine) ** 2 - 1.0)
+        for got, want in ((b / exact - 1.0, step_error), (row.b_oracle / exact - 1.0, row_error)):
+            assert abs(got) <= (1.0 + BUDGET_MARGIN) * abs(want), (row.epsilon, got, want)
 
 
 def test_the_row_pool_gives_the_rows_of_one_thread(nominal_rows) -> None:

@@ -17,7 +17,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.sparse.linalg import eigsh
 
-from wgpoles import oracle
+from wgpoles import harness, oracle
 from wgpoles.oracle import (
     SolverError,
     TruncatedGuide,
@@ -65,8 +65,8 @@ def test_well_roots_are_frozen_values() -> None:
 def test_grid_counts_and_active_dimensions() -> None:
     g = TruncatedGuide(cross_section=_CS, half_length=20.0, h=np.pi / 100)
     op = build_fd_operator(g)
-    # 100 transverse cells minus two Dirichlet walls
-    assert np.count_nonzero(op.mask[-1]) == 99
+    # 100 transverse cells minus two Dirichlet walls: 99 lattice sines
+    assert op.mu.size == 99
     assert g.x1[0] == 0.0 and g.x1[-1] == 20.0
     # nothing is perturbed: the box is the x1 = 0 plane plus the padding, and
     # the exterior runs from its edge column to the Dirichlet end
@@ -103,6 +103,15 @@ def _x2_well_guide() -> TruncatedGuide:
     )
 
 
+def _box_nodes(op, v: np.ndarray) -> np.ndarray:
+    """The box's mode coefficients ``v`` as values on its node grid, eliminated nodes zero."""
+    g = op.guide
+    k, _, phi = _lattice_modes(g, op.mu)
+    u = np.zeros((op.columns, g.n_trans + 1))
+    u[:, k] = v.reshape(op.columns, k.size) @ phi.T
+    return u
+
+
 def test_band_is_the_energy_form() -> None:
     # v^T A v from the band against the quadratic form written out on the
     # box's node grid: sum w (du)^2 / h over the edges, an edge to an
@@ -110,8 +119,7 @@ def test_band_is_the_energy_form() -> None:
     g = _x2_well_guide()
     op = build_fd_operator(g)
     v = np.random.default_rng(7).standard_normal(op.size)
-    u = np.zeros(op.mask.shape)
-    u[op.mask] = v
+    u = _box_nodes(op, v)
     cols = u.shape[0]
     h1, h2 = g.step_long, g.step_trans
     w1 = np.full(cols, h1)
@@ -130,33 +138,16 @@ def test_band_is_the_energy_form() -> None:
     assert np.array_equal(Av, op.matrix @ v)
 
 
-@pytest.mark.parametrize(
-    "cs, kw",
-    [
-        (_NCS, dict(half_length=12.0, h=0.05, potential=_tilted_well)),
-        (_CS, dict(half_length=12.0, h=0.05, potential=lambda x1, x2: -0.5 * (np.abs(x1) <= 1.0))),
-    ],
-    ids=["neumann well", "well"],
-)
-def test_band_sum_matches_add_at(cs, kw, monkeypatch) -> None:
-    # the band is summed by np.bincount over flat Fortran indices; np.add.at
-    # on the same triplets, the reference, sums each entry in the same
-    # order, so the two bands agree bit for bit
-    bincount = np.bincount
-    calls = []
-
-    def recording(x, weights=None, minlength=0):
-        calls.append((x, weights))
-        return bincount(x, weights=weights, minlength=minlength)
-
-    monkeypatch.setattr(np, "bincount", recording)
-    op = build_fd_operator(TruncatedGuide(cross_section=cs, **kw))
-    ((flat, vals),) = calls
-    rows = op.band.shape[0]
-    ref = np.zeros(op.band.shape, order="F")
-    np.add.at(ref, (flat % rows, flat // rows), vals)
-    assert op.band.flags.f_contiguous
-    assert np.array_equal(op.band, ref)
+def test_uniform_well_band_is_diagonal_in_the_modes() -> None:
+    # the regular rows' well, sampled as the sweep samples it, is uniform
+    # across the strip: in the columns' lattice modes its band fills only
+    # the diagonal and the longitudinal row K, and the product visits those two
+    g = TruncatedGuide(cross_section=_CS, half_length=40.0, h=0.125)
+    g.potential = harness._box_sampler(0.08, 1.0, g.step_long)
+    op = build_fd_operator(g)
+    K = op.mu.size
+    assert set(np.flatnonzero(op.band.any(axis=1))) == {0, K}
+    assert [d for d, _ in op._diagonals] == [0, K]
 
 
 def test_lapack_binding_matches_scipy() -> None:
@@ -281,7 +272,7 @@ def _assert_tails_rebuild_exterior(sol, tails) -> None:
     profile = a * (np.exp(-rate * x) - np.exp(-rate * (2.0 * g.x1[-1] - x)))
     rebuilt = profile @ build_basis(g.cross_section, len(tails)).phi_matrix(g.x2)
     u = np.zeros((g.n_long + 1, g.n_trans + 1))
-    u[: c + 1][op.mask] = sol.vector
+    u[: c + 1] = _box_nodes(op, sol.vector)
     edge = u[c]
     scale = float(rebuilt[0] @ edge / (rebuilt[0] @ rebuilt[0]))
     assert np.max(np.abs(scale * rebuilt[0] - edge)) <= 1e-9 * np.max(np.abs(edge))
@@ -810,14 +801,16 @@ def test_patch_root_matches_an_extended_precision_bisection() -> None:
     assert abs(sol.value / float(_extended_root(g)) - 1.0) <= oracle.ROOT_STEP
 
 
-def _lattice_projector(g: TruncatedGuide, mu: np.ndarray) -> np.ndarray:
-    """``P = W2 Phi`` on a uniform column's active nodes, built apart from the oracle.
+def _lattice_modes(g: TruncatedGuide, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A uniform column's active nodes ``k``, their weights ``w2`` and modes ``Phi``, built apart from the oracle.
 
-    The lattice sines ``sqrt(2/d) sin(j k pi / n2)``, ``j, k = 1 .. n2 - 1``,
-    of a Dirichlet strip, or the cosines ``s_j cos(j k pi / n2)``, ``j, k =
-    0 .. n2``, of a Neumann one, ``s_j^2 = 2/d`` (``1/d`` at ``j = 0, n2``);
-    ``k j`` is reduced modulo the period, so the phase stays exact.  ``mu``,
-    the operator's mode eigenvalues, must be the columns' stencil eigenvalues.
+    ``Phi[k, j]`` holds the lattice sines ``sqrt(2/d) sin(j k pi / n2)``,
+    ``j, k = 1 .. n2 - 1``, of a Dirichlet strip, or the cosines ``s_j
+    cos(j k pi / n2)``, ``j, k = 0 .. n2``, of a Neumann one, ``s_j^2 =
+    2/d`` (``1/d`` at ``j = 0, n2``), so ``Phi^T W2 Phi = I``; ``k j`` is
+    reduced modulo the period, so the phase stays exact.  The projector on
+    the modes is ``P = W2 Phi``.  ``mu``, the operator's mode eigenvalues,
+    must be the columns' stencil eigenvalues.
     """
     n2, d = g.n_trans, g.cross_section.width
     w2 = np.full(n2 + 1, g.step_trans)
@@ -831,37 +824,82 @@ def _lattice_projector(g: TruncatedGuide, mu: np.ndarray) -> np.ndarray:
         wave = np.cos
     lam = 4.0 / g.step_trans**2 * np.sin(k * np.pi * g.step_trans / (2.0 * d)) ** 2
     assert np.allclose(mu, lam, rtol=1e-14, atol=0.0)
-    return w2[k, None] * wave(np.pi * (np.outer(k, k) % (2 * n2)) / n2) * s
+    return k, w2[k], wave(np.pi * (np.outer(k, k) % (2 * n2)) / n2) * s
 
 
-# the box's closure at offsets against the projector product it transforms,
-# relative to the largest entry: at most 1.0e-15 (sines) and 6.7e-16
-# (cosines) measured below; the bound leaves a margin of 10
-BOX_CLOSURE_REL_TOL = 1e-14
+def _nodal_box_pencil(op, k: np.ndarray, w2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The box's stiffness and mass on its active nodes in Kronecker form, numbered along each column.
+
+    The natural ends in ``x1`` are the symmetry plane and the box's edge
+    column; an eliminated Dirichlet node is dropped from the transverse
+    stiffness, which keeps its edge's weight on the active end's diagonal.
+    """
+    g = op.guide
+    C, h1, h2 = op.columns, g.step_long, g.step_trans
+
+    def stiffness(n: int, step: float) -> np.ndarray:
+        D = np.diff(np.eye(n + 1), axis=0)
+        return D.T @ D / step
+
+    w1 = np.full(C, h1)
+    w1[[0, -1]] = h1 / 2.0
+    q = g.potential_samples()[:C, k]
+    A = (
+        np.kron(stiffness(C - 1, h1), np.diag(w2))
+        + np.kron(np.diag(w1), stiffness(g.n_trans, h2)[np.ix_(k, k)])
+        + np.diag((np.outer(w1, w2) * q).ravel())
+    )
+    return A, np.kron(w1, w2)
+
+
+# the modal box's pencil, mapped back to the nodes, against the nodal box
+# assembled in Kronecker form plus the closure P diag(sigma) P^T, relative
+# to the largest entry: at most 8.7e-16 (sines) and 6.1e-16 (cosines)
+# measured below; the bound leaves a margin of 11
+BOX_PENCIL_REL_TOL = 1e-14
 
 
 @pytest.mark.parametrize("cs", [_CS, _NCS], ids=["dirichlet-sines", "neumann-cosines"])
 def test_box_closure_is_the_projector_product(cs) -> None:
-    # the box's edge closure, W2 (q[|k - k'|] -+ q[k + k']) W2 from one
-    # cosine sum, and its slope against P diag(sigma) P^T with P rebuilt from the
-    # lattice modes and sigma from the closure kit: below the threshold,
+    # the box in its columns' lattice modes is the nodal box rotated by
+    # P = W2 Phi: T(E) = A - E M + sigma(E) on the edge column's modes, and
+    # T'(E) = -M + sigma'(E), each mapped back as blockdiag(P) T
+    # blockdiag(P)^T, against the nodal pencil with the edge closure
+    # P diag(sigma) P^T, sigma from the closure kit: below the threshold,
     # 1e-9 either side of it, with one mode oscillating, and next to the
-    # cap, where two do
-    g = TruncatedGuide(cross_section=cs, half_length=2.0, h=0.1)
+    # cap, where two do.  The well varies across the strip, so every
+    # column's potential block is dense
+    g = TruncatedGuide(
+        cross_section=cs, half_length=2.0, h=0.1,
+        potential=lambda x1, x2: -0.5 * (1.0 + x2 / np.pi) * (x1 <= 0.5),
+    )
     op = build_fd_operator(g)
-    P = _lattice_projector(g, op.mu)
+    k, w2, phi = _lattice_modes(g, op.mu)
+    P = w2[:, None] * phi
+    K, n = k.size, op.size
+    A, mass = _nodal_box_pencil(op, k, w2)
+    rotate = np.kron(np.eye(op.columns), P)
+
+    def edge(sigma: np.ndarray) -> np.ndarray:
+        block = np.zeros((n, n))
+        block[-K:, -K:] = (P * sigma) @ P.T
+        return block
+
+    def closure(weights: np.ndarray) -> np.ndarray:
+        return np.diag(op.terms(np.ones(n), weights)[2])
+
+    modal_A, modal_M = op.matrix.toarray(), np.diag(op.mass)
     mu1 = discrete_threshold(g)
     assert op.mu[1] < op.cap
     for E in (mu1 - 0.3, mu1 - 1e-9, mu1 + 1e-9, 0.5 * (mu1 + op.cap), op.cap - 0.01 * (op.cap - mu1)):
-        modes = oracle._exterior_coupling(g.step_long, op.exterior_columns, op.mu, E)
-        for weights, sigma in zip(op.coupling(E), modes):
-            want = (P * sigma) @ P.T
-            got = op.closure(weights)
-            assert np.abs(got - want).max() <= BOX_CLOSURE_REL_TOL * np.abs(want).max()
-    # the closure's cosine tables are kept for the last 8 grids, not for
-    # every grid the process solves
-    info = oracle._cosines.cache_info()
-    assert info.maxsize == 8 and 0 < info.currsize <= 8
+        sigma, slope = op.coupling(E)
+        ref_sigma, ref_slope = oracle._exterior_coupling(g.step_long, op.exterior_columns, op.mu, E)
+        for modal, want in (
+            (modal_A - E * modal_M + closure(sigma), A - E * np.diag(mass) + edge(ref_sigma)),
+            (closure(slope) - modal_M, edge(ref_slope) - np.diag(mass)),
+        ):
+            got = rotate @ modal @ rotate.T
+            assert np.abs(got - want).max() <= BOX_PENCIL_REL_TOL * np.abs(want).max()
 
 
 @pytest.mark.parametrize(
