@@ -40,7 +40,7 @@ def positive_int(text: str) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
-    rows, _, report = run_experiment(cfg, out_dir=args.out, threads=args.threads)
+    rows, _, report = run_experiment(cfg, out_dir=args.out)
     if rows and all(r.error is not None for r in rows):
         print("every sweep row failed; see the report for details", file=sys.stderr)
         return EXIT_SOLVER
@@ -76,7 +76,8 @@ def _parser() -> argparse.ArgumentParser:
     sp.add_argument("-v", "--verbose", action="store_true",
                     help="Log solver progress.")
     sp.add_argument("--threads", type=positive_int, default=1,
-                    help="Worker threads for sweep rows, at least 1 (default 1).")
+                    help="Accepted and ignored, at least 1: it does not change "
+                    "how rows run, which is one after another on one thread.")
     sp.add_argument("--out", type=str, default="out",
                     help="Directory for sweep.csv and report.json (default out).")
     sp.add_argument("--check", action="store_true",

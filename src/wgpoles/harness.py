@@ -473,8 +473,8 @@ def row_binding(cfg: ExperimentConfig, index: int) -> tuple[float, dict]:
     length's coarse solve; the row's first solve has none.  Hints come only
     from this row's own oracle solves: never from the predictor or secular
     lanes, which share no code with the oracle, and never from another row,
-    so rows stay independent under ``--threads``.  They change the eigensolver's work,
-    never its result.
+    so a row is the same in any sweep that contains it.  They change the
+    eigensolver's work, never its result.
     """
     eps = cfg.epsilons[index]
     Ls = cfg.oracle["L"][index]
@@ -568,44 +568,34 @@ def _row(cfg: ExperimentConfig, index: int, basis: TransverseBasis,
     return row
 
 
-def run_sweep(cfg: ExperimentConfig, threads: int = 1) -> list[SweepRow]:
-    """One row per coupling, descending.
+def run_sweep(cfg: ExperimentConfig) -> list[SweepRow]:
+    """One row per coupling, descending, computed one after another.
 
-    Rows are computed independently (in a thread pool when ``threads > 1``)
-    and assembled in config order.  A sub-solver failure marks its row with
-    the error instead of aborting the sweep.  Each finished row logs its
-    eigensolves and its wall time.
+    Each row is computed on its own, from the config and the shared basis
+    and kernel, so it does not depend on the rows around it.  A sub-solver
+    failure marks its row with the error instead of aborting the sweep.
+    Each finished row logs its eigensolves and its wall time.
     """
     basis = build_basis(cfg.cross_section, basis_size(cfg))
     # every row's predictor and secular lane read one kernel and potential
     kernel, V = regular_inputs(cfg, basis) if cfg.scenario == REGULAR_POTENTIAL else (None, None)
-
-    def one(index: int) -> SweepRow:
+    rows = []
+    for index, eps in enumerate(cfg.epsilons):
         start = time.perf_counter()
         try:
             row = _row(cfg, index, basis, kernel, V)
         except Exception as exc:
-            logger.warning("row eps=%g failed: %s", cfg.epsilons[index], exc)
-            return SweepRow(
-                epsilon=cfg.epsilons[index],
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            logger.warning("row eps=%g failed: %s", eps, exc)
+            rows.append(SweepRow(epsilon=eps, error=f"{type(exc).__name__}: {exc}"))
+            continue
         logger.info(
             "row eps=%g done: %d eigensolves, %.3f s",
             row.epsilon,
             len(row.extras["solves"]),
             time.perf_counter() - start,
         )
-        return row
-
-    indices = range(len(cfg.epsilons))
-    if threads > 1:
-        # imported here: a one-thread sweep does not pay for the import
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, indices))
-    return [one(i) for i in indices]
+        rows.append(row)
+    return rows
 
 
 def fit_loglog_slope(points) -> tuple[float, float]:
@@ -792,10 +782,8 @@ def emit_report(cfg: ExperimentConfig, rows: list[SweepRow], fits: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir=None, threads: int = 1
-) -> tuple[list[SweepRow], dict, str]:
-    """Sweep, fit, and report in one pass; writes artifacts under ``out_dir``.
+def run_experiment(cfg: ExperimentConfig, out_dir=None) -> tuple[list[SweepRow], dict, str]:
+    """Sweep, fit, and report in one pass on one thread; writes artifacts under ``out_dir``.
 
     The one writer of ``sweep.csv`` and ``report.json``.  The report stages
     are looked up in this module at call time, so a wrapper set on
@@ -806,7 +794,7 @@ def run_experiment(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-    rows = run_sweep(cfg, threads=threads)
+    rows = run_sweep(cfg)
     start = time.perf_counter()
     fits = compute_fits(cfg, rows)
     report = emit_report(cfg, rows, fits)

@@ -81,7 +81,6 @@ import logging
 import math
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -134,40 +133,34 @@ MAX_BAND_BYTES = 3 * 1024**3
 WINDOW_BLOCK = 2**14
 
 
-# row threads that reach their first LAPACK call together load the
-# extension once
-_FLAPACK_LOCK = threading.Lock()
-
-
 @cache
 def _load_flapack():
     """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, without ``scipy.linalg``.
 
     The extension needs only numpy, so it is loaded from its file in the
-    installed scipy, on the first factorization; the module already
-    imported is reused, and the one loaded here is registered under its own
-    name, so a later ``import scipy.linalg`` shares it.
+    installed scipy, once, on the process's first factorization; the module
+    already imported is reused, and the one loaded here is registered under
+    its own name, so a later ``import scipy.linalg`` shares it.
     """
     name = "scipy.linalg._flapack"
-    with _FLAPACK_LOCK:
-        if name in sys.modules:
-            return sys.modules[name]
-        spec = importlib.util.find_spec("scipy")
-        roots = [] if spec is None else list(spec.submodule_search_locations or [])
-        paths = [
-            os.path.join(root, "linalg", "_flapack" + suffix)
-            for root in roots
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES
-        ]
-        for path in paths:
-            if os.path.isfile(path):
-                loader = importlib.machinery.ExtensionFileLoader(name, path)
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_file_location(name, path, loader=loader)
-                )
-                loader.exec_module(module)
-                sys.modules[name] = module
-                return module
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    roots = [] if spec is None else list(spec.submodule_search_locations or [])
+    paths = [
+        os.path.join(root, "linalg", "_flapack" + suffix)
+        for root in roots
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    for path in paths:
+        if os.path.isfile(path):
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(name, path, loader=loader)
+            )
+            loader.exec_module(module)
+            sys.modules[name] = module
+            return module
     raise ImportError(
         f"scipy's LAPACK extension {name} not found; looked for "
         + (", ".join(paths) or "an installed scipy package"),

@@ -1,9 +1,10 @@
 """Guards on the whole program: the lanes' import boundary, solver work, golden numbers.
 
 The work ratchet and the golden numbers run the benchmark's three nominal
-workloads in process on one thread, and the row pool must give the same
-rows on the two threads ``patch-threads2`` runs.  Every regular solve of
-those sweeps is also held to its exact reference, a 1-D lattice eigenvalue.  ``golden_rows.json``
+workloads in process, and a row must not depend on the sweep around it:
+the ``regular-secular`` sweep split in two parts gives the same rows.  Every
+regular solve of those sweeps is also held to its exact reference, a 1-D
+lattice eigenvalue.  ``golden_rows.json``
 records the commit its numbers came from; regenerate it only for a change
 of method, and say which numbers moved and by how much:
 
@@ -11,6 +12,7 @@ of method, and say which numbers moved and by how much:
 """
 
 import ast
+import copy
 import importlib.util
 import json
 import math
@@ -209,14 +211,20 @@ def test_regular_error_budget_per_row(nominal_rows) -> None:
             assert abs(got) <= (1.0 + BUDGET_MARGIN) * abs(want), (row.epsilon, got, want)
 
 
-def test_the_row_pool_gives_the_rows_of_one_thread(nominal_rows) -> None:
-    # patch-threads2 runs its rows on two threads; those rows, extras
-    # included, must be the one-thread rows the golden numbers hold
+def test_a_row_does_not_depend_on_the_sweep_around_it(nominal_rows) -> None:
+    # a row reads only the config's shared settings and its own coupling:
+    # the nominal regular-secular sweep split into couplings 0-3 and 3-6,
+    # which share coupling 3, gives the full sweep's rows, extras included
     workloads = _workloads()
-    spec = workloads.SPECS["patch-threads2"]
-    assert spec.threads == 2
-    cfg = parse_config(workloads.make_config("patch-threads2", [0] * len(spec.nominal)))
-    assert run_sweep(cfg, threads=spec.threads) == nominal_rows["patch-threads2"]
+    name = "regular-secular"
+    raw = workloads.make_config(name, [0] * len(workloads.SPECS[name].nominal))
+    rows = nominal_rows[name]
+    assert len(rows) == 7
+    for part in (slice(0, 4), slice(3, 7)):
+        cfg = copy.deepcopy(raw)
+        cfg["epsilons"] = raw["epsilons"][part]
+        cfg["oracle"]["L"] = raw["oracle"]["L"][part]
+        assert run_sweep(parse_config(cfg)) == rows[part]
 
 
 def test_nominal_workload_rows_match_their_golden_numbers(nominal_rows) -> None:

@@ -362,14 +362,17 @@ def test_failed_row_keeps_error_cell_and_sweep_continues() -> None:
     assert verdict["checks"][0]["row"] == 0
 
 
-def test_report_is_deterministic_and_threads_do_not_reorder() -> None:
-    cfg = parse_config(_regular_dict())
-    rows_a, fits_a, report_a = run_experiment(cfg)
-    rows_b, fits_b, report_b = run_experiment(cfg)
-    assert report_a == report_b
-    assert render_csv(rows_a) == render_csv(rows_b)
-    rows_c = run_sweep(cfg, threads=3)
-    assert render_csv(rows_c) == render_csv(rows_a)
+def test_report_is_deterministic_and_threads_do_not_reorder(tmp_path) -> None:
+    # --threads is accepted and changes nothing: a --threads 3 sweep writes
+    # the default sweep's report.json and sweep.csv, byte for byte
+    path = tmp_path / "reg.json"
+    path.write_text(json.dumps(_regular_dict()))
+    written = []
+    for name, extra in (("default", []), ("three", ["--threads", "3"])):
+        out = tmp_path / name
+        assert main(["sweep", "--config", str(path), "--out", str(out), *extra]) == 0
+        written.append([(out / f).read_bytes() for f in ("report.json", "sweep.csv")])
+    assert written[0] == written[1]
 
 
 def test_report_document_structure() -> None:
@@ -876,34 +879,35 @@ def test_cli_sweep_imports_neither_scipy_linalg_nor_sparse(tmp_path) -> None:
     # importing scipy.linalg (with scipy's array-API layer) and scipy.sparse
     # cost more CPU than a window sweep spends solving; the oracle loads
     # scipy's LAPACK extension alone, on the first banded factorization,
-    # which a window sweep makes on its wall nodes, and a sweep on one
-    # thread loads no thread pool; -v logs the start-up CPU and the BLAS
-    # thread setting
+    # which a window sweep makes on its wall nodes, and no sweep loads a
+    # thread pool, also under --threads 2; -v logs the start-up CPU and the
+    # BLAS thread setting
     path = tmp_path / "win.json"
     path.write_text(json.dumps(_window_dict()))
-    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "-v"]
-    script = (
-        "import json, sys, time\n"
-        "from wgpoles.cli import main\n"
-        f"code = main({argv!r})\n"
-        "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy._lib._array_api', "
-        "'concurrent.futures')\n"
-        "print(json.dumps([code, [m for m in heavy if m in sys.modules], "
-        "time.process_time()]))\n"
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", script],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
-    )
-    assert run.returncode == 0, run.stderr
-    code, loaded, cpu = json.loads(run.stdout.splitlines()[-1])
-    assert code == 0
-    assert loaded == []
-    (startup,) = re.findall(r"start-up: ([0-9.]+) s CPU", run.stderr)
-    assert 0.0 < float(startup) < cpu
-    assert "OPENBLAS_NUM_THREADS=1" in run.stderr
+    for extra in ([], ["--threads", "2"]):
+        argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "-v", *extra]
+        script = (
+            "import json, sys, time\n"
+            "from wgpoles.cli import main\n"
+            f"code = main({argv!r})\n"
+            "heavy = ('scipy.linalg', 'scipy.sparse', 'scipy._lib._array_api', "
+            "'concurrent.futures')\n"
+            "print(json.dumps([code, [m for m in heavy if m in sys.modules], "
+            "time.process_time()]))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(oracle.__file__).parents[1])},
+        )
+        assert run.returncode == 0, run.stderr
+        code, loaded, cpu = json.loads(run.stdout.splitlines()[-1])
+        assert code == 0
+        assert loaded == [], extra
+        (startup,) = re.findall(r"start-up: ([0-9.]+) s CPU", run.stderr)
+        assert 0.0 < float(startup) < cpu
+        assert "OPENBLAS_NUM_THREADS=1" in run.stderr
 
 
 def test_cli_process_exits_with_main_s_code_and_complete_output(tmp_path) -> None:
@@ -1150,7 +1154,7 @@ def test_benchmark_tracer_sees_every_wrapped_layer(tmp_path) -> None:
     # asserted: the program calls LAPACK's banded routines directly, so the
     # scipy.linalg names the tracer wraps read 0 until the benchmark changes.
     # The three workload shapes run: the regular config, a window config,
-    # and a patch config on two row threads as patch-threads2 runs; only
+    # and a patch config with the --threads 2 that patch-threads2 passes; only
     # the regular one assembles the feature box, since both wall features
     # are solved on their wall forms
     repo = Path(__file__).parents[1]
